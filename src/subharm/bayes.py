@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CombinedDataset
+from .data import CONTROL, TREATED, CombinedDataset
 from .errors import SingularPosterior, SingularPrior
-from .glm import _onehot
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def flat_prior(dim: int, variance: float = 1e4) -> NormalPosterior:
                            tuple(f"p[{i}]" for i in range(dim)))
 
 
-def _conjugate_update(x: np.ndarray, y: np.ndarray, noise_var: float,
+def _conjugate_update(xtx: np.ndarray, xty: np.ndarray, noise_var: float,
                       prior_mean: np.ndarray, prior_cov: np.ndarray,
                       labels: tuple[str, ...]) -> NormalPosterior:
     if noise_var <= 0:
@@ -56,13 +55,13 @@ def _conjugate_update(x: np.ndarray, y: np.ndarray, noise_var: float,
         prior_prec = np.linalg.inv(prior_cov)
     except np.linalg.LinAlgError:
         raise SingularPrior("prior covariance is singular") from None
-    post_prec = prior_prec + (x.T @ x) / noise_var
+    post_prec = prior_prec + xtx / noise_var
     try:
         post_cov = np.linalg.inv(post_prec)
     except np.linalg.LinAlgError:
         raise SingularPosterior("posterior precision is singular") from None
     post_cov = 0.5 * (post_cov + post_cov.T)
-    post_mean = post_cov @ (prior_prec @ prior_mean + (x.T @ y) / noise_var)
+    post_mean = post_cov @ (prior_prec @ prior_mean + xty / noise_var)
     return NormalPosterior(post_mean, post_cov, labels)
 
 
@@ -71,9 +70,14 @@ def analyst1_posterior(ds: CombinedDataset, sigma2: float,
     """Overall-effect posterior from trial data only, under the two-
     parameter normal outcome model with known noise variance."""
     prior = prior or flat_prior(2)
-    x = np.column_stack([np.ones(ds.n_rct), ds.t_rct.astype(float)])
-    return _conjugate_update(x, ds.y_rct, sigma2, prior.mean, prior.cov,
-                             ("mu", "theta"))
+    cs = ds.cell_stats
+    # design [1, t] over the RCT rows
+    n1 = float(cs.n[:, TREATED].sum())
+    n = n1 + float(cs.n[:, CONTROL].sum())
+    s1 = float(cs.total[:, TREATED].sum())
+    xtx = np.array([[n, n1], [n1, n1]])
+    xty = np.array([s1 + float(cs.total[:, CONTROL].sum()), s1])
+    return _conjugate_update(xtx, xty, sigma2, prior.mean, prior.cov, ("mu", "theta"))
 
 
 def analyst2_posterior(ds: CombinedDataset, phi2: float,
@@ -82,16 +86,16 @@ def analyst2_posterior(ds: CombinedDataset, phi2: float,
     external outcomes as exchangeable with trial controls."""
     k = ds.k
     prior = prior or flat_prior(2 * k)
-    h_r = _onehot(ds.w_rct, k)
-    h_e = _onehot(ds.w_ec, k)
-    x = np.block([
-        [h_r, h_r * ds.t_rct[:, None]],
-        [h_e, np.zeros((ds.n_ec, k))],
-    ])
-    y = np.concatenate([ds.y_rct, ds.y_ec])
+    cs = ds.cell_stats
+    # design [onehot(w), onehot(w) * t] over the RCT rows, then the EC rows
+    # with the treatment block zero
+    n_all = np.diag(cs.n.sum(axis=1).astype(float))
+    n1 = np.diag(cs.n[:, TREATED].astype(float))
+    xtx = np.block([[n_all, n1], [n1, n1]])
+    xty = np.concatenate([cs.total.sum(axis=1), cs.total[:, TREATED]])
     labels = (*(f"mu[{i + 1}]" for i in range(k)),
               *(f"theta[{i + 1}]" for i in range(k)))
-    return _conjugate_update(x, y, phi2, prior.mean, prior.cov, labels)
+    return _conjugate_update(xtx, xty, phi2, prior.mean, prior.cov, labels)
 
 
 def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,

@@ -226,7 +226,7 @@ def cmd_estimate(cfg: dict) -> int:
     methods = cfg.get("intervals", ["rct_only"] if family == BINARY
                       else ["analytic", "rct_only"])
     if methods:
-        phi2 = _pooled_cell_variance(ds)
+        phi2 = _pooled_cell_variance(ds.cell_stats)
         harmonized_cfgs = [c for c in est_cfgs if c.kind == "harmonized"]
         for method in methods:
             if method == "rct_only":
@@ -256,7 +256,7 @@ def cmd_estimate(cfg: dict) -> int:
                     p2 = analyst2_posterior(ds, phi2, flat_prior(2 * ds.k))
                     iv = cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
                 elif method == "bootstrap":
-                    iv = bootstrap_interval(ds, hcfg, r=1000, alpha=alpha,
+                    iv = bootstrap_interval(ds, dc, theta_h, hcfg, r=1000, alpha=alpha,
                                             seed=int(cfg.get("seed", 0)))
                 else:
                     raise ConfigError(f"unknown interval method {method!r}")
@@ -273,7 +273,7 @@ def cmd_estimate(cfg: dict) -> int:
         if ecfg.kind == "harmonized" and np.isinf(ecfg.lam):
             gap = abs(float(dc.pi @ results[ecfg.name]) - overall_for(ctx, ecfg))
             checks[f"full_harmonization_gap[{ecfg.name}]"] = gap
-            if gap > 1e-10:
+            if not gap <= 1e-10:
                 raise NumericalError(
                     f"full harmonization constraint violated ({gap:.3g})")
     resolved = {

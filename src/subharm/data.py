@@ -11,7 +11,9 @@ dataset and echoed into run manifests.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +32,9 @@ EC = "EC"
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
+
+# column order of the CellStats arrays
+TREATED, CONTROL, EC_CONTROL = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,8 @@ class CombinedDataset:
             raise DataError(f"unknown outcome family {outcome_family!r}")
         if np.any(ec["t"] != 0):
             raise EcTreatedPatient("external-control record with treatment = 1")
+        if np.any((rct["t"] != 0) & (rct["t"] != 1)):
+            raise MalformedRow("treatment must be 0 or 1")
         for side in (rct, ec):
             if side["w"].size and (side["w"].min() < 0 or side["w"].max() >= k):
                 bad = int(side["w"].min() if side["w"].min() < 0 else side["w"].max())
@@ -225,6 +232,49 @@ class CombinedDataset:
             m &= self.t_rct == arm
         return m
 
+    @cached_property
+    def cell_stats(self) -> "CellStats":
+        """Per-cell outcome statistics, computed on first use."""
+        return CellStats.from_dataset(self)
+
+
+@dataclass(frozen=True)
+class CellStats:
+    """Outcome sufficient statistics per (subgroup, cell).
+
+    Row k is 0-based subgroup k; the columns are the treated RCT, control
+    RCT and EC cells (`TREATED`, `CONTROL`, `EC_CONTROL`). `n` holds counts,
+    `total` outcome sums, `mean` the cell means (0 for an empty cell) and
+    `ss` the sums of squares about the cell mean. The sums of squares are
+    two-pass, never sum(y^2) - n*mean^2, so they keep full precision when a
+    cell's mean is large against its spread. Every difference-of-means
+    quantity is a function of these arrays.
+    """
+
+    n: np.ndarray
+    total: np.ndarray
+    mean: np.ndarray
+    ss: np.ndarray
+    outcome_family: str = CONTINUOUS
+
+    def __post_init__(self):
+        for a in (self.n, self.total, self.mean, self.ss):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_dataset(cls, ds: CombinedDataset) -> "CellStats":
+        cell = np.concatenate([3 * ds.w_rct + ds.rct_mask(arm=0),
+                               3 * ds.w_ec + EC_CONTROL])
+        y = np.concatenate([ds.y_rct, ds.y_ec])
+        size = 3 * ds.k
+        n = np.bincount(cell, minlength=size)
+        total = np.bincount(cell, weights=y, minlength=size)
+        mean = total / np.maximum(n, 1)
+        ss = np.bincount(cell, weights=(y - mean[cell]) ** 2, minlength=size)
+        shape = (ds.k, 3)
+        return cls(n.reshape(shape), total.reshape(shape), mean.reshape(shape),
+                   ss.reshape(shape), ds.outcome_family)
+
 
 @dataclass(frozen=True)
 class DesignCounts:
@@ -252,27 +302,6 @@ class DesignCounts:
     def k(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def Pi(self) -> np.ndarray:
-        return np.diag(self.pi)
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.diag(self.q_ratio)
-
-    def n(self, subgroup=None, arm=None, study=None) -> int:
-        """Marginal count; None sums over that axis. `subgroup` is 0-based,
-        study is "RCT", "EC", or None for both."""
-        c = self.counts
-        if subgroup is not None:
-            c = c[subgroup:subgroup + 1]
-        if arm is not None:
-            c = c[:, arm:arm + 1]
-        if study is not None:
-            s = 0 if study == RCT else 1
-            c = c[..., s:s + 1]
-        return int(c.sum())
-
 
 def compute_design_counts(
     ds: CombinedDataset,
@@ -285,9 +314,11 @@ def compute_design_counts(
     (it must be strictly positive on the simplex).
     """
     k = ds.k
+    n = ds.cell_stats.n
     counts = np.zeros((k, 2, 2), dtype=np.int64)
-    np.add.at(counts, (ds.w_rct, ds.t_rct, 0), 1)
-    np.add.at(counts, (ds.w_ec, np.zeros(ds.n_ec, dtype=np.int64), 1), 1)
+    counts[:, 1, 0] = n[:, TREATED]
+    counts[:, 0, 0] = n[:, CONTROL]
+    counts[:, 0, 1] = n[:, EC_CONTROL]
 
     if prevalences is not None:
         pi = np.asarray(prevalences, dtype=float)
@@ -330,12 +361,13 @@ def _parse_cell(raw: str, kind: str, path: str, line: int, column: str):
     if raw == "":
         raise MalformedRow(f"{path}:{line}: empty {column!r} cell")
     try:
-        if kind == "float":
-            return float(raw)
-        return int(raw)
+        value = float(raw) if kind == "float" else int(raw)
     except ValueError:
         raise MalformedRow(
             f"{path}:{line}: cannot parse {column!r} value {raw!r}") from None
+    if kind == "float" and not math.isfinite(value):
+        raise MalformedRow(f"{path}:{line}: non-finite {column!r} value {raw!r}")
+    return value
 
 
 def _read_rows(path: str, schema: CsvSchema, study: str):

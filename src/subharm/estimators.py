@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import BINARY, CombinedDataset
+from .data import BINARY, CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset
 from .errors import (
     EmptyArm,
     EmptySubgroupArm,
@@ -76,78 +76,58 @@ def external_estimate(theta_k, covariance=None) -> EffectEstimate:
 
 def diff_means_overall(ds: CombinedDataset) -> EffectEstimate:
     """Difference between the RCT experimental and control arm means."""
-    n1 = int((ds.t_rct == 1).sum())
-    n0 = int((ds.t_rct == 0).sum())
+    cs = ds.cell_stats
+    n1, n0 = int(cs.n[:, TREATED].sum()), int(cs.n[:, CONTROL].sum())
     if n1 == 0 or n0 == 0:
         raise EmptyArm("both RCT arms must be non-empty")
-    m1 = float(ds.y_rct[ds.t_rct == 1].mean())
-    m0 = float(ds.y_rct[ds.t_rct == 0].mean())
-    var = _pooled_cell_variance(ds)
+    m1 = float(cs.total[:, TREATED].sum()) / n1
+    m0 = float(cs.total[:, CONTROL].sum()) / n0
+    var = _pooled_cell_variance(cs)
     overall_var = var * (1.0 / n1 + 1.0 / n0) if np.isfinite(var) else None
     return EffectEstimate(theta_overall=m1 - m0, overall_variance=overall_var,
                           method=DIFF_MEANS, uses_ec=False)
 
 
-def _pooled_cell_variance(ds: CombinedDataset) -> float:
+def _pooled_cell_variance(cs: CellStats) -> float:
     """Within-cell outcome variance pooled over all (subgroup, arm, study)
     cells; binomial cells use p(1-p). Returns nan when no cell has dof."""
-    if ds.outcome_family == BINARY:
-        num = den = 0.0
-        for y, w, t in ((ds.y_rct, ds.w_rct, ds.t_rct),
-                        (ds.y_ec, ds.w_ec, np.zeros(ds.n_ec, dtype=int))):
-            for k in range(ds.k):
-                for arm in (0, 1):
-                    m = (w == k) & (t == arm)
-                    n = int(m.sum())
-                    if n:
-                        p = float(y[m].mean())
-                        num += n * p * (1 - p)
-                        den += n
-        return num / den if den else np.nan
-    rss = 0.0
-    dof = 0
-    for y, w, t in ((ds.y_rct, ds.w_rct, ds.t_rct),
-                    (ds.y_ec, ds.w_ec, np.zeros(ds.n_ec, dtype=int))):
-        for k in range(ds.k):
-            for arm in (0, 1):
-                m = (w == k) & (t == arm)
-                n = int(m.sum())
-                if n > 1:
-                    rss += float(((y[m] - y[m].mean()) ** 2).sum())
-                    dof += n - 1
-    return rss / dof if dof > 0 else np.nan
+    if cs.outcome_family == BINARY:
+        den = int(cs.n.sum())
+        return float((cs.n * cs.mean * (1 - cs.mean)).sum()) / den if den else np.nan
+    dof = int(np.maximum(cs.n - 1, 0).sum())
+    return float(cs.ss.sum()) / dof if dof > 0 else np.nan
+
+
+def _first_subgroup(bad: np.ndarray) -> int | None:
+    """1-based label of the first flagged subgroup, or None."""
+    idx = np.flatnonzero(bad)
+    return int(idx[0]) + 1 if idx.size else None
 
 
 def diff_means_pooled_subgroups(ds: CombinedDataset) -> EffectEstimate:
     """Per-subgroup difference between the RCT treated mean and the control
     mean pooled over RCT and EC patients."""
-    theta = np.empty(ds.k)
-    var = np.empty(ds.k)
-    phi2 = _pooled_cell_variance(ds)
-    for k in range(ds.k):
-        m1 = ds.rct_mask(k, 1)
-        n1 = int(m1.sum())
-        m0r = ds.rct_mask(k, 0)
-        me = ds.w_ec == k
-        n0 = int(m0r.sum()) + int(me.sum())
-        if n1 == 0 or n0 == 0:
-            raise EmptySubgroupArm(
-                f"subgroup {k + 1} needs a treated RCT patient and a pooled control")
-        pooled_mean = (ds.y_rct[m0r].sum() + ds.y_ec[me].sum()) / n0
-        theta[k] = ds.y_rct[m1].mean() - pooled_mean
-        var[k] = phi2 * (1.0 / n1 + 1.0 / n0) if np.isfinite(phi2) else np.nan
-    cov = np.diag(var) if np.all(np.isfinite(var)) else None
+    cs = ds.cell_stats
+    n1 = cs.n[:, TREATED]
+    n0 = cs.n[:, CONTROL] + cs.n[:, EC_CONTROL]
+    bad = _first_subgroup((n1 == 0) | (n0 == 0))
+    if bad is not None:
+        raise EmptySubgroupArm(
+            f"subgroup {bad} needs a treated RCT patient and a pooled control")
+    pooled_mean = (cs.total[:, CONTROL] + cs.total[:, EC_CONTROL]) / n0
+    theta = cs.mean[:, TREATED] - pooled_mean
+    phi2 = _pooled_cell_variance(cs)
+    cov = np.diag(phi2 * (1.0 / n1 + 1.0 / n0)) if np.isfinite(phi2) else None
     return EffectEstimate(theta_k=theta, covariance=cov,
                           method=DIFF_MEANS, uses_ec=True)
 
 
 def _diff_means_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
-    theta = np.empty(ds.k)
-    for k in range(ds.k):
-        m1, m0 = ds.rct_mask(k, 1), ds.rct_mask(k, 0)
-        if not m1.any() or not m0.any():
-            raise EmptySubgroupArm(f"subgroup {k + 1} lacks an RCT arm")
-        theta[k] = ds.y_rct[m1].mean() - ds.y_rct[m0].mean()
+    cs = ds.cell_stats
+    bad = _first_subgroup((cs.n[:, TREATED] == 0) | (cs.n[:, CONTROL] == 0))
+    if bad is not None:
+        raise EmptySubgroupArm(f"subgroup {bad} lacks an RCT arm")
+    theta = cs.mean[:, TREATED] - cs.mean[:, CONTROL]
     return EffectEstimate(theta_k=theta, method=DIFF_MEANS, uses_ec=False)
 
 
@@ -156,13 +136,12 @@ def oracle_subgroups(ds: CombinedDataset, mu_true) -> EffectEstimate:
     mu_true = np.asarray(mu_true, dtype=float)
     if mu_true.shape != (ds.k,):
         raise ValueError(f"mu_true must have length {ds.k}")
-    theta = np.empty(ds.k)
-    for k in range(ds.k):
-        m1 = ds.rct_mask(k, 1)
-        if not m1.any():
-            raise EmptySubgroupArm(f"subgroup {k + 1} has no treated RCT patients")
-        theta[k] = ds.y_rct[m1].mean() - mu_true[k]
-    return EffectEstimate(theta_k=theta, method=ORACLE, uses_ec=False)
+    cs = ds.cell_stats
+    bad = _first_subgroup(cs.n[:, TREATED] == 0)
+    if bad is not None:
+        raise EmptySubgroupArm(f"subgroup {bad} has no treated RCT patients")
+    return EffectEstimate(theta_k=cs.mean[:, TREATED] - mu_true, method=ORACLE,
+                          uses_ec=False)
 
 
 # --- OLS estimators ----------------------------------------------------------

@@ -179,7 +179,8 @@ def fit_logistic_irls(design: DesignMatrix | np.ndarray, y: np.ndarray,
         cand = coef + delta
         lp_c = x @ cand
         ll_c = _loglik(lp_c, y, w)
-        while ll_c < ll - 1e-12 and halvings < 20:
+        # the log-likelihood's rounding noise grows with its magnitude
+        while ll_c < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 20:
             step *= 0.5
             halvings += 1
             cand = coef + step * delta

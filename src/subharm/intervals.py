@@ -6,12 +6,13 @@ the trial-only comparator interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
 
 from .bayes import NormalPosterior
-from .data import CombinedDataset, compute_design_counts
+from .data import CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
 from .errors import (
     EmptySubgroupArm,
     InsufficientData,
@@ -20,9 +21,8 @@ from .errors import (
 )
 from .estimators import (
     EffectEstimate,
+    _first_subgroup,
     _pooled_cell_variance,
-    diff_means_overall,
-    diff_means_pooled_subgroups,
 )
 from .harmonize import HarmonizationConfig, harmonize
 from .rng import (
@@ -57,6 +57,7 @@ class IntervalSet:
         return (self.lower <= t) & (t <= self.upper)
 
 
+@lru_cache(maxsize=None)
 def _z(alpha: float) -> float:
     return float(norm.ppf(1.0 - alpha / 2.0))
 
@@ -88,18 +89,13 @@ def cut_interval(cutdist: NormalPosterior, alpha: float = 0.05) -> IntervalSet:
 def rct_only_interval(ds: CombinedDataset, alpha: float = 0.05) -> IntervalSet:
     """Comparator interval from trial data alone: per-subgroup difference
     of means with plug-in arm variances."""
-    k = ds.k
-    point = np.empty(k)
-    var = np.empty(k)
-    for j in range(k):
-        m1, m0 = ds.rct_mask(j, 1), ds.rct_mask(j, 0)
-        n1, n0 = int(m1.sum()), int(m0.sum())
-        if n1 < 2 or n0 < 2:
-            raise InsufficientData(
-                f"subgroup {j + 1} needs at least 2 patients per RCT arm")
-        y1, y0 = ds.y_rct[m1], ds.y_rct[m0]
-        point[j] = y1.mean() - y0.mean()
-        var[j] = y1.var(ddof=1) / n1 + y0.var(ddof=1) / n0
+    cs = ds.cell_stats
+    n1, n0 = cs.n[:, TREATED], cs.n[:, CONTROL]
+    bad = _first_subgroup((n1 < 2) | (n0 < 2))
+    if bad is not None:
+        raise InsufficientData(f"subgroup {bad} needs at least 2 patients per RCT arm")
+    point = cs.mean[:, TREATED] - cs.mean[:, CONTROL]
+    var = cs.ss[:, TREATED] / (n1 - 1) / n1 + cs.ss[:, CONTROL] / (n0 - 1) / n0
     half = _z(alpha) * np.sqrt(var)
     return IntervalSet(point - half, point + half, point, "rct_only", alpha)
 
@@ -118,48 +114,40 @@ class SimpleModelParams:
     @classmethod
     def from_data(cls, ds: CombinedDataset) -> "SimpleModelParams":
         """Method-of-moments fit from the observed cell means."""
-        k = ds.k
-        mu = np.empty(k)
-        theta = np.empty(k)
-        gamma = np.zeros(k)
-        for j in range(k):
-            m1, m0 = ds.rct_mask(j, 1), ds.rct_mask(j, 0)
-            if not m1.any() or not m0.any():
-                raise EmptySubgroupArm(
-                    f"subgroup {j + 1} needs both RCT arms for moment estimation")
-            mu[j] = ds.y_rct[m0].mean()
-            theta[j] = ds.y_rct[m1].mean() - mu[j]
-            me = ds.w_ec == j
-            if me.any():
-                gamma[j] = ds.y_ec[me].mean() - mu[j]
-        phi2 = _pooled_cell_variance(ds)
+        cs = ds.cell_stats
+        bad = _first_subgroup((cs.n[:, TREATED] == 0) | (cs.n[:, CONTROL] == 0))
+        if bad is not None:
+            raise EmptySubgroupArm(
+                f"subgroup {bad} needs both RCT arms for moment estimation")
+        mu = cs.mean[:, CONTROL]
+        theta = cs.mean[:, TREATED] - mu
+        gamma = np.where(cs.n[:, EC_CONTROL] > 0, cs.mean[:, EC_CONTROL] - mu, 0.0)
+        phi2 = _pooled_cell_variance(cs)
         if not np.isfinite(phi2):
             raise InsufficientData("no cell has enough observations to estimate phi2")
         return cls(mu, theta, gamma, phi2)
 
 
-def bootstrap_interval(ds: CombinedDataset, cfg: HarmonizationConfig,
-                       r: int = 1000, alpha: float = 0.05, seed: int = 0,
-                       params: SimpleModelParams | None = None,
-                       prevalences=None, replicate: int = 0) -> IntervalSet:
+def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
+                       cfg: HarmonizationConfig, r: int = 1000, alpha: float = 0.05,
+                       seed: int = 0, params: SimpleModelParams | None = None,
+                       replicate: int = 0) -> IntervalSet:
     """Parametric-bootstrap interval for the harmonized difference-of-means
     pipeline.
 
-    Regenerates `r` dataset replicates from the (fitted or supplied)
-    normal outcome model on the observed design, recomputes the harmonized
-    estimate for each, and reports intervals centered at the observed
-    estimate whose width matches the distance between the replicate
-    quantiles. Cell means are sufficient for the pipeline, so replicate
-    outcomes are drawn at the cell-mean level.
+    Cell means are sufficient for the pipeline, so the bootstrap perturbs
+    them: it draws `r` sets of treated, control and external cell means
+    from the (fitted or supplied) normal outcome model on the design `dc`,
+    harmonizes each set with `cfg` (which must carry the resolved sigma or
+    direction) and the prevalences `dc.pi`, and reports intervals centred
+    at `point`, the caller's harmonized estimate, whose width matches the
+    distance between the draw quantiles.
     """
     if r < 100:
         raise ValueError("bootstrap needs r >= 100")
-    dc = compute_design_counts(ds, prevalences)
     params = params or SimpleModelParams.from_data(ds)
     pi = dc.pi
-    initial = diff_means_pooled_subgroups(ds)
-    overall = diff_means_overall(ds)
-    observed = harmonize(initial, overall, pi, cfg).theta_k
+    point = np.array(point, dtype=float)
 
     n1 = dc.counts[:, 1, 0].astype(float)
     n0r = dc.counts[:, 0, 0].astype(float)
@@ -183,16 +171,12 @@ def bootstrap_interval(ds: CombinedDataset, cfg: HarmonizationConfig,
     nr1, nr0 = n1.sum(), n0r.sum()
     theta_r = (m1 * n1).sum(axis=1) / nr1 - (m0 * n0r).sum(axis=1) / nr0
 
-    # vectorized harmonization shift (same cfg resolution as harmonize())
-    probe = harmonize(EffectEstimate(theta_k=np.zeros(dc.k), covariance=initial.covariance,
-                                     method=initial.method, uses_ec=True),
-                      1.0, pi, cfg).theta_k  # shift applied to zero vector = u
-    u = probe
+    # the shift direction u: harmonizing a zero vector toward 1 returns it
+    u = harmonize(EffectEstimate(theta_k=np.zeros(dc.k), uses_ec=True), 1.0, pi, cfg).theta_k
     draws = theta_pool + (theta_r - theta_pool @ pi)[:, None] * u[None, :]
     bad = ~np.isfinite(draws).all(axis=1)
     if bad.any():
         raise ReplicateFailure(int(np.argmax(bad)), "non-finite bootstrap estimate")
-    lo = np.quantile(draws, alpha / 2.0, axis=0)
-    hi = np.quantile(draws, 1.0 - alpha / 2.0, axis=0)
+    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     half = (hi - lo) / 2.0
-    return IntervalSet(observed - half, observed + half, observed, "bootstrap", alpha)
+    return IntervalSet(point - half, point + half, point, "bootstrap", alpha)

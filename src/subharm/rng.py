@@ -11,7 +11,6 @@ import numpy as np
 
 ROLE_OUTCOME = 0
 ROLE_COVARIATE = 1
-ROLE_BOOTSTRAP = 2
 ROLE_RESAMPLE = 3
 ROLE_SPIKE = 4
 # bootstrap cell-mean draws keep separate streams per cell family so that

@@ -54,6 +54,7 @@ from .harmonize import (
     FULL,
     HarmonizationConfig,
     analytic_bias_variance,
+    bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
     build_limit_map_spec,
@@ -348,11 +349,7 @@ class _ReplicateContext:
             return self._cache[key]
         pi = self.dc.pi
         if initial_kind == "diff_means_pooled":
-            b = -self.dc.q_ratio
-            denom = float(pi @ b)
-            if abs(denom) <= 1e-10 * max(1.0, float(np.abs(b).max(initial=0.0))):
-                raise DegenerateDirection("no external controls in any subgroup")
-            u = b / denom
+            u = bd_direction_diff_means(self.dc)
         elif initial_kind == "ols_pooled":
             _, u = bd_direction_linear(self.ds, pi)
         elif initial_kind in ("logistic_pooled", "logistic_ipw"):
@@ -517,8 +514,8 @@ def _interval_rows(ds, dc, spec, hcfg_builder, methods, alpha, bootstrap_r,
                 p2 = analyst2_posterior(ds, spec.phi2, flat_prior(2 * spec.k))
                 iv = cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
             elif method == "bootstrap":
-                iv = bootstrap_interval(ds, hcfg, r=bootstrap_r, alpha=alpha,
-                                        seed=seed, replicate=rep)
+                iv = bootstrap_interval(ds, dc, theta_h, hcfg, r=bootstrap_r,
+                                        alpha=alpha, seed=seed, replicate=rep)
             elif method == "rct_only":
                 iv = rct_only_interval(ds, alpha)
             else:

@@ -185,3 +185,83 @@ class TestResample:
             rows = read_rows(tmp_path / sub / "replicates.csv")
             means.append(np.mean([float(r["estimate"]) for r in rows]))
         assert means[1] - means[0] > 0.08
+
+
+class TestEstimateFailsClosed:
+    def test_bootstrap_centred_on_harmonized_estimate(self, tmp_path):
+        # user-supplied prevalences far from the empirical ones: the
+        # bootstrap must harmonize with them, like the estimate does
+        ds = generate_scenario(load_preset("fig1-s2"), seed=3)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec)
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "prevalences": [0.05] * 5 + [0.15] * 5,
+            "intervals": ["analytic", "bootstrap"], "seed": 3,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        est = [r["estimate"] for r in read_rows(tmp_path / "o" / "estimates.csv")
+               if r["estimator"] == "harmonized"]
+        ivs = read_rows(tmp_path / "o" / "intervals.csv")
+        for method in ("analytic", "bootstrap"):
+            assert [r["point"] for r in ivs if r["method"] == method] == est
+
+    @pytest.mark.parametrize("column,value", [
+        ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf"), ("w", "NaN")])
+    def test_non_finite_cell_exits_3(self, tmp_path, capsys, column, value):
+        ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, d=1, beta=[0.5], seed=5)
+        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
+        schema = CsvSchema(covariates=("x1",), weight="w")
+        save_dataset(ds, str(rct), str(ec), schema)
+        lines = ec.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = value
+        lines[3] = ",".join(cells)
+        ec.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": str(rct), "ec_csv": str(ec),
+            "schema": {"covariates": ["x1"], "weight": "w"},
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "MalformedRow"
+        assert f"{ec}:4:" in err["message"] and repr(column) in err["message"]
+
+    def test_nan_harmonization_gap_exits_4(self, small_csvs, tmp_path, monkeypatch):
+        import subharm.cli
+
+        rct, ec = small_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "out_dir": str(tmp_path / "o")})
+        monkeypatch.setattr(subharm.cli, "overall_for", lambda ctx, ecfg: float("nan"))
+        assert run_cli("estimate", "--config", cfg) == 4
+
+    def test_large_binary_estimate_converges(self, tmp_path):
+        # ~84k rows: an absolute step-acceptance threshold let the
+        # log-likelihood's rounding noise stall the limit-map fits
+        from subharm import ScenarioSpec
+
+        spec = ScenarioSpec(
+            name="large-binary", outcome_family="binary", k=8,
+            n_rct_treated=(1500,) * 8, n_rct_control=(1500,) * 8, n_ec=(7500,) * 8,
+            mu=(-0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6), theta=(0.4,) * 8,
+            distortion=(0.3,) * 8, n_covariates=2, beta=(0.5, -0.3), x_mean_ec=0.5)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(generate_scenario(spec, seed=0), rct, ec)
+        harmonized = [{"kind": "harmonized", "name": name, "initial": initial,
+                       "overall": "logistic", "lambda": "full", "sigma_mode": mode}
+                      for name, initial, mode in (("bd_pooled", "logistic_pooled", "bd"),
+                                                  ("bd_ipw", "logistic_ipw", "bd"),
+                                                  ("vd_pooled", "logistic_pooled", "vd"))]
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "schema": {"covariates": ["x1", "x2"]},
+            "outcome_family": "binary", "intervals": ["rct_only"],
+            "estimators": ["logistic_pooled", "logistic_rct", "logistic_ipw", *harmonized],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        rows = read_rows(tmp_path / "o" / "estimates.csv")
+        assert len(rows) == 6 * 8 + 1
+        assert all(np.isfinite(float(r["estimate"])) for r in rows)
+        checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+        gaps = [v for key, v in checks.items() if key.startswith("full_harmonization_gap[")]
+        assert len(gaps) == 3 and all(g <= 1e-10 for g in gaps)

@@ -127,6 +127,12 @@ class TestRecords:
         with pytest.raises(MalformedRow):
             CombinedDataset(recs, [], k=1, d=0, outcome_family="binary")
 
+    def test_array_treatment_outside_0_1(self):
+        with pytest.raises(MalformedRow):
+            CombinedDataset.from_arrays(y_rct=np.zeros(2), t_rct=np.array([0, 2]),
+                                        w_rct=np.zeros(2, int), y_ec=np.zeros(0),
+                                        w_ec=np.zeros(0, int), k=1)
+
     def test_record_views_round_trip(self):
         ds = balanced_dataset(k=2, n_t=2, n_c=2, n_e=3, seed=5)
         ds2 = CombinedDataset(ds.rct, ds.ec, k=2, d=0)

@@ -10,12 +10,24 @@ from subharm import (
     bootstrap_interval,
     compute_design_counts,
     cut_interval,
+    diff_means_overall,
+    diff_means_pooled_subgroups,
+    harmonize,
     rct_only_interval,
 )
 from subharm.errors import InsufficientData, NegativeVariance
 from subharm.estimators import EffectEstimate
 
 from conftest import balanced_dataset, records_dataset
+
+
+def _bootstrap(ds, cfg, **kw):
+    """Bootstrap interval around the harmonized difference-of-means estimate
+    on the empirical design."""
+    dc = compute_design_counts(ds)
+    point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds),
+                      dc.pi, cfg).theta_k
+    return bootstrap_interval(ds, dc, point, cfg, **kw)
 
 
 class TestAnalytic:
@@ -90,15 +102,15 @@ class TestBootstrap:
         ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=7)
         params = SimpleModelParams(mu=np.zeros(2), theta=np.zeros(2),
                                    gamma=np.zeros(2), phi2=0.0)
-        iv = bootstrap_interval(ds, HarmonizationConfig(lam=FULL), r=200,
+        iv = _bootstrap(ds, HarmonizationConfig(lam=FULL), r=200,
                                 seed=1, params=params)
         np.testing.assert_allclose(iv.width, 0.0, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, seed=8)
         cfg = HarmonizationConfig(lam=FULL)
-        iv1 = bootstrap_interval(ds, cfg, r=300, seed=9)
-        iv2 = bootstrap_interval(ds, cfg, r=300, seed=9)
+        iv1 = _bootstrap(ds, cfg, r=300, seed=9)
+        iv2 = _bootstrap(ds, cfg, r=300, seed=9)
         np.testing.assert_array_equal(iv1.lower, iv2.lower)
         np.testing.assert_array_equal(iv1.upper, iv2.upper)
 
@@ -107,8 +119,8 @@ class TestBootstrap:
         # strict prefix of the r=4000 run
         ds = balanced_dataset(k=5, n_t=8, n_c=8, n_e=30, seed=9)
         cfg = HarmonizationConfig(lam=FULL)
-        w1 = bootstrap_interval(ds, cfg, r=1000, seed=3).width
-        w2 = bootstrap_interval(ds, cfg, r=4000, seed=3).width
+        w1 = _bootstrap(ds, cfg, r=1000, seed=3).width
+        w2 = _bootstrap(ds, cfg, r=4000, seed=3).width
         assert np.all(np.abs(w1 / w2 - 1) < 0.05)
 
     def test_close_to_analytic_width(self):
@@ -120,7 +132,7 @@ class TestBootstrap:
         params = SimpleModelParams(mu=np.zeros(10), theta=np.zeros(10),
                                    gamma=np.ones(10), phi2=1.0)
         cfg = HarmonizationConfig(lam=FULL)
-        iv = bootstrap_interval(ds, cfg, r=4000, seed=11, params=params)
+        iv = _bootstrap(ds, cfg, r=4000, seed=11, params=params)
         _, vh = analytic_bias_variance(dc, np.ones(10), np.eye(10), FULL, 1.0)
         ana_width = 2 * 1.959964 * np.sqrt(np.diag(vh))
         assert np.all(np.abs(iv.width / ana_width - 1) < 0.10)
@@ -132,12 +144,12 @@ class TestBootstrap:
         params = SimpleModelParams(mu=np.array([np.nan, 0.0]),
                                    theta=np.zeros(2), gamma=np.zeros(2), phi2=1.0)
         with pytest.raises(ReplicateFailure) as err:
-            bootstrap_interval(ds, HarmonizationConfig(lam=FULL), r=100,
+            _bootstrap(ds, HarmonizationConfig(lam=FULL), r=100,
                                seed=2, params=params)
         assert err.value.replicate == 0
 
     def test_centered_at_observed_estimate(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, gamma=[1, 1], seed=12)
         cfg = HarmonizationConfig(lam=FULL)
-        iv = bootstrap_interval(ds, cfg, r=500, seed=13)
+        iv = _bootstrap(ds, cfg, r=500, seed=13)
         np.testing.assert_allclose((iv.lower + iv.upper) / 2, iv.point, atol=1e-12)

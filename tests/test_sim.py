@@ -157,6 +157,29 @@ class TestMonteCarlo:
         np.testing.assert_allclose(rep.interval_stats["analytic"]["mean_width"],
                                    want, rtol=1e-4)
 
+    def test_bootstrap_uses_spec_prevalences_and_estimate(self, monkeypatch):
+        from dataclasses import replace
+
+        import subharm.sim
+
+        spec = replace(load_preset("fig1-s2"), prevalences=(0.05,) * 5 + (0.15,) * 5)
+        seen = []
+
+        def recording(ds, dc, point, cfg, **kw):
+            seen.append((dc.pi.copy(), np.array(point)))
+            return bootstrap(ds, dc, point, cfg, **kw)
+
+        bootstrap = subharm.sim.bootstrap_interval
+        monkeypatch.setattr(subharm.sim, "bootstrap_interval", recording)
+        est = {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+               "overall": "diff_means", "lambda": "full", "sigma_mode": "bd"}
+        rep = run_monte_carlo(spec, [est], reps=3, seed=4, intervals=("bootstrap",),
+                              bootstrap_r=100, keep_replicates=True)
+        assert len(seen) == 3
+        for r, (pi, point) in enumerate(seen):
+            np.testing.assert_array_equal(pi, spec.prevalences)
+            np.testing.assert_array_equal(point, rep.replicate_estimates["h"][r])
+
     def test_long_rows_shape(self):
         spec = load_preset("fig1-s1")
         rep = run_monte_carlo(spec, ["diff_means_pooled"], reps=10, seed=2)
