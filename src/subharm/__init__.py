@@ -59,7 +59,6 @@ from .harmonize import (
     analytic_bias_variance,
     bd_direction_glm,
     bd_direction_linear,
-    bd_sigma_diff_means,
     build_limit_map_spec,
     harmonize,
     harmonize_objective_oracle,

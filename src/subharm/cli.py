@@ -16,6 +16,8 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,29 +31,9 @@ from .data import (
     load_dataset,
 )
 from .errors import ConfigError, DataError, NumericalError, SubharmError
-from .bayes import (
-    analyst1_posterior,
-    analyst2_posterior,
-    cut_distribution,
-    flat_prior,
-)
-from .estimators import (
-    _pooled_cell_variance,
-    diff_means_overall,
-    logistic_overall_effect,
-)
-from .harmonize import (
-    HarmonizationConfig,
-    analytic_bias_variance,
-    parse_lambda,
-    vd_sigma,
-)
-from .intervals import (
-    analytic_interval,
-    bootstrap_interval,
-    cut_interval,
-    rct_only_interval,
-)
+from .estimators import _pooled_cell_variance
+from .harmonize import parse_lambda
+from .intervals import check_interval_methods, interval
 from .presets import load_preset
 from .sim import (
     DEFAULT_RESAMPLE_ESTIMATORS,
@@ -189,13 +171,10 @@ def cmd_estimate(cfg: dict) -> int:
     family = cfg.get("outcome_family", CONTINUOUS)
     if family not in (CONTINUOUS, BINARY):
         raise ConfigError("outcome_family must be continuous or binary")
-    ds = load_dataset(cfg["rct_csv"], cfg["ec_csv"], schema, outcome_family=family,
-                      subgroup_levels=cfg.get("subgroup_levels"))
-    prevalences = cfg.get("prevalences")
-    dc = compute_design_counts(ds, prevalences)
     lam = parse_lambda(cfg.get("lambda", "full"))
     sigma_mode = cfg.get("sigma_mode", "bd")
     alpha = float(cfg.get("alpha", 0.05))
+    seed = int(cfg.get("seed", 0))
 
     pooled_kind = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
     rct_kind = "diff_means_rct" if family == CONTINUOUS else "logistic_rct"
@@ -208,6 +187,15 @@ def cmd_estimate(cfg: dict) -> int:
          **({"sigma": cfg["sigma"]} if "sigma" in cfg else {})},
     ]
     est_cfgs = [parse_estimator(e) for e in cfg.get("estimators", default_est)]
+    harmonized_cfgs = [c for c in est_cfgs if c.kind == "harmonized"]
+    target = harmonized_cfgs[0] if harmonized_cfgs else None
+    methods = cfg.get("intervals", ["rct_only"] if family == BINARY
+                      else ["analytic", "rct_only"])
+    check_interval_methods(methods, target, family)
+
+    ds = load_dataset(cfg["rct_csv"], cfg["ec_csv"], schema, outcome_family=family,
+                      subgroup_levels=cfg.get("subgroup_levels"))
+    dc = compute_design_counts(ds, cfg.get("prevalences"))
     ctx = _ReplicateContext(ds, dc)
     est_rows = []
     results: dict[str, np.ndarray] = {}
@@ -216,61 +204,28 @@ def cmd_estimate(cfg: dict) -> int:
         results[ecfg.name] = theta
         for k in range(ds.k):
             est_rows.append([ecfg.name, k + 1, ds.subgroup_labels[k], float(theta[k])])
-    overall = (diff_means_overall(ds) if family == CONTINUOUS
-               else logistic_overall_effect(ds))
+    overall = ctx.overall("diff_means" if family == CONTINUOUS else "logistic")
     est_rows.append(["overall_rct", 0, "(all)", overall.require_overall()])
     _write_csv(out_dir / "estimates.csv",
                ["estimator", "subgroup", "label", "estimate"], est_rows)
 
     interval_rows = []
-    methods = cfg.get("intervals", ["rct_only"] if family == BINARY
-                      else ["analytic", "rct_only"])
-    if methods:
-        phi2 = _pooled_cell_variance(ds.cell_stats)
-        harmonized_cfgs = [c for c in est_cfgs if c.kind == "harmonized"]
-        for method in methods:
-            if method == "rct_only":
-                iv = rct_only_interval(ds, alpha)
-            elif family == BINARY:
-                raise ConfigError(f"interval {method!r} needs continuous outcomes")
-            elif not harmonized_cfgs:
-                raise ConfigError(f"interval {method!r} needs a harmonized estimator")
-            else:
-                hcfg_est = harmonized_cfgs[0]
-                if hcfg_est.sigma_mode == "bd":
-                    sigma = ctx.bd_sigma(hcfg_est.initial)
-                elif hcfg_est.sigma_mode == "vd":
-                    sigma = vd_sigma(ctx.initial(hcfg_est.initial))
-                elif hcfg_est.sigma is not None:
-                    sigma = np.asarray(hcfg_est.sigma, dtype=float)
-                else:
-                    sigma = np.eye(ds.k)
-                hcfg = HarmonizationConfig(lam=hcfg_est.lam, sigma=sigma)
-                theta_h = results[hcfg_est.name]
-                if method == "analytic":
-                    _, vh = analytic_bias_variance(dc, np.zeros(ds.k), sigma,
-                                                   hcfg.lam, phi2)
-                    iv = analytic_interval(theta_h, vh, alpha)
-                elif method == "cut":
-                    p1 = analyst1_posterior(ds, phi2, flat_prior(2))
-                    p2 = analyst2_posterior(ds, phi2, flat_prior(2 * ds.k))
-                    iv = cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
-                elif method == "bootstrap":
-                    iv = bootstrap_interval(ds, dc, theta_h, hcfg, r=1000, alpha=alpha,
-                                            seed=int(cfg.get("seed", 0)))
-                else:
-                    raise ConfigError(f"unknown interval method {method!r}")
-            for k in range(ds.k):
-                interval_rows.append([method, k + 1, ds.subgroup_labels[k],
-                                      float(iv.lower[k]), float(iv.upper[k]),
-                                      float(iv.point[k]), alpha])
+    phi2 = _pooled_cell_variance(ds.cell_stats)
+    harmonized = None if target is None else partial(ctx.harmonized, target)
+    for method in methods:
+        iv = interval(method, ds, dc, alpha, phi2=phi2, target=harmonized, seed=seed)
+        for k in range(ds.k):
+            interval_rows.append([method, k + 1, ds.subgroup_labels[k],
+                                  float(iv.lower[k]), float(iv.upper[k]),
+                                  float(iv.point[k]), alpha])
     _write_csv(out_dir / "intervals.csv",
                ["method", "subgroup", "label", "lower", "upper", "point", "alpha"],
                interval_rows)
 
     checks = {}
-    for ecfg in est_cfgs:
-        if ecfg.kind == "harmonized" and np.isinf(ecfg.lam):
+    for ecfg in harmonized_cfgs:
+        checks[f"shift_mode[{ecfg.name}]"] = ctx.shift_mode(ecfg)
+        if np.isinf(ecfg.lam):
             gap = abs(float(dc.pi @ results[ecfg.name]) - overall_for(ctx, ecfg))
             checks[f"full_harmonization_gap[{ecfg.name}]"] = gap
             if not gap <= 1e-10:
@@ -278,17 +233,13 @@ def cmd_estimate(cfg: dict) -> int:
                     f"full harmonization constraint violated ({gap:.3g})")
     resolved = {
         "rct_csv": cfg["rct_csv"], "ec_csv": cfg["ec_csv"],
-        "schema": {"outcome": schema.outcome, "treatment": schema.treatment,
-                   "subgroup": schema.subgroup, "covariates": list(schema.covariates),
-                   "weight": schema.weight},
-        "outcome_family": family,
+        "schema": asdict(schema), "outcome_family": family,
         "subgroup_levels": list(ds.subgroup_labels),
-        "estimators": [e if isinstance(e, (str, dict)) else e
-                       for e in cfg.get("estimators", default_est)],
+        "estimators": cfg.get("estimators", default_est),
         "intervals": methods, "alpha": alpha,
         "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": sigma_mode,
         "prevalences": list(dc.pi), "prevalence_source": dc.prevalence_source,
-        "seed": int(cfg.get("seed", 0)), "workers": int(cfg.get("workers", 1)),
+        "seed": seed, "workers": int(cfg.get("workers", 1)),
         "out_dir": str(out_dir),
     }
     checks["design_summary"] = {
@@ -370,35 +321,22 @@ def cmd_resample(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = _schema_from_config(cfg)
     estimators = cfg.get("estimators", list(DEFAULT_RESAMPLE_ESTIMATORS))
-    report = run_resampling(
-        cfg["trial_csv"], cfg["ec_csv"],
-        n_control=int(cfg.get("n_control", 100)),
-        n_experimental=int(cfg.get("n_experimental", 200)),
-        n_ec=int(cfg.get("n_ec", 600)),
-        reps=int(cfg.get("reps", 1000)),
-        estimators=estimators,
-        seed=int(cfg.get("seed", 0)),
-        schema=schema,
-        workers=int(cfg.get("workers", 1)),
-        spike=cfg.get("spike"),
-        prevalence_mode=cfg.get("prevalence_mode", "replicate"),
-    )
-    _report_artifacts(out_dir, report, write_replicates=True)
-    resolved = {
-        "trial_csv": cfg["trial_csv"], "ec_csv": cfg["ec_csv"],
-        "schema": {"outcome": schema.outcome, "treatment": schema.treatment,
-                   "subgroup": schema.subgroup, "covariates": list(schema.covariates),
-                   "weight": schema.weight},
+    opts = {
         "n_control": int(cfg.get("n_control", 100)),
         "n_experimental": int(cfg.get("n_experimental", 200)),
         "n_ec": int(cfg.get("n_ec", 600)),
         "reps": int(cfg.get("reps", 1000)),
-        "estimators": estimators,
+        "seed": int(cfg.get("seed", 0)),
+        "workers": int(cfg.get("workers", 1)),
         "spike": cfg.get("spike"),
         "prevalence_mode": cfg.get("prevalence_mode", "replicate"),
-        "seed": int(cfg.get("seed", 0)),
-        "workers": int(cfg.get("workers", 1)), "out_dir": str(out_dir),
     }
+    report = run_resampling(cfg["trial_csv"], cfg["ec_csv"], estimators=estimators,
+                            schema=schema, **opts)
+    _report_artifacts(out_dir, report, write_replicates=True)
+    resolved = {"trial_csv": cfg["trial_csv"], "ec_csv": cfg["ec_csv"],
+                "schema": asdict(schema), "estimators": estimators,
+                "out_dir": str(out_dir), **opts}
     checks = {"n_failures": len(report.failures), "extra": report.extra}
     _manifest(out_dir, "resample", resolved, checks)
     return 0

@@ -23,6 +23,7 @@ from .errors import (
 from .glm import (
     MODEL_OVERALL,
     MODEL_POOLED,
+    MODEL_RCT_SUBGROUP,
     DesignMatrix,
     GlmFit,
     _onehot,
@@ -178,10 +179,9 @@ def ols_overall_effect(ds: CombinedDataset) -> EffectEstimate:
 
 
 def _ols_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
-    h = _onehot(ds.w_rct, ds.k)
-    x = np.column_stack([h, h * ds.t_rct[:, None], ds.x_rct])
-    fit = fit_ols(x, ds.y_rct)
-    return EffectEstimate(theta_k=fit.coefficients[ds.k:2 * ds.k],
+    dm = build_design(ds, MODEL_RCT_SUBGROUP)
+    fit = fit_ols(dm, ds.y_rct)
+    return EffectEstimate(theta_k=fit.coefficients[_theta_block(dm)],
                           method=OLS, uses_ec=False)
 
 
@@ -224,34 +224,37 @@ def rct_only_subgroups(ds: CombinedDataset, model: str = DIFF_MEANS) -> EffectEs
 # --- logistic marginal effects ----------------------------------------------
 
 def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
-                         rct_only: bool) -> tuple[GlmFit, np.ndarray]:
+                         rct_only: bool) -> GlmFit:
     if rct_only:
-        h = _onehot(ds.w_rct, ds.k)
-        x = np.column_stack([h, h * ds.t_rct[:, None], ds.x_rct])
-        y = ds.y_rct
-        w = np.ones(ds.n_rct) if weights is None else weights[:ds.n_rct]
+        x, y = build_design(ds, MODEL_RCT_SUBGROUP), ds.y_rct
     else:
-        x = build_design(ds, MODEL_POOLED).values
-        y = np.concatenate([ds.y_rct, ds.y_ec])
-        w = weights
-    fit = fit_logistic_irls(x, y, weights=w)
+        x, y = build_design(ds, MODEL_POOLED), np.concatenate([ds.y_rct, ds.y_ec])
+    fit = fit_logistic_irls(x, y, weights=None if weights is None else weights[:len(y)])
     if not fit.converged:
         raise NotConverged("pooled logistic fit did not converge")
-    return fit, x
+    return fit
+
+
+def marginal_effects(w: np.ndarray, x: np.ndarray, nu: np.ndarray,
+                     eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Average the treated-vs-control response difference of the logistic
+    model (nu, eta, beta) over each subgroup's rows of (w, x)."""
+    k = len(nu)
+    theta = np.empty(k)
+    xb = x @ beta if x.shape[1] else np.zeros(len(w))
+    for j in range(k):
+        m = w == j
+        if not m.any():
+            raise EmptySubgroupArm(f"subgroup {j + 1} has no RCT patients")
+        theta[j] = float(np.mean(expit(nu[j] + eta[j] + xb[m]) - expit(nu[j] + xb[m])))
+    return theta
 
 
 def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
                          beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference over each RCT
     subgroup's covariate values."""
-    theta = np.empty(ds.k)
-    xb = ds.x_rct @ beta if ds.d else np.zeros(ds.n_rct)
-    for k in range(ds.k):
-        m = ds.w_rct == k
-        if not m.any():
-            raise EmptySubgroupArm(f"subgroup {k + 1} has no RCT patients")
-        theta[k] = float(np.mean(expit(nu[k] + eta[k] + xb[m]) - expit(nu[k] + xb[m])))
-    return theta
+    return marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta)
 
 
 def _marginal_gradient(ds: CombinedDataset, nu, eta, beta) -> np.ndarray:
@@ -279,7 +282,7 @@ def logistic_marginal_effects(ds: CombinedDataset,
     """Subgroup effects on the probability scale from a (weighted) pooled
     logistic model, with a delta-method covariance from the Fisher
     information of the fitted coefficients."""
-    fit, _ = _pooled_logistic_fit(ds, weights, rct_only)
+    fit = _pooled_logistic_fit(ds, weights, rct_only)
     k = ds.k
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     theta = marginalize_logistic(ds, nu, eta, beta)

@@ -1,12 +1,12 @@
 """Dense model fitting: design-matrix construction, ordinary least squares,
 and weighted logistic regression via iteratively reweighted least squares.
 
-Three design layouts are supported. The overall model uses columns
+Four design layouts are supported. The overall model uses columns
 [intercept, treatment, covariates] on RCT rows only. The pooled subgroup
 model stacks RCT rows then EC rows with subgroup intercepts, subgroup-by-
-treatment indicators (zero on EC rows), and shared covariate columns. The
-bias block holds EC-membership-by-subgroup indicators aligned to the pooled
-row order.
+treatment indicators (zero on EC rows), and shared covariate columns; the
+trial-only subgroup model is its RCT rows alone. The bias block holds
+EC-membership-by-subgroup indicators aligned to the pooled row order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import NotConverged, RankDeficient, SeparationDetected
 
 MODEL_OVERALL = "overall_rct"
 MODEL_POOLED = "pooled_subgroup"
+MODEL_RCT_SUBGROUP = "rct_subgroup"
 MODEL_BIAS_BLOCK = "pooled_subgroup_with_bias"
 
 # g(30) is 1 - 9.4e-14; beyond this the fit is effectively separated
@@ -77,13 +78,12 @@ def build_design(ds: CombinedDataset, model: str) -> DesignMatrix:
         values = np.column_stack([np.ones(ds.n_rct), ds.t_rct.astype(float), ds.x_rct])
         roles = ("intercept", "treatment", *(f"beta[{j + 1}]" for j in range(d)))
         return DesignMatrix(values, roles)
-    if model == MODEL_POOLED:
+    if model in (MODEL_POOLED, MODEL_RCT_SUBGROUP):
         h_r = _onehot(ds.w_rct, k)
-        h_e = _onehot(ds.w_ec, k)
-        values = np.block([
-            [h_r, h_r * ds.t_rct[:, None], ds.x_rct],
-            [h_e, np.zeros((ds.n_ec, k)), ds.x_ec],
-        ])
+        blocks = [[h_r, h_r * ds.t_rct[:, None], ds.x_rct]]
+        if model == MODEL_POOLED:
+            blocks.append([_onehot(ds.w_ec, k), np.zeros((ds.n_ec, k)), ds.x_ec])
+        values = np.block(blocks)
         roles = (*(f"mu[{i + 1}]" for i in range(k)),
                  *(f"theta[{i + 1}]" for i in range(k)),
                  *(f"beta[{j + 1}]" for j in range(d)))

@@ -30,7 +30,7 @@ from .errors import (
     NotConverged,
     SingularSigma,
 )
-from .estimators import EffectEstimate, _pooled_logistic_fit
+from .estimators import EffectEstimate, _pooled_logistic_fit, marginal_effects
 from .glm import MODEL_BIAS_BLOCK, MODEL_POOLED, _onehot, build_design, fit_logistic_irls
 
 FULL = float("inf")
@@ -64,7 +64,8 @@ class HarmonizationConfig:
 
     `lam` is a non-negative float or FULL (infinity, enforcing exact
     agreement). `sigma` is the K x K positive-definite matrix defining the
-    shift direction (identity when omitted); `direction` short-circuits to
+    shift direction (identity when omitted), or one already checked at the
+    prevalences (`_SigmaShift`); `direction` short-circuits to
     an explicit unit-prevalence-weight vector u and requires lam = FULL.
     `mode` records how sigma was chosen (fixed / bd / vd).
     """
@@ -96,10 +97,54 @@ def _validate_sigma(sigma: np.ndarray, k: int) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def _as_overall(overall) -> tuple[float, float | None]:
-    if isinstance(overall, EffectEstimate):
-        return overall.require_overall(), overall.overall_variance
-    return float(overall), None
+class _SigmaShift:
+    """The shift one positive-definite Sigma defines at prevalences pi.
+
+    With Sigma pi and c = 1 / (pi' Sigma pi), harmonizing with strength lam
+    moves t by (r - pi't) u(lam), where u(lam) = s Sigma pi and s = c lam /
+    (lam + c), or s = c at lam = FULL. Building one checks Sigma; passed as
+    a config's `sigma`, it serves every lam and call at the same pi without
+    checking Sigma again.
+    """
+
+    def __init__(self, sigma, prevalences: np.ndarray):
+        self.sigma = _validate_sigma(sigma, prevalences.shape[0])
+        self.pi = prevalences
+        self.sp = self.sigma @ prevalences
+        self.c = 1.0 / float(prevalences @ self.sp)
+
+    def u(self, lam: float) -> np.ndarray:
+        s = self.c if math.isinf(lam) else self.c * lam / (lam + self.c)
+        return s * self.sp
+
+
+def _shift(cfg: HarmonizationConfig, prevalences: np.ndarray,
+           initial: EffectEstimate | None = None) -> np.ndarray:
+    """The shift vector u of `cfg`: harmonizing moves t by (r - pi't) u.
+    A vd config without a sigma takes the covariance of `initial`."""
+    k = prevalences.shape[0]
+    if cfg.direction is not None:
+        u = np.asarray(cfg.direction, dtype=float)
+        if u.shape != (k,):
+            raise InconsistentDimensions("direction length differs from K")
+        if abs(prevalences @ u - 1.0) > 1e-10:
+            raise ConfigError("direction must satisfy pi'u = 1 within 1e-10")
+        return u
+    if cfg.sigma is not None:
+        sigma = cfg.sigma
+    elif cfg.mode == MODE_VD:
+        if initial is None:
+            raise MissingCovariance("a vd config without a sigma needs the initial estimate")
+        sigma = vd_sigma(initial)
+    elif cfg.mode == MODE_FIXED:
+        sigma = np.eye(k)
+    else:
+        raise ConfigError(
+            "bd mode requires a precomputed sigma or direction "
+            "(see bd_direction_linear / bd_direction_glm)")
+    if not (isinstance(sigma, _SigmaShift) and np.array_equal(sigma.pi, prevalences)):
+        sigma = _SigmaShift(sigma, prevalences)
+    return sigma.u(cfg.lam)
 
 
 def harmonize(initial: EffectEstimate, overall, prevalences,
@@ -115,46 +160,13 @@ def harmonize(initial: EffectEstimate, overall, prevalences,
     the induced covariance P S P'.
     """
     theta = np.asarray(initial.require_subgroups(), dtype=float)
-    r, _ = _as_overall(overall)
+    r = overall.require_overall() if isinstance(overall, EffectEstimate) else float(overall)
     pi = np.asarray(prevalences, dtype=float)
     k = theta.shape[0]
     if pi.shape != (k,):
         raise InconsistentDimensions(
             f"prevalences have length {pi.shape}, expected ({k},)")
-
-    if cfg.direction is not None:
-        u = np.asarray(cfg.direction, dtype=float)
-        if u.shape != (k,):
-            raise InconsistentDimensions("direction length differs from K")
-        if abs(pi @ u - 1.0) > 1e-10:
-            raise ConfigError("direction must satisfy pi'u = 1 within 1e-10")
-    else:
-        if cfg.mode == MODE_VD:
-            sigma = vd_sigma(initial)
-        elif cfg.sigma is not None:
-            sigma = cfg.sigma
-        elif cfg.mode == MODE_FIXED:
-            sigma = np.eye(k)
-        else:
-            raise ConfigError(
-                "bd mode requires a precomputed sigma or direction "
-                "(see bd_direction_linear / bd_direction_glm)")
-        sigma = _validate_sigma(sigma, k)
-        sp = sigma @ pi
-        c = 1.0 / float(pi @ sp)
-        if math.isinf(cfg.lam):
-            u = c * sp
-        elif cfg.lam == 0.0:
-            out = theta.copy()
-            cov = None
-            if joint_cov is not None:
-                cov = np.asarray(joint_cov, dtype=float)[:k, :k].copy()
-            return EffectEstimate(theta_k=out, theta_overall=r, covariance=cov,
-                                  method=f"harmonized[{initial.method}]",
-                                  uses_ec=initial.uses_ec)
-        else:
-            u = (c * cfg.lam / (cfg.lam + c)) * sp
-
+    u = _shift(cfg, pi, initial)
     out = theta + (r - pi @ theta) * u
     cov = None
     if joint_cov is not None:
@@ -242,15 +254,6 @@ def bd_direction_diff_means(dc: DesignCounts) -> np.ndarray:
     return b / denom
 
 
-def bd_sigma_diff_means(dc: DesignCounts) -> np.ndarray:
-    """Diagonal matrix aligning the shift with the difference-of-means bias
-    direction (entries q_k / pi_k)."""
-    if np.any(dc.q_ratio <= 0):
-        raise DegenerateDirection(
-            "every subgroup needs external controls for the diagonal construction")
-    return np.diag(dc.q_ratio / dc.pi)
-
-
 def solve_sigma_from_b(b, prevalences) -> np.ndarray:
     """A positive-definite matrix whose product with the prevalences is
     proportional to b. Same-sign b uses the diagonal construction
@@ -312,7 +315,7 @@ def build_limit_map_spec(ds: CombinedDataset,
     """Anchor the limit map at the trial-only logistic fit of `ds`."""
     from .data import compute_design_counts
 
-    fit, _ = _pooled_logistic_fit(ds, None, rct_only=True)
+    fit = _pooled_logistic_fit(ds, None, rct_only=True)
     k, d = ds.k, ds.d
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     p_treat = float((ds.t_rct == 1).mean())
@@ -358,13 +361,8 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     if not fit.converged:
         raise NotConverged("limit map fit did not converge")
     k = spec.k
-    nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
-    xb = spec.x_rct @ beta if spec.x_rct.shape[1] else np.zeros(len(spec.w_rct))
-    theta = np.empty(k)
-    for j in range(k):
-        m = spec.w_rct == j
-        theta[j] = float(np.mean(expit(nu[j] + eta[j] + xb[m]) - expit(nu[j] + xb[m])))
-    return theta
+    coef = fit.coefficients
+    return marginal_effects(spec.w_rct, spec.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
@@ -389,6 +387,13 @@ def analytic_bias_variance(dc: DesignCounts, gamma, sigma, lam: float,
     """Exact bias vector and covariance of the harmonized difference-of-
     means estimator under the proportional stratified design with outcome
     variance phi2 and external mean distortions gamma."""
+    return _bias_variance(dc, gamma, _SigmaShift(sigma, dc.pi).u(lam), phi2)
+
+
+def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """`analytic_bias_variance` for a resolved shift vector u (harmonizing
+    moves t by (r - pi't) u)."""
     k = dc.k
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (k,):
@@ -397,16 +402,12 @@ def analytic_bias_variance(dc: DesignCounts, gamma, sigma, lam: float,
     nr0 = int(dc.counts[:, 0, 0].sum())
     if nr1 == 0 or nr0 == 0 or phi2 < 0:
         raise InvalidDesign("both RCT arms must be non-empty and phi2 >= 0")
-    sigma = _validate_sigma(sigma, k)
     pi = dc.pi
-    sp = sigma @ pi
-    c = 1.0 / float(pi @ sp)
-    s = c if math.isinf(lam) else c * lam / (lam + c)
     q = dc.q_ratio
-    bias = -(np.diag(q) @ gamma - s * sp * float(pi @ (q * gamma)))
+    bias = -(np.diag(q) @ gamma - u * float(pi @ (q * gamma)))
     # first term: the initial pooled estimator's own covariance
     d_diag = phi2 * (1.0 / nr1 + (1.0 - q) / nr0) / pi
-    var = np.diag(d_diag) + (s ** 2) * dc.q_bar * (phi2 / nr0) * np.outer(sp, sp)
+    var = np.diag(d_diag) + dc.q_bar * (phi2 / nr0) * np.outer(u, u)
     return bias, var
 
 

@@ -1,6 +1,7 @@
 """Interval estimation for harmonized subgroup effects: analytic normal
 intervals, cut-distribution intervals, parametric-bootstrap intervals, and
-the trial-only comparator interval.
+the trial-only comparator interval, behind one dispatcher that `simulate`
+and `estimate` share.
 """
 
 from __future__ import annotations
@@ -11,20 +12,24 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import norm
 
-from .bayes import NormalPosterior
-from .data import CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
+from .bayes import (
+    NormalPosterior,
+    analyst1_posterior,
+    analyst2_posterior,
+    cut_distribution,
+    flat_prior,
+)
+from .data import CONTINUOUS, CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
 from .errors import (
+    ConfigError,
     EmptySubgroupArm,
     InsufficientData,
     NegativeVariance,
     ReplicateFailure,
 )
-from .estimators import (
-    EffectEstimate,
-    _first_subgroup,
-    _pooled_cell_variance,
-)
-from .harmonize import HarmonizationConfig, harmonize
+from .estimators import EffectEstimate, _first_subgroup, _pooled_cell_variance
+from .harmonize import HarmonizationConfig, _bias_variance, _shift
+from .harmonize import harmonize  # noqa: F401  (a binding that call tracers patch and check)
 from .rng import (
     ROLE_BOOT_CONTROL,
     ROLE_BOOT_EXTERNAL,
@@ -170,9 +175,7 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
     theta_pool = m1 - pooled0
     nr1, nr0 = n1.sum(), n0r.sum()
     theta_r = (m1 * n1).sum(axis=1) / nr1 - (m0 * n0r).sum(axis=1) / nr0
-
-    # the shift direction u: harmonizing a zero vector toward 1 returns it
-    u = harmonize(EffectEstimate(theta_k=np.zeros(dc.k), uses_ec=True), 1.0, pi, cfg).theta_k
+    u = _shift(cfg, pi)
     draws = theta_pool + (theta_r - theta_pool @ pi)[:, None] * u[None, :]
     bad = ~np.isfinite(draws).all(axis=1)
     if bad.any():
@@ -180,3 +183,67 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     half = (hi - lo) / 2.0
     return IntervalSet(point - half, point + half, point, "bootstrap", alpha)
+
+
+# --- one dispatcher for simulate and estimate ----------------------------------
+
+# The harmonized pipeline, as (initial, overall) estimator kinds on
+# continuous outcomes, that each interval method was derived for; None
+# accepts any pipeline (the trial-only interval reads the trial alone).
+DIFF_MEANS_PIPELINE = ("diff_means_pooled", "diff_means")
+INTERVAL_PIPELINES = {
+    "analytic": DIFF_MEANS_PIPELINE,
+    "cut": DIFF_MEANS_PIPELINE,
+    "bootstrap": DIFF_MEANS_PIPELINE,
+    "rct_only": None,
+}
+
+
+def check_interval_methods(methods, target, outcome_family: str) -> None:
+    """Reject, before any estimate is computed, an unknown interval method
+    or one asked of a pipeline it was not derived for. `target` is the
+    estimator configuration the intervals are centred on, or None."""
+    for method in methods:
+        if method not in INTERVAL_PIPELINES:
+            raise ConfigError(f"unknown interval method {method!r}; "
+                              f"choose from {sorted(INTERVAL_PIPELINES)}")
+        need = INTERVAL_PIPELINES[method]
+        if need is None:
+            continue
+        if target is None:
+            raise ConfigError(f"interval {method!r} needs a harmonized estimator to target")
+        harmonized = target.kind == "harmonized"
+        if outcome_family != CONTINUOUS or not harmonized or (
+                (target.initial, target.overall) != need):
+            got = (f"initial {target.initial!r} and overall {target.overall!r}"
+                   if harmonized else "a plain estimator")
+            raise ConfigError(
+                f"interval {method!r} is derived for a harmonized {need[0]!r} initial "
+                f"with a {need[1]!r} overall on continuous outcomes; estimator "
+                f"{target.name!r} is {got} on {outcome_family} outcomes")
+
+
+def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
+             phi2: float | None = None, target=None, r: int = 1000, seed: int = 0,
+             replicate: int = 0) -> IntervalSet:
+    """One interval of a method accepted by `check_interval_methods`.
+
+    `target()` returns the harmonized estimate the interval is centred on
+    and the harmonization config that made it; `phi2` is the outcome
+    variance of the analytic and cut intervals; `r`, `seed` and `replicate`
+    drive the bootstrap draws.
+    """
+    if method == "rct_only":
+        return rct_only_interval(ds, alpha)
+    if method == "cut":
+        p1 = analyst1_posterior(ds, phi2, flat_prior(2))
+        p2 = analyst2_posterior(ds, phi2, flat_prior(2 * ds.k))
+        return cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
+    if method == "analytic":
+        point, hc = target()
+        _, var = _bias_variance(dc, np.zeros(dc.k), _shift(hc, dc.pi), phi2)
+        return analytic_interval(point, var, alpha)
+    if method == "bootstrap":
+        point, hc = target()
+        return bootstrap_interval(ds, dc, point, hc, r, alpha, seed, replicate=replicate)
+    raise ConfigError(f"unknown interval method {method!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from .estimators import (
     fit_propensity,
     logistic_marginal_effects,
     logistic_overall_effect,
+    marginalize_logistic,
     ols_overall_effect,
     ols_subgroup_effects,
     oracle_subgroups,
@@ -52,8 +54,11 @@ from .estimators import (
 )
 from .harmonize import (
     FULL,
+    MODE_BD,
+    MODE_FIXED,
+    MODE_VD,
     HarmonizationConfig,
-    analytic_bias_variance,
+    _SigmaShift,
     bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
@@ -63,8 +68,7 @@ from .harmonize import (
     solve_sigma_from_b,
     vd_sigma,
 )
-from .intervals import bootstrap_interval, cut_interval, rct_only_interval, analytic_interval
-from .bayes import analyst1_posterior, analyst2_posterior, cut_distribution, flat_prior
+from .intervals import check_interval_methods, interval
 from .rng import ROLE_COVARIATE, ROLE_OUTCOME, ROLE_RESAMPLE, ROLE_SPIKE, stream
 
 logger = logging.getLogger("subharm")
@@ -208,13 +212,7 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
         return expit(mu + th) - expit(mu)
     beta = np.asarray(spec.beta)
     if spec.fixed_covariates:
-        ds = generate_scenario(spec, seed, 0)
-        xb = ds.x_rct @ beta
-        out = np.empty(spec.k)
-        for j in range(spec.k):
-            m = ds.w_rct == j
-            out[j] = float(np.mean(expit(mu[j] + th[j] + xb[m]) - expit(mu[j] + xb[m])))
-        return out
+        return marginalize_logistic(generate_scenario(spec, seed, 0), mu, th, beta)
     # linear predictor is scalar normal: Gauss-Hermite over beta'X
     m_lp = spec.x_mean_rct * float(beta.sum())
     s_lp = spec.x_sd_rct * float(np.sqrt((beta ** 2).sum()))
@@ -296,97 +294,118 @@ class _ReplicateContext:
         self.mu_true = mu_true
         self._cache: dict = {}
 
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def initial(self, kind: str) -> EffectEstimate:
-        if kind in self._cache:
-            return self._cache[kind]
+        return self._cached(kind, lambda: self._initial(kind))
+
+    def _initial(self, kind: str) -> EffectEstimate:
         ds = self.ds
         if kind == "diff_means_pooled":
-            est = diff_means_pooled_subgroups(ds)
-        elif kind == "diff_means_rct":
-            est = rct_only_subgroups(ds, "diff_means")
-        elif kind == "oracle":
+            return diff_means_pooled_subgroups(ds)
+        if kind == "oracle":
             if self.mu_true is None:
                 raise ConfigError("oracle estimator needs known control levels")
-            est = oracle_subgroups(ds, self.mu_true)
-        elif kind == "ols_pooled":
-            est = ols_subgroup_effects(ds)
-        elif kind == "ols_rct":
-            est = rct_only_subgroups(ds, "ols")
-        elif kind == "logistic_pooled":
-            est = logistic_marginal_effects(ds)
-        elif kind == "logistic_rct":
-            est = rct_only_subgroups(ds, "logistic")
-        elif kind == "logistic_ipw":
-            est = weighted_logistic_effects(ds)
-        else:
-            raise ConfigError(f"unknown estimator kind {kind!r}")
-        self._cache[kind] = est
-        return est
+            return oracle_subgroups(ds, self.mu_true)
+        if kind == "ols_pooled":
+            return ols_subgroup_effects(ds)
+        if kind == "logistic_pooled":
+            return logistic_marginal_effects(ds)
+        if kind == "logistic_ipw":
+            return weighted_logistic_effects(ds)
+        if kind in ("diff_means_rct", "ols_rct", "logistic_rct"):
+            return rct_only_subgroups(ds, kind.removesuffix("_rct"))
+        raise ConfigError(f"unknown estimator kind {kind!r}")
 
     def overall(self, kind: str) -> EffectEstimate:
-        key = f"overall:{kind}"
-        if key in self._cache:
-            return self._cache[key]
-        if kind == "diff_means":
-            est = diff_means_overall(self.ds)
-        elif kind == "ols":
-            est = ols_overall_effect(self.ds)
-        elif kind == "logistic":
-            est = logistic_overall_effect(self.ds)
-        else:
+        fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
+                "logistic": logistic_overall_effect}
+        if kind not in fits:
             raise ConfigError(f"unknown overall kind {kind!r}")
-        self._cache[key] = est
-        return est
-
-    def ipw_weights(self) -> np.ndarray:
-        if "ipw" not in self._cache:
-            self._cache["ipw"] = ec_weights(fit_propensity(self.ds))
-        return self._cache["ipw"]
+        return self._cached(f"overall:{kind}", lambda: fits[kind](self.ds))
 
     def bd_direction(self, initial_kind: str) -> np.ndarray:
-        key = f"bd:{initial_kind}"
-        if key in self._cache:
-            return self._cache[key]
+        return self._cached(f"bd:{initial_kind}", lambda: self._bd_direction(initial_kind))
+
+    def _bd_direction(self, initial_kind: str) -> np.ndarray:
         pi = self.dc.pi
         if initial_kind == "diff_means_pooled":
-            u = bd_direction_diff_means(self.dc)
-        elif initial_kind == "ols_pooled":
-            _, u = bd_direction_linear(self.ds, pi)
-        elif initial_kind in ("logistic_pooled", "logistic_ipw"):
-            w = self.ipw_weights() if initial_kind == "logistic_ipw" else None
-            spec = build_limit_map_spec(self.ds, w, pi)
-            _, u = bd_direction_glm(spec)
-        else:
-            raise ConfigError(f"bias-directed mode undefined for initial {initial_kind!r}")
-        self._cache[key] = u
-        return u
+            return bd_direction_diff_means(self.dc)
+        if initial_kind == "ols_pooled":
+            return bd_direction_linear(self.ds, pi)[1]
+        if initial_kind in ("logistic_pooled", "logistic_ipw"):
+            w = (self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
+                 if initial_kind == "logistic_ipw" else None)
+            return bd_direction_glm(build_limit_map_spec(self.ds, w, pi))[1]
+        raise ConfigError(f"bias-directed mode undefined for initial {initial_kind!r}")
 
     def bd_sigma(self, initial_kind: str) -> np.ndarray:
-        u = self.bd_direction(initial_kind)
-        return solve_sigma_from_b(u, self.dc.pi)
+        return solve_sigma_from_b(self.bd_direction(initial_kind), self.dc.pi)
+
+    def harmonization(self, cfg: EstimatorConfig) -> HarmonizationConfig:
+        """Resolve a harmonized estimator's sigma mode to its harmonization
+        config.
+
+        bd uses the bias direction at full harmonization and the matrix
+        built from it below, and falls back to vd when that direction is
+        degenerate; vd uses the initial estimate's covariance; fixed (and
+        its alias identity) the given matrix or the identity. Each matrix,
+        and a degenerate bias direction, is found once per replicate and
+        family (mode and initial estimator), so every lambda of a family
+        shares it and the intervals centred on an estimator share its
+        shift bit for bit.
+        """
+        key = ("harmonization", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam)
+        return self._cached(key, lambda: self._resolve(cfg))
+
+    def _resolve(self, cfg: EstimatorConfig) -> HarmonizationConfig:
+        lam, initial = cfg.lam, cfg.initial
+        if cfg.sigma_mode not in (MODE_BD, MODE_VD):  # fixed, or its alias identity
+            return HarmonizationConfig(lam, self._checked(MODE_FIXED, cfg.sigma, lambda: (
+                np.eye(self.ds.k) if cfg.sigma is None else np.asarray(cfg.sigma, float))))
+        degenerate = ("degenerate", initial)
+        if cfg.sigma_mode == MODE_BD and degenerate not in self._cache:
+            try:
+                if np.isinf(lam):
+                    return HarmonizationConfig(FULL, mode=MODE_BD,
+                                               direction=self.bd_direction(initial))
+                return HarmonizationConfig(
+                    lam, self._checked(MODE_BD, initial, lambda: self.bd_sigma(initial)),
+                    MODE_BD)
+            except DegenerateDirection:
+                self._cache[degenerate] = True
+                logger.warning("bias direction degenerate; falling back to "
+                               "variance-directed harmonization")
+        return HarmonizationConfig(
+            lam, self._checked(MODE_VD, initial, lambda: vd_sigma(self.initial(initial))),
+            MODE_VD)
+
+    def _checked(self, mode: str, source, build) -> _SigmaShift:
+        return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi))
+
+    def shift_mode(self, cfg: EstimatorConfig) -> str:
+        """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
+        mode = self.harmonization(cfg).mode
+        if cfg.sigma_mode == MODE_BD and mode == MODE_VD:
+            return "vd (bd fallback)"
+        return mode
+
+    def harmonized(self, cfg: EstimatorConfig) -> tuple[np.ndarray, HarmonizationConfig]:
+        """The harmonized estimate of `cfg` and the config that made it."""
+        def build():
+            initial, overall = self.initial(cfg.initial), self.overall(cfg.overall)
+            hc = self.harmonization(cfg)
+            return harmonize(initial, overall, self.dc.pi, hc).theta_k, hc
+        key = ("harmonized", cfg.initial, cfg.overall, cfg.sigma_mode, cfg.sigma, cfg.lam)
+        return self._cached(key, build)
 
     def evaluate(self, cfg: EstimatorConfig) -> np.ndarray:
         if cfg.kind != "harmonized":
             return self.initial(cfg.kind).require_subgroups()
-        initial = self.initial(cfg.initial)
-        overall = self.overall(cfg.overall)
-        if cfg.sigma_mode == "bd":
-            try:
-                if np.isinf(cfg.lam):
-                    hc = HarmonizationConfig(lam=FULL, direction=self.bd_direction(cfg.initial))
-                else:
-                    hc = HarmonizationConfig(lam=cfg.lam, sigma=self.bd_sigma(cfg.initial))
-            except DegenerateDirection:
-                logger.warning("bias direction degenerate; falling back to "
-                               "variance-directed harmonization")
-                hc = HarmonizationConfig(lam=cfg.lam, sigma=vd_sigma(initial), mode="vd")
-        elif cfg.sigma_mode == "vd":
-            hc = HarmonizationConfig(lam=cfg.lam, sigma=vd_sigma(initial), mode="vd")
-        else:  # fixed; "identity" is the explicit alias for the default matrix
-            sigma = (np.asarray(cfg.sigma, dtype=float) if cfg.sigma is not None
-                     else np.eye(self.ds.k))
-            hc = HarmonizationConfig(lam=cfg.lam, sigma=sigma)
-        return harmonize(initial, overall, self.dc.pi, hc).theta_k
+        return self.harmonized(cfg)[0]
 
 
 # --- reports -------------------------------------------------------------------
@@ -496,30 +515,15 @@ def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
 
 # --- Monte-Carlo driver ----------------------------------------------------------
 
-def _interval_rows(ds, dc, spec, hcfg_builder, methods, alpha, bootstrap_r,
-                   seed, rep, truth):
-    cover = np.full((len(methods), spec.k), np.nan)
-    width = np.full((len(methods), spec.k), np.nan)
+def _interval_rows(ctx, target, methods, phi2, alpha, bootstrap_r, seed, rep, truth):
+    cover = np.full((len(methods), ctx.ds.k), np.nan)
+    width = np.full((len(methods), ctx.ds.k), np.nan)
     fails = []
-    hcfg, theta_h = hcfg_builder()
+    harmonized = None if target is None else partial(ctx.harmonized, target)
     for i, method in enumerate(methods):
         try:
-            if method == "analytic":
-                sigma = hcfg.sigma if hcfg.sigma is not None else np.eye(spec.k)
-                _, vh = analytic_bias_variance(dc, np.zeros(spec.k), sigma,
-                                               hcfg.lam, spec.phi2)
-                iv = analytic_interval(theta_h, vh, alpha)
-            elif method == "cut":
-                p1 = analyst1_posterior(ds, spec.phi2, flat_prior(2))
-                p2 = analyst2_posterior(ds, spec.phi2, flat_prior(2 * spec.k))
-                iv = cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
-            elif method == "bootstrap":
-                iv = bootstrap_interval(ds, dc, theta_h, hcfg, r=bootstrap_r,
-                                        alpha=alpha, seed=seed, replicate=rep)
-            elif method == "rct_only":
-                iv = rct_only_interval(ds, alpha)
-            else:
-                raise ConfigError(f"unknown interval method {method!r}")
+            iv = interval(method, ctx.ds, ctx.dc, alpha, phi2=phi2, target=harmonized,
+                          r=bootstrap_r, seed=seed, replicate=rep)
             cover[i] = iv.covers(truth).astype(float)
             width[i] = iv.width
         except (NumericalError, DataError) as exc:
@@ -546,27 +550,9 @@ def _scenario_batch(args) -> tuple:
             except (NumericalError, DataError) as exc:
                 failures.append((rep, cfg.name, str(exc)))
         if methods:
-            def build():
-                if interval_cfg.sigma_mode == "bd":
-                    hc = HarmonizationConfig(lam=interval_cfg.lam,
-                                             sigma=ctx.bd_sigma(interval_cfg.initial))
-                elif interval_cfg.sigma_mode == "vd":
-                    hc = HarmonizationConfig(lam=interval_cfg.lam,
-                                             sigma=vd_sigma(ctx.initial(interval_cfg.initial)))
-                else:
-                    sig = (np.asarray(interval_cfg.sigma, float)
-                           if interval_cfg.sigma is not None else np.eye(k))
-                    hc = HarmonizationConfig(lam=interval_cfg.lam, sigma=sig)
-                theta_h = harmonize(ctx.initial(interval_cfg.initial),
-                                    ctx.overall(interval_cfg.overall), dc.pi, hc).theta_k
-                return hc, theta_h
-            try:
-                cv, wd, fl = _interval_rows(ds, dc, spec, build, methods, alpha,
-                                            bootstrap_r, seed, rep, truth)
-                cover[row], width[row] = cv, wd
-                failures.extend(fl)
-            except (NumericalError, DataError) as exc:
-                failures.append((rep, "intervals", str(exc)))
+            cover[row], width[row], fl = _interval_rows(
+                ctx, interval_cfg, methods, spec.phi2, alpha, bootstrap_r, seed, rep, truth)
+            failures.extend(fl)
     return est, cover, width, failures
 
 
@@ -610,17 +596,16 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     if intervals:
         if interval_estimator is not None:
             cands = [c for c in est_cfgs if c.name == interval_estimator]
+            if not cands:
+                raise ConfigError(f"interval_estimator {interval_estimator!r} "
+                                  "names none of the estimators")
         else:
             cands = [c for c in est_cfgs if c.kind == "harmonized"]
             # prefer full harmonization when a lambda grid is present
             full = [c for c in cands if np.isinf(c.lam)]
             cands = full or cands
-        if not cands:
-            raise ConfigError("interval methods need a harmonized estimator to target")
-        interval_cfg = cands[0]
-        if spec.outcome_family != CONTINUOUS and set(intervals) - {"rct_only"}:
-            raise ConfigError("analytic/cut/bootstrap intervals are defined for the "
-                              "continuous difference-of-means pipeline")
+        interval_cfg = cands[0] if cands else None
+        check_interval_methods(intervals, interval_cfg, spec.outcome_family)
     truth = true_effects(spec, seed)
     common = (spec, est_cfgs, tuple(intervals), alpha, bootstrap_r, seed, truth,
               interval_cfg)

@@ -265,3 +265,73 @@ class TestEstimateFailsClosed:
         checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
         gaps = [v for key, v in checks.items() if key.startswith("full_harmonization_gap[")]
         assert len(gaps) == 3 and all(g <= 1e-10 for g in gaps)
+
+
+@pytest.fixture(scope="module")
+def fig1_csvs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fig1")
+    rct, ec = str(tmp / "r.csv"), str(tmp / "e.csv")
+    save_dataset(generate_scenario(load_preset("fig1-s2"), seed=3), rct, ec)
+    return rct, ec
+
+
+class TestIntervalDispatch:
+    def test_degenerate_bias_direction_falls_back_for_intervals(self, fig1_csvs, tmp_path):
+        from unittest import mock
+
+        from subharm.errors import DegenerateDirection
+        from subharm.sim import _ReplicateContext
+
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "intervals": ["analytic", "bootstrap"],
+            "seed": 3, "out_dir": str(tmp_path / "o")})
+        with mock.patch.object(_ReplicateContext, "bd_direction",
+                               side_effect=DegenerateDirection("forced")):
+            assert run_cli("estimate", "--config", cfg) == 0
+        est = [r["estimate"] for r in read_rows(tmp_path / "o" / "estimates.csv")
+               if r["estimator"] == "harmonized"]
+        ivs = read_rows(tmp_path / "o" / "intervals.csv")
+        for method in ("analytic", "bootstrap"):
+            assert [r["point"] for r in ivs if r["method"] == method] == est
+        checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+        assert checks["shift_mode[harmonized]"] == "vd (bd fallback)"
+
+    def test_manifest_records_each_shift_mode(self, fig1_csvs, tmp_path):
+        rct, ec = fig1_csvs
+        ests = [{"kind": "harmonized", "name": mode, "initial": "diff_means_pooled",
+                 "overall": "diff_means", "lambda": 2, "sigma_mode": mode}
+                for mode in ("bd", "vd", "fixed", "identity")]
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "estimators": ests,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+        assert {k: v for k, v in checks.items() if k.startswith("shift_mode[")} == {
+            "shift_mode[bd]": "bd", "shift_mode[vd]": "vd",
+            "shift_mode[fixed]": "fixed", "shift_mode[identity]": "fixed"}
+
+    @pytest.mark.parametrize("method", ["analytic", "bootstrap", "cut"])
+    def test_interval_on_wrong_pipeline_exits_2(self, fig1_csvs, tmp_path, capsys, method):
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "intervals": [method, "rct_only"],
+            "estimators": [{"kind": "harmonized", "name": "h_ols", "initial": "ols_pooled",
+                            "overall": "diff_means", "lambda": "full"}],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert repr(method) in err["message"] and "'h_ols'" in err["message"]
+        assert not (tmp_path / "o" / "estimates.csv").exists()
+
+    def test_trial_only_interval_accepts_any_pipeline(self, fig1_csvs, tmp_path):
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "intervals": ["rct_only"],
+            "estimators": ["ols_pooled",
+                           {"kind": "harmonized", "initial": "ols_pooled",
+                            "overall": "ols", "lambda": "full"}],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        assert len(read_rows(tmp_path / "o" / "intervals.csv")) == 10

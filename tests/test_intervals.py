@@ -153,3 +153,43 @@ class TestBootstrap:
         cfg = HarmonizationConfig(lam=FULL)
         iv = _bootstrap(ds, cfg, r=500, seed=13)
         np.testing.assert_allclose((iv.lower + iv.upper) / 2, iv.point, atol=1e-12)
+
+
+class TestDispatcher:
+    @pytest.mark.parametrize("mode", ["bd", "vd", "fixed"])
+    @pytest.mark.parametrize("lam", [2.0, "full"])
+    def test_intervals_use_the_target_shift(self, mode, lam):
+        from functools import partial
+
+        from subharm import analytic_bias_variance, solve_sigma_from_b, vd_sigma
+        from subharm.harmonize import bd_direction_diff_means
+        from subharm.intervals import interval
+        from subharm.sim import _ReplicateContext, parse_estimator
+
+        from subharm import ScenarioSpec, generate_scenario
+
+        spec = ScenarioSpec(name="uneven", outcome_family="continuous", k=4,
+                            n_rct_treated=(5, 6, 7, 8), n_rct_control=(6, 6, 5, 7),
+                            n_ec=(10, 20, 30, 40), mu=(0,) * 4, theta=(0.5,) * 4,
+                            distortion=(1, 0.5, 0, 1))
+        ds = generate_scenario(spec, seed=21)
+        dc = compute_design_counts(ds)
+        ctx = _ReplicateContext(ds, dc)
+        cfg = parse_estimator({"kind": "harmonized", "initial": "diff_means_pooled",
+                               "overall": "diff_means", "lambda": lam, "sigma_mode": mode})
+        sigma = {"bd": solve_sigma_from_b(bd_direction_diff_means(dc), dc.pi),
+                 "vd": vd_sigma(diff_means_pooled_subgroups(ds)),
+                 "fixed": np.eye(4)}[mode]
+        hc = HarmonizationConfig(lam=cfg.lam, sigma=sigma)
+        point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds), dc.pi,
+                          hc).theta_k
+        target = partial(ctx.harmonized, cfg)
+        got = interval("analytic", ds, dc, 0.05, phi2=1.3, target=target)
+        want = analytic_interval(point, analytic_bias_variance(dc, np.zeros(4), sigma,
+                                                               cfg.lam, 1.3)[1])
+        np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
+        np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)
+        got = interval("bootstrap", ds, dc, 0.05, target=target, r=200, seed=4)
+        want = bootstrap_interval(ds, dc, point, hc, r=200, seed=4)
+        np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
+        np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)

@@ -160,17 +160,17 @@ class TestMonteCarlo:
     def test_bootstrap_uses_spec_prevalences_and_estimate(self, monkeypatch):
         from dataclasses import replace
 
-        import subharm.sim
+        import subharm.intervals
 
         spec = replace(load_preset("fig1-s2"), prevalences=(0.05,) * 5 + (0.15,) * 5)
         seen = []
 
-        def recording(ds, dc, point, cfg, **kw):
+        def recording(ds, dc, point, cfg, *args, **kw):
             seen.append((dc.pi.copy(), np.array(point)))
-            return bootstrap(ds, dc, point, cfg, **kw)
+            return bootstrap(ds, dc, point, cfg, *args, **kw)
 
-        bootstrap = subharm.sim.bootstrap_interval
-        monkeypatch.setattr(subharm.sim, "bootstrap_interval", recording)
+        bootstrap = subharm.intervals.bootstrap_interval
+        monkeypatch.setattr(subharm.intervals, "bootstrap_interval", recording)
         est = {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
                "overall": "diff_means", "lambda": "full", "sigma_mode": "bd"}
         rep = run_monte_carlo(spec, [est], reps=3, seed=4, intervals=("bootstrap",),
@@ -230,6 +230,128 @@ class TestBdFallback:
         from subharm import diff_means_overall
         assert abs(dc.pi @ out - diff_means_overall(ds).theta_overall) < 1e-10
 
+    def test_degenerate_direction_falls_back_for_intervals(self):
+        from unittest import mock
+
+        from subharm.errors import DegenerateDirection
+        from subharm.sim import _ReplicateContext
+
+        est = {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+               "overall": "diff_means", "lambda": "full", "sigma_mode": "bd"}
+        with mock.patch.object(_ReplicateContext, "bd_direction",
+                               side_effect=DegenerateDirection("forced")):
+            rep = run_monte_carlo(load_preset("fig1-s2"), [est], reps=4, seed=3,
+                                  intervals=("analytic",))
+        assert rep.interval_stats["analytic"]["n_used"] == 4
+        assert not rep.failures
+
+    def test_degenerate_direction_resolved_once_per_replicate(self, monkeypatch, caplog):
+        import logging
+        from dataclasses import replace
+
+        import subharm.sim
+
+        calls = []
+        original = subharm.sim.bd_direction_diff_means
+        monkeypatch.setattr(subharm.sim, "bd_direction_diff_means",
+                            lambda dc: calls.append(1) or original(dc))
+        spec = replace(load_preset("fig1-s2"), n_ec=(0,) * 10)
+        ests = [{"kind": "harmonized", "initial": "diff_means_pooled",
+                 "overall": "diff_means", "lambda": lam, "sigma_mode": "bd"}
+                for lam in (0, 1, 10, "full")]
+        with caplog.at_level(logging.WARNING, logger="subharm"):
+            run_monte_carlo(spec, ests, reps=2, seed=3, intervals=("analytic",))
+        # no external controls: the bias direction is undefined in every replicate
+        assert len(calls) == 2
+        assert len([r for r in caplog.records if "variance-directed" in r.message]) == 2
+
+
+class TestIntervalPipelines:
+    HARMONIZED_OLS = {"kind": "harmonized", "name": "h_ols", "initial": "ols_pooled",
+                      "overall": "diff_means", "lambda": "full"}
+
+    @pytest.fixture(autouse=True)
+    def no_replicates(self, monkeypatch):
+        import subharm.sim
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(subharm.sim, "generate_scenario", fail)
+
+    @pytest.mark.parametrize("method", ["analytic", "bootstrap", "cut"])
+    def test_wrong_initial_rejected_before_replicates(self, method):
+        from subharm.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=f"'{method}'.*'h_ols'"):
+            run_monte_carlo(load_preset("fig1-s2"), [self.HARMONIZED_OLS], reps=4, seed=1,
+                            intervals=(method,))
+
+    def test_plain_interval_estimator_rejected_before_replicates(self):
+        from subharm.errors import ConfigError
+
+        est = ["diff_means_pooled",
+               {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+                "overall": "diff_means", "lambda": "full"}]
+        with pytest.raises(ConfigError, match="'analytic'.*'diff_means_pooled'.*plain"):
+            run_monte_carlo(load_preset("fig1-s2"), est, reps=4, seed=1,
+                            intervals=("analytic",), interval_estimator="diff_means_pooled")
+
+    def test_binary_outcomes_rejected_before_replicates(self):
+        from subharm.errors import ConfigError
+
+        est = {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+               "overall": "diff_means", "lambda": "full"}
+        with pytest.raises(ConfigError, match="'bootstrap'.*'h'.*binary"):
+            run_monte_carlo(load_preset("fig5"), [est], reps=4, seed=1,
+                            intervals=("rct_only", "bootstrap"))
+
+
+class TestSigmaWorkPerReplicate:
+    """Each sigma is built, checked and multiplied by pi once per replicate
+    and resolved family (initial estimator and sigma mode), however many
+    lambdas and intervals share it."""
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        import importlib
+
+        harmonize_mod = importlib.import_module("subharm.harmonize")
+        sim_mod = importlib.import_module("subharm.sim")
+        calls = {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0}
+        for name in calls:
+            original = getattr(harmonize_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (harmonize_mod, sim_mod):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        run()
+        return calls
+
+    def test_bd_family_with_lambda_grid_and_all_intervals(self, monkeypatch, tmp_path):
+        from subharm.cli import main
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"intervals": ["analytic", "cut", "bootstrap", "rct_only"]}')
+        calls = self._count(monkeypatch, lambda: main([
+            "simulate", "--config", str(cfg), "--preset", "fig1-s2", "--reps", "2",
+            "--seed", "3", "--out-dir", str(tmp_path / "o")]))
+        # the default estimators: one bd family on diff_means_pooled, two replicates
+        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 2, "vd_sigma": 0}
+
+    def test_vd_and_bd_families_on_logistic_pipeline(self, monkeypatch):
+        ests = ["logistic_pooled"] + [
+            {"kind": "harmonized", "initial": "logistic_pooled", "overall": "logistic",
+             "lambda": lam, "sigma_mode": mode}
+            for mode in ("bd", "vd") for lam in (1, 10, "full")]
+        calls = self._count(monkeypatch, lambda: run_monte_carlo(
+            load_preset("fig5"), ests, reps=2, seed=3))
+        # two families, two replicates
+        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
 
 class TestSpike:
     def test_zero_spike_unchanged(self):
