@@ -168,7 +168,10 @@ class CombinedDataset:
             raise EcTreatedPatient("external-control record with treatment = 1")
         if np.any((rct["t"] != 0) & (rct["t"] != 1)):
             raise MalformedRow("treatment must be 0 or 1")
-        for side in (rct, ec):
+        for study, side in (("rct", rct), ("ec", ec)):
+            for name in ("y", "x"):
+                if not np.isfinite(side[name]).all():
+                    raise MalformedRow(f"non-finite value in {name}_{study}")
             if side["w"].size and (side["w"].min() < 0 or side["w"].max() >= k):
                 bad = int(side["w"].min() if side["w"].min() < 0 else side["w"].max())
                 raise UnknownSubgroup(f"subgroup index {bad + 1} outside 1..{k}")
@@ -370,40 +373,78 @@ def _parse_cell(raw: str, kind: str, path: str, line: int, column: str):
     return value
 
 
-def _read_rows(path: str, schema: CsvSchema, study: str):
-    rows = []
+def _check_rows(path: str, schema: CsvSchema, study: str, header: list[str],
+                rows: list[list[str]]) -> None:
+    """Raise on the first bad row, naming its file, line and column."""
+    col = {name: i for i, name in enumerate(header)}
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MalformedRow(
+                f"{path}:{line}: {len(row)} fields where the header has {len(header)}")
+        _parse_cell(row[col[schema.outcome]], "float", path, line, schema.outcome)
+        treatment = _parse_cell(row[col[schema.treatment]], "int", path, line, schema.treatment)
+        if treatment not in (0, 1):
+            raise MalformedRow(f"{path}:{line}: treatment must be 0 or 1")
+        if study == EC and treatment == 1:
+            raise EcTreatedPatient(f"{path}:{line}: external-control row with treatment = 1")
+        if row[col[schema.subgroup]].strip() == "":
+            raise MalformedRow(f"{path}:{line}: empty subgroup cell")
+        for c in schema.covariates:
+            _parse_cell(row[col[c]], "float", path, line, c)
+        if schema.weight:
+            raw = row[col[schema.weight]]
+            if _parse_cell(raw, "float", path, line, schema.weight) != 1:
+                raise MalformedRow(
+                    f"{path}:{line}: {schema.weight!r} value {raw.strip()!r} is not 1; "
+                    "no estimator reads analysis weights yet")
+
+
+def _read_columns(path: str, schema: CsvSchema, study: str
+                  ) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
+    """Outcomes, treatments, stripped subgroup labels and covariates (n x d)
+    of one CSV file. Blank lines are skipped; line numbers in messages
+    count the header as line 1 and each non-blank row after it."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MalformedRow(f"{path}: empty file (header row required)")
         needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
         if schema.weight:
             needed.append(schema.weight)
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise MalformedRow(f"{path}: missing columns {missing}")
-        for line, row in enumerate(reader, start=2):
-            outcome = _parse_cell(row[schema.outcome], "float", path, line, schema.outcome)
-            treatment = _parse_cell(row[schema.treatment], "int", path, line, schema.treatment)
-            if treatment not in (0, 1):
-                raise MalformedRow(f"{path}:{line}: treatment must be 0 or 1")
-            if study == EC and treatment == 1:
-                raise EcTreatedPatient(f"{path}:{line}: external-control row with treatment = 1")
-            label = row[schema.subgroup].strip()
-            if label == "":
-                raise MalformedRow(f"{path}:{line}: empty subgroup cell")
-            covs = tuple(
-                _parse_cell(row[c], "float", path, line, c) for c in schema.covariates)
-            weight = (_parse_cell(row[schema.weight], "float", path, line, schema.weight)
-                      if schema.weight else 1.0)
-            if weight < 0:
-                raise MalformedRow(f"{path}:{line}: negative weight")
-            rows.append((outcome, treatment, label, covs, weight))
-    return rows
+        rows = list(filter(None, reader))  # blank lines read as []
+    n, d = len(rows), len(schema.covariates)
+    col = {name: i for i, name in enumerate(header)}
+
+    def parse(kind, name):
+        return np.fromiter(map(kind, cells[col[name]]), np.int64 if kind is int else float, n)
+
+    clean = set(map(len, rows)) <= {len(header)}
+    if clean:
+        cells = list(zip(*rows)) or [()] * len(header)
+        try:
+            y, t = parse(float, schema.outcome), parse(int, schema.treatment)
+            x = np.empty((n, d))
+            for j, c in enumerate(schema.covariates):
+                x[:, j] = parse(float, c)
+            ones = parse(float, schema.weight) == 1 if schema.weight else True
+        except ValueError:
+            clean = False
+    if clean:
+        labels = [label.strip() for label in cells[col[schema.subgroup]]]
+        clean = (np.isfinite(y).all() and np.isfinite(x).all() and np.all(ones)
+                 and np.isin(t, (0, 1) if study == RCT else (0,)).all()
+                 and "" not in labels)
+    if not clean:
+        _check_rows(path, schema, study, header, rows)
+    return y, t, labels, x
 
 
 def load_dataset(
@@ -417,30 +458,29 @@ def load_dataset(
 
     Subgroup labels found in the files are mapped to 1..K in lexicographic
     order unless `subgroup_levels` declares the levels explicitly, in which
-    case any label outside that set raises UnknownSubgroup.
+    case any label outside that set raises UnknownSubgroup. Every row must
+    have as many fields as the header, and a weight column, when the schema
+    names one, must hold 1 in every row: no estimator reads weights yet.
     """
-    rct_rows = _read_rows(rct_csv, schema, RCT)
-    ec_rows = _read_rows(ec_csv, schema, EC)
+    y_r, t_r, labels_r, x_r = _read_columns(rct_csv, schema, RCT)
+    y_e, _t_e, labels_e, x_e = _read_columns(ec_csv, schema, EC)
     if subgroup_levels is not None:
         labels = [str(v) for v in subgroup_levels]
     else:
-        labels = sorted({r[2] for r in rct_rows} | {r[2] for r in ec_rows})
+        labels = sorted(set(labels_r) | set(labels_e))
     index = {lab: i for i, lab in enumerate(labels)}
-    k, d = len(labels), len(schema.covariates)
 
-    def to_records(rows, study):
-        recs = []
-        for outcome, treatment, label, covs, weight in rows:
-            if label not in index:
-                raise UnknownSubgroup(
-                    f"subgroup label {label!r} not among declared levels {labels}")
-            recs.append(SubjectRecord(outcome, treatment, index[label] + 1,
-                                      covs, study, weight))
-        return recs
+    def codes(found):
+        try:
+            return np.fromiter(map(index.__getitem__, found), np.int64, len(found))
+        except KeyError as exc:
+            raise UnknownSubgroup(
+                f"subgroup label {exc.args[0]!r} not among declared levels {labels}") from None
 
-    return CombinedDataset(to_records(rct_rows, RCT), to_records(ec_rows, EC),
-                           k=k, d=d, outcome_family=outcome_family,
-                           subgroup_labels=labels)
+    return CombinedDataset.from_arrays(
+        y_rct=y_r, t_rct=t_r, w_rct=codes(labels_r), y_ec=y_e, w_ec=codes(labels_e),
+        k=len(labels), x_rct=x_r, x_ec=x_e, outcome_family=outcome_family,
+        subgroup_labels=labels)
 
 
 def save_dataset(ds: CombinedDataset, rct_csv: str, ec_csv: str,

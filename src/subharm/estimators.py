@@ -235,19 +235,33 @@ def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
     return fit
 
 
+def _by_subgroup(w: np.ndarray, k: int):
+    """A stable row order grouping w's subgroups, and a function averaging
+    an array in that order over each subgroup's rows. Summing a subgroup's
+    contiguous run of rows gives the same bits as np.mean over its masked
+    rows."""
+    n = np.bincount(w, minlength=k)
+    bad = _first_subgroup(n == 0)
+    if bad is not None:
+        raise EmptySubgroupArm(f"subgroup {bad} has no RCT patients")
+    ends = np.cumsum(n).tolist()
+    rows = [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+    def means(v: np.ndarray) -> np.ndarray:
+        sums = np.array([np.add.reduce(v[r]) for r in rows])
+        return sums / (n if v.ndim == 1 else n[:, None])
+
+    return np.argsort(w, kind="stable"), means
+
+
 def marginal_effects(w: np.ndarray, x: np.ndarray, nu: np.ndarray,
                      eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference of the logistic
     model (nu, eta, beta) over each subgroup's rows of (w, x)."""
-    k = len(nu)
-    theta = np.empty(k)
-    xb = x @ beta if x.shape[1] else np.zeros(len(w))
-    for j in range(k):
-        m = w == j
-        if not m.any():
-            raise EmptySubgroupArm(f"subgroup {j + 1} has no RCT patients")
-        theta[j] = float(np.mean(expit(nu[j] + eta[j] + xb[m]) - expit(nu[j] + xb[m])))
-    return theta
+    order, means = _by_subgroup(w, len(nu))
+    w = w[order]
+    xb = (x @ beta)[order] if x.shape[1] else 0.0
+    return means(expit(nu[w] + eta[w] + xb) - expit(nu[w] + xb))
 
 
 def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
@@ -260,29 +274,32 @@ def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
 def _marginal_gradient(ds: CombinedDataset, nu, eta, beta) -> np.ndarray:
     """Gradient of the marginalized effects against (nu, eta, beta)."""
     k, d = ds.k, ds.d
+    order, means = _by_subgroup(ds.w_rct, k)
+    w = ds.w_rct[order]
+    xb = (ds.x_rct @ beta)[order] if d else 0.0
+    pa, pb = expit(nu[w] + eta[w] + xb), expit(nu[w] + xb)
+    ga = pa * (1 - pa)
+    gdiff = ga - pb * (1 - pb)
     grad = np.zeros((k, 2 * k + d))
-    xb = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
-    for j in range(k):
-        m = ds.w_rct == j
-        a = nu[j] + eta[j] + xb[m]
-        b = nu[j] + xb[m]
-        ga = expit(a) * (1 - expit(a))
-        gb = expit(b) * (1 - expit(b))
-        grad[j, j] = float(np.mean(ga - gb))
-        grad[j, k + j] = float(np.mean(ga))
-        if d:
-            grad[j, 2 * k:] = np.mean((ga - gb)[:, None] * ds.x_rct[m], axis=0)
+    j = np.arange(k)
+    grad[j, j] = means(gdiff)
+    grad[j, k + j] = means(ga)
+    if d:
+        grad[:, 2 * k:] = means(gdiff[:, None] * ds.x_rct[order])
     return grad
 
 
 def logistic_marginal_effects(ds: CombinedDataset,
                               weights: np.ndarray | None = None,
                               rct_only: bool = False,
-                              method: str = LOGISTIC_MARGINAL) -> EffectEstimate:
+                              method: str = LOGISTIC_MARGINAL,
+                              fit: GlmFit | None = None) -> EffectEstimate:
     """Subgroup effects on the probability scale from a (weighted) pooled
     logistic model, with a delta-method covariance from the Fisher
-    information of the fitted coefficients."""
-    fit = _pooled_logistic_fit(ds, weights, rct_only)
+    information of the fitted coefficients. `fit` is that model's fit when
+    it was already made."""
+    if fit is None:
+        fit = _pooled_logistic_fit(ds, weights, rct_only)
     k = ds.k
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     theta = marginalize_logistic(ds, nu, eta, beta)
@@ -296,10 +313,12 @@ def logistic_marginal_effects(ds: CombinedDataset,
                           uses_ec=not rct_only)
 
 
-def logistic_overall_effect(ds: CombinedDataset) -> EffectEstimate:
+def logistic_overall_effect(ds: CombinedDataset,
+                            fit: GlmFit | None = None) -> EffectEstimate:
     """Prevalence-weighted RCT-only logistic marginal effects (an overall
-    estimator option for binary pipelines)."""
-    est = logistic_marginal_effects(ds, rct_only=True)
+    estimator option for binary pipelines). `fit` is the trial-only
+    logistic fit when it was already made."""
+    est = logistic_marginal_effects(ds, rct_only=True, fit=fit)
     pi = np.bincount(ds.w_rct, minlength=ds.k) / ds.n_rct
     var = None
     if est.covariance is not None:

@@ -1,5 +1,5 @@
-"""Dense model fitting: design-matrix construction, ordinary least squares,
-and weighted logistic regression via iteratively reweighted least squares.
+"""Model fitting: design-matrix construction, ordinary least squares, and
+weighted logistic regression via iteratively reweighted least squares.
 
 Four design layouts are supported. The overall model uses columns
 [intercept, treatment, covariates] on RCT rows only. The pooled subgroup
@@ -7,6 +7,11 @@ model stacks RCT rows then EC rows with subgroup intercepts, subgroup-by-
 treatment indicators (zero on EC rows), and shared covariate columns; the
 trial-only subgroup model is its RCT rows alone. The bias block holds
 EC-membership-by-subgroup indicators aligned to the pooled row order.
+
+IRLS reaches its design only through three products: the linear predictor
+X b, the score X'r and the information X' diag(v) X. A `DesignMatrix` (or a
+raw array) forms them densely; a `CellDesign` holds the pooled layout as
+each row's subgroup-by-arm cell and covariates, and forms them per cell.
 """
 
 from __future__ import annotations
@@ -40,6 +45,75 @@ class DesignMatrix:
 
     def role_columns(self, prefix: str) -> list[int]:
         return [j for j, r in enumerate(self.column_roles) if r.split("[")[0] == prefix]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+    def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
+        return self.values @ coef
+
+    def score(self, r: np.ndarray) -> np.ndarray:
+        return self.values.T @ r
+
+    def information(self, v: np.ndarray) -> np.ndarray:
+        return self.values.T @ (self.values * v[:, None])
+
+
+class CellDesign:
+    """The pooled layout [onehot(g), a * onehot(g), x] of subgroup g, arm
+    indicator a and covariates x, held as the cell c = g + K a of each row
+    and the covariates.
+
+    The rows are kept in cell order: row i of the design is row `order[i]`
+    of the rows given, and every vector fitted against it (responses,
+    weights) must follow that order. Its products with IRLS's vectors then
+    sum each cell's contiguous run of rows, so the one-hot columns are never
+    built.
+    """
+
+    def __init__(self, cell: np.ndarray, x: np.ndarray, k: int):
+        self.k = k
+        self.order = np.argsort(cell, kind="stable")
+        self.counts = np.bincount(cell, minlength=2 * k)
+        self.xt = np.ascontiguousarray(x[self.order].T)
+        self._filled = self.counts > 0
+        self._starts = (np.cumsum(self.counts) - self.counts)[self._filled]
+        for a in (self.order, self.counts, self.xt):
+            a.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.order.shape[0], 2 * self.k + self.xt.shape[0])
+
+    def _cell_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # sums of each row of v (m x n) against the subgroup columns and
+        # against the treated-arm columns: two m x K arrays
+        s = np.zeros((v.shape[0], 2 * self.k))
+        s[:, self._filled] = np.add.reduceat(v, self._starts, axis=1)
+        return s[:, :self.k] + s[:, self.k:], s[:, self.k:]
+
+    def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
+        k = self.k
+        per_cell = np.concatenate([coef[:k], coef[:k] + coef[k:2 * k]])
+        return np.repeat(per_cell, self.counts) + coef[2 * k:] @ self.xt
+
+    def score(self, r: np.ndarray) -> np.ndarray:
+        g, a = self._cell_sums(r[None])
+        return np.concatenate([g[0], a[0], self.xt @ r])
+
+    def information(self, v: np.ndarray) -> np.ndarray:
+        k, p = self.k, self.shape[1]
+        xv = self.xt * v
+        g, a = self._cell_sums(np.vstack([v, xv]))
+        diag = np.arange(k)
+        info = np.zeros((p, p))
+        info[diag, diag] = g[0]
+        info[diag, k + diag] = info[k + diag, diag] = info[k + diag, k + diag] = a[0]
+        info[2 * k:, :k], info[2 * k:, k:2 * k] = g[1:], a[1:]
+        info[:k, 2 * k:], info[k:2 * k, 2 * k:] = g[1:].T, a[1:].T
+        info[2 * k:, 2 * k:] = xv @ self.xt.T
+        return info
 
 
 @dataclass
@@ -132,11 +206,13 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
 
 
 def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    # y may be fractional (binomial proportions); log(1 + e^lp) via logaddexp
-    return float(np.sum(w * (y * lp - np.logaddexp(0.0, lp))))
+    # y may be fractional (binomial proportions); log(1 + e^lp) as the
+    # overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
+    softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(lp, 0.0)
+    return float(np.sum(w * (y * lp - softplus)))
 
 
-def fit_logistic_irls(design: DesignMatrix | np.ndarray, y: np.ndarray,
+def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndarray,
                       weights: np.ndarray | None = None, tol: float = 1e-10,
                       max_iter: int = 100,
                       start: np.ndarray | None = None,
@@ -151,7 +227,8 @@ def fit_logistic_irls(design: DesignMatrix | np.ndarray, y: np.ndarray,
     raises NotConverged unless `allow_unconverged` asks for the partial fit
     (flagged converged=False) instead.
     """
-    x = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    x = design if isinstance(design, (DesignMatrix, CellDesign)) \
+        else DesignMatrix(np.asarray(design, dtype=float), ())
     y = np.asarray(y, dtype=float)
     if np.any((y < 0) | (y > 1)):
         raise ValueError("logistic responses must lie in [0, 1]")
@@ -160,43 +237,41 @@ def fit_logistic_irls(design: DesignMatrix | np.ndarray, y: np.ndarray,
         raise ValueError("weights must be non-negative")
     n, p = x.shape
     coef = np.zeros(p) if start is None else np.array(start, dtype=float)
-    lp = x @ coef
+    lp = x.linear_predictor(coef)
     ll = _loglik(lp, y, w)
     it = 0
     for it in range(1, max_iter + 1):
         mu = expit(lp)
-        score = x.T @ (w * (y - mu))
+        score = x.score(w * (y - mu))
+        info = x.information(w * mu * (1.0 - mu))
         if np.max(np.abs(score)) < tol:
-            info = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
             return GlmFit(coef, info, None, True, it - 1)
-        irls_w = w * mu * (1.0 - mu)
-        h = x.T @ (x * irls_w[:, None])
         try:
-            delta = np.linalg.solve(h, score)
+            delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted information matrix") from None
         step, halvings = 1.0, 0
         cand = coef + delta
-        lp_c = x @ cand
+        lp_c = x.linear_predictor(cand)
         ll_c = _loglik(lp_c, y, w)
         # the log-likelihood's rounding noise grows with its magnitude
         while ll_c < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 20:
             step *= 0.5
             halvings += 1
             cand = coef + step * delta
-            lp_c = x @ cand
+            lp_c = x.linear_predictor(cand)
             ll_c = _loglik(lp_c, y, w)
         coef, lp, ll = cand, lp_c, ll_c
         if np.max(np.abs(coef)) > SEPARATION_CAP:
             mu = expit(lp)
-            score = x.T @ (w * (y - mu))
+            score = x.score(w * (y - mu))
             if np.max(np.abs(score)) >= tol:
                 raise SeparationDetected(
                     f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
                     f"{np.max(np.abs(score)):.3g}; data look separated")
     mu = expit(lp)
-    score = x.T @ (w * (y - mu))
-    info = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
+    score = x.score(w * (y - mu))
+    info = x.information(w * mu * (1.0 - mu))
     if np.max(np.abs(score)) < tol:
         return GlmFit(coef, info, None, True, it)
     if allow_unconverged:

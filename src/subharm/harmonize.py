@@ -31,7 +31,14 @@ from .errors import (
     SingularSigma,
 )
 from .estimators import EffectEstimate, _pooled_logistic_fit, marginal_effects
-from .glm import MODEL_BIAS_BLOCK, MODEL_POOLED, _onehot, build_design, fit_logistic_irls
+from .glm import (
+    MODEL_BIAS_BLOCK,
+    MODEL_POOLED,
+    CellDesign,
+    GlmFit,
+    build_design,
+    fit_logistic_irls,
+)
 
 FULL = float("inf")
 
@@ -288,11 +295,13 @@ class LimitMapSpec:
     weighted by the empirical assignment ratio, with expected responses
     from the trial-only anchor fit; each EC patient contributes its
     analysis weight with expected response from the anchor shifted by the
-    subgroup's distortion.
+    subgroup's distortion. `design` holds the pseudo rows (control copies,
+    treated copies, EC rows) in the pooled cell layout, and `weights` follow
+    its row order.
     """
 
     anchor: np.ndarray
-    design: np.ndarray
+    design: CellDesign
     weights: np.ndarray
     response_rct: np.ndarray
     lp_ec_base: np.ndarray
@@ -301,33 +310,27 @@ class LimitMapSpec:
     x_rct: np.ndarray
     k: int
     pi: np.ndarray
-    ec_fraction: float
 
     def __post_init__(self):
-        for a in (self.anchor, self.design, self.weights, self.response_rct,
+        for a in (self.anchor, self.weights, self.response_rct,
                   self.lp_ec_base, self.w_ec, self.w_rct, self.x_rct, self.pi):
             a.setflags(write=False)
 
 
 def build_limit_map_spec(ds: CombinedDataset,
                          ec_weight_vector: np.ndarray | None = None,
-                         prevalences=None) -> LimitMapSpec:
-    """Anchor the limit map at the trial-only logistic fit of `ds`."""
+                         prevalences=None, anchor: GlmFit | None = None) -> LimitMapSpec:
+    """Anchor the limit map at the trial-only logistic fit of `ds`, or at
+    `anchor`, that fit already made."""
     from .data import compute_design_counts
 
-    fit = _pooled_logistic_fit(ds, None, rct_only=True)
+    fit = _pooled_logistic_fit(ds, None, rct_only=True) if anchor is None else anchor
     k, d = ds.k, ds.d
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     p_treat = float((ds.t_rct == 1).mean())
     xb_r = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
-    h_r = _onehot(ds.w_rct, k)
-    h_e = _onehot(ds.w_ec, k)
-    zeros_eta = np.zeros((ds.n_rct, k))
-    design = np.block([
-        [h_r, zeros_eta, ds.x_rct],
-        [h_r, h_r, ds.x_rct],
-        [h_e, np.zeros((ds.n_ec, k)), ds.x_ec],
-    ])
+    design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
+                        np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), k)
     response_rct = np.concatenate([
         expit(nu[ds.w_rct] + xb_r),
         expit(nu[ds.w_rct] + eta[ds.w_rct] + xb_r),
@@ -337,7 +340,7 @@ def build_limit_map_spec(ds: CombinedDataset,
         np.full(ds.n_rct, 1.0 - p_treat),
         np.full(ds.n_rct, p_treat),
         w_ec_vec,
-    ])
+    ])[design.order]
     lp_ec_base = nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
@@ -345,7 +348,7 @@ def build_limit_map_spec(ds: CombinedDataset,
         anchor=fit.coefficients.copy(), design=design, weights=weights,
         response_rct=response_rct, lp_ec_base=np.asarray(lp_ec_base, float),
         w_ec=ds.w_ec.copy(), w_rct=ds.w_rct.copy(), x_rct=ds.x_rct.copy(),
-        k=k, pi=pi, ec_fraction=ds.n_ec / max(1, ds.n_rct + ds.n_ec),
+        k=k, pi=pi,
     )
 
 
@@ -355,7 +358,8 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (spec.k,):
         raise InconsistentDimensions(f"delta must have length {spec.k}")
-    y = np.concatenate([spec.response_rct, expit(spec.lp_ec_base + delta[spec.w_ec])])
+    y = np.concatenate([spec.response_rct,
+                        expit(spec.lp_ec_base + delta[spec.w_ec])])[spec.design.order]
     fit = fit_logistic_irls(spec.design, y, weights=spec.weights,
                             start=spec.anchor, tol=1e-10, max_iter=200)
     if not fit.converged:

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .estimators import (
     EffectEstimate,
+    _pooled_logistic_fit,
     diff_means_overall,
     diff_means_pooled_subgroups,
     ec_weights,
@@ -52,6 +53,7 @@ from .estimators import (
     rct_only_subgroups,
     weighted_logistic_effects,
 )
+from .glm import GlmFit
 from .harmonize import (
     FULL,
     MODE_BD,
@@ -316,13 +318,21 @@ class _ReplicateContext:
             return logistic_marginal_effects(ds)
         if kind == "logistic_ipw":
             return weighted_logistic_effects(ds)
-        if kind in ("diff_means_rct", "ols_rct", "logistic_rct"):
+        if kind == "logistic_rct":
+            return logistic_marginal_effects(ds, rct_only=True, fit=self.trial_logistic_fit())
+        if kind in ("diff_means_rct", "ols_rct"):
             return rct_only_subgroups(ds, kind.removesuffix("_rct"))
         raise ConfigError(f"unknown estimator kind {kind!r}")
 
+    def trial_logistic_fit(self) -> GlmFit:
+        """The trial-only logistic fit behind the logistic_rct estimate, the
+        logistic overall effect and every limit map's anchor."""
+        return self._cached("trial_logistic_fit",
+                            lambda: _pooled_logistic_fit(self.ds, None, rct_only=True))
+
     def overall(self, kind: str) -> EffectEstimate:
         fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
-                "logistic": logistic_overall_effect}
+                "logistic": lambda ds: logistic_overall_effect(ds, self.trial_logistic_fit())}
         if kind not in fits:
             raise ConfigError(f"unknown overall kind {kind!r}")
         return self._cached(f"overall:{kind}", lambda: fits[kind](self.ds))
@@ -339,7 +349,8 @@ class _ReplicateContext:
         if initial_kind in ("logistic_pooled", "logistic_ipw"):
             w = (self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
                  if initial_kind == "logistic_ipw" else None)
-            return bd_direction_glm(build_limit_map_spec(self.ds, w, pi))[1]
+            spec = build_limit_map_spec(self.ds, w, pi, self.trial_logistic_fit())
+            return bd_direction_glm(spec)[1]
         raise ConfigError(f"bias-directed mode undefined for initial {initial_kind!r}")
 
     def bd_sigma(self, initial_kind: str) -> np.ndarray:

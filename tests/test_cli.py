@@ -227,6 +227,36 @@ class TestEstimateFailsClosed:
         assert err["error"] == "MalformedRow"
         assert f"{ec}:4:" in err["message"] and repr(column) in err["message"]
 
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_row_with_wrong_field_count_exits_3(self, small_csvs, tmp_path, capsys, edit):
+        # a short row crashed with a traceback; a long one was accepted
+        rct, ec = small_csvs
+        lines = open(ec).read().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] if edit == "short" else lines[2] + ",0.5"
+        bad = tmp_path / "ec.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": str(bad), "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "MalformedRow" and f"{bad}:3:" in err["message"]
+
+    def test_weight_other_than_one_exits_3(self, tmp_path, capsys):
+        ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=5)
+        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
+        save_dataset(ds, str(rct), str(ec), CsvSchema(weight="w"))
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": str(rct), "ec_csv": str(ec), "schema": {"weight": "w"},
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        lines = rct.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",2"
+        rct.write_text("\n".join(lines) + "\n")
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "MalformedRow"
+        assert f"{rct}:4:" in err["message"] and "'w'" in err["message"]
+
     def test_nan_harmonization_gap_exits_4(self, small_csvs, tmp_path, monkeypatch):
         import subharm.cli
 

@@ -108,6 +108,42 @@ class TestLoad:
         assert ds.subgroup_labels == ("MGMT-neg", "MGMT-pos")
 
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path, csv_pair):
+        rct = tmp_path / "blank.csv"
+        rct.write_text("y,arm,grp,age\n1.5,1,a,0.3\n\n0.5,0,a,-0.2\n\n"
+                       "2.5,1,b,1.1\n1.0,0,b,0.0\n")
+        ds = load_dataset(str(rct), csv_pair[1], SCHEMA)
+        np.testing.assert_array_equal(ds.y_rct, [1.5, 0.5, 2.5, 1.0])
+        assert ds.x_rct.flags["C_CONTIGUOUS"] and ds.x_rct.shape == (4, 1)
+        rct.write_text("y,arm,grp,age\n1.5,1,a,0.3\n\n0.5,0,a,oops\n")
+        with pytest.raises(MalformedRow, match=rf"{rct}:3: cannot parse 'age'"):
+            load_dataset(str(rct), csv_pair[1], SCHEMA)
+
+    @pytest.mark.parametrize("row,fields", [("1.0,1,a", 3), ("1.0,1,a,0.1,7", 5)])
+    def test_row_width_must_match_header(self, tmp_path, csv_pair, row, fields):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"y,arm,grp,age\n0.5,0,a,0.2\n{row}\n")
+        with pytest.raises(MalformedRow, match=rf"{bad}:3: {fields} fields where the header has 4"):
+            load_dataset(str(bad), csv_pair[1], SCHEMA)
+
+    def test_first_bad_row_is_reported(self, tmp_path, csv_pair):
+        bad = tmp_path / "bad.csv"
+        write_csv(bad, ["y", "arm", "grp", "age"], [
+            (1.0, 1, "a", 0.1), (1.0, 2, "a", 0.1), ("x", 1, "a", 0.1)])
+        with pytest.raises(MalformedRow, match=rf"{bad}:3: treatment must be 0 or 1"):
+            load_dataset(str(bad), csv_pair[1], SCHEMA)
+
+    def test_weight_column_must_hold_ones(self, tmp_path, csv_pair):
+        schema = CsvSchema(outcome="y", treatment="arm", subgroup="grp", weight="wt")
+        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
+        write_csv(ec, ["y", "arm", "grp", "wt"], [(0.7, 0, "a", 1), (1.2, 0, "b", "1.0")])
+        write_csv(rct, ["y", "arm", "grp", "wt"], [(1.5, 1, "a", 1), (0.5, 0, "b", 1)])
+        assert load_dataset(str(rct), str(ec), schema).n_rct == 2
+        write_csv(rct, ["y", "arm", "grp", "wt"], [(1.5, 1, "a", 1), (0.5, 0, "b", 0.5)])
+        with pytest.raises(MalformedRow, match=rf"{rct}:3: 'wt' value '0.5' is not 1"):
+            load_dataset(str(rct), str(ec), schema)
+
+
 class TestRecords:
     def test_record_invariants(self):
         with pytest.raises(EcTreatedPatient):
@@ -138,6 +174,17 @@ class TestRecords:
         ds2 = CombinedDataset(ds.rct, ds.ec, k=2, d=0)
         np.testing.assert_array_equal(ds2.y_rct, ds.y_rct)
         np.testing.assert_array_equal(ds2.w_ec, ds.w_ec)
+
+
+    @pytest.mark.parametrize("name", ["y_rct", "x_rct", "y_ec", "x_ec"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_from_arrays_rejects_non_finite(self, name, value):
+        arrays = dict(y_rct=np.zeros(4), t_rct=[1, 0, 1, 0], w_rct=[0, 0, 1, 1],
+                      y_ec=np.zeros(2), w_ec=[0, 1], x_rct=np.zeros((4, 2)),
+                      x_ec=np.zeros((2, 2)))
+        arrays[name][1] = value
+        with pytest.raises(MalformedRow, match=f"non-finite value in {name}"):
+            CombinedDataset.from_arrays(k=2, **arrays)
 
 
 class TestDesignCounts:

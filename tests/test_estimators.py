@@ -197,6 +197,41 @@ class TestLogisticMarginal:
         assert np.all(np.abs(delta_var / boot_var - 1) < 0.15)
 
 
+    def test_marginalization_matches_per_subgroup_means_bit_for_bit(self, rng):
+        # the grouped reductions sum each subgroup's rows in the same order
+        # as a mean over its masked rows
+        from scipy.special import expit
+
+        from subharm.estimators import _marginal_gradient, marginal_effects
+
+        ds = balanced_dataset(k=5, n_t=37, n_c=29, n_e=11, d=3, beta=[0.4, -0.2, 0.1],
+                              seed=8, family="binary")
+        order = rng.permutation(ds.n_rct)
+        ds = CombinedDataset.from_arrays(
+            y_rct=ds.y_rct[order], t_rct=ds.t_rct[order], w_rct=ds.w_rct[order],
+            y_ec=ds.y_ec, w_ec=ds.w_ec, k=ds.k, x_rct=ds.x_rct[order], x_ec=ds.x_ec)
+        nu, eta, beta = rng.normal(size=5), rng.normal(size=5), rng.normal(size=3)
+        xb = ds.x_rct @ beta
+        want_theta, want_grad = np.empty(5), np.zeros((5, 13))
+        for j in range(5):
+            m = ds.w_rct == j
+            pa, pb = expit(nu[j] + eta[j] + xb[m]), expit(nu[j] + xb[m])
+            ga, gb = pa * (1 - pa), pb * (1 - pb)
+            want_theta[j] = np.mean(pa - pb)
+            want_grad[j, j], want_grad[j, 5 + j] = np.mean(ga - gb), np.mean(ga)
+            want_grad[j, 10:] = np.mean((ga - gb)[:, None] * ds.x_rct[m], axis=0)
+        np.testing.assert_array_equal(
+            marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta), want_theta)
+        np.testing.assert_array_equal(_marginal_gradient(ds, nu, eta, beta), want_grad)
+
+    def test_marginalization_names_first_empty_subgroup(self):
+        from subharm.estimators import marginal_effects
+
+        w = np.array([0, 0, 2, 2])
+        with pytest.raises(EmptySubgroupArm, match="subgroup 2 has no RCT patients"):
+            marginal_effects(w, np.zeros((4, 0)), np.zeros(4), np.zeros(4), np.zeros(0))
+
+
 class TestPropensity:
     def test_identical_distributions_give_unit_weights(self):
         x = np.linspace(-1, 1, 12).reshape(-1, 1)

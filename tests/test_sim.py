@@ -353,6 +353,33 @@ class TestSigmaWorkPerReplicate:
         # two families, two replicates
         assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
 
+class TestTrialFitPerReplicate:
+    def test_one_trial_only_logistic_fit_per_replicate(self, monkeypatch):
+        # logistic_rct, the logistic overall effect and both limit maps'
+        # anchors share one trial-only fit
+        import importlib
+
+        spec = load_preset("fig5")
+        n_rct = generate_scenario(spec, 3).n_rct
+        rows = []
+        for name in ("subharm.estimators", "subharm.harmonize"):
+            module = importlib.import_module(name)
+            original = module.fit_logistic_irls
+
+            def counted(design, *args, _original=original, **kwargs):
+                rows.append(getattr(design, "values", design).shape[0])
+                return _original(design, *args, **kwargs)
+
+            monkeypatch.setattr(module, "fit_logistic_irls", counted)
+        ests = ["logistic_rct", "logistic_pooled", "logistic_ipw"] + [
+            {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
+             "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
+            for initial in ("logistic_pooled", "logistic_ipw")]
+        report = run_monte_carlo(spec, ests, reps=2, seed=3)
+        assert not report.failures
+        assert rows.count(n_rct) == 2
+
+
 class TestSpike:
     def test_zero_spike_unchanged(self):
         y = np.array([0.0, 1.0, 0.0, 1.0])
