@@ -22,7 +22,6 @@ from .data import (
     CombinedDataset,
     CsvSchema,
     DesignCounts,
-    SubjectRecord,
     compute_design_counts,
     load_dataset,
     save_dataset,

@@ -61,7 +61,7 @@ RESAMPLE_KEYS = COMMON_KEYS | {
     "trial_csv", "ec_csv", "schema", "n_control", "n_experimental", "n_ec",
     "reps", "estimators", "spike", "prevalence_mode",
 }
-SCHEMA_KEYS = {"outcome", "treatment", "subgroup", "covariates", "weight"}
+SCHEMA_KEYS = {"outcome", "treatment", "subgroup", "covariates"}
 
 
 def _fmt(v) -> str:
@@ -238,10 +238,10 @@ def cmd_estimate(cfg: dict) -> int:
         "estimators": cfg.get("estimators", default_est),
         "intervals": methods, "alpha": alpha,
         "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": sigma_mode,
-        "prevalences": list(dc.pi), "prevalence_source": dc.prevalence_source,
-        "seed": seed, "workers": int(cfg.get("workers", 1)),
+        "prevalences": list(dc.pi), "seed": seed, "workers": int(cfg.get("workers", 1)),
         "out_dir": str(out_dir),
     }
+    checks["prevalence_source"] = dc.prevalence_source
     checks["design_summary"] = {
         "pi": list(dc.pi), "q_ratio": list(dc.q_ratio), "q_bar": dc.q_bar,
         "q": dc.q, "counts": dc.counts.tolist(),
@@ -298,12 +298,13 @@ def cmd_simulate(cfg: dict) -> int:
                              interval_estimator=cfg.get("interval_estimator"))
     _report_artifacts(out_dir, report)
     resolved = {
-        "preset": cfg.get("preset"), "scenario": spec.to_dict(), "reps": reps,
+        "scenario": spec.to_dict(), "reps": reps,
         "estimators": estimators, "intervals": intervals, "alpha": alpha,
-        "bootstrap_r": bootstrap_r, "sigma_mode": sigma_mode, "seed": seed,
+        "bootstrap_r": bootstrap_r, "sigma_mode": sigma_mode,
+        "interval_estimator": cfg.get("interval_estimator"), "seed": seed,
         "workers": workers, "out_dir": str(out_dir),
     }
-    checks = {"n_failures": len(report.failures),
+    checks = {"preset": cfg.get("preset"), "n_failures": len(report.failures),
               "truth": list(report.truth),
               "prevalence_source": report.prevalence_source}
     _manifest(out_dir, "simulate", resolved, checks)

@@ -1,9 +1,9 @@
-"""Patient-level data model: records, validated datasets, CSV ingestion,
-and subgroup/design bookkeeping shared by all estimators.
+"""Patient-level data model: validated datasets, CSV ingestion, and
+subgroup/design bookkeeping shared by all estimators.
 
 A `CombinedDataset` stores the randomized-trial (RCT) and external-control
-(EC) collections as column arrays; `SubjectRecord` is the row-level view
-used at the ingestion boundary. Subgroup labels ingest as arbitrary strings
+(EC) collections as column arrays, built and validated by
+`CombinedDataset.from_arrays`. Subgroup labels ingest as arbitrary strings
 and are mapped to 1..K by lexicographic order; the mapping is kept on the
 dataset and echoed into run manifests.
 """
@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,34 +38,6 @@ TREATED, CONTROL, EC_CONTROL = 0, 1, 2
 
 
 @dataclass(frozen=True)
-class SubjectRecord:
-    """One patient row.
-
-    `subgroup` is the 1-based integer label after mapping; `study` is
-    "RCT" or "EC". External patients all received control (treatment 0).
-    """
-
-    outcome: float
-    treatment: int
-    subgroup: int
-    covariates: tuple[float, ...] = ()
-    study: str = RCT
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.study not in (RCT, EC):
-            raise MalformedRow(f"unknown study tag {self.study!r}")
-        if self.treatment not in (0, 1):
-            raise MalformedRow(f"treatment must be 0 or 1, got {self.treatment!r}")
-        if self.study == EC and self.treatment != 0:
-            raise EcTreatedPatient("external-control record with treatment = 1")
-        if self.subgroup < 1:
-            raise UnknownSubgroup(f"subgroup labels are 1-based, got {self.subgroup}")
-        if not self.weight >= 0:
-            raise MalformedRow(f"weight must be non-negative, got {self.weight}")
-
-
-@dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for CSV ingestion."""
 
@@ -73,7 +45,6 @@ class CsvSchema:
     treatment: str = "treatment"
     subgroup: str = "subgroup"
     covariates: tuple[str, ...] = ()
-    weight: str | None = None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CsvSchema":
@@ -82,43 +53,39 @@ class CsvSchema:
             treatment=obj.get("treatment", "treatment"),
             subgroup=obj.get("subgroup", "subgroup"),
             covariates=tuple(obj.get("covariates", ())),
-            weight=obj.get("weight"),
         )
 
 
+def _vector(values, dtype, name: str, n: int | None = None) -> np.ndarray:
+    """`values` as a 1-D array, of length `n` when given."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != 1 or (n is not None and len(a) != n):
+        raise DimensionMismatch(
+            f"{name} has shape {a.shape}; expected a vector"
+            + ("" if n is None else f" of length {n}"))
+    return a
+
+
+def _covariates(x, n: int, name: str) -> np.ndarray:
+    """`x` as an (n, d) matrix: None has no columns, a vector one."""
+    if x is None:
+        return np.zeros((n, 0))
+    try:
+        x = np.asarray(x, dtype=float)
+    except ValueError:
+        raise DimensionMismatch(f"{name} is ragged or not numeric") from None
+    if x.ndim not in (1, 2) or len(x) != n:
+        raise DimensionMismatch(f"{name} has shape {x.shape}; expected {n} rows")
+    return x.reshape(n, 1 if x.ndim == 1 else x.shape[1])
+
+
 class CombinedDataset:
-    """Validated RCT + EC collections with subgroup bookkeeping.
+    """Validated RCT + EC column arrays with subgroup bookkeeping.
 
-    Immutable after construction; safe for concurrent read. Column arrays
-    use 0-based subgroup indices internally; `subgroup_labels[k]` gives the
-    original label of 1-based subgroup k+1.
+    Built only by `from_arrays`. Immutable after construction; safe for
+    concurrent read. Column arrays use 0-based subgroup indices internally;
+    `subgroup_labels[k]` gives the original label of 1-based subgroup k+1.
     """
-
-    def __init__(
-        self,
-        rct: Iterable[SubjectRecord],
-        ec: Iterable[SubjectRecord],
-        k: int,
-        d: int,
-        outcome_family: str = CONTINUOUS,
-        subgroup_labels: Sequence[str] | None = None,
-    ):
-        rct = list(rct)
-        ec = list(ec)
-        arrays = {}
-        for name, recs in (("r", rct), ("e", ec)):
-            lens = {len(rec.covariates) for rec in recs}
-            if len(lens - {d}) > 0:
-                raise DimensionMismatch(
-                    f"covariate lengths {sorted(lens)} do not all equal declared d={d}")
-            arrays[name] = dict(
-                y=np.array([rec.outcome for rec in recs], dtype=float),
-                t=np.array([rec.treatment for rec in recs], dtype=np.int64),
-                w=np.array([rec.subgroup - 1 for rec in recs], dtype=np.int64),
-                x=np.array([rec.covariates for rec in recs], dtype=float).reshape(len(recs), d),
-                wt=np.array([rec.weight for rec in recs], dtype=float),
-            )
-        self._init_from_arrays(arrays["r"], arrays["e"], k, d, outcome_family, subgroup_labels)
 
     @classmethod
     def from_arrays(
@@ -135,67 +102,47 @@ class CombinedDataset:
         outcome_family: str = CONTINUOUS,
         subgroup_labels: Sequence[str] | None = None,
     ) -> "CombinedDataset":
-        """Fast constructor for simulation workers. `w_*` are 0-based."""
-        ds = cls.__new__(cls)
-        n_r, n_e = len(y_rct), len(y_ec)
-        if x_rct is None:
-            d = 0
-        else:
-            x_rct = np.asarray(x_rct, dtype=float)
-            d = 1 if x_rct.ndim == 1 else int(x_rct.shape[1])
-        rct = dict(
-            y=np.asarray(y_rct, dtype=float),
-            t=np.asarray(t_rct, dtype=np.int64),
-            w=np.asarray(w_rct, dtype=np.int64),
-            x=np.zeros((n_r, 0)) if x_rct is None else np.asarray(x_rct, dtype=float).reshape(n_r, d),
-            wt=np.ones(n_r),
-        )
-        ec = dict(
-            y=np.asarray(y_ec, dtype=float),
-            t=np.zeros(n_e, dtype=np.int64),
-            w=np.asarray(w_ec, dtype=np.int64),
-            x=np.zeros((n_e, 0)) if x_ec is None else np.asarray(x_ec, dtype=float).reshape(n_e, d),
-            wt=np.ones(n_e),
-        )
-        ds._init_from_arrays(rct, ec, k, d, outcome_family, subgroup_labels)
-        return ds
-
-    def _init_from_arrays(self, rct: dict, ec: dict, k: int, d: int,
-                          outcome_family: str, subgroup_labels) -> None:
+        """Validate and store the column arrays. `w_*` are 0-based subgroup
+        indices; every EC patient is a control. Each vector must match its
+        study's outcome vector in length and the covariate matrices must
+        share one width, else `DimensionMismatch`."""
         if outcome_family not in (CONTINUOUS, BINARY):
             raise DataError(f"unknown outcome family {outcome_family!r}")
-        if np.any(ec["t"] != 0):
-            raise EcTreatedPatient("external-control record with treatment = 1")
-        if np.any((rct["t"] != 0) & (rct["t"] != 1)):
+        y_r, y_e = _vector(y_rct, float, "y_rct"), _vector(y_ec, float, "y_ec")
+        n_r, n_e = len(y_r), len(y_e)
+        t_r = _vector(t_rct, None, "t_rct", n_r)
+        w_r = _vector(w_rct, np.int64, "w_rct", n_r)
+        w_e = _vector(w_ec, np.int64, "w_ec", n_e)
+        x_r, x_e = _covariates(x_rct, n_r, "x_rct"), _covariates(x_ec, n_e, "x_ec")
+        d = x_r.shape[1]
+        if x_e.shape[1] != d:
+            raise DimensionMismatch(
+                f"x_ec has {x_e.shape[1]} covariate columns where x_rct has {d}")
+        if np.any((t_r != 0) & (t_r != 1)):  # before the cast, which would truncate 0.5
             raise MalformedRow("treatment must be 0 or 1")
-        for study, side in (("rct", rct), ("ec", ec)):
-            for name in ("y", "x"):
-                if not np.isfinite(side[name]).all():
+        t_r = t_r.astype(np.int64, copy=False)
+        for study, y, w, x in (("rct", y_r, w_r, x_r), ("ec", y_e, w_e, x_e)):
+            for name, a in (("y", y), ("x", x)):
+                if not np.isfinite(a).all():
                     raise MalformedRow(f"non-finite value in {name}_{study}")
-            if side["w"].size and (side["w"].min() < 0 or side["w"].max() >= k):
-                bad = int(side["w"].min() if side["w"].min() < 0 else side["w"].max())
+            if w.size and (w.min() < 0 or w.max() >= k):
+                bad = int(w.min() if w.min() < 0 else w.max())
                 raise UnknownSubgroup(f"subgroup index {bad + 1} outside 1..{k}")
-            if side["x"].shape[1] != d:
-                raise DimensionMismatch(
-                    f"covariate dimension {side['x'].shape[1]} != declared {d}")
-            if side["wt"].size and side["wt"].min() < 0:
-                raise MalformedRow("negative analysis weight")
-            if outcome_family == BINARY and side["y"].size and not np.isin(side["y"], (0.0, 1.0)).all():
+            if outcome_family == BINARY and not np.isin(y, (0.0, 1.0)).all():
                 raise MalformedRow("binary outcome family requires outcomes in {0, 1}")
-        self.k = int(k)
-        self.d = int(d)
-        self.outcome_family = outcome_family
-        self.subgroup_labels = tuple(subgroup_labels) if subgroup_labels is not None \
+        labels = tuple(subgroup_labels) if subgroup_labels is not None \
             else tuple(str(i + 1) for i in range(k))
-        if len(self.subgroup_labels) != k:
+        if len(labels) != k:
             raise DataError("subgroup_labels length must equal K")
-        self.y_rct, self.t_rct, self.w_rct = rct["y"], rct["t"], rct["w"]
-        self.x_rct, self.wt_rct = rct["x"], rct["wt"]
-        self.y_ec, self.w_ec = ec["y"], ec["w"]
-        self.x_ec, self.wt_ec = ec["x"], ec["wt"]
-        for arr in (self.y_rct, self.t_rct, self.w_rct, self.x_rct, self.wt_rct,
-                    self.y_ec, self.w_ec, self.x_ec, self.wt_ec):
+        ds = cls.__new__(cls)
+        ds.k, ds.d = int(k), int(d)
+        ds.outcome_family = outcome_family
+        ds.subgroup_labels = labels
+        ds.y_rct, ds.t_rct, ds.w_rct, ds.x_rct = y_r, t_r, w_r, x_r
+        ds.y_ec, ds.w_ec, ds.x_ec = y_e, w_e, x_e
+        for arr in (y_r, t_r, w_r, x_r, y_e, w_e, x_e):
             arr.setflags(write=False)
+        return ds
 
     # --- views ---------------------------------------------------------
 
@@ -206,25 +153,6 @@ class CombinedDataset:
     @property
     def n_ec(self) -> int:
         return len(self.y_ec)
-
-    @property
-    def rct(self) -> list[SubjectRecord]:
-        return self._records(RCT)
-
-    @property
-    def ec(self) -> list[SubjectRecord]:
-        return self._records(EC)
-
-    def _records(self, study: str) -> list[SubjectRecord]:
-        if study == RCT:
-            y, t, w, x, wt = self.y_rct, self.t_rct, self.w_rct, self.x_rct, self.wt_rct
-        else:
-            y, t, w, x, wt = self.y_ec, np.zeros(self.n_ec, dtype=np.int64), self.w_ec, self.x_ec, self.wt_ec
-        return [
-            SubjectRecord(float(y[i]), int(t[i]), int(w[i]) + 1,
-                          tuple(float(v) for v in x[i]), study, float(wt[i]))
-            for i in range(len(y))
-        ]
 
     def rct_mask(self, subgroup: int | None = None, arm: int | None = None) -> np.ndarray:
         """Boolean mask over RCT rows; `subgroup` is 0-based."""
@@ -391,12 +319,6 @@ def _check_rows(path: str, schema: CsvSchema, study: str, header: list[str],
             raise MalformedRow(f"{path}:{line}: empty subgroup cell")
         for c in schema.covariates:
             _parse_cell(row[col[c]], "float", path, line, c)
-        if schema.weight:
-            raw = row[col[schema.weight]]
-            if _parse_cell(raw, "float", path, line, schema.weight) != 1:
-                raise MalformedRow(
-                    f"{path}:{line}: {schema.weight!r} value {raw.strip()!r} is not 1; "
-                    "no estimator reads analysis weights yet")
 
 
 def _read_columns(path: str, schema: CsvSchema, study: str
@@ -414,8 +336,6 @@ def _read_columns(path: str, schema: CsvSchema, study: str
         if header is None:
             raise MalformedRow(f"{path}: empty file (header row required)")
         needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
-        if schema.weight:
-            needed.append(schema.weight)
         missing = [c for c in needed if c not in header]
         if missing:
             raise MalformedRow(f"{path}: missing columns {missing}")
@@ -434,12 +354,11 @@ def _read_columns(path: str, schema: CsvSchema, study: str
             x = np.empty((n, d))
             for j, c in enumerate(schema.covariates):
                 x[:, j] = parse(float, c)
-            ones = parse(float, schema.weight) == 1 if schema.weight else True
         except ValueError:
             clean = False
     if clean:
         labels = [label.strip() for label in cells[col[schema.subgroup]]]
-        clean = (np.isfinite(y).all() and np.isfinite(x).all() and np.all(ones)
+        clean = (np.isfinite(y).all() and np.isfinite(x).all()
                  and np.isin(t, (0, 1) if study == RCT else (0,)).all()
                  and "" not in labels)
     if not clean:
@@ -459,8 +378,7 @@ def load_dataset(
     Subgroup labels found in the files are mapped to 1..K in lexicographic
     order unless `subgroup_levels` declares the levels explicitly, in which
     case any label outside that set raises UnknownSubgroup. Every row must
-    have as many fields as the header, and a weight column, when the schema
-    names one, must hold 1 in every row: no estimator reads weights yet.
+    have as many fields as the header.
     """
     y_r, t_r, labels_r, x_r = _read_columns(rct_csv, schema, RCT)
     y_e, _t_e, labels_e, x_e = _read_columns(ec_csv, schema, EC)
@@ -488,19 +406,15 @@ def save_dataset(ds: CombinedDataset, rct_csv: str, ec_csv: str,
     """Write the dataset back to a CSV pair (round-trips within 1e-15)."""
     schema = schema or CsvSchema(covariates=tuple(f"x{j + 1}" for j in range(ds.d)))
     header = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
-    if schema.weight:
-        header.append(schema.weight)
 
-    def write(path, y, t, w, x, wt):
+    def write(path, y, t, w, x):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for i in range(len(y)):
                 row = [format(y[i], ".17g"), int(t[i]), ds.subgroup_labels[int(w[i])]]
                 row += [format(v, ".17g") for v in x[i]]
-                if schema.weight:
-                    row.append(format(wt[i], ".17g"))
                 writer.writerow(row)
 
-    write(rct_csv, ds.y_rct, ds.t_rct, ds.w_rct, ds.x_rct, ds.wt_rct)
-    write(ec_csv, ds.y_ec, np.zeros(ds.n_ec, dtype=int), ds.w_ec, ds.x_ec, ds.wt_ec)
+    write(rct_csv, ds.y_rct, ds.t_rct, ds.w_rct, ds.x_rct)
+    write(ec_csv, ds.y_ec, np.zeros(ds.n_ec, dtype=int), ds.w_ec, ds.x_ec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subharm import CombinedDataset, SubjectRecord
+from subharm import CombinedDataset
 
 
 def balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, mu=None, theta=None, gamma=None,
@@ -33,12 +33,21 @@ def balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, mu=None, theta=None, gamma=None,
 
 
 def records_dataset(rows_rct, rows_ec, k, d=0, family="continuous"):
-    """rows: list of (outcome, treatment, subgroup, covariates)."""
-    rct = [SubjectRecord(y, t, w, tuple(x), "RCT") for (y, t, w, *x0) in rows_rct
-           for x in [x0[0] if x0 else ()]]
-    ec = [SubjectRecord(y, t, w, tuple(x), "EC") for (y, t, w, *x0) in rows_ec
-          for x in [x0[0] if x0 else ()]]
-    return CombinedDataset(rct, ec, k=k, d=d, outcome_family=family)
+    """rows: list of (outcome, treatment, subgroup[, covariates]) with 1-based
+    subgroups; external-control rows carry treatment 0."""
+    def columns(rows):
+        y = np.array([r[0] for r in rows], dtype=float)
+        t = np.array([r[1] for r in rows], dtype=np.int64)
+        w = np.array([r[2] - 1 for r in rows], dtype=np.int64)
+        x = np.array([r[3] if len(r) > 3 else () for r in rows], dtype=float)
+        return y, t, w, x.reshape(len(rows), d)
+
+    y_r, t_r, w_r, x_r = columns(rows_rct)
+    y_e, t_e, w_e, x_e = columns(rows_ec)
+    assert not t_e.any(), "external-control rows must have treatment 0"
+    return CombinedDataset.from_arrays(
+        y_rct=y_r, t_rct=t_r, w_rct=w_r, y_ec=y_e, w_ec=w_e, k=k,
+        x_rct=x_r, x_ec=x_e, outcome_family=family)
 
 
 @pytest.fixture

@@ -175,7 +175,7 @@ def test_criterion_03_coverage(fig1_runs):
         "construction: the per-subgroup residual distortion (0.909) is only "
         "1.87 interval standard errors, so a 95% interval still covers in "
         "half the replicates. Coverage below 0.10 would need a residual "
-        "shift above 3.24 standard errors. See the decisions ledger.")
+        "shift above 3.24 standard errors. See the README's Tests section.")
 
 
 # --------------------------------------------------------------------------

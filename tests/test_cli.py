@@ -206,12 +206,11 @@ class TestEstimateFailsClosed:
             assert [r["point"] for r in ivs if r["method"] == method] == est
 
     @pytest.mark.parametrize("column,value", [
-        ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf"), ("w", "NaN")])
+        ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf")])
     def test_non_finite_cell_exits_3(self, tmp_path, capsys, column, value):
         ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, d=1, beta=[0.5], seed=5)
         rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
-        schema = CsvSchema(covariates=("x1",), weight="w")
-        save_dataset(ds, str(rct), str(ec), schema)
+        save_dataset(ds, str(rct), str(ec))
         lines = ec.read_text().splitlines()
         header = lines[0].split(",")
         cells = lines[3].split(",")
@@ -220,8 +219,7 @@ class TestEstimateFailsClosed:
         ec.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path / "c.json", {
             "rct_csv": str(rct), "ec_csv": str(ec),
-            "schema": {"covariates": ["x1"], "weight": "w"},
-            "out_dir": str(tmp_path / "o")})
+            "schema": {"covariates": ["x1"]}, "out_dir": str(tmp_path / "o")})
         assert run_cli("estimate", "--config", cfg) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "MalformedRow"
@@ -241,21 +239,15 @@ class TestEstimateFailsClosed:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "MalformedRow" and f"{bad}:3:" in err["message"]
 
-    def test_weight_other_than_one_exits_3(self, tmp_path, capsys):
-        ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=5)
-        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
-        save_dataset(ds, str(rct), str(ec), CsvSchema(weight="w"))
+    def test_schema_weight_key_exits_2(self, tmp_path, capsys):
+        # no estimator reads analysis weights, so the key is unknown; the
+        # files do not exist, so exit 2 means no CSV was read
         cfg = write_config(tmp_path / "c.json", {
-            "rct_csv": str(rct), "ec_csv": str(ec), "schema": {"weight": "w"},
-            "out_dir": str(tmp_path / "o")})
-        assert run_cli("estimate", "--config", cfg) == 0
-        lines = rct.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",2"
-        rct.write_text("\n".join(lines) + "\n")
-        assert run_cli("estimate", "--config", cfg) == 3
+            "rct_csv": str(tmp_path / "r.csv"), "ec_csv": str(tmp_path / "e.csv"),
+            "schema": {"weight": "w"}, "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "MalformedRow"
-        assert f"{rct}:4:" in err["message"] and "'w'" in err["message"]
+        assert err["error"] == "ConfigError" and "'weight'" in err["message"]
 
     def test_nan_harmonization_gap_exits_4(self, small_csvs, tmp_path, monkeypatch):
         import subharm.cli
@@ -365,3 +357,60 @@ class TestIntervalDispatch:
             "out_dir": str(tmp_path / "o")})
         assert run_cli("estimate", "--config", cfg) == 0
         assert len(read_rows(tmp_path / "o" / "intervals.csv")) == 10
+
+
+def rerun_from_manifest(command, out, tmp_path, artifacts):
+    """Run `command` again on the config recorded in `out`'s manifest, into
+    a fresh directory, and require byte-identical artifacts."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    again = tmp_path / "again"
+    cfg = write_config(tmp_path / "again.json", dict(manifest["config"], out_dir=str(again)))
+    assert run_cli(command, "--config", cfg) == 0
+    for name in artifacts:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+    return manifest
+
+
+class TestManifestReruns:
+    def test_estimate(self, fig1_csvs, tmp_path):
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "seed": 3,
+            "intervals": ["analytic", "bootstrap", "rct_only"],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        manifest = rerun_from_manifest("estimate", tmp_path / "o", tmp_path,
+                                       ["estimates.csv", "intervals.csv"])
+        assert manifest["checks"]["prevalence_source"] == "rct_empirical"
+
+    def test_simulate_preset(self, tmp_path):
+        assert run_cli("simulate", "--preset", "fig1-s2", "--reps", "3", "--seed", "2",
+                       "--out-dir", str(tmp_path / "o")) == 0
+        manifest = rerun_from_manifest("simulate", tmp_path / "o", tmp_path, ["report.csv"])
+        assert "preset" not in manifest["config"]
+        assert manifest["checks"]["preset"] == "fig1-s2"
+
+    def test_simulate_inline_scenario_with_interval_estimator(self, tmp_path):
+        harmonized = [{"kind": "harmonized", "name": f"h{lam}", "initial": "diff_means_pooled",
+                       "overall": "diff_means", "lambda": lam} for lam in (1, "full")]
+        cfg = write_config(tmp_path / "c.json", {
+            "scenario": {"name": "tiny", "outcome_family": "continuous", "k": 2,
+                         "n_rct_treated": [4, 4], "n_rct_control": [4, 4],
+                         "n_ec": [6, 6], "mu": [0, 0], "theta": [0, 0],
+                         "distortion": [1, 1], "phi2": 1.0},
+            "estimators": ["diff_means_pooled", *harmonized],
+            "intervals": ["analytic", "rct_only"], "interval_estimator": "h1",
+            "reps": 4, "seed": 5, "out_dir": str(tmp_path / "o")})
+        assert run_cli("simulate", "--config", cfg) == 0
+        manifest = rerun_from_manifest("simulate", tmp_path / "o", tmp_path, ["report.csv"])
+        assert manifest["config"]["interval_estimator"] == "h1"
+
+    def test_resample(self, pools, tmp_path):
+        trial, ec = pools
+        cfg = write_config(tmp_path / "c.json", {
+            "trial_csv": trial, "ec_csv": ec, "schema": {"covariates": ["x1"]},
+            "n_control": 60, "n_experimental": 90, "n_ec": 150, "reps": 6, "seed": 2,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("resample", "--config", cfg) == 0
+        rerun_from_manifest("resample", tmp_path / "o", tmp_path, ["report.csv"])

@@ -4,7 +4,6 @@ import pytest
 from subharm import (
     CombinedDataset,
     CsvSchema,
-    SubjectRecord,
     compute_design_counts,
     load_dataset,
     save_dataset,
@@ -133,48 +132,47 @@ class TestLoad:
         with pytest.raises(MalformedRow, match=rf"{bad}:3: treatment must be 0 or 1"):
             load_dataset(str(bad), csv_pair[1], SCHEMA)
 
-    def test_weight_column_must_hold_ones(self, tmp_path, csv_pair):
-        schema = CsvSchema(outcome="y", treatment="arm", subgroup="grp", weight="wt")
-        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
-        write_csv(ec, ["y", "arm", "grp", "wt"], [(0.7, 0, "a", 1), (1.2, 0, "b", "1.0")])
-        write_csv(rct, ["y", "arm", "grp", "wt"], [(1.5, 1, "a", 1), (0.5, 0, "b", 1)])
-        assert load_dataset(str(rct), str(ec), schema).n_rct == 2
-        write_csv(rct, ["y", "arm", "grp", "wt"], [(1.5, 1, "a", 1), (0.5, 0, "b", 0.5)])
-        with pytest.raises(MalformedRow, match=rf"{rct}:3: 'wt' value '0.5' is not 1"):
-            load_dataset(str(rct), str(ec), schema)
-
 
 class TestRecords:
-    def test_record_invariants(self):
-        with pytest.raises(EcTreatedPatient):
-            SubjectRecord(1.0, 1, 1, (), "EC")
-        with pytest.raises(MalformedRow):
-            SubjectRecord(1.0, 2, 1, ())
-        with pytest.raises(MalformedRow):
-            SubjectRecord(1.0, 1, 1, (), "RCT", weight=-0.5)
-
     def test_ragged_covariates(self):
-        recs = [SubjectRecord(1.0, 1, 1, (0.1, 0.2)), SubjectRecord(0.0, 0, 1, (0.1,))]
-        with pytest.raises(DimensionMismatch):
-            CombinedDataset(recs, [], k=1, d=2)
+        with pytest.raises(DimensionMismatch, match="x_rct is ragged"):
+            CombinedDataset.from_arrays(y_rct=np.zeros(2), t_rct=[1, 0], w_rct=[0, 0],
+                                        y_ec=[], w_ec=[], k=1, x_rct=[[0.1, 0.2], [0.1]])
+        with pytest.raises(DimensionMismatch, match="x_ec has 1 covariate columns where x_rct has 2"):
+            CombinedDataset.from_arrays(y_rct=np.zeros(2), t_rct=[1, 0], w_rct=[0, 0],
+                                        y_ec=np.zeros(1), w_ec=[0], k=1,
+                                        x_rct=np.zeros((2, 2)), x_ec=np.zeros((1, 1)))
 
     def test_binary_family_checks_outcomes(self):
-        recs = [SubjectRecord(0.5, 1, 1, ())]
         with pytest.raises(MalformedRow):
-            CombinedDataset(recs, [], k=1, d=0, outcome_family="binary")
+            CombinedDataset.from_arrays(y_rct=[0.5], t_rct=[1], w_rct=[0], y_ec=[],
+                                        w_ec=[], k=1, outcome_family="binary")
 
     def test_array_treatment_outside_0_1(self):
-        with pytest.raises(MalformedRow):
-            CombinedDataset.from_arrays(y_rct=np.zeros(2), t_rct=np.array([0, 2]),
-                                        w_rct=np.zeros(2, int), y_ec=np.zeros(0),
-                                        w_ec=np.zeros(0, int), k=1)
+        for t in (np.array([0, 2]), np.array([0.5, 1.0])):  # a cast would truncate 0.5
+            with pytest.raises(MalformedRow):
+                CombinedDataset.from_arrays(y_rct=np.zeros(2), t_rct=t,
+                                            w_rct=np.zeros(2, int), y_ec=np.zeros(0),
+                                            w_ec=np.zeros(0, int), k=1)
 
-    def test_record_views_round_trip(self):
-        ds = balanced_dataset(k=2, n_t=2, n_c=2, n_e=3, seed=5)
-        ds2 = CombinedDataset(ds.rct, ds.ec, k=2, d=0)
-        np.testing.assert_array_equal(ds2.y_rct, ds.y_rct)
-        np.testing.assert_array_equal(ds2.w_ec, ds.w_ec)
-
+    @pytest.mark.parametrize("name,value", [
+        ("t_rct", [1, 0, 1]),
+        ("w_rct", [0, 0, 1, 1, 1]),
+        ("w_ec", [0]),
+        ("y_rct", np.zeros((4, 1))),
+        ("x_rct", np.zeros((3, 2))),
+        ("x_ec", np.zeros((3, 2))),
+        ("x_ec", np.zeros((2, 3))),
+        ("x_rct", None),
+    ], ids=["t_rct-short", "w_rct-long", "w_ec-short", "y_rct-matrix", "x_rct-rows",
+            "x_ec-rows", "x_ec-width", "x_ec-without-x_rct"])
+    def test_from_arrays_rejects_mismatched_shapes(self, name, value):
+        arrays = dict(y_rct=np.zeros(4), t_rct=[1, 0, 1, 0], w_rct=[0, 0, 1, 1],
+                      y_ec=np.zeros(2), w_ec=[0, 1], x_rct=np.zeros((4, 2)),
+                      x_ec=np.zeros((2, 2)))
+        arrays[name] = value
+        with pytest.raises(DimensionMismatch, match="x_ec" if value is None else name):
+            CombinedDataset.from_arrays(k=2, **arrays)
 
     @pytest.mark.parametrize("name", ["y_rct", "x_rct", "y_ec", "x_ec"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -189,8 +187,7 @@ class TestRecords:
 
 class TestDesignCounts:
     def test_empirical_prevalences(self):
-        ds = balanced_dataset(k=2, n_t=3, n_c=0, n_e=1)  # 3 treated per subgroup
-        # give subgroup 2 more RCT patients via records
+        # subgroup 1 has more RCT patients than subgroup 2
         ds = CombinedDataset.from_arrays(
             y_rct=np.zeros(10), t_rct=np.r_[np.ones(5), np.zeros(5)].astype(int),
             w_rct=np.array([0, 0, 0, 1, 1, 0, 0, 0, 1, 1]),

@@ -8,7 +8,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subharm import CombinedDataset, compute_design_counts, diff_means_overall
+from subharm import (
+    CombinedDataset,
+    analyst1_posterior,
+    analyst2_posterior,
+    compute_design_counts,
+    cut_distribution,
+    diff_means_overall,
+    flat_prior,
+)
 from subharm.estimators import _pooled_cell_variance
 from subharm.intervals import interval
 from subharm.sim import _ReplicateContext, parse_estimator
@@ -73,6 +81,21 @@ def test_full_harmonization_matches_the_overall_estimate(design):
     # without any external control the bias direction is degenerate
     bd_mode = "bd" if design[2].any() else "vd (bd fallback)"
     assert ctx.shift_mode(harmonized("bd")) == bd_mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs())
+def test_cut_mean_equals_full_vd_harmonization(design):
+    ds = make_dataset(design)
+    dc = compute_design_counts(ds)
+    ctx = _ReplicateContext(ds, dc)
+    vd, hc = ctx.harmonized(harmonized("vd"))
+    assert hc is ctx.harmonization(harmonized("vd")) and hc.mode == "vd"
+    # near-flat priors, so the posteriors centre on the data estimates
+    phi2 = _pooled_cell_variance(ds.cell_stats)
+    p1 = analyst1_posterior(ds, phi2, flat_prior(2, 1e12))
+    p2 = analyst2_posterior(ds, phi2, flat_prior(2 * ds.k, 1e12))
+    np.testing.assert_allclose(cut_distribution(p1, p2, dc.pi).mean, vd, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
