@@ -41,6 +41,7 @@ from .sim import (
     MonteCarloReport,
     ScenarioSpec,
     _ReplicateContext,
+    check_fixed_sigmas,
     parse_estimator,
     run_monte_carlo,
     run_resampling,
@@ -105,6 +106,17 @@ def _schema_from_config(cfg: dict) -> CsvSchema:
         raise ConfigError("schema must be an object")
     _check_keys(obj, SCHEMA_KEYS, "schema")
     return CsvSchema.from_dict(obj)
+
+
+def _alpha(cfg: dict) -> float:
+    """The config's interval level alpha, which must lie in (0, 1)."""
+    try:
+        alpha = float(cfg.get("alpha", 0.05))
+    except (TypeError, ValueError):
+        alpha = float("nan")
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha must lie in (0, 1), got {cfg['alpha']!r}")
+    return alpha
 
 
 def _apply_overrides(cfg: dict, ns: argparse.Namespace) -> dict:
@@ -173,7 +185,7 @@ def cmd_estimate(cfg: dict) -> int:
         raise ConfigError("outcome_family must be continuous or binary")
     lam = parse_lambda(cfg.get("lambda", "full"))
     sigma_mode = cfg.get("sigma_mode", "bd")
-    alpha = float(cfg.get("alpha", 0.05))
+    alpha = _alpha(cfg)
     seed = int(cfg.get("seed", 0))
 
     pooled_kind = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
@@ -195,6 +207,7 @@ def cmd_estimate(cfg: dict) -> int:
 
     ds = load_dataset(cfg["rct_csv"], cfg["ec_csv"], schema, outcome_family=family,
                       subgroup_levels=cfg.get("subgroup_levels"))
+    check_fixed_sigmas(est_cfgs, ds.k)
     dc = compute_design_counts(ds, cfg.get("prevalences"))
     ctx = _ReplicateContext(ds, dc)
     est_rows = []
@@ -205,7 +218,7 @@ def cmd_estimate(cfg: dict) -> int:
         for k in range(ds.k):
             est_rows.append([ecfg.name, k + 1, ds.subgroup_labels[k], float(theta[k])])
     overall = ctx.overall("diff_means" if family == CONTINUOUS else "logistic")
-    est_rows.append(["overall_rct", 0, "(all)", overall.require_overall()])
+    est_rows.append(["overall_rct", 0, "(all)", overall])
     _write_csv(out_dir / "estimates.csv",
                ["estimator", "subgroup", "label", "estimate"], est_rows)
 
@@ -252,7 +265,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def overall_for(ctx: _ReplicateContext, ecfg: EstimatorConfig) -> float:
-    return ctx.overall(ecfg.overall).require_overall()
+    return ctx.overall(ecfg.overall)
 
 
 # --- simulate ----------------------------------------------------------------
@@ -272,7 +285,7 @@ def cmd_simulate(cfg: dict) -> int:
     reps = int(cfg.get("reps", 1000))
     seed = int(cfg.get("seed", 0))
     workers = int(cfg.get("workers", 1))
-    alpha = float(cfg.get("alpha", 0.05))
+    alpha = _alpha(cfg)
     bootstrap_r = int(cfg.get("bootstrap_r", 500))
     sigma_mode = cfg.get("sigma_mode", "bd")
     continuous = spec.outcome_family == CONTINUOUS

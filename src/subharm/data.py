@@ -111,16 +111,19 @@ class CombinedDataset:
         y_r, y_e = _vector(y_rct, float, "y_rct"), _vector(y_ec, float, "y_ec")
         n_r, n_e = len(y_r), len(y_e)
         t_r = _vector(t_rct, None, "t_rct", n_r)
-        w_r = _vector(w_rct, np.int64, "w_rct", n_r)
-        w_e = _vector(w_ec, np.int64, "w_ec", n_e)
+        w_r, w_e = _vector(w_rct, None, "w_rct", n_r), _vector(w_ec, None, "w_ec", n_e)
         x_r, x_e = _covariates(x_rct, n_r, "x_rct"), _covariates(x_ec, n_e, "x_ec")
         d = x_r.shape[1]
         if x_e.shape[1] != d:
             raise DimensionMismatch(
                 f"x_ec has {x_e.shape[1]} covariate columns where x_rct has {d}")
-        if np.any((t_r != 0) & (t_r != 1)):  # before the cast, which would truncate 0.5
+        # before the casts, which would truncate 0.5
+        if np.any((t_r != 0) & (t_r != 1)):
             raise MalformedRow("treatment must be 0 or 1")
-        t_r = t_r.astype(np.int64, copy=False)
+        for name, w in (("w_rct", w_r), ("w_ec", w_e)):
+            if np.any(np.mod(w, 1) != 0):
+                raise MalformedRow(f"{name} holds a non-integral subgroup index")
+        t_r, w_r, w_e = (a.astype(np.int64, copy=False) for a in (t_r, w_r, w_e))
         for study, y, w, x in (("rct", y_r, w_r, x_r), ("ec", y_e, w_e, x_e)):
             for name, a in (("y", y), ("x", x)):
                 if not np.isfinite(a).all():

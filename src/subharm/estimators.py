@@ -3,8 +3,7 @@ weighted subgroup effects, and reference estimators (RCT-only subgroup,
 oracle, difference of means).
 
 All estimators are pure functions of the dataset and are invariant to row
-permutation. Estimators tagged `uses_ec=False` never touch the external
-records.
+permutation. The overall estimators return the effect as a float.
 """
 
 from __future__ import annotations
@@ -15,16 +14,12 @@ import numpy as np
 from scipy.special import expit
 
 from .data import BINARY, CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset
-from .errors import (
-    EmptyArm,
-    EmptySubgroupArm,
-    NotConverged,
-)
+from .errors import EmptyArm, EmptySubgroupArm
 from .glm import (
     MODEL_OVERALL,
     MODEL_POOLED,
     MODEL_RCT_SUBGROUP,
-    DesignMatrix,
+    OVERALL_TREATMENT,
     GlmFit,
     _onehot,
     build_design,
@@ -34,59 +29,32 @@ from .glm import (
 
 DIFF_MEANS = "diff_means"
 OLS = "ols"
-LOGISTIC_MARGINAL = "logistic_marginal"
-IPW_LOGISTIC = "ipw_logistic"
-ORACLE = "oracle"
-EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """A subgroup-effect vector and/or an overall effect with provenance.
+    """A subgroup-effect vector and, when known, its K x K covariance."""
 
-    `covariance` (when present) is the K x K covariance of `theta_k`;
-    `overall_variance` the variance of `theta_overall`.
-    """
-
-    theta_k: np.ndarray | None = None
-    theta_overall: float | None = None
+    theta_k: np.ndarray
     covariance: np.ndarray | None = None
-    overall_variance: float | None = None
-    method: str = EXTERNAL
-    uses_ec: bool = False
-
-    def require_subgroups(self) -> np.ndarray:
-        if self.theta_k is None:
-            raise ValueError("estimate carries no subgroup effects")
-        return self.theta_k
-
-    def require_overall(self) -> float:
-        if self.theta_overall is None:
-            raise ValueError("estimate carries no overall effect")
-        return float(self.theta_overall)
 
 
 def external_estimate(theta_k, covariance=None) -> EffectEstimate:
     """Wrap a third-party subgroup estimate vector for harmonization."""
     theta_k = np.asarray(theta_k, dtype=float)
     cov = None if covariance is None else np.asarray(covariance, dtype=float)
-    return EffectEstimate(theta_k=theta_k, covariance=cov, method=EXTERNAL, uses_ec=True)
+    return EffectEstimate(theta_k, cov)
 
 
 # --- difference-of-means estimators -----------------------------------------
 
-def diff_means_overall(ds: CombinedDataset) -> EffectEstimate:
+def diff_means_overall(ds: CombinedDataset) -> float:
     """Difference between the RCT experimental and control arm means."""
     cs = ds.cell_stats
     n1, n0 = int(cs.n[:, TREATED].sum()), int(cs.n[:, CONTROL].sum())
     if n1 == 0 or n0 == 0:
         raise EmptyArm("both RCT arms must be non-empty")
-    m1 = float(cs.total[:, TREATED].sum()) / n1
-    m0 = float(cs.total[:, CONTROL].sum()) / n0
-    var = _pooled_cell_variance(cs)
-    overall_var = var * (1.0 / n1 + 1.0 / n0) if np.isfinite(var) else None
-    return EffectEstimate(theta_overall=m1 - m0, overall_variance=overall_var,
-                          method=DIFF_MEANS, uses_ec=False)
+    return float(cs.total[:, TREATED].sum()) / n1 - float(cs.total[:, CONTROL].sum()) / n0
 
 
 def _pooled_cell_variance(cs: CellStats) -> float:
@@ -119,8 +87,7 @@ def diff_means_pooled_subgroups(ds: CombinedDataset) -> EffectEstimate:
     theta = cs.mean[:, TREATED] - pooled_mean
     phi2 = _pooled_cell_variance(cs)
     cov = np.diag(phi2 * (1.0 / n1 + 1.0 / n0)) if np.isfinite(phi2) else None
-    return EffectEstimate(theta_k=theta, covariance=cov,
-                          method=DIFF_MEANS, uses_ec=True)
+    return EffectEstimate(theta, cov)
 
 
 def _diff_means_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
@@ -128,8 +95,7 @@ def _diff_means_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
     bad = _first_subgroup((cs.n[:, TREATED] == 0) | (cs.n[:, CONTROL] == 0))
     if bad is not None:
         raise EmptySubgroupArm(f"subgroup {bad} lacks an RCT arm")
-    theta = cs.mean[:, TREATED] - cs.mean[:, CONTROL]
-    return EffectEstimate(theta_k=theta, method=DIFF_MEANS, uses_ec=False)
+    return EffectEstimate(cs.mean[:, TREATED] - cs.mean[:, CONTROL])
 
 
 def oracle_subgroups(ds: CombinedDataset, mu_true) -> EffectEstimate:
@@ -141,48 +107,31 @@ def oracle_subgroups(ds: CombinedDataset, mu_true) -> EffectEstimate:
     bad = _first_subgroup(cs.n[:, TREATED] == 0)
     if bad is not None:
         raise EmptySubgroupArm(f"subgroup {bad} has no treated RCT patients")
-    return EffectEstimate(theta_k=cs.mean[:, TREATED] - mu_true, method=ORACLE,
-                          uses_ec=False)
+    return EffectEstimate(cs.mean[:, TREATED] - mu_true)
 
 
 # --- OLS estimators ----------------------------------------------------------
 
-def _theta_block(dm: DesignMatrix) -> list[int]:
-    return dm.role_columns("theta")
-
-
 def ols_subgroup_effects(ds: CombinedDataset) -> EffectEstimate:
     """Subgroup effects from the pooled least-squares model, with the
     covariance block of the treatment-effect coefficients."""
-    dm = build_design(ds, MODEL_POOLED)
     y = np.concatenate([ds.y_rct, ds.y_ec])
-    fit = fit_ols(dm, y)
-    idx = _theta_block(dm)
-    cov_all = np.linalg.inv(fit.xtwx)
+    fit = fit_ols(build_design(ds, MODEL_POOLED), y)
+    theta = slice(ds.k, 2 * ds.k)
     disp = fit.dispersion if fit.dispersion and np.isfinite(fit.dispersion) else np.nan
-    cov = disp * cov_all[np.ix_(idx, idx)]
-    return EffectEstimate(theta_k=fit.coefficients[idx],
-                          covariance=cov if np.all(np.isfinite(cov)) else None,
-                          method=OLS, uses_ec=True)
+    cov = disp * np.linalg.inv(fit.xtwx)[theta, theta]
+    return EffectEstimate(fit.coefficients[theta], cov if np.all(np.isfinite(cov)) else None)
 
 
-def ols_overall_effect(ds: CombinedDataset) -> EffectEstimate:
+def ols_overall_effect(ds: CombinedDataset) -> float:
     """Overall effect from the RCT-only least-squares model."""
-    dm = build_design(ds, MODEL_OVERALL)
-    fit = fit_ols(dm, ds.y_rct)
-    j = dm.column_roles.index("treatment")
-    cov_all = np.linalg.inv(fit.xtwx)
-    disp = fit.dispersion if fit.dispersion and np.isfinite(fit.dispersion) else np.nan
-    return EffectEstimate(theta_overall=float(fit.coefficients[j]),
-                          overall_variance=float(disp * cov_all[j, j]) if np.isfinite(disp) else None,
-                          method=OLS, uses_ec=False)
+    fit = fit_ols(build_design(ds, MODEL_OVERALL), ds.y_rct)
+    return float(fit.coefficients[OVERALL_TREATMENT])
 
 
 def _ols_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
-    dm = build_design(ds, MODEL_RCT_SUBGROUP)
-    fit = fit_ols(dm, ds.y_rct)
-    return EffectEstimate(theta_k=fit.coefficients[_theta_block(dm)],
-                          method=OLS, uses_ec=False)
+    fit = fit_ols(build_design(ds, MODEL_RCT_SUBGROUP), ds.y_rct)
+    return EffectEstimate(fit.coefficients[ds.k:2 * ds.k])
 
 
 def ols_joint_covariance(ds: CombinedDataset, dispersion: float | None = None) -> np.ndarray:
@@ -196,9 +145,8 @@ def ols_joint_covariance(ds: CombinedDataset, dispersion: float | None = None) -
         dispersion = fit_ols(m1, y).dispersion
     a1 = np.linalg.inv(m1.values.T @ m1.values)
     a0 = np.linalg.inv(m0.values.T @ m0.values)
-    idx = _theta_block(m1)
-    j = m0.column_roles.index("treatment")
-    var_re = dispersion * a1[np.ix_(idx, idx)]
+    idx, j = slice(ds.k, 2 * ds.k), OVERALL_TREATMENT
+    var_re = dispersion * a1[idx, idx]
     var_r = dispersion * a0[j, j]
     m1_rct = m1.values[:ds.n_rct]
     cross = dispersion * (a1 @ (m1_rct.T @ m0.values) @ a0)[idx, j]
@@ -229,10 +177,7 @@ def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
         x, y = build_design(ds, MODEL_RCT_SUBGROUP), ds.y_rct
     else:
         x, y = build_design(ds, MODEL_POOLED), np.concatenate([ds.y_rct, ds.y_ec])
-    fit = fit_logistic_irls(x, y, weights=None if weights is None else weights[:len(y)])
-    if not fit.converged:
-        raise NotConverged("pooled logistic fit did not converge")
-    return fit
+    return fit_logistic_irls(x, y, weights=None if weights is None else weights[:len(y)])
 
 
 def _by_subgroup(w: np.ndarray, k: int):
@@ -292,7 +237,6 @@ def _marginal_gradient(ds: CombinedDataset, nu, eta, beta) -> np.ndarray:
 def logistic_marginal_effects(ds: CombinedDataset,
                               weights: np.ndarray | None = None,
                               rct_only: bool = False,
-                              method: str = LOGISTIC_MARGINAL,
                               fit: GlmFit | None = None) -> EffectEstimate:
     """Subgroup effects on the probability scale from a (weighted) pooled
     logistic model, with a delta-method covariance from the Fisher
@@ -309,39 +253,29 @@ def logistic_marginal_effects(ds: CombinedDataset,
         cov = 0.5 * (cov + cov.T)
     except np.linalg.LinAlgError:
         cov = None
-    return EffectEstimate(theta_k=theta, covariance=cov, method=method,
-                          uses_ec=not rct_only)
+    return EffectEstimate(theta, cov)
 
 
-def logistic_overall_effect(ds: CombinedDataset,
-                            fit: GlmFit | None = None) -> EffectEstimate:
+def logistic_overall_effect(ds: CombinedDataset, fit: GlmFit | None = None) -> float:
     """Prevalence-weighted RCT-only logistic marginal effects (an overall
     estimator option for binary pipelines). `fit` is the trial-only
     logistic fit when it was already made."""
-    est = logistic_marginal_effects(ds, rct_only=True, fit=fit)
-    pi = np.bincount(ds.w_rct, minlength=ds.k) / ds.n_rct
-    var = None
-    if est.covariance is not None:
-        var = float(pi @ est.covariance @ pi)
-    return EffectEstimate(theta_overall=float(pi @ est.theta_k),
-                          overall_variance=var,
-                          method=LOGISTIC_MARGINAL, uses_ec=False)
+    if fit is None:
+        fit = _pooled_logistic_fit(ds, None, rct_only=True)
+    k, coef = ds.k, fit.coefficients
+    pi = np.bincount(ds.w_rct, minlength=k) / ds.n_rct
+    return float(pi @ marginalize_logistic(ds, coef[:k], coef[k:2 * k], coef[2 * k:]))
 
 
 # --- propensity weighting -----------------------------------------------------
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Logistic model for trial membership given (subgroup, covariates).
-
-    `rho_ec` holds the fitted membership probabilities for EC records and
-    `zeta` the normalizer making the largest EC weight exactly 1.
-    """
+    """Logistic model for trial membership given (subgroup, covariates),
+    with the fitted membership log-odds of the EC records."""
 
     coefficients: np.ndarray
-    rho_ec: np.ndarray
-    zeta: float
-    log_odds_ec: np.ndarray = field(repr=False, default=None)
+    log_odds_ec: np.ndarray = field(repr=False)
 
 
 def fit_propensity(ds: CombinedDataset) -> PropensityModel:
@@ -354,14 +288,8 @@ def fit_propensity(ds: CombinedDataset) -> PropensityModel:
         np.vstack([ds.x_rct, ds.x_ec]),
     ])
     y = np.concatenate([np.ones(ds.n_rct), np.zeros(ds.n_ec)])
-    fit = fit_logistic_irls(x, y)
-    if not fit.converged:
-        raise NotConverged("propensity fit did not converge")
-    lp_ec = x[ds.n_rct:] @ fit.coefficients
-    zeta = float(np.exp(-lp_ec.max()))
-    rho = np.clip(expit(lp_ec), 1e-15, 1 - 1e-15)
-    return PropensityModel(coefficients=fit.coefficients, rho_ec=rho,
-                           zeta=zeta, log_odds_ec=lp_ec)
+    coef = fit_logistic_irls(x, y).coefficients
+    return PropensityModel(coef, x[ds.n_rct:] @ coef)
 
 
 def ec_weights(pm: PropensityModel) -> np.ndarray:
@@ -374,4 +302,4 @@ def weighted_logistic_effects(ds: CombinedDataset) -> EffectEstimate:
     """Propensity-score-weighted pooled logistic subgroup effects."""
     pm = fit_propensity(ds)
     w = np.concatenate([np.ones(ds.n_rct), ec_weights(pm)])
-    return logistic_marginal_effects(ds, weights=w, method=IPW_LOGISTIC)
+    return logistic_marginal_effects(ds, weights=w)

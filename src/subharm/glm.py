@@ -1,17 +1,11 @@
 """Model fitting: design-matrix construction, ordinary least squares, and
 weighted logistic regression via iteratively reweighted least squares.
 
-Four design layouts are supported. The overall model uses columns
-[intercept, treatment, covariates] on RCT rows only. The pooled subgroup
-model stacks RCT rows then EC rows with subgroup intercepts, subgroup-by-
-treatment indicators (zero on EC rows), and shared covariate columns; the
-trial-only subgroup model is its RCT rows alone. The bias block holds
-EC-membership-by-subgroup indicators aligned to the pooled row order.
-
-IRLS reaches its design only through three products: the linear predictor
-X b, the score X'r and the information X' diag(v) X. A `DesignMatrix` (or a
-raw array) forms them densely; a `CellDesign` holds the pooled layout as
-each row's subgroup-by-arm cell and covariates, and forms them per cell.
+`DesignMatrix` states the four design layouts. IRLS reaches its design
+only through three products: the linear predictor X b, the score X'r and
+the information X' diag(v) X. A `DesignMatrix` (or a raw array) forms them
+densely; a `CellDesign` holds the pooled layout as each row's subgroup-by-
+arm cell and covariates, and forms them per cell.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ MODEL_OVERALL = "overall_rct"
 MODEL_POOLED = "pooled_subgroup"
 MODEL_RCT_SUBGROUP = "rct_subgroup"
 MODEL_BIAS_BLOCK = "pooled_subgroup_with_bias"
+OVERALL_TREATMENT = 1  # the overall model's treatment column
 
 # g(30) is 1 - 9.4e-14; beyond this the fit is effectively separated
 SEPARATION_CAP = 30.0
@@ -37,14 +32,18 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Design values plus per-column role tags (e.g. "mu[2]", "theta[1]",
-    "beta[1]", "gamma[3]", "intercept", "treatment")."""
+    """Dense design values in one of four fixed column layouts.
+
+    The overall model has columns [intercept, treatment, covariates] on RCT
+    rows only, so its treatment sits in column `OVERALL_TREATMENT`. The
+    pooled subgroup model stacks RCT rows then EC rows with K subgroup
+    intercepts, K subgroup-by-treatment indicators (zero on EC rows) and the
+    shared covariates, so the subgroup effects sit in columns K:2K; the
+    trial-only subgroup model is its RCT rows alone. The bias block holds
+    the K EC-membership-by-subgroup indicators in the pooled row order.
+    """
 
     values: np.ndarray
-    column_roles: tuple[str, ...]
-
-    def role_columns(self, prefix: str) -> list[int]:
-        return [j for j, r in enumerate(self.column_roles) if r.split("[")[0] == prefix]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -147,25 +146,18 @@ def _onehot(idx: np.ndarray, k: int) -> np.ndarray:
 
 def build_design(ds: CombinedDataset, model: str) -> DesignMatrix:
     """Build the design matrix for one of the three model layouts."""
-    k, d = ds.k, ds.d
+    k = ds.k
     if model == MODEL_OVERALL:
-        values = np.column_stack([np.ones(ds.n_rct), ds.t_rct.astype(float), ds.x_rct])
-        roles = ("intercept", "treatment", *(f"beta[{j + 1}]" for j in range(d)))
-        return DesignMatrix(values, roles)
+        return DesignMatrix(
+            np.column_stack([np.ones(ds.n_rct), ds.t_rct.astype(float), ds.x_rct]))
     if model in (MODEL_POOLED, MODEL_RCT_SUBGROUP):
         h_r = _onehot(ds.w_rct, k)
         blocks = [[h_r, h_r * ds.t_rct[:, None], ds.x_rct]]
         if model == MODEL_POOLED:
             blocks.append([_onehot(ds.w_ec, k), np.zeros((ds.n_ec, k)), ds.x_ec])
-        values = np.block(blocks)
-        roles = (*(f"mu[{i + 1}]" for i in range(k)),
-                 *(f"theta[{i + 1}]" for i in range(k)),
-                 *(f"beta[{j + 1}]" for j in range(d)))
-        return DesignMatrix(values, roles)
+        return DesignMatrix(np.block(blocks))
     if model == MODEL_BIAS_BLOCK:
-        values = np.vstack([np.zeros((ds.n_rct, k)), _onehot(ds.w_ec, k)])
-        roles = tuple(f"gamma[{i + 1}]" for i in range(k))
-        return DesignMatrix(values, roles)
+        return DesignMatrix(np.vstack([np.zeros((ds.n_rct, k)), _onehot(ds.w_ec, k)]))
     raise ValueError(f"unknown design model {model!r}")
 
 
@@ -228,7 +220,7 @@ def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndar
     (flagged converged=False) instead.
     """
     x = design if isinstance(design, (DesignMatrix, CellDesign)) \
-        else DesignMatrix(np.asarray(design, dtype=float), ())
+        else DesignMatrix(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float)
     if np.any((y < 0) | (y > 1)):
         raise ValueError("logistic responses must lie in [0, 1]")
@@ -239,13 +231,18 @@ def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndar
     coef = np.zeros(p) if start is None else np.array(start, dtype=float)
     lp = x.linear_predictor(coef)
     ll = _loglik(lp, y, w)
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         mu = expit(lp)
         score = x.score(w * (y - mu))
         info = x.information(w * mu * (1.0 - mu))
         if np.max(np.abs(score)) < tol:
-            return GlmFit(coef, info, None, True, it - 1)
+            return GlmFit(coef, info, None, True, it)
+        if it and np.max(np.abs(coef)) > SEPARATION_CAP:  # a start may lie past the cap
+            raise SeparationDetected(
+                f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
+                f"{np.max(np.abs(score)):.3g}; data look separated")
+        if it == max_iter:
+            break
         try:
             delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -262,20 +259,8 @@ def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndar
             lp_c = x.linear_predictor(cand)
             ll_c = _loglik(lp_c, y, w)
         coef, lp, ll = cand, lp_c, ll_c
-        if np.max(np.abs(coef)) > SEPARATION_CAP:
-            mu = expit(lp)
-            score = x.score(w * (y - mu))
-            if np.max(np.abs(score)) >= tol:
-                raise SeparationDetected(
-                    f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
-                    f"{np.max(np.abs(score)):.3g}; data look separated")
-    mu = expit(lp)
-    score = x.score(w * (y - mu))
-    info = x.information(w * mu * (1.0 - mu))
-    if np.max(np.abs(score)) < tol:
-        return GlmFit(coef, info, None, True, it)
     if allow_unconverged:
-        return GlmFit(coef, info, None, False, it)
+        return GlmFit(coef, info, None, False, max_iter)
     raise NotConverged(
         f"IRLS did not reach tol={tol} in {max_iter} iterations "
         f"(score {np.max(np.abs(score)):.3g})")

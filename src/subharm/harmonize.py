@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import CombinedDataset, DesignCounts
+from .data import CombinedDataset, DesignCounts, compute_design_counts
 from .errors import (
     ConfigError,
     DegenerateDirection,
     InconsistentDimensions,
     InvalidDesign,
     MissingCovariance,
-    NotConverged,
     SingularSigma,
 )
 from .estimators import EffectEstimate, _pooled_logistic_fit, marginal_effects
@@ -154,11 +153,11 @@ def _shift(cfg: HarmonizationConfig, prevalences: np.ndarray,
     return sigma.u(cfg.lam)
 
 
-def harmonize(initial: EffectEstimate, overall, prevalences,
+def harmonize(initial: EffectEstimate, overall: float, prevalences,
               cfg: HarmonizationConfig,
               joint_cov: np.ndarray | None = None) -> EffectEstimate:
     """Shift the initial subgroup estimates toward agreement between their
-    prevalence-weighted average and the overall estimate.
+    prevalence-weighted average and the overall estimate r.
 
     With finite lam the output is t + c*lam/(lam+c) * (r - pi't) * Sigma pi
     where c = 1/(pi' Sigma pi); with lam = FULL the weighted average matches
@@ -166,15 +165,14 @@ def harmonize(initial: EffectEstimate, overall, prevalences,
     stacked initial and overall estimates) is supplied, the output carries
     the induced covariance P S P'.
     """
-    theta = np.asarray(initial.require_subgroups(), dtype=float)
-    r = overall.require_overall() if isinstance(overall, EffectEstimate) else float(overall)
+    theta = np.asarray(initial.theta_k, dtype=float)
     pi = np.asarray(prevalences, dtype=float)
     k = theta.shape[0]
     if pi.shape != (k,):
         raise InconsistentDimensions(
             f"prevalences have length {pi.shape}, expected ({k},)")
     u = _shift(cfg, pi, initial)
-    out = theta + (r - pi @ theta) * u
+    out = theta + (float(overall) - pi @ theta) * u
     cov = None
     if joint_cov is not None:
         s = np.asarray(joint_cov, dtype=float)
@@ -185,9 +183,7 @@ def harmonize(initial: EffectEstimate, overall, prevalences,
         p[:, k] = u
         cov = p @ s @ p.T
         cov = 0.5 * (cov + cov.T)
-    return EffectEstimate(theta_k=out, theta_overall=r, covariance=cov,
-                          method=f"harmonized[{initial.method}]",
-                          uses_ec=initial.uses_ec)
+    return EffectEstimate(out, cov)
 
 
 def harmonize_objective_oracle(theta, overall: float, prevalences, sigma,
@@ -212,13 +208,10 @@ def harmonize_objective_oracle(theta, overall: float, prevalences, sigma,
 class BiasModel:
     """Sensitivity of the initial estimator to the external distortion
     vector: the asymptotic estimate moves by approximately B @ distortion.
-    `b = B @ 1` is the response to a systematic (constant) distortion;
-    `distortion_scale` records whether the distortion lives on the mean
-    ("mean") or logit ("logit") scale."""
+    `b = B @ 1` is the response to a systematic (constant) distortion."""
 
     B: np.ndarray
     b: np.ndarray
-    distortion_scale: str
 
     def direction(self, prevalences) -> np.ndarray:
         pi = np.asarray(prevalences, dtype=float)
@@ -236,8 +229,6 @@ def bd_direction_linear(ds: CombinedDataset, prevalences=None
     """Bias sensitivity of the pooled least-squares subgroup effects,
     computed from the design matrices alone (no outcomes), and the
     resulting unit shift direction."""
-    from .data import compute_design_counts
-
     m1 = build_design(ds, MODEL_POOLED).values
     m2 = build_design(ds, MODEL_BIAS_BLOCK).values
     k = ds.k
@@ -246,7 +237,7 @@ def bd_direction_linear(ds: CombinedDataset, prevalences=None
     b = big_b @ np.ones(k)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
-    model = BiasModel(B=big_b, b=b, distortion_scale="mean")
+    model = BiasModel(B=big_b, b=b)
     return model, model.direction(pi)
 
 
@@ -322,8 +313,6 @@ def build_limit_map_spec(ds: CombinedDataset,
                          prevalences=None, anchor: GlmFit | None = None) -> LimitMapSpec:
     """Anchor the limit map at the trial-only logistic fit of `ds`, or at
     `anchor`, that fit already made."""
-    from .data import compute_design_counts
-
     fit = _pooled_logistic_fit(ds, None, rct_only=True) if anchor is None else anchor
     k, d = ds.k, ds.d
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
@@ -360,12 +349,9 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
         raise InconsistentDimensions(f"delta must have length {spec.k}")
     y = np.concatenate([spec.response_rct,
                         expit(spec.lp_ec_base + delta[spec.w_ec])])[spec.design.order]
-    fit = fit_logistic_irls(spec.design, y, weights=spec.weights,
-                            start=spec.anchor, tol=1e-10, max_iter=200)
-    if not fit.converged:
-        raise NotConverged("limit map fit did not converge")
+    coef = fit_logistic_irls(spec.design, y, weights=spec.weights,
+                             start=spec.anchor, tol=1e-10, max_iter=200).coefficients
     k = spec.k
-    coef = fit.coefficients
     return marginal_effects(spec.w_rct, spec.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
 
 
@@ -380,7 +366,7 @@ def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
         e[j] = fd_step
         big_b[:, j] = (limit_map_theta(spec, e) - limit_map_theta(spec, -e)) / (2 * fd_step)
     b = big_b @ np.ones(k)
-    model = BiasModel(B=big_b, b=b, distortion_scale="logit")
+    model = BiasModel(B=big_b, b=b)
     return model, model.direction(spec.pi)
 
 

@@ -40,18 +40,15 @@ from .rng import (
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Per-subgroup (lower, upper) bounds at level 1 - alpha."""
+    """Per-subgroup (lower, upper) bounds around the point estimates."""
 
     lower: np.ndarray
     upper: np.ndarray
     point: np.ndarray
-    method: str
-    alpha: float
 
     def __post_init__(self):
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
-        self.point.setflags(write=False)
+        for a in (self.lower, self.upper, self.point):
+            a.setflags(write=False)
 
     @property
     def width(self) -> np.ndarray:
@@ -60,6 +57,11 @@ class IntervalSet:
     def covers(self, truth) -> np.ndarray:
         t = np.asarray(truth, dtype=float)
         return (self.lower <= t) & (t <= self.upper)
+
+
+def check_bootstrap_r(r: int) -> None:
+    if r < 100:
+        raise ConfigError(f"bootstrap needs bootstrap_r >= 100, got {r}")
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +79,7 @@ def analytic_interval(theta_h, v_h, alpha: float = 0.05) -> IntervalSet:
     if np.any(var < 0):
         raise NegativeVariance(f"negative variance entries: {var[var < 0]}")
     half = _z(alpha) * np.sqrt(var)
-    return IntervalSet(point - half, point + half, point, "analytic", alpha)
+    return IntervalSet(point - half, point + half, point)
 
 
 def cut_interval(cutdist: NormalPosterior, alpha: float = 0.05) -> IntervalSet:
@@ -88,7 +90,7 @@ def cut_interval(cutdist: NormalPosterior, alpha: float = 0.05) -> IntervalSet:
         raise NegativeVariance("cut covariance has negative diagonal entries")
     half = _z(alpha) * np.sqrt(var)
     point = cutdist.mean
-    return IntervalSet(point - half, point + half, point.copy(), "cut", alpha)
+    return IntervalSet(point - half, point + half, point.copy())
 
 
 def rct_only_interval(ds: CombinedDataset, alpha: float = 0.05) -> IntervalSet:
@@ -102,7 +104,7 @@ def rct_only_interval(ds: CombinedDataset, alpha: float = 0.05) -> IntervalSet:
     point = cs.mean[:, TREATED] - cs.mean[:, CONTROL]
     var = cs.ss[:, TREATED] / (n1 - 1) / n1 + cs.ss[:, CONTROL] / (n0 - 1) / n0
     half = _z(alpha) * np.sqrt(var)
-    return IntervalSet(point - half, point + half, point, "rct_only", alpha)
+    return IntervalSet(point - half, point + half, point)
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,7 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
     at `point`, the caller's harmonized estimate, whose width matches the
     distance between the draw quantiles.
     """
-    if r < 100:
-        raise ValueError("bootstrap needs r >= 100")
+    check_bootstrap_r(r)
     params = params or SimpleModelParams.from_data(ds)
     pi = dc.pi
     point = np.array(point, dtype=float)
@@ -182,7 +183,7 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
         raise ReplicateFailure(int(np.argmax(bad)), "non-finite bootstrap estimate")
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     half = (hi - lo) / 2.0
-    return IntervalSet(point - half, point + half, point, "bootstrap", alpha)
+    return IntervalSet(point - half, point + half, point)
 
 
 # --- one dispatcher for simulate and estimate ----------------------------------

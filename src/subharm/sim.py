@@ -32,10 +32,12 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateDirection,
+    InconsistentDimensions,
     InvalidEffect,
     InvalidSpec,
     NumericalError,
     PoolTooSmall,
+    SingularSigma,
 )
 from .estimators import (
     EffectEstimate,
@@ -61,6 +63,7 @@ from .harmonize import (
     MODE_VD,
     HarmonizationConfig,
     _SigmaShift,
+    _validate_sigma,
     bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
@@ -70,7 +73,7 @@ from .harmonize import (
     solve_sigma_from_b,
     vd_sigma,
 )
-from .intervals import check_interval_methods, interval
+from .intervals import check_bootstrap_r, check_interval_methods, interval
 from .rng import ROLE_COVARIATE, ROLE_OUTCOME, ROLE_RESAMPLE, ROLE_SPIKE, stream
 
 logger = logging.getLogger("subharm")
@@ -260,31 +263,53 @@ class EstimatorConfig:
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
 
 
+HARMONIZATION_KEYS = {"initial", "overall", "lambda", "sigma_mode", "sigma"}
+
+
 def parse_estimator(obj) -> EstimatorConfig:
     """Accept a plain kind name or a dict with harmonization options.
-    Unknown keys are errors."""
+    Unknown keys, harmonization options on a plain estimator and a sigma
+    outside the fixed mode are errors."""
     if isinstance(obj, str):
         return EstimatorConfig(name=obj, kind=obj)
     if not isinstance(obj, dict):
         raise ConfigError(f"estimator entries must be strings or objects, got {type(obj)}")
-    allowed = {"name", "kind", "initial", "overall", "lambda", "sigma_mode", "sigma"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {"name", "kind"} - HARMONIZATION_KEYS
     if unknown:
         raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
     kind = obj.get("kind")
     if kind is None:
         raise ConfigError("estimator objects need a 'kind'")
+    options = sorted(set(obj) & HARMONIZATION_KEYS)
+    if kind != "harmonized" and options:
+        raise ConfigError(f"plain estimator {kind!r} takes no {options}")
+    mode, sigma = obj.get("sigma_mode", "bd"), obj.get("sigma")
+    if sigma is not None and mode != MODE_FIXED:
+        raise ConfigError(f"a sigma needs sigma_mode 'fixed', not {mode!r}")
     lam = parse_lambda(obj.get("lambda", "full"))
-    sigma = obj.get("sigma")
     if sigma is not None:
-        sigma = tuple(tuple(float(v) for v in row) for row in sigma)
+        try:
+            sigma = tuple(tuple(float(v) for v in row) for row in sigma)
+        except (TypeError, ValueError):
+            raise ConfigError("sigma must be a matrix of numbers") from None
     lam_str = "full" if np.isinf(lam) else format(lam, "g")
-    default_name = (f"harmonized[{obj.get('initial')},lam={lam_str},"
-                    f"{obj.get('sigma_mode', 'bd')}]" if kind == "harmonized" else kind)
+    default_name = (f"harmonized[{obj.get('initial')},lam={lam_str},{mode}]"
+                    if kind == "harmonized" else kind)
     return EstimatorConfig(
         name=obj.get("name", default_name), kind=kind,
         initial=obj.get("initial", ""), overall=obj.get("overall", "diff_means"),
-        lam=lam, sigma_mode=obj.get("sigma_mode", "bd"), sigma=sigma)
+        lam=lam, sigma_mode=mode, sigma=sigma)
+
+
+def check_fixed_sigmas(est_cfgs, k: int) -> None:
+    """Reject, before any estimate is computed, a fixed sigma that is not a
+    K x K symmetric positive-definite matrix."""
+    for cfg in est_cfgs:
+        if cfg.sigma is not None:
+            try:
+                _validate_sigma(cfg.sigma, k)
+            except (ValueError, InconsistentDimensions, SingularSigma) as exc:
+                raise ConfigError(f"estimator {cfg.name!r} has an invalid sigma: {exc}") from None
 
 
 class _ReplicateContext:
@@ -330,7 +355,7 @@ class _ReplicateContext:
         return self._cached("trial_logistic_fit",
                             lambda: _pooled_logistic_fit(self.ds, None, rct_only=True))
 
-    def overall(self, kind: str) -> EffectEstimate:
+    def overall(self, kind: str) -> float:
         fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
                 "logistic": lambda ds: logistic_overall_effect(ds, self.trial_logistic_fit())}
         if kind not in fits:
@@ -415,7 +440,7 @@ class _ReplicateContext:
 
     def evaluate(self, cfg: EstimatorConfig) -> np.ndarray:
         if cfg.kind != "harmonized":
-            return self.initial(cfg.kind).require_subgroups()
+            return self.initial(cfg.kind).theta_k
         return self.harmonized(cfg)[0]
 
 
@@ -603,6 +628,9 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     names = [c.name for c in est_cfgs]
     if len(set(names)) != len(names):
         raise ConfigError("estimator names must be unique")
+    check_fixed_sigmas(est_cfgs, spec.k)
+    if "bootstrap" in intervals:
+        check_bootstrap_r(bootstrap_r)
     interval_cfg = None
     if intervals:
         if interval_estimator is not None:
@@ -760,6 +788,7 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     est_cfgs = [parse_estimator(e) if not isinstance(e, EstimatorConfig) else e
                 for e in (estimators or DEFAULT_RESAMPLE_ESTIMATORS)]
     names = [c.name for c in est_cfgs]
+    check_fixed_sigmas(est_cfgs, pools.k)
     fixed_pi = None
     if prevalence_mode == "pool":
         counts = np.bincount(pools.w_ctrl, minlength=pools.k).astype(float)

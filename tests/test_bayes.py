@@ -42,7 +42,7 @@ class TestAnalyst1:
     def test_flat_prior_matches_diff_means(self, rng):
         ds = balanced_dataset(k=2, n_t=10, n_c=10, n_e=0, theta=[0.5, 0.5], seed=1)
         post = analyst1_posterior(ds, sigma2=1.0, prior=flat_prior(2, 1e8))
-        target = diff_means_overall(ds).theta_overall
+        target = diff_means_overall(ds)
         assert post.mean[1] == pytest.approx(target, abs=1e-6)
 
     def test_dogmatic_prior_stays_put(self, rng):

@@ -359,6 +359,86 @@ class TestIntervalDispatch:
         assert len(read_rows(tmp_path / "o" / "intervals.csv")) == 10
 
 
+TINY_SCENARIO = {"name": "tiny", "outcome_family": "continuous", "k": 2,
+                 "n_rct_treated": [4, 4], "n_rct_control": [4, 4], "n_ec": [6, 6],
+                 "mu": [0, 0], "theta": [0, 0], "distortion": [1, 1], "phi2": 1.0}
+
+
+def fixed_sigma_estimator(sigma, mode="fixed"):
+    return {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+            "lambda": "full", "sigma_mode": mode, "sigma": sigma}
+
+
+class TestSettingsFailClosed:
+    """A setting that would be ignored, or that would fail in every
+    replicate, exits 2 before any estimate is written. Where the config
+    names CSV files that do not exist, exit 2 also shows that no data were
+    read; where `generate_scenario` raises, that no replicate ran."""
+
+    @pytest.fixture
+    def no_replicates(self, monkeypatch):
+        import subharm.sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(subharm.sim, "generate_scenario", refuse)
+
+    def exits_2(self, command, cfg, tmp_path, capsys, words):
+        out = tmp_path / "o"
+        path = write_config(tmp_path / "c.json", dict(cfg, out_dir=str(out)))
+        assert run_cli(command, "--config", path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert all(w in err["message"] for w in words), err["message"]
+        assert not any(out.glob("*.csv"))
+
+    def missing_csvs(self, tmp_path):
+        return {"rct_csv": str(tmp_path / "r.csv"), "ec_csv": str(tmp_path / "e.csv")}
+
+    @pytest.mark.parametrize("command,alpha", [
+        ("estimate", 1.5), ("estimate", 0), ("simulate", 2), ("simulate", float("nan"))])
+    def test_alpha_outside_0_1(self, tmp_path, capsys, no_replicates, command, alpha):
+        cfg = (self.missing_csvs(tmp_path) if command == "estimate" else
+               {"preset": "fig1-s2", "reps": 2, "intervals": ["analytic"]})
+        self.exits_2(command, dict(cfg, alpha=alpha), tmp_path, capsys, ["alpha"])
+
+    def test_bootstrap_r_below_100(self, tmp_path, capsys, no_replicates):
+        cfg = {"preset": "fig1-s2", "reps": 2, "intervals": ["bootstrap"], "bootstrap_r": 50}
+        self.exits_2("simulate", cfg, tmp_path, capsys, ["bootstrap_r", "50"])
+
+    @pytest.mark.parametrize("cfg", [
+        {"sigma": [[1, 0], [0, 1]]},
+        {"sigma": [[1, 0], [0, 1]], "sigma_mode": "vd"},
+        {"estimators": [fixed_sigma_estimator([[2, 0], [0, 1]], "identity")]},
+    ], ids=["estimate-default-bd", "estimate-vd", "identity"])
+    def test_sigma_outside_fixed_mode(self, tmp_path, capsys, cfg):
+        self.exits_2("estimate", dict(self.missing_csvs(tmp_path), **cfg), tmp_path,
+                     capsys, ["sigma_mode 'fixed'"])
+
+    @pytest.mark.parametrize("key,value", [
+        ("lambda", 2), ("sigma_mode", "vd"), ("sigma", [[1, 0], [0, 1]]),
+        ("initial", "diff_means_pooled"), ("overall", "ols")])
+    def test_harmonization_option_on_a_plain_estimator(self, tmp_path, capsys, key, value):
+        cfg = dict(self.missing_csvs(tmp_path),
+                   estimators=[{"kind": "diff_means_pooled", key: value}])
+        self.exits_2("estimate", cfg, tmp_path, capsys, ["'diff_means_pooled'", repr(key)])
+
+    @pytest.mark.parametrize("sigma,words", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["2x2"]),
+        ([[1, 0.5], [0, 1]], ["symmetric"]),
+        ([[1, 2], [2, 1]], ["singular"]),
+        ([[1, 0], [0]], []),
+    ], ids=["wrong-size", "asymmetric", "indefinite", "ragged"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_fixed_sigma_not_k_by_k_positive_definite(self, small_csvs, tmp_path, capsys,
+                                                      no_replicates, command, sigma, words):
+        rct, ec = small_csvs
+        cfg = ({"rct_csv": rct, "ec_csv": ec} if command == "estimate" else
+               {"scenario": TINY_SCENARIO, "reps": 2})
+        cfg["estimators"] = [fixed_sigma_estimator(sigma)]
+        self.exits_2(command, cfg, tmp_path, capsys, ["'h' has an invalid sigma", *words])
+
+
 def rerun_from_manifest(command, out, tmp_path, artifacts):
     """Run `command` again on the config recorded in `out`'s manifest, into
     a fresh directory, and require byte-identical artifacts."""

@@ -155,6 +155,17 @@ class TestRecords:
                                             w_rct=np.zeros(2, int), y_ec=np.zeros(0),
                                             w_ec=np.zeros(0, int), k=1)
 
+    @pytest.mark.parametrize("name,value", [("w_rct", [0.0, 0.5, 1.0, 1.0]),
+                                            ("w_ec", [0, 1.7])])
+    def test_from_arrays_rejects_fractional_subgroups(self, name, value):
+        # a cast would truncate 0.5 to 0 and 1.7 to 1
+        arrays = dict(y_rct=np.zeros(4), t_rct=[1, 0, 1, 0], w_rct=[0.0, 0.0, 1.0, 1.0],
+                      y_ec=np.zeros(2), w_ec=[0, 1])
+        assert CombinedDataset.from_arrays(k=2, **arrays).w_rct.dtype == np.int64
+        arrays[name] = value
+        with pytest.raises(MalformedRow, match=f"{name} holds a non-integral"):
+            CombinedDataset.from_arrays(k=2, **arrays)
+
     @pytest.mark.parametrize("name,value", [
         ("t_rct", [1, 0, 1]),
         ("w_rct", [0, 0, 1, 1, 1]),

@@ -12,7 +12,6 @@ from subharm import (
     ols_subgroup_effects,
     oracle_subgroups,
     rct_only_subgroups,
-    weighted_logistic_effects,
 )
 from subharm.errors import EmptyArm, EmptySubgroupArm
 
@@ -22,13 +21,11 @@ from conftest import balanced_dataset, records_dataset
 class TestDiffMeans:
     def test_overall_hand_example(self):
         ds = records_dataset([(2, 1, 1), (4, 1, 1), (1, 0, 1), (3, 0, 1)], [], k=1)
-        est = diff_means_overall(ds)
-        assert est.theta_overall == pytest.approx(1.0)
-        assert not est.uses_ec
+        assert diff_means_overall(ds) == pytest.approx(1.0)
 
     def test_overall_constant_outcomes(self):
         ds = records_dataset([(2, 1, 1), (2, 0, 1)], [], k=1)
-        assert diff_means_overall(ds).theta_overall == 0.0
+        assert diff_means_overall(ds) == 0.0
 
     def test_overall_empty_arm(self):
         ds = records_dataset([(1, 1, 1)], [], k=1)
@@ -41,7 +38,6 @@ class TestDiffMeans:
                              [(2, 0, 1), (2, 0, 1), (2, 0, 1)], k=1)
         est = diff_means_pooled_subgroups(ds)
         assert est.theta_k[0] == pytest.approx(1 - 1.5)
-        assert est.uses_ec
 
     def test_pooled_k1_collapse(self):
         ds = balanced_dataset(k=1, n_t=5, n_c=5, n_e=5, seed=3)
@@ -107,8 +103,8 @@ class TestOls:
 
     def test_overall_matches_diff_means(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=8, seed=2)
-        a = ols_overall_effect(ds).theta_overall
-        b = diff_means_overall(ds).theta_overall
+        a = ols_overall_effect(ds)
+        b = diff_means_overall(ds)
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_bias_matches_design_sensitivity(self, rng):
@@ -154,7 +150,7 @@ class TestJointCovariance:
                 w_ec=template.w_ec, k=2,
                 x_rct=template.x_rct, x_ec=template.x_ec)
             draws[r, :2] = ols_subgroup_effects(ds).theta_k
-            draws[r, 2] = ols_overall_effect(ds).theta_overall
+            draws[r, 2] = ols_overall_effect(ds)
         emp = np.cov(draws.T)
         assert np.all(np.abs(emp - s) < 0.12 * np.abs(s).max())
 
@@ -277,14 +273,6 @@ class TestWeightedLogistic:
         b = rct_only_subgroups(ds, "logistic").theta_k
         np.testing.assert_allclose(a, b, atol=1e-6)
 
-    def test_method_tag(self):
-        ds = balanced_dataset(k=2, n_t=25, n_c=25, n_e=40, theta=[0.5, 0.5],
-                              d=1, beta=(0.3,), x_mean_ec=0.5,
-                              family="binary", seed=12)
-        est = weighted_logistic_effects(ds)
-        assert est.method == "ipw_logistic"
-        assert est.uses_ec
-
 
 class TestInvariants:
     def test_prevalence_weighted_rct_subgroups_match_overall(self):
@@ -292,7 +280,7 @@ class TestInvariants:
         ds = balanced_dataset(k=3, n_t=4, n_c=6, n_e=0, seed=13)
         sub = rct_only_subgroups(ds, "diff_means").theta_k
         pi = np.bincount(ds.w_rct, minlength=3) / ds.n_rct
-        overall = diff_means_overall(ds).theta_overall
+        overall = diff_means_overall(ds)
         assert pi @ sub == pytest.approx(overall, abs=1e-10)
 
     def test_row_permutation_invariance(self, rng):

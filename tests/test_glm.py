@@ -4,7 +4,7 @@ from scipy.special import expit
 
 from subharm import build_design, fit_logistic_irls, fit_ols
 from subharm.errors import RankDeficient, SeparationDetected
-from subharm.glm import MODEL_BIAS_BLOCK, MODEL_OVERALL, MODEL_POOLED
+from subharm.glm import MODEL_BIAS_BLOCK, MODEL_OVERALL, MODEL_POOLED, OVERALL_TREATMENT
 
 from conftest import balanced_dataset, records_dataset
 
@@ -30,19 +30,18 @@ class TestBuildDesign:
         # RCT rows carry treatment in the interaction block, EC rows do not
         np.testing.assert_array_equal(m1.values[:, 2], [1, 0, 0, 0, 0])
         np.testing.assert_array_equal(m1.values[:, 3], [0, 0, 1, 0, 0])
-        assert m1.column_roles[2] == "theta[1]"
 
     def test_overall_layout(self):
         ds = balanced_dataset(k=1, n_t=2, n_c=2, n_e=0, d=1, beta=(0.5,))
         dm = build_design(ds, MODEL_OVERALL)
         assert dm.values.shape == (4, 3)
         np.testing.assert_array_equal(dm.values[:, 0], np.ones(4))
-        assert dm.column_roles == ("intercept", "treatment", "beta[1]")
+        np.testing.assert_array_equal(dm.values[:, OVERALL_TREATMENT], ds.t_rct)
 
     def test_onehot_row_sums(self):
         ds = balanced_dataset(k=3, n_t=2, n_c=2, n_e=2)
         dm = build_design(ds, MODEL_POOLED)
-        mu_block = dm.values[:, dm.role_columns("mu")]
+        mu_block = dm.values[:, :ds.k]
         assert set(np.unique(mu_block.sum(axis=1))) == {1.0}
 
 

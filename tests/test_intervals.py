@@ -15,7 +15,7 @@ from subharm import (
     harmonize,
     rct_only_interval,
 )
-from subharm.errors import InsufficientData, NegativeVariance
+from subharm.errors import ConfigError, InsufficientData, NegativeVariance
 from subharm.estimators import EffectEstimate
 
 from conftest import balanced_dataset, records_dataset
@@ -147,6 +147,11 @@ class TestBootstrap:
             _bootstrap(ds, HarmonizationConfig(lam=FULL), r=100,
                                seed=2, params=params)
         assert err.value.replicate == 0
+
+    def test_fewer_than_100_draws_is_a_config_error(self):
+        ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=15)
+        with pytest.raises(ConfigError, match="bootstrap_r >= 100"):
+            _bootstrap(ds, HarmonizationConfig(lam=FULL), r=99)
 
     def test_centered_at_observed_estimate(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, gamma=[1, 1], seed=12)

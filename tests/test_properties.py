@@ -15,7 +15,10 @@ from subharm import (
     compute_design_counts,
     cut_distribution,
     diff_means_overall,
+    diff_means_pooled_subgroups,
     flat_prior,
+    ols_overall_effect,
+    rct_only_subgroups,
 )
 from subharm.estimators import _pooled_cell_variance
 from subharm.intervals import interval
@@ -72,7 +75,7 @@ def fixed_sigma(k, seed):
 def test_full_harmonization_matches_the_overall_estimate(design):
     ds = make_dataset(design)
     ctx = _ReplicateContext(ds, compute_design_counts(ds))
-    r = diff_means_overall(ds).require_overall()
+    r = diff_means_overall(ds)
     sigma = fixed_sigma(ds.k, design[-1])
     for cfg in (harmonized("fixed", sigma=sigma), harmonized("identity"),
                 harmonized("bd"), harmonized("vd")):
@@ -81,6 +84,23 @@ def test_full_harmonization_matches_the_overall_estimate(design):
     # without any external control the bias direction is degenerate
     bd_mode = "bd" if design[2].any() else "vd (bd fallback)"
     assert ctx.shift_mode(harmonized("bd")) == bd_mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(designs(), st.floats(0.5, 5.0))
+def test_trial_only_estimates_ignore_external_outcomes(design, shift):
+    ds = make_dataset(design)
+    moved = CombinedDataset.from_arrays(y_rct=ds.y_rct, t_rct=ds.t_rct, w_rct=ds.w_rct,
+                                        y_ec=ds.y_ec + shift, w_ec=ds.w_ec, k=ds.k)
+    assert diff_means_overall(moved) == diff_means_overall(ds)
+    assert ols_overall_effect(moved) == ols_overall_effect(ds)
+    for model in ("diff_means", "ols"):
+        np.testing.assert_array_equal(rct_only_subgroups(moved, model).theta_k,
+                                      rct_only_subgroups(ds, model).theta_k)
+    # the pooled estimate borrows exactly the subgroups with external controls
+    np.testing.assert_array_equal(
+        diff_means_pooled_subgroups(moved).theta_k != diff_means_pooled_subgroups(ds).theta_k,
+        design[2] > 0)
 
 
 @settings(max_examples=40, deadline=None)

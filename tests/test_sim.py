@@ -228,7 +228,7 @@ class TestBdFallback:
         assert any("variance-directed" in r.message for r in caplog.records)
         # full-harmonization constraint still holds under the fallback
         from subharm import diff_means_overall
-        assert abs(dc.pi @ out - diff_means_overall(ds).theta_overall) < 1e-10
+        assert abs(dc.pi @ out - diff_means_overall(ds)) < 1e-10
 
     def test_degenerate_direction_falls_back_for_intervals(self):
         from unittest import mock
