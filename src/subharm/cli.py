@@ -1,10 +1,13 @@
 """Command-line surface: config-driven estimate / simulate / resample runs
 with reproducible artifacts.
 
-Every run writes a manifest echoing the fully resolved configuration
+One table per command, `SETTINGS`, declares that command's config keys and
+their defaults: a key with a whole-number default takes only non-negative
+whole numbers, and each key named in `FLAGS` is also the command's flag
+(`out_dir` is `--out-dir`), which overrides the file. Unknown keys are
+errors. Every run writes a manifest echoing the resolved settings
 (defaults included) and the package version, so any artifact can be
-regenerated from its manifest alone. Config files are strict: unknown keys
-are errors. Flags override file values.
+regenerated from its manifest alone.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -33,7 +36,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError, SubharmError
 from .estimators import _pooled_cell_variance
 from .harmonize import parse_lambda
-from .intervals import check_interval_methods, interval
+from .intervals import interval
 from .presets import load_preset
 from .sim import (
     DEFAULT_RESAMPLE_ESTIMATORS,
@@ -42,27 +45,44 @@ from .sim import (
     ScenarioSpec,
     _ReplicateContext,
     check_fixed_sigmas,
-    parse_estimator,
+    plan_estimators,
     run_monte_carlo,
     run_resampling,
 )
 
-COMMON_KEYS = {"seed", "out_dir", "workers"}
-ESTIMATE_KEYS = COMMON_KEYS | {
-    "rct_csv", "ec_csv", "schema", "outcome_family", "subgroup_levels",
-    "estimators", "intervals", "alpha", "prevalences", "lambda", "sigma_mode",
-    "sigma",
+REQUIRED = object()  # a key the config must give
+COMMON = {"seed": 0, "out_dir": ".", "workers": 1}
+CSV_PAIR = {"ec_csv": REQUIRED, "schema": {}}
+# Settings that only build the default estimator list. Beside an explicit
+# `estimators` they would do nothing, and the manifest records the list
+# they built instead of them.
+LIST_KEYS = ("lambda", "harmonized_lambdas", "sigma_mode", "sigma")
+SETTINGS = {
+    "estimate": {**COMMON, "rct_csv": REQUIRED, **CSV_PAIR,
+                 "outcome_family": CONTINUOUS, "subgroup_levels": None,
+                 "estimators": None, "intervals": None, "alpha": 0.05,
+                 "prevalences": None, "lambda": "full", "sigma_mode": "bd",
+                 "sigma": None},
+    "simulate": {**COMMON, "preset": None, "scenario": None, "reps": 1000,
+                 "estimators": None, "intervals": [], "alpha": 0.05,
+                 "bootstrap_r": 500, "interval_estimator": None, "lambda": None,
+                 "harmonized_lambdas": [0, 1, 10, "full"], "sigma_mode": "bd"},
+    "resample": {**COMMON, "trial_csv": REQUIRED, **CSV_PAIR, "n_control": 100,
+                 "n_experimental": 200, "n_ec": 600, "reps": 1000,
+                 "estimators": list(DEFAULT_RESAMPLE_ESTIMATORS), "spike": None,
+                 "prevalence_mode": "replicate"},
 }
-SIMULATE_KEYS = COMMON_KEYS | {
-    "preset", "scenario", "reps", "estimators", "intervals", "alpha",
-    "bootstrap_r", "harmonized_lambdas", "sigma_mode", "lambda",
-    "interval_estimator",
+# the keys a subcommand also takes as a flag, when its table has them
+FLAGS = {
+    "seed": "random seed",
+    "reps": "replicates",
+    "workers": "worker processes",
+    "out_dir": "artifact directory",
+    "alpha": "interval level, in (0, 1)",
+    "lambda": "harmonization strength (number or 'full')",
+    "sigma_mode": "shift direction: fixed, identity, bd or vd",
+    "preset": "named scenario",
 }
-RESAMPLE_KEYS = COMMON_KEYS | {
-    "trial_csv", "ec_csv", "schema", "n_control", "n_experimental", "n_ec",
-    "reps", "estimators", "spike", "prevalence_mode",
-}
-SCHEMA_KEYS = {"outcome", "treatment", "subgroup", "covariates"}
 
 
 def _fmt(v) -> str:
@@ -94,46 +114,57 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _schema_from_config(cfg: dict) -> CsvSchema:
-    obj = cfg.get("schema", {})
-    if not isinstance(obj, dict):
-        raise ConfigError("schema must be an object")
-    _check_keys(obj, SCHEMA_KEYS, "schema")
-    return CsvSchema.from_dict(obj)
-
-
-def _alpha(cfg: dict) -> float:
-    """The config's interval level alpha, which must lie in (0, 1)."""
+def _whole(key: str, value) -> int:
     try:
-        alpha = float(cfg.get("alpha", 0.05))
-    except (TypeError, ValueError):
-        alpha = float("nan")
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must lie in (0, 1), got {cfg['alpha']!r}")
-    return alpha
+        n = int(value)
+        whole = n == float(value) and n >= 0
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{key} must be a non-negative whole number, got {value!r}")
+    return n
+
+
+def _settings(command: str, cfg: dict) -> dict:
+    """`cfg` merged over the command's defaults. Unknown and missing keys,
+    list keys beside an explicit `estimators`, a key with a whole-number
+    default given anything but a non-negative whole number, and an `alpha`
+    outside (0, 1) are config errors."""
+    table = SETTINGS[command]
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {command} config keys: {unknown}")
+    missing = [key for key, default in table.items() if default is REQUIRED and key not in cfg]
+    if missing:
+        raise ConfigError(f"{command} config needs {missing}")
+    clash = sorted(set(cfg) & set(LIST_KEYS))
+    if cfg.get("estimators") is not None and clash:
+        raise ConfigError(f"{clash} only build the default estimator list; "
+                          "give them in the 'estimators' entries instead")
+    s = {**table, **cfg}
+    for key, default in table.items():
+        if type(default) is int:
+            s[key] = _whole(key, s[key])
+    if "alpha" in s:
+        try:
+            alpha = float(s["alpha"])
+        except (TypeError, ValueError):
+            alpha = float("nan")
+        if not 0 < alpha < 1:
+            raise ConfigError(f"alpha must lie in (0, 1), got {s['alpha']!r}")
+        s["alpha"] = alpha
+    return s
 
 
 def _apply_overrides(cfg: dict, ns: argparse.Namespace) -> dict:
-    cfg = dict(cfg)
-    for flag, key in (("seed", "seed"), ("reps", "reps"), ("workers", "workers"),
-                      ("out_dir", "out_dir"), ("preset", "preset"),
-                      ("lam", "lambda"), ("sigma_mode", "sigma_mode"),
-                      ("alpha", "alpha")):
-        val = getattr(ns, flag, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+    flags = {key: val for key, val in vars(ns).items() if key in FLAGS and val is not None}
+    return {**cfg, **flags}
 
 
 def _manifest(out_dir: Path, command: str, resolved: dict, checks: dict) -> None:
+    config = {key: val for key, val in resolved.items() if key not in LIST_KEYS}
     manifest = {"command": command, "version": __version__,
-                "config": resolved, "checks": checks}
+                "config": config, "checks": checks}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
@@ -173,42 +204,32 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
 # --- estimate ----------------------------------------------------------------
 
 def cmd_estimate(cfg: dict) -> int:
-    _check_keys(cfg, ESTIMATE_KEYS, "estimate config")
-    for key in ("rct_csv", "ec_csv"):
-        if key not in cfg:
-            raise ConfigError(f"estimate config needs {key!r}")
-    out_dir = Path(cfg.get("out_dir", "."))
+    s = _settings("estimate", cfg)
+    out_dir = Path(s["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema_from_config(cfg)
-    family = cfg.get("outcome_family", CONTINUOUS)
+    schema = CsvSchema.from_dict(s["schema"])
+    family = s["outcome_family"]
     if family not in (CONTINUOUS, BINARY):
         raise ConfigError("outcome_family must be continuous or binary")
-    lam = parse_lambda(cfg.get("lambda", "full"))
-    sigma_mode = cfg.get("sigma_mode", "bd")
-    alpha = _alpha(cfg)
-    seed = int(cfg.get("seed", 0))
+    if s["estimators"] is None:
+        pooled = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
+        lam = parse_lambda(s["lambda"])
+        s["estimators"] = [
+            pooled,
+            "diff_means_rct" if family == CONTINUOUS else "logistic_rct",
+            {"kind": "harmonized", "name": "harmonized", "initial": pooled,
+             "overall": "diff_means", "lambda": "full" if np.isinf(lam) else lam,
+             "sigma_mode": s["sigma_mode"],
+             **({} if s["sigma"] is None else {"sigma": s["sigma"]})},
+        ]
+    if s["intervals"] is None:
+        s["intervals"] = ["rct_only"] if family == BINARY else ["analytic", "rct_only"]
+    est_cfgs, target = plan_estimators(s["estimators"], family, s["intervals"])
 
-    pooled_kind = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
-    rct_kind = "diff_means_rct" if family == CONTINUOUS else "logistic_rct"
-    default_est = [
-        pooled_kind,
-        rct_kind,
-        {"kind": "harmonized", "name": "harmonized", "initial": pooled_kind,
-         "overall": "diff_means",
-         "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": sigma_mode,
-         **({"sigma": cfg["sigma"]} if "sigma" in cfg else {})},
-    ]
-    est_cfgs = [parse_estimator(e) for e in cfg.get("estimators", default_est)]
-    harmonized_cfgs = [c for c in est_cfgs if c.kind == "harmonized"]
-    target = harmonized_cfgs[0] if harmonized_cfgs else None
-    methods = cfg.get("intervals", ["rct_only"] if family == BINARY
-                      else ["analytic", "rct_only"])
-    check_interval_methods(methods, target, family)
-
-    ds = load_dataset(cfg["rct_csv"], cfg["ec_csv"], schema, outcome_family=family,
-                      subgroup_levels=cfg.get("subgroup_levels"))
+    ds = load_dataset(s["rct_csv"], s["ec_csv"], schema, outcome_family=family,
+                      subgroup_levels=s["subgroup_levels"])
     check_fixed_sigmas(est_cfgs, ds.k)
-    dc = compute_design_counts(ds, cfg.get("prevalences"))
+    dc = compute_design_counts(ds, s["prevalences"])
     ctx = _ReplicateContext(ds, dc)
     est_rows = []
     results: dict[str, np.ndarray] = {}
@@ -223,10 +244,11 @@ def cmd_estimate(cfg: dict) -> int:
                ["estimator", "subgroup", "label", "estimate"], est_rows)
 
     interval_rows = []
+    alpha = s["alpha"]
     phi2 = _pooled_cell_variance(ds.cell_stats)
     harmonized = None if target is None else partial(ctx.harmonized, target)
-    for method in methods:
-        iv = interval(method, ds, dc, alpha, phi2=phi2, target=harmonized, seed=seed)
+    for method in s["intervals"]:
+        iv = interval(method, ds, dc, alpha, phi2=phi2, target=harmonized, seed=s["seed"])
         for k in range(ds.k):
             interval_rows.append([method, k + 1, ds.subgroup_labels[k],
                                   float(iv.lower[k]), float(iv.upper[k]),
@@ -236,7 +258,9 @@ def cmd_estimate(cfg: dict) -> int:
                interval_rows)
 
     checks = {}
-    for ecfg in harmonized_cfgs:
+    for ecfg in est_cfgs:
+        if ecfg.kind != "harmonized":
+            continue
         checks[f"shift_mode[{ecfg.name}]"] = ctx.shift_mode(ecfg)
         if np.isinf(ecfg.lam):
             gap = abs(float(dc.pi @ results[ecfg.name]) - overall_for(ctx, ecfg))
@@ -244,23 +268,15 @@ def cmd_estimate(cfg: dict) -> int:
             if not gap <= 1e-10:
                 raise NumericalError(
                     f"full harmonization constraint violated ({gap:.3g})")
-    resolved = {
-        "rct_csv": cfg["rct_csv"], "ec_csv": cfg["ec_csv"],
-        "schema": asdict(schema), "outcome_family": family,
-        "subgroup_levels": list(ds.subgroup_labels),
-        "estimators": cfg.get("estimators", default_est),
-        "intervals": methods, "alpha": alpha,
-        "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": sigma_mode,
-        "prevalences": list(dc.pi), "seed": seed, "workers": int(cfg.get("workers", 1)),
-        "out_dir": str(out_dir),
-    }
+    s.update(schema=asdict(schema), subgroup_levels=list(ds.subgroup_labels),
+             prevalences=list(dc.pi))
     checks["prevalence_source"] = dc.prevalence_source
     checks["design_summary"] = {
         "pi": list(dc.pi), "q_ratio": list(dc.q_ratio), "q_bar": dc.q_bar,
         "q": dc.q, "counts": dc.counts.tolist(),
         "subgroup_labels": list(ds.subgroup_labels),
     }
-    _manifest(out_dir, "estimate", resolved, checks)
+    _manifest(out_dir, "estimate", s, checks)
     return 0
 
 
@@ -271,88 +287,58 @@ def overall_for(ctx: _ReplicateContext, ecfg: EstimatorConfig) -> float:
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
-    _check_keys(cfg, SIMULATE_KEYS, "simulate config")
-    out_dir = Path(cfg.get("out_dir", "."))
+    s = _settings("simulate", cfg)
+    out_dir = Path(s["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if "preset" in cfg and "scenario" in cfg:
+    preset = s.pop("preset")
+    if preset is not None and s["scenario"] is not None:
         raise ConfigError("give either preset or scenario, not both")
-    if "preset" in cfg:
-        spec = load_preset(cfg["preset"])
-    elif "scenario" in cfg:
-        spec = ScenarioSpec.from_dict(cfg["scenario"])
+    if preset is not None:
+        spec = load_preset(preset)
+    elif s["scenario"] is not None:
+        spec = ScenarioSpec.from_dict(s["scenario"])
     else:
         raise ConfigError("simulate config needs a preset or an inline scenario")
-    reps = int(cfg.get("reps", 1000))
-    seed = int(cfg.get("seed", 0))
-    workers = int(cfg.get("workers", 1))
-    alpha = _alpha(cfg)
-    bootstrap_r = int(cfg.get("bootstrap_r", 500))
-    sigma_mode = cfg.get("sigma_mode", "bd")
-    continuous = spec.outcome_family == CONTINUOUS
+    s["scenario"] = spec.to_dict()
 
-    if "estimators" in cfg:
-        estimators = cfg["estimators"]
-    else:
+    if s["estimators"] is None:
+        continuous = spec.outcome_family == CONTINUOUS
         pooled = "diff_means_pooled" if continuous else "logistic_pooled"
         rct = "diff_means_rct" if continuous else "logistic_rct"
-        if "lambda" in cfg:
-            lambdas = [cfg["lambda"]]
-        else:
-            lambdas = cfg.get("harmonized_lambdas", [0, 1, 10, "full"])
-        estimators = [pooled, rct] + (["oracle"] if continuous else []) + [
+        lambdas = s["harmonized_lambdas"] if s["lambda"] is None else [s["lambda"]]
+        s["estimators"] = [pooled, rct] + (["oracle"] if continuous else []) + [
             {"kind": "harmonized", "initial": pooled, "overall": "diff_means",
-             "lambda": lam, "sigma_mode": sigma_mode}
+             "lambda": lam, "sigma_mode": s["sigma_mode"]}
             for lam in lambdas
         ]
-    intervals = cfg.get("intervals", [])
-    report = run_monte_carlo(spec, estimators, reps=reps, seed=seed,
-                             intervals=intervals, alpha=alpha,
-                             bootstrap_r=bootstrap_r, workers=workers,
-                             interval_estimator=cfg.get("interval_estimator"))
+    report = run_monte_carlo(spec, s["estimators"], reps=s["reps"], seed=s["seed"],
+                             intervals=s["intervals"], alpha=s["alpha"],
+                             bootstrap_r=s["bootstrap_r"], workers=s["workers"],
+                             interval_estimator=s["interval_estimator"])
     _report_artifacts(out_dir, report)
-    resolved = {
-        "scenario": spec.to_dict(), "reps": reps,
-        "estimators": estimators, "intervals": intervals, "alpha": alpha,
-        "bootstrap_r": bootstrap_r, "sigma_mode": sigma_mode,
-        "interval_estimator": cfg.get("interval_estimator"), "seed": seed,
-        "workers": workers, "out_dir": str(out_dir),
-    }
-    checks = {"preset": cfg.get("preset"), "n_failures": len(report.failures),
+    checks = {"preset": preset, "n_failures": len(report.failures),
               "truth": list(report.truth),
               "prevalence_source": report.prevalence_source}
-    _manifest(out_dir, "simulate", resolved, checks)
+    _manifest(out_dir, "simulate", s, checks)
     return 0
 
 
 # --- resample ----------------------------------------------------------------
 
 def cmd_resample(cfg: dict) -> int:
-    _check_keys(cfg, RESAMPLE_KEYS, "resample config")
-    for key in ("trial_csv", "ec_csv"):
-        if key not in cfg:
-            raise ConfigError(f"resample config needs {key!r}")
-    out_dir = Path(cfg.get("out_dir", "."))
+    s = _settings("resample", cfg)
+    out_dir = Path(s["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = _schema_from_config(cfg)
-    estimators = cfg.get("estimators", list(DEFAULT_RESAMPLE_ESTIMATORS))
-    opts = {
-        "n_control": int(cfg.get("n_control", 100)),
-        "n_experimental": int(cfg.get("n_experimental", 200)),
-        "n_ec": int(cfg.get("n_ec", 600)),
-        "reps": int(cfg.get("reps", 1000)),
-        "seed": int(cfg.get("seed", 0)),
-        "workers": int(cfg.get("workers", 1)),
-        "spike": cfg.get("spike"),
-        "prevalence_mode": cfg.get("prevalence_mode", "replicate"),
-    }
-    report = run_resampling(cfg["trial_csv"], cfg["ec_csv"], estimators=estimators,
-                            schema=schema, **opts)
+    schema = CsvSchema.from_dict(s["schema"])
+    report = run_resampling(
+        s["trial_csv"], s["ec_csv"], schema=schema,
+        **{key: s[key] for key in ("n_control", "n_experimental", "n_ec", "reps",
+                                   "estimators", "seed", "workers", "spike",
+                                   "prevalence_mode")})
     _report_artifacts(out_dir, report, write_replicates=True)
-    resolved = {"trial_csv": cfg["trial_csv"], "ec_csv": cfg["ec_csv"],
-                "schema": asdict(schema), "estimators": estimators,
-                "out_dir": str(out_dir), **opts}
+    s["schema"] = asdict(schema)
     checks = {"n_failures": len(report.failures), "extra": report.extra}
-    _manifest(out_dir, "resample", resolved, checks)
+    _manifest(out_dir, "resample", s, checks)
     return 0
 
 
@@ -369,17 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                             ("resample", "in-silico trials resampled from data pools")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", default=None,
-                       help="harmonization strength (number or 'full')")
-        p.add_argument("--sigma-mode", dest="sigma_mode", default=None,
-                       choices=["fixed", "bd", "vd"])
-        if name == "simulate":
-            p.add_argument("--preset", default=None)
+        for key in (key for key in FLAGS if key in SETTINGS[name]):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=FLAGS[key])
     return parser
 
 

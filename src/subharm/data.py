@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EcTreatedPatient,
@@ -48,12 +49,12 @@ class CsvSchema:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CsvSchema":
-        return cls(
-            outcome=obj.get("outcome", "outcome"),
-            treatment=obj.get("treatment", "treatment"),
-            subgroup=obj.get("subgroup", "subgroup"),
-            covariates=tuple(obj.get("covariates", ())),
-        )
+        if not isinstance(obj, dict):
+            raise ConfigError("schema must be an object")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
+        return cls(**{**obj, "covariates": tuple(obj.get("covariates", ()))})
 
 
 def _vector(values, dtype, name: str, n: int | None = None) -> np.ndarray:

@@ -78,7 +78,8 @@ class InvalidSpec(ConfigError):
 
 
 class InvalidEffect(ConfigError):
-    """A spike-in effect would push a response rate above 1."""
+    """A spike-in effect is negative, has the wrong length, or would push a
+    response rate above 1."""
 
 
 # --- numerical errors ------------------------------------------------------

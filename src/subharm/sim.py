@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -139,20 +139,7 @@ class ScenarioSpec:
         return replace(self, distortion=d)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version, "name": self.name,
-            "outcome_family": self.outcome_family, "k": self.k,
-            "n_rct_treated": list(self.n_rct_treated),
-            "n_rct_control": list(self.n_rct_control),
-            "n_ec": list(self.n_ec),
-            "mu": list(self.mu), "theta": list(self.theta),
-            "distortion": list(self.distortion), "phi2": self.phi2,
-            "n_covariates": self.n_covariates, "beta": list(self.beta),
-            "x_mean_rct": self.x_mean_rct, "x_sd_rct": self.x_sd_rct,
-            "x_mean_ec": self.x_mean_ec, "x_sd_ec": self.x_sd_ec,
-            "fixed_covariates": self.fixed_covariates,
-            "prevalences": None if self.prevalences is None else list(self.prevalences),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
@@ -614,6 +601,34 @@ def _stack_batches(results):
     return est, cover, width, failures
 
 
+def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (),
+                    interval_estimator: str | None = None,
+                    bootstrap_r: int = 500) -> tuple[list[EstimatorConfig], EstimatorConfig | None]:
+    """Parse the estimator entries and pick the one the intervals are
+    centred on: the estimator named `interval_estimator`, else the first
+    harmonized estimator at full lambda, else the first harmonized one.
+    Duplicate names, an interval on a pipeline it was not derived for and
+    too few bootstrap draws are config errors."""
+    cfgs = [e if isinstance(e, EstimatorConfig) else parse_estimator(e) for e in entries]
+    names = [c.name for c in cfgs]
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise ConfigError(f"estimator names must be unique; repeated: {dupes}")
+    harmonized = [c for c in cfgs if c.kind == "harmonized"]
+    if interval_estimator is not None:
+        target = next((c for c in cfgs if c.name == interval_estimator), None)
+        if target is None:
+            raise ConfigError(f"interval_estimator {interval_estimator!r} "
+                              "names none of the estimators")
+    else:
+        target = next((c for c in harmonized if np.isinf(c.lam)),
+                      harmonized[0] if harmonized else None)
+    check_interval_methods(intervals, target, family)
+    if "bootstrap" in intervals:
+        check_bootstrap_r(bootstrap_r)
+    return cfgs, target
+
+
 def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: int,
                     intervals: Sequence[str] = (), alpha: float = 0.05,
                     bootstrap_r: int = 500, workers: int = 1,
@@ -623,48 +638,39 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     operating characteristics against the true subgroup effects."""
     if reps < 2:
         raise ConfigError("need at least 2 replicates")
-    est_cfgs = [parse_estimator(e) if not isinstance(e, EstimatorConfig) else e
-                for e in estimators]
-    names = [c.name for c in est_cfgs]
-    if len(set(names)) != len(names):
-        raise ConfigError("estimator names must be unique")
+    est_cfgs, interval_cfg = plan_estimators(estimators, spec.outcome_family, intervals,
+                                             interval_estimator, bootstrap_r)
     check_fixed_sigmas(est_cfgs, spec.k)
-    if "bootstrap" in intervals:
-        check_bootstrap_r(bootstrap_r)
-    interval_cfg = None
-    if intervals:
-        if interval_estimator is not None:
-            cands = [c for c in est_cfgs if c.name == interval_estimator]
-            if not cands:
-                raise ConfigError(f"interval_estimator {interval_estimator!r} "
-                                  "names none of the estimators")
-        else:
-            cands = [c for c in est_cfgs if c.kind == "harmonized"]
-            # prefer full harmonization when a lambda grid is present
-            full = [c for c in cands if np.isinf(c.lam)]
-            cands = full or cands
-        interval_cfg = cands[0] if cands else None
-        check_interval_methods(intervals, interval_cfg, spec.outcome_family)
     truth = true_effects(spec, seed)
     common = (spec, est_cfgs, tuple(intervals), alpha, bootstrap_r, seed, truth,
               interval_cfg)
     results = _run_batches(_scenario_batch, common, reps, workers)
     est, cover, width, failures = _stack_batches(results)
     source = "user_supplied" if spec.prevalences is not None else "rct_empirical"
-    return _aggregate(spec.name, reps, seed, truth, names, est, tuple(intervals),
-                      cover, width, failures, source, keep_replicates)
+    return _aggregate(spec.name, reps, seed, truth, [c.name for c in est_cfgs], est,
+                      tuple(intervals), cover, width, failures, source, keep_replicates)
 
 
 # --- pool resampling --------------------------------------------------------------
+
+def _spike_amounts(spike, k: int) -> np.ndarray:
+    """`spike` as a number or K numbers, all non-negative."""
+    try:
+        amounts = np.asarray(spike, dtype=float)
+    except (TypeError, ValueError):
+        amounts = np.full(1, np.nan)
+    if amounts.shape not in ((), (k,)) or not np.all(amounts >= 0):
+        raise InvalidEffect(f"spike must be a non-negative number or {k} of them, "
+                            f"got {spike!r}")
+    return amounts
+
 
 def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
                  rng: np.random.Generator) -> np.ndarray:
     """Raise the response rate of a binary arm by `amounts[k]` in
     expectation, flipping zeros to ones with the matching per-subgroup
     probability."""
-    amounts = np.broadcast_to(np.asarray(amounts, dtype=float), (k,))
-    if np.any(amounts < 0):
-        raise InvalidEffect("spike amounts must be non-negative")
+    amounts = np.broadcast_to(_spike_amounts(amounts, k), (k,))
     y = y.copy()
     for j in range(k):
         m = w == j
@@ -781,26 +787,23 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     from the external pool, then compare estimators across replicates."""
     if prevalence_mode not in ("replicate", "pool"):
         raise ConfigError("prevalence_mode must be 'replicate' or 'pool'")
-    schema = schema or CsvSchema()
-    pools = load_resample_pools(trial_csv, ec_csv, schema)
     if min(n_control, n_experimental, n_ec) < 1 or reps < 2:
         raise ConfigError("resampling sizes and reps must be positive")
-    est_cfgs = [parse_estimator(e) if not isinstance(e, EstimatorConfig) else e
-                for e in (estimators or DEFAULT_RESAMPLE_ESTIMATORS)]
-    names = [c.name for c in est_cfgs]
+    est_cfgs, _ = plan_estimators(estimators or DEFAULT_RESAMPLE_ESTIMATORS, BINARY)
+    pools = load_resample_pools(trial_csv, ec_csv, schema or CsvSchema())
     check_fixed_sigmas(est_cfgs, pools.k)
+    spike_amounts = None if spike is None else _spike_amounts(spike, pools.k)
     fixed_pi = None
     if prevalence_mode == "pool":
         counts = np.bincount(pools.w_ctrl, minlength=pools.k).astype(float)
         fixed_pi = tuple(counts / counts.sum())
-    spike_amounts = None if spike is None else np.asarray(spike, dtype=float)
     common = (pools, est_cfgs, n_control, n_experimental, n_ec, seed,
               spike_amounts, fixed_pi)
     results = _run_batches(_resample_batch, common, reps, workers)
     est, cover, width, failures = _stack_batches(results)
     truth = np.zeros(pools.k)
-    report = _aggregate("resample", reps, seed, truth, names, est, (), cover,
-                        width, failures,
+    report = _aggregate("resample", reps, seed, truth, [c.name for c in est_cfgs], est,
+                        (), cover, width, failures,
                         "pool" if fixed_pi is not None else "replicate_empirical",
                         keep_replicates)
     report.extra.update(n_control=n_control, n_experimental=n_experimental,

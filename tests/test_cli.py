@@ -383,12 +383,12 @@ class TestSettingsFailClosed:
             raise AssertionError("a replicate ran")
         monkeypatch.setattr(subharm.sim, "generate_scenario", refuse)
 
-    def exits_2(self, command, cfg, tmp_path, capsys, words):
+    def exits_2(self, command, cfg, tmp_path, capsys, words, flags=(), error="ConfigError"):
         out = tmp_path / "o"
         path = write_config(tmp_path / "c.json", dict(cfg, out_dir=str(out)))
-        assert run_cli(command, "--config", path) == 2
+        assert run_cli(command, "--config", path, *flags) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "ConfigError"
+        assert err["error"] == error
         assert all(w in err["message"] for w in words), err["message"]
         assert not any(out.glob("*.csv"))
 
@@ -437,6 +437,98 @@ class TestSettingsFailClosed:
                {"scenario": TINY_SCENARIO, "reps": 2})
         cfg["estimators"] = [fixed_sigma_estimator(sigma)]
         self.exits_2(command, cfg, tmp_path, capsys, ["'h' has an invalid sigma", *words])
+
+    def base(self, command, tmp_path):
+        """A config that would run, but for CSV files that do not exist."""
+        return {"estimate": self.missing_csvs(tmp_path),
+                "simulate": {"preset": "fig1-s2", "reps": 2},
+                "resample": {"trial_csv": str(tmp_path / "t.csv"),
+                             "ec_csv": str(tmp_path / "e.csv")}}[command]
+
+    @pytest.mark.parametrize("command,cfg,flags,keys", [
+        ("estimate", {"lambda": 2, "sigma_mode": "vd"}, (), ["'lambda'", "'sigma_mode'"]),
+        ("estimate", {"sigma": [[1, 0], [0, 1]]}, (), ["'sigma'"]),
+        ("estimate", {}, ("--lambda", "2"), ["'lambda'"]),
+        ("estimate", {}, ("--sigma-mode", "vd"), ["'sigma_mode'"]),
+        ("simulate", {"harmonized_lambdas": [0, "full"]}, (), ["'harmonized_lambdas'"]),
+    ], ids=["lambda-and-sigma_mode", "sigma", "lambda-flag", "sigma-mode-flag",
+            "harmonized_lambdas"])
+    def test_list_keys_beside_estimators(self, tmp_path, capsys, no_replicates, command,
+                                         cfg, flags, keys):
+        # they only build the default list: beside an explicit one the
+        # estimator ran at full bd while the manifest echoed them
+        ests = ["diff_means_pooled",
+                {"kind": "harmonized", "initial": "diff_means_pooled", "name": "h"}]
+        cfg = dict(self.base(command, tmp_path), estimators=ests, **cfg)
+        self.exits_2(command, cfg, tmp_path, capsys, keys, flags)
+
+    @pytest.mark.parametrize("command,key,value,flags", [
+        ("simulate", "reps", "many", ()),
+        ("simulate", "reps", 2.5, ()),
+        ("simulate", "seed", -1, ()),
+        ("simulate", "seed", 0, ("--seed", "-1")),
+        ("simulate", "bootstrap_r", "1e3", ()),
+        ("estimate", "workers", [1], ()),
+        ("resample", "n_ec", 1.5, ()),
+        ("resample", "n_control", None, ()),
+    ])
+    def test_whole_number_settings(self, tmp_path, capsys, no_replicates, command, key,
+                                   value, flags):
+        cfg = dict(self.base(command, tmp_path), **{key: value})
+        self.exits_2(command, cfg, tmp_path, capsys, [key, "non-negative whole number"],
+                     flags)
+
+    @pytest.mark.parametrize("reps", [3, 3.0, "3"])
+    def test_whole_numbers_in_any_spelling(self, tmp_path, reps):
+        path = write_config(tmp_path / "c.json", {"scenario": TINY_SCENARIO, "reps": reps,
+                                                   "out_dir": str(tmp_path / "o")})
+        assert run_cli("simulate", "--config", path) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["reps"] == 3
+
+    def test_duplicate_names_in_estimate(self, small_csvs, tmp_path, capsys):
+        # the second 'x' overwrote the first, so the full-lambda gap was
+        # computed on the lambda = 1 estimate after estimates.csv was written
+        rct, ec = small_csvs
+        ests = [{"kind": "harmonized", "name": "x", "initial": "diff_means_pooled",
+                 "lambda": lam} for lam in ("full", 1)]
+        cfg = {"rct_csv": rct, "ec_csv": ec, "estimators": ests}
+        self.exits_2("estimate", cfg, tmp_path, capsys, ["unique", "'x'"])
+
+    def test_duplicate_names_in_resample(self, tmp_path, capsys):
+        # the report kept only one of the two columns
+        cfg = dict(self.base("resample", tmp_path),
+                   estimators=["logistic_pooled", "logistic_rct", "logistic_pooled"])
+        self.exits_2("resample", cfg, tmp_path, capsys, ["unique", "'logistic_pooled'"])
+
+    @pytest.mark.parametrize("spike", ["abc", [0.1, 0.2], -0.1, [0.1, 0.1, float("nan"), 0.1]])
+    def test_spike_checked_before_any_replicate(self, pools, tmp_path, capsys, monkeypatch,
+                                                spike):
+        import subharm.sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(subharm.sim, "_resample_batch", refuse)
+        trial, ec = pools
+        cfg = {"trial_csv": trial, "ec_csv": ec, "schema": {"covariates": ["x1"]},
+               "reps": 4, "spike": spike}
+        self.exits_2("resample", cfg, tmp_path, capsys, ["spike", "4"],
+                     error="InvalidEffect")
+
+    def test_estimate_intervals_centre_on_full_harmonization(self, fig1_csvs, tmp_path):
+        # the rule simulate uses: a finite-lambda entry listed first is not
+        # the interval target
+        rct, ec = fig1_csvs
+        ests = [{"kind": "harmonized", "name": name, "initial": "diff_means_pooled",
+                 "lambda": lam} for name, lam in (("h2", 2), ("hfull", "full"))]
+        path = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "estimators": ests, "intervals": ["analytic"],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", path) == 0
+        est = read_rows(tmp_path / "o" / "estimates.csv")
+        points = [r["point"] for r in read_rows(tmp_path / "o" / "intervals.csv")]
+        assert points == [r["estimate"] for r in est if r["estimator"] == "hfull"]
+        assert points != [r["estimate"] for r in est if r["estimator"] == "h2"]
 
 
 def rerun_from_manifest(command, out, tmp_path, artifacts):
@@ -494,3 +586,29 @@ class TestManifestReruns:
             "out_dir": str(tmp_path / "o")})
         assert run_cli("resample", "--config", cfg) == 0
         rerun_from_manifest("resample", tmp_path / "o", tmp_path, ["report.csv"])
+
+
+class TestDocsMatchSettings:
+    """README's config examples and the subcommand flags follow
+    `cli.SETTINGS`: a key added to a table without its docs, or a flag that
+    could only fail as an unknown key, shows up here."""
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
+    def test_readme_example_keys_are_settings(self, command):
+        from pathlib import Path
+
+        from subharm.cli import SETTINGS
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split(f"\n### {command}\n", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(example) <= set(SETTINGS[command])
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
+    def test_flags_are_the_flagged_keys(self, command):
+        from subharm.cli import FLAGS, SETTINGS, build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == {"--config"} | {"--" + key.replace("_", "-")
+                                          for key in SETTINGS[command] if key in FLAGS}
