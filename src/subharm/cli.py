@@ -288,6 +288,8 @@ def overall_for(ctx: _ReplicateContext, ecfg: EstimatorConfig) -> float:
 
 def cmd_simulate(cfg: dict) -> int:
     s = _settings("simulate", cfg)
+    if s["lambda"] is not None and "harmonized_lambdas" in cfg:
+        raise ConfigError("give either 'lambda' or 'harmonized_lambdas', not both")
     out_dir = Path(s["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     preset = s.pop("preset")

@@ -202,11 +202,16 @@ def _by_subgroup(w: np.ndarray, k: int):
 def marginal_effects(w: np.ndarray, x: np.ndarray, nu: np.ndarray,
                      eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference of the logistic
-    model (nu, eta, beta) over each subgroup's rows of (w, x)."""
-    order, means = _by_subgroup(w, len(nu))
+    model (nu, eta, beta) over each subgroup's rows of (w, x). Stacked
+    models (m rows of nu, eta and beta) give m rows of effects, each with
+    the bits of its model alone."""
+    order, means = _by_subgroup(w, nu.shape[-1])
     w = w[order]
-    xb = (x @ beta)[order] if x.shape[1] else 0.0
-    return means(expit(nu[w] + eta[w] + xb) - expit(nu[w] + xb))
+    # take keeps a stack C-ordered, so each row's subgroup sums run along
+    # its own contiguous values
+    xb = np.matmul(x, beta[..., None])[..., 0].take(order, axis=-1) if x.shape[1] else 0.0
+    nu_w = nu.take(w, axis=-1)
+    return means((expit(nu_w + eta.take(w, axis=-1) + xb) - expit(nu_w + xb)).T).T
 
 
 def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,

@@ -3,7 +3,10 @@ weighted logistic regression via iteratively reweighted least squares.
 
 `DesignMatrix` states the four design layouts. IRLS reaches its design
 only through three products: the linear predictor X b, the score X'r and
-the information X' diag(v) X. A `DesignMatrix` (or a raw array) forms them
+the information X' diag(v) X. Each takes one vector or a stack of them (an
+m x p or m x n array) and gives every row of a stack the bits it would get
+alone, so `fit_logistic_irls` fits a stack of response vectors against one
+design in one loop. A `DesignMatrix` (or a raw array) forms the products
 densely; a `CellDesign` holds the pooled layout as each row's subgroup-by-
 arm cell and covariates, and forms them per cell.
 """
@@ -50,13 +53,13 @@ class DesignMatrix:
         return self.values.shape
 
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
-        return self.values @ coef
+        return np.matmul(self.values, coef[..., None])[..., 0]
 
     def score(self, r: np.ndarray) -> np.ndarray:
-        return self.values.T @ r
+        return np.matmul(self.values.T, r[..., None])[..., 0]
 
     def information(self, v: np.ndarray) -> np.ndarray:
-        return self.values.T @ (self.values * v[:, None])
+        return np.matmul(self.values.T, self.values * v[..., None])
 
 
 class CellDesign:
@@ -86,32 +89,35 @@ class CellDesign:
         return (self.order.shape[0], 2 * self.k + self.xt.shape[0])
 
     def _cell_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # sums of each row of v (m x n) against the subgroup columns and
-        # against the treated-arm columns: two m x K arrays
-        s = np.zeros((v.shape[0], 2 * self.k))
-        s[:, self._filled] = np.add.reduceat(v, self._starts, axis=1)
-        return s[:, :self.k] + s[:, self.k:], s[:, self.k:]
+        # sums of v's last axis against the subgroup columns and against the
+        # treated-arm columns: two arrays of shape v.shape[:-1] + (K,)
+        s = np.zeros(v.shape[:-1] + (2 * self.k,))
+        s[..., self._filled] = np.add.reduceat(v, self._starts, axis=-1)
+        return s[..., :self.k] + s[..., self.k:], s[..., self.k:]
 
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
         k = self.k
-        per_cell = np.concatenate([coef[:k], coef[:k] + coef[k:2 * k]])
-        return np.repeat(per_cell, self.counts) + coef[2 * k:] @ self.xt
+        per_cell = np.concatenate([coef[..., :k], coef[..., :k] + coef[..., k:2 * k]], axis=-1)
+        return (np.repeat(per_cell, self.counts, axis=-1)
+                + np.matmul(coef[..., None, 2 * k:], self.xt)[..., 0, :])
 
     def score(self, r: np.ndarray) -> np.ndarray:
-        g, a = self._cell_sums(r[None])
-        return np.concatenate([g[0], a[0], self.xt @ r])
+        g, a = self._cell_sums(r)
+        return np.concatenate([g, a, np.matmul(self.xt, r[..., None])[..., 0]], axis=-1)
 
     def information(self, v: np.ndarray) -> np.ndarray:
         k, p = self.k, self.shape[1]
-        xv = self.xt * v
-        g, a = self._cell_sums(np.vstack([v, xv]))
+        xv = self.xt * v[..., None, :]
+        g, a = self._cell_sums(np.concatenate([v[..., None, :], xv], axis=-2))
         diag = np.arange(k)
-        info = np.zeros((p, p))
-        info[diag, diag] = g[0]
-        info[diag, k + diag] = info[k + diag, diag] = info[k + diag, k + diag] = a[0]
-        info[2 * k:, :k], info[2 * k:, k:2 * k] = g[1:], a[1:]
-        info[:k, 2 * k:], info[k:2 * k, 2 * k:] = g[1:].T, a[1:].T
-        info[2 * k:, 2 * k:] = xv @ self.xt.T
+        info = np.zeros(v.shape[:-1] + (p, p))
+        info[..., diag, diag] = g[..., 0, :]
+        info[..., diag, k + diag] = info[..., k + diag, diag] = a[..., 0, :]
+        info[..., k + diag, k + diag] = a[..., 0, :]
+        info[..., 2 * k:, :k], info[..., 2 * k:, k:2 * k] = g[..., 1:, :], a[..., 1:, :]
+        info[..., :k, 2 * k:] = np.swapaxes(g[..., 1:, :], -1, -2)
+        info[..., k:2 * k, 2 * k:] = np.swapaxes(a[..., 1:, :], -1, -2)
+        info[..., 2 * k:, 2 * k:] = np.matmul(xv, self.xt.T)
         return info
 
 
@@ -121,11 +127,13 @@ class GlmFit:
 
     `information` is X'WX for logistic fits (Fisher information at the
     optimum) and X'WX / dispersion for least squares whenever the
-    dispersion is positive; exact fits keep the unscaled cross-product.
+    dispersion is positive; exact fits keep the unscaled cross-product. A
+    stacked logistic fit holds one row of coefficients per response vector
+    and no information.
     """
 
     coefficients: np.ndarray
-    information: np.ndarray
+    information: np.ndarray | None
     dispersion: float | None
     converged: bool
     iterations: int
@@ -197,11 +205,11 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
                   dispersion=dispersion, converged=True, iterations=1)
 
 
-def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    # y may be fractional (binomial proportions); log(1 + e^lp) as the
-    # overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
+def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # one value per row of lp; y may be fractional (binomial proportions);
+    # log(1 + e^lp) as the overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
     softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(lp, 0.0)
-    return float(np.sum(w * (y * lp - softplus)))
+    return np.sum(w * (y * lp - softplus), axis=-1)
 
 
 def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndarray,
@@ -218,49 +226,72 @@ def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndar
     non-vanishing score raises SeparationDetected. Exhausting `max_iter`
     raises NotConverged unless `allow_unconverged` asks for the partial fit
     (flagged converged=False) instead.
+
+    An m x n `y` fits m response vectors against the one design, weights
+    and start. Each keeps its own score test, step halving, separation cap
+    and iteration budget, gets the same bits as its one-row fit, and leaves
+    the stack once it converges. The fit then holds m rows of coefficients,
+    no information, and the iterations of its slowest row. A 1-D `y` is
+    the one-row stack, and its fit carries the information at its
+    coefficients.
     """
     x = design if isinstance(design, (DesignMatrix, CellDesign)) \
         else DesignMatrix(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float)
-    if np.any((y < 0) | (y > 1)):
-        raise ValueError("logistic responses must lie in [0, 1]")
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    n, p = x.shape
+    if not np.all((y >= 0) & (y <= 1)):
+        raise ValueError("logistic responses must be numbers in [0, 1]")
+    w = np.ones(y.shape[-1]) if weights is None else np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and non-negative")
+    p = x.shape[1]
     coef = np.zeros(p) if start is None else np.array(start, dtype=float)
+    stack = y.ndim == 2
+    if stack:
+        coef = np.tile(coef, (len(y), 1))
+        fitted, rows = coef.copy(), np.arange(len(y))  # rows: those still fitting
     lp = x.linear_predictor(coef)
     ll = _loglik(lp, y, w)
     for it in range(max_iter + 1):
         mu = expit(lp)
         score = x.score(w * (y - mu))
-        info = x.information(w * mu * (1.0 - mu))
-        if np.max(np.abs(score)) < tol:
-            return GlmFit(coef, info, None, True, it)
-        if it and np.max(np.abs(coef)) > SEPARATION_CAP:  # a start may lie past the cap
+        big = np.abs(score).max(axis=-1)
+        done = big < tol
+        if done.all() if stack else done:
+            break
+        if stack and done.any():
+            fitted[rows[done]] = coef[done]
+            rows, coef, lp, ll, y, mu, score, big = (
+                a[~done] for a in (rows, coef, lp, ll, y, mu, score, big))
+        if it and np.abs(coef).max() > SEPARATION_CAP:  # a start may lie past the cap
             raise SeparationDetected(
                 f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
-                f"{np.max(np.abs(score)):.3g}; data look separated")
+                f"{np.max(big):.3g}; data look separated")
         if it == max_iter:
+            if not allow_unconverged:
+                raise NotConverged(
+                    f"IRLS did not reach tol={tol} in {max_iter} iterations "
+                    f"(score {np.max(big):.3g})")
             break
         try:
-            delta = np.linalg.solve(info, score)
+            delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted information matrix") from None
-        step, halvings = 1.0, 0
         cand = coef + delta
         lp_c = x.linear_predictor(cand)
         ll_c = _loglik(lp_c, y, w)
         # the log-likelihood's rounding noise grows with its magnitude
-        while ll_c < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 20:
-            step *= 0.5
+        floor = ll - 1e-12 * np.maximum(1.0, abs(ll))
+        halve, step, halvings = ll_c < floor, 1.0, 0
+        while (halve.any() if stack else halve) and halvings < 20:
+            # rows that took their step keep it and get the same bits again
+            step = np.where(halve, 0.5 * step, step)
             halvings += 1
-            cand = coef + step * delta
+            cand = coef + step[..., None] * delta
             lp_c = x.linear_predictor(cand)
             ll_c = _loglik(lp_c, y, w)
+            halve = ll_c < floor
         coef, lp, ll = cand, lp_c, ll_c
-    if allow_unconverged:
-        return GlmFit(coef, info, None, False, max_iter)
-    raise NotConverged(
-        f"IRLS did not reach tol={tol} in {max_iter} iterations "
-        f"(score {np.max(np.abs(score)):.3g})")
+    if stack:
+        fitted[rows] = coef
+        return GlmFit(fitted, None, None, bool(done.all()), it)
+    return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, bool(done), it)

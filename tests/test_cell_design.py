@@ -3,8 +3,11 @@
 `CellDesign` forms IRLS's three products per subgroup-by-arm cell; here
 they are compared with the dense [onehot(g), a * onehot(g), x] products on
 hypothesis-drawn layouts, and the limit map built on it with a dense-design
-oracle of the same map.
+oracle of the same map. A stack of response vectors fitted on one design
+is compared with one fit per vector.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from subharm import CombinedDataset, generate_scenario, load_preset
-from subharm.errors import NumericalError, RankDeficient
+from subharm.errors import NumericalError, RankDeficient, SeparationDetected
 from subharm.estimators import _pooled_logistic_fit, marginal_effects
 from subharm.glm import CellDesign, _onehot, fit_logistic_irls
 from subharm.harmonize import bd_direction_glm, build_limit_map_spec, limit_map_theta
@@ -157,3 +160,68 @@ def test_anchor_fit_is_reused():
     np.testing.assert_array_equal(a.anchor, b.anchor)
     np.testing.assert_array_equal(limit_map_theta(a, np.full(ds.k, 0.2)),
                                   limit_map_theta(b, np.full(ds.k, 0.2)))
+
+
+def stack_problem(layout, m):
+    """A CellDesign on a layout whose cells all hold 3 or more rows, m
+    fractional response vectors in its row order and weights."""
+    k, sizes, d, seed = layout
+    cell, x, rng = cell_rows((k, np.maximum(sizes, 3), d, seed))
+    design = CellDesign(cell, x, k)
+    lp = dense(cell, x, k)[design.order] @ rng.normal(0, 0.7, 2 * k + d)
+    y = expit(lp + rng.normal(0, rng.uniform(0, 1.5, (m, 1)), (m, len(cell))))
+    return design, y, rng.uniform(0.2, 1.5, len(cell)), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.integers(1, 6), st.booleans())
+def test_stacked_fit_rows_equal_one_row_fits(layout, m, warm):
+    design, y, w, rng = stack_problem(layout, m)
+    # a start this far from the optimum makes most stacks halve steps
+    start = rng.normal(0, 1.0, design.shape[1]) if warm else None
+    try:
+        alone = [fit_logistic_irls(design, row, weights=w, start=start) for row in y]
+    except NumericalError:
+        assume(False)
+    sizes = []
+    design.score = lambda r: sizes.append(len(r)) or CellDesign.score(design, r)
+    stacked = fit_logistic_irls(design, y, weights=w, start=start)
+    want = np.array([f.coefficients for f in alone])
+    np.testing.assert_allclose(stacked.coefficients, want, rtol=1e-12, atol=1e-14)
+    assert stacked.information is None and stacked.converged
+    # a row leaves the stack at the pass where its own fit converged
+    iters = np.array([f.iterations for f in alone])
+    assert stacked.iterations == iters.max()
+    assert sizes == [int(np.sum(iters >= t)) for t in range(iters.max() + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(trials(), st.integers(1, 5))
+def test_stacked_limit_map_equals_per_delta_calls(trial, m):
+    ds, ec_weights = trial
+    try:
+        spec = build_limit_map_spec(ds, ec_weights)
+    except NumericalError:
+        assume(False)
+    deltas = np.random.default_rng(ds.n_ec).normal(0, 0.5, (m, ds.k))
+    one_by_one = np.array([limit_map_theta(spec, d) for d in deltas])
+    np.testing.assert_array_equal(limit_map_theta(spec, deltas), one_by_one)
+    # split into stacks of two refits
+    rows = spec.design.shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("subharm.harmonize"), "STACK_ELEMENTS", 2 * rows + 1)
+        np.testing.assert_array_equal(limit_map_theta(spec, deltas), one_by_one)
+
+
+@settings(max_examples=20, deadline=None)
+@given(layouts(), st.integers(2, 5), st.data())
+def test_one_separating_row_stops_the_stack(layout, m, data):
+    design, y, w, _ = stack_problem(layout, m)
+    k = layout[0]
+    cell = np.repeat(np.arange(2 * k), design.counts)  # in design order
+    # every treated row responds and no control row does
+    y[data.draw(st.integers(0, m - 1))] = (cell >= k).astype(float)
+    with pytest.raises(SeparationDetected):
+        fit_logistic_irls(design, (cell >= k).astype(float), weights=w)
+    with pytest.raises(SeparationDetected):
+        fit_logistic_irls(design, y, weights=w)

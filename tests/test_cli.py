@@ -462,6 +462,17 @@ class TestSettingsFailClosed:
         cfg = dict(self.base(command, tmp_path), estimators=ests, **cfg)
         self.exits_2(command, cfg, tmp_path, capsys, keys, flags)
 
+    @pytest.mark.parametrize("cfg,flags", [
+        ({"lambda": 2, "harmonized_lambdas": [0, "full"]}, ()),
+        ({"harmonized_lambdas": [0, "full"]}, ("--lambda", "2")),
+    ], ids=["file", "lambda-flag"])
+    def test_lambda_beside_harmonized_lambdas(self, tmp_path, capsys, no_replicates, cfg,
+                                              flags):
+        # simulate ran at lambda alone, and only the manifest's estimator
+        # list showed which key won
+        self.exits_2("simulate", dict(self.base("simulate", tmp_path), **cfg), tmp_path,
+                     capsys, ["'lambda'", "'harmonized_lambdas'"], flags)
+
     @pytest.mark.parametrize("command,key,value,flags", [
         ("simulate", "reps", "many", ()),
         ("simulate", "reps", 2.5, ()),

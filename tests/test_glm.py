@@ -140,6 +140,23 @@ class TestLogistic:
         assert len(lls) > 3
         assert np.all(np.diff(lls) >= -1e-12)
 
+    @pytest.mark.parametrize("bad_y,bad_w,words", [
+        (np.nan, 1.0, "responses"), (0.5, np.nan, "weights"), (0.5, np.inf, "weights")],
+        ids=["nan-response", "nan-weight", "inf-weight"])
+    def test_non_finite_input_fails_before_any_iteration(self, rng, monkeypatch, bad_y,
+                                                         bad_w, words):
+        # they passed the range checks and churned through every iteration
+        import subharm.glm
+
+        def refuse(*args):
+            raise AssertionError("an iteration ran")
+        monkeypatch.setattr(subharm.glm, "_loglik", refuse)
+        x = np.c_[np.ones(6), rng.normal(size=6)]
+        y, w = np.full(6, 0.5), np.ones(6)
+        y[2], w[4] = bad_y, bad_w
+        with pytest.raises(ValueError, match=words):
+            fit_logistic_irls(x, y, weights=w)
+
     def test_warm_start(self, rng):
         x = np.c_[np.ones(50), rng.normal(size=50)]
         y = (rng.random(50) < 0.4).astype(float)

@@ -354,13 +354,11 @@ class TestSigmaWorkPerReplicate:
         assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
 
 class TestTrialFitPerReplicate:
-    def test_one_trial_only_logistic_fit_per_replicate(self, monkeypatch):
-        # logistic_rct, the logistic overall effect and both limit maps'
-        # anchors share one trial-only fit
+    @staticmethod
+    def _fit_rows(monkeypatch):
+        """The design rows of every logistic fit, in call order."""
         import importlib
 
-        spec = load_preset("fig5")
-        n_rct = generate_scenario(spec, 3).n_rct
         rows = []
         for name in ("subharm.estimators", "subharm.harmonize"):
             module = importlib.import_module(name)
@@ -371,6 +369,14 @@ class TestTrialFitPerReplicate:
                 return _original(design, *args, **kwargs)
 
             monkeypatch.setattr(module, "fit_logistic_irls", counted)
+        return rows
+
+    def test_one_trial_only_logistic_fit_per_replicate(self, monkeypatch):
+        # logistic_rct, the logistic overall effect and both limit maps'
+        # anchors share one trial-only fit
+        spec = load_preset("fig5")
+        n_rct = generate_scenario(spec, 3).n_rct
+        rows = self._fit_rows(monkeypatch)
         ests = ["logistic_rct", "logistic_pooled", "logistic_ipw"] + [
             {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
              "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
@@ -378,6 +384,20 @@ class TestTrialFitPerReplicate:
         report = run_monte_carlo(spec, ests, reps=2, seed=3)
         assert not report.failures
         assert rows.count(n_rct) == 2
+
+    def test_three_fits_per_fig5_bd_replicate(self, monkeypatch):
+        # the pooled fit, the trial-only fit and one stacked fit of the
+        # limit map's 2K refits
+        spec = load_preset("fig5")
+        ds = generate_scenario(spec, 3)
+        rows = self._fit_rows(monkeypatch)
+        ests = ["logistic_pooled", {"kind": "harmonized", "initial": "logistic_pooled",
+                                    "overall": "logistic", "lambda": "full",
+                                    "sigma_mode": "bd"}]
+        report = run_monte_carlo(spec, ests, reps=2, seed=3)
+        assert not report.failures
+        assert sorted(rows) == sorted(2 * [ds.n_rct, ds.n_rct + ds.n_ec,
+                                           2 * ds.n_rct + ds.n_ec])
 
 
 class TestSpike:
