@@ -53,7 +53,6 @@ from .glm import (
 from .harmonize import (
     FULL,
     BiasModel,
-    HarmonizationConfig,
     LimitMapSpec,
     analytic_bias_variance,
     bd_direction_glm,
@@ -64,6 +63,7 @@ from .harmonize import (
     limit_map_theta,
     mse_difference,
     parse_lambda,
+    shift_vector,
     solve_sigma_from_b,
     vd_sigma,
 )

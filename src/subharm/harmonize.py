@@ -10,8 +10,13 @@ Harmonizing a subgroup vector t with an overall estimate r solves
 
     argmin_v (v - t)' Sigma^{-1} (v - t) + lam * (pi' v - r)^2,
 
-whose solution shifts t along Sigma pi by an amount proportional to the
-discrepancy r - pi't. `lam = FULL` (infinity) enforces pi'v = r exactly.
+whose solution is v = t + (r - pi't) u for the shift vector u, a multiple
+of Sigma pi. `lam = FULL` (infinity) enforces pi'v = r exactly.
+`shift_vector` computes u from Sigma and lam, the `bd_direction_*`
+functions give u at full bias-directed harmonization, and `harmonize`
+applies a u. Which Sigma a sigma mode (fixed, bd, vd) stands for is decided
+by the caller; `simulate`, `resample` and `estimate` resolve it in
+`sim._ReplicateContext`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import (
     InconsistentDimensions,
     InvalidDesign,
     MissingCovariance,
+    NumericalError,
     SingularSigma,
 )
 from .estimators import EffectEstimate, _pooled_logistic_fit, marginal_effects
@@ -49,10 +55,6 @@ FULL = float("inf")
 # at a time, but 25% longer and 5 MB more memory in stacks of 7.
 STACK_ELEMENTS = 1 << 16
 
-MODE_FIXED = "fixed"
-MODE_BD = "bd"
-MODE_VD = "vd"
-
 
 def parse_lambda(value) -> float:
     """Accept a non-negative number (or numeric string) or the literal
@@ -70,32 +72,6 @@ def parse_lambda(value) -> float:
     if math.isnan(lam) or lam < 0:
         raise ConfigError(f"lambda must be non-negative, got {value!r}")
     return lam
-
-
-@dataclass(frozen=True)
-class HarmonizationConfig:
-    """Shift amount and direction.
-
-    `lam` is a non-negative float or FULL (infinity, enforcing exact
-    agreement). `sigma` is the K x K positive-definite matrix defining the
-    shift direction (identity when omitted), or one already checked at the
-    prevalences (`_SigmaShift`); `direction` short-circuits to
-    an explicit unit-prevalence-weight vector u and requires lam = FULL.
-    `mode` records how sigma was chosen (fixed / bd / vd).
-    """
-
-    lam: float = FULL
-    sigma: np.ndarray | None = None
-    mode: str = MODE_FIXED
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in (MODE_FIXED, MODE_BD, MODE_VD):
-            raise ConfigError(f"unknown harmonization mode {self.mode!r}")
-        if isinstance(self.lam, str) or self.lam < 0 or math.isnan(self.lam):
-            raise ConfigError("lam must be a non-negative float; use parse_lambda")
-        if self.direction is not None and not math.isinf(self.lam):
-            raise ConfigError("an explicit direction requires lam = FULL")
 
 
 def _validate_sigma(sigma: np.ndarray, k: int) -> np.ndarray:
@@ -116,9 +92,9 @@ class _SigmaShift:
 
     With Sigma pi and c = 1 / (pi' Sigma pi), harmonizing with strength lam
     moves t by (r - pi't) u(lam), where u(lam) = s Sigma pi and s = c lam /
-    (lam + c), or s = c at lam = FULL. Building one checks Sigma; passed as
-    a config's `sigma`, it serves every lam and call at the same pi without
-    checking Sigma again.
+    (lam + c), or s = c at lam = FULL. Building one checks Sigma; passed to
+    `shift_vector` as its `sigma`, it serves every lam and call at the same
+    pi without checking Sigma again.
     """
 
     def __init__(self, sigma, prevalences: np.ndarray):
@@ -132,46 +108,34 @@ class _SigmaShift:
         return s * self.sp
 
 
-def _shift(cfg: HarmonizationConfig, prevalences: np.ndarray,
-           initial: EffectEstimate | None = None) -> np.ndarray:
-    """The shift vector u of `cfg`: harmonizing moves t by (r - pi't) u.
-    A vd config without a sigma takes the covariance of `initial`."""
-    k = prevalences.shape[0]
-    if cfg.direction is not None:
-        u = np.asarray(cfg.direction, dtype=float)
-        if u.shape != (k,):
-            raise InconsistentDimensions("direction length differs from K")
-        if abs(prevalences @ u - 1.0) > 1e-10:
-            raise ConfigError("direction must satisfy pi'u = 1 within 1e-10")
-        return u
-    if cfg.sigma is not None:
-        sigma = cfg.sigma
-    elif cfg.mode == MODE_VD:
-        if initial is None:
-            raise MissingCovariance("a vd config without a sigma needs the initial estimate")
-        sigma = vd_sigma(initial)
-    elif cfg.mode == MODE_FIXED:
-        sigma = np.eye(k)
-    else:
-        raise ConfigError(
-            "bd mode requires a precomputed sigma or direction "
-            "(see bd_direction_linear / bd_direction_glm)")
-    if not (isinstance(sigma, _SigmaShift) and np.array_equal(sigma.pi, prevalences)):
-        sigma = _SigmaShift(sigma, prevalences)
-    return sigma.u(cfg.lam)
+def shift_vector(prevalences, sigma=None, lam: float = FULL) -> np.ndarray:
+    """The shift vector u of harmonizing with strength `lam` along the
+    positive-definite `sigma` (identity when omitted) at prevalences pi:
+    u = s Sigma pi with s = c lam / (lam + c), or s = c at lam = FULL, where
+    c = 1 / (pi' Sigma pi). `sigma` may be a `_SigmaShift` already checked
+    at these prevalences. pi'u = lam / (lam + c), which is 1 at FULL.
+    """
+    pi = np.asarray(prevalences, dtype=float)
+    if isinstance(lam, str) or lam < 0 or math.isnan(lam):
+        raise ConfigError("lam must be a non-negative float; use parse_lambda")
+    if not (isinstance(sigma, _SigmaShift) and np.array_equal(sigma.pi, pi)):
+        sigma = _SigmaShift(np.eye(pi.shape[0]) if sigma is None else sigma, pi)
+    return sigma.u(lam)
 
 
-def harmonize(initial: EffectEstimate, overall: float, prevalences,
-              cfg: HarmonizationConfig,
+def harmonize(initial: EffectEstimate, overall: float, prevalences, u,
               joint_cov: np.ndarray | None = None) -> EffectEstimate:
-    """Shift the initial subgroup estimates toward agreement between their
-    prevalence-weighted average and the overall estimate r.
+    """Shift the initial subgroup estimates t along the shift vector u
+    toward agreement between their prevalence-weighted average and the
+    overall estimate r: v = t + (r - pi't) u.
 
-    With finite lam the output is t + c*lam/(lam+c) * (r - pi't) * Sigma pi
-    where c = 1/(pi' Sigma pi); with lam = FULL the weighted average matches
-    r exactly. When `joint_cov` (the (K+1) x (K+1) covariance of the
-    stacked initial and overall estimates) is supplied, the output carries
-    the induced covariance P S P'.
+    u comes from `shift_vector` (pi'u = 1 at full harmonization, so pi'v =
+    r exactly) or is a bias direction with pi'u = 1 (`bd_direction_*`). A u
+    that is not a finite K-vector is rejected, and so is one with pi'u
+    outside [0, 1], which no positive-definite Sigma and lam >= 0 gives.
+    When `joint_cov` (the (K+1) x (K+1) covariance of the stacked initial
+    and overall estimates) is supplied, the output carries the induced
+    covariance P S P'.
     """
     theta = np.asarray(initial.theta_k, dtype=float)
     pi = np.asarray(prevalences, dtype=float)
@@ -179,7 +143,14 @@ def harmonize(initial: EffectEstimate, overall: float, prevalences,
     if pi.shape != (k,):
         raise InconsistentDimensions(
             f"prevalences have length {pi.shape}, expected ({k},)")
-    u = _shift(cfg, pi, initial)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (k,):
+        raise InconsistentDimensions(f"shift vector has shape {u.shape}, expected ({k},)")
+    share = float(pi @ u)  # not finite when an entry of u is not
+    if not math.isfinite(share):
+        raise NumericalError("shift vector is not finite")
+    if not -1e-10 <= share <= 1.0 + 1e-10:
+        raise ConfigError(f"shift vector needs pi'u in [0, 1], got {share:.6g}")
     out = theta + (float(overall) - pi @ theta) * u
     cov = None
     if joint_cov is not None:
@@ -393,10 +364,12 @@ def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
 
 def analytic_bias_variance(dc: DesignCounts, gamma, sigma, lam: float,
                            phi2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact bias vector and covariance of the harmonized difference-of-
-    means estimator under the proportional stratified design with outcome
-    variance phi2 and external mean distortions gamma."""
-    return _bias_variance(dc, gamma, _SigmaShift(sigma, dc.pi).u(lam), phi2)
+    """Exact bias vector and covariance of the difference-of-means estimator
+    harmonized with strength lam along sigma (the identity when None), that
+    is with the shift vector `shift_vector(dc.pi, sigma, lam)`, under the
+    proportional stratified design with outcome variance phi2 and external
+    mean distortions gamma."""
+    return _bias_variance(dc, gamma, shift_vector(dc.pi, sigma, lam), phi2)
 
 
 def _bias_variance(dc: DesignCounts, gamma, u, phi2: float

@@ -28,7 +28,7 @@ from .errors import (
     ReplicateFailure,
 )
 from .estimators import EffectEstimate, _first_subgroup, _pooled_cell_variance
-from .harmonize import HarmonizationConfig, _bias_variance, _shift
+from .harmonize import _bias_variance
 from .harmonize import harmonize  # noqa: F401  (a binding that call tracers patch and check)
 from .rng import (
     ROLE_BOOT_CONTROL,
@@ -135,8 +135,8 @@ class SimpleModelParams:
         return cls(mu, theta, gamma, phi2)
 
 
-def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
-                       cfg: HarmonizationConfig, r: int = 1000, alpha: float = 0.05,
+def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
+                       r: int = 1000, alpha: float = 0.05,
                        seed: int = 0, params: SimpleModelParams | None = None,
                        replicate: int = 0) -> IntervalSet:
     """Parametric-bootstrap interval for the harmonized difference-of-means
@@ -145,10 +145,10 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
     Cell means are sufficient for the pipeline, so the bootstrap perturbs
     them: it draws `r` sets of treated, control and external cell means
     from the (fitted or supplied) normal outcome model on the design `dc`,
-    harmonizes each set with `cfg` (which must carry the resolved sigma or
-    direction) and the prevalences `dc.pi`, and reports intervals centred
-    at `point`, the caller's harmonized estimate, whose width matches the
-    distance between the draw quantiles.
+    harmonizes each set at the prevalences `dc.pi` along `u`, the shift
+    vector that made `point` (see `harmonize.shift_vector`), and reports
+    intervals centred at `point`, the caller's harmonized estimate, whose
+    width matches the distance between the draw quantiles.
     """
     check_bootstrap_r(r)
     params = params or SimpleModelParams.from_data(ds)
@@ -176,7 +176,7 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point,
     theta_pool = m1 - pooled0
     nr1, nr0 = n1.sum(), n0r.sum()
     theta_r = (m1 * n1).sum(axis=1) / nr1 - (m0 * n0r).sum(axis=1) / nr0
-    u = _shift(cfg, pi)
+    u = np.asarray(u, dtype=float)
     draws = theta_pool + (theta_r - theta_pool @ pi)[:, None] * u[None, :]
     bad = ~np.isfinite(draws).all(axis=1)
     if bad.any():
@@ -230,7 +230,7 @@ def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
     """One interval of a method accepted by `check_interval_methods`.
 
     `target()` returns the harmonized estimate the interval is centred on
-    and the harmonization config that made it; `phi2` is the outcome
+    and the shift vector u that made it; `phi2` is the outcome
     variance of the analytic and cut intervals; `r`, `seed` and `replicate`
     drive the bootstrap draws.
     """
@@ -241,10 +241,10 @@ def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
         p2 = analyst2_posterior(ds, phi2, flat_prior(2 * ds.k))
         return cut_interval(cut_distribution(p1, p2, dc.pi), alpha)
     if method == "analytic":
-        point, hc = target()
-        _, var = _bias_variance(dc, np.zeros(dc.k), _shift(hc, dc.pi), phi2)
+        point, u = target()
+        _, var = _bias_variance(dc, np.zeros(dc.k), u, phi2)
         return analytic_interval(point, var, alpha)
     if method == "bootstrap":
-        point, hc = target()
-        return bootstrap_interval(ds, dc, point, hc, r, alpha, seed, replicate=replicate)
+        point, u = target()
+        return bootstrap_interval(ds, dc, point, u, r, alpha, seed, replicate=replicate)
     raise ConfigError(f"unknown interval method {method!r}")

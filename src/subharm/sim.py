@@ -58,10 +58,6 @@ from .estimators import (
 from .glm import GlmFit
 from .harmonize import (
     FULL,
-    MODE_BD,
-    MODE_FIXED,
-    MODE_VD,
-    HarmonizationConfig,
     _SigmaShift,
     _validate_sigma,
     bd_direction_diff_means,
@@ -70,6 +66,7 @@ from .harmonize import (
     build_limit_map_spec,
     harmonize,
     parse_lambda,
+    shift_vector,
     solve_sigma_from_b,
     vd_sigma,
 )
@@ -222,7 +219,14 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
 INITIAL_KINDS = ("diff_means_pooled", "diff_means_rct", "oracle", "ols_pooled",
                  "ols_rct", "logistic_pooled", "logistic_rct", "logistic_ipw")
 OVERALL_KINDS = ("diff_means", "ols", "logistic")
-SIGMA_MODES = ("identity", "fixed", "bd", "vd")
+MODE_FIXED = "fixed"
+MODE_BD = "bd"
+MODE_VD = "vd"
+SIGMA_MODES = ("identity", MODE_FIXED, MODE_BD, MODE_VD)
+# The initials a sigma mode can never resolve for: bd needs a bias
+# direction and vd the initial estimate's covariance.
+UNDEFINED_MODES = {MODE_BD: ("diff_means_rct", "ols_rct", "oracle", "logistic_rct"),
+                   MODE_VD: ("diff_means_rct", "ols_rct", "oracle")}
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,9 @@ def check_fixed_sigmas(est_cfgs, k: int) -> None:
 
 
 class _ReplicateContext:
-    """Caches shared fits within one replicate."""
+    """Caches shared fits within one replicate or `estimate` call, and
+    resolves each harmonized estimator to its shift vector u and mode
+    (`shift`), which its estimate and the intervals centred on it share."""
 
     def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None):
         self.ds = ds
@@ -353,75 +359,72 @@ class _ReplicateContext:
         return self._cached(f"bd:{initial_kind}", lambda: self._bd_direction(initial_kind))
 
     def _bd_direction(self, initial_kind: str) -> np.ndarray:
+        """The bias direction of an initial that `UNDEFINED_MODES` allows bd."""
         pi = self.dc.pi
         if initial_kind == "diff_means_pooled":
             return bd_direction_diff_means(self.dc)
         if initial_kind == "ols_pooled":
             return bd_direction_linear(self.ds, pi)[1]
-        if initial_kind in ("logistic_pooled", "logistic_ipw"):
-            w = (self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
-                 if initial_kind == "logistic_ipw" else None)
-            spec = build_limit_map_spec(self.ds, w, pi, self.trial_logistic_fit())
-            return bd_direction_glm(spec)[1]
-        raise ConfigError(f"bias-directed mode undefined for initial {initial_kind!r}")
+        w = (self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
+             if initial_kind == "logistic_ipw" else None)
+        spec = build_limit_map_spec(self.ds, w, pi, self.trial_logistic_fit())
+        return bd_direction_glm(spec)[1]
 
     def bd_sigma(self, initial_kind: str) -> np.ndarray:
         return solve_sigma_from_b(self.bd_direction(initial_kind), self.dc.pi)
 
-    def harmonization(self, cfg: EstimatorConfig) -> HarmonizationConfig:
-        """Resolve a harmonized estimator's sigma mode to its harmonization
-        config.
+    def shift(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
+        """Resolve a harmonized estimator's sigma mode to its shift vector u
+        and the mode that made it: fixed, bd or vd.
 
-        bd uses the bias direction at full harmonization and the matrix
+        bd uses the bias direction as u at full harmonization and the matrix
         built from it below, and falls back to vd when that direction is
         degenerate; vd uses the initial estimate's covariance; fixed (and
         its alias identity) the given matrix or the identity. Each matrix,
         and a degenerate bias direction, is found once per replicate and
-        family (mode and initial estimator), so every lambda of a family
-        shares it and the intervals centred on an estimator share its
-        shift bit for bit.
+        family (mode and initial estimator), and each u once per family and
+        lambda, so every lambda of a family shares one checked matrix and
+        the intervals centred on an estimator use its u itself.
         """
-        key = ("harmonization", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam)
+        key = ("shift", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam)
         return self._cached(key, lambda: self._resolve(cfg))
 
-    def _resolve(self, cfg: EstimatorConfig) -> HarmonizationConfig:
-        lam, initial = cfg.lam, cfg.initial
+    def _resolve(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
+        lam, initial, pi = cfg.lam, cfg.initial, self.dc.pi
         if cfg.sigma_mode not in (MODE_BD, MODE_VD):  # fixed, or its alias identity
-            return HarmonizationConfig(lam, self._checked(MODE_FIXED, cfg.sigma, lambda: (
-                np.eye(self.ds.k) if cfg.sigma is None else np.asarray(cfg.sigma, float))))
+            sigma = self._checked(MODE_FIXED, cfg.sigma, lambda: (
+                np.eye(self.ds.k) if cfg.sigma is None else np.asarray(cfg.sigma, float)))
+            return shift_vector(pi, sigma, lam), MODE_FIXED
         degenerate = ("degenerate", initial)
         if cfg.sigma_mode == MODE_BD and degenerate not in self._cache:
             try:
                 if np.isinf(lam):
-                    return HarmonizationConfig(FULL, mode=MODE_BD,
-                                               direction=self.bd_direction(initial))
-                return HarmonizationConfig(
-                    lam, self._checked(MODE_BD, initial, lambda: self.bd_sigma(initial)),
-                    MODE_BD)
+                    return self.bd_direction(initial), MODE_BD
+                sigma = self._checked(MODE_BD, initial, lambda: self.bd_sigma(initial))
+                return shift_vector(pi, sigma, lam), MODE_BD
             except DegenerateDirection:
                 self._cache[degenerate] = True
                 logger.warning("bias direction degenerate; falling back to "
                                "variance-directed harmonization")
-        return HarmonizationConfig(
-            lam, self._checked(MODE_VD, initial, lambda: vd_sigma(self.initial(initial))),
-            MODE_VD)
+        sigma = self._checked(MODE_VD, initial, lambda: vd_sigma(self.initial(initial)))
+        return shift_vector(pi, sigma, lam), MODE_VD
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
         return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi))
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
-        mode = self.harmonization(cfg).mode
+        mode = self.shift(cfg)[1]
         if cfg.sigma_mode == MODE_BD and mode == MODE_VD:
             return "vd (bd fallback)"
         return mode
 
-    def harmonized(self, cfg: EstimatorConfig) -> tuple[np.ndarray, HarmonizationConfig]:
-        """The harmonized estimate of `cfg` and the config that made it."""
+    def harmonized(self, cfg: EstimatorConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The harmonized estimate of `cfg` and the shift vector u that made it."""
         def build():
             initial, overall = self.initial(cfg.initial), self.overall(cfg.overall)
-            hc = self.harmonization(cfg)
-            return harmonize(initial, overall, self.dc.pi, hc).theta_k, hc
+            u = self.shift(cfg)[0]
+            return harmonize(initial, overall, self.dc.pi, u).theta_k, u
         key = ("harmonized", cfg.initial, cfg.overall, cfg.sigma_mode, cfg.sigma, cfg.lam)
         return self._cached(key, build)
 
@@ -607,9 +610,17 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
     """Parse the estimator entries and pick the one the intervals are
     centred on: the estimator named `interval_estimator`, else the first
     harmonized estimator at full lambda, else the first harmonized one.
-    Duplicate names, an interval on a pipeline it was not derived for and
-    too few bootstrap draws are config errors."""
+    An empty list, duplicate names, bd on an initial without a bias
+    direction, vd on one without a covariance, an interval on a pipeline it
+    was not derived for and too few bootstrap draws are config errors."""
     cfgs = [e if isinstance(e, EstimatorConfig) else parse_estimator(e) for e in entries]
+    if not cfgs:
+        raise ConfigError("estimators must name at least one estimator")
+    for c in cfgs:
+        if c.kind == "harmonized" and c.initial in UNDEFINED_MODES.get(c.sigma_mode, ()):
+            need = "a bias direction" if c.sigma_mode == MODE_BD else "a covariance"
+            raise ConfigError(f"estimator {c.name!r}: sigma_mode {c.sigma_mode!r} needs "
+                              f"{need}, which initial {c.initial!r} never has")
     names = [c.name for c in cfgs]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
@@ -789,7 +800,8 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
         raise ConfigError("prevalence_mode must be 'replicate' or 'pool'")
     if min(n_control, n_experimental, n_ec) < 1 or reps < 2:
         raise ConfigError("resampling sizes and reps must be positive")
-    est_cfgs, _ = plan_estimators(estimators or DEFAULT_RESAMPLE_ESTIMATORS, BINARY)
+    est_cfgs, _ = plan_estimators(
+        DEFAULT_RESAMPLE_ESTIMATORS if estimators is None else estimators, BINARY)
     pools = load_resample_pools(trial_csv, ec_csv, schema or CsvSchema())
     check_fixed_sigmas(est_cfgs, pools.k)
     spike_amounts = None if spike is None else _spike_amounts(spike, pools.k)

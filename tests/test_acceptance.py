@@ -11,7 +11,6 @@ import pytest
 from subharm import (
     FULL,
     CsvSchema,
-    HarmonizationConfig,
     analyst1_posterior,
     analyst2_posterior,
     analytic_bias_variance,
@@ -30,6 +29,8 @@ from subharm import (
     run_monte_carlo,
     run_resampling,
     save_dataset,
+    shift_vector,
+    vd_sigma,
 )
 from subharm.cli import main as cli_main
 from subharm.data import CombinedDataset
@@ -71,7 +72,7 @@ def test_criterion_01_closed_form():
         sigma = random_pd(rng, k)
         for lam in (0.0, 0.1, 1.0, 10.0, 1e6, FULL):
             got = harmonize(external_estimate(theta), r, pi,
-                            HarmonizationConfig(lam=lam, sigma=sigma)).theta_k
+                            shift_vector(pi, sigma, lam)).theta_k
             if np.isinf(lam):
                 # constrained minimum via the KKT system
                 si = np.linalg.inv(sigma)
@@ -206,10 +207,9 @@ def test_criterion_04_cut_equivalence():
         p2 = analyst2_posterior(ds, phi2, flat_prior(2 * k, 1e12))
         cut = cut_distribution(p1, p2, dc.pi)
         m2, s2 = p2.block("theta")
-        vd = harmonize(external_estimate(m2, s2),
-                       float(p1.block("theta")[0][0]), dc.pi,
-                       HarmonizationConfig(lam=FULL, mode="vd",
-                                           sigma=None, direction=None))
+        initial = external_estimate(m2, s2)
+        vd = harmonize(initial, float(p1.block("theta")[0][0]), dc.pi,
+                       shift_vector(dc.pi, vd_sigma(initial)))
         worst_mean = max(worst_mean, float(np.abs(cut.mean - vd.theta_k).max()))
         _, vh = analytic_bias_variance(dc, np.zeros(k), s2, FULL, phi2)
         worst_var = max(worst_var, float(np.abs(cut.cov - vh).max()))

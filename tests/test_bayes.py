@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from subharm import (
-    FULL,
     CombinedDataset,
-    HarmonizationConfig,
     NormalPosterior,
     analyst1_posterior,
     analyst2_posterior,
@@ -16,6 +14,7 @@ from subharm import (
     flat_prior,
     harmonize,
     plug_in_distribution,
+    shift_vector,
 )
 from subharm.errors import SingularPrior
 
@@ -110,7 +109,7 @@ class TestCut:
             cut = cut_distribution(p1, p2, dc.pi)
             m2, s2 = p2.block("theta")
             vd = harmonize(external_estimate(m2, s2), float(p1.block("theta")[0][0]),
-                           dc.pi, HarmonizationConfig(lam=FULL, sigma=s2))
+                           dc.pi, shift_vector(dc.pi, s2))
             np.testing.assert_allclose(cut.mean, vd.theta_k, atol=1e-10)
 
     def test_matching_overall_variances_collapse_correction(self, rng):

@@ -512,6 +512,28 @@ class TestSettingsFailClosed:
                    estimators=["logistic_pooled", "logistic_rct", "logistic_pooled"])
         self.exits_2("resample", cfg, tmp_path, capsys, ["unique", "'logistic_pooled'"])
 
+    @pytest.mark.parametrize("mode,initial", [
+        ("vd", "diff_means_rct"), ("vd", "ols_rct"), ("vd", "oracle"),
+        ("bd", "diff_means_rct"), ("bd", "ols_rct"), ("bd", "oracle"), ("bd", "logistic_rct")])
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
+    def test_sigma_mode_undefined_for_the_initial(self, tmp_path, capsys, no_replicates,
+                                                  command, mode, initial):
+        # vd on diff_means_rct failed in every simulate replicate (exit 4), on
+        # ols_rct in estimate (exit 3); bd raised only inside a replicate
+        ests = [{"kind": "harmonized", "name": "h", "initial": initial, "sigma_mode": mode}]
+        cfg = dict(self.base(command, tmp_path), estimators=ests)
+        if command == "estimate":
+            cfg["intervals"] = ["rct_only"]  # valid on any pipeline
+        self.exits_2(command, cfg, tmp_path, capsys, ["'h'", repr(mode), repr(initial)])
+
+    @pytest.mark.parametrize("command,extra", [
+        ("estimate", {"intervals": ["rct_only"]}), ("simulate", {}), ("resample", {})])
+    def test_empty_estimators(self, tmp_path, capsys, no_replicates, command, extra):
+        # resample ran its four defaults while the manifest recorded [];
+        # simulate wrote a header-only report, estimate only the overall row
+        cfg = dict(self.base(command, tmp_path), estimators=[], **extra)
+        self.exits_2(command, cfg, tmp_path, capsys, ["estimators", "at least one"])
+
     @pytest.mark.parametrize("spike", ["abc", [0.1, 0.2], -0.1, [0.1, 0.1, float("nan"), 0.1]])
     def test_spike_checked_before_any_replicate(self, pools, tmp_path, capsys, monkeypatch,
                                                 spike):

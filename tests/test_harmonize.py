@@ -3,7 +3,6 @@ import pytest
 
 from subharm import (
     FULL,
-    HarmonizationConfig,
     analytic_bias_variance,
     bd_direction_glm,
     bd_direction_linear,
@@ -18,6 +17,7 @@ from subharm import (
     mse_difference,
     parse_lambda,
     rct_only_subgroups,
+    shift_vector,
     solve_sigma_from_b,
     vd_sigma,
 )
@@ -26,6 +26,7 @@ from subharm.errors import (
     DegenerateDirection,
     InconsistentDimensions,
     MissingCovariance,
+    NumericalError,
     SingularSigma,
 )
 from subharm.estimators import EffectEstimate
@@ -48,18 +49,18 @@ class TestClosedForm:
     def test_lambda_zero_identity(self, rng):
         theta = rng.normal(size=4)
         est = external_estimate(theta)
-        out = harmonize(est, 2.0, random_simplex(rng, 4),
-                        HarmonizationConfig(lam=0.0, sigma=random_pd(rng, 4)))
+        pi = random_simplex(rng, 4)
+        out = harmonize(est, 2.0, pi, shift_vector(pi, random_pd(rng, 4), 0.0))
         np.testing.assert_array_equal(out.theta_k, theta)
 
     def test_full_worked_example(self):
         est = external_estimate([1.0, 0.0])
-        out = harmonize(est, 1.0, [0.5, 0.5], HarmonizationConfig(lam=FULL))
+        out = harmonize(est, 1.0, [0.5, 0.5], shift_vector([0.5, 0.5]))
         np.testing.assert_allclose(out.theta_k, [1.5, 0.5], atol=1e-12)
 
     def test_lambda_one_worked_example(self):
         est = external_estimate([1.0, 0.0])
-        out = harmonize(est, 1.0, [0.5, 0.5], HarmonizationConfig(lam=1.0))
+        out = harmonize(est, 1.0, [0.5, 0.5], shift_vector([0.5, 0.5], lam=1.0))
         np.testing.assert_allclose(out.theta_k, [7 / 6, 1 / 6], atol=1e-12)
 
     def test_matches_objective_oracle(self, rng):
@@ -71,7 +72,7 @@ class TestClosedForm:
             sigma = random_pd(rng, k)
             lam = float(rng.choice([0.0, 0.1, 1.0, 10.0, 1e6]))
             got = harmonize(external_estimate(theta), r, pi,
-                            HarmonizationConfig(lam=lam, sigma=sigma)).theta_k
+                            shift_vector(pi, sigma, lam)).theta_k
             want = harmonize_objective_oracle(theta, r, pi, sigma, lam)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -87,7 +88,7 @@ class TestClosedForm:
             direct = np.linalg.solve(si + lam * np.outer(pi, pi),
                                      si @ theta + lam * r * pi)
             got = harmonize(external_estimate(theta), r, pi,
-                            HarmonizationConfig(lam=lam, sigma=sigma)).theta_k
+                            shift_vector(pi, sigma, lam)).theta_k
             np.testing.assert_allclose(got, direct, atol=1e-8)
 
     def test_large_lambda_approaches_full(self, rng):
@@ -95,9 +96,9 @@ class TestClosedForm:
         theta = rng.normal(size=k)
         pi = random_simplex(rng, k)
         near = harmonize(external_estimate(theta), 0.3, pi,
-                         HarmonizationConfig(lam=1e8)).theta_k
+                         shift_vector(pi, lam=1e8)).theta_k
         full = harmonize(external_estimate(theta), 0.3, pi,
-                         HarmonizationConfig(lam=FULL)).theta_k
+                         shift_vector(pi)).theta_k
         np.testing.assert_allclose(near, full, atol=1e-6)
 
     def test_full_constraint(self, rng):
@@ -107,20 +108,20 @@ class TestClosedForm:
             sigma = random_pd(rng, k)
             r = float(rng.normal())
             out = harmonize(external_estimate(rng.normal(size=k)), r, pi,
-                            HarmonizationConfig(lam=FULL, sigma=sigma)).theta_k
+                            shift_vector(pi, sigma)).theta_k
             assert abs(pi @ out - r) < 1e-10
 
     def test_affine_superposition(self, rng):
         k = 4
         pi = random_simplex(rng, k)
         sigma = random_pd(rng, k)
-        cfg = HarmonizationConfig(lam=2.5, sigma=sigma)
+        u = shift_vector(pi, sigma, 2.5)
         t1, t2 = rng.normal(size=k), rng.normal(size=k)
         r1, r2 = float(rng.normal()), float(rng.normal())
         a, b = 0.7, -1.3
-        lhs = harmonize(external_estimate(a * t1 + b * t2), a * r1 + b * r2, pi, cfg).theta_k
-        rhs = (a * harmonize(external_estimate(t1), r1, pi, cfg).theta_k
-               + b * harmonize(external_estimate(t2), r2, pi, cfg).theta_k)
+        lhs = harmonize(external_estimate(a * t1 + b * t2), a * r1 + b * r2, pi, u).theta_k
+        rhs = (a * harmonize(external_estimate(t1), r1, pi, u).theta_k
+               + b * harmonize(external_estimate(t2), r2, pi, u).theta_k)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_sigma_equivalence_at_full(self, rng):
@@ -132,9 +133,9 @@ class TestClosedForm:
         # different PD matrices whose product with pi is proportional to b
         theta = rng.normal(size=k)
         o1 = harmonize(external_estimate(theta), 0.4, pi,
-                       HarmonizationConfig(lam=FULL, sigma=s1)).theta_k
+                       shift_vector(pi, s1)).theta_k
         o2 = harmonize(external_estimate(theta), 0.4, pi,
-                       HarmonizationConfig(lam=FULL, sigma=s2)).theta_k
+                       shift_vector(pi, s2)).theta_k
         np.testing.assert_allclose(o1, o2, atol=1e-10)
 
     def test_direction_shortcut(self, rng):
@@ -143,22 +144,37 @@ class TestClosedForm:
         u = np.ones(k) / 1.0
         u = u / (pi @ u)
         theta = rng.normal(size=k)
-        out = harmonize(external_estimate(theta), 1.0, pi,
-                        HarmonizationConfig(lam=FULL, direction=u)).theta_k
+        out = harmonize(external_estimate(theta), 1.0, pi, u).theta_k
         assert abs(pi @ out - 1.0) < 1e-10
-        with pytest.raises(ConfigError):
-            HarmonizationConfig(lam=1.0, direction=u)
 
     def test_validation_errors(self, rng):
         est = external_estimate([1.0, 2.0])
         with pytest.raises(InconsistentDimensions):
-            harmonize(est, 0.0, [0.5, 0.3, 0.2], HarmonizationConfig())
+            harmonize(est, 0.0, [0.5, 0.3, 0.2], shift_vector([0.5, 0.3, 0.2]))
         with pytest.raises(SingularSigma):
             harmonize(est, 0.0, [0.5, 0.5],
-                      HarmonizationConfig(sigma=np.zeros((2, 2))))
+                      shift_vector([0.5, 0.5], np.zeros((2, 2))))
         with pytest.raises(SingularSigma):
             harmonize(est, 0.0, [0.5, 0.5],
-                      HarmonizationConfig(sigma=np.array([[1.0, 2.0], [0.0, 1.0]])))
+                      shift_vector([0.5, 0.5], np.array([[1.0, 2.0], [0.0, 1.0]])))
+
+    def test_rejects_invalid_shift_vector(self):
+        est, pi = external_estimate([1.0, 2.0]), [0.5, 0.5]
+        with pytest.raises(InconsistentDimensions):
+            harmonize(est, 0.0, pi, np.ones(3))
+        with pytest.raises(NumericalError):
+            harmonize(est, 0.0, pi, np.array([1.0, np.nan]))
+        with pytest.raises(NumericalError):
+            harmonize(est, 0.0, pi, np.array([np.inf, 1.0]))
+        with pytest.raises(ConfigError):
+            harmonize(est, 0.0, pi, np.array([2.0, 2.0]))
+        with pytest.raises(ConfigError):
+            harmonize(est, 0.0, pi, np.array([1.0, -1.5]))
+        with pytest.raises(ConfigError):
+            shift_vector(pi, lam=-1.0)
+        # both ends of [0, 1] are shifts some lambda gives
+        np.testing.assert_array_equal(harmonize(est, 0.0, pi, np.zeros(2)).theta_k, [1.0, 2.0])
+        np.testing.assert_array_equal(harmonize(est, 0.0, pi, np.ones(2)).theta_k, [-0.5, 0.5])
 
     def test_parse_lambda(self):
         assert parse_lambda("full") == FULL
@@ -173,9 +189,9 @@ class TestClosedForm:
         pi = random_simplex(rng, k)
         s = random_pd(rng, k + 1)
         est = external_estimate(rng.normal(size=k))
-        out0 = harmonize(est, 0.5, pi, HarmonizationConfig(lam=0.0), joint_cov=s)
+        out0 = harmonize(est, 0.5, pi, shift_vector(pi, lam=0.0), joint_cov=s)
         np.testing.assert_allclose(out0.covariance, s[:k, :k], atol=1e-12)
-        out = harmonize(est, 0.5, pi, HarmonizationConfig(lam=FULL), joint_cov=s)
+        out = harmonize(est, 0.5, pi, shift_vector(pi), joint_cov=s)
         sp = np.eye(k) @ pi  # identity sigma
         u = sp / (pi @ sp)
         p = np.c_[np.eye(k) - np.outer(u, pi), u]
@@ -389,5 +405,5 @@ class TestEndToEnd:
         dc = compute_design_counts(ds)
         initial = diff_means_pooled_subgroups(ds)
         overall = diff_means_overall(ds)
-        out = harmonize(initial, overall, dc.pi, HarmonizationConfig(lam=FULL))
+        out = harmonize(initial, overall, dc.pi, shift_vector(dc.pi))
         assert abs(dc.pi @ out.theta_k - overall) < 1e-10

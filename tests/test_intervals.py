@@ -3,7 +3,6 @@ import pytest
 
 from subharm import (
     FULL,
-    HarmonizationConfig,
     NormalPosterior,
     SimpleModelParams,
     analytic_interval,
@@ -14,6 +13,7 @@ from subharm import (
     diff_means_pooled_subgroups,
     harmonize,
     rct_only_interval,
+    shift_vector,
 )
 from subharm.errors import ConfigError, InsufficientData, NegativeVariance
 from subharm.estimators import EffectEstimate
@@ -21,13 +21,14 @@ from subharm.estimators import EffectEstimate
 from conftest import balanced_dataset, records_dataset
 
 
-def _bootstrap(ds, cfg, **kw):
-    """Bootstrap interval around the harmonized difference-of-means estimate
-    on the empirical design."""
+def _bootstrap(ds, **kw):
+    """Bootstrap interval around the fully harmonized difference-of-means
+    estimate (identity sigma) on the empirical design."""
     dc = compute_design_counts(ds)
+    u = shift_vector(dc.pi)
     point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds),
-                      dc.pi, cfg).theta_k
-    return bootstrap_interval(ds, dc, point, cfg, **kw)
+                      dc.pi, u).theta_k
+    return bootstrap_interval(ds, dc, point, u, **kw)
 
 
 class TestAnalytic:
@@ -102,15 +103,13 @@ class TestBootstrap:
         ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=7)
         params = SimpleModelParams(mu=np.zeros(2), theta=np.zeros(2),
                                    gamma=np.zeros(2), phi2=0.0)
-        iv = _bootstrap(ds, HarmonizationConfig(lam=FULL), r=200,
-                                seed=1, params=params)
+        iv = _bootstrap(ds, r=200, seed=1, params=params)
         np.testing.assert_allclose(iv.width, 0.0, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, seed=8)
-        cfg = HarmonizationConfig(lam=FULL)
-        iv1 = _bootstrap(ds, cfg, r=300, seed=9)
-        iv2 = _bootstrap(ds, cfg, r=300, seed=9)
+        iv1 = _bootstrap(ds, r=300, seed=9)
+        iv2 = _bootstrap(ds, r=300, seed=9)
         np.testing.assert_array_equal(iv1.lower, iv2.lower)
         np.testing.assert_array_equal(iv1.upper, iv2.upper)
 
@@ -118,9 +117,8 @@ class TestBootstrap:
         # fixed seed pair; nested replicate streams make the r=1000 run a
         # strict prefix of the r=4000 run
         ds = balanced_dataset(k=5, n_t=8, n_c=8, n_e=30, seed=9)
-        cfg = HarmonizationConfig(lam=FULL)
-        w1 = _bootstrap(ds, cfg, r=1000, seed=3).width
-        w2 = _bootstrap(ds, cfg, r=4000, seed=3).width
+        w1 = _bootstrap(ds, r=1000, seed=3).width
+        w2 = _bootstrap(ds, r=4000, seed=3).width
         assert np.all(np.abs(w1 / w2 - 1) < 0.05)
 
     def test_close_to_analytic_width(self):
@@ -131,8 +129,7 @@ class TestBootstrap:
         dc = compute_design_counts(ds)
         params = SimpleModelParams(mu=np.zeros(10), theta=np.zeros(10),
                                    gamma=np.ones(10), phi2=1.0)
-        cfg = HarmonizationConfig(lam=FULL)
-        iv = _bootstrap(ds, cfg, r=4000, seed=11, params=params)
+        iv = _bootstrap(ds, r=4000, seed=11, params=params)
         _, vh = analytic_bias_variance(dc, np.ones(10), np.eye(10), FULL, 1.0)
         ana_width = 2 * 1.959964 * np.sqrt(np.diag(vh))
         assert np.all(np.abs(iv.width / ana_width - 1) < 0.10)
@@ -144,19 +141,17 @@ class TestBootstrap:
         params = SimpleModelParams(mu=np.array([np.nan, 0.0]),
                                    theta=np.zeros(2), gamma=np.zeros(2), phi2=1.0)
         with pytest.raises(ReplicateFailure) as err:
-            _bootstrap(ds, HarmonizationConfig(lam=FULL), r=100,
-                               seed=2, params=params)
+            _bootstrap(ds, r=100, seed=2, params=params)
         assert err.value.replicate == 0
 
     def test_fewer_than_100_draws_is_a_config_error(self):
         ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=15)
         with pytest.raises(ConfigError, match="bootstrap_r >= 100"):
-            _bootstrap(ds, HarmonizationConfig(lam=FULL), r=99)
+            _bootstrap(ds, r=99)
 
     def test_centered_at_observed_estimate(self):
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, gamma=[1, 1], seed=12)
-        cfg = HarmonizationConfig(lam=FULL)
-        iv = _bootstrap(ds, cfg, r=500, seed=13)
+        iv = _bootstrap(ds, r=500, seed=13)
         np.testing.assert_allclose((iv.lower + iv.upper) / 2, iv.point, atol=1e-12)
 
 
@@ -185,9 +180,9 @@ class TestDispatcher:
         sigma = {"bd": solve_sigma_from_b(bd_direction_diff_means(dc), dc.pi),
                  "vd": vd_sigma(diff_means_pooled_subgroups(ds)),
                  "fixed": np.eye(4)}[mode]
-        hc = HarmonizationConfig(lam=cfg.lam, sigma=sigma)
+        u = shift_vector(dc.pi, sigma, cfg.lam)
         point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds), dc.pi,
-                          hc).theta_k
+                          u).theta_k
         target = partial(ctx.harmonized, cfg)
         got = interval("analytic", ds, dc, 0.05, phi2=1.3, target=target)
         want = analytic_interval(point, analytic_bias_variance(dc, np.zeros(4), sigma,
@@ -195,6 +190,6 @@ class TestDispatcher:
         np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
         np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)
         got = interval("bootstrap", ds, dc, 0.05, target=target, r=200, seed=4)
-        want = bootstrap_interval(ds, dc, point, hc, r=200, seed=4)
+        want = bootstrap_interval(ds, dc, point, u, r=200, seed=4)
         np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
         np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subharm import (
+    FULL,
     CombinedDataset,
     analyst1_posterior,
     analyst2_posterior,
@@ -19,6 +20,7 @@ from subharm import (
     flat_prior,
     ols_overall_effect,
     rct_only_subgroups,
+    shift_vector,
 )
 from subharm.estimators import _pooled_cell_variance
 from subharm.intervals import interval
@@ -55,6 +57,29 @@ def make_dataset(design, relabel=None):
     relabel = np.arange(k) if relabel is None else np.asarray(relabel)
     return CombinedDataset.from_arrays(y_rct=y_r, t_rct=t_r, w_rct=relabel[w_r],
                                        y_ec=y_e, w_ec=relabel[w_e], k=k)
+
+
+@st.composite
+def shifts(draw):
+    """(a positive-definite Sigma, prevalences on the simplex, lambda) with
+    K = 1..6 and lambda in [0, 1e12] or FULL."""
+    k = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.floats(-3, 3), min_size=k * k, max_size=k * k)))
+    sigma = a.reshape(k, k) @ a.reshape(k, k).T + draw(st.floats(0.01, 2)) * np.eye(k)
+    p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
+    lam = draw(st.one_of(st.floats(0, 1e12), st.just(FULL)))
+    return sigma, p / p.sum(), lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifts())
+def test_shift_vector_moves_the_weighted_average_by_its_share(shift):
+    sigma, pi, lam = shift
+    share = pi @ shift_vector(pi, sigma, lam)
+    if lam == FULL:
+        assert abs(share - 1.0) <= 1e-12
+    else:
+        assert np.isclose(share, lam / (lam + 1.0 / (pi @ sigma @ pi)), rtol=1e-12, atol=1e-15)
 
 
 def harmonized(mode, lam="full", sigma=None):
@@ -109,8 +134,9 @@ def test_cut_mean_equals_full_vd_harmonization(design):
     ds = make_dataset(design)
     dc = compute_design_counts(ds)
     ctx = _ReplicateContext(ds, dc)
-    vd, hc = ctx.harmonized(harmonized("vd"))
-    assert hc is ctx.harmonization(harmonized("vd")) and hc.mode == "vd"
+    vd, u = ctx.harmonized(harmonized("vd"))
+    shift, mode = ctx.shift(harmonized("vd"))
+    assert shift is u and mode == "vd"
     # near-flat priors, so the posteriors centre on the data estimates
     phi2 = _pooled_cell_variance(ds.cell_stats)
     p1 = analyst1_posterior(ds, phi2, flat_prior(2, 1e12))
