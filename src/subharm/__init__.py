@@ -36,7 +36,6 @@ from .estimators import (
     fit_propensity,
     logistic_marginal_effects,
     logistic_overall_effect,
-    ols_joint_covariance,
     ols_overall_effect,
     ols_subgroup_effects,
     oracle_subgroups,

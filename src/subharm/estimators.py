@@ -134,38 +134,12 @@ def _ols_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
     return EffectEstimate(fit.coefficients[ds.k:2 * ds.k])
 
 
-def ols_joint_covariance(ds: CombinedDataset, dispersion: float | None = None) -> np.ndarray:
-    """(K+1) x (K+1) covariance of the pooled subgroup OLS effects stacked
-    with the RCT-only overall OLS effect, computed from the two design
-    matrices and a common dispersion (pooled-fit estimate by default)."""
-    m1 = build_design(ds, MODEL_POOLED)
-    m0 = build_design(ds, MODEL_OVERALL)
-    y = np.concatenate([ds.y_rct, ds.y_ec])
-    if dispersion is None:
-        dispersion = fit_ols(m1, y).dispersion
-    a1 = np.linalg.inv(m1.values.T @ m1.values)
-    a0 = np.linalg.inv(m0.values.T @ m0.values)
-    idx, j = slice(ds.k, 2 * ds.k), OVERALL_TREATMENT
-    var_re = dispersion * a1[idx, idx]
-    var_r = dispersion * a0[j, j]
-    m1_rct = m1.values[:ds.n_rct]
-    cross = dispersion * (a1 @ (m1_rct.T @ m0.values) @ a0)[idx, j]
-    s = np.empty((ds.k + 1, ds.k + 1))
-    s[:ds.k, :ds.k] = var_re
-    s[:ds.k, ds.k] = cross
-    s[ds.k, :ds.k] = cross
-    s[ds.k, ds.k] = var_r
-    return s
-
-
 def rct_only_subgroups(ds: CombinedDataset, model: str = DIFF_MEANS) -> EffectEstimate:
     """Subgroup effects from RCT rows only."""
     if model == DIFF_MEANS:
         return _diff_means_rct_subgroups(ds)
     if model == OLS:
         return _ols_rct_subgroups(ds)
-    if model == "logistic":
-        return logistic_marginal_effects(ds, rct_only=True)
     raise ValueError(f"unknown RCT-only model {model!r}")
 
 

@@ -5,10 +5,10 @@ weighted logistic regression via iteratively reweighted least squares.
 only through three products: the linear predictor X b, the score X'r and
 the information X' diag(v) X. Each takes one vector or a stack of them (an
 m x p or m x n array) and gives every row of a stack the bits it would get
-alone, so `fit_logistic_irls` fits a stack of response vectors against one
-design in one loop. A `DesignMatrix` (or a raw array) forms the products
-densely; a `CellDesign` holds the pooled layout as each row's subgroup-by-
-arm cell and covariates, and forms them per cell.
+alone, so the limit map in `harmonize` refines a stack of refits in one
+pass. A `DesignMatrix` (or a raw array) forms the products densely; a
+`CellDesign` holds the pooled layout as each row's subgroup-by-arm cell
+and covariates, and forms them per cell.
 """
 
 from __future__ import annotations
@@ -127,15 +127,12 @@ class GlmFit:
 
     `information` is X'WX for logistic fits (Fisher information at the
     optimum) and X'WX / dispersion for least squares whenever the
-    dispersion is positive; exact fits keep the unscaled cross-product. A
-    stacked logistic fit holds one row of coefficients per response vector
-    and no information.
+    dispersion is positive; exact fits keep the unscaled cross-product.
     """
 
     coefficients: np.ndarray
-    information: np.ndarray | None
+    information: np.ndarray
     dispersion: float | None
-    converged: bool
     iterations: int
 
     @property
@@ -202,96 +199,71 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
     xtwx = xw.T @ xw
     information = xtwx / dispersion if dispersion and dispersion > 0 else xtwx
     return GlmFit(coefficients=coef, information=information,
-                  dispersion=dispersion, converged=True, iterations=1)
+                  dispersion=dispersion, iterations=1)
 
 
-def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # one value per row of lp; y may be fractional (binomial proportions);
-    # log(1 + e^lp) as the overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
+def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    # y may be fractional (binomial proportions); log(1 + e^lp) as the
+    # overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
     softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(lp, 0.0)
-    return np.sum(w * (y * lp - softplus), axis=-1)
+    return np.sum(w * (y * lp - softplus))
 
 
 def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndarray,
                       weights: np.ndarray | None = None, tol: float = 1e-10,
                       max_iter: int = 100,
-                      start: np.ndarray | None = None,
-                      allow_unconverged: bool = False) -> GlmFit:
+                      start: np.ndarray | None = None) -> GlmFit:
     """Weighted logistic regression by Fisher scoring with step halving.
 
     Convergence requires the weighted score's infinity norm to fall below
-    `tol`. Responses may be fractional in [0, 1] (proportion rows); each
-    row's log-likelihood contribution is multiplied by its weight. A
-    coefficient escaping the +/-30 cap on the logit scale with a
-    non-vanishing score raises SeparationDetected. Exhausting `max_iter`
-    raises NotConverged unless `allow_unconverged` asks for the partial fit
-    (flagged converged=False) instead.
-
-    An m x n `y` fits m response vectors against the one design, weights
-    and start. Each keeps its own score test, step halving, separation cap
-    and iteration budget, gets the same bits as its one-row fit, and leaves
-    the stack once it converges. The fit then holds m rows of coefficients,
-    no information, and the iterations of its slowest row. A 1-D `y` is
-    the one-row stack, and its fit carries the information at its
+    `tol`. Responses form one vector and may be fractional in [0, 1]
+    (proportion rows); each row's log-likelihood contribution is multiplied
+    by its weight. A coefficient escaping the +/-30 cap on the logit scale
+    with a non-vanishing score raises SeparationDetected, and exhausting
+    `max_iter` raises NotConverged. The fit carries the information at its
     coefficients.
     """
     x = design if isinstance(design, (DesignMatrix, CellDesign)) \
         else DesignMatrix(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("logistic responses must be one vector")
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("logistic responses must be numbers in [0, 1]")
-    w = np.ones(y.shape[-1]) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError("weights must be finite and non-negative")
-    p = x.shape[1]
-    coef = np.zeros(p) if start is None else np.array(start, dtype=float)
-    stack = y.ndim == 2
-    if stack:
-        coef = np.tile(coef, (len(y), 1))
-        fitted, rows = coef.copy(), np.arange(len(y))  # rows: those still fitting
+    coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
     lp = x.linear_predictor(coef)
     ll = _loglik(lp, y, w)
     for it in range(max_iter + 1):
         mu = expit(lp)
         score = x.score(w * (y - mu))
-        big = np.abs(score).max(axis=-1)
-        done = big < tol
-        if done.all() if stack else done:
+        big = np.abs(score).max()
+        if big < tol:
             break
-        if stack and done.any():
-            fitted[rows[done]] = coef[done]
-            rows, coef, lp, ll, y, mu, score, big = (
-                a[~done] for a in (rows, coef, lp, ll, y, mu, score, big))
         if it and np.abs(coef).max() > SEPARATION_CAP:  # a start may lie past the cap
             raise SeparationDetected(
                 f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
-                f"{np.max(big):.3g}; data look separated")
+                f"{big:.3g}; data look separated")
         if it == max_iter:
-            if not allow_unconverged:
-                raise NotConverged(
-                    f"IRLS did not reach tol={tol} in {max_iter} iterations "
-                    f"(score {np.max(big):.3g})")
-            break
+            raise NotConverged(
+                f"IRLS did not reach tol={tol} in {max_iter} iterations (score {big:.3g})")
         try:
-            delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score[..., None])[..., 0]
+            delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score[:, None])[:, 0]
         except np.linalg.LinAlgError:
             raise RankDeficient("singular weighted information matrix") from None
         cand = coef + delta
         lp_c = x.linear_predictor(cand)
         ll_c = _loglik(lp_c, y, w)
         # the log-likelihood's rounding noise grows with its magnitude
-        floor = ll - 1e-12 * np.maximum(1.0, abs(ll))
-        halve, step, halvings = ll_c < floor, 1.0, 0
-        while (halve.any() if stack else halve) and halvings < 20:
-            # rows that took their step keep it and get the same bits again
-            step = np.where(halve, 0.5 * step, step)
+        floor = ll - 1e-12 * max(1.0, abs(ll))
+        step, halvings = 1.0, 0
+        while ll_c < floor and halvings < 20:
+            step *= 0.5
             halvings += 1
-            cand = coef + step[..., None] * delta
+            cand = coef + step * delta
             lp_c = x.linear_predictor(cand)
             ll_c = _loglik(lp_c, y, w)
-            halve = ll_c < floor
         coef, lp, ll = cand, lp_c, ll_c
-    if stack:
-        fitted[rows] = coef
-        return GlmFit(fitted, None, None, bool(done.all()), it)
-    return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, bool(done), it)
+    return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, it)

@@ -2,9 +2,12 @@
 agreement with the trial-only overall estimate, its closed form, selection
 of the shift direction (bias-directed and variance-directed), exact
 bias/variance under the stylized design, and the finite-difference
-machinery for bias-directed harmonization of logistic pipelines: the 2K
-refits of the limit map run as stacked IRLS fits on one design, at most
-`STACK_ELEMENTS` response elements per stack.
+machinery for bias-directed harmonization of logistic pipelines. Each of
+the limit map's 2K refits starts at its first-order (implicit-function)
+prediction and is refined by chord steps with the anchor's information,
+inverted once; the refits run in passes of at most `STACK_ELEMENTS`
+response elements, and one the chord steps do not converge is refit by
+IRLS (`limit_map_theta`).
 
 Harmonizing a subgroup vector t with an overall estimate r solves
 
@@ -48,12 +51,18 @@ from .glm import (
 )
 
 FULL = float("inf")
-# The most response elements (refits x pseudo-rows) in one stacked IRLS fit
-# of the limit map. Measured on a 2-vCPU Xeon: one stack of fig5's 10
-# refits (1,800 rows) takes half the time of one refit at a time; the 16
-# refits of an 18,000-row design take the same time in stacks of 3 as one
-# at a time, but 25% longer and 5 MB more memory in stacks of 7.
+# The most response elements (refits x pseudo-rows) in one chord pass of
+# the limit map: fig5's 10 refits (1,800 pseudo-rows) share one pass, and
+# an 18,000-row design takes its 16 refits 3 at a time. Measured on a
+# 2-vCPU Xeon, one pass of all 16 raised the peak RSS of the benchmark's
+# `estimate` call from 113 to 115 MB.
 STACK_ELEMENTS = 1 << 16
+# Chord steps per refit: at least MIN_CHORD_STEPS, since one step from the
+# prediction leaves an O(fd_step^2)-relative error that the finite
+# difference divides by fd_step; a refit not converged after
+# MAX_CHORD_STEPS is refit by IRLS.
+MIN_CHORD_STEPS, MAX_CHORD_STEPS = 2, 8
+LIMIT_MAP_TOL = 1e-10  # IRLS's score test, for the chord steps too
 
 
 def parse_lambda(value) -> float:
@@ -104,7 +113,7 @@ class _SigmaShift:
         self.c = 1.0 / float(prevalences @ self.sp)
 
     def u(self, lam: float) -> np.ndarray:
-        s = self.c if math.isinf(lam) else self.c * lam / (lam + self.c)
+        s = self.c if math.isinf(lam) else self.c * (lam / (lam + self.c))
         return s * self.sp
 
 
@@ -123,8 +132,7 @@ def shift_vector(prevalences, sigma=None, lam: float = FULL) -> np.ndarray:
     return sigma.u(lam)
 
 
-def harmonize(initial: EffectEstimate, overall: float, prevalences, u,
-              joint_cov: np.ndarray | None = None) -> EffectEstimate:
+def harmonize(initial: EffectEstimate, overall: float, prevalences, u) -> EffectEstimate:
     """Shift the initial subgroup estimates t along the shift vector u
     toward agreement between their prevalence-weighted average and the
     overall estimate r: v = t + (r - pi't) u.
@@ -133,9 +141,6 @@ def harmonize(initial: EffectEstimate, overall: float, prevalences, u,
     r exactly) or is a bias direction with pi'u = 1 (`bd_direction_*`). A u
     that is not a finite K-vector is rejected, and so is one with pi'u
     outside [0, 1], which no positive-definite Sigma and lam >= 0 gives.
-    When `joint_cov` (the (K+1) x (K+1) covariance of the stacked initial
-    and overall estimates) is supplied, the output carries the induced
-    covariance P S P'.
     """
     theta = np.asarray(initial.theta_k, dtype=float)
     pi = np.asarray(prevalences, dtype=float)
@@ -151,18 +156,7 @@ def harmonize(initial: EffectEstimate, overall: float, prevalences, u,
         raise NumericalError("shift vector is not finite")
     if not -1e-10 <= share <= 1.0 + 1e-10:
         raise ConfigError(f"shift vector needs pi'u in [0, 1], got {share:.6g}")
-    out = theta + (float(overall) - pi @ theta) * u
-    cov = None
-    if joint_cov is not None:
-        s = np.asarray(joint_cov, dtype=float)
-        if s.shape != (k + 1, k + 1):
-            raise InconsistentDimensions("joint covariance must be (K+1) x (K+1)")
-        p = np.empty((k, k + 1))
-        p[:, :k] = np.eye(k) - np.outer(u, pi)
-        p[:, k] = u
-        cov = p @ s @ p.T
-        cov = 0.5 * (cov + cov.T)
-    return EffectEstimate(out, cov)
+    return EffectEstimate(theta + (float(overall) - pi @ theta) * u)
 
 
 def harmonize_objective_oracle(theta, overall: float, prevalences, sigma,
@@ -266,14 +260,16 @@ class LimitMapSpec:
     from the trial-only anchor fit; each EC patient contributes its
     analysis weight with expected response from the anchor shifted by the
     subgroup's distortion. `design` holds the pseudo rows (control copies,
-    treated copies, EC rows) in the pooled cell layout, and `weights` follow
-    its row order.
+    treated copies, EC rows) in the pooled cell layout; `weights` and the
+    undistorted `response` follow its row order, and `ec_rows` are the EC
+    rows' positions in it.
     """
 
     anchor: np.ndarray
     design: CellDesign
     weights: np.ndarray
-    response_rct: np.ndarray
+    response: np.ndarray
+    ec_rows: np.ndarray
     lp_ec_base: np.ndarray
     w_ec: np.ndarray
     w_rct: np.ndarray
@@ -282,7 +278,7 @@ class LimitMapSpec:
     pi: np.ndarray
 
     def __post_init__(self):
-        for a in (self.anchor, self.weights, self.response_rct,
+        for a in (self.anchor, self.weights, self.response, self.ec_rows,
                   self.lp_ec_base, self.w_ec, self.w_rct, self.x_rct, self.pi):
             a.setflags(write=False)
 
@@ -299,64 +295,111 @@ def build_limit_map_spec(ds: CombinedDataset,
     xb_r = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
     design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
                         np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), k)
-    response_rct = np.concatenate([
+    lp_ec_base = np.asarray(nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0), float)
+    response = np.concatenate([
         expit(nu[ds.w_rct] + xb_r),
         expit(nu[ds.w_rct] + eta[ds.w_rct] + xb_r),
-    ])
+        expit(lp_ec_base),
+    ])[design.order]
     w_ec_vec = np.ones(ds.n_ec) if ec_weight_vector is None else np.asarray(ec_weight_vector, float)
     weights = np.concatenate([
         np.full(ds.n_rct, 1.0 - p_treat),
         np.full(ds.n_rct, p_treat),
         w_ec_vec,
     ])[design.order]
-    lp_ec_base = nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
     return LimitMapSpec(
         anchor=fit.coefficients.copy(), design=design, weights=weights,
-        response_rct=response_rct, lp_ec_base=np.asarray(lp_ec_base, float),
-        w_ec=ds.w_ec.copy(), w_rct=ds.w_rct.copy(), x_rct=ds.x_rct.copy(),
-        k=k, pi=pi,
+        response=response, ec_rows=np.argsort(design.order)[2 * ds.n_rct:],
+        lp_ec_base=lp_ec_base, w_ec=ds.w_ec.copy(), w_rct=ds.w_rct.copy(),
+        x_rct=ds.x_rct.copy(), k=k, pi=pi,
     )
+
+
+def _marginalize(spec: LimitMapSpec, coef: np.ndarray) -> np.ndarray:
+    k = spec.k
+    return marginal_effects(spec.w_rct, spec.x_rct, coef[..., :k], coef[..., k:2 * k],
+                            coef[..., 2 * k:])
 
 
 def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     """Marginalized subgroup effects at the maximizer of the expected
-    weighted working-model log-likelihood under distortion `delta`, or one
-    row of them per row of an m x K stack of distortions.
-
-    The stack's refits share the spec's design, weights and anchor start,
-    so they run as stacked IRLS fits of up to `STACK_ELEMENTS` response
-    elements each, and are marginalized together.
-    """
+    weighted working-model log-likelihood under the distortion K-vector
+    `delta`, fitted by IRLS from the anchor."""
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim not in (1, 2) or delta.shape[-1] != spec.k:
+    if delta.shape != (spec.k,):
         raise InconsistentDimensions(f"delta must have length {spec.k}")
-    deltas = np.atleast_2d(delta)
-    size = max(1, STACK_ELEMENTS // spec.design.shape[0])
-    coef = []
-    for part in np.split(deltas, range(size, len(deltas), size)):
-        y = np.hstack([np.tile(spec.response_rct, (len(part), 1)),
-                       expit(spec.lp_ec_base + part[:, spec.w_ec])])[:, spec.design.order]
-        coef.append(fit_logistic_irls(spec.design, y, weights=spec.weights, start=spec.anchor,
-                                      tol=1e-10, max_iter=200).coefficients)
-    coef, k = np.vstack(coef), spec.k
-    theta = marginal_effects(spec.w_rct, spec.x_rct, coef[:, :k], coef[:, k:2 * k],
-                             coef[:, 2 * k:])
-    return theta if delta.ndim == 2 else theta[0]
+    y = spec.response.copy()
+    y[spec.ec_rows] = expit(spec.lp_ec_base + delta[spec.w_ec])
+    coef = fit_logistic_irls(spec.design, y, weights=spec.weights, start=spec.anchor,
+                             tol=LIMIT_MAP_TOL, max_iter=200).coefficients
+    return _marginalize(spec, coef)
+
+
+def _implicit_jacobian(spec: LimitMapSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of the information H at the anchor, and J = H^-1 S,
+    whose column j is the move of the limit map's maximizer per unit of
+    delta_j at zero distortion (implicit function theorem). S_j, the
+    score's derivative in delta_j, is the score of w p(1-p) on subgroup
+    j's EC rows. Raises LinAlgError when H is singular."""
+    p = spec.response
+    v = spec.weights * p * (1.0 - p)
+    h_inv = np.linalg.inv(spec.design.information(v))
+    masked = np.zeros((spec.k, len(p)))
+    masked[spec.w_ec, spec.ec_rows] = v[spec.ec_rows]
+    return h_inv, h_inv @ spec.design.score(masked).T
+
+
+def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
+    """The distortion sensitivity B by central finite differences of the
+    limit map at zero distortion.
+
+    The refit at +/- fd_step e_j starts at its first-order prediction
+    anchor +/- fd_step J_j and takes chord steps coef += H^-1 score, with
+    the one H^-1 of `_implicit_jacobian`, in passes of at most
+    `STACK_ELEMENTS` response elements. A refit the chord steps do not
+    converge is refit by `limit_map_theta`.
+    """
+    k, design, w, p = spec.k, spec.design, spec.weights, spec.response
+    e = np.eye(k) * fd_step
+    deltas = np.vstack([e, -e])
+    coef = np.full((2 * k, design.shape[1]), np.nan)
+    size = max(1, STACK_ELEMENTS // len(p))
+    try:
+        h_inv, jac = _implicit_jacobian(spec)
+        passes = np.split(np.arange(2 * k), range(size, 2 * k, size))
+    except np.linalg.LinAlgError:  # every refit takes the fallback
+        passes = []
+    groups = [np.flatnonzero(spec.w_ec == j) for j in range(k)]
+    for refits in passes:
+        subgroup = refits % k
+        delta = deltas[refits, subgroup]
+        y = np.tile(p, (len(refits), 1))
+        for row, j, d in zip(y, subgroup, delta):
+            row[spec.ec_rows[groups[j]]] = expit(spec.lp_ec_base[groups[j]] + d)
+        c = spec.anchor + delta[:, None] * jac[:, subgroup].T
+        for it in range(MAX_CHORD_STEPS + 1):
+            score = design.score(w * (y - expit(design.linear_predictor(c))))
+            done = np.abs(score).max(axis=1) < LIMIT_MAP_TOL
+            if it == MAX_CHORD_STEPS or it >= MIN_CHORD_STEPS and done.all():
+                break
+            c = c + score @ h_inv
+        if it >= MIN_CHORD_STEPS:
+            coef[refits[done]] = c[done]
+    theta = _marginalize(spec, coef)
+    for i in np.flatnonzero(np.isnan(coef).any(axis=1)):
+        theta[i] = limit_map_theta(spec, deltas[i])
+    return (theta[:k] - theta[k:]).T / (2 * fd_step)
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
                      ) -> tuple[BiasModel, np.ndarray]:
     """Estimate the distortion sensitivity by central finite differences of
-    the limit map at zero distortion, and derive the unit shift direction.
-    The 2K distortions +/- fd_step e_j go to the limit map as one stack."""
-    k = spec.k
-    e = np.eye(k) * fd_step
-    theta = limit_map_theta(spec, np.vstack([e, -e]))
-    big_b = (theta[:k] - theta[k:]).T / (2 * fd_step)
-    b = big_b @ np.ones(k)
-    model = BiasModel(B=big_b, b=b)
+    the limit map at zero distortion (`_fd_sensitivity`), and derive the
+    unit shift direction."""
+    big_b = _fd_sensitivity(spec, fd_step)
+    model = BiasModel(B=big_b, b=big_b @ np.ones(spec.k))
     return model, model.direction(spec.pi)
 
 

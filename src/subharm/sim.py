@@ -53,7 +53,6 @@ from .estimators import (
     ols_subgroup_effects,
     oracle_subgroups,
     rct_only_subgroups,
-    weighted_logistic_effects,
 )
 from .glm import GlmFit
 from .harmonize import (
@@ -335,7 +334,8 @@ class _ReplicateContext:
         if kind == "logistic_pooled":
             return logistic_marginal_effects(ds)
         if kind == "logistic_ipw":
-            return weighted_logistic_effects(ds)
+            w = np.concatenate([np.ones(ds.n_rct), self.ipw_weights()])
+            return logistic_marginal_effects(ds, weights=w)
         if kind == "logistic_rct":
             return logistic_marginal_effects(ds, rct_only=True, fit=self.trial_logistic_fit())
         if kind in ("diff_means_rct", "ols_rct"):
@@ -347,6 +347,11 @@ class _ReplicateContext:
         logistic overall effect and every limit map's anchor."""
         return self._cached("trial_logistic_fit",
                             lambda: _pooled_logistic_fit(self.ds, None, rct_only=True))
+
+    def ipw_weights(self) -> np.ndarray:
+        """The EC records' propensity weights, shared by the logistic_ipw
+        estimate and its limit map."""
+        return self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
 
     def overall(self, kind: str) -> float:
         fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
@@ -365,8 +370,7 @@ class _ReplicateContext:
             return bd_direction_diff_means(self.dc)
         if initial_kind == "ols_pooled":
             return bd_direction_linear(self.ds, pi)[1]
-        w = (self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
-             if initial_kind == "logistic_ipw" else None)
+        w = self.ipw_weights() if initial_kind == "logistic_ipw" else None
         spec = build_limit_map_spec(self.ds, w, pi, self.trial_logistic_fit())
         return bd_direction_glm(spec)[1]
 

@@ -136,6 +136,16 @@ class TestSimulate:
             "reps": 4, "out_dir": str(tmp_path / "o")})
         assert run_cli("simulate", "--config", cfg) == 0
 
+    def test_huge_finite_lambda(self, tmp_path):
+        # c * lam overflowed to inf for lam near the largest double
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--preset", "fig1-s2", "--reps", "3", "--lambda", "1e308",
+                       "--sigma-mode", "identity", "--out-dir", str(out)) == 0
+        rows = [r for r in read_rows(out / "report.csv") if "lam=1e+308" in r["estimator"]]
+        assert [r["value"] for r in rows if r["metric"] == "n_used"] == ["3"]
+        values = [float(r["value"]) for r in rows if r["metric"] != "n_used"]
+        assert len(values) == 30 and np.all(np.isfinite(values))
+
     def test_missing_scenario_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"reps": 2,
                                                  "out_dir": str(tmp_path / "o")})

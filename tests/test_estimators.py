@@ -73,7 +73,7 @@ class TestRctOnly:
         ds = records_dataset(
             [(1, 1, 1), (1, 1, 1), (1, 1, 1), (0, 1, 1),
              (1, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1)], [], k=1, family="binary")
-        est = rct_only_subgroups(ds, "logistic")
+        est = logistic_marginal_effects(ds, rct_only=True)
         assert est.theta_k[0] == pytest.approx(0.75 - 0.25, abs=1e-8)
 
 
@@ -126,33 +126,6 @@ class TestOls:
         mc_se = errs.std(axis=0, ddof=1) / np.sqrt(reps)
         pred = bm.B @ gamma
         assert np.all(np.abs(mean_err - pred) < 6 * mc_se + 0.05)
-
-
-class TestJointCovariance:
-    def test_matches_monte_carlo(self):
-        # fixed design: the joint covariance of the pooled-subgroup and
-        # trial-only overall OLS effects is exact; check against replicates
-        from subharm import ols_joint_covariance
-
-        template = balanced_dataset(k=2, n_t=15, n_c=15, n_e=30, d=1,
-                                    beta=(0.5,), x_mean_ec=1.0, seed=40)
-        s = ols_joint_covariance(template, dispersion=1.0)
-        rng = np.random.default_rng(41)
-        reps = 1500
-        draws = np.empty((reps, 3))
-        mean_r = 0.5 * template.x_rct[:, 0]
-        mean_e = 0.5 * template.x_ec[:, 0]
-        for r in range(reps):
-            ds = CombinedDataset.from_arrays(
-                y_rct=mean_r + rng.normal(0, 1, template.n_rct),
-                t_rct=template.t_rct, w_rct=template.w_rct,
-                y_ec=mean_e + rng.normal(0, 1, template.n_ec),
-                w_ec=template.w_ec, k=2,
-                x_rct=template.x_rct, x_ec=template.x_ec)
-            draws[r, :2] = ols_subgroup_effects(ds).theta_k
-            draws[r, 2] = ols_overall_effect(ds)
-        emp = np.cov(draws.T)
-        assert np.all(np.abs(emp - s) < 0.12 * np.abs(s).max())
 
 
 class TestLogisticMarginal:
@@ -270,7 +243,7 @@ class TestWeightedLogistic:
                               family="binary", seed=10)
         w = np.r_[np.ones(ds.n_rct), np.zeros(ds.n_ec)]
         a = logistic_marginal_effects(ds, weights=w).theta_k
-        b = rct_only_subgroups(ds, "logistic").theta_k
+        b = logistic_marginal_effects(ds, rct_only=True).theta_k
         np.testing.assert_allclose(a, b, atol=1e-6)
 
 

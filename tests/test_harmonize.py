@@ -14,9 +14,9 @@ from subharm import (
     harmonize,
     harmonize_objective_oracle,
     limit_map_theta,
+    logistic_marginal_effects,
     mse_difference,
     parse_lambda,
-    rct_only_subgroups,
     shift_vector,
     solve_sigma_from_b,
     vd_sigma,
@@ -184,19 +184,6 @@ class TestClosedForm:
         with pytest.raises(ConfigError):
             parse_lambda("big")
 
-    def test_joint_covariance_propagates(self, rng):
-        k = 3
-        pi = random_simplex(rng, k)
-        s = random_pd(rng, k + 1)
-        est = external_estimate(rng.normal(size=k))
-        out0 = harmonize(est, 0.5, pi, shift_vector(pi, lam=0.0), joint_cov=s)
-        np.testing.assert_allclose(out0.covariance, s[:k, :k], atol=1e-12)
-        out = harmonize(est, 0.5, pi, shift_vector(pi), joint_cov=s)
-        sp = np.eye(k) @ pi  # identity sigma
-        u = sp / (pi @ sp)
-        p = np.c_[np.eye(k) - np.outer(u, pi), u]
-        np.testing.assert_allclose(out.covariance, p @ s @ p.T, atol=1e-10)
-
 
 class TestBiasDirection:
     def test_linear_no_covariates_reduces_to_ratios(self):
@@ -263,7 +250,7 @@ def fig1_counts():
 class TestLimitMap:
     def test_zero_distortion_returns_anchor(self, fig5_like):
         spec = build_limit_map_spec(fig5_like)
-        anchor = rct_only_subgroups(fig5_like, "logistic").theta_k
+        anchor = logistic_marginal_effects(fig5_like, rct_only=True).theta_k
         np.testing.assert_allclose(limit_map_theta(spec, np.zeros(3)), anchor,
                                    atol=1e-8)
 
@@ -296,7 +283,7 @@ class TestLimitMap:
         spec = build_limit_map_spec(ds)
         bm, u = bd_direction_glm(spec)
         from scipy.special import expit
-        fit = rct_only_subgroups(ds, "logistic")
+        fit = logistic_marginal_effects(ds, rct_only=True)
         # saturated case: only the same-subgroup control rate moves
         dc = compute_design_counts(ds)
         nu = np.array([np.log(ds.y_rct[ds.rct_mask(j, 0)].mean()

@@ -62,12 +62,12 @@ def make_dataset(design, relabel=None):
 @st.composite
 def shifts(draw):
     """(a positive-definite Sigma, prevalences on the simplex, lambda) with
-    K = 1..6 and lambda in [0, 1e12] or FULL."""
+    K = 1..6 and lambda in [0, 1e300] or FULL."""
     k = draw(st.integers(1, 6))
     a = np.array(draw(st.lists(st.floats(-3, 3), min_size=k * k, max_size=k * k)))
     sigma = a.reshape(k, k) @ a.reshape(k, k).T + draw(st.floats(0.01, 2)) * np.eye(k)
     p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
-    lam = draw(st.one_of(st.floats(0, 1e12), st.just(FULL)))
+    lam = draw(st.one_of(st.floats(0, 1e300), st.just(FULL)))
     return sigma, p / p.sum(), lam
 
 

@@ -355,49 +355,66 @@ class TestSigmaWorkPerReplicate:
 
 class TestTrialFitPerReplicate:
     @staticmethod
-    def _fit_rows(monkeypatch):
-        """The design rows of every logistic fit, in call order."""
+    def _fits(monkeypatch):
+        """(design rows, response dimensions) of every logistic fit, in
+        call order."""
         import importlib
 
-        rows = []
+        fits = []
         for name in ("subharm.estimators", "subharm.harmonize"):
             module = importlib.import_module(name)
             original = module.fit_logistic_irls
 
-            def counted(design, *args, _original=original, **kwargs):
-                rows.append(getattr(design, "values", design).shape[0])
-                return _original(design, *args, **kwargs)
+            def counted(design, y, *args, _original=original, **kwargs):
+                fits.append((getattr(design, "values", design).shape[0], np.ndim(y)))
+                return _original(design, y, *args, **kwargs)
 
             monkeypatch.setattr(module, "fit_logistic_irls", counted)
-        return rows
+        return fits
 
     def test_one_trial_only_logistic_fit_per_replicate(self, monkeypatch):
         # logistic_rct, the logistic overall effect and both limit maps'
         # anchors share one trial-only fit
         spec = load_preset("fig5")
         n_rct = generate_scenario(spec, 3).n_rct
-        rows = self._fit_rows(monkeypatch)
+        fits = self._fits(monkeypatch)
         ests = ["logistic_rct", "logistic_pooled", "logistic_ipw"] + [
             {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
              "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
             for initial in ("logistic_pooled", "logistic_ipw")]
         report = run_monte_carlo(spec, ests, reps=2, seed=3)
         assert not report.failures
-        assert rows.count(n_rct) == 2
+        assert [rows for rows, _ in fits].count(n_rct) == 2
 
-    def test_three_fits_per_fig5_bd_replicate(self, monkeypatch):
-        # the pooled fit, the trial-only fit and one stacked fit of the
-        # limit map's 2K refits
+    def test_two_fits_per_fig5_bd_replicate(self, monkeypatch):
+        # the pooled fit and the trial-only fit; the limit map's 2K refits
+        # take chord steps and fit nothing by IRLS
         spec = load_preset("fig5")
         ds = generate_scenario(spec, 3)
-        rows = self._fit_rows(monkeypatch)
+        fits = self._fits(monkeypatch)
         ests = ["logistic_pooled", {"kind": "harmonized", "initial": "logistic_pooled",
                                     "overall": "logistic", "lambda": "full",
                                     "sigma_mode": "bd"}]
         report = run_monte_carlo(spec, ests, reps=2, seed=3)
         assert not report.failures
-        assert sorted(rows) == sorted(2 * [ds.n_rct, ds.n_rct + ds.n_ec,
-                                           2 * ds.n_rct + ds.n_ec])
+        assert sorted(fits) == sorted(2 * [(ds.n_rct, 1), (ds.n_rct + ds.n_ec, 1)])
+
+    def test_one_propensity_fit_per_replicate(self, monkeypatch):
+        # the logistic_ipw estimate and its limit map share one fit
+        import subharm.estimators
+        import subharm.sim
+
+        calls = []
+        fit = subharm.estimators.fit_propensity
+        for module in (subharm.estimators, subharm.sim):
+            monkeypatch.setattr(module, "fit_propensity",
+                                lambda ds: calls.append(ds) or fit(ds))
+        ests = ["logistic_ipw", {"kind": "harmonized", "initial": "logistic_ipw",
+                                 "overall": "logistic", "lambda": "full",
+                                 "sigma_mode": "bd"}]
+        report = run_monte_carlo(load_preset("fig5"), ests, reps=3, seed=3)
+        assert not report.failures
+        assert len(calls) == 3
 
 
 class TestSpike:
