@@ -7,6 +7,12 @@ ignores the primary analyst's uncertainty.
 The cut mean reproduces full variance-directed harmonization exactly; the
 cut covariance inherits the primary analyst's uncertainty along the
 prevalence direction.
+
+Under `flat_prior` the subgroup analyst's posterior precision is
+block-diagonal in per-subgroup 2x2 [mu_k, theta_k] blocks, so `flat_cut`
+gives the cut in closed form from the cell sums, without the 2K x 2K
+inversions of the general route (`analyst1_posterior`, `analyst2_posterior`,
+`cut_distribution`), which stays as its oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTROL, TREATED, CombinedDataset
+from .data import CONTROL, EC_CONTROL, TREATED, CombinedDataset
 from .errors import SingularPosterior, SingularPrior
 
 
@@ -40,7 +46,10 @@ class NormalPosterior:
         return self.mean[idx], self.cov[np.ix_(idx, idx)]
 
 
-def flat_prior(dim: int, variance: float = 1e4) -> NormalPosterior:
+FLAT_PRIOR_VARIANCE = 1e4
+
+
+def flat_prior(dim: int, variance: float = FLAT_PRIOR_VARIANCE) -> NormalPosterior:
     """A proper, nearly flat normal prior (zero mean, large diagonal)."""
     return NormalPosterior(np.zeros(dim), variance * np.eye(dim),
                            tuple(f"p[{i}]" for i in range(dim)))
@@ -98,23 +107,29 @@ def analyst2_posterior(ds: CombinedDataset, phi2: float,
     return _conjugate_update(xtx, xty, phi2, prior.mean, prior.cov, labels)
 
 
-def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,
-                     prevalences) -> NormalPosterior:
-    """Mix the subgroup analyst's conditional (given the overall effect)
-    over the primary analyst's posterior for that overall effect."""
-    pi = np.asarray(prevalences, dtype=float)
-    m1, v1 = p1.block("theta")
-    m1, v1 = float(m1[0]), float(v1[0, 0])
-    m2, s2 = p2.block("theta")
-    sp = s2 @ pi
+def _mix_over_overall(m2: np.ndarray, s2: np.ndarray, sp: np.ndarray, pi: np.ndarray,
+                      m1: float, v1: float) -> NormalPosterior:
+    """The subgroup posterior N(m2, s2) of theta, with sp = s2 pi,
+    conditioned on pi'theta and mixed over pi'theta ~ N(m1, v1); v1 = 0
+    conditions on pi'theta = m1."""
     v_theta2 = float(pi @ sp)
-    if v_theta2 <= 0:
+    if not v_theta2 > 0:
         raise SingularPosterior("subgroup posterior is degenerate along the prevalences")
     mean = m2 + sp / v_theta2 * (m1 - float(pi @ m2))
     cov = s2 + (v1 - v_theta2) / v_theta2 ** 2 * np.outer(sp, sp)
     cov = 0.5 * (cov + cov.T)
     labels = tuple(f"theta[{i + 1}]" for i in range(len(pi)))
     return NormalPosterior(mean, cov, labels)
+
+
+def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,
+                     prevalences) -> NormalPosterior:
+    """Mix the subgroup analyst's conditional (given the overall effect)
+    over the primary analyst's posterior for that overall effect."""
+    pi = np.asarray(prevalences, dtype=float)
+    m1, v1 = p1.block("theta")
+    m2, s2 = p2.block("theta")
+    return _mix_over_overall(m2, s2, s2 @ pi, pi, float(m1[0]), float(v1[0, 0]))
 
 
 def plug_in_distribution(p2: NormalPosterior, prevalences,
@@ -124,12 +139,36 @@ def plug_in_distribution(p2: NormalPosterior, prevalences,
     hyperplane, so the covariance is degenerate along the prevalences."""
     pi = np.asarray(prevalences, dtype=float)
     m2, s2 = p2.block("theta")
-    sp = s2 @ pi
-    v_theta2 = float(pi @ sp)
-    if v_theta2 <= 0:
-        raise SingularPosterior("subgroup posterior is degenerate along the prevalences")
-    mean = m2 + sp / v_theta2 * (float(theta_hat_a1) - float(pi @ m2))
-    cov = s2 - np.outer(sp, sp) / v_theta2
-    cov = 0.5 * (cov + cov.T)
-    labels = tuple(f"theta[{i + 1}]" for i in range(len(pi)))
-    return NormalPosterior(mean, cov, labels)
+    return _mix_over_overall(m2, s2, s2 @ pi, pi, float(theta_hat_a1), 0.0)
+
+
+def _flat_theta(n1, n0, s1, s0, phi2: float):
+    """Posterior mean and variance of theta in the model [mu, theta] with
+    known noise variance phi2 and the `flat_prior`, from n1 treated outcomes
+    summing to s1 and n0 control outcomes summing to s0 (arrays work per
+    subgroup). The 2x2 precision [[n, n1], [n1, n1]] / phi2 + I / 1e4 is
+    inverted in closed form, its determinant times phi2^2 written without
+    cancellation."""
+    c = phi2 / FLAT_PRIOR_VARIANCE
+    n = n0 + n1
+    det = n1 * n0 + c * (n + n1) + c * c
+    return ((n0 + c) * s1 - n1 * s0) / det, phi2 * (n + c) / det
+
+
+def flat_cut(ds: CombinedDataset, phi2: float, prevalences) -> NormalPosterior:
+    """`cut_distribution` of `analyst1_posterior(ds, phi2, flat_prior(2))`
+    and `analyst2_posterior(ds, phi2, flat_prior(2K))`, in closed form.
+
+    Under the flat prior the subgroup analyst's theta_k are independent,
+    with means m2 and variances s2, so with sp = s2 * pi the cut has mean
+    m2 + sp / (pi'sp) (m1 - pi'm2) and covariance diag(s2) + (v1 - pi'sp) /
+    (pi'sp)^2 sp sp', where (m1, v1) is the primary analyst's theta.
+    """
+    pi = np.asarray(prevalences, dtype=float)
+    cs = ds.cell_stats
+    n1, s1 = cs.n[:, TREATED].astype(float), cs.total[:, TREATED]
+    n0 = cs.n[:, CONTROL].astype(float)
+    m1, v1 = _flat_theta(n1.sum(), n0.sum(), s1.sum(), cs.total[:, CONTROL].sum(), phi2)
+    m2, s2 = _flat_theta(n1, n0 + cs.n[:, EC_CONTROL], s1,
+                         cs.total[:, CONTROL] + cs.total[:, EC_CONTROL], phi2)
+    return _mix_over_overall(m2, np.diag(s2), s2 * pi, pi, m1, v1)

@@ -1,7 +1,8 @@
 """The harmonization core: the penalized pull of subgroup estimates toward
 agreement with the trial-only overall estimate, its closed form, selection
-of the shift direction (bias-directed and variance-directed), exact
-bias/variance under the stylized design, and the finite-difference
+of the shift direction (bias-directed and variance-directed), the exact
+covariance of the harmonized difference-of-means estimate on any design
+and its bias under the stylized one, and the finite-difference
 machinery for bias-directed harmonization of logistic pipelines. Each of
 the limit map's 2K refits starts at its first-order (implicit-function)
 prediction and is refined by chord steps with the anchor's information,
@@ -403,36 +404,55 @@ def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
     return model, model.direction(spec.pi)
 
 
-# --- exact operating characteristics under the stylized design ---------------
+# --- exact operating characteristics of the difference-of-means pipeline ----
 
 def analytic_bias_variance(dc: DesignCounts, gamma, sigma, lam: float,
                            phi2: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact bias vector and covariance of the difference-of-means estimator
     harmonized with strength lam along sigma (the identity when None), that
-    is with the shift vector `shift_vector(dc.pi, sigma, lam)`, under the
-    proportional stratified design with outcome variance phi2 and external
-    mean distortions gamma."""
+    is with the shift vector `shift_vector(dc.pi, sigma, lam)`, with outcome
+    variance phi2 and external mean distortions gamma. The covariance holds
+    on any design, the bias on the proportional stratified design."""
     return _bias_variance(dc, gamma, shift_vector(dc.pi, sigma, lam), phi2)
 
 
 def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
                         ) -> tuple[np.ndarray, np.ndarray]:
     """`analytic_bias_variance` for a resolved shift vector u (harmonizing
-    moves t by (r - pi't) u)."""
+    moves t by (r - pi't) u).
+
+    The covariance holds on any design: the harmonized estimate is linear
+    in the independent treated, control and EC cell means, v = A1'm1 +
+    A0'm0 + Ae'me, with b = ne / (n0 + ne) (`dc.q_ratio`) and a = 1 - b,
+
+        A1 = I + (n1 / n_r1 - pi) u',  A0 = -diag(a) - (n0 / n_r0 - pi a) u',
+        Ae = -diag(b) + (pi b) u',
+
+    so Cov v = sum_s As' diag(phi2 / ns) As, where an empty cell drops out.
+    With As = diag(gs) + cs u' and ws = phi2 / ns, that sum is diag(d) +
+    e u' + u e' + f u u' for d = sum_s gs^2 ws, e = sum_s gs ws cs and f =
+    sum_s cs' diag(ws) cs. The bias assumes the proportional stratified
+    design.
+    """
     k = dc.k
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (k,):
         raise InconsistentDimensions(f"gamma must have length {k}")
-    nr1 = int(dc.counts[:, 1, 0].sum())
-    nr0 = int(dc.counts[:, 0, 0].sum())
+    n1, n0, ne = (dc.counts[:, t, s].astype(float) for t, s in ((1, 0), (0, 0), (0, 1)))
+    nr1, nr0 = n1.sum(), n0.sum()
     if nr1 == 0 or nr0 == 0 or phi2 < 0:
         raise InvalidDesign("both RCT arms must be non-empty and phi2 >= 0")
     pi = dc.pi
     q = dc.q_ratio
     bias = -(np.diag(q) @ gamma - u * float(pi @ (q * gamma)))
-    # first term: the initial pooled estimator's own covariance
-    d_diag = phi2 * (1.0 / nr1 + (1.0 - q) / nr0) / pi
-    var = np.diag(d_diag) + dc.q_bar * (phi2 / nr0) * np.outer(u, u)
+    a = 1.0 - q
+    g = (1.0, -a, -q)
+    c = (n1 / nr1 - pi, pi * a - n0 / nr0, pi * q)
+    w = [phi2 / np.where(n > 0, n, np.inf) for n in (n1, n0, ne)]
+    e = sum(gs * ws * cs for gs, ws, cs in zip(g, w, c))
+    f = sum(float(ws @ (cs * cs)) for ws, cs in zip(w, c))
+    var = (np.diag(sum(gs * gs * ws for gs, ws in zip(g, w)))
+           + np.outer(e, u) + np.outer(u, e) + f * np.outer(u, u))
     return bias, var
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +57,7 @@ from .estimators import (
 from .glm import GlmFit
 from .harmonize import (
     FULL,
+    LimitMapSpec,
     _SigmaShift,
     _validate_sigma,
     bd_direction_diff_means,
@@ -154,16 +155,26 @@ class ScenarioSpec:
         return cls(**kw)
 
 
+@lru_cache(maxsize=16)
+def _layout(n_treated: tuple[int, ...], n_control: tuple[int, ...],
+            n_ec: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (w_rct, t_rct, w_ec) columns of a design with these cell counts:
+    each subgroup's treated rows, then its control rows, and its EC rows in
+    subgroup order. Every dataset with these counts shares them;
+    `CombinedDataset.from_arrays` makes them read-only."""
+    k = len(n_treated)
+    w_r = np.repeat(np.arange(k), np.add(n_treated, n_control))
+    t_r = np.concatenate([np.repeat(np.array([1, 0], dtype=np.int64), cells)
+                          for cells in zip(n_treated, n_control)])
+    w_e = np.repeat(np.arange(k), n_ec)
+    return w_r, t_r, w_e
+
+
 def generate_scenario(spec: ScenarioSpec, seed: int, replicate: int = 0) -> CombinedDataset:
     """Draw one dataset pair. Cell counts are deterministic; outcomes (and
     covariates, unless frozen) are stochastic."""
     k = spec.k
-    w_r = np.repeat(np.arange(k), [t + c for t, c in zip(spec.n_rct_treated, spec.n_rct_control)])
-    t_r = np.concatenate([
-        np.r_[np.ones(t, dtype=np.int64), np.zeros(c, dtype=np.int64)]
-        for t, c in zip(spec.n_rct_treated, spec.n_rct_control)
-    ]) if len(w_r) else np.zeros(0, dtype=np.int64)
-    w_e = np.repeat(np.arange(k), spec.n_ec)
+    w_r, t_r, w_e = _layout(*map(tuple, (spec.n_rct_treated, spec.n_rct_control, spec.n_ec)))
     d = spec.n_covariates
     cov_rng = stream(seed, 0 if spec.fixed_covariates else replicate, ROLE_COVARIATE)
     x_r = cov_rng.normal(spec.x_mean_rct, spec.x_sd_rct, size=(len(w_r), d)) if d else None
@@ -370,9 +381,19 @@ class _ReplicateContext:
             return bd_direction_diff_means(self.dc)
         if initial_kind == "ols_pooled":
             return bd_direction_linear(self.ds, pi)[1]
-        w = self.ipw_weights() if initial_kind == "logistic_ipw" else None
-        spec = build_limit_map_spec(self.ds, w, pi, self.trial_logistic_fit())
-        return bd_direction_glm(spec)[1]
+        return bd_direction_glm(self.limit_map_spec(initial_kind))[1]
+
+    def limit_map_spec(self, initial_kind: str) -> LimitMapSpec:
+        """The limit map of a logistic initial. One layout (`CellDesign`,
+        pseudo-responses and EC rows) serves the pooled and IPW maps, which
+        differ only in the EC rows' weights."""
+        spec = self._cached("limit_map", lambda: build_limit_map_spec(
+            self.ds, None, self.dc.pi, self.trial_logistic_fit()))
+        if initial_kind != "logistic_ipw":
+            return spec
+        weights = spec.weights.copy()
+        weights[spec.ec_rows] = self.ipw_weights()
+        return replace(spec, weights=weights)
 
     def bd_sigma(self, initial_kind: str) -> np.ndarray:
         return solve_sigma_from_b(self.bd_direction(initial_kind), self.dc.pi)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subharm import (
     CombinedDataset,
@@ -16,6 +18,7 @@ from subharm import (
     plug_in_distribution,
     shift_vector,
 )
+from subharm.bayes import flat_cut
 from subharm.errors import SingularPrior
 
 from conftest import balanced_dataset
@@ -170,3 +173,56 @@ class TestPlugIn:
         want_cov = s - np.outer(a, a) / v
         np.testing.assert_allclose(plug.mean, want_mean, atol=1e-12)
         np.testing.assert_allclose(plug.cov, want_cov, atol=1e-12)
+
+
+@st.composite
+def cut_designs(draw):
+    """(cell sizes, prevalences, phi2, outcome seed) of designs with unequal
+    arms, empty EC cells and subgroups with no treated patients; every
+    subgroup has controls, as `compute_design_counts` requires. The
+    prevalences are the user's or, when every subgroup is in the trial,
+    the empirical ones."""
+    k = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 9), min_size=k, max_size=k)
+    n_t, n_c, n_e = (np.array(draw(cells)) for _ in range(3))
+    n_t[draw(st.integers(0, k - 1))] += 1
+    n_c[draw(st.integers(0, k - 1))] += 1
+    n_e[n_c + n_e == 0] = 1
+    p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
+    pi = p / p.sum() if draw(st.booleans()) or np.any(n_t + n_c == 0) else None
+    return n_t, n_c, n_e, pi, 10.0 ** draw(st.floats(-3, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_designs())
+def test_closed_form_cut_matches_the_matrix_route(design):
+    n_t, n_c, n_e, pi, phi2, seed = design
+    k = len(n_t)
+    rng = np.random.default_rng(seed)
+    w_r = np.repeat(np.arange(k), n_t + n_c)
+    t_r = np.concatenate([np.r_[np.ones(a, dtype=int), np.zeros(b, dtype=int)]
+                          for a, b in zip(n_t, n_c)])
+    w_e = np.repeat(np.arange(k), n_e)
+    sd = np.sqrt(phi2)
+    ds = CombinedDataset.from_arrays(
+        y_rct=rng.normal(1.0 + 0.4 * t_r, sd), t_rct=t_r, w_rct=w_r,
+        y_ec=rng.normal(1.6, sd, len(w_e)), w_ec=w_e, k=k)
+    pi = compute_design_counts(ds, pi).pi
+    p1 = analyst1_posterior(ds, phi2, flat_prior(2))
+    p2 = analyst2_posterior(ds, phi2, flat_prior(2 * k))
+    want = cut_distribution(p1, p2, pi)
+    got = flat_cut(ds, phi2, pi)
+    assert got.labels == want.labels
+    # relative to the size of the terms each entry sums: theta's means are
+    # differences of cell means, and a subgroup with no treated patients
+    # keeps theta's prior variance, 1e4, which the cut covariance cancels
+    # down to the primary analyst's scale
+    m1, v1 = (float(a.ravel()[0]) for a in p1.block("theta"))
+    m2, s2 = p2.block("theta")
+    s2 = np.diag(s2)
+    sp = s2 * pi
+    v = float(pi @ sp)
+    mean_terms = np.abs(ds.cell_stats.mean).max() + sp / v * (abs(m1) + pi @ np.abs(m2))
+    var_terms = s2 + (v1 + v) / v ** 2 * sp ** 2
+    assert np.all(np.abs(got.mean - want.mean) <= 1e-12 * mean_terms)
+    assert np.all(np.abs(np.diag(got.cov) - np.diag(want.cov)) <= 1e-12 * var_terms)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from subharm import CsvSchema, generate_scenario, load_preset, save_dataset
+from subharm import CombinedDataset, CsvSchema, generate_scenario, load_preset, save_dataset
 from subharm.cli import main
 
 from conftest import balanced_dataset
@@ -234,6 +234,31 @@ class TestEstimateFailsClosed:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "MalformedRow"
         assert f"{ec}:4:" in err["message"] and repr(column) in err["message"]
+
+    @pytest.mark.parametrize("method", ["analytic", "cut"])
+    @pytest.mark.parametrize("per_cell", [1, 3])
+    def test_degenerate_outcome_variance_exits_3(self, tmp_path, capsys, method, per_cell):
+        # one row per cell leaves phi2 undefined (nan bounds and exit 0);
+        # constant outcomes in every cell give phi2 = 0 (a zero-width
+        # analytic interval, and a ValueError traceback from the cut)
+        k = 2
+        w_r = np.repeat(np.arange(k), 2 * per_cell)
+        t_r = np.tile(np.repeat([1, 0], per_cell), k)
+        w_e = np.repeat(np.arange(k), per_cell)
+        if per_cell == 1:
+            y_r, y_e = np.array([0.3, -1.2, 2.0, 0.7]), np.array([0.1, -0.4])
+        else:
+            y_r, y_e = 1.0 + t_r + 0.5 * w_r, 0.25 + 0.5 * w_e
+        ds = CombinedDataset.from_arrays(y_rct=y_r, t_rct=t_r, w_rct=w_r, y_ec=y_e,
+                                         w_ec=w_e, k=k)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec)
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "intervals": [method],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InsufficientData" and method in err["message"]
 
     @pytest.mark.parametrize("edit", ["short", "long"])
     def test_row_with_wrong_field_count_exits_3(self, small_csvs, tmp_path, capsys, edit):

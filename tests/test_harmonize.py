@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subharm import (
     FULL,
+    CombinedDataset,
     analytic_bias_variance,
     bd_direction_glm,
     bd_direction_linear,
@@ -30,7 +33,7 @@ from subharm.errors import (
     SingularSigma,
 )
 from subharm.estimators import EffectEstimate
-from subharm.harmonize import BiasModel
+from subharm.harmonize import BiasModel, _bias_variance
 
 from conftest import balanced_dataset
 
@@ -333,6 +336,84 @@ class TestAnalytic:
             bias, var = analytic_bias_variance(fig1_counts, gamma, np.eye(k), lam, 1.0)
             np.testing.assert_allclose(bias, want_bias, atol=1e-10)
             np.testing.assert_allclose(var, want_var, atol=1e-10)
+
+
+@st.composite
+def covariance_cases(draw, proportional):
+    """(cell sizes, prevalences or None for the empirical ones, shift
+    vector, phi2, share pi'u to harmonize with). Proportional designs split
+    every subgroup's trial in one treated : control ratio and use the
+    empirical prevalences; the others have unequal arms, empty control or
+    EC cells and user prevalences when drawn."""
+    k = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 9), min_size=k, max_size=k).map(np.array)
+    n_e = draw(cells)
+    if proportional:
+        mult = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        n_t, n_c, pi = draw(st.integers(1, 6)) * mult, draw(st.integers(1, 6)) * mult, None
+    else:
+        n_t, n_c = draw(cells) + 1, draw(cells)
+        n_c[draw(st.integers(0, k - 1))] += 1
+        p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
+        pi = p / p.sum() if draw(st.booleans()) else None
+    n_e[n_c + n_e == 0] = 1
+    u = np.array(draw(st.lists(st.floats(-2, 2), min_size=k, max_size=k)))
+    return n_t, n_c, n_e, pi, u, 10.0 ** draw(st.floats(-3, 3)), draw(st.floats(0, 1))
+
+
+def cell_dataset(n_t, n_c, n_e, y_cells=None):
+    """A dataset with every outcome of cell (subgroup, treated / control /
+    EC) equal to y_cells[subgroup, cell] (zero when omitted)."""
+    k = len(n_t)
+    y_cells = np.zeros((k, 3)) if y_cells is None else y_cells
+    w_r = np.repeat(np.arange(k), n_t + n_c)
+    t_r = np.concatenate([np.r_[np.ones(a, dtype=int), np.zeros(b, dtype=int)]
+                          for a, b in zip(n_t, n_c)])
+    w_e = np.repeat(np.arange(k), n_e)
+    return CombinedDataset.from_arrays(
+        y_rct=y_cells[w_r, 1 - t_r], t_rct=t_r, w_rct=w_r, y_ec=y_cells[w_e, 2],
+        w_ec=w_e, k=k)
+
+
+class TestHarmonizedCovariance:
+    @settings(max_examples=200, deadline=None)
+    @given(covariance_cases(proportional=True))
+    def test_proportional_designs_keep_the_stratified_formula(self, case):
+        n_t, n_c, n_e, _, u, phi2, _ = case
+        dc = compute_design_counts(cell_dataset(n_t, n_c, n_e))
+        nr1, nr0 = n_t.sum(), n_c.sum()
+        stratified = (np.diag(phi2 * (1 / nr1 + (1 - dc.q_ratio) / nr0) / dc.pi)
+                      + dc.q_bar * phi2 / nr0 * np.outer(u, u))
+        _, var = _bias_variance(dc, np.zeros(len(u)), u, phi2)
+        np.testing.assert_allclose(np.diag(var), np.diag(stratified), rtol=1e-12)
+        np.testing.assert_allclose(var, stratified, rtol=0,
+                                   atol=1e-12 * np.abs(np.diag(stratified)).max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(covariance_cases(proportional=False))
+    def test_equals_the_covariance_of_the_estimator_linear_map(self, case):
+        # the harmonized estimate is linear in the cell means: raising one
+        # cell's outcomes by 1 moves it by that cell's row of A_s, which
+        # carries the cell mean's variance phi2 / n
+        n_t, n_c, n_e, pi, u, phi2, share = case
+        k = len(u)
+        dc = compute_design_counts(cell_dataset(n_t, n_c, n_e), pi)
+        u = u + (share - dc.pi @ u)  # harmonize takes pi'u in [0, 1]
+
+        def estimate(y_cells):
+            ds = cell_dataset(n_t, n_c, n_e, y_cells)
+            return harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds),
+                             dc.pi, u).theta_k
+
+        sizes = np.column_stack([n_t, n_c, n_e])
+        want = np.zeros((k, k))
+        for j, c in zip(*np.nonzero(sizes)):
+            y_cells = np.zeros((k, 3))
+            y_cells[j, c] = 1.0
+            row = estimate(y_cells) - estimate(np.zeros((k, 3)))
+            want += phi2 / sizes[j, c] * np.outer(row, row)
+        _, var = _bias_variance(dc, np.zeros(k), u, phi2)
+        np.testing.assert_allclose(var, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestMseDifference:

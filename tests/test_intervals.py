@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subharm import (
     FULL,
+    CombinedDataset,
     NormalPosterior,
     SimpleModelParams,
     analytic_interval,
@@ -17,6 +21,8 @@ from subharm import (
 )
 from subharm.errors import ConfigError, InsufficientData, NegativeVariance
 from subharm.estimators import EffectEstimate
+from subharm.intervals import _quantiles
+from subharm.rng import ROLE_BOOT_CONTROL, ROLE_BOOT_EXTERNAL, ROLE_BOOT_TREATED, stream
 
 from conftest import balanced_dataset, records_dataset
 
@@ -50,6 +56,22 @@ class TestAnalytic:
     def test_negative_variance(self):
         with pytest.raises(NegativeVariance):
             analytic_interval(np.zeros(1), np.array([[-0.1]]), 0.05)
+
+    @pytest.mark.parametrize("skew", [{"prevalences": (0.05,) * 5 + (0.15,) * 5},
+                                      {"n_rct_treated": (2, 2, 2, 3, 3, 5, 8, 8, 10, 10)}])
+    def test_coverage_off_proportional_designs(self, skew):
+        # the stratified variance assumed n1_k = pi_k n_r1 and n0_k = pi_k
+        # n_r0, and covered 0.876-0.995 on these fig1-s1 designs
+        from dataclasses import replace
+
+        from subharm import load_preset, run_monte_carlo
+
+        spec = replace(load_preset("fig1-s1"), **skew)
+        bd = {"kind": "harmonized", "name": "bd", "initial": "diff_means_pooled",
+              "lambda": "full", "sigma_mode": "bd"}
+        rep = run_monte_carlo(spec, [bd], reps=4000, seed=11, intervals=("analytic",))
+        coverage = rep.interval_stats["analytic"]["coverage"]
+        assert np.all((0.93 <= coverage) & (coverage <= 0.97)), coverage
 
     def test_accepts_effect_estimate(self):
         est = EffectEstimate(theta_k=np.array([0.5]))
@@ -153,6 +175,82 @@ class TestBootstrap:
         ds = balanced_dataset(k=2, n_t=6, n_c=6, n_e=10, gamma=[1, 1], seed=12)
         iv = _bootstrap(ds, r=500, seed=13)
         np.testing.assert_allclose((iv.lower + iv.upper) / 2, iv.point, atol=1e-12)
+
+
+def drawn_bootstrap_half_widths(dc, u, params, r, alpha, seed, replicate):
+    """The bootstrap's half widths by its first draw path: broadcast
+    `Generator.normal` draws of every cell-mean family and `np.quantile`."""
+    n1 = dc.counts[:, 1, 0].astype(float)
+    n0r = dc.counts[:, 0, 0].astype(float)
+    ne = dc.counts[:, 0, 1].astype(float)
+    sd = np.sqrt(params.phi2)
+    m1 = stream(seed, replicate, ROLE_BOOT_TREATED).normal(
+        params.mu + params.theta, sd / np.sqrt(n1), size=(r, dc.k))
+    m0 = np.where(n0r > 0,
+                  stream(seed, replicate, ROLE_BOOT_CONTROL).normal(
+                      params.mu, sd / np.sqrt(np.maximum(n0r, 1)), size=(r, dc.k)),
+                  0.0)
+    me = np.where(ne > 0,
+                  stream(seed, replicate, ROLE_BOOT_EXTERNAL).normal(
+                      params.mu + params.gamma, sd / np.sqrt(np.maximum(ne, 1)),
+                      size=(r, dc.k)),
+                  0.0)
+    pooled0 = (n0r * m0 + ne * me) / (n0r + ne)
+    theta_pool = m1 - pooled0
+    theta_r = (m1 * n1).sum(axis=1) / n1.sum() - (m0 * n0r).sum(axis=1) / n0r.sum()
+    draws = theta_pool + (theta_r - theta_pool @ dc.pi)[:, None] * u[None, :]
+    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
+    return (hi - lo) / 2.0
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """A design with an empty trial-control or EC cell in some subgroups,
+    the outcome model, prevalences, a shift vector and the draw settings."""
+    k = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, 9), min_size=k, max_size=k)
+    n_t = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)))
+    n_c, n_e = np.array(draw(cells)), np.array(draw(cells))
+    n_c[draw(st.integers(0, k - 1))] += 1
+    n_e[n_c + n_e == 0] = 1
+    vec = st.lists(st.floats(-3, 3), min_size=k, max_size=k).map(np.array)
+    params = SimpleModelParams(mu=draw(vec), theta=draw(vec), gamma=draw(vec),
+                               phi2=draw(st.floats(1e-3, 1e3)))
+    p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
+    return (n_t, n_c, n_e, params, p / p.sum(), draw(vec), draw(st.integers(100, 3000)),
+            draw(st.floats(0.001, 0.5)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bootstrap_cases())
+def test_bootstrap_bounds_equal_the_drawn_path(case):
+    n_t, n_c, n_e, params, pi, u, r, alpha, seed, replicate = case
+    k = len(n_t)
+    w_r = np.repeat(np.arange(k), n_t + n_c)
+    t_r = np.concatenate([np.r_[np.ones(a, dtype=int), np.zeros(b, dtype=int)]
+                          for a, b in zip(n_t, n_c)])
+    w_e = np.repeat(np.arange(k), n_e)
+    ds = CombinedDataset.from_arrays(y_rct=np.zeros(len(w_r)), t_rct=t_r, w_rct=w_r,
+                                     y_ec=np.zeros(len(w_e)), w_ec=w_e, k=k)
+    dc = compute_design_counts(ds, pi)
+    point = np.linspace(-1.0, 1.0, k)
+    iv = bootstrap_interval(ds, dc, point, u, r, alpha, seed, params, replicate)
+    half = drawn_bootstrap_half_widths(dc, u, params, r, alpha, seed, replicate)
+    assert np.array_equal(iv.lower, point - half) and np.array_equal(iv.upper, point + half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 60), st.integers(1, 4)),
+              elements=st.one_of(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+                                 st.floats(-1e3, 1e3))),
+       st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)), min_size=1,
+                max_size=4))
+def test_quantiles_are_numpys_linear_quantiles(a, probs):
+    # the sampled values repeat, so order statistics tie
+    want = np.quantile(a, probs, axis=0)
+    got = np.array(_quantiles(a, probs))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDispatcher:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,7 @@ class TestSigmaWorkPerReplicate:
         # two families, two replicates
         assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
 
+
 class TestTrialFitPerReplicate:
     @staticmethod
     def _fits(monkeypatch):
@@ -415,6 +418,100 @@ class TestTrialFitPerReplicate:
         report = run_monte_carlo(load_preset("fig5"), ests, reps=3, seed=3)
         assert not report.failures
         assert len(calls) == 3
+
+    def test_one_limit_map_layout_per_estimate_call(self, monkeypatch, tmp_path):
+        # bd on the pooled and the IPW initials: one CellDesign, argsort and
+        # pseudo-response serve both limit maps
+        import importlib
+
+        from subharm.cli import main
+
+        harmonize_mod = importlib.import_module("subharm.harmonize")
+        built = []
+        cell_design = harmonize_mod.CellDesign
+        monkeypatch.setattr(harmonize_mod, "CellDesign",
+                            lambda *args: built.append(args) or cell_design(*args))
+        ds = generate_scenario(load_preset("fig5"), 2)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
+        ests = ["logistic_pooled", "logistic_ipw"] + [
+            {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
+             "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
+            for initial in ("logistic_pooled", "logistic_ipw")]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+            "schema": {"covariates": ["x1"]}, "estimators": ests,
+            "intervals": ["rct_only"], "out_dir": str(tmp_path / "o")}))
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        assert len(built) == 1
+
+    def test_shared_layout_keeps_each_sensitivity(self):
+        # the IPW map takes the shared layout with its own EC weights; its
+        # B is the one its own layout gives, bit for bit
+        from subharm import bd_direction_glm, build_limit_map_spec
+        from subharm.sim import _ReplicateContext
+
+        ds = generate_scenario(load_preset("fig5"), 4)
+        ctx = _ReplicateContext(ds, compute_design_counts(ds))
+        fit = ctx.trial_logistic_fit()
+        for initial, weights in (("logistic_pooled", None),
+                                 ("logistic_ipw", ctx.ipw_weights())):
+            own = build_limit_map_spec(ds, weights, ctx.dc.pi, fit)
+            shared = ctx.limit_map_spec(initial)
+            assert shared.design is ctx.limit_map_spec("logistic_pooled").design
+            assert np.array_equal(shared.weights, own.weights)
+            assert np.array_equal(bd_direction_glm(shared)[0].B, bd_direction_glm(own)[0].B)
+
+
+class TestCacheScope:
+    """The scenario layout is cached for the process; it may not carry one
+    run into another."""
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import subharm
+        from subharm.cli import main
+
+        intervals = ["analytic", "cut", "bootstrap", "rct_only"]
+        sigma = (0.5 * np.eye(10) + 0.05).tolist()
+        other_counts = dict(load_preset("fig1-s2").to_dict(), name="other-counts",
+                            n_rct_treated=[4, 6] * 5, n_rct_control=[6, 5] * 5,
+                            n_ec=[30, 0, 12, 50, 8] * 2)
+        configs = [
+            {"preset": "fig1-s2", "intervals": intervals},
+            {"scenario": other_counts, "intervals": intervals},
+            {"preset": "fig1-s2", "intervals": intervals, "estimators": [
+                "diff_means_pooled",
+                *({"kind": "harmonized", "name": f"fixed_{lam}", "initial": "diff_means_pooled",
+                   "lambda": lam, "sigma_mode": "fixed", "sigma": sigma} for lam in ("full", 2)),
+                {"kind": "harmonized", "name": "identity", "initial": "diff_means_pooled",
+                 "sigma_mode": "identity"}]},
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(subharm.__file__).parents[1]))
+        entry = "import sys; from subharm.cli import main; sys.exit(main(sys.argv[1:]))"
+        for i, cfg in enumerate(configs):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(json.dumps(dict(cfg, reps=12, seed=i, bootstrap_r=200)))
+            reports = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{i}-w{workers}"
+                assert main(["simulate", "--config", str(path), "--workers", workers,
+                             "--out-dir", str(out)]) == 0
+                reports.append((out / "report.csv").read_bytes())
+            fresh = tmp_path / f"{i}-fresh"
+            subprocess.run([sys.executable, "-c", entry, "simulate", "--config", str(path),
+                            "--out-dir", str(fresh)], env=env, check=True)
+            reports.append((fresh / "report.csv").read_bytes())
+            assert reports[0] == reports[1] == reports[2]
+        ds = generate_scenario(load_preset("fig1-s2"), 0)
+        for column in (ds.w_rct, ds.t_rct, ds.w_ec):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
 
 
 class TestSpike:
