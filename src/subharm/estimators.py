@@ -176,16 +176,12 @@ def _by_subgroup(w: np.ndarray, k: int):
 def marginal_effects(w: np.ndarray, x: np.ndarray, nu: np.ndarray,
                      eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference of the logistic
-    model (nu, eta, beta) over each subgroup's rows of (w, x). Stacked
-    models (m rows of nu, eta and beta) give m rows of effects, each with
-    the bits of its model alone."""
-    order, means = _by_subgroup(w, nu.shape[-1])
+    model (nu, eta, beta) over each subgroup's rows of (w, x)."""
+    order, means = _by_subgroup(w, nu.shape[0])
     w = w[order]
-    # take keeps a stack C-ordered, so each row's subgroup sums run along
-    # its own contiguous values
-    xb = np.matmul(x, beta[..., None])[..., 0].take(order, axis=-1) if x.shape[1] else 0.0
-    nu_w = nu.take(w, axis=-1)
-    return means((expit(nu_w + eta.take(w, axis=-1) + xb) - expit(nu_w + xb)).T).T
+    xb = (x @ beta)[order] if x.shape[1] else 0.0
+    nu_w = nu[w]
+    return means(expit(nu_w + eta[w] + xb) - expit(nu_w + xb))
 
 
 def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
@@ -195,12 +191,13 @@ def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
     return marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta)
 
 
-def _marginal_gradient(ds: CombinedDataset, nu, eta, beta) -> np.ndarray:
-    """Gradient of the marginalized effects against (nu, eta, beta)."""
-    k, d = ds.k, ds.d
-    order, means = _by_subgroup(ds.w_rct, k)
-    w = ds.w_rct[order]
-    xb = (ds.x_rct @ beta)[order] if d else 0.0
+def _marginal_gradient(w: np.ndarray, x: np.ndarray, nu, eta, beta) -> np.ndarray:
+    """Gradient of `marginal_effects(w, x, nu, eta, beta)` against (nu, eta,
+    beta)."""
+    k, d = nu.shape[0], x.shape[1]
+    order, means = _by_subgroup(w, k)
+    w = w[order]
+    xb = (x @ beta)[order] if d else 0.0
     pa, pb = expit(nu[w] + eta[w] + xb), expit(nu[w] + xb)
     ga = pa * (1 - pa)
     gdiff = ga - pb * (1 - pb)
@@ -209,7 +206,7 @@ def _marginal_gradient(ds: CombinedDataset, nu, eta, beta) -> np.ndarray:
     grad[j, j] = means(gdiff)
     grad[j, k + j] = means(ga)
     if d:
-        grad[:, 2 * k:] = means(gdiff[:, None] * ds.x_rct[order])
+        grad[:, 2 * k:] = means(gdiff[:, None] * x[order])
     return grad
 
 
@@ -226,7 +223,7 @@ def logistic_marginal_effects(ds: CombinedDataset,
     k = ds.k
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     theta = marginalize_logistic(ds, nu, eta, beta)
-    grad = _marginal_gradient(ds, nu, eta, beta)
+    grad = _marginal_gradient(ds.w_rct, ds.x_rct, nu, eta, beta)
     try:
         cov = grad @ np.linalg.solve(fit.information, grad.T)
         cov = 0.5 * (cov + cov.T)

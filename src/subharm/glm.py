@@ -3,12 +3,12 @@ weighted logistic regression via iteratively reweighted least squares.
 
 `DesignMatrix` states the four design layouts. IRLS reaches its design
 only through three products: the linear predictor X b, the score X'r and
-the information X' diag(v) X. Each takes one vector or a stack of them (an
-m x p or m x n array) and gives every row of a stack the bits it would get
-alone, so the limit map in `harmonize` refines a stack of refits in one
-pass. A `DesignMatrix` (or a raw array) forms the products densely; a
-`CellDesign` holds the pooled layout as each row's subgroup-by-arm cell
-and covariates, and forms them per cell.
+the information X' diag(v) X. A `DesignMatrix` (or a raw array) forms
+them densely; a `CellDesign` holds the pooled layout as each row's
+subgroup-by-arm cell and covariates, and forms them per cell. A
+`CellDesign`'s X b and X'r also take a stack of vectors (an m x p or m x n
+array), which the limit map in `harmonize` uses to carry the Taylor terms
+of all K subgroups' distortions at once.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ class DesignMatrix:
         return self.values.shape
 
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
-        return np.matmul(self.values, coef[..., None])[..., 0]
+        return self.values @ coef
 
     def score(self, r: np.ndarray) -> np.ndarray:
-        return np.matmul(self.values.T, r[..., None])[..., 0]
+        return self.values.T @ r
 
     def information(self, v: np.ndarray) -> np.ndarray:
-        return np.matmul(self.values.T, self.values * v[..., None])
+        return self.values.T @ (self.values * v[:, None])
 
 
 class CellDesign:
@@ -80,7 +80,9 @@ class CellDesign:
         self.counts = np.bincount(cell, minlength=2 * k)
         self.xt = np.ascontiguousarray(x[self.order].T)
         self._filled = self.counts > 0
-        self._starts = (np.cumsum(self.counts) - self.counts)[self._filled]
+        starts = np.cumsum(self.counts) - self.counts
+        self._starts = starts[self._filled]
+        self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), self.counts.tolist())]
         for a in (self.order, self.counts, self.xt):
             a.setflags(write=False)
 
@@ -98,26 +100,27 @@ class CellDesign:
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
         k = self.k
         per_cell = np.concatenate([coef[..., :k], coef[..., :k] + coef[..., k:2 * k]], axis=-1)
-        return (np.repeat(per_cell, self.counts, axis=-1)
-                + np.matmul(coef[..., None, 2 * k:], self.xt)[..., 0, :])
+        lp = coef[..., 2 * k:] @ self.xt
+        for c, rows in enumerate(self._runs):
+            lp[..., rows] += per_cell[..., c, None]
+        return lp
 
     def score(self, r: np.ndarray) -> np.ndarray:
         g, a = self._cell_sums(r)
-        return np.concatenate([g, a, np.matmul(self.xt, r[..., None])[..., 0]], axis=-1)
+        return np.concatenate([g, a, r @ self.xt.T], axis=-1)
 
     def information(self, v: np.ndarray) -> np.ndarray:
         k, p = self.k, self.shape[1]
-        xv = self.xt * v[..., None, :]
-        g, a = self._cell_sums(np.concatenate([v[..., None, :], xv], axis=-2))
+        xv = self.xt * v
+        g, a = self._cell_sums(np.vstack([v, xv]))
         diag = np.arange(k)
-        info = np.zeros(v.shape[:-1] + (p, p))
-        info[..., diag, diag] = g[..., 0, :]
-        info[..., diag, k + diag] = info[..., k + diag, diag] = a[..., 0, :]
-        info[..., k + diag, k + diag] = a[..., 0, :]
-        info[..., 2 * k:, :k], info[..., 2 * k:, k:2 * k] = g[..., 1:, :], a[..., 1:, :]
-        info[..., :k, 2 * k:] = np.swapaxes(g[..., 1:, :], -1, -2)
-        info[..., k:2 * k, 2 * k:] = np.swapaxes(a[..., 1:, :], -1, -2)
-        info[..., 2 * k:, 2 * k:] = np.matmul(xv, self.xt.T)
+        info = np.zeros((p, p))
+        info[diag, diag] = g[0]
+        info[diag, k + diag] = info[k + diag, diag] = a[0]
+        info[k + diag, k + diag] = a[0]
+        info[2 * k:, :k], info[2 * k:, k:2 * k] = g[1:], a[1:]
+        info[:k, 2 * k:], info[k:2 * k, 2 * k:] = g[1:].T, a[1:].T
+        info[2 * k:, 2 * k:] = xv @ self.xt.T
         return info
 
 

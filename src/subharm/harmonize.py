@@ -2,13 +2,12 @@
 agreement with the trial-only overall estimate, its closed form, selection
 of the shift direction (bias-directed and variance-directed), the exact
 covariance of the harmonized difference-of-means estimate on any design
-and its bias under the stylized one, and the finite-difference
-machinery for bias-directed harmonization of logistic pipelines. Each of
-the limit map's 2K refits starts at its first-order (implicit-function)
-prediction and is refined by chord steps with the anchor's information,
-inverted once; the refits run in passes of at most `STACK_ELEMENTS`
-response elements, and one the chord steps do not converge is refit by
-IRLS (`limit_map_theta`).
+and its bias under the stylized one, and the limit map behind
+bias-directed harmonization of logistic pipelines. The map's central
+finite-difference sensitivity is taken from its third-order Taylor series
+at zero distortion, whose terms the implicit function theorem gives with
+the anchor's information, inverted once, so no refit is made;
+`limit_map_theta`, which refits by IRLS, is its oracle.
 
 Harmonizing a subgroup vector t with an overall estimate r solves
 
@@ -39,9 +38,16 @@ from .errors import (
     InvalidDesign,
     MissingCovariance,
     NumericalError,
+    RankDeficient,
     SingularSigma,
 )
-from .estimators import EffectEstimate, _pooled_logistic_fit, marginal_effects
+from .estimators import (
+    EffectEstimate,
+    _by_subgroup,
+    _marginal_gradient,
+    _pooled_logistic_fit,
+    marginal_effects,
+)
 from .glm import (
     MODEL_BIAS_BLOCK,
     MODEL_POOLED,
@@ -52,18 +58,6 @@ from .glm import (
 )
 
 FULL = float("inf")
-# The most response elements (refits x pseudo-rows) in one chord pass of
-# the limit map: fig5's 10 refits (1,800 pseudo-rows) share one pass, and
-# an 18,000-row design takes its 16 refits 3 at a time. Measured on a
-# 2-vCPU Xeon, one pass of all 16 raised the peak RSS of the benchmark's
-# `estimate` call from 113 to 115 MB.
-STACK_ELEMENTS = 1 << 16
-# Chord steps per refit: at least MIN_CHORD_STEPS, since one step from the
-# prediction leaves an O(fd_step^2)-relative error that the finite
-# difference divides by fd_step; a refit not converged after
-# MAX_CHORD_STEPS is refit by IRLS.
-MIN_CHORD_STEPS, MAX_CHORD_STEPS = 2, 8
-LIMIT_MAP_TOL = 1e-10  # IRLS's score test, for the chord steps too
 
 
 def parse_lambda(value) -> float:
@@ -263,7 +257,8 @@ class LimitMapSpec:
     subgroup's distortion. `design` holds the pseudo rows (control copies,
     treated copies, EC rows) in the pooled cell layout; `weights` and the
     undistorted `response` follow its row order, and `ec_rows` are the EC
-    rows' positions in it.
+    rows' positions in it; row 0 of `rct_rows` holds the control copies'
+    positions and row 1 the treated copies', in the RCT rows' order.
     """
 
     anchor: np.ndarray
@@ -271,7 +266,7 @@ class LimitMapSpec:
     weights: np.ndarray
     response: np.ndarray
     ec_rows: np.ndarray
-    lp_ec_base: np.ndarray
+    rct_rows: np.ndarray
     w_ec: np.ndarray
     w_rct: np.ndarray
     x_rct: np.ndarray
@@ -279,8 +274,8 @@ class LimitMapSpec:
     pi: np.ndarray
 
     def __post_init__(self):
-        for a in (self.anchor, self.weights, self.response, self.ec_rows,
-                  self.lp_ec_base, self.w_ec, self.w_rct, self.x_rct, self.pi):
+        for a in (self.anchor, self.weights, self.response, self.ec_rows, self.rct_rows,
+                  self.w_ec, self.w_rct, self.x_rct, self.pi):
             a.setflags(write=False)
 
 
@@ -296,12 +291,11 @@ def build_limit_map_spec(ds: CombinedDataset,
     xb_r = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
     design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
                         np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), k)
-    lp_ec_base = np.asarray(nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0), float)
-    response = np.concatenate([
-        expit(nu[ds.w_rct] + xb_r),
-        expit(nu[ds.w_rct] + eta[ds.w_rct] + xb_r),
-        expit(lp_ec_base),
-    ])[design.order]
+    response = expit(np.concatenate([
+        nu[ds.w_rct] + xb_r,
+        nu[ds.w_rct] + eta[ds.w_rct] + xb_r,
+        nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0),
+    ]))[design.order]
     w_ec_vec = np.ones(ds.n_ec) if ec_weight_vector is None else np.asarray(ec_weight_vector, float)
     weights = np.concatenate([
         np.full(ds.n_rct, 1.0 - p_treat),
@@ -310,95 +304,116 @@ def build_limit_map_spec(ds: CombinedDataset,
     ])[design.order]
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
+    rows = np.argsort(design.order)
     return LimitMapSpec(
         anchor=fit.coefficients.copy(), design=design, weights=weights,
-        response=response, ec_rows=np.argsort(design.order)[2 * ds.n_rct:],
-        lp_ec_base=lp_ec_base, w_ec=ds.w_ec.copy(), w_rct=ds.w_rct.copy(),
-        x_rct=ds.x_rct.copy(), k=k, pi=pi,
+        response=response, ec_rows=rows[2 * ds.n_rct:],
+        rct_rows=rows[:2 * ds.n_rct].reshape(2, ds.n_rct), w_ec=ds.w_ec.copy(),
+        w_rct=ds.w_rct.copy(), x_rct=ds.x_rct.copy(), k=k, pi=pi,
     )
-
-
-def _marginalize(spec: LimitMapSpec, coef: np.ndarray) -> np.ndarray:
-    k = spec.k
-    return marginal_effects(spec.w_rct, spec.x_rct, coef[..., :k], coef[..., k:2 * k],
-                            coef[..., 2 * k:])
 
 
 def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     """Marginalized subgroup effects at the maximizer of the expected
     weighted working-model log-likelihood under the distortion K-vector
-    `delta`, fitted by IRLS from the anchor."""
+    `delta`, fitted by IRLS from the anchor and polished by one more
+    Newton step, which takes IRLS's stopping error down to rounding. This
+    is the oracle of `bd_direction_glm`'s sensitivity, whose finite
+    difference divides that error by the step."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (spec.k,):
         raise InconsistentDimensions(f"delta must have length {spec.k}")
+    design, w = spec.design, spec.weights
     y = spec.response.copy()
-    y[spec.ec_rows] = expit(spec.lp_ec_base + delta[spec.w_ec])
-    coef = fit_logistic_irls(spec.design, y, weights=spec.weights, start=spec.anchor,
-                             tol=LIMIT_MAP_TOL, max_iter=200).coefficients
-    return _marginalize(spec, coef)
+    y[spec.ec_rows] = expit(design.linear_predictor(spec.anchor)[spec.ec_rows]
+                            + delta[spec.w_ec])
+    fit = fit_logistic_irls(design, y, weights=w, start=spec.anchor, max_iter=200)
+    coef = fit.coefficients
+    coef = coef + np.linalg.solve(
+        fit.information, design.score(w * (y - expit(design.linear_predictor(coef)))))
+    k = spec.k
+    return marginal_effects(spec.w_rct, spec.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
 
 
-def _implicit_jacobian(spec: LimitMapSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of the information H at the anchor, and J = H^-1 S,
-    whose column j is the move of the limit map's maximizer per unit of
-    delta_j at zero distortion (implicit function theorem). S_j, the
-    score's derivative in delta_j, is the score of w p(1-p) on subgroup
-    j's EC rows. Raises LinAlgError when H is singular."""
-    p = spec.response
-    v = spec.weights * p * (1.0 - p)
-    h_inv = np.linalg.inv(spec.design.information(v))
-    masked = np.zeros((spec.k, len(p)))
-    masked[spec.w_ec, spec.ec_rows] = v[spec.ec_rows]
-    return h_inv, h_inv @ spec.design.score(masked).T
+def _sigmoid_derivatives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logistic function's first three derivatives where its value is p."""
+    d1 = p * (1.0 - p)
+    return d1, d1 * (1.0 - 2.0 * p), d1 * (1.0 - 6.0 * d1)
+
+
+def _ec_scores(spec: LimitMapSpec, a: np.ndarray) -> np.ndarray:
+    """The score X'[a_m 1_j] of each row a_m of the m x N stack `a` on
+    subgroup j's EC rows alone, for every j: an m x K x p array of
+    per-subgroup sums over the EC rows, which have no treatment column."""
+    k, ec, w_ec = spec.k, spec.ec_rows, spec.w_ec
+    x_ec = spec.design.xt[:, ec]
+    out = np.zeros((a.shape[0], k, spec.design.shape[1]))
+    for scores, a_ec in zip(out, a[:, ec]):
+        scores[np.arange(k), np.arange(k)] = np.bincount(w_ec, a_ec, minlength=k)
+        for c, x in enumerate(x_ec):
+            scores[:, 2 * k + c] = np.bincount(w_ec, a_ec * x, minlength=k)
+    return out
 
 
 def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
-    """The distortion sensitivity B by central finite differences of the
-    limit map at zero distortion.
+    """The distortion sensitivity B without refits: column j is the
+    central difference (theta(h e_j) - theta(-h e_j)) / 2h of the limit
+    map at h = fd_step, taken from its Taylor series at zero distortion,
+    theta' + h^2/6 theta''' along e_j, which leaves out only terms of
+    order h^4. At fd_step = 0 it is the derivative theta' itself. Raises
+    RankDeficient when the information at the anchor is singular.
 
-    The refit at +/- fd_step e_j starts at its first-order prediction
-    anchor +/- fd_step J_j and takes chord steps coef += H^-1 score, with
-    the one H^-1 of `_implicit_jacobian`, in passes of at most
-    `STACK_ELEMENTS` response elements. A refit the chord steps do not
-    converge is refit by `limit_map_theta`.
+    Along delta = t e_j the EC responses of subgroup j are s(z + t), s the
+    logistic function and z the anchor's linear predictor, and the
+    maximizer is c(t) = c0 + t c1 + t^2/2 c2 + t^3/6 c3. With s1, s2, s3
+    the derivatives of s at z, H = X' diag(w s1) X the information, 1_j
+    the indicator of subgroup j's EC rows and l_m = X c_m, matching the
+    powers of t in the score equation X'w[s(z + t 1_j) - s(z + X(c(t) -
+    c0))] = 0 gives
+
+        c1 = H^-1 X'[w s1 1_j]  (the implicit-function Jacobian),
+        c2 = H^-1 X'[w s2 (1_j - l1^2)],
+        c3 = H^-1 X'[w s3 (1_j - l1^3) - 3 w s2 l1 l2].
+
+    Each effect is a subgroup mean over the RCT rows of s(z) at the
+    treated copy minus s(z) at the control copy, so its derivatives are the
+    same means of s1 l1 and of s3 l1^3 + 3 s2 l1 l2 + s1 l3: G c1 and G c3
+    for the terms linear in c_m, G the effects' gradient at the anchor.
     """
-    k, design, w, p = spec.k, spec.design, spec.weights, spec.response
-    e = np.eye(k) * fd_step
-    deltas = np.vstack([e, -e])
-    coef = np.full((2 * k, design.shape[1]), np.nan)
-    size = max(1, STACK_ELEMENTS // len(p))
+    k, design = spec.k, spec.design
+    s = _sigmoid_derivatives(spec.response)
+    ws = spec.weights * np.stack(s)
     try:
-        h_inv, jac = _implicit_jacobian(spec)
-        passes = np.split(np.arange(2 * k), range(size, 2 * k, size))
-    except np.linalg.LinAlgError:  # every refit takes the fallback
-        passes = []
-    groups = [np.flatnonzero(spec.w_ec == j) for j in range(k)]
-    for refits in passes:
-        subgroup = refits % k
-        delta = deltas[refits, subgroup]
-        y = np.tile(p, (len(refits), 1))
-        for row, j, d in zip(y, subgroup, delta):
-            row[spec.ec_rows[groups[j]]] = expit(spec.lp_ec_base[groups[j]] + d)
-        c = spec.anchor + delta[:, None] * jac[:, subgroup].T
-        for it in range(MAX_CHORD_STEPS + 1):
-            score = design.score(w * (y - expit(design.linear_predictor(c))))
-            done = np.abs(score).max(axis=1) < LIMIT_MAP_TOL
-            if it == MAX_CHORD_STEPS or it >= MIN_CHORD_STEPS and done.all():
-                break
-            c = c + score @ h_inv
-        if it >= MIN_CHORD_STEPS:
-            coef[refits[done]] = c[done]
-    theta = _marginalize(spec, coef)
-    for i in np.flatnonzero(np.isnan(coef).any(axis=1)):
-        theta[i] = limit_map_theta(spec, deltas[i])
-    return (theta[:k] - theta[k:]).T / (2 * fd_step)
+        h_inv = np.linalg.inv(design.information(ws[0]))
+    except np.linalg.LinAlgError:
+        raise RankDeficient("singular limit-map information at the anchor") from None
+    c1, c2, c3 = _ec_scores(spec, ws) @ h_inv.T  # the 1_j terms, K x p each
+    l1 = design.linear_predictor(c1)
+    r = l1 * l1
+    c2 -= design.score(ws[1] * r) @ h_inv.T
+    l2 = design.linear_predictor(c2)
+    r *= ws[2]
+    r += 3.0 * ws[1] * l2
+    r *= l1
+    c3 -= design.score(r) @ h_inv.T
+
+    grad = _marginal_gradient(spec.w_rct, spec.x_rct, *np.split(spec.anchor, [k, 2 * k]))
+    order, means = _by_subgroup(spec.w_rct, k)
+    copies = spec.rct_rows[:, order]  # control, then treated copies
+    z1 = l1[:, copies]
+    third = s[2][copies] * z1 * z1
+    third += 3.0 * s[1][copies] * l2[:, copies]
+    third *= z1
+    h2 = fd_step * fd_step / 6.0
+    return grad @ (c1 + h2 * c3).T + h2 * means((third[:, 1] - third[:, 0]).T)
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
                      ) -> tuple[BiasModel, np.ndarray]:
-    """Estimate the distortion sensitivity by central finite differences of
-    the limit map at zero distortion (`_fd_sensitivity`), and derive the
-    unit shift direction."""
+    """The distortion sensitivity B by central finite differences of the
+    limit map at zero distortion with step `fd_step` (`_fd_sensitivity`),
+    and the unit shift direction it gives. Raises RankDeficient when the
+    limit map's information at the anchor is singular."""
     big_b = _fd_sensitivity(spec, fd_step)
     model = BiasModel(B=big_b, b=big_b @ np.ones(spec.k))
     return model, model.direction(spec.pi)

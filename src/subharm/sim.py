@@ -237,6 +237,8 @@ SIGMA_MODES = ("identity", MODE_FIXED, MODE_BD, MODE_VD)
 # direction and vd the initial estimate's covariance.
 UNDEFINED_MODES = {MODE_BD: ("diff_means_rct", "ols_rct", "oracle", "logistic_rct"),
                    MODE_VD: ("diff_means_rct", "ols_rct", "oracle")}
+# the initial whose bias direction depends on the design counts alone
+DESIGN_ONLY_BD = "diff_means_pooled"
 
 
 @dataclass(frozen=True)
@@ -316,18 +318,27 @@ def check_fixed_sigmas(est_cfgs, k: int) -> None:
 class _ReplicateContext:
     """Caches shared fits within one replicate or `estimate` call, and
     resolves each harmonized estimator to its shift vector u and mode
-    (`shift`), which its estimate and the intervals centred on it share."""
+    (`shift`), which its estimate and the intervals centred on it share.
 
-    def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None):
+    `DESIGN_ONLY_BD`'s bias direction and the checked bd matrix built from
+    it depend on the design counts alone. They go to `design_cache`, which
+    a `simulate` batch shares among its replicates: their counts and
+    prevalences are the same.
+    """
+
+    def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None,
+                 design_cache: dict | None = None):
         self.ds = ds
         self.dc = dc
         self.mu_true = mu_true
         self._cache: dict = {}
+        self._design_cache = {} if design_cache is None else design_cache
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def _cached(self, key, build, design_only: bool = False):
+        cache = self._design_cache if design_only else self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def initial(self, kind: str) -> EffectEstimate:
         return self._cached(kind, lambda: self._initial(kind))
@@ -372,12 +383,13 @@ class _ReplicateContext:
         return self._cached(f"overall:{kind}", lambda: fits[kind](self.ds))
 
     def bd_direction(self, initial_kind: str) -> np.ndarray:
-        return self._cached(f"bd:{initial_kind}", lambda: self._bd_direction(initial_kind))
+        return self._cached(f"bd:{initial_kind}", lambda: self._bd_direction(initial_kind),
+                            design_only=initial_kind == DESIGN_ONLY_BD)
 
     def _bd_direction(self, initial_kind: str) -> np.ndarray:
         """The bias direction of an initial that `UNDEFINED_MODES` allows bd."""
         pi = self.dc.pi
-        if initial_kind == "diff_means_pooled":
+        if initial_kind == DESIGN_ONLY_BD:
             return bd_direction_diff_means(self.dc)
         if initial_kind == "ols_pooled":
             return bd_direction_linear(self.ds, pi)[1]
@@ -435,7 +447,8 @@ class _ReplicateContext:
         return shift_vector(pi, sigma, lam), MODE_VD
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
-        return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi))
+        return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
+                            design_only=(mode, source) == (MODE_BD, DESIGN_ONLY_BD))
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
@@ -591,10 +604,12 @@ def _scenario_batch(args) -> tuple:
     width = np.full((len(rep_indices), n_int, k), np.nan)
     failures = []
     mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
+    dc, design_cache = None, {}
     for row, rep in enumerate(rep_indices):
         ds = generate_scenario(spec, seed, rep)
-        dc = compute_design_counts(ds, spec.prevalences)
-        ctx = _ReplicateContext(ds, dc, mu_true)
+        if dc is None:  # the cell counts, so the design counts, are fixed
+            dc = compute_design_counts(ds, spec.prevalences)
+        ctx = _ReplicateContext(ds, dc, mu_true, design_cache)
         for i, cfg in enumerate(est_cfgs):
             try:
                 est[row, i] = ctx.evaluate(cfg)

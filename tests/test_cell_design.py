@@ -3,12 +3,15 @@
 `CellDesign` forms IRLS's three products per subgroup-by-arm cell; here
 they are compared with the dense [onehot(g), a * onehot(g), x] products on
 hypothesis-drawn layouts, and the limit map built on it with a dense-design
-oracle of the same map. The finite-difference sensitivity's chord-step
-refits are compared with IRLS refits and with the implicit-function
-Jacobian they start from.
+oracle of the same map. The finite-difference sensitivity, taken from the
+limit map's Taylor series, is compared with IRLS refits, its first-order
+term with the implicit-function Jacobian, and a singular information must
+fail closed.
 """
 
+import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from subharm import CombinedDataset, generate_scenario, load_preset
+from subharm import CombinedDataset, CsvSchema, generate_scenario, load_preset, save_dataset
+from subharm.cli import main
 from subharm.errors import DegenerateDirection, NumericalError, RankDeficient
 from subharm.estimators import _marginal_gradient, _pooled_logistic_fit, marginal_effects
 from subharm.glm import CellDesign, _onehot, fit_logistic_irls
@@ -177,12 +181,12 @@ def test_anchor_fit_is_reused():
                                   limit_map_theta(b, np.full(ds.k, 0.2)))
 
 
-def irls_fd_b(spec):
+def irls_fd_b(spec, step=FD_STEP):
     """The finite-difference sensitivity from one `limit_map_theta` call per
     distortion."""
     big_b = np.empty((spec.k, spec.k))
-    for j, e in enumerate(np.eye(spec.k) * FD_STEP):
-        big_b[:, j] = (limit_map_theta(spec, e) - limit_map_theta(spec, -e)) / (2 * FD_STEP)
+    for j, e in enumerate(np.eye(spec.k) * step):
+        big_b[:, j] = (limit_map_theta(spec, e) - limit_map_theta(spec, -e)) / (2 * step)
     return big_b
 
 
@@ -194,32 +198,85 @@ def trial_spec(trial):
         assume(False)
 
 
-def nan_prediction(spec, _jacobian=HARMONIZE._implicit_jacobian):
-    h_inv, jac = _jacobian(spec)
-    return h_inv, np.full_like(jac, np.nan)
-
-
-@settings(max_examples=15, deadline=None)
-@given(trials(), st.sampled_from(["step cap", "non-finite"]))
-def test_unconverged_refits_fall_back_to_irls(trial, miss):
+@settings(max_examples=25, deadline=None)
+@given(trials(), st.sampled_from([1e-4, 1e-3]))
+def test_expansion_matches_irls_refits(trial, step):
+    # the Taylor series leaves out O(step^4) terms of the central difference
     spec = trial_spec(trial)
-    with pytest.MonkeyPatch.context() as mp:
-        if miss == "step cap":
-            mp.setattr(HARMONIZE, "MAX_CHORD_STEPS", 0)
-        else:
-            mp.setattr(HARMONIZE, "_implicit_jacobian", nan_prediction)
-        np.testing.assert_array_equal(HARMONIZE._fd_sensitivity(spec, FD_STEP), irls_fd_b(spec))
+    np.testing.assert_allclose(HARMONIZE._fd_sensitivity(spec, step), irls_fd_b(spec, step),
+                               rtol=0, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
 @given(trials())
 def test_implicit_jacobian_predicts_the_fd_sensitivity(trial):
-    # G J is the sensitivity's closed form, G the marginal effects'
-    # gradient at the anchor; rounding divided by FD_STEP leaves the FD B
-    # uncertain by about 1e-12, which matters where B is all but zero
+    # G J is the expansion's first-order term, the sensitivity at fd_step
+    # 0: G the marginal effects' gradient at the anchor and J = H^-1 S the
+    # implicit-function Jacobian, S_j the score of w p(1-p) masked to
+    # subgroup j's EC rows
     spec = trial_spec(trial)
-    ds, k = trial[0], spec.k
-    grad = _marginal_gradient(ds, spec.anchor[:k], spec.anchor[k:2 * k], spec.anchor[2 * k:])
-    big_b = HARMONIZE._fd_sensitivity(spec, FD_STEP)
-    gj = grad @ HARMONIZE._implicit_jacobian(spec)[1]
-    assert np.abs(gj - big_b).max() <= 1e-6 * np.abs(big_b).max() + 1e-10
+    ds, k, p = trial[0], spec.k, spec.response
+    grad = _marginal_gradient(ds.w_rct, ds.x_rct, spec.anchor[:k], spec.anchor[k:2 * k],
+                              spec.anchor[2 * k:])
+    v = spec.weights * p * (1.0 - p)
+    masked = np.zeros((k, len(p)))
+    masked[spec.w_ec, spec.ec_rows] = v[spec.ec_rows]
+    gj = grad @ np.linalg.solve(spec.design.information(v), spec.design.score(masked).T)
+    first = HARMONIZE._fd_sensitivity(spec, 0.0)
+    np.testing.assert_allclose(gj, first, rtol=0, atol=1e-13 * max(1.0, np.abs(first).max()))
+
+
+def singular_information(spec):
+    """`spec` with subgroup 1's treated copies weighted zero, which leaves
+    its treatment column of the limit map's information all zero."""
+    k, counts = spec.k, spec.design.counts
+    start = counts[:k].sum()
+    weights = spec.weights.copy()
+    weights[start:start + counts[k]] = 0.0
+    return dataclasses.replace(spec, weights=weights)
+
+
+class TestSingularInformation:
+    """A singular information at the anchor fails closed: B raises
+    RankDeficient, a replicate records the failure and `estimate` exits 4."""
+
+    BD = {"kind": "harmonized", "name": "bd", "initial": "logistic_pooled",
+          "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
+
+    @pytest.fixture
+    def singular_maps(self, monkeypatch):
+        # the first limit map built is singular, and the later ones are not
+        import subharm.sim
+
+        build, built = subharm.sim.build_limit_map_spec, []
+
+        def first_singular(*args):
+            spec = build(*args)
+            built.append(spec)
+            return singular_information(spec) if len(built) == 1 else spec
+        monkeypatch.setattr(subharm.sim, "build_limit_map_spec", first_singular)
+
+    def test_sensitivity_raises(self):
+        spec = build_limit_map_spec(generate_scenario(load_preset("fig5"), seed=1))
+        with pytest.raises(RankDeficient):
+            bd_direction_glm(singular_information(spec))
+
+    def test_replicate_records_the_failure(self, singular_maps):
+        from subharm import run_monte_carlo
+
+        report = run_monte_carlo(load_preset("fig5"), ["logistic_pooled", self.BD],
+                                 reps=3, seed=3)
+        [(rep, name, message)] = report.failures
+        assert (rep, name) == (0, "bd") and "singular" in message
+        assert report.estimator_stats["bd"]["n_used"] == 2
+
+    def test_estimate_exits_4(self, singular_maps, tmp_path):
+        ds = generate_scenario(load_preset("fig5"), 2)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+            "schema": {"covariates": ["x1"]}, "estimators": ["logistic_pooled", self.BD],
+            "intervals": ["rct_only"], "out_dir": str(tmp_path / "o")}))
+        assert main(["estimate", "--config", str(cfg)]) == 4

@@ -191,7 +191,7 @@ class TestLogisticMarginal:
             want_grad[j, 10:] = np.mean((ga - gb)[:, None] * ds.x_rct[m], axis=0)
         np.testing.assert_array_equal(
             marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta), want_theta)
-        np.testing.assert_array_equal(_marginal_gradient(ds, nu, eta, beta), want_grad)
+        np.testing.assert_array_equal(_marginal_gradient(ds.w_rct, ds.x_rct, nu, eta, beta), want_grad)
 
     def test_marginalization_names_first_empty_subgroup(self):
         from subharm.estimators import marginal_effects

@@ -312,7 +312,8 @@ class TestIntervalPipelines:
 class TestSigmaWorkPerReplicate:
     """Each sigma is built, checked and multiplied by pi once per replicate
     and resolved family (initial estimator and sigma mode), however many
-    lambdas and intervals share it."""
+    lambdas and intervals share it; one that depends on the design counts
+    alone, once per `simulate` batch, whose replicates share those counts."""
 
     @staticmethod
     def _count(monkeypatch, run):
@@ -342,8 +343,9 @@ class TestSigmaWorkPerReplicate:
         calls = self._count(monkeypatch, lambda: main([
             "simulate", "--config", str(cfg), "--preset", "fig1-s2", "--reps", "2",
             "--seed", "3", "--out-dir", str(tmp_path / "o")]))
-        # the default estimators: one bd family on diff_means_pooled, two replicates
-        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 2, "vd_sigma": 0}
+        # the default estimators: one bd family on diff_means_pooled, whose
+        # sigma two replicates in one batch share
+        assert calls == {"solve_sigma_from_b": 1, "_validate_sigma": 1, "vd_sigma": 0}
 
     def test_vd_and_bd_families_on_logistic_pipeline(self, monkeypatch):
         ests = ["logistic_pooled"] + [
@@ -390,8 +392,8 @@ class TestTrialFitPerReplicate:
         assert [rows for rows, _ in fits].count(n_rct) == 2
 
     def test_two_fits_per_fig5_bd_replicate(self, monkeypatch):
-        # the pooled fit and the trial-only fit; the limit map's 2K refits
-        # take chord steps and fit nothing by IRLS
+        # the pooled fit and the trial-only fit; the limit map's
+        # sensitivity comes from its Taylor series and fits nothing by IRLS
         spec = load_preset("fig5")
         ds = generate_scenario(spec, 3)
         fits = self._fits(monkeypatch)
