@@ -6,12 +6,20 @@ A `CombinedDataset` stores the randomized-trial (RCT) and external-control
 `CombinedDataset.from_arrays`. Subgroup labels ingest as arbitrary strings
 and are mapped to 1..K by lexicographic order; the mapping is kept on the
 dataset and echoed into run manifests.
+
+`load_dataset` parses each CSV file in one `np.loadtxt` pass, which
+quotes and splits fields as the default `csv` dialect does. Numbers must
+be ASCII decimal literals: float() and int() also read `1_0` and
+non-ASCII digits, the C parser does not, and such a cell is an error.
+Only a file that fails is read again row by row with `csv`, to name its
+first bad line and column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -23,6 +31,7 @@ from .errors import (
     DataError,
     DimensionMismatch,
     EcTreatedPatient,
+    EmptySubgroupArm,
     EmptySubgroupError,
     MalformedRow,
     UnknownSubgroup,
@@ -46,6 +55,14 @@ class CsvSchema:
     treatment: str = "treatment"
     subgroup: str = "subgroup"
     covariates: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # one column holds one kind of value; the subgroup indicators
+        # already span any column that is a function of the subgroup
+        names = [self.outcome, self.treatment, self.subgroup, *self.covariates]
+        twice = [c for i, c in enumerate(names) if c in names[:i]]
+        if twice:
+            raise ConfigError(f"schema maps more than one role to column {twice[0]!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CsvSchema":
@@ -171,6 +188,45 @@ class CombinedDataset:
     def cell_stats(self) -> "CellStats":
         """Per-cell outcome statistics, computed on first use."""
         return CellStats.from_dataset(self)
+
+    @cached_property
+    def rct_subgroups(self) -> "SubgroupRows":
+        """The RCT rows grouped by subgroup, built on first use. Raises
+        EmptySubgroupArm while a subgroup has no RCT patients."""
+        return SubgroupRows.of(self.w_rct, self.k)
+
+
+@dataclass(frozen=True)
+class SubgroupRows:
+    """`order`, a stable sort of the subgroup column `w[order]` = `w`, and
+    `means` over each subgroup's run of rows in that order, `n` the rows
+    per subgroup. Summing a subgroup's contiguous run of rows gives the
+    same bits as np.mean over its masked rows."""
+
+    order: np.ndarray
+    w: np.ndarray
+    n: np.ndarray
+    runs: tuple[slice, ...]
+
+    def __post_init__(self):
+        for a in (self.order, self.w, self.n):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, w: np.ndarray, k: int) -> "SubgroupRows":
+        """Group the 0-based subgroup column `w` of K subgroups; raises
+        EmptySubgroupArm when one has no rows."""
+        n = np.bincount(w, minlength=k)
+        if not n.all():
+            raise EmptySubgroupArm(f"subgroup {int(np.argmin(n)) + 1} has no RCT patients")
+        order = np.argsort(w, kind="stable")
+        ends = np.cumsum(n).tolist()
+        return cls(order, w[order], n, tuple(slice(a, b) for a, b in zip([0, *ends], ends)))
+
+    def means(self, v: np.ndarray) -> np.ndarray:
+        """Each subgroup's mean of the rows of `v`, given in `order`."""
+        sums = np.array([np.add.reduce(v[r]) for r in self.runs])
+        return sums / (self.n if v.ndim == 1 else self.n[:, None])
 
 
 @dataclass(frozen=True)
@@ -300,6 +356,9 @@ def _parse_cell(raw: str, kind: str, path: str, line: int, column: str):
     except ValueError:
         raise MalformedRow(
             f"{path}:{line}: cannot parse {column!r} value {raw!r}") from None
+    if "_" in raw or not raw.isascii():
+        raise MalformedRow(
+            f"{path}:{line}: {column!r} value {raw!r} is not an ASCII decimal literal")
     if kind == "float" and not math.isfinite(value):
         raise MalformedRow(f"{path}:{line}: non-finite {column!r} value {raw!r}")
     return value
@@ -326,48 +385,51 @@ def _check_rows(path: str, schema: CsvSchema, study: str, header: list[str],
 
 
 def _read_columns(path: str, schema: CsvSchema, study: str
-                  ) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
-    """Outcomes, treatments, stripped subgroup labels and covariates (n x d)
-    of one CSV file. Blank lines are skipped; line numbers in messages
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes, treatments, unstripped subgroup labels and covariates (n x
+    d) of one CSV file. Every header column is parsed, so a short or a long
+    row fails. Blank lines are skipped; line numbers in messages
     count the header as line 1 and each non-blank row after it."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise MalformedRow(f"{path}: empty file (header row required)")
         needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
         missing = [c for c in needed if c not in header]
         if missing:
             raise MalformedRow(f"{path}: missing columns {missing}")
-        rows = list(filter(None, reader))  # blank lines read as []
-    n, d = len(rows), len(schema.covariates)
-    col = {name: i for i, name in enumerate(header)}
-
-    def parse(kind, name):
-        return np.fromiter(map(kind, cells[col[name]]), np.int64 if kind is int else float, n)
-
-    clean = set(map(len, rows)) <= {len(header)}
-    if clean:
-        cells = list(zip(*rows)) or [()] * len(header)
+        col = {name: f"f{i}" for i, name in enumerate(header)}  # the last of a name
+        kinds = {col[c]: float for c in (schema.outcome, *schema.covariates)}
+        kinds[col[schema.treatment]] = np.int64
+        dtype = [(f"f{i}", kinds.get(f"f{i}", object)) for i in range(len(header))]
         try:
-            y, t = parse(float, schema.outcome), parse(int, schema.treatment)
-            x = np.empty((n, d))
-            for j, c in enumerate(schema.covariates):
-                x[:, j] = parse(float, c)
-        except ValueError:
-            clean = False
-    if clean:
-        labels = [label.strip() for label in cells[col[schema.subgroup]]]
-        clean = (np.isfinite(y).all() and np.isfinite(x).all()
-                 and np.isin(t, (0, 1) if study == RCT else (0,)).all()
-                 and "" not in labels)
-    if not clean:
-        _check_rows(path, schema, study, header, rows)
-    return y, t, labels, x
+            with warnings.catch_warnings():
+                # a header-only file is an empty study
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as exc:  # UnicodeDecodeError too: `csv` raises it again
+            table, problem = None, exc
+    if table is not None:
+        y, t = table[col[schema.outcome]].copy(), table[col[schema.treatment]].copy()
+        x = np.empty((len(table), len(schema.covariates)))
+        for j, c in enumerate(schema.covariates):
+            x[:, j] = table[col[c]]
+        labels = table[col[schema.subgroup]]
+        if (np.isfinite(y).all() and np.isfinite(x).all()
+                and np.isin(t, (0, 1) if study == RCT else (0,)).all()
+                and "" not in map(str.strip, set(labels.tolist()))):
+            return y, t, labels, x
+        problem = "a value breaks a column rule"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(filter(None, csv.reader(fh)))[1:]  # blank lines read as []
+    _check_rows(path, schema, study, header, rows)
+    raise MalformedRow(f"{path}: {problem}")  # only if `csv` splits rows otherwise
 
 
 def load_dataset(
@@ -380,27 +442,34 @@ def load_dataset(
     """Load and validate an RCT + EC dataset pair from CSV files.
 
     Subgroup labels found in the files are mapped to 1..K in lexicographic
-    order unless `subgroup_levels` declares the levels explicitly, in which
-    case any label outside that set raises UnknownSubgroup. Every row must
-    have as many fields as the header.
+    order unless `subgroup_levels` declares the levels explicitly, as a
+    list of distinct labels, in which case any label outside that set
+    raises UnknownSubgroup. Every row must have as many fields as the
+    header.
     """
     y_r, t_r, labels_r, x_r = _read_columns(rct_csv, schema, RCT)
     y_e, _t_e, labels_e, x_e = _read_columns(ec_csv, schema, EC)
+    found = np.concatenate([labels_r, labels_e])
+    stripped = {label: label.strip() for label in set(found.tolist())}
     if subgroup_levels is not None:
+        if not isinstance(subgroup_levels, (list, tuple)):
+            raise ConfigError(
+                f"subgroup_levels must be a list of labels, got {subgroup_levels!r}")
         labels = [str(v) for v in subgroup_levels]
+        twice = [lab for i, lab in enumerate(labels) if lab in labels[:i]]
+        if twice:
+            raise ConfigError(f"subgroup_levels lists {twice[0]!r} more than once")
     else:
-        labels = sorted(set(labels_r) | set(labels_e))
+        labels = sorted(set(stripped.values()))
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def codes(found):
-        try:
-            return np.fromiter(map(index.__getitem__, found), np.int64, len(found))
-        except KeyError as exc:
-            raise UnknownSubgroup(
-                f"subgroup label {exc.args[0]!r} not among declared levels {labels}") from None
+    code = {label: index.get(name, -1) for label, name in stripped.items()}
+    w = np.fromiter(map(code.__getitem__, found), np.int64, len(found))
+    if (w < 0).any():
+        raise UnknownSubgroup(f"subgroup label {stripped[found[np.argmax(w < 0)]]!r} "
+                              f"not among declared levels {labels}")
 
     return CombinedDataset.from_arrays(
-        y_rct=y_r, t_rct=t_r, w_rct=codes(labels_r), y_ec=y_e, w_ec=codes(labels_e),
+        y_rct=y_r, t_rct=t_r, w_rct=w[:len(y_r)], y_ec=y_e, w_ec=w[len(y_r):],
         k=len(labels), x_rct=x_r, x_ec=x_e, outcome_family=outcome_family,
         subgroup_labels=labels)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import BINARY, CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset
+from .data import BINARY, CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset, SubgroupRows
 from .errors import EmptyArm, EmptySubgroupArm
 from .glm import (
     MODEL_OVERALL,
@@ -154,49 +154,28 @@ def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
     return fit_logistic_irls(x, y, weights=None if weights is None else weights[:len(y)])
 
 
-def _by_subgroup(w: np.ndarray, k: int):
-    """A stable row order grouping w's subgroups, and a function averaging
-    an array in that order over each subgroup's rows. Summing a subgroup's
-    contiguous run of rows gives the same bits as np.mean over its masked
-    rows."""
-    n = np.bincount(w, minlength=k)
-    bad = _first_subgroup(n == 0)
-    if bad is not None:
-        raise EmptySubgroupArm(f"subgroup {bad} has no RCT patients")
-    ends = np.cumsum(n).tolist()
-    rows = [slice(a, b) for a, b in zip([0, *ends], ends)]
-
-    def means(v: np.ndarray) -> np.ndarray:
-        sums = np.array([np.add.reduce(v[r]) for r in rows])
-        return sums / (n if v.ndim == 1 else n[:, None])
-
-    return np.argsort(w, kind="stable"), means
-
-
-def marginal_effects(w: np.ndarray, x: np.ndarray, nu: np.ndarray,
+def marginal_effects(rows: SubgroupRows, x: np.ndarray, nu: np.ndarray,
                      eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference of the logistic
-    model (nu, eta, beta) over each subgroup's rows of (w, x)."""
-    order, means = _by_subgroup(w, nu.shape[0])
-    w = w[order]
-    xb = (x @ beta)[order] if x.shape[1] else 0.0
+    model (nu, eta, beta) over each subgroup's `rows` of x."""
+    w = rows.w
+    xb = (x @ beta)[rows.order] if x.shape[1] else 0.0
     nu_w = nu[w]
-    return means(expit(nu_w + eta[w] + xb) - expit(nu_w + xb))
+    return rows.means(expit(nu_w + eta[w] + xb) - expit(nu_w + xb))
 
 
 def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
                          beta: np.ndarray) -> np.ndarray:
     """Average the treated-vs-control response difference over each RCT
     subgroup's covariate values."""
-    return marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta)
+    return marginal_effects(ds.rct_subgroups, ds.x_rct, nu, eta, beta)
 
 
-def _marginal_gradient(w: np.ndarray, x: np.ndarray, nu, eta, beta) -> np.ndarray:
-    """Gradient of `marginal_effects(w, x, nu, eta, beta)` against (nu, eta,
-    beta)."""
+def _marginal_gradient(rows: SubgroupRows, x: np.ndarray, nu, eta, beta) -> np.ndarray:
+    """Gradient of `marginal_effects(rows, x, nu, eta, beta)` against (nu,
+    eta, beta)."""
     k, d = nu.shape[0], x.shape[1]
-    order, means = _by_subgroup(w, k)
-    w = w[order]
+    w, order, means = rows.w, rows.order, rows.means
     xb = (x @ beta)[order] if d else 0.0
     pa, pb = expit(nu[w] + eta[w] + xb), expit(nu[w] + xb)
     ga = pa * (1 - pa)
@@ -223,7 +202,7 @@ def logistic_marginal_effects(ds: CombinedDataset,
     k = ds.k
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
     theta = marginalize_logistic(ds, nu, eta, beta)
-    grad = _marginal_gradient(ds.w_rct, ds.x_rct, nu, eta, beta)
+    grad = _marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta)
     try:
         cov = grad @ np.linalg.solve(fit.information, grad.T)
         cov = 0.5 * (cov + cov.T)

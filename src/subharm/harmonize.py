@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import CombinedDataset, DesignCounts, compute_design_counts
+from .data import CombinedDataset, DesignCounts, SubgroupRows, compute_design_counts
 from .errors import (
     ConfigError,
     DegenerateDirection,
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .estimators import (
     EffectEstimate,
-    _by_subgroup,
     _marginal_gradient,
     _pooled_logistic_fit,
     marginal_effects,
@@ -268,14 +267,14 @@ class LimitMapSpec:
     ec_rows: np.ndarray
     rct_rows: np.ndarray
     w_ec: np.ndarray
-    w_rct: np.ndarray
+    rct_subgroups: SubgroupRows
     x_rct: np.ndarray
     k: int
     pi: np.ndarray
 
     def __post_init__(self):
         for a in (self.anchor, self.weights, self.response, self.ec_rows, self.rct_rows,
-                  self.w_ec, self.w_rct, self.x_rct, self.pi):
+                  self.w_ec, self.x_rct, self.pi):
             a.setflags(write=False)
 
 
@@ -309,7 +308,7 @@ def build_limit_map_spec(ds: CombinedDataset,
         anchor=fit.coefficients.copy(), design=design, weights=weights,
         response=response, ec_rows=rows[2 * ds.n_rct:],
         rct_rows=rows[:2 * ds.n_rct].reshape(2, ds.n_rct), w_ec=ds.w_ec.copy(),
-        w_rct=ds.w_rct.copy(), x_rct=ds.x_rct.copy(), k=k, pi=pi,
+        rct_subgroups=ds.rct_subgroups, x_rct=ds.x_rct.copy(), k=k, pi=pi,
     )
 
 
@@ -332,7 +331,7 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     coef = coef + np.linalg.solve(
         fit.information, design.score(w * (y - expit(design.linear_predictor(coef)))))
     k = spec.k
-    return marginal_effects(spec.w_rct, spec.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
+    return marginal_effects(spec.rct_subgroups, spec.x_rct, *np.split(coef, [k, 2 * k]))
 
 
 def _sigmoid_derivatives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,15 +396,15 @@ def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
     r *= l1
     c3 -= design.score(r) @ h_inv.T
 
-    grad = _marginal_gradient(spec.w_rct, spec.x_rct, *np.split(spec.anchor, [k, 2 * k]))
-    order, means = _by_subgroup(spec.w_rct, k)
-    copies = spec.rct_rows[:, order]  # control, then treated copies
+    rows = spec.rct_subgroups
+    grad = _marginal_gradient(rows, spec.x_rct, *np.split(spec.anchor, [k, 2 * k]))
+    copies = spec.rct_rows[:, rows.order]  # control, then treated copies
     z1 = l1[:, copies]
     third = s[2][copies] * z1 * z1
     third += 3.0 * s[1][copies] * l2[:, copies]
     third *= z1
     h2 = fd_step * fd_step / 6.0
-    return grad @ (c1 + h2 * c3).T + h2 * means((third[:, 1] - third[:, 0]).T)
+    return grad @ (c1 + h2 * c3).T + h2 * rows.means((third[:, 1] - third[:, 0]).T)
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4

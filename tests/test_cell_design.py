@@ -140,7 +140,7 @@ def dense_limit_map(ds, anchor, ec_weights):
         y = np.concatenate([response_rct, expit(lp_ec + delta[ds.w_ec])])
         coef = fit_logistic_irls(x, y, weights=weights, start=anchor, tol=1e-12,
                                  max_iter=200).coefficients
-        return marginal_effects(ds.w_rct, ds.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
+        return marginal_effects(ds.rct_subgroups, ds.x_rct, coef[:k], coef[k:2 * k], coef[2 * k:])
     return theta
 
 
@@ -216,7 +216,7 @@ def test_implicit_jacobian_predicts_the_fd_sensitivity(trial):
     # subgroup j's EC rows
     spec = trial_spec(trial)
     ds, k, p = trial[0], spec.k, spec.response
-    grad = _marginal_gradient(ds.w_rct, ds.x_rct, spec.anchor[:k], spec.anchor[k:2 * k],
+    grad = _marginal_gradient(ds.rct_subgroups, ds.x_rct, spec.anchor[:k], spec.anchor[k:2 * k],
                               spec.anchor[2 * k:])
     v = spec.weights * p * (1.0 - p)
     masked = np.zeros((k, len(p)))

@@ -215,6 +215,23 @@ class TestEstimateFailsClosed:
         for method in ("analytic", "bootstrap"):
             assert [r["point"] for r in ivs if r["method"] == method] == est
 
+    @pytest.mark.parametrize("levels,message", [
+        ("12345678", "subgroup_levels must be a list of labels, got '12345678'"),
+        ([str(i) for i in range(1, 9)] + ["8"], "subgroup_levels lists '8' more than once"),
+    ], ids=["string", "duplicate"])
+    def test_bad_subgroup_levels_exit_2(self, tmp_path, capsys, levels, message):
+        # a string would read as one level per character, and a repeated
+        # level would leave a subgroup without patients
+        ds = balanced_dataset(k=8, n_t=2, n_c=2, n_e=2, seed=6)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec)
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "subgroup_levels": levels,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "message": message}
+
     @pytest.mark.parametrize("column,value", [
         ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf")])
     def test_non_finite_cell_exits_3(self, tmp_path, capsys, column, value):

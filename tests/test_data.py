@@ -1,5 +1,15 @@
+import csv
+import json
+import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subharm import (
     CombinedDataset,
@@ -9,6 +19,7 @@ from subharm import (
     save_dataset,
 )
 from subharm.errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EcTreatedPatient,
@@ -124,6 +135,52 @@ class TestLoad:
         bad.write_text(f"y,arm,grp,age\n0.5,0,a,0.2\n{row}\n")
         with pytest.raises(MalformedRow, match=rf"{bad}:3: {fields} fields where the header has 4"):
             load_dataset(str(bad), csv_pair[1], SCHEMA)
+
+    @pytest.mark.parametrize("row", ["1.0,1,a,0.1", "1.0,1,a,0.1,7,8"])
+    def test_ragged_row_beside_an_unused_column(self, tmp_path, csv_pair, row):
+        # every header column is read, so a row that still covers the
+        # schema's columns fails on its width
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"y,arm,grp,age,note\n0.5,0,a,0.2,n\n{row}\n")
+        fields = row.count(",") + 1
+        with pytest.raises(MalformedRow, match=rf"{bad}:3: {fields} fields where the header has 5"):
+            load_dataset(str(bad), csv_pair[1], SCHEMA)
+
+    def test_header_only_ec_file_warns_nothing(self, tmp_path, csv_pair, capsys):
+        from subharm.cli import main
+
+        ec = tmp_path / "ec.csv"
+        ec.write_text("y,arm,grp,age\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "rct_csv": csv_pair[0], "ec_csv": str(ec), "out_dir": str(tmp_path / "o"),
+            "schema": {"outcome": "y", "treatment": "arm", "subgroup": "grp",
+                       "covariates": ["age"]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_dataset(csv_pair[0], str(ec), SCHEMA)
+            assert ds.n_ec == 0 and ds.x_ec.shape == (0, 1) and ds.k == 2
+            assert main(["estimate", "--config", str(config)]) == 3
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "MissingCovariance",
+            "message": "variance-directed harmonization needs the initial estimate's covariance"}
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "1.\u0665"])
+    def test_numbers_must_be_ascii_decimal_literals(self, tmp_path, csv_pair, cell):
+        # float() reads these, the C reader does not
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"y,arm,grp,age\n0.5,0,a,0.2\n{cell},1,a,0.3\n", encoding="utf-8")
+        with pytest.raises(MalformedRow,
+                           match=rf"{bad}:3: 'y' value '{cell}' is not an ASCII decimal literal"):
+            load_dataset(str(bad), csv_pair[1], SCHEMA)
+
+    @pytest.mark.parametrize("schema", [
+        dict(outcome="y", treatment="y"), dict(subgroup="grp", covariates=["grp"]),
+        dict(covariates=["age", "age"])])
+    def test_schema_roles_need_distinct_columns(self, schema):
+        with pytest.raises(ConfigError, match="more than one role to column"):
+            CsvSchema.from_dict({"outcome": "y", "treatment": "arm", "subgroup": "grp",
+                                 **schema})
 
     def test_first_bad_row_is_reported(self, tmp_path, csv_pair):
         bad = tmp_path / "bad.csv"
@@ -253,3 +310,176 @@ class TestDesignCounts:
             y_ec=np.zeros(1), w_ec=np.array([0]), k=2)
         with pytest.raises(EmptySubgroupError):
             compute_design_counts(ds)
+
+
+# --- differential test against a `csv`-module reader --------------------------
+
+def _ref_parse_cell(raw, kind, path, line, column):
+    raw = raw.strip()
+    if raw == "":
+        raise MalformedRow(f"{path}:{line}: empty {column!r} cell")
+    try:
+        value = float(raw) if kind == "float" else int(raw)
+    except ValueError:
+        raise MalformedRow(
+            f"{path}:{line}: cannot parse {column!r} value {raw!r}") from None
+    if kind == "float" and not math.isfinite(value):
+        raise MalformedRow(f"{path}:{line}: non-finite {column!r} value {raw!r}")
+    return value
+
+
+def _ref_read_columns(path, schema, study):
+    """Every row through `csv.reader`, every cell through float() or int()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(f"{path}: empty file (header row required)")
+        needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise MalformedRow(f"{path}: missing columns {missing}")
+        rows = list(filter(None, reader))
+    col = {name: i for i, name in enumerate(header)}
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise MalformedRow(
+                f"{path}:{line}: {len(row)} fields where the header has {len(header)}")
+        _ref_parse_cell(row[col[schema.outcome]], "float", path, line, schema.outcome)
+        treatment = _ref_parse_cell(row[col[schema.treatment]], "int", path, line,
+                                    schema.treatment)
+        if treatment not in (0, 1):
+            raise MalformedRow(f"{path}:{line}: treatment must be 0 or 1")
+        if study == "EC" and treatment == 1:
+            raise EcTreatedPatient(f"{path}:{line}: external-control row with treatment = 1")
+        if row[col[schema.subgroup]].strip() == "":
+            raise MalformedRow(f"{path}:{line}: empty subgroup cell")
+        for c in schema.covariates:
+            _ref_parse_cell(row[col[c]], "float", path, line, c)
+    y = np.array([float(r[col[schema.outcome]]) for r in rows])
+    t = np.array([int(r[col[schema.treatment]]) for r in rows], dtype=np.int64)
+    x = np.array([[float(r[col[c]]) for c in schema.covariates] for r in rows])
+    labels = [r[col[schema.subgroup]].strip() for r in rows]
+    return y, t, labels, x.reshape(len(rows), len(schema.covariates))
+
+
+def reference_load(rct_csv, ec_csv, schema, subgroup_levels=None):
+    y_r, t_r, labels_r, x_r = _ref_read_columns(rct_csv, schema, "RCT")
+    y_e, _t_e, labels_e, x_e = _ref_read_columns(ec_csv, schema, "EC")
+    if subgroup_levels is not None:
+        labels = [str(v) for v in subgroup_levels]
+    else:
+        labels = sorted(set(labels_r) | set(labels_e))
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    def codes(found):
+        try:
+            return np.array([index[lab] for lab in found], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownSubgroup(
+                f"subgroup label {exc.args[0]!r} not among declared levels {labels}") from None
+
+    return CombinedDataset.from_arrays(
+        y_rct=y_r, t_rct=t_r, w_rct=codes(labels_r), y_ec=y_e, w_ec=codes(labels_e),
+        k=len(labels), x_rct=x_r, x_ec=x_e, subgroup_labels=labels)
+
+
+# each cell draws from its column's first pool, and one time in 40 from
+# its second, whose cells the readers reject or part on
+CELLS = {
+    "y": (["0", "1", "1.5", " 2 ", "-0.25", "+1", "01", "1e-3", "1.0", "\u00a01\u00a0"],
+          ["", " ", "x", "0x1", "1e400", "nan", "inf", "-Infinity", "1_0", "\u0661"]),
+    "arm": (["0", "1", " 0 ", "+1"], ["2", "1.0", "", "99999999999999999999", "1_0"]),
+    "grp": (["a", " a ", "b", "a b", "\u00e9", "x,y", 'q"t', "two\nlines", "a\x00"],
+            ["", " "]),
+}
+CELLS["age"] = CELLS["y"]
+CELLS["note"] = (CELLS["grp"][0] + CELLS["y"][1], [""])
+
+
+def _field(draw, value):
+    """`value` as a CSV field: quoted with doubled quotes where it needs it,
+    and at random where it does not."""
+    if any(c in value for c in ',"\n\r') or draw(st.integers(0, 4)) == 0:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def csv_text(draw, ec=False):
+    """A CSV file over the columns y, arm, grp and age, with an unused
+    column, sometimes a duplicate header name, blank and whitespace-only
+    lines, ragged rows and cells of every kind. External-control files
+    draw treatment 1 among the rare cells."""
+    header = draw(st.permutations(["y", "arm", "grp", "age", "note"]))
+    if draw(st.booleans()):
+        header = header + [draw(st.sampled_from(header))]  # the last one is read
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        fields = []
+        for name in header:
+            usual, rare = CELLS[name]
+            if ec and name == "arm":
+                usual, rare = ["0", " 0 "], ["1"] + rare
+            cell = draw(st.sampled_from(rare if draw(st.integers(0, 39)) == 0 else usual))
+            fields.append(_field(draw, cell))
+        if draw(st.integers(0, 19)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["7"]
+        lines.append(",".join(fields))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(load, *args, **kwargs):
+    try:
+        ds = load(*args, **kwargs)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return ds
+
+
+def _literal_class(message, paths):
+    """Whether `message` names a cell that float() or int() reads and that
+    is not an ASCII decimal literal."""
+    m = re.fullmatch(r"(.*):(\d+): '(\w+)' value '(.*)' is not an ASCII decimal literal",
+                     message, flags=re.S)
+    if m is None or m[1] not in paths:
+        return False
+    with open(m[1], newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(filter(None, reader))
+    raw = rows[int(m[2]) - 2][max(i for i, c in enumerate(header) if c == m[3])].strip()
+    (float if m[3] != "arm" else int)(raw)
+    return raw == m[4] and ("_" in raw or not raw.isascii())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rct=csv_text(), ec=csv_text(ec=True), with_age=st.booleans(),
+       levels=st.none() | st.lists(st.sampled_from(["a", "b", "a b", "\u00e9", "x,y"]),
+                                   unique=True))
+def test_reader_matches_the_csv_module_reader(rct, ec, with_age, levels):
+    schema = CsvSchema(outcome="y", treatment="arm", subgroup="grp",
+                       covariates=("age",) if with_age else ())
+    with tempfile.TemporaryDirectory() as where:
+        paths = [str(Path(where) / "rct.csv"), str(Path(where) / "ec.csv")]
+        for path, text in zip(paths, (rct, ec)):
+            Path(path).write_text(text, encoding="utf-8", newline="")
+        want = _outcome(reference_load, *paths, schema, levels)
+        got = _outcome(load_dataset, *paths, schema, subgroup_levels=levels)
+        if isinstance(got, tuple) and got != want:
+            # the one class the two readers part on: numbers that only
+            # Python's float() and int() read
+            assert got[0] is MalformedRow and _literal_class(got[1], paths), (got, want)
+            return
+    assert isinstance(want, tuple) == isinstance(got, tuple), (got, want)
+    if isinstance(want, tuple):
+        return
+    assert got.subgroup_labels == want.subgroup_labels
+    assert all(type(label) is str for label in got.subgroup_labels)
+    for name in ("y_rct", "t_rct", "w_rct", "x_rct", "y_ec", "w_ec", "x_ec"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -190,15 +190,16 @@ class TestLogisticMarginal:
             want_grad[j, j], want_grad[j, 5 + j] = np.mean(ga - gb), np.mean(ga)
             want_grad[j, 10:] = np.mean((ga - gb)[:, None] * ds.x_rct[m], axis=0)
         np.testing.assert_array_equal(
-            marginal_effects(ds.w_rct, ds.x_rct, nu, eta, beta), want_theta)
-        np.testing.assert_array_equal(_marginal_gradient(ds.w_rct, ds.x_rct, nu, eta, beta), want_grad)
+            marginal_effects(ds.rct_subgroups, ds.x_rct, nu, eta, beta), want_theta)
+        np.testing.assert_array_equal(_marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta), want_grad)
 
     def test_marginalization_names_first_empty_subgroup(self):
-        from subharm.estimators import marginal_effects
+        from subharm.estimators import marginalize_logistic
 
-        w = np.array([0, 0, 2, 2])
+        ds = CombinedDataset.from_arrays(y_rct=np.zeros(4), t_rct=[1, 0, 1, 0],
+                                         w_rct=[0, 0, 2, 2], y_ec=[], w_ec=[], k=4)
         with pytest.raises(EmptySubgroupArm, match="subgroup 2 has no RCT patients"):
-            marginal_effects(w, np.zeros((4, 0)), np.zeros(4), np.zeros(4), np.zeros(0))
+            marginalize_logistic(ds, np.zeros(4), np.zeros(4), np.zeros(0))
 
 
 class TestPropensity:

@@ -358,6 +358,27 @@ class TestSigmaWorkPerReplicate:
         assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
 
 
+def test_rct_subgroup_grouping_built_once_per_replicate(monkeypatch):
+    from subharm.data import SubgroupRows
+
+    built = []
+    original = SubgroupRows.of.__func__
+
+    def counted(cls, w, k):
+        built.append(len(w))
+        return original(cls, w, k)
+
+    monkeypatch.setattr(SubgroupRows, "of", classmethod(counted))
+    ests = ["logistic_pooled"] + [
+        {"kind": "harmonized", "initial": "logistic_pooled", "overall": "logistic",
+         "lambda": "full", "sigma_mode": mode} for mode in ("bd", "vd")]
+    run_monte_carlo(load_preset("fig5"), ests, reps=2, seed=3)
+    # the pooled effects, their gradient, the overall effect and the bd
+    # limit map's sensitivity all read one dataset's grouping: one per
+    # replicate, and one for the true effects' dataset
+    assert len(built) == 3
+
+
 class TestTrialFitPerReplicate:
     @staticmethod
     def _fits(monkeypatch):
