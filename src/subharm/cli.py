@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError, SubharmError
 from .estimators import _pooled_cell_variance
 from .harmonize import parse_lambda
-from .intervals import interval
+from .intervals import BOOTSTRAP_R
 from .presets import load_preset
 from .sim import (
     DEFAULT_RESAMPLE_ESTIMATORS,
@@ -45,6 +44,7 @@ from .sim import (
     ScenarioSpec,
     _ReplicateContext,
     check_fixed_sigmas,
+    evaluate_replicate,
     plan_estimators,
     run_monte_carlo,
     run_resampling,
@@ -86,17 +86,14 @@ FLAGS = {
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _load_config(path: str | None) -> dict:
@@ -105,13 +102,22 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     return obj
+
+
+def _out_dir(path) -> Path:
+    """The artifact directory, made if it is missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        raise ConfigError(f"cannot make out_dir {path}: {exc}") from None
+    return Path(path)
 
 
 def _whole(key: str, value) -> int:
@@ -156,11 +162,6 @@ def _settings(command: str, cfg: dict) -> dict:
     return s
 
 
-def _apply_overrides(cfg: dict, ns: argparse.Namespace) -> dict:
-    flags = {key: val for key, val in vars(ns).items() if key in FLAGS and val is not None}
-    return {**cfg, **flags}
-
-
 def _manifest(out_dir: Path, command: str, resolved: dict, checks: dict) -> None:
     config = {key: val for key, val in resolved.items() if key not in LIST_KEYS}
     manifest = {"command": command, "version": __version__,
@@ -171,12 +172,8 @@ def _manifest(out_dir: Path, command: str, resolved: dict, checks: dict) -> None
 
 
 def _json_default(v):
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
@@ -190,13 +187,10 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
         json.dump(report.to_json_dict(), fh, indent=2, default=_json_default)
         fh.write("\n")
     if write_replicates and report.replicate_estimates:
-        rrows = []
-        for name, arr in report.replicate_estimates.items():
-            for rep in range(arr.shape[0]):
-                if not np.isfinite(arr[rep]).all():
-                    continue
-                for k in range(arr.shape[1]):
-                    rrows.append([rep, name, k + 1, arr[rep, k]])
+        rrows = [[rep, name, k + 1, est[k]]
+                 for name, arr in report.replicate_estimates.items()
+                 for rep, est in enumerate(arr) if np.isfinite(est).all()
+                 for k in range(len(est))]
         _write_csv(out_dir / "replicates.csv",
                    ["replicate", "estimator", "subgroup", "estimate"], rrows)
 
@@ -205,8 +199,7 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
 
 def cmd_estimate(cfg: dict) -> int:
     s = _settings("estimate", cfg)
-    out_dir = Path(s["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(s["out_dir"])
     schema = CsvSchema.from_dict(s["schema"])
     family = s["outcome_family"]
     if family not in (CONTINUOUS, BINARY):
@@ -231,43 +224,30 @@ def cmd_estimate(cfg: dict) -> int:
     check_fixed_sigmas(est_cfgs, ds.k)
     dc = compute_design_counts(ds, s["prevalences"])
     ctx = _ReplicateContext(ds, dc)
-    est_rows = []
-    results: dict[str, np.ndarray] = {}
-    for ecfg in est_cfgs:
-        theta = ctx.evaluate(ecfg)
-        results[ecfg.name] = theta
-        for k in range(ds.k):
-            est_rows.append([ecfg.name, k + 1, ds.subgroup_labels[k], float(theta[k])])
+    est, ivs, failures = evaluate_replicate(
+        ctx, 0, est_cfgs, s["intervals"], target, _pooled_cell_variance(ds.cell_stats),
+        s["alpha"], BOOTSTRAP_R, s["seed"])
+    if failures:
+        raise failures[0][1]
+    labels = ds.subgroup_labels
+    est_rows = [[ecfg.name, k + 1, labels[k], float(theta[k])]
+                for ecfg, theta in zip(est_cfgs, est) for k in range(ds.k)]
     overall = ctx.overall("diff_means" if family == CONTINUOUS else "logistic")
     est_rows.append(["overall_rct", 0, "(all)", overall])
-    _write_csv(out_dir / "estimates.csv",
-               ["estimator", "subgroup", "label", "estimate"], est_rows)
-
-    interval_rows = []
-    alpha = s["alpha"]
-    phi2 = _pooled_cell_variance(ds.cell_stats)
-    harmonized = None if target is None else partial(ctx.harmonized, target)
-    for method in s["intervals"]:
-        iv = interval(method, ds, dc, alpha, phi2=phi2, target=harmonized, seed=s["seed"])
-        for k in range(ds.k):
-            interval_rows.append([method, k + 1, ds.subgroup_labels[k],
-                                  float(iv.lower[k]), float(iv.upper[k]),
-                                  float(iv.point[k]), alpha])
-    _write_csv(out_dir / "intervals.csv",
-               ["method", "subgroup", "label", "lower", "upper", "point", "alpha"],
-               interval_rows)
+    interval_rows = [[method, k + 1, labels[k], float(iv.lower[k]), float(iv.upper[k]),
+                      float(iv.point[k]), s["alpha"]]
+                     for method, iv in zip(s["intervals"], ivs) for k in range(ds.k)]
 
     checks = {}
-    for ecfg in est_cfgs:
+    for ecfg, theta in zip(est_cfgs, est):
         if ecfg.kind != "harmonized":
             continue
         checks[f"shift_mode[{ecfg.name}]"] = ctx.shift_mode(ecfg)
         if np.isinf(ecfg.lam):
-            gap = abs(float(dc.pi @ results[ecfg.name]) - overall_for(ctx, ecfg))
+            gap = abs(float(dc.pi @ theta) - overall_for(ctx, ecfg))
             checks[f"full_harmonization_gap[{ecfg.name}]"] = gap
             if not gap <= 1e-10:
-                raise NumericalError(
-                    f"full harmonization constraint violated ({gap:.3g})")
+                raise NumericalError(f"full harmonization constraint violated ({gap:.3g})")
     s.update(schema=asdict(schema), subgroup_levels=list(ds.subgroup_labels),
              prevalences=list(dc.pi))
     checks["prevalence_source"] = dc.prevalence_source
@@ -276,6 +256,11 @@ def cmd_estimate(cfg: dict) -> int:
         "q": dc.q, "counts": dc.counts.tolist(),
         "subgroup_labels": list(ds.subgroup_labels),
     }
+    _write_csv(out_dir / "estimates.csv",
+               ["estimator", "subgroup", "label", "estimate"], est_rows)
+    _write_csv(out_dir / "intervals.csv",
+               ["method", "subgroup", "label", "lower", "upper", "point", "alpha"],
+               interval_rows)
     _manifest(out_dir, "estimate", s, checks)
     return 0
 
@@ -290,8 +275,7 @@ def cmd_simulate(cfg: dict) -> int:
     s = _settings("simulate", cfg)
     if s["lambda"] is not None and "harmonized_lambdas" in cfg:
         raise ConfigError("give either 'lambda' or 'harmonized_lambdas', not both")
-    out_dir = Path(s["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(s["out_dir"])
     preset = s.pop("preset")
     if preset is not None and s["scenario"] is not None:
         raise ConfigError("give either preset or scenario, not both")
@@ -318,10 +302,9 @@ def cmd_simulate(cfg: dict) -> int:
                              bootstrap_r=s["bootstrap_r"], workers=s["workers"],
                              interval_estimator=s["interval_estimator"])
     _report_artifacts(out_dir, report)
-    checks = {"preset": preset, "n_failures": len(report.failures),
-              "truth": list(report.truth),
-              "prevalence_source": report.prevalence_source}
-    _manifest(out_dir, "simulate", s, checks)
+    _manifest(out_dir, "simulate", s, {
+        "preset": preset, "n_failures": len(report.failures), "truth": list(report.truth),
+        "prevalence_source": report.prevalence_source})
     return 0
 
 
@@ -329,8 +312,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_resample(cfg: dict) -> int:
     s = _settings("resample", cfg)
-    out_dir = Path(s["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(s["out_dir"])
     schema = CsvSchema.from_dict(s["schema"])
     report = run_resampling(
         s["trial_csv"], s["ec_csv"], schema=schema,
@@ -339,8 +321,7 @@ def cmd_resample(cfg: dict) -> int:
                                    "prevalence_mode")})
     _report_artifacts(out_dir, report, write_replicates=True)
     s["schema"] = asdict(schema)
-    checks = {"n_failures": len(report.failures), "extra": report.extra}
-    _manifest(out_dir, "resample", s, checks)
+    _manifest(out_dir, "resample", s, {"n_failures": len(report.failures), "extra": report.extra})
     return 0
 
 
@@ -366,20 +347,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(ns.config), ns)
+        flags = {key: val for key, val in vars(ns).items() if key in FLAGS and val is not None}
+        cfg = {**_load_config(ns.config), **flags}
         if ns.command == "estimate":
             return cmd_estimate(cfg)
         if ns.command == "simulate":
             return cmd_simulate(cfg)
         return cmd_resample(cfg)
     except SubharmError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return 2
-        if isinstance(exc, DataError):
-            return 3
-        return 4
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
 
 
 if __name__ == "__main__":

@@ -394,40 +394,47 @@ def _read_columns(path: str, schema: CsvSchema, study: str
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise MalformedRow(f"{path}: empty file (header row required)")
-        needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise MalformedRow(f"{path}: missing columns {missing}")
-        col = {name: f"f{i}" for i, name in enumerate(header)}  # the last of a name
-        kinds = {col[c]: float for c in (schema.outcome, *schema.covariates)}
-        kinds[col[schema.treatment]] = np.int64
-        dtype = [(f"f{i}", kinds.get(f"f{i}", object)) for i in range(len(header))]
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty study
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-        except ValueError as exc:  # UnicodeDecodeError too: `csv` raises it again
-            table, problem = None, exc
-    if table is not None:
-        y, t = table[col[schema.outcome]].copy(), table[col[schema.treatment]].copy()
-        x = np.empty((len(table), len(schema.covariates)))
-        for j, c in enumerate(schema.covariates):
-            x[:, j] = table[col[c]]
-        labels = table[col[schema.subgroup]]
-        if (np.isfinite(y).all() and np.isfinite(x).all()
-                and np.isin(t, (0, 1) if study == RCT else (0,)).all()
-                and "" not in map(str.strip, set(labels.tolist()))):
-            return y, t, labels, x
-        problem = "a value breaks a column rule"
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(filter(None, csv.reader(fh)))[1:]  # blank lines read as []
+    try:
+        with fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise MalformedRow(f"{path}: empty file (header row required)")
+            needed = [schema.outcome, schema.treatment, schema.subgroup, *schema.covariates]
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise MalformedRow(f"{path}: missing columns {missing}")
+            col = {name: f"f{i}" for i, name in enumerate(header)}  # the last of a name
+            kinds = {col[c]: float for c in (schema.outcome, *schema.covariates)}
+            kinds[col[schema.treatment]] = np.int64
+            dtype = [(f"f{i}", kinds.get(f"f{i}", object)) for i in range(len(header))]
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is an empty study
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                       quotechar='"', ndmin=1)
+            except ValueError as exc:  # UnicodeDecodeError too: `csv` raises it again
+                table, problem = None, exc
+        if table is not None:
+            y, t = table[col[schema.outcome]].copy(), table[col[schema.treatment]].copy()
+            x = np.empty((len(table), len(schema.covariates)))
+            for j, c in enumerate(schema.covariates):
+                x[:, j] = table[col[c]]
+            labels = table[col[schema.subgroup]]
+            if (np.isfinite(y).all() and np.isfinite(x).all()
+                    and np.isin(t, (0, 1) if study == RCT else (0,)).all()
+                    and "" not in map(str.strip, set(labels.tolist()))):
+                return y, t, labels, x
+            problem = "a value breaks a column rule"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(filter(None, csv.reader(fh)))[1:]  # blank lines read as []
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # "\n" is never part of a multi-byte character
+            lines = [text for text in fh.read().split(b"\n") if text.strip(b"\r")]
+        line = next(i for i, text in enumerate(lines, start=1)
+                    if text.decode("utf-8", "ignore").encode() != text)
+        raise MalformedRow(f"{path}:{line}: not UTF-8 text") from None
     _check_rows(path, schema, study, header, rows)
     raise MalformedRow(f"{path}: {problem}")  # only if `csv` splits rows otherwise
 

@@ -39,6 +39,9 @@ from .rng import (
 )
 
 
+BOOTSTRAP_R = 1000  # bootstrap draws unless the caller sets r; `estimate` has no setting
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Per-subgroup (lower, upper) bounds around the point estimates."""
@@ -170,7 +173,7 @@ def _quantiles(a: np.ndarray, probs) -> list[np.ndarray]:
 
 
 def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
-                       r: int = 1000, alpha: float = 0.05,
+                       r: int = BOOTSTRAP_R, alpha: float = 0.05,
                        seed: int = 0, params: SimpleModelParams | None = None,
                        replicate: int = 0) -> IntervalSet:
     """Parametric-bootstrap interval for the harmonized difference-of-means
@@ -259,7 +262,7 @@ def check_interval_methods(methods, target, outcome_family: str) -> None:
 
 
 def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
-             phi2: float | None = None, target=None, r: int = 1000, seed: int = 0,
+             phi2: float | None = None, target=None, r: int = BOOTSTRAP_R, seed: int = 0,
              replicate: int = 0) -> IntervalSet:
     """One interval of a method accepted by `check_interval_methods`.
 

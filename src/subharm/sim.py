@@ -1,10 +1,15 @@
 """Scenario generation, Monte-Carlo replication, pool-resampling
 experiments, and metric aggregation.
 
+`evaluate_replicate` computes the estimates and intervals of one
+`simulate` or `resample` replicate, or of one `estimate` call, and is where
+their failures are caught. A failed estimate or interval is recorded with
+its reason and left out of the aggregates, whose reports count what was
+left out; `estimate` raises the first failure and writes nothing.
+
 Replicates draw from counter-based streams keyed by (seed, replicate,
 role), so reports are deterministic for a fixed seed regardless of the
-worker count. Failed replicates are recorded with their reason and
-excluded from aggregates; the exclusion counts appear in the report.
+worker count.
 """
 
 from __future__ import annotations
@@ -146,11 +151,9 @@ class ScenarioSpec:
             raise InvalidSpec(f"unknown scenario keys: {sorted(unknown)}")
         kw = dict(obj)
         for fname in ("n_rct_treated", "n_rct_control", "n_ec", "mu", "theta",
-                      "distortion", "beta"):
-            if fname in kw and kw[fname] is not None:
+                      "distortion", "beta", "prevalences"):
+            if kw.get(fname) is not None:
                 kw[fname] = tuple(kw[fname])
-        if kw.get("prevalences") is not None:
-            kw["prevalences"] = tuple(kw["prevalences"])
         kw.setdefault("name", "inline")
         return cls(**kw)
 
@@ -218,10 +221,8 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
     nodes, wts = hermegauss(80)
     wts = wts / wts.sum()
     z = m_lp + s_lp * nodes
-    out = np.empty(spec.k)
-    for j in range(spec.k):
-        out[j] = float(wts @ (expit(mu[j] + th[j] + z) - expit(mu[j] + z)))
-    return out
+    return np.array([float(wts @ (expit(mu[j] + th[j] + z) - expit(mu[j] + z)))
+                     for j in range(spec.k)])
 
 
 # --- estimator configuration ---------------------------------------------------
@@ -378,8 +379,6 @@ class _ReplicateContext:
     def overall(self, kind: str) -> float:
         fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
                 "logistic": lambda ds: logistic_overall_effect(ds, self.trial_logistic_fit())}
-        if kind not in fits:
-            raise ConfigError(f"unknown overall kind {kind!r}")
         return self._cached(f"overall:{kind}", lambda: fits[kind](self.ds))
 
     def bd_direction(self, initial_kind: str) -> np.ndarray:
@@ -491,45 +490,39 @@ class MonteCarloReport:
 
     def to_long_rows(self) -> list[dict]:
         rows = []
+
+        def add(estimator, subgroup, metric, value, mc_se):
+            rows.append(dict(scenario=self.scenario, estimator=estimator, subgroup=subgroup,
+                             metric=metric, value=value, mc_se=mc_se))
         for name, st in self.estimator_stats.items():
             for metric in ("bias", "sd", "rmse"):
                 # rmse noise is dominated by the sd component
                 se = st["mc_se_bias"] if metric == "bias" else st["mc_se_sd"]
                 for k in range(len(self.truth)):
-                    rows.append(dict(scenario=self.scenario, estimator=name,
-                                     subgroup=k + 1, metric=metric,
-                                     value=float(st[metric][k]), mc_se=float(se[k])))
-            rows.append(dict(scenario=self.scenario, estimator=name, subgroup=0,
-                             metric="n_used", value=int(st["n_used"]), mc_se=0.0))
+                    add(name, k + 1, metric, float(st[metric][k]), float(se[k]))
+            add(name, 0, "n_used", int(st["n_used"]), 0.0)
         for name, st in self.interval_stats.items():
             for k in range(len(self.truth)):
-                rows.append(dict(scenario=self.scenario, estimator=f"interval:{name}",
-                                 subgroup=k + 1, metric="coverage",
-                                 value=float(st["coverage"][k]),
-                                 mc_se=float(st["mc_se_coverage"][k])))
-                rows.append(dict(scenario=self.scenario, estimator=f"interval:{name}",
-                                 subgroup=k + 1, metric="mean_width",
-                                 value=float(st["mean_width"][k]),
-                                 mc_se=float(st["mc_se_width"][k])))
-            rows.append(dict(scenario=self.scenario, estimator=f"interval:{name}",
-                             subgroup=0, metric="n_used", value=int(st["n_used"]), mc_se=0.0))
+                add(f"interval:{name}", k + 1, "coverage", float(st["coverage"][k]),
+                    float(st["mc_se_coverage"][k]))
+                add(f"interval:{name}", k + 1, "mean_width", float(st["mean_width"][k]),
+                    float(st["mc_se_width"][k]))
+            add(f"interval:{name}", 0, "n_used", int(st["n_used"]), 0.0)
         return rows
 
     def to_json_dict(self) -> dict:
         def arr(a):
             return [float(v) for v in np.asarray(a).ravel()]
+
+        def stats(by_name):
+            return {name: {key: (arr(val) if isinstance(val, np.ndarray) else val)
+                           for key, val in st.items()} for name, st in by_name.items()}
         return {
             "scenario": self.scenario, "reps": self.reps, "seed": self.seed,
             "truth": arr(self.truth),
             "prevalence_source": self.prevalence_source,
-            "estimators": {
-                name: {key: (arr(val) if isinstance(val, np.ndarray) else val)
-                       for key, val in st.items()}
-                for name, st in self.estimator_stats.items()},
-            "intervals": {
-                name: {key: (arr(val) if isinstance(val, np.ndarray) else val)
-                       for key, val in st.items()}
-                for name, st in self.interval_stats.items()},
+            "estimators": stats(self.estimator_stats),
+            "intervals": stats(self.interval_stats),
             "failures": [list(f) for f in self.failures],
             "extra": self.extra,
         }
@@ -568,9 +561,8 @@ def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
             mc_se_coverage=np.sqrt(p * (1 - p) / n),
             mc_se_width=wd.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(p),
             n_used=n, n_failed=int(reps - n))
-    rep_est = None
-    if keep_replicates:
-        rep_est = {name: est[:, i, :].copy() for i, name in enumerate(names)}
+    rep_est = ({name: est[:, i, :].copy() for i, name in enumerate(names)}
+               if keep_replicates else None)
     return MonteCarloReport(scenario=scenario, reps=reps, seed=seed, truth=truth,
                             estimator_stats=est_stats, interval_stats=int_stats,
                             failures=failures, prevalence_source=prevalence_source,
@@ -579,29 +571,44 @@ def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
 
 # --- Monte-Carlo driver ----------------------------------------------------------
 
-def _interval_rows(ctx, target, methods, phi2, alpha, bootstrap_r, seed, rep, truth):
-    cover = np.full((len(methods), ctx.ds.k), np.nan)
-    width = np.full((len(methods), ctx.ds.k), np.nan)
-    fails = []
+def _attempt(failures: list, name: str, compute, failed):
+    """`compute()`, or `failed` once (name, exception) is appended to
+    `failures` when it raises a NumericalError or DataError."""
+    try:
+        return compute()
+    except (NumericalError, DataError) as exc:
+        failures.append((name, exc))
+        return failed
+
+
+def _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep, failures) -> list:
+    """One `IntervalSet` per method, None where it failed."""
     harmonized = None if target is None else partial(ctx.harmonized, target)
-    for i, method in enumerate(methods):
-        try:
-            iv = interval(method, ctx.ds, ctx.dc, alpha, phi2=phi2, target=harmonized,
-                          r=bootstrap_r, seed=seed, replicate=rep)
-            cover[i] = iv.covers(truth).astype(float)
-            width[i] = iv.width
-        except (NumericalError, DataError) as exc:
-            fails.append((rep, f"interval:{method}", str(exc)))
-    return cover, width, fails
+    return [_attempt(failures, f"interval:{method}", partial(
+        interval, method, ctx.ds, ctx.dc, alpha, phi2=phi2, target=harmonized,
+        r=r, seed=seed, replicate=rep), None) for method in methods]
+
+
+def evaluate_replicate(ctx, rep, est_cfgs, methods, target, phi2, alpha, r, seed) -> tuple:
+    """Evaluate one replicate, or one `estimate` call, in `ctx`: a K-row per
+    estimator (NaN where it failed), an `IntervalSet` per interval method
+    centred on `target` (None where it failed), and each NumericalError
+    or DataError as (name, exception), estimators in list order first."""
+    failures: list = []
+    nan = np.full(ctx.ds.k, np.nan)
+    est = np.array([_attempt(failures, cfg.name, partial(ctx.evaluate, cfg), nan)
+                    for cfg in est_cfgs])
+    ivs = _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep,
+                         failures) if methods else []
+    return est, ivs, failures
 
 
 def _scenario_batch(args) -> tuple:
     (spec, est_cfgs, methods, alpha, bootstrap_r, seed, truth, interval_cfg,
      rep_indices) = args
-    n_est, n_int, k = len(est_cfgs), len(methods), spec.k
-    est = np.full((len(rep_indices), n_est, k), np.nan)
-    cover = np.full((len(rep_indices), n_int, k), np.nan)
-    width = np.full((len(rep_indices), n_int, k), np.nan)
+    est = np.full((len(rep_indices), len(est_cfgs), spec.k), np.nan)
+    cover = np.full((len(rep_indices), len(methods), spec.k), np.nan)
+    width = cover.copy()
     failures = []
     mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
     dc, design_cache = None, {}
@@ -610,38 +617,30 @@ def _scenario_batch(args) -> tuple:
         if dc is None:  # the cell counts, so the design counts, are fixed
             dc = compute_design_counts(ds, spec.prevalences)
         ctx = _ReplicateContext(ds, dc, mu_true, design_cache)
-        for i, cfg in enumerate(est_cfgs):
-            try:
-                est[row, i] = ctx.evaluate(cfg)
-            except (NumericalError, DataError) as exc:
-                failures.append((rep, cfg.name, str(exc)))
-        if methods:
-            cover[row], width[row], fl = _interval_rows(
-                ctx, interval_cfg, methods, spec.phi2, alpha, bootstrap_r, seed, rep, truth)
-            failures.extend(fl)
+        est[row], ivs, fails = evaluate_replicate(ctx, rep, est_cfgs, methods, interval_cfg,
+                                                  spec.phi2, alpha, bootstrap_r, seed)
+        failures += [(rep, name, str(exc)) for name, exc in fails]
+        for i, iv in enumerate(ivs):
+            if iv is not None:
+                cover[row, i], width[row, i] = iv.covers(truth), iv.width
     return est, cover, width, failures
 
 
-def _run_batches(batch_fn, common_args, reps: int, workers: int):
+def _run_batches(batch_fn, common_args, reps: int, workers: int) -> tuple:
+    """`batch_fn` over replicates 0..reps-1, in one batch or in chunks on
+    `workers` processes: the (est, cover, width) arrays stacked in
+    replicate order, and the failures sorted by replicate and name."""
     indices = np.arange(reps)
     if workers <= 1:
-        return [batch_fn((*common_args, indices))]
-    chunks = np.array_split(indices, min(workers * 4, reps))
-    results = [None] * len(chunks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(batch_fn, (*common_args, chunk)): i
-                   for i, chunk in enumerate(chunks) if len(chunk)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return [r for r in results if r is not None]
-
-
-def _stack_batches(results):
-    est = np.concatenate([r[0] for r in results], axis=0)
-    cover = np.concatenate([r[1] for r in results], axis=0)
-    width = np.concatenate([r[2] for r in results], axis=0)
+        results = [batch_fn((*common_args, indices))]
+    else:
+        chunks = np.array_split(indices, min(workers * 4, reps))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(batch_fn, (*common_args, chunk)) for chunk in chunks]
+            results = [fut.result() for fut in futures]
+    stacked = (np.concatenate([r[i] for r in results]) for i in range(3))
     failures = sorted((f for r in results for f in r[3]), key=lambda f: (f[0], f[1]))
-    return est, cover, width, failures
+    return (*stacked, failures)
 
 
 def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (),
@@ -695,8 +694,7 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     truth = true_effects(spec, seed)
     common = (spec, est_cfgs, tuple(intervals), alpha, bootstrap_r, seed, truth,
               interval_cfg)
-    results = _run_batches(_scenario_batch, common, reps, workers)
-    est, cover, width, failures = _stack_batches(results)
+    est, cover, width, failures = _run_batches(_scenario_batch, common, reps, workers)
     source = "user_supplied" if spec.prevalences is not None else "rct_empirical"
     return _aggregate(spec.name, reps, seed, truth, [c.name for c in est_cfgs], est,
                       tuple(intervals), cover, width, failures, source, keep_replicates)
@@ -784,8 +782,6 @@ def _resample_batch(args) -> tuple:
      fixed_pi, rep_indices) = args
     k = pools.k
     est = np.full((len(rep_indices), len(est_cfgs), k), np.nan)
-    cover = np.zeros((len(rep_indices), 0, k))
-    width = np.zeros((len(rep_indices), 0, k))
     failures = []
     d = pools.x_ctrl.shape[1]
     for row, rep in enumerate(rep_indices):
@@ -793,8 +789,7 @@ def _resample_batch(args) -> tuple:
         i_ctrl = rng.integers(0, len(pools.y_ctrl), n_control)
         i_exp = rng.integers(0, len(pools.y_ctrl), n_experimental)
         i_ec = rng.integers(0, len(pools.y_ec), n_ec)
-        y_exp = pools.y_ctrl[i_exp]
-        w_exp = pools.w_ctrl[i_exp]
+        y_exp, w_exp = pools.y_ctrl[i_exp], pools.w_ctrl[i_exp]
         if spike_amounts is not None:
             try:
                 y_exp = spike_effect(y_exp, w_exp, k, spike_amounts,
@@ -817,13 +812,12 @@ def _resample_batch(args) -> tuple:
         except (DataError, NumericalError) as exc:
             failures.append((rep, "design", str(exc)))
             continue
-        ctx = _ReplicateContext(ds, dc)
-        for i, cfg in enumerate(est_cfgs):
-            try:
-                est[row, i] = ctx.evaluate(cfg)
-            except (NumericalError, DataError) as exc:
-                failures.append((rep, cfg.name, str(exc)))
-    return est, cover, width, failures
+        est[row], _, fails = evaluate_replicate(
+            _ReplicateContext(ds, dc), rep, est_cfgs, methods=(), target=None, phi2=None,
+            alpha=None, r=None, seed=seed)
+        failures += [(rep, name, str(exc)) for name, exc in fails]
+    empty = np.zeros((len(rep_indices), 0, k))
+    return est, empty, empty, failures
 
 
 def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
@@ -851,11 +845,9 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
         fixed_pi = tuple(counts / counts.sum())
     common = (pools, est_cfgs, n_control, n_experimental, n_ec, seed,
               spike_amounts, fixed_pi)
-    results = _run_batches(_resample_batch, common, reps, workers)
-    est, cover, width, failures = _stack_batches(results)
-    truth = np.zeros(pools.k)
-    report = _aggregate("resample", reps, seed, truth, [c.name for c in est_cfgs], est,
-                        (), cover, width, failures,
+    est, cover, width, failures = _run_batches(_resample_batch, common, reps, workers)
+    report = _aggregate("resample", reps, seed, np.zeros(pools.k), [c.name for c in est_cfgs],
+                        est, (), cover, width, failures,
                         "pool" if fixed_pi is not None else "replicate_empirical",
                         keep_replicates)
     report.extra.update(n_control=n_control, n_experimental=n_experimental,

@@ -276,6 +276,28 @@ class TestEstimateFailsClosed:
         assert run_cli("estimate", "--config", cfg) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "InsufficientData" and method in err["message"]
+        # the estimates succeed, but the failed interval leaves no artifact
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_estimator_failure_writes_nothing(self, tmp_path, capsys):
+        # treatment predicts the outcome, so the pooled logistic fit
+        # separates; the record is the first failure, an estimator's
+        k = 2
+        t_r = np.tile(np.repeat([1, 0], 4), k)
+        ds = CombinedDataset.from_arrays(
+            y_rct=t_r.astype(float), t_rct=t_r, w_rct=np.repeat(np.arange(k), 8),
+            y_ec=np.zeros(8), w_ec=np.repeat(np.arange(k), 4), k=k,
+            outcome_family="binary")
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec)
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 4
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "SeparationDetected"
+        assert err["message"].startswith("coefficient magnitude exceeded 30.0 with score")
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("edit", ["short", "long"])
     def test_row_with_wrong_field_count_exits_3(self, small_csvs, tmp_path, capsys, edit):
@@ -290,6 +312,24 @@ class TestEstimateFailsClosed:
         assert run_cli("estimate", "--config", cfg) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "MalformedRow" and f"{bad}:3:" in err["message"]
+
+    @pytest.mark.parametrize("where", ["cell", "header"])
+    def test_non_utf8_byte_exits_3(self, tmp_path, capsys, where):
+        # a byte 0xff crashed ingest with a UnicodeDecodeError traceback; the
+        # cell sits past the first read of a file larger than one buffer
+        ds = generate_scenario(load_preset("fig1-s2"), seed=0)
+        rct, ec = tmp_path / "r.csv", tmp_path / "e.csv"
+        save_dataset(ds, str(rct), str(ec))
+        lines = ec.read_bytes().split(b"\n")
+        line = 1 if where == "header" else len(lines) - 1
+        assert where == "header" or len(b"\n".join(lines[:line])) > 8192
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        ec.write_bytes(b"\n".join(lines))
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": str(rct), "ec_csv": str(ec), "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "MalformedRow", "message": f"{ec}:{line}: not UTF-8 text"}
 
     def test_schema_weight_key_exits_2(self, tmp_path, capsys):
         # no estimator reads analysis weights, so the key is unknown; the
@@ -453,6 +493,31 @@ class TestSettingsFailClosed:
         cfg = (self.missing_csvs(tmp_path) if command == "estimate" else
                {"preset": "fig1-s2", "reps": 2, "intervals": ["analytic"]})
         self.exits_2(command, dict(cfg, alpha=alpha), tmp_path, capsys, ["alpha"])
+
+    def test_config_not_utf8(self, tmp_path, capsys, no_replicates):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"preset": "fig1-s2", "reps": 2, "out_dir": "\xff"}')
+        assert run_cli("simulate", "--config", str(path)) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and str(path) in err["message"]
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys, no_replicates):
+        assert run_cli("simulate", "--config", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and str(tmp_path) in err["message"]
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
+    def test_out_dir_is_a_file(self, tmp_path, capsys, no_replicates, command):
+        out = tmp_path / "o"
+        out.write_text("not a directory")
+        csvs = self.missing_csvs(tmp_path)
+        cfg = {"estimate": csvs, "simulate": {"preset": "fig1-s2", "reps": 2},
+               "resample": {"trial_csv": csvs["rct_csv"], "ec_csv": csvs["ec_csv"]}}
+        path = write_config(tmp_path / "c.json", dict(cfg[command], out_dir=str(out)))
+        assert run_cli(command, "--config", path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and str(out) in err["message"]
+        assert out.read_text() == "not a directory"
 
     def test_bootstrap_r_below_100(self, tmp_path, capsys, no_replicates):
         cfg = {"preset": "fig1-s2", "reps": 2, "intervals": ["bootstrap"], "bootstrap_r": 50}

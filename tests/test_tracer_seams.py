@@ -1,0 +1,64 @@
+"""The benchmark's tracer patches `subharm` functions by name and finds each
+replicate by its first traced span. A refactor that renames a traced
+function, or hides the replicate marks, would leave the per-layer metrics
+reading 0 while the smoke runs still pass; these tests fail instead."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from subharm import CsvSchema, generate_scenario, load_preset, save_dataset
+from subharm.cli import main
+
+TRACER_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(tracer):
+    for layer, names in tracer.TRACED.items():
+        module = sys.modules[f"subharm.{layer}"]
+        for dotted in names:
+            owner, _, attr = dotted.rpartition(".")
+            # `Tracer.install` reads the binding from the module's or the
+            # class's own namespace
+            scope = vars(getattr(module, owner)) if owner else vars(module)
+            assert attr in scope, f"{layer}.{dotted}"
+
+
+def traced_replicates(tracer, mark, argv):
+    with tracer.Tracer(mark) as t:
+        assert main(argv) == 0
+    assert tracer.wrapped_bindings() == []
+    return t.replicate_spans()
+
+
+def test_simulate_marks_each_replicate(tracer, tmp_path):
+    argv = ["simulate", "--preset", "fig1-s2", "--reps", "3", "--out-dir", str(tmp_path)]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"intervals": ["analytic", "cut", "bootstrap", "rct_only"]}))
+    spans = traced_replicates(tracer, "sim.generate_scenario",
+                              [*argv, "--config", str(config)])
+    assert len(spans) == 3
+
+
+def test_resample_marks_each_replicate(tracer, tmp_path):
+    trial, ec = str(tmp_path / "t.csv"), str(tmp_path / "e.csv")
+    save_dataset(generate_scenario(load_preset("gbm-like"), seed=20), trial, ec,
+                 CsvSchema(covariates=("x1",)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"trial_csv": trial, "ec_csv": ec, "reps": 3,
+                                  "schema": {"covariates": ["x1"]}}))
+    spans = traced_replicates(tracer, "data.CombinedDataset.from_arrays",
+                              ["resample", "--config", str(config), "--out-dir",
+                               str(tmp_path / "o")])
+    assert len(spans) == 3
