@@ -36,6 +36,7 @@ from .errors import (
     MalformedRow,
     UnknownSubgroup,
 )
+from .glm import CellDesign, pooled_map
 
 RCT = "RCT"
 EC = "EC"
@@ -194,6 +195,18 @@ class CombinedDataset:
         """The RCT rows grouped by subgroup, built on first use. Raises
         EmptySubgroupArm while a subgroup has no RCT patients."""
         return SubgroupRows.of(self.w_rct, self.k)
+
+    @cached_property
+    def cell_design(self) -> CellDesign:
+        """The pooled logistic design of the RCT rows then the EC rows,
+        sorted once into 3K cells: RCT control g, RCT treated K + g and EC
+        2K + g of 0-based subgroup g, so the RCT rows come first. The pooled
+        and weighted fits read it; the trial-only fit reads its first 2K
+        cells and the propensity fit its first K columns
+        (`CellDesign.remap`)."""
+        k = self.k
+        cell = np.concatenate([self.w_rct + k * self.t_rct, self.w_ec + 2 * k])
+        return CellDesign(cell, np.vstack([self.x_rct, self.x_ec]), pooled_map(k))
 
 
 @dataclass(frozen=True)
@@ -391,7 +404,7 @@ def _read_columns(path: str, schema: CsvSchema, study: str
     row fails. Blank lines are skipped; line numbers in messages
     count the header as line 1 and each non-blank row after it."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     try:
@@ -427,7 +440,7 @@ def _read_columns(path: str, schema: CsvSchema, study: str
                     and "" not in map(str.strip, set(labels.tolist()))):
                 return y, t, labels, x
             problem = "a value breaks a column rule"
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(filter(None, csv.reader(fh)))[1:]  # blank lines read as []
     except UnicodeDecodeError:
         with open(path, "rb") as fh:  # "\n" is never part of a multi-byte character

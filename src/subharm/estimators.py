@@ -21,7 +21,6 @@ from .glm import (
     MODEL_RCT_SUBGROUP,
     OVERALL_TREATMENT,
     GlmFit,
-    _onehot,
     build_design,
     fit_logistic_irls,
     fit_ols,
@@ -147,11 +146,11 @@ def rct_only_subgroups(ds: CombinedDataset, model: str = DIFF_MEANS) -> EffectEs
 
 def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
                          rct_only: bool) -> GlmFit:
+    design = ds.cell_design
     if rct_only:
-        x, y = build_design(ds, MODEL_RCT_SUBGROUP), ds.y_rct
-    else:
-        x, y = build_design(ds, MODEL_POOLED), np.concatenate([ds.y_rct, ds.y_ec])
-    return fit_logistic_irls(x, y, weights=None if weights is None else weights[:len(y)])
+        design = design.remap(design.pattern[:2 * ds.k])
+    y = np.concatenate([ds.y_rct, ds.y_ec])[design.order]
+    return fit_logistic_irls(design, y, weights=None if weights is None else weights[design.order])
 
 
 def marginal_effects(rows: SubgroupRows, x: np.ndarray, nu: np.ndarray,
@@ -238,13 +237,10 @@ def fit_propensity(ds: CombinedDataset) -> PropensityModel:
     raw covariates."""
     if ds.n_rct == 0 or ds.n_ec == 0:
         raise EmptyArm("propensity model needs both studies non-empty")
-    x = np.column_stack([
-        np.vstack([_onehot(ds.w_rct, ds.k), _onehot(ds.w_ec, ds.k)]),
-        np.vstack([ds.x_rct, ds.x_ec]),
-    ])
-    y = np.concatenate([np.ones(ds.n_rct), np.zeros(ds.n_ec)])
-    coef = fit_logistic_irls(x, y).coefficients
-    return PropensityModel(coef, x[ds.n_rct:] @ coef)
+    k, design = ds.k, ds.cell_design
+    design = design.remap(design.pattern[:, :k])
+    coef = fit_logistic_irls(design, (design.order < ds.n_rct).astype(float)).coefficients
+    return PropensityModel(coef, coef[:k][ds.w_ec] + ds.x_ec @ coef[k:])
 
 
 def ec_weights(pm: PropensityModel) -> np.ndarray:

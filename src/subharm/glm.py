@@ -1,26 +1,31 @@
 """Model fitting: design-matrix construction, ordinary least squares, and
 weighted logistic regression via iteratively reweighted least squares.
 
-`DesignMatrix` states the four design layouts. IRLS reaches its design
-only through three products: the linear predictor X b, the score X'r and
-the information X' diag(v) X. A `DesignMatrix` (or a raw array) forms
-them densely; a `CellDesign` holds the pooled layout as each row's
-subgroup-by-arm cell and covariates, and forms them per cell. A
-`CellDesign`'s X b and X'r also take a stack of vectors (an m x p or m x n
-array), which the limit map in `harmonize` uses to carry the Taylor terms
-of all K subgroups' distortions at once.
+`DesignMatrix` states the four dense design layouts, which the
+least-squares fits read. Every logistic fit runs on a `CellDesign`: rows
+sorted into cells, and a map from each cell to the indicator columns it
+sets. It forms IRLS's three products, the linear predictor X b, the score
+X'r and the information X' diag(v) X, by summing each cell's run of rows;
+a raw array is fitted as one cell with an empty map. X b and X'r also take
+a stack of vectors (an m x p or m x n array), which the limit map in
+`harmonize` uses to carry the Taylor terms of all K subgroups'
+distortions at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import expit
 
-from .data import CombinedDataset
 from .errors import NotConverged, RankDeficient, SeparationDetected
+
+if TYPE_CHECKING:
+    from .data import CombinedDataset
 
 MODEL_OVERALL = "overall_rct"
 MODEL_POOLED = "pooled_subgroup"
@@ -35,7 +40,8 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense design values in one of four fixed column layouts.
+    """Dense design values in one of four fixed column layouts, the design
+    of the least-squares fits and of the linear bias direction.
 
     The overall model has columns [intercept, treatment, covariates] on RCT
     rows only, so its treatment sits in column `OVERALL_TREATMENT`. The
@@ -48,79 +54,88 @@ class DesignMatrix:
 
     values: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
-    def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
-        return self.values @ coef
-
-    def score(self, r: np.ndarray) -> np.ndarray:
-        return self.values.T @ r
-
-    def information(self, v: np.ndarray) -> np.ndarray:
-        return self.values.T @ (self.values * v[:, None])
+@lru_cache
+def pooled_map(k: int) -> np.ndarray:
+    """The pooled subgroup model's 3K x 2K map from the cells RCT control
+    g, RCT treated K + g and EC 2K + g to its indicator columns: subgroup g's
+    intercept, plus its treatment column in the treated cell. Its first 2K
+    rows are the trial-only model's map, and its first K columns the
+    propensity model's."""
+    eye, zero = np.eye(k), np.zeros((k, k))
+    out = np.block([[eye, zero], [eye, eye], [eye, zero]])
+    out.setflags(write=False)
+    return out
 
 
 class CellDesign:
-    """The pooled layout [onehot(g), a * onehot(g), x] of subgroup g, arm
-    indicator a and covariates x, held as the cell c = g + K a of each row
-    and the covariates.
+    """The design [pattern[c], x] of rows in cells c = 0..C-1 with
+    covariates x, where `pattern` is a C x m 0/1 map from each cell to the
+    indicator columns it sets.
 
     The rows are kept in cell order: row i of the design is row `order[i]`
     of the rows given, and every vector fitted against it (responses,
     weights) must follow that order. Its products with IRLS's vectors then
-    sum each cell's contiguous run of rows, so the one-hot columns are never
-    built.
+    sum each cell's contiguous run of rows, so the indicator columns are
+    never built. An empty cell is left out of the map: its indicator
+    columns get no rows from it, and a column no row sets leaves the
+    information singular, as the dense design's zero column does.
     """
 
-    def __init__(self, cell: np.ndarray, x: np.ndarray, k: int):
-        self.k = k
-        self.order = np.argsort(cell, kind="stable")
-        self.counts = np.bincount(cell, minlength=2 * k)
-        self.xt = np.ascontiguousarray(x[self.order].T)
-        self._filled = self.counts > 0
-        starts = np.cumsum(self.counts) - self.counts
-        self._starts = starts[self._filled]
-        self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), self.counts.tolist())]
-        for a in (self.order, self.counts, self.xt):
+    def __init__(self, cell: np.ndarray, x: np.ndarray, pattern: np.ndarray):
+        order = np.argsort(cell, kind="stable")
+        self._layout(order, np.bincount(cell, minlength=len(pattern)),
+                     np.ascontiguousarray(x[order].T), pattern)
+
+    def _layout(self, order, counts, xt, pattern) -> None:
+        self.order, self.counts, self.xt, self.pattern = order, counts, xt, pattern
+        filled = counts > 0
+        self._n = counts[filled]
+        self._starts = np.cumsum(self._n) - self._n
+        self._map = pattern[filled]
+        for a in (order, counts, xt, pattern):
             a.setflags(write=False)
+
+    def remap(self, pattern: np.ndarray) -> "CellDesign":
+        """The same sorted rows under another map. A map of fewer cells
+        keeps the rows of its cells, which come first in the sort."""
+        c = len(pattern)
+        n = int(self.counts[:c].sum())
+        design = object.__new__(type(self))
+        design._layout(self.order[:n], self.counts[:c], self.xt[:, :n], pattern)
+        return design
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.order.shape[0], 2 * self.k + self.xt.shape[0])
+        return (self.order.shape[0], self.pattern.shape[1] + self.xt.shape[0])
 
-    def _cell_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # sums of v's last axis against the subgroup columns and against the
-        # treated-arm columns: two arrays of shape v.shape[:-1] + (K,)
-        s = np.zeros(v.shape[:-1] + (2 * self.k,))
-        s[..., self._filled] = np.add.reduceat(v, self._starts, axis=-1)
-        return s[..., :self.k] + s[..., self.k:], s[..., self.k:]
-
+    # np.dot rather than @: on designs of a few hundred rows the products
+    # are bound by call overhead, which np.dot keeps lower
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
-        k = self.k
-        per_cell = np.concatenate([coef[..., :k], coef[..., :k] + coef[..., k:2 * k]], axis=-1)
-        lp = coef[..., 2 * k:] @ self.xt
-        for c, rows in enumerate(self._runs):
-            lp[..., rows] += per_cell[..., c, None]
-        return lp
+        m = self.pattern.shape[1]
+        if coef.ndim == 1:
+            lp = np.dot(coef[m:], self.xt)
+            lp += np.repeat(np.dot(self._map, coef[:m]), self._n)
+            return lp
+        # a stack row by row: np.repeat along a stack's last axis ran 5x
+        # slower on an 8 x 18,000 stack
+        out = np.empty(coef.shape[:-1] + (self.shape[0],))
+        for row, c in zip(out, coef):
+            row[:] = self.linear_predictor(c)
+        return out
 
     def score(self, r: np.ndarray) -> np.ndarray:
-        g, a = self._cell_sums(r)
-        return np.concatenate([g, a, r @ self.xt.T], axis=-1)
+        cells = np.add.reduceat(r, self._starts, axis=-1)
+        return np.concatenate([np.dot(cells, self._map), np.dot(r, self.xt.T)], axis=-1)
 
     def information(self, v: np.ndarray) -> np.ndarray:
-        k, p = self.k, self.shape[1]
+        m = self.pattern.shape[1]
         xv = self.xt * v
-        g, a = self._cell_sums(np.vstack([v, xv]))
-        diag = np.arange(k)
-        info = np.zeros((p, p))
-        info[diag, diag] = g[0]
-        info[diag, k + diag] = info[k + diag, diag] = a[0]
-        info[k + diag, k + diag] = a[0]
-        info[2 * k:, :k], info[2 * k:, k:2 * k] = g[1:], a[1:]
-        info[:k, 2 * k:], info[k:2 * k, 2 * k:] = g[1:].T, a[1:].T
-        info[2 * k:, 2 * k:] = xv @ self.xt.T
+        info = np.empty((self.shape[1], self.shape[1]))
+        info[:m, :m] = np.dot(self._map.T * np.add.reduceat(v, self._starts), self._map)
+        info[m:, :m] = np.dot(np.add.reduceat(xv, self._starts, axis=-1), self._map)
+        info[:m, m:] = info[m:, :m].T
+        info[m:, m:] = np.dot(xv, self.xt.T)
         return info
 
 
@@ -212,7 +227,7 @@ def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return np.sum(w * (y * lp - softplus))
 
 
-def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndarray,
+def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
                       weights: np.ndarray | None = None, tol: float = 1e-10,
                       max_iter: int = 100,
                       start: np.ndarray | None = None) -> GlmFit:
@@ -224,10 +239,14 @@ def fit_logistic_irls(design: DesignMatrix | CellDesign | np.ndarray, y: np.ndar
     by its weight. A coefficient escaping the +/-30 cap on the logit scale
     with a non-vanishing score raises SeparationDetected, and exhausting
     `max_iter` raises NotConverged. The fit carries the information at its
-    coefficients.
+    coefficients. `y` and `weights` follow the design's row order; a raw
+    array is one cell, so its rows keep theirs.
     """
-    x = design if isinstance(design, (DesignMatrix, CellDesign)) \
-        else DesignMatrix(np.asarray(design, dtype=float))
+    if isinstance(design, CellDesign):
+        x = design
+    else:
+        x = np.asarray(design, dtype=float)
+        x = CellDesign(np.zeros(len(x), dtype=np.intp), x, np.zeros((1, 0)))
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("logistic responses must be one vector")

@@ -54,6 +54,7 @@ from .glm import (
     GlmFit,
     build_design,
     fit_logistic_irls,
+    pooled_map,
 )
 
 FULL = float("inf")
@@ -254,7 +255,8 @@ class LimitMapSpec:
     from the trial-only anchor fit; each EC patient contributes its
     analysis weight with expected response from the anchor shifted by the
     subgroup's distortion. `design` holds the pseudo rows (control copies,
-    treated copies, EC rows) in the pooled cell layout; `weights` and the
+    treated copies, EC rows) in the 2K subgroup-by-arm cells of the pooled
+    model's map, each EC row in its subgroup's control cell; `weights` and the
     undistorted `response` follow its row order, and `ec_rows` are the EC
     rows' positions in it; row 0 of `rct_rows` holds the control copies'
     positions and row 1 the treated copies', in the RCT rows' order.
@@ -289,7 +291,7 @@ def build_limit_map_spec(ds: CombinedDataset,
     p_treat = float((ds.t_rct == 1).mean())
     xb_r = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
     design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
-                        np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), k)
+                        np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), pooled_map(k)[:2 * k])
     response = expit(np.concatenate([
         nu[ds.w_rct] + xb_r,
         nu[ds.w_rct] + eta[ds.w_rct] + xb_r,
@@ -395,6 +397,7 @@ def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
     r += 3.0 * ws[1] * l2
     r *= l1
     c3 -= design.score(r) @ h_inv.T
+    del r  # a K x N stack, freed before the K x 2 x n_rct ones below
 
     rows = spec.rct_subgroups
     grad = _marginal_gradient(rows, spec.x_rct, *np.split(spec.anchor, [k, 2 * k]))

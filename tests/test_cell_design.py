@@ -1,12 +1,16 @@
-"""The limit map's cell layout against the dense design it stands for.
+"""The cell layout of every logistic fit against the dense design it stands
+for.
 
-`CellDesign` forms IRLS's three products per subgroup-by-arm cell; here
-they are compared with the dense [onehot(g), a * onehot(g), x] products on
-hypothesis-drawn layouts, and the limit map built on it with a dense-design
-oracle of the same map. The finite-difference sensitivity, taken from the
-limit map's Taylor series, is compared with IRLS refits, its first-order
-term with the implicit-function Jacobian, and a singular information must
-fail closed.
+`CellDesign` forms IRLS's three products per cell; here they are compared
+with the dense products on hypothesis-drawn layouts, for the pooled,
+trial-only and propensity models' maps on one sort of a dataset's rows and
+for the limit map's, and the fits made on them with dense-design reference
+fits: the estimates, and on separated or rank-deficient data the error.
+The limit map built on the layout is compared with a dense-design oracle
+of the same map. The finite-difference sensitivity, taken from the limit
+map's Taylor series, is compared with IRLS refits, its first-order term
+with the implicit-function Jacobian, and a singular information must fail
+closed.
 """
 
 import dataclasses
@@ -21,9 +25,21 @@ from scipy.special import expit
 
 from subharm import CombinedDataset, CsvSchema, generate_scenario, load_preset, save_dataset
 from subharm.cli import main
-from subharm.errors import DegenerateDirection, NumericalError, RankDeficient
-from subharm.estimators import _marginal_gradient, _pooled_logistic_fit, marginal_effects
-from subharm.glm import CellDesign, _onehot, fit_logistic_irls
+from subharm.errors import (
+    DegenerateDirection,
+    NumericalError,
+    RankDeficient,
+    SeparationDetected,
+)
+from subharm.estimators import (
+    _marginal_gradient,
+    _pooled_logistic_fit,
+    ec_weights,
+    fit_propensity,
+    logistic_marginal_effects,
+    marginal_effects,
+)
+from subharm.glm import CellDesign, _onehot, fit_logistic_irls, pooled_map
 from subharm.harmonize import BiasModel, bd_direction_glm, build_limit_map_spec, limit_map_theta
 
 FD_STEP = 1e-4
@@ -32,11 +48,11 @@ HARMONIZE = importlib.import_module("subharm.harmonize")
 
 
 @st.composite
-def layouts(draw):
-    """(cell sizes of the 2K cells, d, seed): K = 1..8, d = 0..3, and any
-    cell may be empty."""
+def layouts(draw, blocks=2):
+    """(cell sizes of the blocks x K cells, d, seed): K = 1..8, d = 0..3,
+    and any cell may be empty."""
     k = draw(st.integers(1, 8))
-    sizes = draw(st.lists(st.integers(0, 12), min_size=2 * k, max_size=2 * k))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=blocks * k, max_size=blocks * k))
     return k, np.array(sizes), draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
 
 
@@ -44,13 +60,15 @@ def cell_rows(layout):
     """Shuffled rows of a layout: cell index, covariates, and a generator."""
     k, sizes, d, seed = layout
     rng = np.random.default_rng(seed)
-    cell = rng.permutation(np.repeat(np.arange(2 * k), sizes))
+    cell = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     return cell, rng.normal(size=(len(cell), d)), rng
 
 
 def dense(cell, x, k):
+    """[onehot(g), a * onehot(g), x] for the cells g + K a: a = 0 control,
+    1 treated and 2 external, whose treatment columns are zero."""
     g = _onehot(cell % k, k)
-    return np.column_stack([g, g * (cell >= k)[:, None], x])
+    return np.column_stack([g, g * (cell // k == 1)[:, None], x])
 
 
 def close(got, want, scale):
@@ -58,22 +76,61 @@ def close(got, want, scale):
     assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(layouts(), st.booleans())
-def test_products_match_dense(layout, binary):
-    cell, x, rng = cell_rows(layout)
-    k = layout[0]
-    design = CellDesign(cell, x, k)
-    xd = dense(cell, x, k)[design.order]
+def check_products(design, xd, rng, binary=True):
+    """X b, X'r and X'diag(v)X of `design` against the dense `xd` in its row
+    order; a stack's X b and X'r row by row."""
     assert design.shape == xd.shape
-    coef = rng.normal(size=xd.shape[1])
-    y = (rng.random(len(cell)) < 0.5).astype(float) if binary else rng.random(len(cell))
+    n, p = xd.shape
+    coef = rng.normal(size=p)
+    y = (rng.random(n) < 0.5).astype(float) if binary else rng.random(n)
     r = y - expit(xd @ coef)
-    v = rng.uniform(0.0, 0.25, len(cell))
+    v = rng.uniform(0.0, 0.25, n)
     close(design.linear_predictor(coef), xd @ coef, np.abs(xd) @ np.abs(coef) + 1e-300)
     close(design.score(r), xd.T @ r, np.abs(xd).T @ np.abs(r) + 1e-300)
     close(design.information(v), xd.T @ (xd * v[:, None]),
           np.abs(xd).T @ (np.abs(xd) * v[:, None]) + 1e-300)
+    coefs, rs = rng.normal(size=(3, p)), rng.normal(size=(3, n))
+    np.testing.assert_array_equal(design.linear_predictor(coefs),
+                                  [design.linear_predictor(c) for c in coefs])
+    close(design.score(rs), rs @ xd, np.abs(rs) @ np.abs(xd) + 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts(), st.booleans())
+def test_products_match_dense(layout, binary):
+    # the limit map's layout: the 2K subgroup-by-arm cells
+    cell, x, rng = cell_rows(layout)
+    k = layout[0]
+    design = CellDesign(cell, x, pooled_map(k)[:2 * k])
+    check_products(design, dense(cell, x, k)[design.order], rng, binary)
+
+
+MODELS = ("pooled", "trial", "propensity")
+
+
+def model_design(cell, x, k, model):
+    """A model's design on the one sort of the 3K cells, and the dense
+    design of the same rows in its row order."""
+    design = CellDesign(cell, x, pooled_map(k))
+    if model == "trial":
+        design = design.remap(pooled_map(k)[:2 * k])
+    elif model == "propensity":
+        design = design.remap(pooled_map(k)[:, :k])
+    xd = np.column_stack([_onehot(cell % k, k), x]) if model == "propensity" else dense(cell, x, k)
+    return design, xd[design.order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts(blocks=3), st.sampled_from(MODELS), st.booleans())
+def test_dataset_maps_match_dense(layout, model, no_ec):
+    k, sizes, d, seed = layout
+    if no_ec:
+        sizes[2 * k + seed % k] = 0  # a subgroup without external rows
+    cell, x, rng = cell_rows((k, sizes, d, seed))
+    design, xd = model_design(cell, x, k, model)
+    if model == "trial":
+        assert set(design.order) == set(np.flatnonzero(cell < 2 * k))
+    check_products(design, xd, rng)
 
 
 @settings(max_examples=30, deadline=None)
@@ -83,7 +140,7 @@ def test_empty_cell_is_rank_deficient_like_dense(layout):
     sizes = np.maximum(sizes, 3)
     sizes[k + seed % k] = 0  # subgroup seed % k has no treated rows
     cell, x, rng = cell_rows((k, sizes, d, seed))
-    design = CellDesign(cell, x, k)
+    design = CellDesign(cell, x, pooled_map(k)[:2 * k])
     y = rng.random(len(cell))
     with pytest.raises(RankDeficient):
         fit_logistic_irls(design, y[design.order])
@@ -92,14 +149,17 @@ def test_empty_cell_is_rank_deficient_like_dense(layout):
 
 
 @st.composite
-def trials(draw):
+def trials(draw, empty_ec=False):
     """A trial with K = 1..8 subgroups of 6..20 patients per arm, 1..25
     external controls each, d = 0..3 covariates and binary or fractional
-    outcomes; optional external weights."""
+    outcomes; optional external weights. With `empty_ec`, the first of two
+    or more subgroups may have no external controls."""
     k = draw(st.integers(1, 8))
     n_t = np.array(draw(st.lists(st.integers(6, 20), min_size=k, max_size=k)))
     n_c = np.array(draw(st.lists(st.integers(6, 20), min_size=k, max_size=k)))
     n_e = np.array(draw(st.lists(st.integers(1, 25), min_size=k, max_size=k)))
+    if empty_ec and k > 1 and draw(st.booleans()):
+        n_e[0] = 0
     d, seed = draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     w_r = rng.permutation(np.repeat(np.arange(k), n_t + n_c))
@@ -117,6 +177,105 @@ def trials(draw):
         outcome_family="binary" if binary else "continuous")
     weights = rng.uniform(0.1, 1.0, len(w_e)) if draw(st.booleans()) else None
     return ds, weights
+
+
+def dense_fits(ds):
+    """The dense designs and responses of the pooled, trial-only and
+    propensity models in the dataset's row order (RCT rows, then EC rows)."""
+    k = ds.k
+    cell = np.concatenate([ds.w_rct + k * ds.t_rct, ds.w_ec + 2 * k])
+    x = np.vstack([ds.x_rct, ds.x_ec])
+    pooled, y = dense(cell, x, k), np.concatenate([ds.y_rct, ds.y_ec])
+    return {"pooled": (pooled, y), "trial": (pooled[:ds.n_rct], ds.y_rct),
+            "propensity": (np.column_stack([_onehot(cell % k, k), x]),
+                           (np.arange(len(y)) < ds.n_rct).astype(float))}
+
+
+def outcome(fn):
+    """`fn()`, or the class of the numerical error it raised."""
+    try:
+        return fn()
+    except NumericalError as exc:
+        return type(exc)
+
+
+def dense_ipw(ds, designs):
+    """The IPW estimate from dense reference fits: the propensity fit, its
+    EC weights and the weighted pooled fit."""
+    x, y = designs["propensity"]
+    log_odds = x[ds.n_rct:] @ fit_logistic_irls(x, y).coefficients
+    w = np.concatenate([np.ones(ds.n_rct), np.exp(log_odds - log_odds.max())])
+    return logistic_marginal_effects(ds, fit=fit_logistic_irls(*designs["pooled"], weights=w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials(empty_ec=True))
+def test_fits_match_dense_reference(trial):
+    # each logistic estimate made on the cell layout, against the same
+    # estimate from a fit of the dense design in the dataset's row order
+    ds = trial[0]
+    designs = dense_fits(ds)
+    cases = {
+        "pooled": (lambda: logistic_marginal_effects(ds), lambda: logistic_marginal_effects(
+            ds, fit=fit_logistic_irls(*designs["pooled"]))),
+        "rct": (lambda: logistic_marginal_effects(ds, rct_only=True),
+                lambda: logistic_marginal_effects(ds, fit=fit_logistic_irls(*designs["trial"]))),
+        "ipw": (lambda: logistic_marginal_effects(
+            ds, weights=np.concatenate([np.ones(ds.n_rct), ec_weights(fit_propensity(ds))])),
+            lambda: dense_ipw(ds, designs)),
+    }
+    for name, (cells, reference) in cases.items():
+        got, want = outcome(cells), outcome(reference)
+        if isinstance(want, type):
+            assert got is want, name
+            continue
+        close(got.theta_k, want.theta_k, np.abs(want.theta_k).max())
+        if want.covariance is not None:
+            close(got.covariance, want.covariance, np.abs(want.covariance).max())
+    got, want = outcome(lambda: fit_propensity(ds)), outcome(
+        lambda: fit_logistic_irls(*designs["propensity"]))
+    if isinstance(want, type):
+        assert got is want
+        return
+    close(got.coefficients, want.coefficients, np.abs(want.coefficients).max())
+    log_odds = designs["propensity"][0][ds.n_rct:] @ want.coefficients
+    close(got.log_odds_ec, log_odds, np.abs(log_odds).max() + 1e-300)
+
+
+FAULTS = ("no treated rows", "zero covariate", "separated arm")
+
+
+def with_fault(ds, fault, j):
+    """`ds` broken in subgroup j: a rank-deficient pooled and trial-only
+    design, or a treatment that predicts the outcome without error."""
+    t, y_r, y_e = ds.t_rct.copy(), ds.y_rct.copy(), ds.y_ec.copy()
+    x_r, x_e = ds.x_rct.copy(), ds.x_ec.copy()
+    rows = ds.w_rct == j
+    if fault == "no treated rows":
+        t[rows] = 0
+    elif fault == "zero covariate":
+        x_r[:, 0], x_e[:, 0] = 0.0, 0.0
+    else:
+        y_r[rows] = t[rows]
+        y_e[ds.w_ec == j] = 0.0
+    return CombinedDataset.from_arrays(
+        y_rct=y_r, t_rct=t, w_rct=ds.w_rct, y_ec=y_e, w_ec=ds.w_ec, k=ds.k, x_rct=x_r,
+        x_ec=x_e, outcome_family=ds.outcome_family)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trials(), st.sampled_from(FAULTS), st.integers(0, 7))
+def test_failures_match_dense_reference(trial, fault, j):
+    ds = trial[0]
+    assume(fault != "zero covariate" or ds.d > 0)
+    bad = with_fault(ds, fault, j % ds.k)
+    designs = dense_fits(bad)
+    want = SeparationDetected if fault == "separated arm" else RankDeficient
+    for model, fit in (("pooled", lambda: _pooled_logistic_fit(bad, None, False)),
+                       ("trial", lambda: _pooled_logistic_fit(bad, None, True))):
+        reference = outcome(lambda: fit_logistic_irls(*designs[model]))
+        assert reference is want, (model, reference)
+        assert outcome(fit) is reference, model
 
 
 def dense_limit_map(ds, anchor, ec_weights):

@@ -107,6 +107,19 @@ class TestLoad:
         with pytest.raises(MalformedRow):
             load_dataset(str(bad), csv_pair[1], SCHEMA)
 
+    @pytest.mark.parametrize("study", [0, 1], ids=["rct", "ec"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, csv_pair, study):
+        # spreadsheet exports often start UTF-8 text with EF BB BF
+        paths = list(csv_pair)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(paths[study]).read_bytes())
+        paths[study] = str(marked)
+        got, want = load_dataset(*paths, SCHEMA), load_dataset(*csv_pair, SCHEMA)
+        assert got.subgroup_labels == want.subgroup_labels
+        for name in ("y_rct", "t_rct", "w_rct", "x_rct", "y_ec", "w_ec", "x_ec"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
     def test_lexicographic_mapping(self, tmp_path):
         rct = tmp_path / "r.csv"
         ec = tmp_path / "e.csv"

@@ -132,12 +132,13 @@ class TestLogistic:
         loglik = glm._loglik
         monkeypatch.setattr(glm, "_loglik", lambda *a: events.append(loglik(*a)) or events[-1])
 
-        class Recording(glm.DesignMatrix):
+        class Recording(glm.CellDesign):
             def score(self, r):
                 events.append(None)
                 return super().score(r)
 
-        fit_logistic_irls(Recording(x), y, weights=w)
+        # one cell with an empty map: the layout a raw array is fitted on
+        fit_logistic_irls(Recording(np.zeros(80, dtype=int), x, np.zeros((1, 0))), y, weights=w)
         lls = [events[i - 1] for i, e in enumerate(events) if e is None]
         assert len(lls) > 3
         assert np.all(np.diff(lls) >= -1e-12)

@@ -442,32 +442,57 @@ class TestTrialFitPerReplicate:
         assert not report.failures
         assert len(calls) == 3
 
-    def test_one_limit_map_layout_per_estimate_call(self, monkeypatch, tmp_path):
-        # bd on the pooled and the IPW initials: one CellDesign, argsort and
-        # pseudo-response serve both limit maps
-        import importlib
-
+    @staticmethod
+    def _estimate(tmp_path, ests):
+        """Run `estimate` with `ests` on a fig5 binary pair; its dataset."""
         from subharm.cli import main
 
-        harmonize_mod = importlib.import_module("subharm.harmonize")
-        built = []
-        cell_design = harmonize_mod.CellDesign
-        monkeypatch.setattr(harmonize_mod, "CellDesign",
-                            lambda *args: built.append(args) or cell_design(*args))
         ds = generate_scenario(load_preset("fig5"), 2)
         rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
         save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
-        ests = ["logistic_pooled", "logistic_ipw"] + [
-            {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
-             "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
-            for initial in ("logistic_pooled", "logistic_ipw")]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
             "schema": {"covariates": ["x1"]}, "estimators": ests,
             "intervals": ["rct_only"], "out_dir": str(tmp_path / "o")}))
         assert main(["estimate", "--config", str(cfg)]) == 0
+        return ds
+
+    def test_one_limit_map_layout_per_estimate_call(self, monkeypatch, tmp_path):
+        # bd on the pooled and the IPW initials: one CellDesign, argsort and
+        # pseudo-response serve both limit maps
+        import importlib
+
+        harmonize_mod = importlib.import_module("subharm.harmonize")
+        built = []
+        cell_design = harmonize_mod.CellDesign
+        monkeypatch.setattr(harmonize_mod, "CellDesign",
+                            lambda *args: built.append(args) or cell_design(*args))
+        self._estimate(tmp_path, ["logistic_pooled", "logistic_ipw"] + [
+            {"kind": "harmonized", "name": f"bd_{initial}", "initial": initial,
+             "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}
+            for initial in ("logistic_pooled", "logistic_ipw")])
         assert len(built) == 1
+
+    def test_estimate_sorts_its_rows_once(self, monkeypatch, tmp_path):
+        # the trial-only, pooled, IPW and propensity fits all read one sort
+        # of the dataset's rows into cells
+        import subharm.data
+        import subharm.estimators
+
+        sorts, designs = [], []
+        cell_design, fit = subharm.data.CellDesign, subharm.estimators.fit_logistic_irls
+        monkeypatch.setattr(subharm.data, "CellDesign",
+                            lambda *args: sorts.append(len(args[0])) or cell_design(*args))
+        monkeypatch.setattr(subharm.estimators, "fit_logistic_irls",
+                            lambda design, *args, **kwargs: designs.append(design)
+                            or fit(design, *args, **kwargs))
+        ds = self._estimate(tmp_path, ["logistic_pooled", "logistic_rct", "logistic_ipw", {
+            "kind": "harmonized", "name": "bd", "initial": "logistic_pooled",
+            "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}])
+        assert sorts == [ds.n_rct + ds.n_ec]
+        assert len(designs) == 4
+        assert all(np.shares_memory(d.order, designs[0].order) for d in designs)
 
     def test_shared_layout_keeps_each_sensitivity(self):
         # the IPW map takes the shared layout with its own EC weights; its

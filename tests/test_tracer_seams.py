@@ -62,3 +62,27 @@ def test_resample_marks_each_replicate(tracer, tmp_path):
                               ["resample", "--config", str(config), "--out-dir",
                                str(tmp_path / "o")])
     assert len(spans) == 3
+
+
+def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
+    # a binary estimate fits four logistic models (trial-only, pooled, IPW
+    # and propensity), each span carrying the design shape that the IRLS
+    # layer metrics read
+    ds = generate_scenario(load_preset("fig5"), seed=2)
+    rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+    save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+        "schema": {"covariates": ["x1"]},
+        "estimators": ["logistic_pooled", "logistic_rct", "logistic_ipw", {
+            "kind": "harmonized", "name": "bd", "initial": "logistic_pooled",
+            "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}],
+        "intervals": ["rct_only"], "out_dir": str(tmp_path / "o")}))
+    with tracer.Tracer("cli.main") as t:
+        assert main(["estimate", "--config", str(config)]) == 0
+    assert tracer.wrapped_bindings() == []
+    fits = [t.results[i] for i, span in enumerate(t.spans) if span[0] == "glm.fit_logistic_irls"]
+    k, d, n = ds.k, ds.d, ds.n_rct + ds.n_ec
+    assert sorted(fit[1:] for fit in fits) == sorted(
+        [(ds.n_rct, 2 * k + d), (n, 2 * k + d), (n, 2 * k + d), (n, k + d)])
