@@ -121,9 +121,10 @@ def _out_dir(path) -> Path:
 
 
 def _whole(key: str, value) -> int:
+    # int() reads a JSON true or false as 1 or 0; neither is a number
     try:
         n = int(value)
-        whole = n == float(value) and n >= 0
+        whole = n == float(value) and n >= 0 and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -135,7 +136,8 @@ def _settings(command: str, cfg: dict) -> dict:
     """`cfg` merged over the command's defaults. Unknown and missing keys,
     list keys beside an explicit `estimators`, a key with a whole-number
     default given anything but a non-negative whole number, and an `alpha`
-    outside (0, 1) are config errors."""
+    outside (0, 1) are config errors. A JSON boolean is no whole number, and
+    as an `alpha` it reads as 1 or 0, outside the range."""
     table = SETTINGS[command]
     unknown = sorted(set(cfg) - set(table))
     if unknown:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import BINARY, CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset, SubgroupRows
 from .errors import EmptyArm, EmptySubgroupArm
@@ -22,6 +21,7 @@ from .glm import (
     OVERALL_TREATMENT,
     GlmFit,
     build_design,
+    expit,
     fit_logistic_irls,
     fit_ols,
 )

@@ -10,6 +10,9 @@ a raw array is fitted as one cell with an empty map. X b and X'r also take
 a stack of vectors (an m x p or m x n array), which the limit map in
 `harmonize` uses to carry the Taylor terms of all K subgroups'
 distortions at once.
+
+The logistic function `expit` lives here, computed on numpy's `exp`, and
+`estimators`, `harmonize` and `sim` import it from this module.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import expit
 
 from .errors import NotConverged, RankDeficient, SeparationDetected
 
@@ -36,6 +37,14 @@ OVERALL_TREATMENT = 1  # the overall model's treatment column
 # g(30) is 1 - 9.4e-14; beyond this the fit is effectively separated
 SEPARATION_CAP = 30.0
 RANK_TOL = 1e-10
+
+
+def expit(x):
+    """The logistic function 1 / (1 + e^-x), elementwise, scipy's formula.
+    Below x = -709.78 e^-x overflows to inf and the result is 0, without a
+    warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,8 @@ def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
     yw = y * sw
     _check_rank(xw)
     q, r = np.linalg.qr(xw)
-    coef = solve_triangular(r, q.T @ yw)
+    # LU on the upper-triangular r makes no row swaps: a back-substitution
+    coef = np.linalg.solve(r, q.T @ yw)
     resid = yw - xw @ coef
     n_eff = int(np.count_nonzero(w))
     p = x.shape[1]

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import CombinedDataset, DesignCounts, SubgroupRows, compute_design_counts
 from .errors import (
@@ -53,6 +52,7 @@ from .glm import (
     CellDesign,
     GlmFit,
     build_design,
+    expit,
     fit_logistic_irls,
     pooled_map,
 )
@@ -62,7 +62,10 @@ FULL = float("inf")
 
 def parse_lambda(value) -> float:
     """Accept a non-negative number (or numeric string) or the literal
-    "full" for infinity."""
+    "full" for infinity. A boolean, which float() reads as 1 or 0, is
+    neither."""
+    if isinstance(value, bool):
+        raise ConfigError(f"lambda must be a non-negative number or 'full', got {value!r}")
     if isinstance(value, str):
         if value.strip().lower() == "full":
             return FULL

@@ -7,17 +7,19 @@ The dispatcher's cut interval is the flat-prior cut in closed form
 (`bayes.flat_cut`), per subgroup. The bootstrap's cell-mean draws are
 `Generator.normal` draws, bit for bit, taken as standard normals scaled and
 shifted in place, and its quantiles are `np.quantile`'s linear
-interpolation between order statistics from one partition.
+interpolation between order statistics from one partition. The normal
+quantile z of the analytic, cut and trial-only intervals is the standard
+library's `statistics.NormalDist().inv_cdf`.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
 
 from .bayes import NormalPosterior, flat_cut
 from .data import CONTINUOUS, CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
@@ -70,7 +72,7 @@ def check_bootstrap_r(r: int) -> None:
 
 @lru_cache(maxsize=None)
 def _z(alpha: float) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def analytic_interval(theta_h, v_h, alpha: float = 0.05) -> IntervalSet:

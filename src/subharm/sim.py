@@ -15,14 +15,12 @@ worker count.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import expit
 
 from .data import (
     BINARY,
@@ -59,7 +57,7 @@ from .estimators import (
     oracle_subgroups,
     rct_only_subgroups,
 )
-from .glm import GlmFit
+from .glm import GlmFit, expit
 from .harmonize import (
     FULL,
     LimitMapSpec,
@@ -634,6 +632,9 @@ def _run_batches(batch_fn, common_args, reps: int, workers: int) -> tuple:
     if workers <= 1:
         results = [batch_fn((*common_args, indices))]
     else:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = np.array_split(indices, min(workers * 4, reps))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(batch_fn, (*common_args, chunk)) for chunk in chunks]

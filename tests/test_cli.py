@@ -488,7 +488,8 @@ class TestSettingsFailClosed:
         return {"rct_csv": str(tmp_path / "r.csv"), "ec_csv": str(tmp_path / "e.csv")}
 
     @pytest.mark.parametrize("command,alpha", [
-        ("estimate", 1.5), ("estimate", 0), ("simulate", 2), ("simulate", float("nan"))])
+        ("estimate", 1.5), ("estimate", 0), ("simulate", 2), ("simulate", float("nan")),
+        ("estimate", True)])
     def test_alpha_outside_0_1(self, tmp_path, capsys, no_replicates, command, alpha):
         cfg = (self.missing_csvs(tmp_path) if command == "estimate" else
                {"preset": "fig1-s2", "reps": 2, "intervals": ["analytic"]})
@@ -599,12 +600,25 @@ class TestSettingsFailClosed:
         ("estimate", "workers", [1], ()),
         ("resample", "n_ec", 1.5, ()),
         ("resample", "n_control", None, ()),
+        ("simulate", "seed", True, ()),  # int(True) is 1: it ran seed 1
+        ("simulate", "workers", False, ()),
     ])
     def test_whole_number_settings(self, tmp_path, capsys, no_replicates, command, key,
                                    value, flags):
         cfg = dict(self.base(command, tmp_path), **{key: value})
         self.exits_2(command, cfg, tmp_path, capsys, [key, "non-negative whole number"],
                      flags)
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", {"lambda": True}),
+        ("estimate", {"estimators": [{"kind": "harmonized", "initial": "diff_means_pooled",
+                                      "lambda": False}]}),
+    ], ids=["top-level", "estimator"])
+    def test_boolean_lambda(self, tmp_path, capsys, no_replicates, command, cfg):
+        # float() reads true as 1: simulate ran lambda 1 while the manifest
+        # echoed true
+        self.exits_2(command, dict(self.base(command, tmp_path), **cfg), tmp_path, capsys,
+                     ["lambda", "non-negative number"])
 
     @pytest.mark.parametrize("reps", [3, 3.0, "3"])
     def test_whole_numbers_in_any_spelling(self, tmp_path, reps):
@@ -762,3 +776,60 @@ class TestDocsMatchSettings:
         options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
         assert options == {"--config"} | {"--" + key.replace("_", "-")
                                           for key in SETTINGS[command] if key in FLAGS}
+
+
+IMPORT_GRAPH_PROBE = """
+import json, sys
+from pathlib import Path
+
+from subharm import CsvSchema, cli, generate_scenario, load_preset, save_dataset
+
+tmp = Path(sys.argv[1])
+
+
+def run(command, cfg):
+    path = tmp / (command + ".json")
+    path.write_text(json.dumps(dict(cfg, out_dir=str(tmp / path.stem))))
+    assert cli.main([command, "--config", str(path)]) == 0, command
+
+
+run("simulate", {"preset": "fig1-s2", "reps": 3, "bootstrap_r": 100,
+                 "intervals": ["analytic", "cut", "bootstrap", "rct_only"],
+                 "estimators": ["ols_pooled", {"kind": "harmonized", "name": "h",
+                                               "initial": "diff_means_pooled"}]})
+run("simulate", {"preset": "fig5", "reps": 2, "estimators": [
+    "logistic_pooled",
+    {"kind": "harmonized", "name": "bd", "initial": "logistic_pooled",
+     "overall": "logistic", "sigma_mode": "bd"},
+    {"kind": "harmonized", "name": "vd", "initial": "logistic_pooled",
+     "overall": "logistic", "sigma_mode": "vd"}]})
+save_dataset(generate_scenario(load_preset("fig5"), 3), str(tmp / "r.csv"),
+             str(tmp / "e.csv"), CsvSchema(covariates=("x1",)))
+run("estimate", {"rct_csv": str(tmp / "r.csv"), "ec_csv": str(tmp / "e.csv"),
+                 "schema": {"covariates": ["x1"]}, "outcome_family": "binary",
+                 "intervals": ["rct_only"], "estimators": [
+                     "logistic_ipw",
+                     {"kind": "harmonized", "name": "bd", "initial": "logistic_ipw",
+                      "overall": "logistic", "sigma_mode": "bd"}]})
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_runtime_imports_numpy_alone(tmp_path):
+    """The CLI's three commands load no scipy module, and a one-worker run
+    no process pool: scipy's import alone took about a second of every
+    cold start. A fresh interpreter runs them, because this test session
+    imports scipy for its reference checks."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "subharm.glm" in modules and "subharm.intervals" in modules
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "concurrent.futures.process" not in modules

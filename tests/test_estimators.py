@@ -169,9 +169,8 @@ class TestLogisticMarginal:
     def test_marginalization_matches_per_subgroup_means_bit_for_bit(self, rng):
         # the grouped reductions sum each subgroup's rows in the same order
         # as a mean over its masked rows
-        from scipy.special import expit
-
         from subharm.estimators import _marginal_gradient, marginal_effects
+        from subharm.glm import expit
 
         ds = balanced_dataset(k=5, n_t=37, n_c=29, n_e=11, d=3, beta=[0.4, -0.2, 0.1],
                               seed=8, family="binary")

@@ -167,3 +167,44 @@ class TestLogistic:
         warm = fit_logistic_irls(x, y, start=ref.coefficients)
         assert warm.iterations <= 1
         np.testing.assert_allclose(warm.coefficients, ref.coefficients, atol=1e-9)
+
+
+class TestNumpyOnlyFunctions:
+    """The program's own logistic function and normal quantile against
+    scipy's, which the program does not import."""
+
+    def test_expit_within_rounding_of_scipy(self):
+        # the same formula on numpy's exp instead of libm's: the two exps
+        # differ by about an ulp, and taking the reciprocal of 1 + e^-x can
+        # double that when it crosses a power of two (2.3 eps at most over
+        # 2e7 random x in [-800, 800])
+        from subharm.glm import expit as ours
+
+        x = np.concatenate([np.linspace(-800, 800, 200_001), np.linspace(-40, 40, 100_001)])
+        np.testing.assert_array_max_ulp(ours(x), expit(x), maxulp=4)
+
+    def test_expit_limits_and_nan(self):
+        from subharm.glm import expit as ours
+
+        got = ours(np.array([0.0, np.inf, -np.inf, np.nan]))
+        assert got[0] == 0.5 and got[1] == 1.0 and got[2] == 0.0
+        assert np.isnan(got[3])
+
+    def test_expit_underflows_to_zero_without_a_warning(self):
+        import warnings
+
+        from subharm.glm import expit as ours
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ours(-1000.0) == 0.0
+            np.testing.assert_array_equal(ours(np.array([-1000.0, -710.0])), [0.0, expit(-710.0)])
+
+    def test_normal_quantile_matches_scipy(self):
+        from scipy.stats import norm
+
+        from subharm.intervals import _z
+
+        for alpha in np.concatenate([np.geomspace(1e-4, 0.5, 400), [0.05, 0.1, 0.01]]):
+            want = norm.ppf(1 - alpha / 2)
+            np.testing.assert_allclose(_z(float(alpha)), want, rtol=2e-15, atol=0)
