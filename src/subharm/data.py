@@ -232,7 +232,7 @@ class SubgroupRows:
         n = np.bincount(w, minlength=k)
         if not n.all():
             raise EmptySubgroupArm(f"subgroup {int(np.argmin(n)) + 1} has no RCT patients")
-        order = np.argsort(w, kind="stable")
+        order = np.argsort(w.astype(np.min_scalar_type(k)), kind="stable")  # a radix sort
         ends = np.cumsum(n).tolist()
         return cls(order, w[order], n, tuple(slice(a, b) for a, b in zip([0, *ends], ends)))
 
@@ -328,8 +328,8 @@ def compute_design_counts(
         pi = np.asarray(prevalences, dtype=float)
         if pi.shape != (k,):
             raise DataError(f"prevalences must have length {k}")
-        if np.any(pi <= 0):
-            raise DataError("user-supplied prevalences must be strictly positive")
+        if not np.all(pi > 0):  # false for NaN; an infinity fails the sum below
+            raise DataError("user-supplied prevalences must be finite and strictly positive")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise DataError("user-supplied prevalences must sum to 1 within 1e-12")
         source = "user_supplied"

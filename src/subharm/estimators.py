@@ -9,6 +9,7 @@ permutation. The overall estimators return the effect as a float.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,12 +31,18 @@ DIFF_MEANS = "diff_means"
 OLS = "ols"
 
 
-@dataclass(frozen=True)
 class EffectEstimate:
-    """A subgroup-effect vector and, when known, its K x K covariance."""
+    """A subgroup-effect vector and, when known, its K x K covariance, which
+    may be given as a function that the first read of `covariance` calls."""
 
-    theta_k: np.ndarray
-    covariance: np.ndarray | None = None
+    def __init__(self, theta_k: np.ndarray, covariance=None):
+        self.theta_k, self._covariance = theta_k, covariance
+
+    @property
+    def covariance(self) -> np.ndarray | None:
+        if callable(self._covariance):
+            self._covariance = self._covariance()
+        return self._covariance
 
 
 def external_estimate(theta_k, covariance=None) -> EffectEstimate:
@@ -163,13 +170,6 @@ def marginal_effects(rows: SubgroupRows, x: np.ndarray, nu: np.ndarray,
     return rows.means(expit(nu_w + eta[w] + xb) - expit(nu_w + xb))
 
 
-def marginalize_logistic(ds: CombinedDataset, nu: np.ndarray, eta: np.ndarray,
-                         beta: np.ndarray) -> np.ndarray:
-    """Average the treated-vs-control response difference over each RCT
-    subgroup's covariate values."""
-    return marginal_effects(ds.rct_subgroups, ds.x_rct, nu, eta, beta)
-
-
 def _marginal_gradient(rows: SubgroupRows, x: np.ndarray, nu, eta, beta) -> np.ndarray:
     """Gradient of `marginal_effects(rows, x, nu, eta, beta)` against (nu,
     eta, beta)."""
@@ -188,26 +188,31 @@ def _marginal_gradient(rows: SubgroupRows, x: np.ndarray, nu, eta, beta) -> np.n
     return grad
 
 
+def _delta_method_covariance(ds: CombinedDataset, fit: GlmFit) -> np.ndarray | None:
+    """The delta-method covariance of the marginal effects of the logistic
+    `fit` of `ds`, or None when its information is singular."""
+    coef = np.split(fit.coefficients, [ds.k, 2 * ds.k])
+    grad = _marginal_gradient(ds.rct_subgroups, ds.x_rct, *coef)
+    try:
+        cov = grad @ np.linalg.solve(fit.information, grad.T)
+    except np.linalg.LinAlgError:
+        return None
+    return 0.5 * (cov + cov.T)
+
+
 def logistic_marginal_effects(ds: CombinedDataset,
                               weights: np.ndarray | None = None,
                               rct_only: bool = False,
                               fit: GlmFit | None = None) -> EffectEstimate:
     """Subgroup effects on the probability scale from a (weighted) pooled
     logistic model, with a delta-method covariance from the Fisher
-    information of the fitted coefficients. `fit` is that model's fit when
-    it was already made."""
+    information of the fitted coefficients, computed when first read. `fit`
+    is that model's fit when it was already made."""
     if fit is None:
         fit = _pooled_logistic_fit(ds, weights, rct_only)
-    k = ds.k
-    nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
-    theta = marginalize_logistic(ds, nu, eta, beta)
-    grad = _marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta)
-    try:
-        cov = grad @ np.linalg.solve(fit.information, grad.T)
-        cov = 0.5 * (cov + cov.T)
-    except np.linalg.LinAlgError:
-        cov = None
-    return EffectEstimate(theta, cov)
+    theta = marginal_effects(ds.rct_subgroups, ds.x_rct,
+                             *np.split(fit.coefficients, [ds.k, 2 * ds.k]))
+    return EffectEstimate(theta, partial(_delta_method_covariance, ds, fit))
 
 
 def logistic_overall_effect(ds: CombinedDataset, fit: GlmFit | None = None) -> float:
@@ -218,7 +223,7 @@ def logistic_overall_effect(ds: CombinedDataset, fit: GlmFit | None = None) -> f
         fit = _pooled_logistic_fit(ds, None, rct_only=True)
     k, coef = ds.k, fit.coefficients
     pi = np.bincount(ds.w_rct, minlength=k) / ds.n_rct
-    return float(pi @ marginalize_logistic(ds, coef[:k], coef[k:2 * k], coef[2 * k:]))
+    return float(pi @ marginal_effects(ds.rct_subgroups, ds.x_rct, *np.split(coef, [k, 2 * k])))
 
 
 # --- propensity weighting -----------------------------------------------------

@@ -6,10 +6,8 @@ least-squares fits read. Every logistic fit runs on a `CellDesign`: rows
 sorted into cells, and a map from each cell to the indicator columns it
 sets. It forms IRLS's three products, the linear predictor X b, the score
 X'r and the information X' diag(v) X, by summing each cell's run of rows;
-a raw array is fitted as one cell with an empty map. X b and X'r also take
-a stack of vectors (an m x p or m x n array), which the limit map in
-`harmonize` uses to carry the Taylor terms of all K subgroups'
-distortions at once.
+a raw array is fitted as one cell with an empty map. X'r also takes a
+stack of vectors (an m x n array); X b takes one coefficient vector.
 
 The logistic function `expit` lives here, computed on numpy's `exp`, and
 `estimators`, `harmonize` and `sim` import it from this module.
@@ -92,7 +90,8 @@ class CellDesign:
     """
 
     def __init__(self, cell: np.ndarray, x: np.ndarray, pattern: np.ndarray):
-        order = np.argsort(cell, kind="stable")
+        # numpy radix-sorts 8- and 16-bit keys: the same stable order, sooner
+        order = np.argsort(cell.astype(np.min_scalar_type(len(pattern))), kind="stable")
         self._layout(order, np.bincount(cell, minlength=len(pattern)),
                      np.ascontiguousarray(x[order].T), pattern)
 
@@ -122,16 +121,9 @@ class CellDesign:
     # are bound by call overhead, which np.dot keeps lower
     def linear_predictor(self, coef: np.ndarray) -> np.ndarray:
         m = self.pattern.shape[1]
-        if coef.ndim == 1:
-            lp = np.dot(coef[m:], self.xt)
-            lp += np.repeat(np.dot(self._map, coef[:m]), self._n)
-            return lp
-        # a stack row by row: np.repeat along a stack's last axis ran 5x
-        # slower on an 8 x 18,000 stack
-        out = np.empty(coef.shape[:-1] + (self.shape[0],))
-        for row, c in zip(out, coef):
-            row[:] = self.linear_predictor(c)
-        return out
+        lp = np.dot(coef[m:], self.xt)
+        lp += np.repeat(np.dot(self._map, coef[:m]), self._n)
+        return lp
 
     def score(self, r: np.ndarray) -> np.ndarray:
         cells = np.add.reduceat(r, self._starts, axis=-1)

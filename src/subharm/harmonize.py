@@ -85,6 +85,8 @@ def _validate_sigma(sigma: np.ndarray, k: int) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (k, k):
         raise InconsistentDimensions(f"sigma must be {k}x{k}, got {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise SingularSigma("sigma must be finite")
     if not np.allclose(sigma, sigma.T, rtol=0, atol=1e-8 * max(1.0, np.abs(sigma).max())):
         raise SingularSigma("sigma must be symmetric")
     ev = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
@@ -261,8 +263,11 @@ class LimitMapSpec:
     treated copies, EC rows) in the 2K subgroup-by-arm cells of the pooled
     model's map, each EC row in its subgroup's control cell; `weights` and the
     undistorted `response` follow its row order, and `ec_rows` are the EC
-    rows' positions in it; row 0 of `rct_rows` holds the control copies'
-    positions and row 1 the treated copies', in the RCT rows' order.
+    rows' positions in it; row 0 of `copies` holds the control copies'
+    positions and row 1 the treated copies', in `rct_subgroups.order`.
+    `sigmoid` stacks the logistic curve's first three derivatives at
+    `response` and `grad` is the marginal effects' gradient at the anchor:
+    an IPW map made by `dataclasses.replace(spec, weights=...)` shares them.
     """
 
     anchor: np.ndarray
@@ -270,16 +275,18 @@ class LimitMapSpec:
     weights: np.ndarray
     response: np.ndarray
     ec_rows: np.ndarray
-    rct_rows: np.ndarray
+    copies: np.ndarray
     w_ec: np.ndarray
     rct_subgroups: SubgroupRows
     x_rct: np.ndarray
     k: int
     pi: np.ndarray
+    sigmoid: np.ndarray
+    grad: np.ndarray
 
     def __post_init__(self):
-        for a in (self.anchor, self.weights, self.response, self.ec_rows, self.rct_rows,
-                  self.w_ec, self.x_rct, self.pi):
+        for a in (self.anchor, self.weights, self.response, self.ec_rows, self.copies,
+                  self.w_ec, self.x_rct, self.pi, self.sigmoid, self.grad):
             a.setflags(write=False)
 
 
@@ -308,12 +315,16 @@ def build_limit_map_spec(ds: CombinedDataset,
     ])[design.order]
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
-    rows = np.argsort(design.order)
+    rows = np.empty_like(design.order)  # the sort's inverse
+    rows[design.order] = np.arange(len(rows))
+    d1 = response * (1.0 - response)  # the logistic curve's first derivative
     return LimitMapSpec(
         anchor=fit.coefficients.copy(), design=design, weights=weights,
-        response=response, ec_rows=rows[2 * ds.n_rct:],
-        rct_rows=rows[:2 * ds.n_rct].reshape(2, ds.n_rct), w_ec=ds.w_ec.copy(),
+        response=response, ec_rows=rows[2 * ds.n_rct:], w_ec=ds.w_ec.copy(),
+        copies=rows[:2 * ds.n_rct].reshape(2, ds.n_rct)[:, ds.rct_subgroups.order],
         rct_subgroups=ds.rct_subgroups, x_rct=ds.x_rct.copy(), k=k, pi=pi,
+        sigmoid=np.stack([d1, d1 * (1.0 - 2.0 * response), d1 * (1.0 - 6.0 * d1)]),
+        grad=_marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta),
     )
 
 
@@ -339,20 +350,14 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     return marginal_effects(spec.rct_subgroups, spec.x_rct, *np.split(coef, [k, 2 * k]))
 
 
-def _sigmoid_derivatives(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The logistic function's first three derivatives where its value is p."""
-    d1 = p * (1.0 - p)
-    return d1, d1 * (1.0 - 2.0 * p), d1 * (1.0 - 6.0 * d1)
-
-
-def _ec_scores(spec: LimitMapSpec, a: np.ndarray) -> np.ndarray:
-    """The score X'[a_m 1_j] of each row a_m of the m x N stack `a` on
-    subgroup j's EC rows alone, for every j: an m x K x p array of
-    per-subgroup sums over the EC rows, which have no treatment column."""
+def _ec_scores(spec: LimitMapSpec) -> np.ndarray:
+    """The score X'[w s_m 1_j] of w s_m, s_m each row of `spec.sigmoid`, on
+    subgroup j's EC rows alone, for every j: a 3 x K x p array of sums over
+    the EC rows, which have no treatment column."""
     k, ec, w_ec = spec.k, spec.ec_rows, spec.w_ec
     x_ec = spec.design.xt[:, ec]
-    out = np.zeros((a.shape[0], k, spec.design.shape[1]))
-    for scores, a_ec in zip(out, a[:, ec]):
+    out = np.zeros((3, k, spec.design.shape[1]))
+    for scores, a_ec in zip(out, spec.weights[ec] * spec.sigmoid[:, ec]):
         scores[np.arange(k), np.arange(k)] = np.bincount(w_ec, a_ec, minlength=k)
         for c, x in enumerate(x_ec):
             scores[:, 2 * k + c] = np.bincount(w_ec, a_ec * x, minlength=k)
@@ -382,35 +387,37 @@ def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
     Each effect is a subgroup mean over the RCT rows of s(z) at the
     treated copy minus s(z) at the control copy, so its derivatives are the
     same means of s1 l1 and of s3 l1^3 + 3 s2 l1 l2 + s1 l3: G c1 and G c3
-    for the terms linear in c_m, G the effects' gradient at the anchor.
+    for the terms linear in c_m, G the effects' gradient at the anchor
+    (`spec.grad`). The columns j are taken one at a time, on N-vectors, so
+    the working set is O(N) whatever K is.
     """
-    k, design = spec.k, spec.design
-    s = _sigmoid_derivatives(spec.response)
-    ws = spec.weights * np.stack(s)
+    design, s, w, copies = spec.design, spec.sigmoid, spec.weights, spec.copies
     try:
-        h_inv = np.linalg.inv(design.information(ws[0]))
+        h_inv = np.linalg.inv(design.information(w * s[0]))
     except np.linalg.LinAlgError:
         raise RankDeficient("singular limit-map information at the anchor") from None
-    c1, c2, c3 = _ec_scores(spec, ws) @ h_inv.T  # the 1_j terms, K x p each
-    l1 = design.linear_predictor(c1)
-    r = l1 * l1
-    c2 -= design.score(ws[1] * r) @ h_inv.T
-    l2 = design.linear_predictor(c2)
-    r *= ws[2]
-    r += 3.0 * ws[1] * l2
-    r *= l1
-    c3 -= design.score(r) @ h_inv.T
-    del r  # a K x N stack, freed before the K x 2 x n_rct ones below
-
-    rows = spec.rct_subgroups
-    grad = _marginal_gradient(rows, spec.x_rct, *np.split(spec.anchor, [k, 2 * k]))
-    copies = spec.rct_rows[:, rows.order]  # control, then treated copies
-    z1 = l1[:, copies]
-    third = s[2][copies] * z1 * z1
-    third += 3.0 * s[1][copies] * l2[:, copies]
-    third *= z1
+    c1, c2, c3 = _ec_scores(spec) @ h_inv.T  # the 1_j terms, K x p each
+    ws1, ws2 = w * s[1], w * s[2]
+    ws1_3 = 3.0 * ws1
+    s2_copies, s1_copies_3 = s[2][copies], 3.0 * s[1][copies]  # control, then treated
+    thirds = np.empty((spec.k, copies.shape[1]))
+    for j in range(spec.k):
+        l1 = design.linear_predictor(c1[j])
+        r = l1 * l1
+        c2[j] -= design.score(ws1 * r) @ h_inv.T
+        l2 = design.linear_predictor(c2[j])
+        z1 = l1[copies]
+        third = s2_copies * z1 * z1
+        third += s1_copies_3 * l2[copies]
+        third *= z1
+        np.subtract(third[1], third[0], out=thirds[j])
+        r *= ws2
+        r += ws1_3 * l2
+        r *= l1
+        del l1, l2, z1, third  # before the next column's are made
+        c3[j] -= design.score(r) @ h_inv.T
     h2 = fd_step * fd_step / 6.0
-    return grad @ (c1 + h2 * c3).T + h2 * rows.means((third[:, 1] - third[:, 0]).T)
+    return spec.grad @ (c1 + h2 * c3).T + h2 * spec.rct_subgroups.means(thirds.T)
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4

@@ -51,7 +51,7 @@ from .estimators import (
     fit_propensity,
     logistic_marginal_effects,
     logistic_overall_effect,
-    marginalize_logistic,
+    marginal_effects,
     ols_overall_effect,
     ols_subgroup_effects,
     oracle_subgroups,
@@ -131,7 +131,7 @@ class ScenarioSpec:
             raise InvalidSpec("beta length must equal n_covariates")
         if self.prevalences is not None:
             pi = np.asarray(self.prevalences, float)
-            if pi.shape != (k,) or np.any(pi <= 0) or abs(pi.sum() - 1) > 1e-12:
+            if pi.shape != (k,) or not np.all(pi > 0) or abs(pi.sum() - 1) > 1e-12:
                 raise InvalidSpec("prevalences must be a strictly positive simplex vector")
 
     def with_distortion(self, distortion) -> "ScenarioSpec":
@@ -212,7 +212,8 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
         return expit(mu + th) - expit(mu)
     beta = np.asarray(spec.beta)
     if spec.fixed_covariates:
-        return marginalize_logistic(generate_scenario(spec, seed, 0), mu, th, beta)
+        ds = generate_scenario(spec, seed, 0)
+        return marginal_effects(ds.rct_subgroups, ds.x_rct, mu, th, beta)
     # linear predictor is scalar normal: Gauss-Hermite over beta'X
     m_lp = spec.x_mean_rct * float(beta.sum())
     s_lp = spec.x_sd_rct * float(np.sqrt((beta ** 2).sum()))

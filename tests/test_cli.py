@@ -232,6 +232,18 @@ class TestEstimateFailsClosed:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "ConfigError", "message": message}
 
+    def test_non_finite_prevalences_exit_3(self, fig1_csvs, tmp_path, capsys):
+        # NaN passed both the positivity and the sum check, and the run
+        # exited 4 on a non-finite shift vector
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "prevalences": [float("nan")] + [1 / 9] * 9,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError" and "prevalences" in err["message"]
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     @pytest.mark.parametrize("column,value", [
         ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf")])
     def test_non_finite_cell_exits_3(self, tmp_path, capsys, column, value):
@@ -546,7 +558,8 @@ class TestSettingsFailClosed:
         ([[1, 0.5], [0, 1]], ["symmetric"]),
         ([[1, 2], [2, 1]], ["singular"]),
         ([[1, 0], [0]], []),
-    ], ids=["wrong-size", "asymmetric", "indefinite", "ragged"])
+        ([[1, float("nan")], [float("nan"), 1]], ["finite"]),
+    ], ids=["wrong-size", "asymmetric", "indefinite", "ragged", "not-finite"])
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_fixed_sigma_not_k_by_k_positive_definite(self, small_csvs, tmp_path, capsys,
                                                       no_replicates, command, sigma, words):
@@ -555,6 +568,14 @@ class TestSettingsFailClosed:
                {"scenario": TINY_SCENARIO, "reps": 2})
         cfg["estimators"] = [fixed_sigma_estimator(sigma)]
         self.exits_2(command, cfg, tmp_path, capsys, ["'h' has an invalid sigma", *words])
+
+    def test_non_finite_prevalences_in_scenario(self, tmp_path, capsys, no_replicates):
+        # NaN passed both the positivity and the sum check, and the run
+        # died in an eigenvalue solver with a traceback
+        scenario = dict(load_preset("fig1-s2").to_dict(),
+                        prevalences=[float("nan")] + [1 / 9] * 9)
+        self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
+                     ["prevalences"], error="InvalidSpec")
 
     def base(self, command, tmp_path):
         """A config that would run, but for CSV files that do not exist."""

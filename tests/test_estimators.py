@@ -141,10 +141,11 @@ class TestLogisticMarginal:
                 ds.y_rct[m1].mean() - pooled.mean(), abs=1e-7)
 
     def test_symmetric_null(self):
-        from subharm.estimators import marginalize_logistic
+        from subharm.estimators import marginal_effects
 
         ds = balanced_dataset(k=2, n_t=5, n_c=5, n_e=5, d=1, beta=(0.3,), seed=8)
-        theta = marginalize_logistic(ds, np.zeros(2), np.zeros(2), np.zeros(1))
+        theta = marginal_effects(ds.rct_subgroups, ds.x_rct, np.zeros(2), np.zeros(2),
+                                 np.zeros(1))
         np.testing.assert_allclose(theta, 0.0, atol=1e-12)
 
     def test_delta_cov_close_to_bootstrap(self, rng):
@@ -193,12 +194,12 @@ class TestLogisticMarginal:
         np.testing.assert_array_equal(_marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta), want_grad)
 
     def test_marginalization_names_first_empty_subgroup(self):
-        from subharm.estimators import marginalize_logistic
+        from subharm.estimators import marginal_effects
 
         ds = CombinedDataset.from_arrays(y_rct=np.zeros(4), t_rct=[1, 0, 1, 0],
                                          w_rct=[0, 0, 2, 2], y_ec=[], w_ec=[], k=4)
         with pytest.raises(EmptySubgroupArm, match="subgroup 2 has no RCT patients"):
-            marginalize_logistic(ds, np.zeros(4), np.zeros(4), np.zeros(0))
+            marginal_effects(ds.rct_subgroups, ds.x_rct, np.zeros(4), np.zeros(4), np.zeros(0))
 
 
 class TestPropensity:
