@@ -43,7 +43,6 @@ from .estimators import (
     weighted_logistic_effects,
 )
 from .glm import (
-    DesignMatrix,
     GlmFit,
     build_design,
     fit_logistic_irls,

@@ -200,10 +200,9 @@ class CombinedDataset:
     def cell_design(self) -> CellDesign:
         """The pooled logistic design of the RCT rows then the EC rows,
         sorted once into 3K cells: RCT control g, RCT treated K + g and EC
-        2K + g of 0-based subgroup g, so the RCT rows come first. The pooled
-        and weighted fits read it; the trial-only fit reads its first 2K
-        cells and the propensity fit its first K columns
-        (`CellDesign.remap`)."""
+        2K + g of 0-based subgroup g, so the RCT rows come first. Every
+        least-squares and logistic fit reads this one sort, under the map
+        `glm.build_design` gives its model."""
         k = self.k
         cell = np.concatenate([self.w_rct + k * self.t_rct, self.w_ec + 2 * k])
         return CellDesign(cell, np.vstack([self.x_rct, self.x_ec]), pooled_map(k))

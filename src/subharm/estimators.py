@@ -18,6 +18,7 @@ from .errors import EmptyArm, EmptySubgroupArm
 from .glm import (
     MODEL_OVERALL,
     MODEL_POOLED,
+    MODEL_PROPENSITY,
     MODEL_RCT_SUBGROUP,
     OVERALL_TREATMENT,
     GlmFit,
@@ -118,25 +119,30 @@ def oracle_subgroups(ds: CombinedDataset, mu_true) -> EffectEstimate:
 
 # --- OLS estimators ----------------------------------------------------------
 
+def _ols_fit(ds: CombinedDataset, model: str) -> GlmFit:
+    """The least-squares fit of the outcomes on `model`'s design."""
+    design = build_design(ds, model)
+    return fit_ols(design, np.concatenate([ds.y_rct, ds.y_ec])[design.order])
+
+
 def ols_subgroup_effects(ds: CombinedDataset) -> EffectEstimate:
     """Subgroup effects from the pooled least-squares model, with the
-    covariance block of the treatment-effect coefficients."""
-    y = np.concatenate([ds.y_rct, ds.y_ec])
-    fit = fit_ols(build_design(ds, MODEL_POOLED), y)
+    covariance block of the treatment-effect coefficients when the
+    dispersion is positive, the information then X'X / dispersion."""
+    fit = _ols_fit(ds, MODEL_POOLED)
     theta = slice(ds.k, 2 * ds.k)
-    disp = fit.dispersion if fit.dispersion and np.isfinite(fit.dispersion) else np.nan
-    cov = disp * np.linalg.inv(fit.xtwx)[theta, theta]
-    return EffectEstimate(fit.coefficients[theta], cov if np.all(np.isfinite(cov)) else None)
+    cov = np.linalg.inv(fit.information)[theta, theta] if fit.dispersion > 0 else None
+    return EffectEstimate(fit.coefficients[theta], cov)
 
 
 def ols_overall_effect(ds: CombinedDataset) -> float:
     """Overall effect from the RCT-only least-squares model."""
-    fit = fit_ols(build_design(ds, MODEL_OVERALL), ds.y_rct)
+    fit = _ols_fit(ds, MODEL_OVERALL)
     return float(fit.coefficients[OVERALL_TREATMENT])
 
 
 def _ols_rct_subgroups(ds: CombinedDataset) -> EffectEstimate:
-    fit = fit_ols(build_design(ds, MODEL_RCT_SUBGROUP), ds.y_rct)
+    fit = _ols_fit(ds, MODEL_RCT_SUBGROUP)
     return EffectEstimate(fit.coefficients[ds.k:2 * ds.k])
 
 
@@ -153,9 +159,8 @@ def rct_only_subgroups(ds: CombinedDataset, model: str = DIFF_MEANS) -> EffectEs
 
 def _pooled_logistic_fit(ds: CombinedDataset, weights: np.ndarray | None,
                          rct_only: bool) -> GlmFit:
-    design = ds.cell_design
-    if rct_only:
-        design = design.remap(design.pattern[:2 * ds.k])
+    """The trial-only or pooled logistic fit; `weights` on RCT then EC rows."""
+    design = build_design(ds, MODEL_RCT_SUBGROUP if rct_only else MODEL_POOLED)
     y = np.concatenate([ds.y_rct, ds.y_ec])[design.order]
     return fit_logistic_irls(design, y, weights=None if weights is None else weights[design.order])
 
@@ -242,8 +247,7 @@ def fit_propensity(ds: CombinedDataset) -> PropensityModel:
     raw covariates."""
     if ds.n_rct == 0 or ds.n_ec == 0:
         raise EmptyArm("propensity model needs both studies non-empty")
-    k, design = ds.k, ds.cell_design
-    design = design.remap(design.pattern[:, :k])
+    k, design = ds.k, build_design(ds, MODEL_PROPENSITY)
     coef = fit_logistic_irls(design, (design.order < ds.n_rct).astype(float)).coefficients
     return PropensityModel(coef, coef[:k][ds.w_ec] + ds.x_ec @ coef[k:])
 

@@ -1,13 +1,19 @@
-"""Model fitting: design-matrix construction, ordinary least squares, and
+"""Model fitting: design construction, weighted least squares, and
 weighted logistic regression via iteratively reweighted least squares.
 
-`DesignMatrix` states the four dense design layouts, which the
-least-squares fits read. Every logistic fit runs on a `CellDesign`: rows
-sorted into cells, and a map from each cell to the indicator columns it
-sets. It forms IRLS's three products, the linear predictor X b, the score
-X'r and the information X' diag(v) X, by summing each cell's run of rows;
-a raw array is fitted as one cell with an empty map. X'r also takes a
-stack of vectors (an m x n array); X b takes one coefficient vector.
+Every fit runs on a `CellDesign`: rows sorted into cells, and a map from
+each cell to the indicator columns it sets. It forms the linear predictor
+X b, the score X'r and the information X' diag(v) X by summing each cell's
+run of rows; a raw array is fitted as one cell with an empty map. X'r also
+takes a stack of vectors (an m x n array). `build_design` gives each model
+its map over a dataset's one sort into the 3K cells RCT control g, RCT
+treated K + g and EC 2K + g (`CombinedDataset.cell_design`), the
+covariates following the mapped columns:
+
+- pooled: `pooled_map(k)`, [onehot(g), a * onehot(g)], a = 1 on treated;
+- trial-only: the pooled map's first 2K cells, the RCT rows;
+- overall: [1, 0] on RCT control cells and [1, 1] on RCT treated cells;
+- propensity: the pooled map's first K columns, the subgroup intercepts.
 
 The logistic function `expit` lives here, computed on numpy's `exp`, and
 `estimators`, `harmonize` and `sim` import it from this module.
@@ -29,7 +35,7 @@ if TYPE_CHECKING:
 MODEL_OVERALL = "overall_rct"
 MODEL_POOLED = "pooled_subgroup"
 MODEL_RCT_SUBGROUP = "rct_subgroup"
-MODEL_BIAS_BLOCK = "pooled_subgroup_with_bias"
+MODEL_PROPENSITY = "propensity"
 OVERALL_TREATMENT = 1  # the overall model's treatment column
 
 # g(30) is 1 - 9.4e-14; beyond this the fit is effectively separated
@@ -43,23 +49,6 @@ def expit(x):
     warning."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Dense design values in one of four fixed column layouts, the design
-    of the least-squares fits and of the linear bias direction.
-
-    The overall model has columns [intercept, treatment, covariates] on RCT
-    rows only, so its treatment sits in column `OVERALL_TREATMENT`. The
-    pooled subgroup model stacks RCT rows then EC rows with K subgroup
-    intercepts, K subgroup-by-treatment indicators (zero on EC rows) and the
-    shared covariates, so the subgroup effects sit in columns K:2K; the
-    trial-only subgroup model is its RCT rows alone. The bias block holds
-    the K EC-membership-by-subgroup indicators in the pooled row order.
-    """
-
-    values: np.ndarray
 
 
 @lru_cache
@@ -92,8 +81,9 @@ class CellDesign:
     def __init__(self, cell: np.ndarray, x: np.ndarray, pattern: np.ndarray):
         # numpy radix-sorts 8- and 16-bit keys: the same stable order, sooner
         order = np.argsort(cell.astype(np.min_scalar_type(len(pattern))), kind="stable")
+        # one C-ordered copy, the bits of x[order].T made contiguous
         self._layout(order, np.bincount(cell, minlength=len(pattern)),
-                     np.ascontiguousarray(x[order].T), pattern)
+                     np.take(x.T, order, axis=1), pattern)
 
     def _layout(self, order, counts, xt, pattern) -> None:
         self.order, self.counts, self.xt, self.pattern = order, counts, xt, pattern
@@ -154,69 +144,73 @@ class GlmFit:
     dispersion: float | None
     iterations: int
 
-    @property
-    def xtwx(self) -> np.ndarray:
-        if self.dispersion is not None and self.dispersion > 0:
-            return self.information * self.dispersion
-        return self.information
 
-
-def _onehot(idx: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(idx), k))
-    if len(idx):
-        out[np.arange(len(idx)), idx] = 1.0
-    return out
-
-
-def build_design(ds: CombinedDataset, model: str) -> DesignMatrix:
-    """Build the design matrix for one of the three model layouts."""
-    k = ds.k
+def build_design(ds: CombinedDataset, model: str) -> CellDesign:
+    """`model`'s map over `ds.cell_design` (see the module docstring).
+    Responses and weights follow its `order` into the RCT then EC rows."""
+    design, k = ds.cell_design, ds.k
+    if model == MODEL_POOLED:
+        return design
+    if model == MODEL_RCT_SUBGROUP:
+        return design.remap(design.pattern[:2 * k])
     if model == MODEL_OVERALL:
-        return DesignMatrix(
-            np.column_stack([np.ones(ds.n_rct), ds.t_rct.astype(float), ds.x_rct]))
-    if model in (MODEL_POOLED, MODEL_RCT_SUBGROUP):
-        h_r = _onehot(ds.w_rct, k)
-        blocks = [[h_r, h_r * ds.t_rct[:, None], ds.x_rct]]
-        if model == MODEL_POOLED:
-            blocks.append([_onehot(ds.w_ec, k), np.zeros((ds.n_ec, k)), ds.x_ec])
-        return DesignMatrix(np.block(blocks))
-    if model == MODEL_BIAS_BLOCK:
-        return DesignMatrix(np.vstack([np.zeros((ds.n_rct, k)), _onehot(ds.w_ec, k)]))
+        # [intercept, treatment], the treatment in column OVERALL_TREATMENT
+        return design.remap(np.repeat([[1.0, 0.0], [1.0, 1.0]], k, axis=0))
+    if model == MODEL_PROPENSITY:
+        return design.remap(design.pattern[:, :k])
     raise ValueError(f"unknown design model {model!r}")
 
 
-def _check_rank(x: np.ndarray) -> None:
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise RankDeficient(
-            f"design is rank deficient (singular values span {sv[0]:.3g}..{sv[-1] if sv.size else 0:.3g})")
-
-
-def fit_ols(design: DesignMatrix | np.ndarray, y: np.ndarray,
-            weights: np.ndarray | None = None) -> GlmFit:
-    """Weighted least squares through a QR factorization.
-
-    Zero-weight rows are retained but contribute nothing; the dispersion
-    estimate divides by (number of positive-weight rows - p).
-    """
-    x = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+def _fit_inputs(design: CellDesign | np.ndarray, y, weights
+                ) -> tuple[CellDesign, np.ndarray, np.ndarray]:
+    """The design, with a raw array taken as one cell with an empty map, the
+    responses, one per design row, and the weights (ones when None), which
+    must be finite and non-negative."""
+    if not isinstance(design, CellDesign):
+        x = np.asarray(design, dtype=float)
+        design = CellDesign(np.zeros(len(x), dtype=np.intp), x, np.zeros((1, 0)))
     y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("design rows and outcome length differ")
+    if y.shape != design.shape[:1]:
+        raise ValueError("responses must be one vector, one per design row")
     w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
-    sw = np.sqrt(w)
-    xw = x * sw[:, None]
-    yw = y * sw
-    _check_rank(xw)
-    q, r = np.linalg.qr(xw)
-    # LU on the upper-triangular r makes no row swaps: a back-substitution
-    coef = np.linalg.solve(r, q.T @ yw)
-    resid = yw - xw @ coef
+    if w.shape != design.shape[:1] or not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and non-negative, one per design row")
+    return design, y, w
+
+
+def fit_ols(design: CellDesign | np.ndarray, y: np.ndarray,
+            weights: np.ndarray | None = None) -> GlmFit:
+    """Weighted least squares through the normal equations X'WX b = X'Wy.
+
+    The rank rule and the solves use the Jacobi-scaled S = D^-1/2 X'WX D^-1/2,
+    D = diag(X'WX), so the covariates' units do not matter: a zero column, or
+    an eigenvalue of S at or below `RANK_TOL` times its largest (a
+    singular-value ratio of 1e-5 between unit-norm weighted columns), raises
+    RankDeficient. Zero-weight rows contribute nothing; the dispersion
+    divides by (number of positive-weight rows - p). `y` and `weights`
+    follow the design's row order.
+    """
+    x, y, w = _fit_inputs(design, y, weights)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("least-squares responses must be finite")
+    xtwx = x.information(w)
+    # a zero column scales to zero, and its eigenvalue of 0 fails the rule
+    diag = np.diag(xtwx)
+    s = np.where(diag > 0, diag, np.inf) ** -0.5
+    scaled = xtwx * s[:, None] * s
+    ev = np.linalg.eigvalsh(scaled)
+    if ev.size == 0 or not ev[0] > RANK_TOL * ev[-1]:
+        span = f"{ev[0]:.3g}..{ev[-1]:.3g}" if ev.size else "none"
+        raise RankDeficient(f"design is rank deficient (scaled X'WX eigenvalues {span})")
+    coef = s * np.linalg.solve(scaled, s * x.score(w * y))
+    # X'WX squares the condition number; a refinement step on the
+    # residuals wins back the accuracy of a QR solve
+    coef += s * np.linalg.solve(scaled, s * x.score(w * (y - x.linear_predictor(coef))))
+    resid = y - x.linear_predictor(coef)
     n_eff = int(np.count_nonzero(w))
     p = x.shape[1]
-    rss = float(resid @ resid)
+    rss = float(w @ (resid * resid))
     dispersion = rss / (n_eff - p) if n_eff > p else (0.0 if rss < 1e-12 else float("nan"))
-    xtwx = xw.T @ xw
     information = xtwx / dispersion if dispersion and dispersion > 0 else xtwx
     return GlmFit(coefficients=coef, information=information,
                   dispersion=dispersion, iterations=1)
@@ -244,19 +238,9 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
     coefficients. `y` and `weights` follow the design's row order; a raw
     array is one cell, so its rows keep theirs.
     """
-    if isinstance(design, CellDesign):
-        x = design
-    else:
-        x = np.asarray(design, dtype=float)
-        x = CellDesign(np.zeros(len(x), dtype=np.intp), x, np.zeros((1, 0)))
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("logistic responses must be one vector")
+    x, y, w = _fit_inputs(design, y, weights)
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("logistic responses must be numbers in [0, 1]")
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise ValueError("weights must be finite and non-negative")
     coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
     lp = x.linear_predictor(coef)
     ll = _loglik(lp, y, w)

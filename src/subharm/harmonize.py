@@ -47,7 +47,6 @@ from .estimators import (
     marginal_effects,
 )
 from .glm import (
-    MODEL_BIAS_BLOCK,
     MODEL_POOLED,
     CellDesign,
     GlmFit,
@@ -200,13 +199,18 @@ class BiasModel:
 def bd_direction_linear(ds: CombinedDataset, prevalences=None
                         ) -> tuple[BiasModel, np.ndarray]:
     """Bias sensitivity of the pooled least-squares subgroup effects,
-    computed from the design matrices alone (no outcomes), and the
-    resulting unit shift direction."""
-    m1 = build_design(ds, MODEL_POOLED).values
-    m2 = build_design(ds, MODEL_BIAS_BLOCK).values
-    k = ds.k
-    coef = np.linalg.solve(m1.T @ m1, m1.T @ m2)
-    big_b = coef[k:2 * k, :]
+    computed from the design alone (no outcomes), and the resulting unit
+    shift direction: rows K:2K of H^-1 X'1_j, H = X'X and 1_j the indicator
+    of subgroup j's EC rows, the limit map's c1 at unit weights and slope.
+    Raises RankDeficient when H is singular."""
+    k, design = ds.k, build_design(ds, MODEL_POOLED)
+    ec_rows = np.arange(ds.n_rct, design.shape[0])  # the EC cells come last
+    s = _ec_scores(design, k, ec_rows, ds.w_ec[design.order[ec_rows] - ds.n_rct],
+                   np.ones((1, ds.n_ec)))[0]
+    try:
+        big_b = np.linalg.solve(design.information(np.ones(design.shape[0])), s.T)[k:2 * k]
+    except np.linalg.LinAlgError:
+        raise RankDeficient("singular pooled least-squares information") from None
     b = big_b @ np.ones(k)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
@@ -350,14 +354,15 @@ def limit_map_theta(spec: LimitMapSpec, delta) -> np.ndarray:
     return marginal_effects(spec.rct_subgroups, spec.x_rct, *np.split(coef, [k, 2 * k]))
 
 
-def _ec_scores(spec: LimitMapSpec) -> np.ndarray:
-    """The score X'[w s_m 1_j] of w s_m, s_m each row of `spec.sigmoid`, on
-    subgroup j's EC rows alone, for every j: a 3 x K x p array of sums over
-    the EC rows, which have no treatment column."""
-    k, ec, w_ec = spec.k, spec.ec_rows, spec.w_ec
-    x_ec = spec.design.xt[:, ec]
-    out = np.zeros((3, k, spec.design.shape[1]))
-    for scores, a_ec in zip(out, spec.weights[ec] * spec.sigmoid[:, ec]):
+def _ec_scores(design: CellDesign, k: int, ec_rows: np.ndarray, w_ec: np.ndarray,
+               a: np.ndarray) -> np.ndarray:
+    """The score X'[a_m 1_j] of each row a_m of `a`, a value per EC row of
+    `design` (at `ec_rows`, in subgroups `w_ec`), on subgroup j's EC rows
+    alone, for every j: an m x K x p array. EC rows set only their
+    subgroup's intercept, and the covariates start at column 2K."""
+    x_ec = design.xt[:, ec_rows]
+    out = np.zeros((len(a), k, design.shape[1]))
+    for scores, a_ec in zip(out, a):
         scores[np.arange(k), np.arange(k)] = np.bincount(w_ec, a_ec, minlength=k)
         for c, x in enumerate(x_ec):
             scores[:, 2 * k + c] = np.bincount(w_ec, a_ec * x, minlength=k)
@@ -396,7 +401,9 @@ def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
         h_inv = np.linalg.inv(design.information(w * s[0]))
     except np.linalg.LinAlgError:
         raise RankDeficient("singular limit-map information at the anchor") from None
-    c1, c2, c3 = _ec_scores(spec) @ h_inv.T  # the 1_j terms, K x p each
+    ec = spec.ec_rows
+    c1, c2, c3 = _ec_scores(design, spec.k, ec, spec.w_ec,
+                            w[ec] * s[:, ec]) @ h_inv.T  # the 1_j terms, K x p each
     ws1, ws2 = w * s[1], w * s[2]
     ws1_3 = 3.0 * ws1
     s2_copies, s1_copies_3 = s[2][copies], 3.0 * s[1][copies]  # control, then treated

@@ -7,7 +7,7 @@ The dispatcher's cut interval is the flat-prior cut in closed form
 (`bayes.flat_cut`), per subgroup. The bootstrap's cell-mean draws are
 `Generator.normal` draws, bit for bit, taken as standard normals scaled and
 shifted in place, and its quantiles are `np.quantile`'s linear
-interpolation between order statistics from one partition. The normal
+interpolation between order statistics from one sort. The normal
 quantile z of the analytic, cut and trial-only intervals is the standard
 library's `statistics.NormalDist().inv_cdf`.
 """
@@ -159,7 +159,10 @@ def _quantiles(a: np.ndarray, probs) -> list[np.ndarray]:
     bit for bit, from one sort along axis 0, which beats a partition at
     several order statistics when `a` has few columns. It skips
     `np.quantile`'s general path (worth about 7% of `sim-dm-intervals`
-    throughput on a 2-vCPU Xeon); the tests compare the two bit for bit."""
+    throughput on a 2-vCPU Xeon); the tests compare the two bit for bit.
+    Except where -0.0 and +0.0 tie at an order statistic read: the sort and
+    `np.quantile`'s partition may order them differently, so the zero's
+    sign may differ. Bootstrap draws are continuous and never tie so."""
     n = a.shape[0]
     ordered = np.sort(a, axis=0)
     out = []

@@ -1,11 +1,12 @@
-"""The cell layout of every logistic fit against the dense design it stands
-for.
+"""The cell layout of every fit against the dense design it stands for.
 
-`CellDesign` forms IRLS's three products per cell; here they are compared
-with the dense products on hypothesis-drawn layouts, for the pooled,
-trial-only and propensity models' maps on one sort of a dataset's rows and
-for the limit map's, and the fits made on them with dense-design reference
-fits: the estimates, and on separated or rank-deficient data the error.
+`CellDesign` forms the fits' three products per cell; here they are
+compared with the dense products on hypothesis-drawn layouts, for the
+pooled, trial-only and propensity models' maps on one sort of a dataset's
+rows and for the limit map's, and the logistic and least-squares fits made
+on them with dense-design reference fits: the estimates, and on separated
+or rank-deficient data the error. The linear bias sensitivity is compared
+with its dense formula.
 The limit map built on the layout is compared with a dense-design oracle
 of the same map. The finite-difference sensitivity, taken from the limit
 map's Taylor series, is compared with IRLS refits, its first-order term
@@ -43,15 +44,35 @@ from subharm.errors import (
     SeparationDetected,
 )
 from subharm.estimators import (
+    OLS,
     _marginal_gradient,
     _pooled_logistic_fit,
     ec_weights,
     fit_propensity,
     logistic_marginal_effects,
     marginal_effects,
+    ols_overall_effect,
+    ols_subgroup_effects,
+    rct_only_subgroups,
 )
-from subharm.glm import CellDesign, _onehot, fit_logistic_irls, pooled_map
-from subharm.harmonize import BiasModel, bd_direction_glm, build_limit_map_spec, limit_map_theta
+from subharm.glm import (
+    MODEL_OVERALL,
+    MODEL_POOLED,
+    MODEL_RCT_SUBGROUP,
+    OVERALL_TREATMENT,
+    CellDesign,
+    build_design,
+    fit_logistic_irls,
+    fit_ols,
+    pooled_map,
+)
+from subharm.harmonize import (
+    BiasModel,
+    bd_direction_glm,
+    bd_direction_linear,
+    build_limit_map_spec,
+    limit_map_theta,
+)
 from subharm.sim import _ReplicateContext
 
 FD_STEP = 1e-4
@@ -76,10 +97,16 @@ def cell_rows(layout):
     return cell, rng.normal(size=(len(cell), d)), rng
 
 
+def onehot(idx, k):
+    out = np.zeros((len(idx), k))
+    out[np.arange(len(idx)), idx] = 1.0
+    return out
+
+
 def dense(cell, x, k):
     """[onehot(g), a * onehot(g), x] for the cells g + K a: a = 0 control,
     1 treated and 2 external, whose treatment columns are zero."""
-    g = _onehot(cell % k, k)
+    g = onehot(cell % k, k)
     return np.column_stack([g, g * (cell // k == 1)[:, None], x])
 
 
@@ -126,7 +153,7 @@ def model_design(cell, x, k, model):
         design = design.remap(pooled_map(k)[:2 * k])
     elif model == "propensity":
         design = design.remap(pooled_map(k)[:, :k])
-    xd = np.column_stack([_onehot(cell % k, k), x]) if model == "propensity" else dense(cell, x, k)
+    xd = np.column_stack([onehot(cell % k, k), x]) if model == "propensity" else dense(cell, x, k)
     return design, xd[design.order]
 
 
@@ -197,7 +224,7 @@ def dense_fits(ds):
     x = np.vstack([ds.x_rct, ds.x_ec])
     pooled, y = dense(cell, x, k), np.concatenate([ds.y_rct, ds.y_ec])
     return {"pooled": (pooled, y), "trial": (pooled[:ds.n_rct], ds.y_rct),
-            "propensity": (np.column_stack([_onehot(cell % k, k), x]),
+            "propensity": (np.column_stack([onehot(cell % k, k), x]),
                            (np.arange(len(y)) < ds.n_rct).astype(float))}
 
 
@@ -286,6 +313,146 @@ def test_failures_match_dense_reference(trial, fault, j):
         reference = outcome(lambda: fit_logistic_irls(*designs[model]))
         assert reference is want, (model, reference)
         assert outcome(fit) is reference, model
+
+
+OLS_MODELS = {"pooled": MODEL_POOLED, "trial": MODEL_RCT_SUBGROUP, "overall": MODEL_OVERALL}
+
+
+def dense_ols_designs(ds):
+    """The dense least-squares designs and responses of the pooled,
+    trial-only and overall models in the dataset's row order."""
+    designs = dense_fits(ds)
+    overall = np.column_stack([np.ones(ds.n_rct), ds.t_rct, ds.x_rct])
+    return {"pooled": designs["pooled"], "trial": designs["trial"],
+            "overall": (overall, ds.y_rct)}
+
+
+def dense_wls(x, y, w):
+    """Weighted least squares of a dense design by an SVD solve of the
+    square-root-weighted rows: (coefficients, dispersion, X'WX), or
+    RankDeficient when a column is zero or, the columns scaled to unit
+    norm, the smallest singular value is at or below 1e-5 times the
+    largest, the square root of the fits' scaled eigenvalue rule."""
+    sw = np.sqrt(w)
+    xw = x * sw[:, None]
+    norms = np.linalg.norm(xw, axis=0)
+    if not np.all(norms > 0):
+        return RankDeficient
+    sv = np.linalg.svd(xw / norms, compute_uv=False)
+    if sv[-1] <= 1e-5 * sv[0]:
+        return RankDeficient
+    assume(not sv[-1] <= 2e-5 * sv[0])  # the two rules may round either way
+    coef = np.linalg.lstsq(xw, y * sw, rcond=None)[0]
+    resid = (y - x @ coef) * sw
+    return coef, float(resid @ resid) / (np.count_nonzero(w) - x.shape[1]), xw.T @ xw
+
+
+def cell_wls(ds, model, w=None):
+    """`model`'s least-squares fit on its cell design, with the weights `w`
+    given in the dataset's row order."""
+    design = build_design(ds, OLS_MODELS[model])
+    y = np.concatenate([ds.y_rct, ds.y_ec])[design.order]
+    return outcome(lambda: fit_ols(design, y, None if w is None else w[design.order]))
+
+
+def check_ols(got, want):
+    coef, dispersion, xtwx = want
+    scale = np.abs(coef).max()
+    np.testing.assert_allclose(got.coefficients, coef, rtol=1e-9, atol=1e-11 * scale)
+    # the outcomes lie in [0, 1]; an exact fit leaves rounding
+    np.testing.assert_allclose(got.dispersion, dispersion, rtol=1e-9, atol=1e-15)
+    # a least-squares information is X'WX / dispersion, or X'WX at a zero one
+    got_xtwx = got.information * (got.dispersion if got.dispersion > 0 else 1.0)
+    np.testing.assert_allclose(got_xtwx, xtwx, rtol=1e-12, atol=1e-12 * np.abs(xtwx).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials(empty_ec=True), st.sampled_from(sorted(OLS_MODELS)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_ols_matches_dense_reference(trial, model, weighted, seed):
+    # with weights, about a fifth of the rows weigh zero
+    ds = trial[0]
+    x, y = dense_ols_designs(ds)[model]
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 2.0, len(y)) * (rng.random(len(y)) > 0.2) if weighted else None
+    assume((len(y) if w is None else np.count_nonzero(w)) > x.shape[1])
+    want = dense_wls(x, y, np.ones(len(y)) if w is None else w)
+    got = cell_wls(ds, model, w)
+    if want is RankDeficient:
+        assert got is RankDeficient
+        return
+    check_ols(got, want)
+    if weighted:
+        return
+    # the estimators read the same fits
+    k, coef = ds.k, want[0]
+    if model == "pooled":
+        est = ols_subgroup_effects(ds)
+        np.testing.assert_allclose(est.theta_k, coef[k:2 * k], rtol=1e-9,
+                                   atol=1e-11 * np.abs(coef).max())
+        cov = want[1] * np.linalg.inv(want[2])[k:2 * k, k:2 * k]
+        np.testing.assert_allclose(est.covariance, cov, rtol=1e-8)
+    elif model == "trial":
+        np.testing.assert_allclose(rct_only_subgroups(ds, OLS).theta_k, coef[k:2 * k],
+                                   rtol=1e-9, atol=1e-11 * np.abs(coef).max())
+    else:
+        assert ols_overall_effect(ds) == pytest.approx(coef[OVERALL_TREATMENT], rel=1e-9,
+                                                       abs=1e-11 * np.abs(coef).max())
+
+
+@pytest.mark.parametrize("mean,sd", [(2000.0, 5.0), (5e4, 2e4)], ids=["year", "income"])
+def test_ols_accepts_covariates_far_from_zero(mean, sd):
+    # a year or an income puts X'X's eigenvalues 1e-12 or 5e-11 apart
+    # unscaled: the rank rule must not depend on the covariates' units
+    ds = generate_scenario(load_preset("fig4"), seed=0)
+    ds = CombinedDataset.from_arrays(
+        y_rct=ds.y_rct, t_rct=ds.t_rct, w_rct=ds.w_rct, y_ec=ds.y_ec, w_ec=ds.w_ec, k=ds.k,
+        x_rct=mean + sd * ds.x_rct, x_ec=mean + sd * ds.x_ec, outcome_family=ds.outcome_family)
+    for model, (x, y) in dense_ols_designs(ds).items():
+        coef = np.linalg.lstsq(x, y, rcond=None)[0]
+        got = cell_wls(ds, model)
+        assert got is not RankDeficient, model
+        np.testing.assert_allclose(got.coefficients, coef, rtol=1e-9,
+                                   atol=1e-11 * np.abs(coef).max())
+        if model == "pooled":
+            np.testing.assert_array_equal(ols_subgroup_effects(ds).theta_k,
+                                          got.coefficients[ds.k:2 * ds.k])
+        elif model == "overall":
+            assert ols_overall_effect(ds) == got.coefficients[OVERALL_TREATMENT]
+
+
+@settings(max_examples=30, deadline=None)
+@given(trials(empty_ec=True), st.sampled_from(FAULTS[:2]), st.integers(0, 7))
+def test_ols_failures_match_dense_reference(trial, fault, j):
+    # a subgroup without treated rows leaves the pooled and trial-only
+    # treatment column empty, and a zero covariate every model's
+    ds = trial[0]
+    assume(fault != "zero covariate" or ds.d > 0)
+    bad = with_fault(ds, fault, j % ds.k)
+    for model, (x, y) in dense_ols_designs(bad).items():
+        want, got = dense_wls(x, y, np.ones(len(y))), cell_wls(bad, model)
+        if model != "overall" or fault == "zero covariate":
+            assert want is RankDeficient, model
+        if want is RankDeficient:
+            assert got is RankDeficient, model
+        else:
+            check_ols(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials(empty_ec=True))
+def test_linear_bias_sensitivity_matches_dense(trial):
+    # B = rows K:2K of (M1'M1)^-1 M1'M2, M1 the pooled design and M2 the
+    # EC rows' subgroup indicators
+    ds = trial[0]
+    m1 = dense_fits(ds)["pooled"][0]
+    m2 = np.vstack([np.zeros((ds.n_rct, ds.k)), onehot(ds.w_ec, ds.k)])
+    want = np.linalg.solve(m1.T @ m1, m1.T @ m2)[ds.k:2 * ds.k]
+    try:
+        got = bd_direction_linear(ds)[0].B
+    except DegenerateDirection:
+        assume(False)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def dense_limit_map(ds, anchor, ec_weights):

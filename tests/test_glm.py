@@ -4,45 +4,82 @@ from scipy.special import expit
 
 from subharm import build_design, fit_logistic_irls, fit_ols
 from subharm.errors import RankDeficient, SeparationDetected
-from subharm.glm import MODEL_BIAS_BLOCK, MODEL_OVERALL, MODEL_POOLED, OVERALL_TREATMENT
+from subharm.glm import (
+    MODEL_OVERALL,
+    MODEL_POOLED,
+    MODEL_PROPENSITY,
+    MODEL_RCT_SUBGROUP,
+    OVERALL_TREATMENT,
+)
 
 from conftest import balanced_dataset, records_dataset
 
 
+def expanded(design):
+    """The dense matrix a cell design stands for, in the dataset's row order
+    (RCT rows, then EC rows): each row's cell map, then its covariates."""
+    cells = np.repeat(np.arange(len(design.counts)), design.counts)
+    out = np.empty(design.shape)
+    out[design.order] = np.column_stack([design.pattern[cells], design.xt.T])
+    return out
+
+
 class TestBuildDesign:
+    """Each model's layout through the dense expansion of its cell design."""
+
     def test_minimal_pooled_blocks(self):
         ds = balanced_dataset(k=1, n_t=2, n_c=2, n_e=3)
-        dm = build_design(ds, MODEL_POOLED)
-        assert dm.values.shape == (7, 2)
-        np.testing.assert_array_equal(dm.values[:, 0], np.ones(7))
-        np.testing.assert_array_equal(dm.values[:, 1], [1, 1, 0, 0, 0, 0, 0])
+        dm = expanded(build_design(ds, MODEL_POOLED))
+        assert dm.shape == (7, 2)
+        np.testing.assert_array_equal(dm[:, 0], np.ones(7))
+        np.testing.assert_array_equal(dm[:, 1], [1, 1, 0, 0, 0, 0, 0])
 
     def test_hand_constructed_small_design(self):
         rows_rct = [(1.0, 1, 1, (0.5,)), (0.0, 0, 1, (0.1,)), (2.0, 1, 2, (0.2,))]
         rows_ec = [(0.5, 0, 1, (0.3,)), (0.9, 0, 2, (0.4,))]
         ds = records_dataset(rows_rct, rows_ec, k=2, d=1)
-        m1 = build_design(ds, MODEL_POOLED)
-        m2 = build_design(ds, MODEL_BIAS_BLOCK)
-        assert m1.values.shape == (5, 5)
-        assert m2.values.shape == (5, 2)
-        np.testing.assert_array_equal(m2.values[:3], np.zeros((3, 2)))
-        np.testing.assert_array_equal(m2.values[3:], np.eye(2))
-        # RCT rows carry treatment in the interaction block, EC rows do not
-        np.testing.assert_array_equal(m1.values[:, 2], [1, 0, 0, 0, 0])
-        np.testing.assert_array_equal(m1.values[:, 3], [0, 0, 1, 0, 0])
+        # RCT rows carry treatment in the interaction block, EC rows only
+        # their subgroup's intercept
+        np.testing.assert_array_equal(expanded(build_design(ds, MODEL_POOLED)), [
+            [1, 0, 1, 0, 0.5],
+            [1, 0, 0, 0, 0.1],
+            [0, 1, 0, 1, 0.2],
+            [1, 0, 0, 0, 0.3],
+            [0, 1, 0, 0, 0.4]])
 
     def test_overall_layout(self):
-        ds = balanced_dataset(k=1, n_t=2, n_c=2, n_e=0, d=1, beta=(0.5,))
-        dm = build_design(ds, MODEL_OVERALL)
-        assert dm.values.shape == (4, 3)
-        np.testing.assert_array_equal(dm.values[:, 0], np.ones(4))
-        np.testing.assert_array_equal(dm.values[:, OVERALL_TREATMENT], ds.t_rct)
+        ds = balanced_dataset(k=2, n_t=2, n_c=2, n_e=3, d=1, beta=(0.5,))
+        dm = expanded(build_design(ds, MODEL_OVERALL))
+        assert dm.shape == (8, 3)
+        np.testing.assert_array_equal(dm[:, 0], np.ones(8))
+        np.testing.assert_array_equal(dm[:, OVERALL_TREATMENT], ds.t_rct)
+        np.testing.assert_array_equal(dm[:, 2:], ds.x_rct)
 
     def test_onehot_row_sums(self):
         ds = balanced_dataset(k=3, n_t=2, n_c=2, n_e=2)
-        dm = build_design(ds, MODEL_POOLED)
-        mu_block = dm.values[:, :ds.k]
+        dm = expanded(build_design(ds, MODEL_POOLED))
+        mu_block = dm[:, :ds.k]
         assert set(np.unique(mu_block.sum(axis=1))) == {1.0}
+
+    def test_trial_only_and_propensity_layouts(self):
+        # the pooled layout's RCT rows, and its intercepts and covariates
+        ds = balanced_dataset(k=3, n_t=2, n_c=3, n_e=2, d=2, beta=(0.5, -0.2))
+        pooled = expanded(build_design(ds, MODEL_POOLED))
+        np.testing.assert_array_equal(expanded(build_design(ds, MODEL_RCT_SUBGROUP)),
+                                      pooled[:ds.n_rct])
+        np.testing.assert_array_equal(expanded(build_design(ds, MODEL_PROPENSITY)),
+                                      np.delete(pooled, np.s_[ds.k:2 * ds.k], axis=1))
+
+    def test_every_layout_shares_the_dataset_sort(self):
+        ds = balanced_dataset(k=2, n_t=2, n_c=2, n_e=3, d=1, beta=(0.5,))
+        for model in (MODEL_POOLED, MODEL_RCT_SUBGROUP, MODEL_OVERALL, MODEL_PROPENSITY):
+            design = build_design(ds, model)
+            np.testing.assert_array_equal(design.order,
+                                          ds.cell_design.order[:design.shape[0]])
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown design model"):
+            build_design(balanced_dataset(k=1), "pooled_subgroup_with_bias")
 
 
 class TestOls:
@@ -78,6 +115,37 @@ class TestOls:
         ref = fit_ols(x[:20], y[:20])
         np.testing.assert_allclose(fit.coefficients, ref.coefficients, atol=1e-10)
         assert fit.dispersion == pytest.approx(ref.dispersion)
+
+    @pytest.mark.parametrize("bad_y,bad_w,words", [
+        (np.nan, 1.0, "responses"), (np.inf, 1.0, "responses"), (0.5, np.nan, "weights"),
+        (0.5, -1.0, "weights"), (0.5, np.inf, "weights")],
+        ids=["nan-response", "inf-response", "nan-weight", "negative-weight", "inf-weight"])
+    def test_bad_input_is_a_value_error(self, rng, bad_y, bad_w, words):
+        # a NaN response gave NaN coefficients, and a NaN or negative weight
+        # numpy's "SVD did not converge"
+        x = np.c_[np.ones(6), rng.normal(size=6)]
+        y, w = np.full(6, 0.5), np.ones(6)
+        y[2], w[4] = bad_y, bad_w
+        with pytest.raises(ValueError, match=words):
+            fit_ols(x, y, weights=w)
+
+    def test_rank_rule_on_the_information_eigenvalues(self):
+        # a column 1e-6 from a multiple of another: singular values a ratio
+        # of about 3e-7 apart, so the information's eigenvalues about 1e-13
+        x = np.c_[np.ones(4), [0.0, 1.0, 2.0, 3.0]]
+        x = np.c_[x, x[:, 1] + 1e-6 * np.array([1.0, -1.0, -1.0, 1.0])]
+        with pytest.raises(RankDeficient, match="eigenvalues"):
+            fit_ols(x, np.arange(4.0))
+        fit_ols(x[:, :2], np.arange(4.0))
+
+
+    @pytest.mark.parametrize("mean,sd", [(2000.0, 5.0), (5e4, 2e4)], ids=["year", "income"])
+    def test_rank_rule_ignores_the_covariates_units(self, rng, mean, sd):
+        # [1, x] alone puts X'X's eigenvalues about sd^2 / (mean^2 + sd^2)^2 apart
+        x = np.c_[np.ones(50), rng.normal(mean, sd, 50)]
+        y = 0.01 * (x[:, 1] - mean) + rng.normal(size=50)
+        np.testing.assert_allclose(fit_ols(x, y).coefficients,
+                                   np.linalg.lstsq(x, y, rcond=None)[0], rtol=1e-9)
 
 
 class TestLogistic:

@@ -67,7 +67,8 @@ def test_resample_marks_each_replicate(tracer, tmp_path):
 def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
     # a binary estimate fits four logistic models (trial-only, pooled, IPW
     # and propensity), each span carrying the design shape that the IRLS
-    # layer metrics read
+    # layer metrics read, and each design made by `glm.build_design` just
+    # before its fit, by the same caller
     ds = generate_scenario(load_preset("fig5"), seed=2)
     rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
     save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
@@ -82,7 +83,11 @@ def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
     with tracer.Tracer("cli.main") as t:
         assert main(["estimate", "--config", str(config)]) == 0
     assert tracer.wrapped_bindings() == []
-    fits = [t.results[i] for i, span in enumerate(t.spans) if span[0] == "glm.fit_logistic_irls"]
+    fit_spans = [i for i, span in enumerate(t.spans) if span[0] == "glm.fit_logistic_irls"]
     k, d, n = ds.k, ds.d, ds.n_rct + ds.n_ec
-    assert sorted(fit[1:] for fit in fits) == sorted(
+    assert sorted(t.results[i][1:] for i in fit_spans) == sorted(
         [(ds.n_rct, 2 * k + d), (n, 2 * k + d), (n, 2 * k + d), (n, k + d)])
+    for i in fit_spans:
+        parent = t.spans[i][3]
+        before = [j for j in range(i) if t.spans[j][3] == parent]
+        assert before and t.spans[before[-1]][0] == "glm.build_design", t.spans[i]
