@@ -85,6 +85,30 @@ def _vector(values, dtype, name: str, n: int | None = None) -> np.ndarray:
     return a
 
 
+def _outcomes(y, name: str, outcome_family: str, n: int | None = None) -> np.ndarray:
+    """`y` as a vector of finite outcomes, each 0 or 1 in the binary family."""
+    y = _vector(y, float, name, n)
+    if not np.isfinite(y).all():
+        raise MalformedRow(f"non-finite value in {name}")
+    if outcome_family == BINARY and not np.isin(y, (0.0, 1.0)).all():
+        raise MalformedRow("binary outcome family requires outcomes in {0, 1}")
+    return y
+
+
+def _design_only(build):
+    """A property built on first use from the design columns alone and
+    kept in the cache that `with_outcomes` hands on, so every dataset of
+    one design builds it once."""
+    name = build.__name__
+
+    def get(self):
+        cache = self._design_cache
+        if name not in cache:
+            cache[name] = build(self)
+        return cache[name]
+    return property(get, doc=build.__doc__)
+
+
 def _covariates(x, n: int, name: str) -> np.ndarray:
     """`x` as an (n, d) matrix: None has no columns, a vector one."""
     if x is None:
@@ -101,9 +125,16 @@ def _covariates(x, n: int, name: str) -> np.ndarray:
 class CombinedDataset:
     """Validated RCT + EC column arrays with subgroup bookkeeping.
 
-    Built only by `from_arrays`. Immutable after construction; safe for
-    concurrent read. Column arrays use 0-based subgroup indices internally;
+    Built by `from_arrays`, or by `with_outcomes` from a dataset of the
+    same design. Immutable after construction; safe for concurrent read.
+    Column arrays use 0-based subgroup indices internally;
     `subgroup_labels[k]` gives the original label of 1-based subgroup k+1.
+
+    The design is every column but the outcomes. What is built from it
+    alone (`cell_design`, `rct_subgroups` and `limit_map_layout`) is built
+    once for all the datasets `with_outcomes` makes from one design, as
+    the replicates of a `simulate` batch whose design is frozen are;
+    `cell_stats` reads the outcomes and is each dataset's own.
     """
 
     @classmethod
@@ -127,7 +158,8 @@ class CombinedDataset:
         share one width, else `DimensionMismatch`."""
         if outcome_family not in (CONTINUOUS, BINARY):
             raise DataError(f"unknown outcome family {outcome_family!r}")
-        y_r, y_e = _vector(y_rct, float, "y_rct"), _vector(y_ec, float, "y_ec")
+        y_r = _outcomes(y_rct, "y_rct", outcome_family)
+        y_e = _outcomes(y_ec, "y_ec", outcome_family)
         n_r, n_e = len(y_r), len(y_e)
         t_r = _vector(t_rct, None, "t_rct", n_r)
         w_r, w_e = _vector(w_rct, None, "w_rct", n_r), _vector(w_ec, None, "w_ec", n_e)
@@ -143,15 +175,12 @@ class CombinedDataset:
             if np.any(np.mod(w, 1) != 0):
                 raise MalformedRow(f"{name} holds a non-integral subgroup index")
         t_r, w_r, w_e = (a.astype(np.int64, copy=False) for a in (t_r, w_r, w_e))
-        for study, y, w, x in (("rct", y_r, w_r, x_r), ("ec", y_e, w_e, x_e)):
-            for name, a in (("y", y), ("x", x)):
-                if not np.isfinite(a).all():
-                    raise MalformedRow(f"non-finite value in {name}_{study}")
+        for name, w, x in (("rct", w_r, x_r), ("ec", w_e, x_e)):
+            if not np.isfinite(x).all():
+                raise MalformedRow(f"non-finite value in x_{name}")
             if w.size and (w.min() < 0 or w.max() >= k):
                 bad = int(w.min() if w.min() < 0 else w.max())
                 raise UnknownSubgroup(f"subgroup index {bad + 1} outside 1..{k}")
-            if outcome_family == BINARY and not np.isin(y, (0.0, 1.0)).all():
-                raise MalformedRow("binary outcome family requires outcomes in {0, 1}")
         labels = tuple(subgroup_labels) if subgroup_labels is not None \
             else tuple(str(i + 1) for i in range(k))
         if len(labels) != k:
@@ -160,11 +189,29 @@ class CombinedDataset:
         ds.k, ds.d = int(k), int(d)
         ds.outcome_family = outcome_family
         ds.subgroup_labels = labels
-        ds.y_rct, ds.t_rct, ds.w_rct, ds.x_rct = y_r, t_r, w_r, x_r
-        ds.y_ec, ds.w_ec, ds.x_ec = y_e, w_e, x_e
-        for arr in (y_r, t_r, w_r, x_r, y_e, w_e, x_e):
+        ds.t_rct, ds.w_rct, ds.x_rct = t_r, w_r, x_r
+        ds.w_ec, ds.x_ec = w_e, x_e
+        for arr in (t_r, w_r, x_r, w_e, x_e):
             arr.setflags(write=False)
-        return ds
+        ds._design_cache = {}
+        return ds._store_outcomes(y_r, y_e)
+
+    def with_outcomes(self, y_rct: np.ndarray, y_ec: np.ndarray) -> "CombinedDataset":
+        """This design with other outcomes, checked as `from_arrays` checks
+        them: a dataset that shares every other column, and what is built
+        from them alone, with this one."""
+        ds = self.__new__(type(self))
+        for name in ("k", "d", "outcome_family", "subgroup_labels", "t_rct", "w_rct",
+                     "x_rct", "w_ec", "x_ec", "_design_cache"):
+            setattr(ds, name, getattr(self, name))
+        return ds._store_outcomes(_outcomes(y_rct, "y_rct", self.outcome_family, self.n_rct),
+                                  _outcomes(y_ec, "y_ec", self.outcome_family, self.n_ec))
+
+    def _store_outcomes(self, y_r: np.ndarray, y_e: np.ndarray) -> "CombinedDataset":
+        self.y_rct, self.y_ec = y_r, y_e
+        y_r.setflags(write=False)
+        y_e.setflags(write=False)
+        return self
 
     # --- views ---------------------------------------------------------
 
@@ -190,13 +237,21 @@ class CombinedDataset:
         """Per-cell outcome statistics, computed on first use."""
         return CellStats.from_dataset(self)
 
-    @cached_property
+    @_design_only
     def rct_subgroups(self) -> "SubgroupRows":
         """The RCT rows grouped by subgroup, built on first use. Raises
         EmptySubgroupArm while a subgroup has no RCT patients."""
         return SubgroupRows.of(self.w_rct, self.k)
 
-    @cached_property
+    @_design_only
+    def limit_map_layout(self) -> "LimitMapLayout":
+        """The pseudo rows of the logistic limit map
+        (`harmonize.LimitMapLayout`), built on first use."""
+        from .harmonize import LimitMapLayout  # harmonize imports this module
+
+        return LimitMapLayout.of(self)
+
+    @_design_only
     def cell_design(self) -> CellDesign:
         """The pooled logistic design of the RCT rows then the EC rows,
         sorted once into 3K cells: RCT control g, RCT treated K + g and EC

@@ -253,6 +253,44 @@ def solve_sigma_from_b(b, prevalences) -> np.ndarray:
 # --- limit map for logistic pipelines ----------------------------------------
 
 @dataclass(frozen=True)
+class LimitMapLayout:
+    """The pseudo rows of a dataset's limit map, which depend on its design
+    alone: `design` sorts the control copies of the RCT rows, their
+    treated copies and the EC rows, in that order, into the 2K
+    subgroup-by-arm cells of the pooled model's map, each EC row in its
+    subgroup's control cell. `ec_rows` are the EC rows' positions in that
+    sort; row 0 of `copies` holds the control copies' positions and row 1
+    the treated copies', in `rct_subgroups.order`. `weights` follow the
+    sort: 1 - p on control copies, p on treated copies for p the trial's
+    treated share, and 1 on EC rows. A dataset builds its layout once, as
+    `CombinedDataset.limit_map_layout`, which the datasets of one design
+    share.
+    """
+
+    design: CellDesign
+    ec_rows: np.ndarray
+    copies: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.ec_rows, self.copies, self.weights):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, ds: CombinedDataset) -> "LimitMapLayout":
+        k, n = ds.k, ds.n_rct
+        design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
+                            np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), pooled_map(k)[:2 * k])
+        p_treat = float((ds.t_rct == 1).mean())
+        weights = np.concatenate([np.full(n, 1.0 - p_treat), np.full(n, p_treat),
+                                  np.ones(ds.n_ec)])[design.order]
+        rows = np.empty_like(design.order)  # the sort's inverse
+        rows[design.order] = np.arange(len(rows))
+        return cls(design, rows[2 * n:], rows[:2 * n].reshape(2, n)[:, ds.rct_subgroups.order],
+                   weights)
+
+
+@dataclass(frozen=True)
 class LimitMapSpec:
     """Frozen ingredients for evaluating where the (weighted) pooled
     logistic estimator settles when external outcomes carry a logit-scale
@@ -263,12 +301,10 @@ class LimitMapSpec:
     weighted by the empirical assignment ratio, with expected responses
     from the trial-only anchor fit; each EC patient contributes its
     analysis weight with expected response from the anchor shifted by the
-    subgroup's distortion. `design` holds the pseudo rows (control copies,
-    treated copies, EC rows) in the 2K subgroup-by-arm cells of the pooled
-    model's map, each EC row in its subgroup's control cell; `weights` and the
-    undistorted `response` follow its row order, and `ec_rows` are the EC
-    rows' positions in it; row 0 of `copies` holds the control copies'
-    positions and row 1 the treated copies', in `rct_subgroups.order`.
+    subgroup's distortion. `design`, `ec_rows` and `copies` are the
+    dataset's `LimitMapLayout`, which the datasets of one design share, as
+    the replicates of a `simulate` batch whose design is frozen do;
+    `weights` and the undistorted `response` follow the design's row order.
     `sigmoid` stacks the logistic curve's first three derivatives at
     `response` and `grad` is the marginal effects' gradient at the anchor:
     an IPW map made by `dataclasses.replace(spec, weights=...)` shares them.
@@ -298,35 +334,29 @@ def build_limit_map_spec(ds: CombinedDataset,
                          ec_weight_vector: np.ndarray | None = None,
                          prevalences=None, anchor: GlmFit | None = None) -> LimitMapSpec:
     """Anchor the limit map at the trial-only logistic fit of `ds`, or at
-    `anchor`, that fit already made."""
+    `anchor`, that fit already made, on the dataset's `limit_map_layout`,
+    with the EC rows weighted by `ec_weight_vector` (ones when None)."""
     fit = _pooled_logistic_fit(ds, None, rct_only=True) if anchor is None else anchor
     k, d = ds.k, ds.d
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
-    p_treat = float((ds.t_rct == 1).mean())
+    layout = ds.limit_map_layout
     xb_r = ds.x_rct @ beta if d else np.zeros(ds.n_rct)
-    design = CellDesign(np.concatenate([ds.w_rct, ds.w_rct + k, ds.w_ec]),
-                        np.concatenate([ds.x_rct, ds.x_rct, ds.x_ec]), pooled_map(k)[:2 * k])
     response = expit(np.concatenate([
         nu[ds.w_rct] + xb_r,
         nu[ds.w_rct] + eta[ds.w_rct] + xb_r,
         nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0),
-    ]))[design.order]
-    w_ec_vec = np.ones(ds.n_ec) if ec_weight_vector is None else np.asarray(ec_weight_vector, float)
-    weights = np.concatenate([
-        np.full(ds.n_rct, 1.0 - p_treat),
-        np.full(ds.n_rct, p_treat),
-        w_ec_vec,
-    ])[design.order]
+    ]))[layout.design.order]
+    weights = layout.weights
+    if ec_weight_vector is not None:
+        weights = weights.copy()
+        weights[layout.ec_rows] = np.asarray(ec_weight_vector, float)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
-    rows = np.empty_like(design.order)  # the sort's inverse
-    rows[design.order] = np.arange(len(rows))
     d1 = response * (1.0 - response)  # the logistic curve's first derivative
     return LimitMapSpec(
-        anchor=fit.coefficients.copy(), design=design, weights=weights,
-        response=response, ec_rows=rows[2 * ds.n_rct:], w_ec=ds.w_ec.copy(),
-        copies=rows[:2 * ds.n_rct].reshape(2, ds.n_rct)[:, ds.rct_subgroups.order],
-        rct_subgroups=ds.rct_subgroups, x_rct=ds.x_rct.copy(), k=k, pi=pi,
+        anchor=fit.coefficients.copy(), design=layout.design, weights=weights,
+        response=response, ec_rows=layout.ec_rows, w_ec=ds.w_ec, copies=layout.copies,
+        rct_subgroups=ds.rct_subgroups, x_rct=ds.x_rct, k=k, pi=pi,
         sigmoid=np.stack([d1, d1 * (1.0 - 2.0 * response), d1 * (1.0 - 6.0 * d1)]),
         grad=_marginal_gradient(ds.rct_subgroups, ds.x_rct, nu, eta, beta),
     )

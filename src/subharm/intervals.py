@@ -266,14 +266,16 @@ def check_interval_methods(methods, target, outcome_family: str) -> None:
 
 def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
              phi2: float | None = None, target=None, r: int = BOOTSTRAP_R, seed: int = 0,
-             replicate: int = 0) -> IntervalSet:
+             replicate: int = 0, variance=None) -> IntervalSet:
     """One interval of a method accepted by `check_interval_methods`.
 
     `target()` returns the harmonized estimate the interval is centred on
     and the shift vector u that made it; `phi2` is the outcome variance of
     the analytic and cut intervals, which raise `InsufficientData` unless it
     is positive and finite; `r`, `seed` and `replicate` drive the bootstrap
-    draws.
+    draws. `variance()`, when given, returns the analytic interval's
+    covariance of the target at `phi2`, which a caller may keep across
+    calls that share u; else it is computed from u.
     """
     if method == "rct_only":
         return rct_only_interval(ds, alpha)
@@ -284,7 +286,7 @@ def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
         return cut_interval(flat_cut(ds, phi2, dc.pi), alpha)
     if method == "analytic":
         point, u = target()
-        _, var = _bias_variance(dc, np.zeros(dc.k), u, phi2)
+        var = _bias_variance(dc, np.zeros(dc.k), u, phi2)[1] if variance is None else variance()
         return analytic_interval(point, var, alpha)
     if method == "bootstrap":
         point, u = target()

@@ -15,6 +15,8 @@ worker count.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Sequence
@@ -61,6 +63,7 @@ from .glm import GlmFit, expit
 from .harmonize import (
     FULL,
     LimitMapSpec,
+    _bias_variance,
     _SigmaShift,
     _validate_sigma,
     bd_direction_diff_means,
@@ -80,6 +83,23 @@ logger = logging.getLogger("subharm")
 
 
 # --- scenario specification ---------------------------------------------------
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _has_length(values, size: int) -> bool:
+    try:
+        return len(values) == size
+    except TypeError:  # not a sequence
+        return False
+
+
+def _is_finite(value) -> bool:
+    """A real number that is finite; a boolean is not a number here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+            and math.isfinite(value))
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -116,22 +136,42 @@ class ScenarioSpec:
 
     def __post_init__(self):
         k = self.k
+        if not _is_integer(k) or k < 1:
+            raise InvalidSpec(f"k must be a positive integer, got {k!r}")
         if self.outcome_family not in (CONTINUOUS, BINARY):
             raise InvalidSpec(f"unknown outcome family {self.outcome_family!r}")
-        for fname in ("n_rct_treated", "n_rct_control", "n_ec", "mu", "theta", "distortion"):
-            if len(getattr(self, fname)) != k:
-                raise InvalidSpec(f"{fname} must have length K={k}")
-        if any(n < 0 for n in (*self.n_rct_treated, *self.n_rct_control, *self.n_ec)):
-            raise InvalidSpec("cell sizes must be non-negative")
+        if not _is_integer(self.n_covariates) or self.n_covariates < 0:
+            raise InvalidSpec(f"n_covariates must be a non-negative integer, "
+                              f"got {self.n_covariates!r}")
+        if not isinstance(self.fixed_covariates, (bool, np.bool_)):
+            raise InvalidSpec(f"fixed_covariates must be true or false, "
+                              f"got {self.fixed_covariates!r}")
+        for fname in ("n_rct_treated", "n_rct_control", "n_ec"):
+            sizes = getattr(self, fname)
+            if not (_has_length(sizes, k) and all(_is_integer(n) and n >= 0 for n in sizes)):
+                raise InvalidSpec(f"{fname} must hold K={k} non-negative integer cell sizes")
+        for fname, size in (("mu", k), ("theta", k), ("distortion", k),
+                            ("beta", self.n_covariates)):
+            values = getattr(self, fname)
+            if not (_has_length(values, size) and all(_is_finite(v) for v in values)):
+                raise InvalidSpec(f"{fname} must hold {size} finite numbers")
         if sum(self.n_rct_treated) == 0 or sum(self.n_rct_control) == 0:
             raise InvalidSpec("both RCT arms need patients")
+        for fname in ("phi2", "x_mean_rct", "x_mean_ec"):
+            if not _is_finite(getattr(self, fname)):
+                raise InvalidSpec(f"{fname} must be a finite number, got {getattr(self, fname)!r}")
+        for fname in ("x_sd_rct", "x_sd_ec"):
+            value = getattr(self, fname)
+            if not (_is_finite(value) and value >= 0):
+                raise InvalidSpec(f"{fname} must be a finite non-negative number, got {value!r}")
         if self.outcome_family == CONTINUOUS and not self.phi2 > 0:
             raise InvalidSpec("phi2 must be positive for continuous outcomes")
-        if len(self.beta) != self.n_covariates:
-            raise InvalidSpec("beta length must equal n_covariates")
         if self.prevalences is not None:
+            if not (_has_length(self.prevalences, k)
+                    and all(_is_finite(v) for v in self.prevalences)):
+                raise InvalidSpec(f"prevalences must be {k} finite numbers")
             pi = np.asarray(self.prevalences, float)
-            if pi.shape != (k,) or not np.all(pi > 0) or abs(pi.sum() - 1) > 1e-12:
+            if not np.all(pi > 0) or abs(pi.sum() - 1) > 1e-12:
                 raise InvalidSpec("prevalences must be a strictly positive simplex vector")
 
     def with_distortion(self, distortion) -> "ScenarioSpec":
@@ -150,7 +190,7 @@ class ScenarioSpec:
         kw = dict(obj)
         for fname in ("n_rct_treated", "n_rct_control", "n_ec", "mu", "theta",
                       "distortion", "beta", "prevalences"):
-            if kw.get(fname) is not None:
+            if isinstance(kw.get(fname), list):  # anything else fails `__post_init__`
                 kw[fname] = tuple(kw[fname])
         kw.setdefault("name", "inline")
         return cls(**kw)
@@ -171,10 +211,30 @@ def _layout(n_treated: tuple[int, ...], n_control: tuple[int, ...],
     return w_r, t_r, w_e
 
 
-def generate_scenario(spec: ScenarioSpec, seed: int, replicate: int = 0) -> CombinedDataset:
-    """Draw one dataset pair. Cell counts are deterministic; outcomes (and
-    covariates, unless frozen) are stochastic."""
-    k = spec.k
+def shares_design(spec: ScenarioSpec) -> bool:
+    """Whether every replicate of `spec` at one seed has the same design:
+    its covariates are frozen, or it has none."""
+    return bool(spec.fixed_covariates) or spec.n_covariates == 0
+
+
+@dataclass(frozen=True)
+class ScenarioDesign:
+    """What one draw of `spec` at `seed` holds besides its outcomes:
+    `dataset` has the cell layout and the covariates, with outcomes of 0
+    in their place, and `mean_rct` and `mean_ec` are the outcomes'
+    expectations, the linear predictor for continuous outcomes and its
+    logistic function for binary ones."""
+
+    spec: ScenarioSpec
+    seed: int
+    dataset: CombinedDataset
+    mean_rct: np.ndarray
+    mean_ec: np.ndarray
+
+
+def scenario_design(spec: ScenarioSpec, seed: int, replicate: int = 0) -> ScenarioDesign:
+    """Draw the covariates of one replicate, unless they are frozen, and
+    lay out its design. The columns are validated here, once per design."""
     w_r, t_r, w_e = _layout(*map(tuple, (spec.n_rct_treated, spec.n_rct_control, spec.n_ec)))
     d = spec.n_covariates
     cov_rng = stream(seed, 0 if spec.fixed_covariates else replicate, ROLE_COVARIATE)
@@ -187,16 +247,39 @@ def generate_scenario(spec: ScenarioSpec, seed: int, replicate: int = 0) -> Comb
     beta = np.asarray(spec.beta)
     lp_r = mu[w_r] + th[w_r] * t_r + (x_r @ beta if d else 0.0)
     lp_e = mu[w_e] + dist[w_e] + (x_e @ beta if d else 0.0)
+    if spec.outcome_family == BINARY:
+        lp_r, lp_e = expit(lp_r), expit(lp_e)
+    ds = CombinedDataset.from_arrays(
+        y_rct=np.zeros(len(w_r)), t_rct=t_r, w_rct=w_r, y_ec=np.zeros(len(w_e)), w_ec=w_e,
+        k=spec.k, x_rct=x_r, x_ec=x_e, outcome_family=spec.outcome_family)
+    return ScenarioDesign(spec, seed, ds, lp_r, lp_e)
+
+
+def generate_scenario(spec: ScenarioSpec, seed: int, replicate: int = 0,
+                      design: ScenarioDesign | None = None) -> CombinedDataset:
+    """Draw one dataset pair. Cell counts are deterministic; outcomes (and
+    covariates, unless frozen) are stochastic.
+
+    A `simulate` batch of a spec that `shares_design` draws its design
+    once, as `scenario_design(spec, seed)`, and passes it as `design`:
+    each replicate then draws only its outcomes, and its dataset shares
+    the design's columns and what is built from them alone (see
+    `CombinedDataset`). The dataset is the same, array for array, as
+    without `design`."""
+    if design is None:
+        design = scenario_design(spec, seed, replicate)
+    elif not (design.spec is spec and design.seed == seed and shares_design(spec)):
+        raise ValueError("a design is shared only among the replicates of its own "
+                         "spec and seed, whose covariates are frozen or absent")
+    ds = design.dataset
     out_rng = stream(seed, replicate, ROLE_OUTCOME)
     if spec.outcome_family == CONTINUOUS:
-        y_r = lp_r + out_rng.normal(0.0, np.sqrt(spec.phi2), len(w_r))
-        y_e = lp_e + out_rng.normal(0.0, np.sqrt(spec.phi2), len(w_e))
+        y_r = design.mean_rct + out_rng.normal(0.0, np.sqrt(spec.phi2), ds.n_rct)
+        y_e = design.mean_ec + out_rng.normal(0.0, np.sqrt(spec.phi2), ds.n_ec)
     else:
-        y_r = (out_rng.random(len(w_r)) < expit(lp_r)).astype(float)
-        y_e = (out_rng.random(len(w_e)) < expit(lp_e)).astype(float)
-    return CombinedDataset.from_arrays(
-        y_rct=y_r, t_rct=t_r, w_rct=w_r, y_ec=y_e, w_ec=w_e, k=k,
-        x_rct=x_r, x_ec=x_e, outcome_family=spec.outcome_family)
+        y_r = (out_rng.random(ds.n_rct) < design.mean_rct).astype(float)
+        y_e = (out_rng.random(ds.n_ec) < design.mean_ec).astype(float)
+    return ds.with_outcomes(y_r, y_e)
 
 
 def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
@@ -212,7 +295,7 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
         return expit(mu + th) - expit(mu)
     beta = np.asarray(spec.beta)
     if spec.fixed_covariates:
-        ds = generate_scenario(spec, seed, 0)
+        ds = scenario_design(spec, seed).dataset
         return marginal_effects(ds.rct_subgroups, ds.x_rct, mu, th, beta)
     # linear predictor is scalar normal: Gauss-Hermite over beta'X
     m_lp = spec.x_mean_rct * float(beta.sum())
@@ -315,15 +398,27 @@ def check_fixed_sigmas(est_cfgs, k: int) -> None:
                 raise ConfigError(f"estimator {cfg.name!r} has an invalid sigma: {exc}") from None
 
 
+def _design_only_shift(mode: str, source) -> bool:
+    """Whether the shift that a resolved mode makes from `source` (the
+    initial estimator, or a fixed mode's sigma) depends on the design
+    counts alone."""
+    return mode == MODE_FIXED or (mode, source) == (MODE_BD, DESIGN_ONLY_BD)
+
+
 class _ReplicateContext:
     """Caches shared fits within one replicate or `estimate` call, and
     resolves each harmonized estimator to its shift vector u and mode
     (`shift`), which its estimate and the intervals centred on it share.
 
-    `DESIGN_ONLY_BD`'s bias direction and the checked bd matrix built from
-    it depend on the design counts alone. They go to `design_cache`, which
-    a `simulate` batch shares among its replicates: their counts and
-    prevalences are the same.
+    What depends on the design counts alone goes to `design_cache`, which
+    a `simulate` batch shares among its replicates, whose counts and
+    prevalences are the same: `DESIGN_ONLY_BD`'s bias direction and the
+    checked bd matrix built from it, each checked fixed (or identity)
+    matrix, and the analytic interval's covariance along a u made from
+    them. Where the batch's covariates are frozen or absent, its
+    replicates' datasets also share one design (`generate_scenario`), so
+    the cell sort, the subgroup grouping and the limit map's layout are
+    built once per batch too.
     """
 
     def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None,
@@ -446,7 +541,17 @@ class _ReplicateContext:
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
         return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
-                            design_only=(mode, source) == (MODE_BD, DESIGN_ONLY_BD))
+                            design_only=_design_only_shift(mode, source))
+
+    def analytic_variance(self, cfg: EstimatorConfig, phi2: float) -> np.ndarray:
+        """The covariance of `cfg`'s harmonized difference-of-means estimate
+        at outcome variance phi2, which the analytic interval reads; once
+        per batch when its shift vector u depends on the design alone."""
+        u, mode = self.shift(cfg)
+        return self._cached(
+            ("variance", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam, phi2),
+            lambda: _bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
+            design_only=_design_only_shift(mode, cfg.initial))
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
@@ -582,10 +687,13 @@ def _attempt(failures: list, name: str, compute, failed):
 
 def _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep, failures) -> list:
     """One `IntervalSet` per method, None where it failed."""
-    harmonized = None if target is None else partial(ctx.harmonized, target)
+    harmonized = variance = None
+    if target is not None:
+        harmonized = partial(ctx.harmonized, target)
+        variance = partial(ctx.analytic_variance, target, phi2)
     return [_attempt(failures, f"interval:{method}", partial(
         interval, method, ctx.ds, ctx.dc, alpha, phi2=phi2, target=harmonized,
-        r=r, seed=seed, replicate=rep), None) for method in methods]
+        r=r, seed=seed, replicate=rep, variance=variance), None) for method in methods]
 
 
 def evaluate_replicate(ctx, rep, est_cfgs, methods, target, phi2, alpha, r, seed) -> tuple:
@@ -611,8 +719,9 @@ def _scenario_batch(args) -> tuple:
     failures = []
     mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
     dc, design_cache = None, {}
+    design = scenario_design(spec, seed) if shares_design(spec) else None
     for row, rep in enumerate(rep_indices):
-        ds = generate_scenario(spec, seed, rep)
+        ds = generate_scenario(spec, seed, rep, design)
         if dc is None:  # the cell counts, so the design counts, are fixed
             dc = compute_design_counts(ds, spec.prevalences)
         ctx = _ReplicateContext(ds, dc, mu_true, design_cache)

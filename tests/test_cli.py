@@ -577,6 +577,19 @@ class TestSettingsFailClosed:
         self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
                      ["prevalences"], error="InvalidSpec")
 
+    OUT_OF_RANGE = [
+        ("x_sd_rct", -1), ("mu", [float("nan"), 0, 0, 0, 0]), ("n_ec", [200.5] * 5),
+        ("fixed_covariates", "no"), ("theta", ["a", 1, 1, 1, 1]),
+        ("x_mean_ec", float("inf")), ("phi2", float("inf")), ("beta", [float("inf")])]
+
+    @pytest.mark.parametrize("field, value", OUT_OF_RANGE, ids=[f for f, _ in OUT_OF_RANGE])
+    def test_scenario_value_out_of_range(self, tmp_path, capsys, no_replicates, field, value):
+        # each ran at exit 0 on a silently wrong scenario, or died later
+        # with a traceback or another exit code
+        scenario = dict(load_preset("fig5").to_dict(), **{field: value})
+        self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
+                     [field], error="InvalidSpec")
+
     def base(self, command, tmp_path):
         """A config that would run, but for CSV files that do not exist."""
         return {"estimate": self.missing_csvs(tmp_path),

@@ -28,6 +28,8 @@ from subharm.errors import (
     UnknownSubgroup,
 )
 
+from subharm.data import CellStats
+
 from conftest import balanced_dataset
 
 
@@ -264,6 +266,56 @@ class TestRecords:
         arrays[name][1] = value
         with pytest.raises(MalformedRow, match=f"non-finite value in {name}"):
             CombinedDataset.from_arrays(k=2, **arrays)
+
+
+class TestWithOutcomes:
+    """`with_outcomes` keeps the design and what is built from it alone,
+    and checks the new outcomes as `from_arrays` does."""
+
+    @staticmethod
+    def pair(family="continuous"):
+        ds = balanced_dataset(k=3, d=1, beta=(0.4,), family=family, seed=1)
+        other = balanced_dataset(k=3, d=1, beta=(0.4,), family=family, seed=2)
+        return ds, CombinedDataset.from_arrays(
+            y_rct=other.y_rct, t_rct=ds.t_rct, w_rct=ds.w_rct, y_ec=other.y_ec, w_ec=ds.w_ec,
+            k=3, x_rct=ds.x_rct, x_ec=ds.x_ec, outcome_family=family)
+
+    @pytest.mark.parametrize("family", ["continuous", "binary"])
+    def test_shares_the_design_but_not_the_cell_stats(self, family):
+        ds, fresh = self.pair(family)
+        built = (ds.cell_stats, ds.cell_design, ds.rct_subgroups, ds.limit_map_layout)
+        other = ds.with_outcomes(fresh.y_rct, fresh.y_ec)
+        for name in ("k", "d", "outcome_family", "subgroup_labels", "t_rct", "w_rct",
+                     "x_rct", "w_ec", "x_ec"):
+            assert getattr(other, name) is getattr(ds, name)
+        assert other.cell_design is built[1] and other.rct_subgroups is built[2]
+        assert other.limit_map_layout is built[3]
+        assert other.cell_stats is not built[0]
+        want = CellStats.from_dataset(fresh)
+        for name in ("n", "total", "mean", "ss"):
+            np.testing.assert_array_equal(getattr(other.cell_stats, name), getattr(want, name))
+        for column in (other.y_rct, other.y_ec):
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize("study, value, family", [
+        ("rct", np.nan, "continuous"), ("ec", np.inf, "continuous"), ("rct", 0.5, "binary")],
+        ids=["nan", "inf", "not-binary"])
+    def test_outcomes_checked_as_from_arrays_checks_them(self, study, value, family):
+        ds, _ = self.pair(family)
+        y = {"rct": ds.y_rct.copy(), "ec": ds.y_ec.copy()}
+        y[study][0] = value
+        with pytest.raises(MalformedRow) as got:
+            ds.with_outcomes(y["rct"], y["ec"])
+        with pytest.raises(MalformedRow) as want:
+            CombinedDataset.from_arrays(
+                y_rct=y["rct"], t_rct=ds.t_rct, w_rct=ds.w_rct, y_ec=y["ec"], w_ec=ds.w_ec,
+                k=3, x_rct=ds.x_rct, x_ec=ds.x_ec, outcome_family=family)
+        assert str(got.value) == str(want.value)
+
+    def test_outcomes_keep_the_design_length(self):
+        ds, _ = self.pair()
+        with pytest.raises(DimensionMismatch, match="y_rct"):
+            ds.with_outcomes(ds.y_rct[1:], ds.y_ec)
 
 
 class TestDesignCounts:

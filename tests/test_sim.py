@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ class TestMonteCarlo:
         b = run_monte_carlo(spec, ests, reps=24, seed=10, workers=2,
                             intervals=("analytic",))
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_fig5_report_same_at_one_and_two_workers(self, tmp_path):
+        # two workers split the replicates into batches of one or two, each
+        # drawing its own copy of the frozen design
+        from subharm.cli import main
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"preset": "fig5", "reps": 12, "seed": 4, "estimators": [
+            "logistic_pooled",
+            *({"kind": "harmonized", "name": mode, "initial": "logistic_pooled",
+               "overall": "logistic", "lambda": "full", "sigma_mode": mode}
+              for mode in ("bd", "vd"))]}))
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["simulate", "--config", str(cfg), "--workers", workers,
+                         "--out-dir", str(out)]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_interval_coverage_small_run(self):
         spec = load_preset("fig1-s1")
@@ -321,7 +341,9 @@ class TestSigmaWorkPerReplicate:
 
         harmonize_mod = importlib.import_module("subharm.harmonize")
         sim_mod = importlib.import_module("subharm.sim")
-        calls = {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0}
+        intervals_mod = importlib.import_module("subharm.intervals")
+        calls = {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0,
+                 "_bias_variance": 0}
         for name in calls:
             original = getattr(harmonize_mod, name)
 
@@ -329,7 +351,7 @@ class TestSigmaWorkPerReplicate:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (harmonize_mod, sim_mod):
+            for module in (harmonize_mod, sim_mod, intervals_mod):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         run()
@@ -344,8 +366,26 @@ class TestSigmaWorkPerReplicate:
             "simulate", "--config", str(cfg), "--preset", "fig1-s2", "--reps", "2",
             "--seed", "3", "--out-dir", str(tmp_path / "o")]))
         # the default estimators: one bd family on diff_means_pooled, whose
-        # sigma two replicates in one batch share
-        assert calls == {"solve_sigma_from_b": 1, "_validate_sigma": 1, "vd_sigma": 0}
+        # sigma and analytic covariance two replicates in one batch share
+        assert calls == {"solve_sigma_from_b": 1, "_validate_sigma": 1, "vd_sigma": 0,
+                         "_bias_variance": 1}
+
+    def test_fixed_and_identity_families_once_per_batch(self, monkeypatch):
+        sigma = (0.5 * np.eye(10) + 0.05).tolist()
+        ests = [{"kind": "harmonized", "name": f"{mode}_{lam}", "initial": "diff_means_pooled",
+                 "lambda": lam, "sigma_mode": mode, "sigma": sigma if mode == "fixed" else None}
+                for mode in ("fixed", "identity") for lam in (2, "full")]
+        for est in ests[2:]:
+            del est["sigma"]
+        for target in ("fixed_2", "identity_full"):
+            calls = self._count(monkeypatch, lambda: run_monte_carlo(
+                load_preset("fig1-s2"), ests, reps=3, seed=3, intervals=("analytic",),
+                interval_estimator=target))
+            # each fixed estimator's sigma checked before any replicate, and
+            # the fixed and the identity matrix once for the batch, as is the
+            # analytic interval's covariance
+            assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 4, "vd_sigma": 0,
+                             "_bias_variance": 1}
 
     def test_vd_and_bd_families_on_logistic_pipeline(self, monkeypatch):
         ests = ["logistic_pooled"] + [
@@ -355,10 +395,11 @@ class TestSigmaWorkPerReplicate:
         calls = self._count(monkeypatch, lambda: run_monte_carlo(
             load_preset("fig5"), ests, reps=2, seed=3))
         # two families, two replicates
-        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2}
+        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2,
+                         "_bias_variance": 0}
 
 
-def test_rct_subgroup_grouping_built_once_per_replicate(monkeypatch):
+def test_rct_subgroup_grouping_built_once_per_batch(monkeypatch):
     from subharm.data import SubgroupRows
 
     built = []
@@ -374,9 +415,96 @@ def test_rct_subgroup_grouping_built_once_per_replicate(monkeypatch):
          "lambda": "full", "sigma_mode": mode} for mode in ("bd", "vd")]
     run_monte_carlo(load_preset("fig5"), ests, reps=2, seed=3)
     # the pooled effects, their gradient, the overall effect and the bd
-    # limit map's sensitivity all read one dataset's grouping: one per
-    # replicate, and one for the true effects' dataset
-    assert len(built) == 3
+    # limit map's sensitivity all read one design's grouping, which the
+    # batch's replicates share (fig5's covariates are frozen): one for the
+    # batch, and one for the true effects' design
+    assert len(built) == 2
+
+
+class TestSharedDesign:
+    """A `simulate` batch whose covariates are frozen or absent draws its
+    design once and shares it among its replicates; each replicate's
+    dataset is still the one a standalone `generate_scenario` draws."""
+
+    SPECS = {"fixed": lambda: load_preset("fig5"), "absent": lambda: load_preset("fig1-s2"),
+             "free": lambda: replace(load_preset("fig5"), fixed_covariates=False)}
+    ESTIMATORS = {"fixed": ["logistic_pooled", {
+        "kind": "harmonized", "initial": "logistic_pooled", "overall": "logistic",
+        "lambda": "full", "sigma_mode": "bd"}]}
+
+    def batch(self, monkeypatch, case):
+        """The spec, the unpatched `generate_scenario` and the datasets one
+        batch of 3 replicates drew, by replicate."""
+        import subharm.sim
+
+        spec, original, drawn = self.SPECS[case](), subharm.sim.generate_scenario, {}
+
+        def recorded(spec, seed, replicate, *args):
+            drawn[replicate] = original(spec, seed, replicate, *args)
+            return drawn[replicate]
+
+        monkeypatch.setattr(subharm.sim, "generate_scenario", recorded)
+        report = run_monte_carlo(spec, self.ESTIMATORS.get(case, ["diff_means_pooled"]),
+                                 reps=3, seed=7)
+        assert not report.failures and sorted(drawn) == [0, 1, 2]
+        return spec, original, drawn
+
+    @pytest.mark.parametrize("case", ["fixed", "absent", "free"])
+    def test_each_replicate_equals_a_standalone_draw(self, monkeypatch, case):
+        spec, original, drawn = self.batch(monkeypatch, case)
+        for rep, ds in drawn.items():
+            alone = original(spec, 7, rep)
+            for name in ("y_rct", "t_rct", "w_rct", "x_rct", "y_ec", "w_ec", "x_ec"):
+                got, want = getattr(ds, name), getattr(alone, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert ((ds.k, ds.d, ds.outcome_family, ds.subgroup_labels)
+                    == (alone.k, alone.d, alone.outcome_family, alone.subgroup_labels))
+        # the design is drawn and sorted once exactly when it is the same
+        # in every replicate
+        shared = [ds.cell_design is drawn[0].cell_design for ds in drawn.values()]
+        assert shared == [True] * 3 if case != "free" else [True, False, False]
+
+    def test_each_shared_cache_equals_a_fresh_one(self, monkeypatch):
+        spec, original, drawn = self.batch(monkeypatch, "fixed")
+        ds, alone = drawn[2], original(spec, 7, 2)
+        assert ds.cell_design is drawn[0].cell_design
+        got, want = ds.cell_design, alone.cell_design
+        assert got is not want
+        for name in ("order", "counts", "xt", "pattern"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        got, want = ds.rct_subgroups, alone.rct_subgroups
+        assert got is drawn[0].rct_subgroups and got is not want
+        for name in ("order", "w", "n"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.runs == want.runs
+        got, want = ds.limit_map_layout, alone.limit_map_layout
+        assert got is drawn[0].limit_map_layout and got is not want
+        for name in ("ec_rows", "copies", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("order", "counts", "xt"):
+            assert np.array_equal(getattr(got.design, name), getattr(want.design, name)), name
+
+    @pytest.mark.parametrize("case", ["fixed", "absent"])
+    def test_cell_stats_never_shared(self, monkeypatch, case):
+        from subharm.data import CellStats
+
+        spec, original, drawn = self.batch(monkeypatch, case)
+        stats = [ds.cell_stats for ds in drawn.values()]
+        assert len({id(s) for s in stats}) == 3
+        for rep, got in zip(drawn, stats):
+            want = CellStats.from_dataset(original(spec, 7, rep))
+            for name in ("n", "total", "mean", "ss"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_a_design_serves_only_its_own_spec_and_seed(self):
+        from subharm.sim import scenario_design
+
+        spec = load_preset("fig5")
+        design = scenario_design(spec, 7)
+        for args in ((replace(spec, name="other"), 7), (spec, 8),
+                     (replace(spec, fixed_covariates=False), 7)):
+            with pytest.raises(ValueError, match="shared only"):
+                generate_scenario(*args, 1, design)
 
 
 class TestTrialFitPerReplicate:

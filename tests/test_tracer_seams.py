@@ -51,6 +51,34 @@ def test_simulate_marks_each_replicate(tracer, tmp_path):
     assert len(spans) == 3
 
 
+def assert_each_fit_follows_its_design(t):
+    """Every logistic fit's span follows a `glm.build_design` span from the
+    same caller; the fits' spans."""
+    fit_spans = [i for i, span in enumerate(t.spans) if span[0] == "glm.fit_logistic_irls"]
+    for i in fit_spans:
+        parent = t.spans[i][3]
+        before = [j for j in range(i) if t.spans[j][3] == parent]
+        assert before and t.spans[before[-1]][0] == "glm.build_design", t.spans[i]
+    return fit_spans
+
+
+def test_logistic_simulate_marks_each_replicate(tracer, tmp_path):
+    # fig5's covariates are frozen, so its replicates share one design;
+    # each replicate still draws its outcomes through `generate_scenario`,
+    # and each of its two logistic fits (pooled and trial-only) still
+    # reads its design through `glm.build_design`
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"estimators": ["logistic_pooled", *(
+        {"kind": "harmonized", "name": mode, "initial": "logistic_pooled",
+         "overall": "logistic", "lambda": "full", "sigma_mode": mode} for mode in ("bd", "vd"))]}))
+    with tracer.Tracer("sim.generate_scenario") as t:
+        assert main(["simulate", "--preset", "fig5", "--reps", "3", "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    assert tracer.wrapped_bindings() == []
+    assert len(t.replicate_spans()) == 3
+    assert len(assert_each_fit_follows_its_design(t)) == 2 * 3
+
+
 def test_resample_marks_each_replicate(tracer, tmp_path):
     trial, ec = str(tmp_path / "t.csv"), str(tmp_path / "e.csv")
     save_dataset(generate_scenario(load_preset("gbm-like"), seed=20), trial, ec,
@@ -83,11 +111,7 @@ def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
     with tracer.Tracer("cli.main") as t:
         assert main(["estimate", "--config", str(config)]) == 0
     assert tracer.wrapped_bindings() == []
-    fit_spans = [i for i, span in enumerate(t.spans) if span[0] == "glm.fit_logistic_irls"]
+    fit_spans = assert_each_fit_follows_its_design(t)
     k, d, n = ds.k, ds.d, ds.n_rct + ds.n_ec
     assert sorted(t.results[i][1:] for i in fit_spans) == sorted(
         [(ds.n_rct, 2 * k + d), (n, 2 * k + d), (n, 2 * k + d), (n, k + d)])
-    for i in fit_spans:
-        parent = t.spans[i][3]
-        before = [j for j in range(i) if t.spans[j][3] == parent]
-        assert before and t.spans[before[-1]][0] == "glm.build_design", t.spans[i]
