@@ -57,6 +57,8 @@ CSV_PAIR = {"ec_csv": REQUIRED, "schema": {}}
 # `estimators` they would do nothing, and the manifest records the list
 # they built instead of them.
 LIST_KEYS = ("lambda", "harmonized_lambdas", "sigma_mode", "sigma")
+# keys that hold a JSON list when given; a string would be read letter by letter
+LIST_VALUED = ("estimators", "intervals", "harmonized_lambdas", "prevalences")
 SETTINGS = {
     "estimate": {**COMMON, "rct_csv": REQUIRED, **CSV_PAIR,
                  "outcome_family": CONTINUOUS, "subgroup_levels": None,
@@ -134,10 +136,11 @@ def _whole(key: str, value) -> int:
 
 def _settings(command: str, cfg: dict) -> dict:
     """`cfg` merged over the command's defaults. Unknown and missing keys,
-    list keys beside an explicit `estimators`, a key with a whole-number
-    default given anything but a non-negative whole number, and an `alpha`
-    outside (0, 1) are config errors. A JSON boolean is no whole number, and
-    as an `alpha` it reads as 1 or 0, outside the range."""
+    list keys beside an explicit `estimators`, a `LIST_VALUED` key that is
+    not a list, a `scenario` that is not an object, a key with a
+    whole-number default given anything but a non-negative whole number,
+    and an `alpha` outside (0, 1) are config errors. A JSON boolean is no
+    whole number, and as an `alpha` it reads as 1 or 0, outside the range."""
     table = SETTINGS[command]
     unknown = sorted(set(cfg) - set(table))
     if unknown:
@@ -150,6 +153,11 @@ def _settings(command: str, cfg: dict) -> dict:
         raise ConfigError(f"{clash} only build the default estimator list; "
                           "give them in the 'estimators' entries instead")
     s = {**table, **cfg}
+    for key in LIST_VALUED:
+        if s.get(key) is not None and not isinstance(s[key], list):
+            raise ConfigError(f"{key} must be a list, got {s[key]!r}")
+    if s.get("scenario") is not None and not isinstance(s["scenario"], dict):
+        raise ConfigError(f"scenario must be an object, got {s['scenario']!r}")
     for key, default in table.items():
         if type(default) is int:
             s[key] = _whole(key, s[key])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,9 +59,14 @@ class CsvSchema:
     covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
+        roles = [("outcome", self.outcome), ("treatment", self.treatment),
+                 ("subgroup", self.subgroup), *(("covariates", c) for c in self.covariates)]
+        for role, name in roles:
+            if not isinstance(name, str):
+                raise ConfigError(f"schema {role} must name a column by a string, got {name!r}")
         # one column holds one kind of value; the subgroup indicators
         # already span any column that is a function of the subgroup
-        names = [self.outcome, self.treatment, self.subgroup, *self.covariates]
+        names = [name for _, name in roles]
         twice = [c for i, c in enumerate(names) if c in names[:i]]
         if twice:
             raise ConfigError(f"schema maps more than one role to column {twice[0]!r}")
@@ -72,7 +78,10 @@ class CsvSchema:
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-        return cls(**{**obj, "covariates": tuple(obj.get("covariates", ()))})
+        covariates = obj.get("covariates", [])
+        if not isinstance(covariates, (list, tuple)):
+            raise ConfigError(f"schema covariates must be a list, got {covariates!r}")
+        return cls(**{**obj, "covariates": tuple(covariates)})
 
 
 def _vector(values, dtype, name: str, n: int | None = None) -> np.ndarray:
@@ -369,7 +378,8 @@ def compute_design_counts(
 
     Prevalences default to the empirical RCT subgroup frequencies and are
     normalized to sum to exactly 1; a user-supplied vector overrides them
-    (it must be strictly positive on the simplex).
+    (its entries must be numbers, not booleans, strictly positive and on
+    the simplex).
     """
     k = ds.k
     n = ds.cell_stats.n
@@ -379,6 +389,9 @@ def compute_design_counts(
     counts[:, 0, 1] = n[:, EC_CONTROL]
 
     if prevalences is not None:
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
+                   for p in np.asarray(prevalences, dtype=object).ravel()):
+            raise DataError(f"prevalences must be numbers, got {prevalences!r}")
         pi = np.asarray(prevalences, dtype=float)
         if pi.shape != (k,):
             raise DataError(f"prevalences must have length {k}")

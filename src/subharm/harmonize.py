@@ -14,12 +14,15 @@ Harmonizing a subgroup vector t with an overall estimate r solves
     argmin_v (v - t)' Sigma^{-1} (v - t) + lam * (pi' v - r)^2,
 
 whose solution is v = t + (r - pi't) u for the shift vector u, a multiple
-of Sigma pi. `lam = FULL` (infinity) enforces pi'v = r exactly.
+of Sigma pi. `lam = FULL` (infinity) enforces pi'v = r exactly. Only Sigma
+pi and pi' Sigma pi enter u, so u describes a harmonization completely.
 `shift_vector` computes u from Sigma and lam, the `bd_direction_*`
-functions give u at full bias-directed harmonization, and `harmonize`
-applies a u. Which Sigma a sigma mode (fixed, bd, vd) stands for is decided
-by the caller; `simulate`, `resample` and `estimate` resolve it in
-`sim._ReplicateContext`.
+functions give the unit bias direction d (pi'd = 1), which is u at full
+bias-directed harmonization, and `harmonize` applies a u. Every Sigma with
+Sigma pi proportional to d (`solve_sigma_from_b`) gives u = lam / (lam + 1)
+d at finite lam, so bd needs no matrix. Which shift a sigma mode (fixed,
+bd, vd) stands for is decided by the caller; `simulate`, `resample` and
+`estimate` resolve it in `sim._ReplicateContext`.
 """
 
 from __future__ import annotations
@@ -100,15 +103,12 @@ class _SigmaShift:
 
     With Sigma pi and c = 1 / (pi' Sigma pi), harmonizing with strength lam
     moves t by (r - pi't) u(lam), where u(lam) = s Sigma pi and s = c lam /
-    (lam + c), or s = c at lam = FULL. Building one checks Sigma; passed to
-    `shift_vector` as its `sigma`, it serves every lam and call at the same
-    pi without checking Sigma again.
+    (lam + c), or s = c at lam = FULL. Building one checks Sigma once for
+    every lam at the same pi, as `sim._ReplicateContext` does per family.
     """
 
     def __init__(self, sigma, prevalences: np.ndarray):
-        self.sigma = _validate_sigma(sigma, prevalences.shape[0])
-        self.pi = prevalences
-        self.sp = self.sigma @ prevalences
+        self.sp = _validate_sigma(sigma, prevalences.shape[0]) @ prevalences
         self.c = 1.0 / float(prevalences @ self.sp)
 
     def u(self, lam: float) -> np.ndarray:
@@ -120,15 +120,12 @@ def shift_vector(prevalences, sigma=None, lam: float = FULL) -> np.ndarray:
     """The shift vector u of harmonizing with strength `lam` along the
     positive-definite `sigma` (identity when omitted) at prevalences pi:
     u = s Sigma pi with s = c lam / (lam + c), or s = c at lam = FULL, where
-    c = 1 / (pi' Sigma pi). `sigma` may be a `_SigmaShift` already checked
-    at these prevalences. pi'u = lam / (lam + c), which is 1 at FULL.
+    c = 1 / (pi' Sigma pi). pi'u = lam / (lam + c), which is 1 at FULL.
     """
     pi = np.asarray(prevalences, dtype=float)
     if isinstance(lam, str) or lam < 0 or math.isnan(lam):
         raise ConfigError("lam must be a non-negative float; use parse_lambda")
-    if not (isinstance(sigma, _SigmaShift) and np.array_equal(sigma.pi, pi)):
-        sigma = _SigmaShift(np.eye(pi.shape[0]) if sigma is None else sigma, pi)
-    return sigma.u(lam)
+    return _SigmaShift(np.eye(pi.shape[0]) if sigma is None else sigma, pi).u(lam)
 
 
 def harmonize(initial: EffectEstimate, overall: float, prevalences, u) -> EffectEstimate:
@@ -521,38 +518,25 @@ def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
 
 
 def mse_difference(dc: DesignCounts, gamma, phi2: float) -> np.ndarray:
-    """Per-subgroup MSE(pooled) - MSE(fully harmonized, bias-directed).
-
-    The squared-bias term is q_k^2 [gamma_k^2 - (gamma_k - gbar)^2]: the
-    pooled estimator carries the full distortion while harmonization keeps
-    only its deviation from the weighted mean gbar. The variance term is
-    the harmonization premium q_k^2 phi^2 / (n_r0 * sum(pi q)).
-    """
-    k = dc.k
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (k,):
-        raise InconsistentDimensions(f"gamma must have length {k}")
-    nr0 = int(dc.counts[:, 0, 0].sum())
-    piq = float(dc.pi @ dc.q_ratio)
-    if nr0 == 0 or piq <= 0:
-        raise InvalidDesign("needs RCT controls and at least some external controls")
-    gbar = float(dc.pi @ (dc.q_ratio * gamma)) / piq
-    q = dc.q_ratio
-    return q ** 2 * (gamma ** 2 - (gamma - gbar) ** 2) - q ** 2 * phi2 / (nr0 * piq)
+    """Per-subgroup MSE(pooled) - MSE(fully harmonized, bias-directed): the
+    squared bias plus variance of `_bias_variance` at u = 0 (pooled) less
+    that at u = d, the unit bias direction. The variances are exact on any
+    design, the biases hold on the proportional design. Raises InvalidDesign
+    without RCT controls or without external controls."""
+    try:
+        d = bd_direction_diff_means(dc)
+    except DegenerateDirection:
+        raise InvalidDesign("needs at least some external controls") from None
+    mse = [bias * bias + np.diag(var)
+           for bias, var in (_bias_variance(dc, gamma, u, phi2) for u in (np.zeros(dc.k), d))]
+    return mse[0] - mse[1]
 
 
 def vd_sigma(initial: EffectEstimate) -> np.ndarray:
-    """The initial estimator's covariance, eigenvalue-floored for
-    positive-definiteness."""
+    """The initial estimator's covariance, symmetrized. A rank-deficient
+    one makes `shift_vector` raise SingularSigma."""
     if initial.covariance is None:
         raise MissingCovariance(
             "variance-directed harmonization needs the initial estimate's covariance")
     cov = np.asarray(initial.covariance, dtype=float)
-    cov = 0.5 * (cov + cov.T)
-    k = cov.shape[0]
-    floor = 1e-10 * max(np.trace(cov), 0.0) / k
-    ev, vec = np.linalg.eigh(cov)
-    if ev[0] < floor:
-        cov = (vec * np.maximum(ev, floor)) @ vec.T
-        cov = 0.5 * (cov + cov.T)
-    return cov
+    return 0.5 * (cov + cov.T)

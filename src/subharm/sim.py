@@ -42,6 +42,7 @@ from .errors import (
     InvalidSpec,
     NumericalError,
     PoolTooSmall,
+    SeparationDetected,
     SingularSigma,
 )
 from .estimators import (
@@ -72,7 +73,6 @@ from .harmonize import (
     build_limit_map_spec,
     harmonize,
     parse_lambda,
-    shift_vector,
     solve_sigma_from_b,
     vd_sigma,
 )
@@ -412,13 +412,12 @@ class _ReplicateContext:
 
     What depends on the design counts alone goes to `design_cache`, which
     a `simulate` batch shares among its replicates, whose counts and
-    prevalences are the same: `DESIGN_ONLY_BD`'s bias direction and the
-    checked bd matrix built from it, each checked fixed (or identity)
-    matrix, and the analytic interval's covariance along a u made from
-    them. Where the batch's covariates are frozen or absent, its
-    replicates' datasets also share one design (`generate_scenario`), so
-    the cell sort, the subgroup grouping and the limit map's layout are
-    built once per batch too.
+    prevalences are the same: `DESIGN_ONLY_BD`'s bias direction, each
+    checked fixed (or identity) matrix, and the analytic interval's
+    covariance along a u made from them. Where the batch's covariates are
+    frozen or absent, its replicates' datasets also share one design
+    (`generate_scenario`), so the cell sort, the subgroup grouping and the
+    limit map's layout are built once per batch too.
     """
 
     def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None,
@@ -491,53 +490,66 @@ class _ReplicateContext:
     def limit_map_spec(self, initial_kind: str) -> LimitMapSpec:
         """The limit map of a logistic initial. One layout (`CellDesign`,
         pseudo-responses and EC rows) serves the pooled and IPW maps, which
-        differ only in the EC rows' weights."""
-        spec = self._cached("limit_map", lambda: build_limit_map_spec(
-            self.ds, None, self.dc.pi, self.trial_logistic_fit()))
+        differ only in the EC rows' weights. Raises SeparationDetected when
+        an RCT (subgroup, arm) cell's responses are all 0 or all 1: the
+        trial-only fit it is anchored at then has no finite maximum."""
+        spec = self._cached("limit_map", self._limit_map)
         if initial_kind != "logistic_ipw":
             return spec
         weights = spec.weights.copy()
         weights[spec.ec_rows] = self.ipw_weights()
         return replace(spec, weights=weights)
 
+    def _limit_map(self) -> LimitMapSpec:
+        ds = self.ds
+        cells = np.bincount(4 * ds.w_rct + 2 * ds.t_rct + ds.y_rct.astype(np.int64),
+                            minlength=4 * ds.k).reshape(ds.k, 2, 2)  # subgroup, arm, response
+        boundary = np.argwhere((cells.min(axis=2) == 0) & (cells.sum(axis=2) > 0))
+        if len(boundary):
+            j, arm = boundary[0]
+            raise SeparationDetected(
+                f"the RCT {('control', 'treated')[arm]} responses of subgroup "
+                f"{ds.subgroup_labels[j]!r} are all {int(cells[j, arm, 1] > 0)}: the "
+                "bias-directed limit map's trial-only anchor has no finite maximum")
+        return build_limit_map_spec(ds, None, self.dc.pi, self.trial_logistic_fit())
+
     def bd_sigma(self, initial_kind: str) -> np.ndarray:
+        """A positive-definite matrix whose shift is bd's at every lambda;
+        `shift` needs none, so this serves as its check."""
         return solve_sigma_from_b(self.bd_direction(initial_kind), self.dc.pi)
 
     def shift(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
         """Resolve a harmonized estimator's sigma mode to its shift vector u
         and the mode that made it: fixed, bd or vd.
 
-        bd uses the bias direction as u at full harmonization and the matrix
-        built from it below, and falls back to vd when that direction is
-        degenerate; vd uses the initial estimate's covariance; fixed (and
-        its alias identity) the given matrix or the identity. Each matrix,
-        and a degenerate bias direction, is found once per replicate and
-        family (mode and initial estimator), and each u once per family and
-        lambda, so every lambda of a family shares one checked matrix and
-        the intervals centred on an estimator use its u itself.
+        bd takes the unit bias direction d as u at full harmonization and
+        lam / (lam + 1) d at finite lam, the shift of any Sigma with Sigma
+        pi proportional to d, and falls back to vd when d is degenerate; vd
+        uses the initial estimate's covariance; fixed (and its alias
+        identity) the given matrix or the identity. Each matrix, and a
+        degenerate bias direction, is found once per replicate and family
+        (mode and initial estimator), and each u once per family and
+        lambda, so the intervals centred on an estimator use its u itself.
         """
         key = ("shift", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam)
         return self._cached(key, lambda: self._resolve(cfg))
 
     def _resolve(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
-        lam, initial, pi = cfg.lam, cfg.initial, self.dc.pi
+        lam, initial = cfg.lam, cfg.initial
         if cfg.sigma_mode not in (MODE_BD, MODE_VD):  # fixed, or its alias identity
-            sigma = self._checked(MODE_FIXED, cfg.sigma, lambda: (
-                np.eye(self.ds.k) if cfg.sigma is None else np.asarray(cfg.sigma, float)))
-            return shift_vector(pi, sigma, lam), MODE_FIXED
+            return self._checked(MODE_FIXED, cfg.sigma, lambda: (
+                np.eye(self.ds.k) if cfg.sigma is None else cfg.sigma)).u(lam), MODE_FIXED
         degenerate = ("degenerate", initial)
         if cfg.sigma_mode == MODE_BD and degenerate not in self._cache:
             try:
-                if np.isinf(lam):
-                    return self.bd_direction(initial), MODE_BD
-                sigma = self._checked(MODE_BD, initial, lambda: self.bd_sigma(initial))
-                return shift_vector(pi, sigma, lam), MODE_BD
+                d = self.bd_direction(initial)
+                return (d if np.isinf(lam) else d * (lam / (lam + 1.0))), MODE_BD
             except DegenerateDirection:
                 self._cache[degenerate] = True
                 logger.warning("bias direction degenerate; falling back to "
                                "variance-directed harmonization")
-        sigma = self._checked(MODE_VD, initial, lambda: vd_sigma(self.initial(initial)))
-        return shift_vector(pi, sigma, lam), MODE_VD
+        return self._checked(MODE_VD, initial,
+                             lambda: vd_sigma(self.initial(initial))).u(lam), MODE_VD
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
         return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),

@@ -244,6 +244,18 @@ class TestEstimateFailsClosed:
         assert err["error"] == "DataError" and "prevalences" in err["message"]
         assert not any((tmp_path / "o").glob("*.csv"))
 
+    @pytest.mark.parametrize("first", ["a", True])
+    def test_non_numeric_prevalences_exit_3(self, fig1_csvs, tmp_path, capsys, first):
+        # a string died with a ValueError traceback (exit 1); true was read as 1
+        rct, ec = fig1_csvs
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "prevalences": [first] + [1 / 9] * 9,
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError" and "prevalences must be numbers" in err["message"]
+        assert not any((tmp_path / "o").glob("*.csv"))
+
     @pytest.mark.parametrize("column,value", [
         ("outcome", "nan"), ("outcome", "inf"), ("x1", "-inf")])
     def test_non_finite_cell_exits_3(self, tmp_path, capsys, column, value):
@@ -391,6 +403,29 @@ class TestEstimateFailsClosed:
         checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
         gaps = [v for key, v in checks.items() if key.startswith("full_harmonization_gap[")]
         assert len(gaps) == 3 and all(g <= 1e-10 for g in gaps)
+
+    @pytest.mark.parametrize("initial", ["logistic_pooled", "logistic_ipw"])
+    def test_bd_refuses_a_boundary_anchor(self, tmp_path, capsys, initial):
+        # subgroup 3's RCT controls all 0: the trial-only fit stopped at
+        # nu_3 = -27 and bd ran on that anchor's limit map at exit 0
+        ds = generate_scenario(load_preset("fig5"), seed=0)
+        y_rct = np.where((ds.w_rct == 2) & (ds.t_rct == 0), 0.0, ds.y_rct)
+        ds = CombinedDataset.from_arrays(
+            y_rct=y_rct, t_rct=ds.t_rct, w_rct=ds.w_rct, x_rct=ds.x_rct, y_ec=ds.y_ec,
+            w_ec=ds.w_ec, x_ec=ds.x_ec, k=ds.k, outcome_family="binary")
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+            "schema": {"covariates": ["x1"]}, "intervals": ["rct_only"],
+            "estimators": [initial, {"kind": "harmonized", "name": "h", "initial": initial,
+                                     "overall": "logistic", "sigma_mode": "bd"}],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 4
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "SeparationDetected"
+        assert "control responses of subgroup '3' are all 0" in err["message"]
+        assert not any((tmp_path / "o").glob("*.csv"))
 
 
 @pytest.fixture(scope="module")
@@ -698,6 +733,36 @@ class TestSettingsFailClosed:
         # simulate wrote a header-only report, estimate only the overall row
         cfg = dict(self.base(command, tmp_path), estimators=[], **extra)
         self.exits_2(command, cfg, tmp_path, capsys, ["estimators", "at least one"])
+
+    WRONG_TYPE = [
+        ("estimate", "estimators", "diff_means_pooled", ["estimators", "must be a list"]),
+        ("resample", "estimators", "logistic_pooled", ["estimators", "must be a list"]),
+        ("estimate", "intervals", "analytic", ["intervals", "must be a list"]),
+        ("simulate", "intervals", "analytic", ["intervals", "must be a list"]),
+        ("simulate", "harmonized_lambdas", "full", ["harmonized_lambdas", "must be a list"]),
+        ("estimate", "prevalences", "abc", ["prevalences", "must be a list"]),
+        ("estimate", "prevalences", {"a": 1}, ["prevalences", "must be a list"]),
+        ("simulate", "scenario", "abc", ["scenario", "must be an object"]),
+        ("estimate", "schema", {"covariates": "x1"}, ["covariates", "must be a list"]),
+        ("resample", "schema", {"covariates": "x1"}, ["covariates", "must be a list"]),
+        ("estimate", "schema", {"covariates": [5]}, ["covariates", "string"]),
+        ("estimate", "schema", {"outcome": 5}, ["outcome", "string"]),
+        ("estimate", "schema", {"treatment": ["arm"]}, ["treatment", "string"]),
+        ("estimate", "schema", {"subgroup": None}, ["subgroup", "string"]),
+    ]
+
+    @pytest.mark.parametrize("command,key,value,words", WRONG_TYPE,
+                             ids=[f"{c}-{k}-{v}" for c, k, v, _ in WRONG_TYPE])
+    def test_value_of_the_wrong_json_type(self, small_csvs, tmp_path, capsys, no_replicates,
+                                          command, key, value, words):
+        # a string was read letter by letter: "analytic" as the interval
+        # method 'a', and schema covariates "x1" as the columns 'x' and '1'
+        # (exit 3); an outcome column 5 was looked up as a column (exit 3)
+        rct, ec = small_csvs
+        cfg = {"estimate": {"rct_csv": rct, "ec_csv": ec},
+               "simulate": {"reps": 2} if key == "scenario" else self.base(command, tmp_path),
+               "resample": self.base(command, tmp_path)}[command]
+        self.exits_2(command, dict(cfg, **{key: value}), tmp_path, capsys, words)
 
     @pytest.mark.parametrize("spike", ["abc", [0.1, 0.2], -0.1, [0.1, 0.1, float("nan"), 0.1]])
     def test_spike_checked_before_any_replicate(self, pools, tmp_path, capsys, monkeypatch,

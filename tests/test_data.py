@@ -368,6 +368,15 @@ class TestDesignCounts:
         with pytest.raises(DataError):
             compute_design_counts(ds, [1.0, 0.0])
 
+    @pytest.mark.parametrize("prevalences", [
+        ["a", 0.5], "abc", {"a": 1}, [0.5, None], np.array([True])])
+    def test_non_numeric_prevalences(self, prevalences):
+        # each raised a ValueError or TypeError; a boolean read as 1
+        k = np.size(prevalences) if isinstance(prevalences, np.ndarray) else 2
+        ds = balanced_dataset(k=k, n_t=2, n_c=2, n_e=2)
+        with pytest.raises(DataError, match="prevalences must be numbers"):
+            compute_design_counts(ds, prevalences)
+
     def test_empty_pooled_control_subgroup(self):
         ds = CombinedDataset.from_arrays(
             y_rct=np.zeros(4), t_rct=np.array([1, 0, 1, 1]),

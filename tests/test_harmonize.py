@@ -14,9 +14,11 @@ from subharm import (
     diff_means_overall,
     diff_means_pooled_subgroups,
     external_estimate,
+    generate_scenario,
     harmonize,
     harmonize_objective_oracle,
     limit_map_theta,
+    load_preset,
     logistic_marginal_effects,
     mse_difference,
     parse_lambda,
@@ -28,6 +30,7 @@ from subharm.errors import (
     ConfigError,
     DegenerateDirection,
     InconsistentDimensions,
+    InvalidDesign,
     MissingCovariance,
     NumericalError,
     SingularSigma,
@@ -450,17 +453,50 @@ class TestMseDifference:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def _proportional_mse_difference(dc, gamma, phi2):
+    """mse_difference's closed form on the proportional stratified design:
+    q_k^2 [gamma_k^2 - (gamma_k - gbar)^2] less the harmonization premium
+    q_k^2 phi2 / (n_r0 sum(pi q))."""
+    q = dc.q_ratio
+    piq = float(dc.pi @ q)
+    gbar = float(dc.pi @ (q * gamma)) / piq
+    return q ** 2 * (gamma ** 2 - (gamma - gbar) ** 2) - q ** 2 * phi2 / (
+        dc.counts[:, 0, 0].sum() * piq)
+
+
+@pytest.mark.parametrize("preset", ["fig1-s1", "fig1-s2", "fig1-s3"])
+def test_mse_difference_matches_the_proportional_formula(preset):
+    spec = load_preset(preset)
+    dc = compute_design_counts(generate_scenario(spec, seed=0))
+    gamma = np.asarray(spec.distortion)
+    np.testing.assert_allclose(mse_difference(dc, gamma, spec.phi2),
+                               _proportional_mse_difference(dc, gamma, spec.phi2),
+                               rtol=0, atol=1e-15)
+
+
+def test_mse_difference_needs_rct_and_external_controls():
+    no_ec = compute_design_counts(balanced_dataset(k=2, n_t=5, n_c=5, n_e=0, seed=1))
+    with pytest.raises(InvalidDesign, match="external controls"):
+        mse_difference(no_ec, np.zeros(2), 1.0)
+    no_rct_controls = compute_design_counts(balanced_dataset(k=2, n_t=5, n_c=0, n_e=5, seed=1))
+    with pytest.raises(InvalidDesign):
+        mse_difference(no_rct_controls, np.zeros(2), 1.0)
+
+
 class TestVdSigma:
     def test_passthrough(self):
         cov = np.diag([1.0, 2.0])
         est = EffectEstimate(theta_k=np.zeros(2), covariance=cov)
         np.testing.assert_allclose(vd_sigma(est), cov)
 
-    def test_floors_singular(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        est = EffectEstimate(theta_k=np.zeros(2), covariance=cov)
-        ev = np.linalg.eigvalsh(vd_sigma(est))
-        assert ev[0] > 0
+    def test_rank_deficient_raises_singular_sigma(self):
+        for cov in ([[1.0, 1.0], [1.0, 1.0]],
+                    [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+            k = len(cov)
+            sigma = vd_sigma(EffectEstimate(theta_k=np.zeros(k), covariance=np.array(cov)))
+            for lam in (1.0, FULL):
+                with pytest.raises(SingularSigma):
+                    shift_vector(np.full(k, 1.0 / k), sigma, lam)
 
     def test_missing(self):
         with pytest.raises(MissingCovariance):

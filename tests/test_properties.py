@@ -3,6 +3,7 @@ designs, run through the same shift resolver and interval dispatcher as
 `simulate` and `estimate`."""
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from subharm import (
     ols_overall_effect,
     rct_only_subgroups,
     shift_vector,
+    solve_sigma_from_b,
 )
 from subharm.estimators import _pooled_cell_variance
 from subharm.intervals import interval
@@ -80,6 +82,39 @@ def test_shift_vector_moves_the_weighted_average_by_its_share(shift):
         assert abs(share - 1.0) <= 1e-12
     else:
         assert np.isclose(share, lam / (lam + 1.0 / (pi @ sigma @ pi)), rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def bias_directions(draw):
+    """(a unit bias direction d, with pi'd = 1, and prevalences pi on the
+    simplex) with K = 1..6; d is of one sign or, when K > 1, mostly of
+    mixed signs."""
+    k = draw(st.integers(1, 6))
+    p = np.array(draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k)))
+    pi = p / p.sum()
+    z = np.array(draw(st.lists(st.floats(-3, 3), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        z = np.abs(z) + 0.05
+        return z / (pi @ z), pi
+    return z + (1.0 - pi @ z) / (pi @ pi) * pi, pi
+
+
+@settings(max_examples=300, deadline=None)
+@given(bias_directions(),
+       st.one_of(st.sampled_from([0.0, 1e308, FULL]), st.floats(1e-12, 1e12)))
+def test_bd_shift_is_the_scaled_bias_direction(direction, lam):
+    """bd resolves to u = lam / (lam + 1) d, and to d itself at FULL, with no
+    matrix; its oracle is the shift of the positive-definite matrix that
+    `solve_sigma_from_b` builds from d."""
+    d, pi = direction
+    ctx = _ReplicateContext(None, SimpleNamespace(pi=pi))
+    ctx.bd_direction = lambda initial: d
+    u, mode = ctx.shift(harmonized("bd", "full" if lam == FULL else lam))
+    assert mode == "bd"
+    np.testing.assert_allclose(u, shift_vector(pi, solve_sigma_from_b(d, pi), lam),
+                               rtol=0, atol=1e-14 * (1.0 + d @ d))
+    if lam == FULL:
+        assert u is d
 
 
 def harmonized(mode, lam="full", sigma=None):
@@ -171,3 +206,34 @@ def test_relabelling_permutes_estimates_and_intervals(design, data, mode, lam):
     boot, boot_p = ivs["bootstrap"], ivs_p["bootstrap"]
     np.testing.assert_allclose(boot_p.point[perm], boot.point, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(boot_p.width[perm], boot.width, rtol=0.15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(designs(), st.data())
+def test_row_order_changes_no_estimate_or_interval(design, data):
+    """Permuting the trial rows and the external rows changes only the order
+    of summation, so every estimate and interval agrees to rounding."""
+    ds = make_dataset(design)
+    rct = np.array(data.draw(st.permutations(range(ds.n_rct))), dtype=int)
+    ec = np.array(data.draw(st.permutations(range(ds.n_ec))), dtype=int)
+    shuffled = CombinedDataset.from_arrays(
+        y_rct=ds.y_rct[rct], t_rct=ds.t_rct[rct], w_rct=ds.w_rct[rct],
+        y_ec=ds.y_ec[ec], w_ec=ds.w_ec[ec], k=ds.k)
+    cfgs = [harmonized(mode, lam) for mode in ("bd", "vd", "identity") for lam in ("full", 2.0)]
+    out = []
+    for d in (ds, shuffled):
+        dc = compute_design_counts(d)
+        ctx = _ReplicateContext(d, dc)
+        phi2 = _pooled_cell_variance(d.cell_stats)
+        values = [ctx.initial(kind).theta_k
+                  for kind in ("diff_means_pooled", "diff_means_rct", "ols_pooled", "ols_rct")]
+        values += [np.array([ctx.overall(kind)]) for kind in ("diff_means", "ols")]
+        for cfg in cfgs:
+            values.append(ctx.evaluate(cfg))
+            for m in METHODS:
+                iv = interval(m, d, dc, 0.05, phi2=phi2, target=partial(ctx.harmonized, cfg),
+                              r=200, seed=5)
+                values += [iv.lower, iv.upper, iv.point]
+        out.append(values)
+    for got, want in zip(*out):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)

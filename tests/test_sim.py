@@ -288,6 +288,26 @@ class TestBdFallback:
         assert len([r for r in caplog.records if "variance-directed" in r.message]) == 2
 
 
+def test_bd_records_a_boundary_anchor_in_its_replicates():
+    # subgroup 3's 40 RCT controls respond with probability 0.018, so in
+    # about half the replicates they are all 0 and the trial-only anchor
+    # of the bd limit map has no finite maximum; vd needs no limit map
+    spec = replace(load_preset("fig5"), mu=(0, 0, -4, 0, 0), theta=(1, 1, 4, 1, 1))
+    ests = ["logistic_pooled"] + [
+        {"kind": "harmonized", "name": f"{mode}_{lam}", "initial": "logistic_pooled",
+         "overall": "logistic", "lambda": lam, "sigma_mode": mode}
+        for mode in ("bd", "vd") for lam in (1, "full")]
+    rep = run_monte_carlo(spec, ests, reps=8, seed=0)
+    assert all("control responses of subgroup '3' are all 0" in message
+               for _, _, message in rep.failures)
+    failed = {(r, name) for r, name, _ in rep.failures}
+    reps = {r for r, _ in failed}
+    assert reps and failed == {(r, name) for r in reps for name in ("bd_1", "bd_full")}
+    used = {name: st["n_used"] for name, st in rep.estimator_stats.items()}
+    assert used == {"logistic_pooled": 8, "bd_1": 8 - len(reps), "bd_full": 8 - len(reps),
+                    "vd_1": 8, "vd_full": 8}
+
+
 class TestIntervalPipelines:
     HARMONIZED_OLS = {"kind": "harmonized", "name": "h_ols", "initial": "ols_pooled",
                       "overall": "diff_means", "lambda": "full"}
@@ -333,7 +353,8 @@ class TestSigmaWorkPerReplicate:
     """Each sigma is built, checked and multiplied by pi once per replicate
     and resolved family (initial estimator and sigma mode), however many
     lambdas and intervals share it; one that depends on the design counts
-    alone, once per `simulate` batch, whose replicates share those counts."""
+    alone, once per `simulate` batch, whose replicates share those counts.
+    bd builds none: its shift is a multiple of the bias direction."""
 
     @staticmethod
     def _count(monkeypatch, run):
@@ -366,8 +387,9 @@ class TestSigmaWorkPerReplicate:
             "simulate", "--config", str(cfg), "--preset", "fig1-s2", "--reps", "2",
             "--seed", "3", "--out-dir", str(tmp_path / "o")]))
         # the default estimators: one bd family on diff_means_pooled, whose
-        # sigma and analytic covariance two replicates in one batch share
-        assert calls == {"solve_sigma_from_b": 1, "_validate_sigma": 1, "vd_sigma": 0,
+        # shifts need no matrix, and whose bias direction and analytic
+        # covariance two replicates in one batch share
+        assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0,
                          "_bias_variance": 1}
 
     def test_fixed_and_identity_families_once_per_batch(self, monkeypatch):
@@ -394,8 +416,8 @@ class TestSigmaWorkPerReplicate:
             for mode in ("bd", "vd") for lam in (1, 10, "full")]
         calls = self._count(monkeypatch, lambda: run_monte_carlo(
             load_preset("fig5"), ests, reps=2, seed=3))
-        # two families, two replicates
-        assert calls == {"solve_sigma_from_b": 2, "_validate_sigma": 4, "vd_sigma": 2,
+        # two families, two replicates; only vd builds a matrix
+        assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 2, "vd_sigma": 2,
                          "_bias_variance": 0}
 
 
