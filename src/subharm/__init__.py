@@ -50,7 +50,6 @@ from .glm import (
 )
 from .harmonize import (
     FULL,
-    BiasModel,
     LimitMapSpec,
     analytic_bias_variance,
     bd_direction_glm,

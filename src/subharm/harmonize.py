@@ -17,8 +17,10 @@ whose solution is v = t + (r - pi't) u for the shift vector u, a multiple
 of Sigma pi. `lam = FULL` (infinity) enforces pi'v = r exactly. Only Sigma
 pi and pi' Sigma pi enter u, so u describes a harmonization completely.
 `shift_vector` computes u from Sigma and lam, the `bd_direction_*`
-functions give the unit bias direction d (pi'd = 1), which is u at full
-bias-directed harmonization, and `harmonize` applies a u. Every Sigma with
+functions give the unit bias direction d = b / pi'b (pi'd = 1) of the
+initial estimator's bias response b, which is u at full bias-directed
+harmonization, and `harmonize` applies a u. `_unit_direction` holds the
+one rule that there is no direction when pi'b vanishes. Every Sigma with
 Sigma pi proportional to d (`solve_sigma_from_b`) gives u = lam / (lam + 1)
 d at finite lam, so bd needs no matrix. Which shift a sigma mode (fixed,
 bd, vd) stands for is decided by the caller; `simulate`, `resample` and
@@ -173,33 +175,26 @@ def harmonize_objective_oracle(theta, overall: float, prevalences, sigma,
 
 # --- bias-directed selection -------------------------------------------------
 
-@dataclass(frozen=True)
-class BiasModel:
-    """Sensitivity of the initial estimator to the external distortion
-    vector: the asymptotic estimate moves by approximately B @ distortion.
-    `b = B @ 1` is the response to a systematic (constant) distortion."""
-
-    B: np.ndarray
-    b: np.ndarray
-
-    def direction(self, prevalences) -> np.ndarray:
-        pi = np.asarray(prevalences, dtype=float)
-        denom = float(pi @ self.b)
-        scale = max(1.0, float(np.abs(self.b).max()))
-        if abs(denom) <= 1e-10 * scale:
-            raise DegenerateDirection(
-                "prevalence-weighted systematic bias is zero; no positive-definite "
-                "matrix can align the shift with the bias direction")
-        return self.b / denom
+def _unit_direction(b: np.ndarray, prevalences) -> np.ndarray:
+    """The unit direction d = b / pi'b of a bias response b (pi'd = 1).
+    Raises DegenerateDirection when |pi'b| <= 1e-10 max(1, max |b|): no
+    positive-definite Sigma then has Sigma pi proportional to b."""
+    denom = float(np.asarray(prevalences, dtype=float) @ b)
+    if abs(denom) <= 1e-10 * max(1.0, float(np.abs(b).max(initial=0.0))):
+        raise DegenerateDirection(
+            "prevalence-weighted bias response pi'b is zero; no positive-definite "
+            "matrix can align the shift with the bias direction")
+    return b / denom
 
 
 def bd_direction_linear(ds: CombinedDataset, prevalences=None
-                        ) -> tuple[BiasModel, np.ndarray]:
-    """Bias sensitivity of the pooled least-squares subgroup effects,
-    computed from the design alone (no outcomes), and the resulting unit
-    shift direction: rows K:2K of H^-1 X'1_j, H = X'X and 1_j the indicator
-    of subgroup j's EC rows, the limit map's c1 at unit weights and slope.
-    Raises RankDeficient when H is singular."""
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The bias sensitivity B of the pooled least-squares subgroup effects,
+    computed from the design alone (no outcomes), and its unit direction d
+    = B1 / pi'B1. Column j of B is rows K:2K of H^-1 X'1_j, H = X'X and 1_j
+    the indicator of subgroup j's EC rows, the limit map's c1 at unit
+    weights and slope. Raises RankDeficient when H is singular and
+    DegenerateDirection when pi'B1 vanishes."""
     k, design = ds.k, build_design(ds, MODEL_POOLED)
     ec_rows = np.arange(ds.n_rct, design.shape[0])  # the EC cells come last
     s = _ec_scores(design, k, ec_rows, ds.w_ec[design.order[ec_rows] - ds.n_rct],
@@ -208,36 +203,29 @@ def bd_direction_linear(ds: CombinedDataset, prevalences=None
         big_b = np.linalg.solve(design.information(np.ones(design.shape[0])), s.T)[k:2 * k]
     except np.linalg.LinAlgError:
         raise RankDeficient("singular pooled least-squares information") from None
-    b = big_b @ np.ones(k)
-    pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
-          else compute_design_counts(ds).pi)
-    model = BiasModel(B=big_b, b=b)
-    return model, model.direction(pi)
+    pi = prevalences if prevalences is not None else compute_design_counts(ds).pi
+    return big_b, _unit_direction(big_b @ np.ones(k), pi)
 
 
 def bd_direction_diff_means(dc: DesignCounts) -> np.ndarray:
     """Unit shift direction for the pooled difference-of-means estimator,
     whose systematic-bias response is proportional to the per-subgroup
-    external control fractions."""
-    b = dc.q_ratio
-    denom = float(dc.pi @ b)
-    if denom <= 1e-10 * max(1.0, float(b.max(initial=0.0))):
-        raise DegenerateDirection("no external controls; bias direction undefined")
-    return b / denom
+    external control fractions. Raises DegenerateDirection without
+    external controls."""
+    return _unit_direction(dc.q_ratio, dc.pi)
 
 
 def solve_sigma_from_b(b, prevalences) -> np.ndarray:
     """A positive-definite matrix whose product with the prevalences is
     proportional to b. Same-sign b uses the diagonal construction
-    diag(|b_k| / pi_k); mixed signs use a rank-one-plus-projection form."""
+    diag(|b_k| / pi_k); mixed signs use a rank-one-plus-projection form.
+    Raises DegenerateDirection where `_unit_direction` does."""
     b = np.asarray(b, dtype=float)
     pi = np.asarray(prevalences, dtype=float)
-    denom = float(pi @ b)
-    if abs(denom) <= 1e-10 * max(1.0, float(np.abs(b).max())):
-        raise DegenerateDirection("pi'b = 0; no positive-definite solution exists")
+    _unit_direction(b, pi)
     if np.all(b > 0) or np.all(b < 0):
         return np.diag(np.abs(b) / pi)
-    v = b * np.sign(denom)
+    v = b * np.sign(float(pi @ b))
     vp = float(v @ pi)
     tau = float(v @ v) / vp
     sigma = np.outer(v, v) / vp + tau * (np.eye(len(b)) - np.outer(pi, pi) / float(pi @ pi))
@@ -455,14 +443,15 @@ def _fd_sensitivity(spec: LimitMapSpec, fd_step: float) -> np.ndarray:
 
 
 def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
-                     ) -> tuple[BiasModel, np.ndarray]:
-    """The distortion sensitivity B by central finite differences of the
-    limit map at zero distortion with step `fd_step` (`_fd_sensitivity`),
-    and the unit shift direction it gives. Raises RankDeficient when the
-    limit map's information at the anchor is singular."""
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The K x K distortion sensitivity B by central finite differences of
+    the limit map at zero distortion with step `fd_step` (`_fd_sensitivity`),
+    the estimate moving by about B delta under a distortion delta, and its
+    unit direction d = B1 / pi'B1, B1 the response to a constant
+    distortion. Raises RankDeficient when the limit map's information at
+    the anchor is singular and DegenerateDirection when pi'B1 vanishes."""
     big_b = _fd_sensitivity(spec, fd_step)
-    model = BiasModel(B=big_b, b=big_b @ np.ones(spec.k))
-    return model, model.direction(spec.pi)
+    return big_b, _unit_direction(big_b @ np.ones(spec.k), spec.pi)
 
 
 # --- exact operating characteristics of the difference-of-means pipeline ----

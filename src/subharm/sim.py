@@ -322,6 +322,7 @@ UNDEFINED_MODES = {MODE_BD: ("diff_means_rct", "ols_rct", "oracle", "logistic_rc
                    MODE_VD: ("diff_means_rct", "ols_rct", "oracle")}
 # the initial whose bias direction depends on the design counts alone
 DESIGN_ONLY_BD = "diff_means_pooled"
+LOGISTIC_KINDS = ("logistic_pooled", "logistic_rct", "logistic_ipw")
 
 
 @dataclass(frozen=True)
@@ -501,17 +502,32 @@ class _ReplicateContext:
         return replace(spec, weights=weights)
 
     def _limit_map(self) -> LimitMapSpec:
+        self._refuse_boundary("logistic_rct", "the bias-directed limit map's trial-only "
+                                              "anchor has no finite maximum")
+        return build_limit_map_spec(self.ds, None, self.dc.pi, self.trial_logistic_fit())
+
+    def _refuse_boundary(self, initial_kind: str, consequence: str) -> None:
+        """Raise SeparationDetected, naming the subgroup, the cell and
+        `consequence`, when a non-empty cell with its own intercept in
+        `initial_kind`'s logistic fit has responses all 0 or all 1: an RCT
+        (subgroup, arm) cell of the trial-only fit, or an RCT treated cell
+        or a subgroup's RCT and EC controls pooled in the pooled and IPW
+        fits. One tally of the replicate's responses serves every check."""
         ds = self.ds
-        cells = np.bincount(4 * ds.w_rct + 2 * ds.t_rct + ds.y_rct.astype(np.int64),
-                            minlength=4 * ds.k).reshape(ds.k, 2, 2)  # subgroup, arm, response
-        boundary = np.argwhere((cells.min(axis=2) == 0) & (cells.sum(axis=2) > 0))
-        if len(boundary):
-            j, arm = boundary[0]
-            raise SeparationDetected(
-                f"the RCT {('control', 'treated')[arm]} responses of subgroup "
-                f"{ds.subgroup_labels[j]!r} are all {int(cells[j, arm, 1] > 0)}: the "
-                "bias-directed limit map's trial-only anchor has no finite maximum")
-        return build_limit_map_spec(ds, None, self.dc.pi, self.trial_logistic_fit())
+        # subgroup, cell (RCT control, RCT treated, EC), response
+        tally = self._cached("responses", lambda: np.bincount(np.concatenate([
+            6 * ds.w_rct + 2 * ds.t_rct + ds.y_rct.astype(np.int64),
+            6 * ds.w_ec + 4 + ds.y_ec.astype(np.int64)]),
+            minlength=6 * ds.k).reshape(ds.k, 3, 2).tolist())
+        pooled = initial_kind != "logistic_rct"
+        control_cell = "pooled control" if pooled else "RCT control"
+        for label, (control, treated, ec) in zip(ds.subgroup_labels, tally):
+            if pooled:
+                control = [c + e for c, e in zip(control, ec)]
+            for cell, (zeros, ones) in ((control_cell, control), ("RCT treated", treated)):
+                if (zeros == 0) != (ones == 0):  # a non-empty cell with a single response
+                    raise SeparationDetected(f"the {cell} responses of subgroup {label!r} are "
+                                             f"all {int(ones > 0)}: {consequence}")
 
     def bd_sigma(self, initial_kind: str) -> np.ndarray:
         """A positive-definite matrix whose shift is bd's at every lambda;
@@ -535,6 +551,10 @@ class _ReplicateContext:
         return self._cached(key, lambda: self._resolve(cfg))
 
     def _resolve(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
+        """`shift`, uncached. A DegenerateDirection from `bd_direction` sends
+        bd to vd. vd on a logistic initial refuses a cell at the boundary
+        (`_refuse_boundary`): its Wald variance is about 0, so vd would move
+        that subgroup least where its estimate is least reliable."""
         lam, initial = cfg.lam, cfg.initial
         if cfg.sigma_mode not in (MODE_BD, MODE_VD):  # fixed, or its alias identity
             return self._checked(MODE_FIXED, cfg.sigma, lambda: (
@@ -548,6 +568,9 @@ class _ReplicateContext:
                 self._cache[degenerate] = True
                 logger.warning("bias direction degenerate; falling back to "
                                "variance-directed harmonization")
+        if initial in LOGISTIC_KINDS:
+            self._refuse_boundary(initial, f"the {initial!r} fit has no finite maximum, so "
+                                           "its covariance cannot direct the shift")
         return self._checked(MODE_VD, initial,
                              lambda: vd_sigma(self.initial(initial))).u(lam), MODE_VD
 
@@ -772,9 +795,10 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
     """Parse the estimator entries and pick the one the intervals are
     centred on: the estimator named `interval_estimator`, else the first
     harmonized estimator at full lambda, else the first harmonized one.
-    An empty list, duplicate names, bd on an initial without a bias
-    direction, vd on one without a covariance, an interval on a pipeline it
-    was not derived for and too few bootstrap draws are config errors."""
+    An empty list, duplicate names, a logistic estimator or overall on
+    continuous outcomes, bd on an initial without a bias direction, vd on
+    one without a covariance, an interval on a pipeline it was not derived
+    for and too few bootstrap draws are config errors."""
     cfgs = [e if isinstance(e, EstimatorConfig) else parse_estimator(e) for e in entries]
     if not cfgs:
         raise ConfigError("estimators must name at least one estimator")
@@ -783,6 +807,11 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
             need = "a bias direction" if c.sigma_mode == MODE_BD else "a covariance"
             raise ConfigError(f"estimator {c.name!r}: sigma_mode {c.sigma_mode!r} needs "
                               f"{need}, which initial {c.initial!r} never has")
+        logistic = ((c.initial in LOGISTIC_KINDS or c.overall == "logistic")
+                    if c.kind == "harmonized" else c.kind in LOGISTIC_KINDS)
+        if logistic and family == CONTINUOUS:
+            raise ConfigError(f"estimator {c.name!r} fits a logistic model, which needs "
+                              "binary outcomes, not continuous ones")
     names = [c.name for c in cfgs]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
@@ -826,12 +855,15 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
 # --- pool resampling --------------------------------------------------------------
 
 def _spike_amounts(spike, k: int) -> np.ndarray:
-    """`spike` as a number or K numbers, all non-negative."""
+    """`spike` as a number or K numbers, all non-negative. A boolean, which
+    float() reads as 1 or 0, is no number."""
     try:
         amounts = np.asarray(spike, dtype=float)
     except (TypeError, ValueError):
         amounts = np.full(1, np.nan)
-    if amounts.shape not in ((), (k,)) or not np.all(amounts >= 0):
+    values = spike if isinstance(spike, (list, tuple)) else [spike]
+    if (amounts.shape not in ((), (k,)) or not np.all(amounts >= 0)
+            or any(isinstance(v, (bool, np.bool_)) for v in values)):
         raise InvalidEffect(f"spike must be a non-negative number or {k} of them, "
                             f"got {spike!r}")
     return amounts

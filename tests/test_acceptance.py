@@ -329,14 +329,14 @@ def test_criterion_07_fd_remainder():
     spec = load_preset("fig5")
     ds = generate_scenario(spec, seed=3)
     lspec = build_limit_map_spec(ds)
-    bm, _ = bd_direction_glm(lspec)
+    big_b, _ = bd_direction_glm(lspec)
     anchor = limit_map_theta(lspec, np.zeros(spec.k))
     direction = np.array([1.0, 0.5, -0.3, 0.8, -0.6])
     direction /= np.abs(direction).sum()
     ratios = {}
     for scale in (0.2, 0.1):
         d = direction * scale
-        rem = np.abs(limit_map_theta(lspec, d) - anchor - bm.B @ d).sum()
+        rem = np.abs(limit_map_theta(lspec, d) - anchor - big_b @ d).sum()
         ratios[scale] = rem / np.abs(d).sum()
     factor = ratios[0.2] / ratios[0.1]
     elapsed = time.time() - t0

@@ -404,12 +404,11 @@ class TestEstimateFailsClosed:
         gaps = [v for key, v in checks.items() if key.startswith("full_harmonization_gap[")]
         assert len(gaps) == 3 and all(g <= 1e-10 for g in gaps)
 
-    @pytest.mark.parametrize("initial", ["logistic_pooled", "logistic_ipw"])
-    def test_bd_refuses_a_boundary_anchor(self, tmp_path, capsys, initial):
-        # subgroup 3's RCT controls all 0: the trial-only fit stopped at
-        # nu_3 = -27 and bd ran on that anchor's limit map at exit 0
+    def exits_4_at_a_boundary(self, tmp_path, capsys, arm, initial, mode, words):
+        """fig5 at seed 0 with subgroup 3's RCT `arm` outcomes set to 0,
+        through `estimate` with `initial` and its harmonization in `mode`."""
         ds = generate_scenario(load_preset("fig5"), seed=0)
-        y_rct = np.where((ds.w_rct == 2) & (ds.t_rct == 0), 0.0, ds.y_rct)
+        y_rct = np.where((ds.w_rct == 2) & (ds.t_rct == arm), 0.0, ds.y_rct)
         ds = CombinedDataset.from_arrays(
             y_rct=y_rct, t_rct=ds.t_rct, w_rct=ds.w_rct, x_rct=ds.x_rct, y_ec=ds.y_ec,
             w_ec=ds.w_ec, x_ec=ds.x_ec, k=ds.k, outcome_family="binary")
@@ -419,13 +418,29 @@ class TestEstimateFailsClosed:
             "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
             "schema": {"covariates": ["x1"]}, "intervals": ["rct_only"],
             "estimators": [initial, {"kind": "harmonized", "name": "h", "initial": initial,
-                                     "overall": "logistic", "sigma_mode": "bd"}],
+                                     "overall": "logistic", "sigma_mode": mode}],
             "out_dir": str(tmp_path / "o")})
         assert run_cli("estimate", "--config", cfg) == 4
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "SeparationDetected"
-        assert "control responses of subgroup '3' are all 0" in err["message"]
+        assert all(w in err["message"] for w in words), err["message"]
         assert not any((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("initial", ["logistic_pooled", "logistic_ipw"])
+    def test_bd_refuses_a_boundary_anchor(self, tmp_path, capsys, initial):
+        # subgroup 3's RCT controls all 0: the trial-only fit stopped at
+        # nu_3 = -27 and bd ran on that anchor's limit map at exit 0
+        self.exits_4_at_a_boundary(tmp_path, capsys, 0, initial, "bd",
+                                   ["control responses of subgroup '3' are all 0"])
+
+    @pytest.mark.parametrize("arm,initial", [(1, "logistic_pooled"), (0, "logistic_rct")])
+    def test_vd_refuses_a_boundary_fit(self, tmp_path, capsys, arm, initial):
+        # the all-0 cell's Wald variance is about 0: subgroup 3's variance
+        # fell to 0.00125 (pooled, treated) or 0.00552 (trial-only, control)
+        # and vd moved it least, at exit 0
+        cell = ("RCT control", "RCT treated")[arm]
+        self.exits_4_at_a_boundary(tmp_path, capsys, arm, initial, "vd", [
+            f"{cell} responses of subgroup '3' are all 0", initial, "covariance"])
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +472,26 @@ class TestIntervalDispatch:
             assert [r["point"] for r in ivs if r["method"] == method] == est
         checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
         assert checks["shift_mode[harmonized]"] == "vd (bd fallback)"
+
+    def test_every_bias_direction_falls_back_without_external_controls(self, tmp_path):
+        # no EC rows: each producer's bias response b is 0, so pi'b vanishes
+        # and bd falls back to vd unforced
+        from dataclasses import replace
+
+        ds = generate_scenario(replace(load_preset("fig5"), n_ec=(0,) * 5), seed=0)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
+        initials = ("diff_means_pooled", "ols_pooled", "logistic_pooled")
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
+            "schema": {"covariates": ["x1"]},
+            "estimators": [{"kind": "harmonized", "name": initial, "initial": initial,
+                            "overall": "logistic", "sigma_mode": "bd"} for initial in initials],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+        assert {i: checks[f"shift_mode[{i}]"] for i in initials} == dict.fromkeys(
+            initials, "vd (bd fallback)")
 
     def test_manifest_records_each_shift_mode(self, fig1_csvs, tmp_path):
         rct, ec = fig1_csvs
@@ -764,7 +799,32 @@ class TestSettingsFailClosed:
                "resample": self.base(command, tmp_path)}[command]
         self.exits_2(command, dict(cfg, **{key: value}), tmp_path, capsys, words)
 
-    @pytest.mark.parametrize("spike", ["abc", [0.1, 0.2], -0.1, [0.1, 0.1, float("nan"), 0.1]])
+    LOGISTIC_ON_CONTINUOUS = [
+        ("simulate", "logistic_pooled"),
+        ("estimate", "logistic_rct"),
+        ("simulate", {"kind": "harmonized", "initial": "logistic_ipw", "sigma_mode": "vd"}),
+        ("estimate", {"kind": "harmonized", "initial": "logistic_pooled"}),
+        ("simulate", {"kind": "harmonized", "initial": "diff_means_pooled",
+                      "overall": "logistic"}),
+        ("estimate", {"kind": "harmonized", "initial": "diff_means_pooled",
+                      "overall": "logistic"}),
+    ]
+
+    @pytest.mark.parametrize("command,entry", LOGISTIC_ON_CONTINUOUS,
+                             ids=[f"{c}-{e if isinstance(e, str) else e['initial']}"
+                                  f"{'-overall' if 'overall' in e else ''}"
+                                  for c, e in LOGISTIC_ON_CONTINUOUS])
+    def test_logistic_on_continuous_outcomes(self, fig1_csvs, tmp_path, capsys,
+                                             no_replicates, command, entry):
+        # each died in the first replicate with a ValueError traceback: exit 1
+        rct, ec = fig1_csvs
+        cfg = ({"rct_csv": rct, "ec_csv": ec} if command == "estimate"
+               else {"preset": "fig1-s2", "reps": 3})
+        self.exits_2(command, dict(cfg, estimators=[entry]), tmp_path, capsys,
+                     ["estimator", "logistic", "binary"])
+
+    @pytest.mark.parametrize("spike", ["abc", [0.1, 0.2], -0.1, [0.1, 0.1, float("nan"), 0.1],
+                                       True, [False, 0.1, 0, 0.35]])
     def test_spike_checked_before_any_replicate(self, pools, tmp_path, capsys, monkeypatch,
                                                 spike):
         import subharm.sim

@@ -118,13 +118,13 @@ class TestOls:
             ds = balanced_dataset(k=2, n_t=8, n_c=8, n_e=20, gamma=gamma,
                                   d=1, beta=(0.4,), x_mean_ec=1.0, seed=r)
             errs[r] = ols_subgroup_effects(ds).theta_k
-        bm, _ = bd_direction_linear(
+        big_b, _ = bd_direction_linear(
             balanced_dataset(k=2, n_t=8, n_c=8, n_e=20, gamma=gamma, d=1,
                              beta=(0.4,), x_mean_ec=1.0, seed=0))
         # B varies with the covariate draw; compare against its average scale
         mean_err = errs.mean(axis=0)
         mc_se = errs.std(axis=0, ddof=1) / np.sqrt(reps)
-        pred = bm.B @ gamma
+        pred = big_b @ gamma
         assert np.all(np.abs(mean_err - pred) < 6 * mc_se + 0.05)
 
 
