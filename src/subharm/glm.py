@@ -16,11 +16,17 @@ covariates following the mapped columns:
 - propensity: the pooled map's first K columns, the subgroup intercepts.
 
 The logistic function `expit` lives here, computed on numpy's `exp`, and
-`estimators`, `harmonize` and `sim` import it from this module.
+`estimators`, `harmonize` and `sim` import it from this module. Fisher
+scoring (`fit_logistic_irls`) takes one exponential per row per step:
+e = e^-lp gives both the mean 1 / (1 + e), `expit`'s formula, and the
+log-likelihood. Where e overflows to inf, on lp below -709.78, the mean is
+0, and a log-likelihood the overflow leaves non-finite is taken again in
+the overflow-free softplus form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -216,11 +222,17 @@ def fit_ols(design: CellDesign | np.ndarray, y: np.ndarray,
                   dispersion=dispersion, iterations=1)
 
 
-def _loglik(lp: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    # y may be fractional (binomial proportions); log(1 + e^lp) as the
-    # overflow-free softplus log1p(e^-|lp|) + max(lp, 0)
-    softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(lp, 0.0)
-    return np.sum(w * (y * lp - softplus))
+def _loglik(lp: np.ndarray, e: np.ndarray, w: np.ndarray, w1y: np.ndarray) -> float:
+    # the weighted log-likelihood sum w (y lp - log(1 + e^lp)), y possibly
+    # fractional (binomial proportions), as -(w (1 - y) lp + w log1p(e)) on
+    # the mean's e = e^-lp. Below lp = -709.78 e overflows to inf, which
+    # makes the sum -inf, or NaN on a zero-weight row: that one evaluation
+    # takes the overflow-free softplus log1p(e^-|lp|) + max(-lp, 0) instead
+    ll = -(np.dot(w1y, lp) + np.dot(w, np.log1p(e)))
+    if math.isfinite(ll):
+        return ll
+    softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(-lp, 0.0)
+    return -(np.dot(w1y, lp) + np.dot(w, softplus))
 
 
 def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
@@ -237,41 +249,54 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
     `max_iter` raises NotConverged. The fit carries the information at its
     coefficients. `y` and `weights` follow the design's row order; a raw
     array is one cell, so its rows keep theirs.
+
+    Each linear predictor lp costs one exponential per row: e = e^-lp gives
+    both the mean 1 / (1 + e), `expit(lp)` to the bit, and the
+    log-likelihood (`_loglik`), and an accepted step's e serves the next
+    scoring step. One error state covers the whole fit, because e may
+    overflow to inf: the mean there is 0, and `_loglik` takes the
+    log-likelihood again in an overflow-free form when the overflow leaves
+    its fast sum -inf or NaN (0 * inf on a zero-weight row).
     """
     x, y, w = _fit_inputs(design, y, weights)
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("logistic responses must be numbers in [0, 1]")
+    w1y = w * (1.0 - y)
     coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
-    lp = x.linear_predictor(coef)
-    ll = _loglik(lp, y, w)
-    for it in range(max_iter + 1):
-        mu = expit(lp)
-        score = x.score(w * (y - mu))
-        big = np.abs(score).max()
-        if big < tol:
-            break
-        if it and np.abs(coef).max() > SEPARATION_CAP:  # a start may lie past the cap
-            raise SeparationDetected(
-                f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
-                f"{big:.3g}; data look separated")
-        if it == max_iter:
-            raise NotConverged(
-                f"IRLS did not reach tol={tol} in {max_iter} iterations (score {big:.3g})")
-        try:
-            delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score[:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            raise RankDeficient("singular weighted information matrix") from None
-        cand = coef + delta
-        lp_c = x.linear_predictor(cand)
-        ll_c = _loglik(lp_c, y, w)
-        # the log-likelihood's rounding noise grows with its magnitude
-        floor = ll - 1e-12 * max(1.0, abs(ll))
-        step, halvings = 1.0, 0
-        while ll_c < floor and halvings < 20:
-            step *= 0.5
-            halvings += 1
-            cand = coef + step * delta
-            lp_c = x.linear_predictor(cand)
-            ll_c = _loglik(lp_c, y, w)
-        coef, lp, ll = cand, lp_c, ll_c
-    return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, it)
+
+    def evaluate(b):
+        lp = x.linear_predictor(b)
+        e = np.exp(-lp)
+        return e, _loglik(lp, e, w, w1y)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, ll = evaluate(coef)
+        for it in range(max_iter + 1):
+            mu = 1.0 / (1.0 + e)
+            score = x.score(w * (y - mu))
+            big = np.abs(score).max()
+            if big < tol:
+                break
+            if it and np.abs(coef).max() > SEPARATION_CAP:  # a start may lie past the cap
+                raise SeparationDetected(
+                    f"coefficient magnitude exceeded {SEPARATION_CAP} with score "
+                    f"{big:.3g}; data look separated")
+            if it == max_iter:
+                raise NotConverged(
+                    f"IRLS did not reach tol={tol} in {max_iter} iterations (score {big:.3g})")
+            try:
+                delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score)
+            except np.linalg.LinAlgError:
+                raise RankDeficient("singular weighted information matrix") from None
+            cand = coef + delta
+            e_c, ll_c = evaluate(cand)
+            # the log-likelihood's rounding noise grows with its magnitude
+            floor = ll - 1e-12 * max(1.0, abs(ll))
+            step, halvings = 1.0, 0
+            while ll_c < floor and halvings < 20:
+                step *= 0.5
+                halvings += 1
+                cand = coef + step * delta
+                e_c, ll_c = evaluate(cand)
+            coef, e, ll = cand, e_c, ll_c
+        return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, it)

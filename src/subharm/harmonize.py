@@ -218,13 +218,17 @@ def bd_direction_diff_means(dc: DesignCounts) -> np.ndarray:
 def solve_sigma_from_b(b, prevalences) -> np.ndarray:
     """A positive-definite matrix whose product with the prevalences is
     proportional to b. Same-sign b uses the diagonal construction
-    diag(|b_k| / pi_k); mixed signs use a rank-one-plus-projection form.
+    diag(|b_k| / pi_k) when it passes `_validate_sigma`'s conditioning rule;
+    mixed signs, and a same-sign b with an entry too small beside the others
+    (such as [2, 1e-245]), use a rank-one-plus-projection form.
     Raises DegenerateDirection where `_unit_direction` does."""
     b = np.asarray(b, dtype=float)
     pi = np.asarray(prevalences, dtype=float)
     _unit_direction(b, pi)
     if np.all(b > 0) or np.all(b < 0):
-        return np.diag(np.abs(b) / pi)
+        diag = np.abs(b) / pi
+        if diag.min() > 1e-10 * diag.max():
+            return np.diag(diag)
     v = b * np.sign(float(pi @ b))
     vp = float(v @ pi)
     tau = float(v @ v) / vp

@@ -566,8 +566,8 @@ class _ReplicateContext:
                 return (d if np.isinf(lam) else d * (lam / (lam + 1.0))), MODE_BD
             except DegenerateDirection:
                 self._cache[degenerate] = True
-                logger.warning("bias direction degenerate; falling back to "
-                               "variance-directed harmonization")
+                logger.warning("bias direction degenerate for initial %r; falling back "
+                               "to variance-directed harmonization", initial)
         if initial in LOGISTIC_KINDS:
             self._refuse_boundary(initial, f"the {initial!r} fit has no finite maximum, so "
                                            "its covariance cannot direct the shift")

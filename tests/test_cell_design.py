@@ -75,6 +75,9 @@ from subharm.harmonize import (
 )
 from subharm.sim import _ReplicateContext
 
+# an overflow or a NaN anywhere in the fitting layer fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FD_STEP = 1e-4
 # the module; the package's `harmonize` attribute is the function
 HARMONIZE = importlib.import_module("subharm.harmonize")

@@ -473,25 +473,44 @@ class TestIntervalDispatch:
         checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
         assert checks["shift_mode[harmonized]"] == "vd (bd fallback)"
 
-    def test_every_bias_direction_falls_back_without_external_controls(self, tmp_path):
-        # no EC rows: each producer's bias response b is 0, so pi'b vanishes
-        # and bd falls back to vd unforced
+    NO_EC_INITIALS = ("diff_means_pooled", "ols_pooled", "logistic_pooled")
+
+    def estimate_without_external_controls(self, tmp_path):
+        """`estimate` with bd on each of `NO_EC_INITIALS`, on a fig5 pair
+        without EC rows; the manifest's checks."""
         from dataclasses import replace
 
         ds = generate_scenario(replace(load_preset("fig5"), n_ec=(0,) * 5), seed=0)
         rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
         save_dataset(ds, rct, ec, CsvSchema(covariates=("x1",)))
-        initials = ("diff_means_pooled", "ols_pooled", "logistic_pooled")
         cfg = write_config(tmp_path / "c.json", {
             "rct_csv": rct, "ec_csv": ec, "outcome_family": "binary",
             "schema": {"covariates": ["x1"]},
             "estimators": [{"kind": "harmonized", "name": initial, "initial": initial,
-                            "overall": "logistic", "sigma_mode": "bd"} for initial in initials],
+                            "overall": "logistic", "sigma_mode": "bd"}
+                           for initial in self.NO_EC_INITIALS],
             "out_dir": str(tmp_path / "o")})
         assert run_cli("estimate", "--config", cfg) == 0
-        checks = json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+        return json.loads((tmp_path / "o" / "manifest.json").read_text())["checks"]
+
+    def test_every_bias_direction_falls_back_without_external_controls(self, tmp_path):
+        # no EC rows: each producer's bias response b is 0, so pi'b vanishes
+        # and bd falls back to vd unforced
+        checks = self.estimate_without_external_controls(tmp_path)
+        initials = self.NO_EC_INITIALS
         assert {i: checks[f"shift_mode[{i}]"] for i in initials} == dict.fromkeys(
             initials, "vd (bd fallback)")
+
+    def test_each_fallback_warning_names_its_initial(self, tmp_path, caplog):
+        # one warning per fallback, each naming the initial that fell back
+        import logging
+
+        with caplog.at_level(logging.WARNING, logger="subharm"):
+            self.estimate_without_external_controls(tmp_path)
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("bias direction degenerate")] == [
+            f"bias direction degenerate for initial {i!r}; falling back to "
+            "variance-directed harmonization" for i in self.NO_EC_INITIALS]
 
     def test_manifest_records_each_shift_mode(self, fig1_csvs, tmp_path):
         rct, ec = fig1_csvs

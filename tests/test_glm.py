@@ -1,18 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import subharm.glm as glm
 from subharm import build_design, fit_logistic_irls, fit_ols
-from subharm.errors import RankDeficient, SeparationDetected
+from subharm.errors import NotConverged, RankDeficient, SeparationDetected
 from subharm.glm import (
     MODEL_OVERALL,
     MODEL_POOLED,
     MODEL_PROPENSITY,
     MODEL_RCT_SUBGROUP,
     OVERALL_TREATMENT,
+    CellDesign,
+    pooled_map,
 )
 
 from conftest import balanced_dataset, records_dataset
+
+# an overflow or a NaN anywhere in the fitting layer fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def expanded(design):
@@ -191,11 +201,7 @@ class TestLogistic:
         # step halving must keep the weighted log-likelihood from decreasing:
         # the value in force at each scoring step is the last one computed
         # before its score
-        import subharm.glm as glm
-
-        x = np.c_[np.ones(80), rng.normal(size=(80, 2)) * 3.0]
-        y = (rng.random(80) < expit(x @ np.array([-1.0, 2.0, -1.5]))).astype(float)
-        w = rng.uniform(0.2, 1.5, 80)
+        x, y, w, start = halving_data(rng)
         events = []
         loglik = glm._loglik
         monkeypatch.setattr(glm, "_loglik", lambda *a: events.append(loglik(*a)) or events[-1])
@@ -206,7 +212,8 @@ class TestLogistic:
                 return super().score(r)
 
         # one cell with an empty map: the layout a raw array is fitted on
-        fit_logistic_irls(Recording(np.zeros(80, dtype=int), x, np.zeros((1, 0))), y, weights=w)
+        fit_logistic_irls(Recording(np.zeros(80, dtype=int), x, np.zeros((1, 0))), y, weights=w,
+                          start=start)
         lls = [events[i - 1] for i, e in enumerate(events) if e is None]
         assert len(lls) > 3
         assert np.all(np.diff(lls) >= -1e-12)
@@ -217,11 +224,9 @@ class TestLogistic:
     def test_non_finite_input_fails_before_any_iteration(self, rng, monkeypatch, bad_y,
                                                          bad_w, words):
         # they passed the range checks and churned through every iteration
-        import subharm.glm
-
         def refuse(*args):
             raise AssertionError("an iteration ran")
-        monkeypatch.setattr(subharm.glm, "_loglik", refuse)
+        monkeypatch.setattr(glm, "_loglik", refuse)
         x = np.c_[np.ones(6), rng.normal(size=6)]
         y, w = np.full(6, 0.5), np.ones(6)
         y[2], w[4] = bad_y, bad_w
@@ -235,6 +240,145 @@ class TestLogistic:
         warm = fit_logistic_irls(x, y, start=ref.coefficients)
         assert warm.iterations <= 1
         np.testing.assert_allclose(warm.coefficients, ref.coefficients, atol=1e-9)
+
+
+def halving_data(rng):
+    """80 weighted rows of [1, x1, x2] with covariates of sd 3, and a start
+    that gets x2's sign wrong: the first steps overshoot and are halved (a
+    cold start converges in full steps)."""
+    x = np.c_[np.ones(80), rng.normal(size=(80, 2)) * 3.0]
+    y = (rng.random(80) < expit(x @ np.array([-1.0, 2.0, -1.5]))).astype(float)
+    return x, y, rng.uniform(0.2, 1.5, 80), np.array([0.0, 2.0, 2.0])
+
+
+def _oracle_loglik(lp, y, w):
+    # the fit's log-likelihood before it shared the mean's exponential
+    softplus = np.log1p(np.exp(-np.abs(lp))) + np.maximum(lp, 0.0)
+    return np.sum(w * (y * lp - softplus))
+
+
+def oracle_fit(design, y, weights=None, tol=1e-10, max_iter=100, start=None):
+    """Fisher scoring as it stood with two exponentials per step, frozen:
+    the fit must keep its coefficients, information and iterations to the
+    bit, and its errors."""
+    x, y, w = glm._fit_inputs(design, y, weights)
+    if not np.all((y >= 0) & (y <= 1)):
+        raise ValueError("logistic responses must be numbers in [0, 1]")
+    coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
+    lp = x.linear_predictor(coef)
+    ll = _oracle_loglik(lp, y, w)
+    for it in range(max_iter + 1):
+        mu = glm.expit(lp)
+        score = x.score(w * (y - mu))
+        big = np.abs(score).max()
+        if big < tol:
+            break
+        if it and np.abs(coef).max() > glm.SEPARATION_CAP:
+            raise SeparationDetected("separated")
+        if it == max_iter:
+            raise NotConverged("not converged")
+        try:
+            delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score[:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            raise RankDeficient("singular") from None
+        cand = coef + delta
+        lp_c = x.linear_predictor(cand)
+        ll_c = _oracle_loglik(lp_c, y, w)
+        floor = ll - 1e-12 * max(1.0, abs(ll))
+        step, halvings = 1.0, 0
+        while ll_c < floor and halvings < 20:
+            step *= 0.5
+            halvings += 1
+            cand = coef + step * delta
+            lp_c = x.linear_predictor(cand)
+            ll_c = _oracle_loglik(lp_c, y, w)
+        coef, lp, ll = cand, lp_c, ll_c
+    return glm.GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, it)
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_array_equal(got.coefficients, want.coefficients)
+    np.testing.assert_array_equal(got.information, want.information)
+    assert got.iterations == want.iterations
+
+
+@st.composite
+def logistic_problems(draw):
+    """A fit on a `CellDesign` of the pooled map, or its trial-only or
+    propensity slice: K = 1..6 with cells of 0..30 rows, 0..3 covariates,
+    binary or fractional responses, weights of which some may be zero, and
+    a cold start, a start near the coefficients that drew the responses or
+    one at a drawn point."""
+    k = draw(st.integers(1, 6))
+    model = draw(st.sampled_from(["pooled", "trial", "propensity"]))
+    pattern = pooled_map(k)
+    pattern = {"pooled": pattern, "trial": pattern[:2 * k],
+               "propensity": pattern[:, :k]}[model]
+    sizes = np.array(draw(st.lists(st.integers(0, 30), min_size=len(pattern),
+                                   max_size=len(pattern))))
+    d = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    design = CellDesign(cell, rng.normal(size=(len(cell), d)), pattern)
+    n, p = design.shape
+    truth = rng.normal(0.0, draw(st.sampled_from([0.5, 1.5])), p)
+    prob = expit(np.dot(np.c_[pattern[np.sort(cell)], design.xt.T], truth))
+    y = rng.random(n) if draw(st.booleans()) else (rng.random(n) < prob).astype(float)
+    w = rng.uniform(0.1, 2.0, n) * (rng.random(n) >= draw(st.sampled_from([0.0, 0.3])))
+    start = draw(st.sampled_from([None, "near", "drawn"]))
+    if start == "near":
+        start = truth + rng.normal(0.0, 0.1, p)
+    elif start == "drawn":
+        start = rng.normal(0.0, 2.0, p)
+    return design, y, w, start
+
+
+class TestAgainstTheOracle:
+    """`fit_logistic_irls` against `oracle_fit`, the fit it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(logistic_problems())
+    def test_matches_the_oracle_bit_for_bit(self, problem):
+        design, y, w, start = problem
+        try:
+            want = oracle_fit(design, y, w, start=start)
+        except (RankDeficient, SeparationDetected, NotConverged) as err:
+            with pytest.raises(type(err)):
+                fit_logistic_irls(design, y, w, start=start)
+            return
+        assert_same_fit(fit_logistic_irls(design, y, w, start=start), want)
+
+    def test_a_halving_fit_matches_the_oracle(self, rng, monkeypatch):
+        x, y, w, start = halving_data(rng)
+        evals = []
+        loglik = glm._loglik
+        monkeypatch.setattr(glm, "_loglik", lambda *a: evals.append(1) or loglik(*a))
+        fit = fit_logistic_irls(x, y, weights=w, start=start)
+        # one evaluation per step and the start's; more when a step halves
+        assert len(evals) > fit.iterations + 1
+        assert_same_fit(fit, oracle_fit(x, y, w, start=start))
+
+    @pytest.mark.parametrize("w0", [0.0, 1.0], ids=["zero-weight", "unit-weight"])
+    def test_overflowing_row(self, rng, monkeypatch, w0):
+        # e^-lp overflows to inf on row 0, which makes the fast sum -inf, or
+        # NaN by 0 * inf at zero weight: the log-likelihood must stay finite
+        # and warn of nothing
+        x = np.c_[np.ones(200), rng.normal(size=200)]
+        y = (rng.random(200) < expit(x @ np.array([0.3, 0.8]))).astype(float)
+        x[0, 1], y[0] = -5000.0, 0.0
+        w = np.ones(200)
+        w[0] = w0
+        calls = []
+        loglik = glm._loglik
+        monkeypatch.setattr(glm, "_loglik", lambda *a: calls.append((a[1], loglik(*a)))
+                            or calls[-1][1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logistic_irls(x, y, weights=w)
+            want = oracle_fit(x, y, w)
+        assert any(np.isinf(e[0]) for e, _ in calls)
+        assert all(np.isfinite(ll) for _, ll in calls)
+        assert_same_fit(fit, want)
 
 
 class TestNumpyOnlyFunctions:

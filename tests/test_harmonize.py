@@ -237,6 +237,14 @@ class TestSigmaConstruction:
         with pytest.raises(DegenerateDirection):
             solve_sigma_from_b([1.0, -1.0], [0.5, 0.5])
 
+    def test_same_sign_with_a_vanishing_entry(self):
+        # diag(|b| / pi) = diag(4, 3e-245) is numerically singular, and
+        # shift_vector refused it
+        b, pi = np.array([2.0, 1.56430625e-245]), np.array([0.5, 0.5])
+        sigma = solve_sigma_from_b(b, pi)
+        np.testing.assert_allclose(sigma @ pi, b, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(shift_vector(pi, sigma, 1.0), b / 2, rtol=0, atol=1e-14)
+
 
 @pytest.fixture(scope="module")
 def fig5_like():
