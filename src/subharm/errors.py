@@ -117,8 +117,13 @@ class SingularPosterior(NumericalError):
 
 
 class ReplicateFailure(NumericalError):
-    """A Monte-Carlo replicate failed; carries the replicate index."""
+    """A bootstrap draw failed; `replicate` is the draw's index, not the
+    Monte-Carlo replicate's, which the failure record carries."""
 
     def __init__(self, replicate: int, message: str):
-        super().__init__(f"replicate {replicate}: {message}")
+        super().__init__(f"bootstrap draw {replicate}: {message}")
         self.replicate = replicate
+        self.message = message
+
+    def __reduce__(self):  # the default rebuilds from the formatted message alone
+        return type(self), (self.replicate, self.message)

@@ -319,12 +319,11 @@ class LimitMapSpec:
             a.setflags(write=False)
 
 
-def build_limit_map_spec(ds: CombinedDataset,
-                         ec_weight_vector: np.ndarray | None = None,
-                         prevalences=None, anchor: GlmFit | None = None) -> LimitMapSpec:
+def build_limit_map_spec(ds: CombinedDataset, prevalences=None,
+                         anchor: GlmFit | None = None) -> LimitMapSpec:
     """Anchor the limit map at the trial-only logistic fit of `ds`, or at
     `anchor`, that fit already made, on the dataset's `limit_map_layout`,
-    with the EC rows weighted by `ec_weight_vector` (ones when None)."""
+    whose EC rows have unit weights; the IPW map replaces them."""
     fit = _pooled_logistic_fit(ds, None, rct_only=True) if anchor is None else anchor
     k, d = ds.k, ds.d
     nu, eta, beta = fit.coefficients[:k], fit.coefficients[k:2 * k], fit.coefficients[2 * k:]
@@ -335,15 +334,11 @@ def build_limit_map_spec(ds: CombinedDataset,
         nu[ds.w_rct] + eta[ds.w_rct] + xb_r,
         nu[ds.w_ec] + (ds.x_ec @ beta if d else 0.0),
     ]))[layout.design.order]
-    weights = layout.weights
-    if ec_weight_vector is not None:
-        weights = weights.copy()
-        weights[layout.ec_rows] = np.asarray(ec_weight_vector, float)
     pi = (np.asarray(prevalences, dtype=float) if prevalences is not None
           else compute_design_counts(ds).pi)
     d1 = response * (1.0 - response)  # the logistic curve's first derivative
     return LimitMapSpec(
-        anchor=fit.coefficients.copy(), design=layout.design, weights=weights,
+        anchor=fit.coefficients.copy(), design=layout.design, weights=layout.weights,
         response=response, ec_rows=layout.ec_rows, w_ec=ds.w_ec, copies=layout.copies,
         rct_subgroups=ds.rct_subgroups, x_rct=ds.x_rct, k=k, pi=pi,
         sigmoid=np.stack([d1, d1 * (1.0 - 2.0 * response), d1 * (1.0 - 6.0 * d1)]),

@@ -1,11 +1,14 @@
 """Scenario generation, Monte-Carlo replication, pool-resampling
 experiments, and metric aggregation.
 
-`evaluate_replicate` computes the estimates and intervals of one
-`simulate` or `resample` replicate, or of one `estimate` call, and is where
-their failures are caught. A failed estimate or interval is recorded with
-its reason and left out of the aggregates, whose reports count what was
-left out; `estimate` raises the first failure and writes nothing.
+`simulate` and `resample` run one replicate loop, `_run_replicates`: a
+batch only says how a replicate is drawn, and a `resample` replicate that
+cannot be drawn is recorded as "spike" or "design". `evaluate_replicate`
+computes the estimates and intervals of a drawn replicate, or of one
+`estimate` call, and is where their failures are caught. A failed estimate
+or interval is recorded with its reason and left out of the aggregates,
+whose reports count what was left out; `estimate` raises the first failure
+and writes nothing.
 
 Replicates draw from counter-based streams keyed by (seed, replicate,
 role), so reports are deterministic for a fixed seed regardless of the
@@ -504,7 +507,7 @@ class _ReplicateContext:
     def _limit_map(self) -> LimitMapSpec:
         self._refuse_boundary("logistic_rct", "the bias-directed limit map's trial-only "
                                               "anchor has no finite maximum")
-        return build_limit_map_spec(self.ds, None, self.dc.pi, self.trial_logistic_fit())
+        return build_limit_map_spec(self.ds, self.dc.pi, self.trial_logistic_fit())
 
     def _refuse_boundary(self, initial_kind: str, consequence: str) -> None:
         """Raise SeparationDetected, naming the subgroup, the cell and
@@ -745,44 +748,61 @@ def evaluate_replicate(ctx, rep, est_cfgs, methods, target, phi2, alpha, r, seed
     return est, ivs, failures
 
 
-def _scenario_batch(args) -> tuple:
-    (spec, est_cfgs, methods, alpha, bootstrap_r, seed, truth, interval_cfg,
-     rep_indices) = args
-    est = np.full((len(rep_indices), len(est_cfgs), spec.k), np.nan)
-    cover = np.full((len(rep_indices), len(methods), spec.k), np.nan)
+def _run_replicates(rep_indices, draw, est_cfgs, k: int, methods=(), target=None, phi2=None,
+                    alpha=None, r=None, seed=None, truth=None) -> tuple:
+    """Every batch's replicate loop: `evaluate_replicate` on the context
+    `draw(rep, failures)` makes, unless it appends (name, exception) and
+    returns None. The (est, cover, width) rows are NaN where a replicate,
+    an estimator or an interval failed; failures are (rep, name, message)."""
+    est = np.full((len(rep_indices), len(est_cfgs), k), np.nan)
+    cover = np.full((len(rep_indices), len(methods), k), np.nan)
     width = cover.copy()
     failures = []
-    mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
-    dc, design_cache = None, {}
-    design = scenario_design(spec, seed) if shares_design(spec) else None
-    for row, rep in enumerate(rep_indices):
-        ds = generate_scenario(spec, seed, rep, design)
-        if dc is None:  # the cell counts, so the design counts, are fixed
-            dc = compute_design_counts(ds, spec.prevalences)
-        ctx = _ReplicateContext(ds, dc, mu_true, design_cache)
-        est[row], ivs, fails = evaluate_replicate(ctx, rep, est_cfgs, methods, interval_cfg,
-                                                  spec.phi2, alpha, bootstrap_r, seed)
+    for row, rep in enumerate(map(int, rep_indices)):
+        fails: list = []
+        ctx = draw(rep, fails)
+        if ctx is not None:
+            est[row], ivs, evaluated = evaluate_replicate(ctx, rep, est_cfgs, methods, target,
+                                                          phi2, alpha, r, seed)
+            fails += evaluated
+            for i, iv in enumerate(ivs):
+                if iv is not None:
+                    cover[row, i], width[row, i] = iv.covers(truth), iv.width
         failures += [(rep, name, str(exc)) for name, exc in fails]
-        for i, iv in enumerate(ivs):
-            if iv is not None:
-                cover[row, i], width[row, i] = iv.covers(truth), iv.width
     return est, cover, width, failures
 
 
-def _run_batches(batch_fn, common_args, reps: int, workers: int) -> tuple:
+def _scenario_batch(rep_indices, *, spec, est_cfgs, methods, alpha, bootstrap_r, seed, truth,
+                    interval_cfg) -> tuple:
+    """`simulate`'s replicates `rep_indices`, whose design counts are fixed;
+    where `spec` `shares_design`, they draw only their outcomes."""
+    design = scenario_design(spec, seed)
+    dc = compute_design_counts(design.dataset, spec.prevalences)
+    shared = design if shares_design(spec) else None
+    mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
+    design_cache: dict = {}
+
+    def draw(rep, failures):
+        return _ReplicateContext(generate_scenario(spec, seed, rep, shared), dc, mu_true,
+                                 design_cache)
+    return _run_replicates(rep_indices, draw, est_cfgs, spec.k, methods, interval_cfg,
+                           spec.phi2, alpha, bootstrap_r, seed, truth)
+
+
+def _run_batches(batch_fn, reps: int, workers: int) -> tuple:
     """`batch_fn` over replicates 0..reps-1, in one batch or in chunks on
     `workers` processes: the (est, cover, width) arrays stacked in
     replicate order, and the failures sorted by replicate and name."""
     indices = np.arange(reps)
     if workers <= 1:
-        results = [batch_fn((*common_args, indices))]
+        results = [batch_fn(indices)]
     else:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = np.array_split(indices, min(workers * 4, reps))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(batch_fn, (*common_args, chunk)) for chunk in chunks]
+            futures = [pool.submit(batch_fn, chunk) for chunk in chunks]
             results = [fut.result() for fut in futures]
     stacked = (np.concatenate([r[i] for r in results]) for i in range(3))
     failures = sorted((f for r in results for f in r[3]), key=lambda f: (f[0], f[1]))
@@ -844,9 +864,10 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
                                              interval_estimator, bootstrap_r)
     check_fixed_sigmas(est_cfgs, spec.k)
     truth = true_effects(spec, seed)
-    common = (spec, est_cfgs, tuple(intervals), alpha, bootstrap_r, seed, truth,
-              interval_cfg)
-    est, cover, width, failures = _run_batches(_scenario_batch, common, reps, workers)
+    batch = partial(_scenario_batch, spec=spec, est_cfgs=est_cfgs, methods=tuple(intervals),
+                    alpha=alpha, bootstrap_r=bootstrap_r, seed=seed, truth=truth,
+                    interval_cfg=interval_cfg)
+    est, cover, width, failures = _run_batches(batch, reps, workers)
     source = "user_supplied" if spec.prevalences is not None else "rct_empirical"
     return _aggregate(spec.name, reps, seed, truth, [c.name for c in est_cfgs], est,
                       tuple(intervals), cover, width, failures, source, keep_replicates)
@@ -890,23 +911,10 @@ def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
     return y
 
 
-@dataclass(frozen=True)
-class ResamplePools:
-    """Source pools for in-silico trials: the actual trial control records
-    and the external dataset."""
-
-    y_ctrl: np.ndarray
-    w_ctrl: np.ndarray
-    x_ctrl: np.ndarray
-    y_ec: np.ndarray
-    w_ec: np.ndarray
-    x_ec: np.ndarray
-    k: int
-    labels: tuple[str, ...]
-
-
 def load_resample_pools(trial_csv: str, ec_csv: str, schema: CsvSchema,
-                        subgroup_levels=None) -> ResamplePools:
+                        subgroup_levels=None) -> CombinedDataset:
+    """The source pools of in-silico trials: the trial's control records,
+    as the RCT rows, and the external records."""
     ds = load_dataset(trial_csv, ec_csv, schema, outcome_family=BINARY,
                       subgroup_levels=subgroup_levels)
     ctrl = ds.t_rct == 0
@@ -918,9 +926,10 @@ def load_resample_pools(trial_csv: str, ec_csv: str, schema: CsvSchema,
                if not ((ds.w_rct[ctrl] == j).any() and (ds.w_ec == j).any())]
     if missing:
         raise PoolTooSmall(f"subgroups {missing} missing from a source pool")
-    return ResamplePools(
-        y_ctrl=ds.y_rct[ctrl], w_ctrl=ds.w_rct[ctrl], x_ctrl=ds.x_rct[ctrl],
-        y_ec=ds.y_ec, w_ec=ds.w_ec, x_ec=ds.x_ec, k=ds.k, labels=ds.subgroup_labels)
+    return CombinedDataset.from_arrays(
+        y_rct=ds.y_rct[ctrl], t_rct=ds.t_rct[ctrl], w_rct=ds.w_rct[ctrl], y_ec=ds.y_ec,
+        w_ec=ds.w_ec, k=ds.k, x_rct=ds.x_rct[ctrl], x_ec=ds.x_ec, outcome_family=BINARY,
+        subgroup_labels=ds.subgroup_labels)
 
 
 DEFAULT_RESAMPLE_ESTIMATORS = (
@@ -932,47 +941,39 @@ DEFAULT_RESAMPLE_ESTIMATORS = (
 )
 
 
-def _resample_batch(args) -> tuple:
-    (pools, est_cfgs, n_control, n_experimental, n_ec, seed, spike_amounts,
-     fixed_pi, rep_indices) = args
-    k = pools.k
-    est = np.full((len(rep_indices), len(est_cfgs), k), np.nan)
-    failures = []
-    d = pools.x_ctrl.shape[1]
-    for row, rep in enumerate(rep_indices):
+def _resample_batch(rep_indices, *, pools, est_cfgs, n_control, n_experimental, n_ec, seed,
+                    spike_amounts, fixed_pi) -> tuple:
+    """`resample`'s replicates `rep_indices`: both trial arms drawn from the
+    control pool, the experimental one spiked unless `spike_amounts` is
+    None, and the external controls from the external pool."""
+    t_r = np.repeat(np.array([1, 0], dtype=np.int64), (n_experimental, n_control))
+
+    def draw(rep, failures):
         rng = stream(seed, rep, ROLE_RESAMPLE)
-        i_ctrl = rng.integers(0, len(pools.y_ctrl), n_control)
-        i_exp = rng.integers(0, len(pools.y_ctrl), n_experimental)
-        i_ec = rng.integers(0, len(pools.y_ec), n_ec)
-        y_exp, w_exp = pools.y_ctrl[i_exp], pools.w_ctrl[i_exp]
+        i_ctrl = rng.integers(0, pools.n_rct, n_control)
+        i_exp = rng.integers(0, pools.n_rct, n_experimental)
+        i_ec = rng.integers(0, pools.n_ec, n_ec)
+        i_r = np.concatenate([i_exp, i_ctrl])
+        y_r = pools.y_rct[i_r]
         if spike_amounts is not None:
             try:
-                y_exp = spike_effect(y_exp, w_exp, k, spike_amounts,
-                                     stream(seed, rep, ROLE_SPIKE))
+                y_r[:n_experimental] = spike_effect(y_r[:n_experimental], pools.w_rct[i_exp],
+                                                    pools.k, spike_amounts,
+                                                    stream(seed, rep, ROLE_SPIKE))
             except InvalidEffect as exc:
-                failures.append((rep, "spike", str(exc)))
-                continue
-        y_r = np.concatenate([y_exp, pools.y_ctrl[i_ctrl]])
-        w_r = np.concatenate([w_exp, pools.w_ctrl[i_ctrl]])
-        t_r = np.concatenate([np.ones(n_experimental, dtype=np.int64),
-                              np.zeros(n_control, dtype=np.int64)])
-        x_r = np.concatenate([pools.x_ctrl[i_exp], pools.x_ctrl[i_ctrl]]) if d else None
-        x_e = pools.x_ec[i_ec] if d else None
+                failures.append(("spike", exc))
+                return None
         try:
             ds = CombinedDataset.from_arrays(
-                y_rct=y_r, t_rct=t_r, w_rct=w_r, y_ec=pools.y_ec[i_ec],
-                w_ec=pools.w_ec[i_ec], k=k, x_rct=x_r, x_ec=x_e,
-                outcome_family=BINARY, subgroup_labels=pools.labels)
-            dc = compute_design_counts(ds, fixed_pi)
+                y_rct=y_r, t_rct=t_r, w_rct=pools.w_rct[i_r], y_ec=pools.y_ec[i_ec],
+                w_ec=pools.w_ec[i_ec], k=pools.k, x_rct=pools.x_rct[i_r],
+                x_ec=pools.x_ec[i_ec], outcome_family=BINARY,
+                subgroup_labels=pools.subgroup_labels)
+            return _ReplicateContext(ds, compute_design_counts(ds, fixed_pi))
         except (DataError, NumericalError) as exc:
-            failures.append((rep, "design", str(exc)))
-            continue
-        est[row], _, fails = evaluate_replicate(
-            _ReplicateContext(ds, dc), rep, est_cfgs, methods=(), target=None, phi2=None,
-            alpha=None, r=None, seed=seed)
-        failures += [(rep, name, str(exc)) for name, exc in fails]
-    empty = np.zeros((len(rep_indices), 0, k))
-    return est, empty, empty, failures
+            failures.append(("design", exc))
+            return None
+    return _run_replicates(rep_indices, draw, est_cfgs, pools.k)
 
 
 def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
@@ -994,17 +995,15 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     pools = load_resample_pools(trial_csv, ec_csv, schema or CsvSchema())
     check_fixed_sigmas(est_cfgs, pools.k)
     spike_amounts = None if spike is None else _spike_amounts(spike, pools.k)
-    fixed_pi = None
-    if prevalence_mode == "pool":
-        counts = np.bincount(pools.w_ctrl, minlength=pools.k).astype(float)
-        fixed_pi = tuple(counts / counts.sum())
-    common = (pools, est_cfgs, n_control, n_experimental, n_ec, seed,
-              spike_amounts, fixed_pi)
-    est, cover, width, failures = _run_batches(_resample_batch, common, reps, workers)
+    # every replicate takes the control pool's subgroup shares as its prevalences
+    fixed_pi = compute_design_counts(pools).pi if prevalence_mode == "pool" else None
+    batch = partial(_resample_batch, pools=pools, est_cfgs=est_cfgs, n_control=n_control,
+                    n_experimental=n_experimental, n_ec=n_ec, seed=seed,
+                    spike_amounts=spike_amounts, fixed_pi=fixed_pi)
+    est, cover, width, failures = _run_batches(batch, reps, workers)
+    source = "pool" if fixed_pi is not None else "replicate_empirical"
     report = _aggregate("resample", reps, seed, np.zeros(pools.k), [c.name for c in est_cfgs],
-                        est, (), cover, width, failures,
-                        "pool" if fixed_pi is not None else "replicate_empirical",
-                        keep_replicates)
+                        est, (), cover, width, failures, source, keep_replicates)
     report.extra.update(n_control=n_control, n_experimental=n_experimental,
-                        n_ec=n_ec, subgroup_labels=list(pools.labels))
+                        n_ec=n_ec, subgroup_labels=list(pools.subgroup_labels))
     return report

@@ -483,6 +483,16 @@ def dense_limit_map(ds, anchor, ec_weights):
     return theta
 
 
+def with_ec_weights(spec, ec_weights):
+    """`spec` with its EC rows weighted by `ec_weights`, or `spec` itself
+    when they are None."""
+    if ec_weights is None:
+        return spec
+    weights = spec.weights.copy()
+    weights[spec.ec_rows] = ec_weights
+    return dataclasses.replace(spec, weights=weights)
+
+
 @settings(max_examples=25, deadline=None)
 @given(trials())
 def test_limit_map_matches_dense_oracle(trial):
@@ -491,7 +501,7 @@ def test_limit_map_matches_dense_oracle(trial):
         anchor = _pooled_logistic_fit(ds, None, rct_only=True)
     except NumericalError:
         assume(False)
-    spec = build_limit_map_spec(ds, ec_weights, anchor=anchor)
+    spec = with_ec_weights(build_limit_map_spec(ds, anchor=anchor), ec_weights)
     oracle = dense_limit_map(ds, anchor.coefficients, ec_weights)
     rng = np.random.default_rng(ds.n_rct)
     for delta in (np.zeros(ds.k), rng.normal(0, 0.5, ds.k)):
@@ -532,7 +542,7 @@ def irls_fd_b(spec, step=FD_STEP):
 def trial_spec(trial):
     ds, ec_weights = trial
     try:
-        return build_limit_map_spec(ds, ec_weights)
+        return with_ec_weights(build_limit_map_spec(ds), ec_weights)
     except NumericalError:
         assume(False)
 
@@ -600,7 +610,8 @@ def test_ipw_map_shares_the_layout_and_matches_a_fresh_one(trial):
         assume(False)
     for name in ("design", "sigmoid", "grad", "copies"):
         assert getattr(ipw, name) is getattr(pooled, name), name
-    fresh = build_limit_map_spec(ds, ctx.ipw_weights(), ctx.dc.pi, ctx.trial_logistic_fit())
+    fresh = with_ec_weights(build_limit_map_spec(ds, ctx.dc.pi, ctx.trial_logistic_fit()),
+                            ctx.ipw_weights())
     np.testing.assert_array_equal(ipw.weights, fresh.weights)
     got = outcome(lambda: HARMONIZE._fd_sensitivity(ipw, FD_STEP))
     want = outcome(lambda: HARMONIZE._fd_sensitivity(fresh, FD_STEP))

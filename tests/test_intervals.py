@@ -166,6 +166,16 @@ class TestBootstrap:
             _bootstrap(ds, r=100, seed=2, params=params)
         assert err.value.replicate == 0
 
+    def test_replicate_failure_survives_pickling(self):
+        # what a worker process raises reaches the main process pickled
+        import pickle
+
+        from subharm.errors import ReplicateFailure
+
+        back = pickle.loads(pickle.dumps(ReplicateFailure(3, "non-finite bootstrap estimate")))
+        assert type(back) is ReplicateFailure and back.replicate == 3
+        assert str(back) == "bootstrap draw 3: non-finite bootstrap estimate"
+
     def test_fewer_than_100_draws_is_a_config_error(self):
         ds = balanced_dataset(k=2, n_t=4, n_c=4, n_e=6, seed=15)
         with pytest.raises(ConfigError, match="bootstrap_r >= 100"):

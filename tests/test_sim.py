@@ -20,6 +20,9 @@ from subharm import (
 from subharm.errors import InvalidEffect, InvalidSpec, PoolTooSmall
 from subharm.rng import stream
 
+# a NaN or an overflow warning in the replicate loop fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestPresets:
     def test_all_presets_load(self):
@@ -672,9 +675,12 @@ class TestTrialFitPerReplicate:
         ds = generate_scenario(load_preset("fig5"), 4)
         ctx = _ReplicateContext(ds, compute_design_counts(ds))
         fit = ctx.trial_logistic_fit()
-        for initial, weights in (("logistic_pooled", None),
-                                 ("logistic_ipw", ctx.ipw_weights())):
-            own = build_limit_map_spec(ds, weights, ctx.dc.pi, fit)
+        for initial in ("logistic_pooled", "logistic_ipw"):
+            own = build_limit_map_spec(ds, ctx.dc.pi, fit)
+            if initial == "logistic_ipw":
+                weights = own.weights.copy()
+                weights[own.ec_rows] = ctx.ipw_weights()
+                own = replace(own, weights=weights)
             shared = ctx.limit_map_spec(initial)
             assert shared.design is ctx.limit_map_spec("logistic_pooled").design
             assert np.array_equal(shared.weights, own.weights)
@@ -802,6 +808,40 @@ class TestResampling:
         gap = (spiked.estimator_stats["logistic_rct"]["bias"]
                - base.estimator_stats["logistic_rct"]["bias"])
         assert np.all(gap > 0.04)
+
+    # 13 trial patients in 4 subgroups: some replicates draw a subgroup
+    # without RCT patients, which has no design counts, and some one
+    # without a treated patient, which the estimator cannot estimate
+    SMALL = dict(n_control=5, n_experimental=8, n_ec=60, reps=30, seed=1,
+                 estimators=["diff_means_pooled"])
+
+    def test_undrawable_design_is_a_failed_replicate(self, standin_csvs, tmp_path):
+        from subharm.cli import main
+
+        trial, ec, schema = standin_csvs
+        rep = run_resampling(trial, ec, schema=schema, **self.SMALL)
+        assert (1, "design", "subgroup 2 has no RCT patients") in rep.failures
+        assert {name for _, name, _ in rep.failures} == {"design", "diff_means_pooled"}
+        design = sorted(r for r, name, _ in rep.failures if name == "design")
+        assert np.isnan(rep.replicate_estimates["diff_means_pooled"][design]).all()
+        failed = {r for r, _, _ in rep.failures}
+        assert rep.estimator_stats["diff_means_pooled"]["n_used"] == 30 - len(failed)
+        reports = []
+        for workers in (1, 2):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps(dict(self.SMALL, trial_csv=trial, ec_csv=ec,
+                                              schema={"covariates": list(schema.covariates)},
+                                              workers=workers)))
+            assert main(["resample", "--config", str(config),
+                         "--out-dir", str(tmp_path / str(workers))]) == 0
+            reports.append((tmp_path / str(workers) / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_name_their_replicate_by_a_python_int(self, standin_csvs, workers):
+        trial, ec, schema = standin_csvs
+        rep = run_resampling(trial, ec, schema=schema, workers=workers, **self.SMALL)
+        assert rep.failures and all(type(r) is int for r, _, _ in rep.failures)
 
     def test_pool_too_small(self, tmp_path, standin_csvs):
         trial, ec, schema = standin_csvs
