@@ -137,7 +137,8 @@ def _whole(key: str, value) -> int:
 def _settings(command: str, cfg: dict) -> dict:
     """`cfg` merged over the command's defaults. Unknown and missing keys,
     list keys beside an explicit `estimators`, a `LIST_VALUED` key that is
-    not a list, a `scenario` that is not an object, a key with a
+    not a list (a null only stands for a null default or the default
+    estimators), a `scenario` that is not an object, a key with a
     whole-number default given anything but a non-negative whole number,
     and an `alpha` outside (0, 1) are config errors. A JSON boolean is no
     whole number, and as an `alpha` it reads as 1 or 0, outside the range."""
@@ -153,8 +154,9 @@ def _settings(command: str, cfg: dict) -> dict:
         raise ConfigError(f"{clash} only build the default estimator list; "
                           "give them in the 'estimators' entries instead")
     s = {**table, **cfg}
-    for key in LIST_VALUED:
-        if s.get(key) is not None and not isinstance(s[key], list):
+    for key in (key for key in LIST_VALUED if key in table):
+        nullable = key == "estimators" or table[key] is None
+        if not (isinstance(s[key], list) or (s[key] is None and nullable)):
             raise ConfigError(f"{key} must be a list, got {s[key]!r}")
     if s.get("scenario") is not None and not isinstance(s["scenario"], dict):
         raise ConfigError(f"scenario must be an object, got {s['scenario']!r}")
@@ -196,7 +198,7 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, default=_json_default)
         fh.write("\n")
-    if write_replicates and report.replicate_estimates:
+    if write_replicates:
         rrows = [[rep, name, k + 1, est[k]]
                  for name, arr in report.replicate_estimates.items()
                  for rep, est in enumerate(arr) if np.isfinite(est).all()
@@ -301,7 +303,14 @@ def cmd_simulate(cfg: dict) -> int:
         continuous = spec.outcome_family == CONTINUOUS
         pooled = "diff_means_pooled" if continuous else "logistic_pooled"
         rct = "diff_means_rct" if continuous else "logistic_rct"
-        lambdas = s["harmonized_lambdas"] if s["lambda"] is None else [s["lambda"]]
+        lambdas = [s["lambda"]]
+        if s["lambda"] is None:
+            lambdas = s["harmonized_lambdas"]
+            try:
+                for lam in lambdas:
+                    parse_lambda(lam)
+            except ConfigError as exc:  # name the key that gave the bad entry
+                raise ConfigError(f"harmonized_lambdas: {exc}") from None
         s["estimators"] = [pooled, rct] + (["oracle"] if continuous else []) + [
             {"kind": "harmonized", "initial": pooled, "overall": "diff_means",
              "lambda": lam, "sigma_mode": s["sigma_mode"]}

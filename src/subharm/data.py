@@ -21,7 +21,7 @@ import csv
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -350,7 +350,10 @@ class DesignCounts:
     `counts[k, t, s]` holds the count for 0-based subgroup k, arm t, and
     study s (0 = RCT, 1 = EC). `q_ratio[k]` is the external fraction of
     control patients in subgroup k, `q_bar` its prevalence-weighted mean,
-    and `q` the overall external fraction of controls.
+    and `q` the overall external fraction of controls. `cache` keeps what
+    is computed from these counts and prevalences alone, for every
+    replicate context built on them; `dataclasses.replace` starts an empty
+    one.
     """
 
     counts: np.ndarray
@@ -359,6 +362,7 @@ class DesignCounts:
     q_bar: float
     q: float
     prevalence_source: str = "rct_empirical"
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.counts.setflags(write=False)

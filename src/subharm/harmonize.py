@@ -30,6 +30,7 @@ bd, vd) stands for is decided by the caller; `simulate`, `resample` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +68,16 @@ FULL = float("inf")
 def parse_lambda(value) -> float:
     """Accept a non-negative number (or numeric string) or the literal
     "full" for infinity. A boolean, which float() reads as 1 or 0, is
-    neither."""
-    if isinstance(value, bool):
-        raise ConfigError(f"lambda must be a non-negative number or 'full', got {value!r}")
-    if isinstance(value, str):
-        if value.strip().lower() == "full":
-            return FULL
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"lambda must be a non-negative number or 'full', got {value!r}"
-            ) from None
-    lam = float(value)
+    neither, and nor is a null, a list or an object."""
+    invalid = ConfigError(f"lambda must be a non-negative number or 'full', got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise invalid
+    if isinstance(value, str) and value.strip().lower() == "full":
+        return FULL
+    try:
+        lam = float(value)
+    except (ValueError, OverflowError):  # not a number, or an integer beyond any float
+        raise invalid from None
     if math.isnan(lam) or lam < 0:
         raise ConfigError(f"lambda must be non-negative, got {value!r}")
     return lam

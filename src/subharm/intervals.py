@@ -1,7 +1,9 @@
 """Interval estimation for harmonized subgroup effects: analytic normal
 intervals, cut-distribution intervals, parametric-bootstrap intervals, and
 the trial-only comparator interval, behind one dispatcher that `simulate`
-and `estimate` share.
+and `estimate` share. The dispatcher, `interval`, reads a replicate's
+dataset, design counts, harmonized estimate and analytic covariance from
+its replicate context, `sim._ReplicateContext`.
 
 The dispatcher's cut interval is the flat-prior cut in closed form
 (`bayes.flat_cut`), per subgroup. The bootstrap's cell-mean draws are
@@ -31,7 +33,6 @@ from .errors import (
     ReplicateFailure,
 )
 from .estimators import EffectEstimate, _first_subgroup, _pooled_cell_variance
-from .harmonize import _bias_variance
 from .harmonize import harmonize  # noqa: F401  (a binding that call tracers patch and check)
 from .rng import (
     ROLE_BOOT_CONTROL,
@@ -264,19 +265,17 @@ def check_interval_methods(methods, target, outcome_family: str) -> None:
                 f"{target.name!r} is {got} on {outcome_family} outcomes")
 
 
-def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
-             phi2: float | None = None, target=None, r: int = BOOTSTRAP_R, seed: int = 0,
-             replicate: int = 0, variance=None) -> IntervalSet:
-    """One interval of a method accepted by `check_interval_methods`.
-
-    `target()` returns the harmonized estimate the interval is centred on
-    and the shift vector u that made it; `phi2` is the outcome variance of
-    the analytic and cut intervals, which raise `InsufficientData` unless it
-    is positive and finite; `r`, `seed` and `replicate` drive the bootstrap
-    draws. `variance()`, when given, returns the analytic interval's
-    covariance of the target at `phi2`, which a caller may keep across
-    calls that share u; else it is computed from u.
-    """
+def interval(method: str, ctx, target, alpha: float, phi2: float | None = None,
+             r: int = BOOTSTRAP_R, seed: int = 0, replicate: int = 0) -> IntervalSet:
+    """One interval of a method accepted by `check_interval_methods`, on the
+    replicate that `ctx` (a `sim._ReplicateContext`) holds. The analytic and
+    bootstrap intervals are centred on `ctx.harmonized(target)`, the estimate
+    of the estimator configuration `target`, and the analytic one reads its
+    covariance from `ctx.analytic_variance`. `phi2` is the outcome variance
+    of the analytic and cut intervals, which raise `InsufficientData` unless
+    it is positive and finite; `r`, `seed` and `replicate` drive the
+    bootstrap draws."""
+    ds, dc = ctx.ds, ctx.dc
     if method == "rct_only":
         return rct_only_interval(ds, alpha)
     if method in ("analytic", "cut") and not (phi2 is not None and 0 < phi2 < math.inf):
@@ -285,10 +284,9 @@ def interval(method: str, ds: CombinedDataset, dc: DesignCounts, alpha: float,
     if method == "cut":
         return cut_interval(flat_cut(ds, phi2, dc.pi), alpha)
     if method == "analytic":
-        point, u = target()
-        var = _bias_variance(dc, np.zeros(dc.k), u, phi2)[1] if variance is None else variance()
-        return analytic_interval(point, var, alpha)
+        point = ctx.harmonized(target)[0]
+        return analytic_interval(point, ctx.analytic_variance(target, phi2), alpha)
     if method == "bootstrap":
-        point, u = target()
+        point, u = ctx.harmonized(target)
         return bootstrap_interval(ds, dc, point, u, r, alpha, seed, replicate=replicate)
     raise ConfigError(f"unknown interval method {method!r}")

@@ -8,7 +8,9 @@ computes the estimates and intervals of a drawn replicate, or of one
 `estimate` call, and is where their failures are caught. A failed estimate
 or interval is recorded with its reason and left out of the aggregates,
 whose reports count what was left out; `estimate` raises the first failure
-and writes nothing.
+and writes nothing. Every report carries each replicate's estimates.
+Estimators and intervals read a replicate through one handle, its
+`_ReplicateContext`.
 
 Replicates draw from counter-based streams keyed by (seed, replicate,
 role), so reports are deterministic for a fixed seed regardless of the
@@ -20,8 +22,9 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -138,6 +141,10 @@ class ScenarioSpec:
     version: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise InvalidSpec(f"name must be a non-empty string, got {self.name!r}")
+        if not (_is_integer(self.version) and self.version >= 1):
+            raise InvalidSpec(f"version must be a positive whole number, got {self.version!r}")
         k = self.k
         if not _is_integer(k) or k < 1:
             raise InvalidSpec(f"k must be a positive integer, got {k!r}")
@@ -199,21 +206,6 @@ class ScenarioSpec:
         return cls(**kw)
 
 
-@lru_cache(maxsize=16)
-def _layout(n_treated: tuple[int, ...], n_control: tuple[int, ...],
-            n_ec: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (w_rct, t_rct, w_ec) columns of a design with these cell counts:
-    each subgroup's treated rows, then its control rows, and its EC rows in
-    subgroup order. Every dataset with these counts shares them;
-    `CombinedDataset.from_arrays` makes them read-only."""
-    k = len(n_treated)
-    w_r = np.repeat(np.arange(k), np.add(n_treated, n_control))
-    t_r = np.concatenate([np.repeat(np.array([1, 0], dtype=np.int64), cells)
-                          for cells in zip(n_treated, n_control)])
-    w_e = np.repeat(np.arange(k), n_ec)
-    return w_r, t_r, w_e
-
-
 def shares_design(spec: ScenarioSpec) -> bool:
     """Whether every replicate of `spec` at one seed has the same design:
     its covariates are frozen, or it has none."""
@@ -237,8 +229,13 @@ class ScenarioDesign:
 
 def scenario_design(spec: ScenarioSpec, seed: int, replicate: int = 0) -> ScenarioDesign:
     """Draw the covariates of one replicate, unless they are frozen, and
-    lay out its design. The columns are validated here, once per design."""
-    w_r, t_r, w_e = _layout(*map(tuple, (spec.n_rct_treated, spec.n_rct_control, spec.n_ec)))
+    lay out its design: each subgroup's treated rows, then its control
+    rows, and the EC rows in subgroup order. The columns are validated
+    here, once per design."""
+    w_r = np.repeat(np.arange(spec.k), np.add(spec.n_rct_treated, spec.n_rct_control))
+    t_r = np.concatenate([np.repeat(np.array([1, 0], dtype=np.int64), cells)
+                          for cells in zip(spec.n_rct_treated, spec.n_rct_control)])
+    w_e = np.repeat(np.arange(spec.k), spec.n_ec)
     d = spec.n_covariates
     cov_rng = stream(seed, 0 if spec.fixed_covariates else replicate, ROLE_COVARIATE)
     x_r = cov_rng.normal(spec.x_mean_rct, spec.x_sd_rct, size=(len(w_r), d)) if d else None
@@ -410,30 +407,29 @@ def _design_only_shift(mode: str, source) -> bool:
 
 
 class _ReplicateContext:
-    """Caches shared fits within one replicate or `estimate` call, and
-    resolves each harmonized estimator to its shift vector u and mode
-    (`shift`), which its estimate and the intervals centred on it share.
+    """The one handle on a replicate, or an `estimate` call: its dataset
+    `ds`, design counts `dc` and the fits made from them, each cached on
+    first use. It resolves each harmonized estimator to its shift vector u
+    and mode (`shift`), which its estimate and the intervals centred on it
+    share.
 
-    What depends on the design counts alone goes to `design_cache`, which
-    a `simulate` batch shares among its replicates, whose counts and
-    prevalences are the same: `DESIGN_ONLY_BD`'s bias direction, each
-    checked fixed (or identity) matrix, and the analytic interval's
-    covariance along a u made from them. Where the batch's covariates are
-    frozen or absent, its replicates' datasets also share one design
-    (`generate_scenario`), so the cell sort, the subgroup grouping and the
-    limit map's layout are built once per batch too.
+    What depends on the design counts alone is kept in `dc.cache`, which
+    the contexts of a `simulate` batch share with its `dc`:
+    `DESIGN_ONLY_BD`'s bias direction, each checked fixed (or identity)
+    matrix, and the analytic interval's covariance along a u made from
+    them. Where the batch's covariates are frozen or absent, its datasets
+    also share one design (`generate_scenario`), so the cell sort, the
+    subgroup grouping and the limit map's layout are built once per batch.
     """
 
-    def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None,
-                 design_cache: dict | None = None):
+    def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None):
         self.ds = ds
         self.dc = dc
         self.mu_true = mu_true
         self._cache: dict = {}
-        self._design_cache = {} if design_cache is None else design_cache
 
     def _cached(self, key, build, design_only: bool = False):
-        cache = self._design_cache if design_only else self._cache
+        cache = self.dc.cache if design_only else self._cache
         if key not in cache:
             cache[key] = build()
         return cache[key]
@@ -627,7 +623,7 @@ class MonteCarloReport:
     interval_stats: dict[str, dict]
     failures: list[tuple[int, str, str]]
     prevalence_source: str
-    replicate_estimates: dict[str, np.ndarray] | None = None
+    replicate_estimates: dict[str, np.ndarray]
     extra: dict = field(default_factory=dict)
 
     def to_long_rows(self) -> list[dict]:
@@ -674,7 +670,7 @@ def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
                names: Sequence[str], est: np.ndarray,
                interval_methods: Sequence[str], cover: np.ndarray,
                width: np.ndarray, failures: list,
-               prevalence_source: str, keep_replicates: bool) -> MonteCarloReport:
+               prevalence_source: str) -> MonteCarloReport:
     est_stats = {}
     for i, name in enumerate(names):
         vals = est[:, i, :]
@@ -703,21 +699,20 @@ def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
             mc_se_coverage=np.sqrt(p * (1 - p) / n),
             mc_se_width=wd.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(p),
             n_used=n, n_failed=int(reps - n))
-    rep_est = ({name: est[:, i, :].copy() for i, name in enumerate(names)}
-               if keep_replicates else None)
     return MonteCarloReport(scenario=scenario, reps=reps, seed=seed, truth=truth,
                             estimator_stats=est_stats, interval_stats=int_stats,
                             failures=failures, prevalence_source=prevalence_source,
-                            replicate_estimates=rep_est)
+                            replicate_estimates={name: est[:, i, :]
+                                                 for i, name in enumerate(names)})
 
 
 # --- Monte-Carlo driver ----------------------------------------------------------
 
-def _attempt(failures: list, name: str, compute, failed):
-    """`compute()`, or `failed` once (name, exception) is appended to
-    `failures` when it raises a NumericalError or DataError."""
+def _attempt(failures: list, name: str, failed, compute, *args, **kwargs):
+    """`compute(*args, **kwargs)`, or `failed` once (name, exception) is
+    appended to `failures` when it raises a NumericalError or DataError."""
     try:
-        return compute()
+        return compute(*args, **kwargs)
     except (NumericalError, DataError) as exc:
         failures.append((name, exc))
         return failed
@@ -725,13 +720,8 @@ def _attempt(failures: list, name: str, compute, failed):
 
 def _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep, failures) -> list:
     """One `IntervalSet` per method, None where it failed."""
-    harmonized = variance = None
-    if target is not None:
-        harmonized = partial(ctx.harmonized, target)
-        variance = partial(ctx.analytic_variance, target, phi2)
-    return [_attempt(failures, f"interval:{method}", partial(
-        interval, method, ctx.ds, ctx.dc, alpha, phi2=phi2, target=harmonized,
-        r=r, seed=seed, replicate=rep, variance=variance), None) for method in methods]
+    return [_attempt(failures, f"interval:{method}", None, interval, method, ctx, target,
+                     alpha, phi2=phi2, r=r, seed=seed, replicate=rep) for method in methods]
 
 
 def evaluate_replicate(ctx, rep, est_cfgs, methods, target, phi2, alpha, r, seed) -> tuple:
@@ -741,10 +731,8 @@ def evaluate_replicate(ctx, rep, est_cfgs, methods, target, phi2, alpha, r, seed
     or DataError as (name, exception), estimators in list order first."""
     failures: list = []
     nan = np.full(ctx.ds.k, np.nan)
-    est = np.array([_attempt(failures, cfg.name, partial(ctx.evaluate, cfg), nan)
-                    for cfg in est_cfgs])
-    ivs = _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep,
-                         failures) if methods else []
+    est = np.array([_attempt(failures, cfg.name, nan, ctx.evaluate, cfg) for cfg in est_cfgs])
+    ivs = _interval_rows(ctx, target, methods, phi2, alpha, r, seed, rep, failures)
     return est, ivs, failures
 
 
@@ -780,20 +768,23 @@ def _scenario_batch(rep_indices, *, spec, est_cfgs, methods, alpha, bootstrap_r,
     dc = compute_design_counts(design.dataset, spec.prevalences)
     shared = design if shares_design(spec) else None
     mu_true = np.asarray(spec.mu) if spec.outcome_family == CONTINUOUS else None
-    design_cache: dict = {}
 
     def draw(rep, failures):
-        return _ReplicateContext(generate_scenario(spec, seed, rep, shared), dc, mu_true,
-                                 design_cache)
+        return _ReplicateContext(generate_scenario(spec, seed, rep, shared), dc, mu_true)
     return _run_replicates(rep_indices, draw, est_cfgs, spec.k, methods, interval_cfg,
                            spec.phi2, alpha, bootstrap_r, seed, truth)
 
 
 def _run_batches(batch_fn, reps: int, workers: int) -> tuple:
     """`batch_fn` over replicates 0..reps-1, in one batch or in chunks on
-    `workers` processes: the (est, cover, width) arrays stacked in
-    replicate order, and the failures sorted by replicate and name."""
+    worker processes: the (est, cover, width) arrays stacked in replicate
+    order, and the failures sorted by replicate and name. A pool starts
+    all its processes at once, so `workers` only caps their count, which
+    exceeds neither the replicates nor the CPUs this process may use."""
     indices = np.arange(reps)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, reps, cpus)
     if workers <= 1:
         results = [batch_fn(indices)]
     else:
@@ -854,7 +845,6 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
 def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: int,
                     intervals: Sequence[str] = (), alpha: float = 0.05,
                     bootstrap_r: int = 500, workers: int = 1,
-                    keep_replicates: bool = False,
                     interval_estimator: str | None = None) -> MonteCarloReport:
     """Replicate the scenario and aggregate estimator and interval
     operating characteristics against the true subgroup effects."""
@@ -870,7 +860,7 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     est, cover, width, failures = _run_batches(batch, reps, workers)
     source = "user_supplied" if spec.prevalences is not None else "rct_empirical"
     return _aggregate(spec.name, reps, seed, truth, [c.name for c in est_cfgs], est,
-                      tuple(intervals), cover, width, failures, source, keep_replicates)
+                      tuple(intervals), cover, width, failures, source)
 
 
 # --- pool resampling --------------------------------------------------------------
@@ -981,8 +971,7 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
                    reps: int = 1000, estimators: Sequence | None = None,
                    seed: int = 0, schema: CsvSchema | None = None,
                    workers: int = 1, spike=None,
-                   prevalence_mode: str = "replicate",
-                   keep_replicates: bool = True) -> MonteCarloReport:
+                   prevalence_mode: str = "replicate") -> MonteCarloReport:
     """Generate in-silico trials by resampling both trial arms from the
     actual control pool (so true effects are zero) and external controls
     from the external pool, then compare estimators across replicates."""
@@ -1003,7 +992,7 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     est, cover, width, failures = _run_batches(batch, reps, workers)
     source = "pool" if fixed_pi is not None else "replicate_empirical"
     report = _aggregate("resample", reps, seed, np.zeros(pools.k), [c.name for c in est_cfgs],
-                        est, (), cover, width, failures, source, keep_replicates)
+                        est, (), cover, width, failures, source)
     report.extra.update(n_control=n_control, n_experimental=n_experimental,
                         n_ec=n_ec, subgroup_labels=list(pools.subgroup_labels))
     return report

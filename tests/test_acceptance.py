@@ -118,8 +118,7 @@ def fig1_runs():
         runs[scen] = run_monte_carlo(
             spec, ests, reps=REPS, seed=SEED,
             intervals=("analytic", "cut", "bootstrap", "rct_only"),
-            alpha=0.05, bootstrap_r=500, interval_estimator="h[full]",
-            keep_replicates=True)
+            alpha=0.05, bootstrap_r=500, interval_estimator="h[full]")
         runs[scen + ":time"] = time.time() - t0
     return runs
 
@@ -239,8 +238,7 @@ def test_criterion_05_linear_bd():
         {"kind": "harmonized", "name": "cut", "initial": "ols_pooled",
          "overall": "ols", "lambda": "full", "sigma_mode": "vd"},
     ]
-    runs = {name: run_monte_carlo(spec, ests, reps=REPS, seed=SEED + 5,
-                                  keep_replicates=True)
+    runs = {name: run_monte_carlo(spec, ests, reps=REPS, seed=SEED + 5)
             for name, spec in scenarios.items()}
     ok = True
     details = []
@@ -296,8 +294,7 @@ def test_criterion_06_logistic_bd():
     r2_bd_vd = None
     for delta in deltas:
         spec = base.with_distortion(delta)
-        rep = run_monte_carlo(spec, ests, reps=REPS, seed=SEED + 6,
-                              keep_replicates=(delta == 1.0))
+        rep = run_monte_carlo(spec, ests, reps=REPS, seed=SEED + 6)
         pooled_bias1.append(float(rep.estimator_stats["logistic_pooled"]["bias"][0]))
         st = rep.estimator_stats["bd"]
         tol = np.maximum(0.01, 3 * st["mc_se_bias"])

@@ -679,6 +679,18 @@ class TestSettingsFailClosed:
         self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
                      [field], error="InvalidSpec")
 
+    BAD_IDENTITY = [("name", None), ("name", ["a"]), ("name", ""), ("version", "x"),
+                    ("version", -3), ("version", 0), ("version", True), ("version", 1.5)]
+
+    @pytest.mark.parametrize("field, value", BAD_IDENTITY,
+                             ids=[f"{f}-{v!r}" for f, v in BAD_IDENTITY])
+    def test_scenario_name_and_version(self, tmp_path, capsys, no_replicates, field, value):
+        # each ran at exit 0; a null name wrote None into report.csv's
+        # scenario column, and ["a"] wrote ['a']
+        scenario = dict(load_preset("fig1-s2").to_dict(), **{field: value})
+        self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
+                     [field], error="InvalidSpec")
+
     def base(self, command, tmp_path):
         """A config that would run, but for CSV files that do not exist."""
         return {"estimate": self.missing_csvs(tmp_path),
@@ -742,6 +754,44 @@ class TestSettingsFailClosed:
         # echoed true
         self.exits_2(command, dict(self.base(command, tmp_path), **cfg), tmp_path, capsys,
                      ["lambda", "non-negative number"])
+
+    NOT_A_NUMBER = [
+        ("estimate", {"lambda": None}, ["lambda", "None"]),
+        ("estimate", {"lambda": [1]}, ["lambda", "[1]"]),
+        ("estimate", {"estimators": [{"kind": "harmonized", "initial": "diff_means_pooled",
+                                      "lambda": None}]}, ["lambda", "None"]),
+        ("simulate", {"lambda": [1]}, ["lambda", "[1]"]),
+        ("simulate", {"lambda": {"a": 1}}, ["lambda", "{'a': 1}"]),
+        ("simulate", {"harmonized_lambdas": [None]}, ["harmonized_lambdas", "None"]),
+        ("simulate", {"intervals": None}, ["intervals", "must be a list"]),
+        ("simulate", {"harmonized_lambdas": None}, ["harmonized_lambdas", "must be a list"]),
+    ]
+
+    @pytest.mark.parametrize("command,cfg,words", NOT_A_NUMBER,
+                             ids=[f"{c}-{json.dumps(cfg)}" for c, cfg, _ in NOT_A_NUMBER])
+    def test_null_list_or_object_for_a_number_or_a_list(self, tmp_path, capsys,
+                                                        no_replicates, command, cfg, words):
+        # each died with a TypeError traceback at exit 1
+        self.exits_2(command, dict(self.base(command, tmp_path), **cfg), tmp_path, capsys,
+                     words)
+
+    @pytest.mark.parametrize("command,key", [
+        ("estimate", "estimators"), ("estimate", "intervals"), ("estimate", "prevalences"),
+        ("simulate", "estimators"), ("simulate", "lambda"), ("resample", "estimators")])
+    def test_null_keeps_meaning_the_default(self, small_csvs, pools, tmp_path, command, key):
+        cfg = {"estimate": dict(zip(("rct_csv", "ec_csv"), small_csvs)),
+               "simulate": {"preset": "fig1-s2", "reps": 3},
+               "resample": {"trial_csv": pools[0], "ec_csv": pools[1],
+                            "schema": {"covariates": ["x1"]}, "n_control": 40,
+                            "n_experimental": 60, "n_ec": 100, "reps": 3}}[command]
+        reports = []
+        for name, given in (("default", cfg), ("null", dict(cfg, **{key: None}))):
+            path = write_config(tmp_path / f"{name}.json",
+                                dict(given, out_dir=str(tmp_path / name)))
+            assert run_cli(command, "--config", path) == 0
+            artifact = "estimates.csv" if command == "estimate" else "report.csv"
+            reports.append((tmp_path / name / artifact).read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("reps", [3, 3.0, "3"])
     def test_whole_numbers_in_any_spelling(self, tmp_path, reps):

@@ -17,6 +17,9 @@ from subharm.errors import EmptyArm, EmptySubgroupArm
 
 from conftest import balanced_dataset, records_dataset
 
+# a NaN or an overflow warning in an estimator fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestDiffMeans:
     def test_overall_hand_example(self):

@@ -40,6 +40,9 @@ from subharm.harmonize import _bias_variance, _unit_direction
 
 from conftest import balanced_dataset
 
+# a NaN or an overflow warning in a shift or a limit map fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def random_pd(rng, k):
     a = rng.normal(size=(k, k))
@@ -189,6 +192,13 @@ class TestClosedForm:
             parse_lambda(-1.0)
         with pytest.raises(ConfigError):
             parse_lambda("big")
+
+    @pytest.mark.parametrize("value", [None, [1], {"a": 1}, True, 10 ** 400])
+    def test_parse_lambda_refuses_what_is_no_number(self, value):
+        # float() raised TypeError on a null, a list or an object, and
+        # OverflowError on an integer beyond any float
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_lambda(value)
 
 
 class TestBiasDirection:

@@ -26,6 +26,9 @@ from subharm.rng import ROLE_BOOT_CONTROL, ROLE_BOOT_EXTERNAL, ROLE_BOOT_TREATED
 
 from conftest import balanced_dataset, records_dataset
 
+# a NaN or an overflow warning in an interval fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _bootstrap(ds, **kw):
     """Bootstrap interval around the fully harmonized difference-of-means
@@ -267,8 +270,6 @@ class TestDispatcher:
     @pytest.mark.parametrize("mode", ["bd", "vd", "fixed"])
     @pytest.mark.parametrize("lam", [2.0, "full"])
     def test_intervals_use_the_target_shift(self, mode, lam):
-        from functools import partial
-
         from subharm import analytic_bias_variance, solve_sigma_from_b, vd_sigma
         from subharm.harmonize import bd_direction_diff_means
         from subharm.intervals import interval
@@ -291,13 +292,12 @@ class TestDispatcher:
         u = shift_vector(dc.pi, sigma, cfg.lam)
         point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds), dc.pi,
                           u).theta_k
-        target = partial(ctx.harmonized, cfg)
-        got = interval("analytic", ds, dc, 0.05, phi2=1.3, target=target)
+        got = interval("analytic", ctx, cfg, 0.05, phi2=1.3)
         want = analytic_interval(point, analytic_bias_variance(dc, np.zeros(4), sigma,
                                                                cfg.lam, 1.3)[1])
         np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
         np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)
-        got = interval("bootstrap", ds, dc, 0.05, target=target, r=200, seed=4)
+        got = interval("bootstrap", ctx, cfg, 0.05, r=200, seed=4)
         want = bootstrap_interval(ds, dc, point, u, r=200, seed=4)
         np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
         np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)

@@ -2,10 +2,10 @@
 designs, run through the same shift resolver and interval dispatcher as
 `simulate` and `estimate`."""
 
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,9 @@ from subharm import (
 from subharm.estimators import _pooled_cell_variance
 from subharm.intervals import interval
 from subharm.sim import _ReplicateContext, parse_estimator
+
+# a NaN or an overflow warning on a drawn design fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 METHODS = ("analytic", "cut", "bootstrap", "rct_only")
 
@@ -192,8 +195,7 @@ def test_relabelling_permutes_estimates_and_intervals(design, data, mode, lam):
         dc = compute_design_counts(ds)
         ctx = _ReplicateContext(ds, dc)
         phi2 = _pooled_cell_variance(ds.cell_stats)
-        ivs = {m: interval(m, ds, dc, 0.05, phi2=phi2, target=partial(ctx.harmonized, cfg),
-                           r=4000, seed=5)
+        ivs = {m: interval(m, ctx, cfg, 0.05, phi2=phi2, r=4000, seed=5)
                for m in METHODS}
         out.append((ctx.evaluate(cfg), ivs))
     (est, ivs), (est_p, ivs_p) = out
@@ -231,8 +233,7 @@ def test_row_order_changes_no_estimate_or_interval(design, data):
         for cfg in cfgs:
             values.append(ctx.evaluate(cfg))
             for m in METHODS:
-                iv = interval(m, d, dc, 0.05, phi2=phi2, target=partial(ctx.harmonized, cfg),
-                              r=200, seed=5)
+                iv = interval(m, ctx, cfg, 0.05, phi2=phi2, r=200, seed=5)
                 values += [iv.lower, iv.upper, iv.point]
         out.append(values)
     for got, want in zip(*out):

@@ -199,7 +199,7 @@ class TestMonteCarlo:
         est = {"kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
                "overall": "diff_means", "lambda": "full", "sigma_mode": "bd"}
         rep = run_monte_carlo(spec, [est], reps=3, seed=4, intervals=("bootstrap",),
-                              bootstrap_r=100, keep_replicates=True)
+                              bootstrap_r=100)
         assert len(seen) == 3
         for r, (pi, point) in enumerate(seen):
             np.testing.assert_array_equal(pi, spec.prevalences)
@@ -441,6 +441,96 @@ class TestSigmaWorkPerReplicate:
         # two families, two replicates; only vd builds a matrix
         assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 2, "vd_sigma": 2,
                          "_bias_variance": 0}
+
+
+class TestDesignCountsCache:
+    """What depends on the design counts alone is kept on the `DesignCounts`:
+    every context built on one shares it, and a context on other counts or
+    prevalences computes its own."""
+
+    SIGMA = (0.5 * np.eye(10) + 0.05).tolist()
+
+    @pytest.mark.parametrize("est", [
+        {"kind": "harmonized", "name": "bd", "initial": "diff_means_pooled", "sigma_mode": "bd"},
+        {"kind": "harmonized", "name": "fixed", "initial": "diff_means_pooled", "lambda": 2,
+         "sigma_mode": "fixed", "sigma": SIGMA}], ids=["bd", "fixed"])
+    def test_one_analytic_covariance_per_design_counts(self, monkeypatch, est):
+        import subharm.sim as sim_mod
+        from subharm.harmonize import _bias_variance
+        from subharm.intervals import interval
+        from subharm.sim import _ReplicateContext, parse_estimator
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return _bias_variance(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "_bias_variance", counted)
+        spec, cfg = load_preset("fig1-s2"), parse_estimator(est)
+        datasets = [generate_scenario(spec, 0, rep) for rep in range(3)]
+        dc = compute_design_counts(datasets[0])
+        shared = []
+        for ds in datasets:
+            ctx = _ReplicateContext(ds, dc)
+            interval("analytic", ctx, cfg, 0.05, phi2=1.0)
+            shared.append(ctx.analytic_variance(cfg, 1.0))
+        assert calls == [dc]
+        assert shared[0] is shared[1] is shared[2]
+
+        other = compute_design_counts(datasets[0], (0.05,) * 5 + (0.15,) * 5)
+        ctx = _ReplicateContext(datasets[0], other)
+        interval("analytic", ctx, cfg, 0.05, phi2=1.0)
+        assert calls == [dc, other]
+        own = _bias_variance(other, np.zeros(10), ctx.shift(cfg)[0], 1.0)[1]
+        np.testing.assert_array_equal(ctx.analytic_variance(cfg, 1.0), own)
+        assert not np.allclose(own, shared[0])
+
+
+class TestWorkerCap:
+    """A process pool starts all its workers at once, so `--workers` starts
+    no more processes than there are replicates or usable CPUs. A stand-in
+    pool records the count asked for and the chunks, and runs each chunk in
+    this process."""
+
+    @staticmethod
+    def recording_pool(started, chunks):
+        from concurrent.futures import Future
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, chunk):
+                chunks.append(len(chunk))
+                future = Future()
+                future.set_result(fn(chunk))
+                return future
+        return RecordingPool
+
+    @pytest.mark.parametrize("workers,reps,cpus,pool", [
+        (64, 3, 8, 3), (500, 9, 2, 2), (2, 9, 2, 2), (4, 9, 1, None), (1, 9, 8, None)])
+    def test_pool_size(self, monkeypatch, workers, reps, cpus, pool):
+        import concurrent.futures
+        import os
+
+        started, chunks = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_pool(started, chunks))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = load_preset("fig1-s1")
+        rep = run_monte_carlo(spec, ["diff_means_pooled"], reps=reps, seed=1, workers=workers)
+        assert started == ([] if pool is None else [pool])
+        if pool is not None:  # chunked by the pool's size
+            assert sum(chunks) == reps and len(chunks) == min(4 * pool, reps)
+        serial = run_monte_carlo(spec, ["diff_means_pooled"], reps=reps, seed=1)
+        assert rep.to_json_dict() == serial.to_json_dict()
 
 
 def test_rct_subgroup_grouping_built_once_per_batch(monkeypatch):
@@ -688,8 +778,9 @@ class TestTrialFitPerReplicate:
 
 
 class TestCacheScope:
-    """The scenario layout is cached for the process; it may not carry one
-    run into another."""
+    """A regression check that nothing one run computes carries into
+    another run in the same process: what a batch shares is kept on its
+    own `DesignCounts` and design, and the design columns are read-only."""
 
     def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
         import os
