@@ -59,6 +59,8 @@ CSV_PAIR = {"ec_csv": REQUIRED, "schema": {}}
 LIST_KEYS = ("lambda", "harmonized_lambdas", "sigma_mode", "sigma")
 # keys that hold a JSON list when given; a string would be read letter by letter
 LIST_VALUED = ("estimators", "intervals", "harmonized_lambdas", "prevalences")
+# file and directory keys; a number would be opened as a file descriptor
+PATH_KEYS = ("rct_csv", "ec_csv", "trial_csv", "out_dir")
 SETTINGS = {
     "estimate": {**COMMON, "rct_csv": REQUIRED, **CSV_PAIR,
                  "outcome_family": CONTINUOUS, "subgroup_levels": None,
@@ -138,10 +140,11 @@ def _settings(command: str, cfg: dict) -> dict:
     """`cfg` merged over the command's defaults. Unknown and missing keys,
     list keys beside an explicit `estimators`, a `LIST_VALUED` key that is
     not a list (a null only stands for a null default or the default
-    estimators), a `scenario` that is not an object, a key with a
-    whole-number default given anything but a non-negative whole number,
-    and an `alpha` outside (0, 1) are config errors. A JSON boolean is no
-    whole number, and as an `alpha` it reads as 1 or 0, outside the range."""
+    estimators), a `PATH_KEYS` path that is not a non-empty string, a
+    `scenario` that is not an object, a key with a whole-number default
+    given anything but a non-negative whole number, and an `alpha` outside
+    (0, 1) are config errors. A JSON boolean is no whole number, and as an
+    `alpha` it reads as 1 or 0, outside the range."""
     table = SETTINGS[command]
     unknown = sorted(set(cfg) - set(table))
     if unknown:
@@ -158,6 +161,9 @@ def _settings(command: str, cfg: dict) -> dict:
         nullable = key == "estimators" or table[key] is None
         if not (isinstance(s[key], list) or (s[key] is None and nullable)):
             raise ConfigError(f"{key} must be a list, got {s[key]!r}")
+    for key in (key for key in PATH_KEYS if key in table):
+        if not (isinstance(s[key], str) and s[key]):
+            raise ConfigError(f"{key} must be a non-empty string, got {s[key]!r}")
     if s.get("scenario") is not None and not isinstance(s["scenario"], dict):
         raise ConfigError(f"scenario must be an object, got {s['scenario']!r}")
     for key, default in table.items():
@@ -199,10 +205,12 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
         json.dump(report.to_json_dict(), fh, indent=2, default=_json_default)
         fh.write("\n")
     if write_replicates:
-        rrows = [[rep, name, k + 1, est[k]]
+        # one finiteness check per estimator, and the rows as Python floats
+        rrows = [[rep, name, k, value]
                  for name, arr in report.replicate_estimates.items()
-                 for rep, est in enumerate(arr) if np.isfinite(est).all()
-                 for k in range(len(est))]
+                 for rep, (ok, est) in enumerate(zip(np.isfinite(arr).all(axis=1),
+                                                     arr.tolist())) if ok
+                 for k, value in enumerate(est, 1)]
         _write_csv(out_dir / "replicates.csv",
                    ["replicate", "estimator", "subgroup", "estimate"], rrows)
 

@@ -21,13 +21,15 @@ scoring (`fit_logistic_irls`) takes one exponential per row per step:
 e = e^-lp gives both the mean 1 / (1 + e), `expit`'s formula, and the
 log-likelihood. Where e overflows to inf, on lp below -709.78, the mean is
 0, and a log-likelihood the overflow leaves non-finite is taken again in
-the overflow-free softplus form.
+the overflow-free softplus form. It does no work that no caller reads: a
+cold start takes lp = 0 and e = 1 as they are, unit weights (None) are
+never multiplied in, and the fit's information is computed on first read,
+since most callers read only its coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -136,19 +138,33 @@ class CellDesign:
         return info
 
 
-@dataclass
 class GlmFit:
     """Coefficients with curvature information.
 
     `information` is X'WX for logistic fits (Fisher information at the
     optimum) and X'WX / dispersion for least squares whenever the
     dispersion is positive; exact fits keep the unscaled cross-product.
+    `GlmFit(coefficients, information, dispersion, iterations)` holds the
+    matrix given. A logistic fit instead keeps its design and converged
+    weights and computes the matrix on first read, when it drops them:
+    most callers read only the coefficients.
     """
 
-    coefficients: np.ndarray
-    information: np.ndarray
-    dispersion: float | None
-    iterations: int
+    def __init__(self, coefficients: np.ndarray, information: np.ndarray | None,
+                 dispersion: float | None, iterations: int):
+        self.coefficients = coefficients
+        self._information = information
+        self._pending: tuple[CellDesign, np.ndarray] | None = None
+        self.dispersion = dispersion
+        self.iterations = iterations
+
+    @property
+    def information(self) -> np.ndarray:
+        if self._pending is not None:
+            design, v = self._pending
+            with np.errstate(over="ignore", invalid="ignore"):  # as in the fit
+                self._information, self._pending = design.information(v), None
+        return self._information
 
 
 def build_design(ds: CombinedDataset, model: str) -> CellDesign:
@@ -167,18 +183,21 @@ def build_design(ds: CombinedDataset, model: str) -> CellDesign:
     raise ValueError(f"unknown design model {model!r}")
 
 
-def _fit_inputs(design: CellDesign | np.ndarray, y, weights
-                ) -> tuple[CellDesign, np.ndarray, np.ndarray]:
+def _fit_inputs(design: CellDesign | np.ndarray, y, weights, ones: bool = True
+                ) -> tuple[CellDesign, np.ndarray, np.ndarray | None]:
     """The design, with a raw array taken as one cell with an empty map, the
-    responses, one per design row, and the weights (ones when None), which
-    must be finite and non-negative."""
+    responses, one per design row, and the weights, which must be finite
+    and non-negative. None stands for unit weights, and is returned as
+    ones unless `ones` is false."""
     if not isinstance(design, CellDesign):
         x = np.asarray(design, dtype=float)
         design = CellDesign(np.zeros(len(x), dtype=np.intp), x, np.zeros((1, 0)))
     y = np.asarray(y, dtype=float)
     if y.shape != design.shape[:1]:
         raise ValueError("responses must be one vector, one per design row")
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
+    if weights is None:
+        return design, y, np.ones(len(y)) if ones else None
+    w = np.asarray(weights, dtype=float)
     if w.shape != design.shape[:1] or not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError("weights must be finite and non-negative, one per design row")
     return design, y, w
@@ -244,36 +263,49 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
     Convergence requires the weighted score's infinity norm to fall below
     `tol`. Responses form one vector and may be fractional in [0, 1]
     (proportion rows); each row's log-likelihood contribution is multiplied
-    by its weight. A coefficient escaping the +/-30 cap on the logit scale
+    by its weight, and None stands for unit weights, which are never
+    multiplied in. A coefficient escaping the +/-30 cap on the logit scale
     with a non-vanishing score raises SeparationDetected, and exhausting
-    `max_iter` raises NotConverged. The fit carries the information at its
-    coefficients. `y` and `weights` follow the design's row order; a raw
-    array is one cell, so its rows keep theirs.
+    `max_iter` raises NotConverged. The fit's `information` at its
+    coefficients is computed when first read. `y` and `weights` follow the
+    design's row order; a raw array is one cell, so its rows keep theirs.
 
     Each linear predictor lp costs one exponential per row: e = e^-lp gives
     both the mean 1 / (1 + e), `expit(lp)` to the bit, and the
     log-likelihood (`_loglik`), and an accepted step's e serves the next
-    scoring step. One error state covers the whole fit, because e may
-    overflow to inf: the mean there is 0, and `_loglik` takes the
-    log-likelihood again in an overflow-free form when the overflow leaves
-    its fast sum -inf or NaN (0 * inf on a zero-weight row).
+    scoring step. A cold start takes lp = 0 and e = 1 as they are. One
+    error state covers the whole fit, because e may overflow to inf: the
+    mean there is 0, and `_loglik` takes the log-likelihood again in an
+    overflow-free form when the overflow leaves its fast sum -inf or NaN
+    (0 * inf on a zero-weight row).
     """
-    x, y, w = _fit_inputs(design, y, weights)
+    x, y, w = _fit_inputs(design, y, weights, ones=False)
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("logistic responses must be numbers in [0, 1]")
-    w1y = w * (1.0 - y)
-    coef = np.zeros(x.shape[1]) if start is None else np.array(start, dtype=float)
+
+    def weigh(a):  # w * a; unit weights leave a as it is, to the bit
+        return a if w is None else w * a
+
+    n = len(y)
+    # the log-likelihood's dot keeps its sum order with unit weights too
+    w_ll = np.ones(n) if w is None else w
+    w1y = weigh(1.0 - y)
 
     def evaluate(b):
         lp = x.linear_predictor(b)
         e = np.exp(-lp)
-        return e, _loglik(lp, e, w, w1y)
+        return e, _loglik(lp, e, w_ll, w1y)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e, ll = evaluate(coef)
+        if start is None:
+            coef, e = np.zeros(x.shape[1]), np.ones(n)
+            ll = _loglik(np.zeros(n), e, w_ll, w1y)
+        else:
+            coef = np.array(start, dtype=float)
+            e, ll = evaluate(coef)
         for it in range(max_iter + 1):
             mu = 1.0 / (1.0 + e)
-            score = x.score(w * (y - mu))
+            score = x.score(weigh(y - mu))
             big = np.abs(score).max()
             if big < tol:
                 break
@@ -285,7 +317,7 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
                 raise NotConverged(
                     f"IRLS did not reach tol={tol} in {max_iter} iterations (score {big:.3g})")
             try:
-                delta = np.linalg.solve(x.information(w * mu * (1.0 - mu)), score)
+                delta = np.linalg.solve(x.information(weigh(mu) * (1.0 - mu)), score)
             except np.linalg.LinAlgError:
                 raise RankDeficient("singular weighted information matrix") from None
             cand = coef + delta
@@ -299,4 +331,6 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
                 cand = coef + step * delta
                 e_c, ll_c = evaluate(cand)
             coef, e, ll = cand, e_c, ll_c
-        return GlmFit(coef, x.information(w * mu * (1.0 - mu)), None, it)
+    fit = GlmFit(coef, None, None, it)
+    fit._pending = (x, weigh(mu) * (1.0 - mu))
+    return fit

@@ -355,8 +355,9 @@ HARMONIZATION_KEYS = {"initial", "overall", "lambda", "sigma_mode", "sigma"}
 
 def parse_estimator(obj) -> EstimatorConfig:
     """Accept a plain kind name or a dict with harmonization options.
-    Unknown keys, harmonization options on a plain estimator and a sigma
-    outside the fixed mode are errors."""
+    Unknown keys, a name that is not a non-empty string, harmonization
+    options on a plain estimator and a sigma outside the fixed mode are
+    errors."""
     if isinstance(obj, str):
         return EstimatorConfig(name=obj, kind=obj)
     if not isinstance(obj, dict):
@@ -382,10 +383,14 @@ def parse_estimator(obj) -> EstimatorConfig:
     lam_str = "full" if np.isinf(lam) else format(lam, "g")
     default_name = (f"harmonized[{obj.get('initial')},lam={lam_str},{mode}]"
                     if kind == "harmonized" else kind)
-    return EstimatorConfig(
+    cfg = EstimatorConfig(
         name=obj.get("name", default_name), kind=kind,
         initial=obj.get("initial", ""), overall=obj.get("overall", "diff_means"),
         lam=lam, sigma_mode=mode, sigma=sigma)
+    if not (isinstance(cfg.name, str) and cfg.name):
+        raise ConfigError(f"estimator name must be a non-empty string, got {cfg.name!r} "
+                          f"in entry {obj!r}")
+    return cfg
 
 
 def check_fixed_sigmas(est_cfgs, k: int) -> None:
@@ -775,12 +780,29 @@ def _scenario_batch(rep_indices, *, spec, est_cfgs, methods, alpha, bootstrap_r,
                            spec.phi2, alpha, bootstrap_r, seed, truth)
 
 
+_BATCH = None  # a pool worker's batch function, set once by `_set_batch`
+
+
+def _set_batch(batch_fn) -> None:
+    global _BATCH
+    _BATCH = batch_fn
+
+
+def _run_chunk(rep_indices) -> tuple:
+    return _BATCH(rep_indices)
+
+
 def _run_batches(batch_fn, reps: int, workers: int) -> tuple:
     """`batch_fn` over replicates 0..reps-1, in one batch or in chunks on
     worker processes: the (est, cover, width) arrays stacked in replicate
     order, and the failures sorted by replicate and name. A pool starts
     all its processes at once, so `workers` only caps their count, which
-    exceeds neither the replicates nor the CPUs this process may use."""
+    exceeds neither the replicates nor the CPUs this process may use.
+
+    Each worker gets `batch_fn` once, from the pool's initializer (a fork
+    inherits it; spawn pickles it once per worker), and each task carries
+    only its replicate indices. The min(16 workers, reps) chunks are small
+    enough that no worker idles long while another finishes its last."""
     indices = np.arange(reps)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -791,9 +813,10 @@ def _run_batches(batch_fn, reps: int, workers: int) -> tuple:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = np.array_split(indices, min(workers * 4, reps))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(batch_fn, chunk) for chunk in chunks]
+        chunks = np.array_split(indices, min(workers * 16, reps))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_batch,
+                                 initargs=(batch_fn,)) as pool:
+            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
             results = [fut.result() for fut in futures]
     stacked = (np.concatenate([r[i] for r in results]) for i in range(3))
     failures = sorted((f for r in results for f in r[3]), key=lambda f: (f[0], f[1]))

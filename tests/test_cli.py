@@ -179,6 +179,26 @@ class TestResample:
         assert {r["estimator"] for r in rows} == {
             "logistic_pooled", "logistic_ipw", "harmonized_ipw", "logistic_rct"}
 
+    def test_artifacts_identical_at_one_and_two_workers(self, pools, tmp_path, monkeypatch):
+        # 37 replicates in 32 chunks of one or two on two worker processes,
+        # with two CPUs to use on any host
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        trial, ec = pools
+        artifacts = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = write_config(tmp_path / f"w{workers}.json", {
+                "trial_csv": trial, "ec_csv": ec, "schema": {"covariates": ["x1"]},
+                "n_control": 60, "n_experimental": 90, "n_ec": 150, "reps": 37,
+                "seed": 3, "workers": workers, "out_dir": str(out)})
+            assert run_cli("resample", "--config", cfg) == 0
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("report.json", "replicates.csv")])
+        assert artifacts[0] == artifacts[1]
+        assert artifacts[0][1].count(b"\n") > 37 * 4 * 3
+
     def test_spike_shifts_estimates(self, pools, tmp_path):
         trial, ec = pools
         base_cfg = {
@@ -697,6 +717,42 @@ class TestSettingsFailClosed:
                 "simulate": {"preset": "fig1-s2", "reps": 2},
                 "resample": {"trial_csv": str(tmp_path / "t.csv"),
                              "ec_csv": str(tmp_path / "e.csv")}}[command]
+
+    @pytest.mark.parametrize("name", [None, 7, "", ["a"]], ids=repr)
+    def test_estimator_name_not_a_string(self, tmp_path, capsys, name):
+        # simulate ran at exit 0 and wrote None, 7 or ['a'] into report.csv's
+        # estimator column
+        cfg = {"preset": "fig1-s2", "reps": 3,
+               "estimators": ["diff_means_rct", {"kind": "diff_means_pooled", "name": name}]}
+        self.exits_2("simulate", cfg, tmp_path, capsys,
+                     ["estimator name", repr(name), "'diff_means_pooled'"])
+
+    PATHS = [("estimate", "rct_csv", None), ("estimate", "ec_csv", ["a"]),
+             ("estimate", "rct_csv", ""), ("resample", "trial_csv", 98765),
+             ("resample", "trial_csv", None), ("resample", "ec_csv", 3.5)]
+
+    @pytest.mark.parametrize("command,key,value", PATHS,
+                             ids=[f"{c}-{k}-{v!r}" for c, k, v in PATHS])
+    def test_path_key_not_a_string(self, tmp_path, capsys, command, key, value):
+        # null or a list exited 1 with a TypeError traceback, and a number
+        # was opened as a file descriptor
+        cfg = dict(self.base(command, tmp_path), **{key: value})
+        self.exits_2(command, cfg, tmp_path, capsys, [key, "non-empty string", repr(value)])
+
+    @pytest.mark.parametrize("value", [None, 3, ""], ids=repr)
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
+    def test_out_dir_not_a_string(self, tmp_path, capsys, monkeypatch, no_replicates,
+                                  command, value):
+        # null exited 1 with a TypeError traceback, and "" wrote into the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json",
+                            dict(self.base(command, tmp_path), out_dir=value))
+        assert run_cli(command, "--config", path) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "out_dir must be a non-empty string" in err["message"], err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("command,cfg,flags,keys", [
         ("estimate", {"lambda": 2, "sigma_mode": "vd"}, (), ["'lambda'", "'sigma_mode'"]),

@@ -306,9 +306,9 @@ def assert_same_fit(got, want):
 def logistic_problems(draw):
     """A fit on a `CellDesign` of the pooled map, or its trial-only or
     propensity slice: K = 1..6 with cells of 0..30 rows, 0..3 covariates,
-    binary or fractional responses, weights of which some may be zero, and
-    a cold start, a start near the coefficients that drew the responses or
-    one at a drawn point."""
+    binary or fractional responses, unit weights given as None or weights
+    of which some may be zero, and a cold start, a start near the
+    coefficients that drew the responses or one at a drawn point."""
     k = draw(st.integers(1, 6))
     model = draw(st.sampled_from(["pooled", "trial", "propensity"]))
     pattern = pooled_map(k)
@@ -324,7 +324,8 @@ def logistic_problems(draw):
     truth = rng.normal(0.0, draw(st.sampled_from([0.5, 1.5])), p)
     prob = expit(np.dot(np.c_[pattern[np.sort(cell)], design.xt.T], truth))
     y = rng.random(n) if draw(st.booleans()) else (rng.random(n) < prob).astype(float)
-    w = rng.uniform(0.1, 2.0, n) * (rng.random(n) >= draw(st.sampled_from([0.0, 0.3])))
+    zeros = draw(st.sampled_from([None, 0.0, 0.3]))  # None: unit weights, given as None
+    w = None if zeros is None else rng.uniform(0.1, 2.0, n) * (rng.random(n) >= zeros)
     start = draw(st.sampled_from([None, "near", "drawn"]))
     if start == "near":
         start = truth + rng.normal(0.0, 0.1, p)
@@ -379,6 +380,63 @@ class TestAgainstTheOracle:
         assert any(np.isinf(e[0]) for e, _ in calls)
         assert all(np.isfinite(ll) for _, ll in calls)
         assert_same_fit(fit, want)
+
+
+class TestWorkNoCallerReads:
+    """A fit's information is computed on first read, and a cold start
+    evaluates the log-likelihood at lp = 0 without forming lp."""
+
+    @staticmethod
+    def recording_design(rng, k, calls):
+        class Recording(CellDesign):
+            def information(self, v):
+                calls.append("information")
+                return super().information(v)
+
+            def linear_predictor(self, coef):
+                calls.append("linear_predictor")
+                return super().linear_predictor(coef)
+
+        cell = rng.permutation(np.repeat(np.arange(3 * k), 25))
+        return Recording(cell, rng.normal(size=(len(cell), 2)), pooled_map(k))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_information_computed_once_when_first_read(self, rng, weighted):
+        import pickle
+
+        calls = []
+        design = self.recording_design(rng, 3, calls)
+        n = design.shape[0]
+        y = (rng.random(n) < 0.4).astype(float)
+        w = rng.uniform(0.2, 2.0, n) if weighted else None
+        fit = fit_logistic_irls(design, y, weights=w)
+        assert calls.count("information") == fit.iterations  # one per Fisher step
+        info = fit.information
+        assert fit.information is info and calls.count("information") == fit.iterations + 1
+        mu = glm.expit(design.linear_predictor(fit.coefficients))
+        at_optimum = design.information((np.ones(n) if w is None else w) * mu * (1.0 - mu))
+        np.testing.assert_array_equal(info, at_optimum)
+        # a fit whose information is still to come pickles
+        raw = fit_logistic_irls(np.c_[np.ones(n), rng.normal(size=n)], y, weights=w)
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(raw)).information,
+                                      raw.information)
+        # an eager fit holds the matrix it was given
+        eager = glm.GlmFit(fit.coefficients, at_optimum, None, fit.iterations)
+        assert eager.information is at_optimum
+
+    def test_cold_start_forms_no_linear_predictor(self, rng, monkeypatch):
+        calls, evaluated = [], []
+        loglik = glm._loglik
+        monkeypatch.setattr(glm, "_loglik",
+                            lambda *a: evaluated.append(a[:2]) or loglik(*a))
+        design = self.recording_design(rng, 2, calls)
+        n = design.shape[0]
+        fit = fit_logistic_irls(design, (rng.random(n) < 0.6).astype(float))
+        lp, e = evaluated[0]
+        np.testing.assert_array_equal(lp, np.zeros(n))
+        np.testing.assert_array_equal(e, np.ones(n))
+        # every later evaluation forms its lp, one per full step
+        assert calls.count("linear_predictor") == len(evaluated) - 1 == fit.iterations
 
 
 class TestNumpyOnlyFunctions:

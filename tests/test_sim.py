@@ -490,16 +490,25 @@ class TestDesignCountsCache:
 class TestWorkerCap:
     """A process pool starts all its workers at once, so `--workers` starts
     no more processes than there are replicates or usable CPUs. A stand-in
-    pool records the count asked for and the chunks, and runs each chunk in
-    this process."""
+    pool records the count asked for and the chunks, runs its initializer
+    and then each chunk in this process."""
+
+    @pytest.fixture(autouse=True)
+    def worker_state(self, monkeypatch):
+        # the stand-in runs the pool's initializer here; undo what it sets
+        import subharm.sim
+
+        monkeypatch.setattr(subharm.sim, "_BATCH", None)
 
     @staticmethod
-    def recording_pool(started, chunks):
+    def recording_pool(started, chunks, tasks=None):
         from concurrent.futures import Future
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 started.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -509,6 +518,8 @@ class TestWorkerCap:
 
             def submit(self, fn, chunk):
                 chunks.append(len(chunk))
+                if tasks is not None:
+                    tasks.append((fn, chunk))
                 future = Future()
                 future.set_result(fn(chunk))
                 return future
@@ -528,9 +539,40 @@ class TestWorkerCap:
         rep = run_monte_carlo(spec, ["diff_means_pooled"], reps=reps, seed=1, workers=workers)
         assert started == ([] if pool is None else [pool])
         if pool is not None:  # chunked by the pool's size
-            assert sum(chunks) == reps and len(chunks) == min(4 * pool, reps)
+            assert sum(chunks) == reps and len(chunks) == min(16 * pool, reps)
         serial = run_monte_carlo(spec, ["diff_means_pooled"], reps=reps, seed=1)
         assert rep.to_json_dict() == serial.to_json_dict()
+
+    @pytest.mark.parametrize("command", ["simulate", "resample"])
+    def test_each_task_carries_only_its_replicate_indices(self, monkeypatch, standin_csvs,
+                                                          command):
+        # the batch function, with its spec or pools, reaches each worker
+        # once, through the initializer; a task pickles only its indices
+        import concurrent.futures
+        import os
+        import pickle
+        from functools import partial
+
+        started, chunks, tasks = [], [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.recording_pool(started, chunks, tasks))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if command == "simulate":
+            run_monte_carlo(load_preset("fig5"), ["logistic_pooled"], reps=40, seed=1,
+                            workers=2)
+        else:
+            trial, ec, schema = standin_csvs
+            run_resampling(trial, ec, n_control=30, n_experimental=30, n_ec=40, reps=40,
+                           seed=1, schema=schema, workers=2)
+        assert started == [2] and len(tasks) == 32
+        done = []
+        for fn, chunk in tasks:
+            assert not isinstance(fn, partial)
+            assert isinstance(chunk, np.ndarray) and chunk.dtype.kind == "i"
+            # a module function goes by name: nothing but the indices and names
+            assert len(pickle.dumps((fn, chunk))) < 400 + chunk.nbytes
+            done += chunk.tolist()
+        assert done == list(range(40))
 
 
 def test_rct_subgroup_grouping_built_once_per_batch(monkeypatch):
