@@ -1,13 +1,13 @@
 """Command-line surface: config-driven estimate / simulate / resample runs
 with reproducible artifacts.
 
-One table per command, `SETTINGS`, declares that command's config keys and
-their defaults: a key with a whole-number default takes only non-negative
-whole numbers, and each key named in `FLAGS` is also the command's flag
-(`out_dir` is `--out-dir`), which overrides the file. Unknown keys are
-errors. Every run writes a manifest echoing the resolved settings
-(defaults included) and the package version, so any artifact can be
-regenerated from its manifest alone.
+One table per command, `SETTINGS`, declares each of its config keys with
+its kind (`config`) and its default, and `_settings` reads every value by
+its kind. Each key named in `FLAGS` is also the command's flag (`out_dir`
+is `--out-dir`), which overrides the file. Unknown keys are errors. Every
+run writes a manifest echoing the resolved settings (defaults included)
+and the package version, so any artifact can be regenerated from its
+manifest alone.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -25,23 +25,30 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import LAMBDA, MATRIX, TEXT, listing, real, refuse_unknown, whole
 from .data import (
     BINARY,
     CONTINUOUS,
-    CsvSchema,
+    LEVELS,
+    OUTCOME_FAMILY,
+    SCHEMA,
+    SIMPLEX,
     compute_design_counts,
     load_dataset,
 )
 from .errors import ConfigError, DataError, NumericalError, SubharmError
 from .estimators import _pooled_cell_variance
-from .harmonize import parse_lambda
-from .intervals import BOOTSTRAP_R
+from .intervals import BOOTSTRAP_R, INTERVALS
 from .presets import load_preset
 from .sim import (
     DEFAULT_RESAMPLE_ESTIMATORS,
+    ENTRY,
+    PREVALENCE_MODE,
+    SCENARIO,
+    SIGMA_MODE,
+    SPIKE,
     EstimatorConfig,
     MonteCarloReport,
-    ScenarioSpec,
     _ReplicateContext,
     check_fixed_sigmas,
     evaluate_replicate,
@@ -51,30 +58,36 @@ from .sim import (
 )
 
 REQUIRED = object()  # a key the config must give
-COMMON = {"seed": 0, "out_dir": ".", "workers": 1}
-CSV_PAIR = {"ec_csv": REQUIRED, "schema": {}}
+WHOLE, ALPHA = whole(), real(0.0, 1.0)
+ESTIMATORS = listing(ENTRY, "estimator entries, each a string or an object").or_null()
+# key: (kind, default)
+COMMON = {"seed": (WHOLE, 0), "out_dir": (TEXT, "."), "workers": (WHOLE, 1)}
+CSV_PAIR = {"ec_csv": (TEXT, REQUIRED), "schema": (SCHEMA, {})}
 # Settings that only build the default estimator list. Beside an explicit
 # `estimators` they would do nothing, and the manifest records the list
 # they built instead of them.
 LIST_KEYS = ("lambda", "harmonized_lambdas", "sigma_mode", "sigma")
-# keys that hold a JSON list when given; a string would be read letter by letter
-LIST_VALUED = ("estimators", "intervals", "harmonized_lambdas", "prevalences")
-# file and directory keys; a number would be opened as a file descriptor
-PATH_KEYS = ("rct_csv", "ec_csv", "trial_csv", "out_dir")
 SETTINGS = {
-    "estimate": {**COMMON, "rct_csv": REQUIRED, **CSV_PAIR,
-                 "outcome_family": CONTINUOUS, "subgroup_levels": None,
-                 "estimators": None, "intervals": None, "alpha": 0.05,
-                 "prevalences": None, "lambda": "full", "sigma_mode": "bd",
-                 "sigma": None},
-    "simulate": {**COMMON, "preset": None, "scenario": None, "reps": 1000,
-                 "estimators": None, "intervals": [], "alpha": 0.05,
-                 "bootstrap_r": 500, "interval_estimator": None, "lambda": None,
-                 "harmonized_lambdas": [0, 1, 10, "full"], "sigma_mode": "bd"},
-    "resample": {**COMMON, "trial_csv": REQUIRED, **CSV_PAIR, "n_control": 100,
-                 "n_experimental": 200, "n_ec": 600, "reps": 1000,
-                 "estimators": list(DEFAULT_RESAMPLE_ESTIMATORS), "spike": None,
-                 "prevalence_mode": "replicate"},
+    "estimate": {**COMMON, "rct_csv": (TEXT, REQUIRED), **CSV_PAIR,
+                 "outcome_family": (OUTCOME_FAMILY, CONTINUOUS),
+                 "subgroup_levels": (LEVELS.or_null(), None), "estimators": (ESTIMATORS, None),
+                 "intervals": (INTERVALS.or_null(), None), "alpha": (ALPHA, 0.05),
+                 "prevalences": (SIMPLEX.or_null(), None), "lambda": (LAMBDA, "full"),
+                 "sigma_mode": (SIGMA_MODE, "bd"), "sigma": (MATRIX.or_null(), None)},
+    "simulate": {**COMMON, "preset": (TEXT.or_null(), None),
+                 "scenario": (SCENARIO.or_null(), None), "reps": (WHOLE, 1000),
+                 "estimators": (ESTIMATORS, None), "intervals": (INTERVALS, []),
+                 "alpha": (ALPHA, 0.05), "bootstrap_r": (WHOLE, 500),
+                 "interval_estimator": (TEXT.or_null(), None),
+                 "lambda": (LAMBDA.or_null(), None),
+                 "harmonized_lambdas": (listing(LAMBDA, "lambdas"), [0, 1, 10, "full"]),
+                 "sigma_mode": (SIGMA_MODE, "bd")},
+    "resample": {**COMMON, "trial_csv": (TEXT, REQUIRED), **CSV_PAIR,
+                 "n_control": (WHOLE, 100), "n_experimental": (WHOLE, 200),
+                 "n_ec": (WHOLE, 600), "reps": (WHOLE, 1000),
+                 "estimators": (ESTIMATORS, list(DEFAULT_RESAMPLE_ESTIMATORS)),
+                 "spike": (SPIKE.or_null(), None),
+                 "prevalence_mode": (PREVALENCE_MODE, "replicate")},
 }
 # the keys a subcommand also takes as a flag, when its table has them
 FLAGS = {
@@ -124,60 +137,22 @@ def _out_dir(path) -> Path:
     return Path(path)
 
 
-def _whole(key: str, value) -> int:
-    # int() reads a JSON true or false as 1 or 0; neither is a number
-    try:
-        n = int(value)
-        whole = n == float(value) and n >= 0 and not isinstance(value, bool)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"{key} must be a non-negative whole number, got {value!r}")
-    return n
-
-
 def _settings(command: str, cfg: dict) -> dict:
-    """`cfg` merged over the command's defaults. Unknown and missing keys,
-    list keys beside an explicit `estimators`, a `LIST_VALUED` key that is
-    not a list (a null only stands for a null default or the default
-    estimators), a `PATH_KEYS` path that is not a non-empty string, a
-    `scenario` that is not an object, a key with a whole-number default
-    given anything but a non-negative whole number, and an `alpha` outside
-    (0, 1) are config errors. A JSON boolean is no whole number, and as an
-    `alpha` it reads as 1 or 0, outside the range."""
+    """`cfg` merged over the command's defaults, each value read by its kind
+    in `SETTINGS` into its typed value; the one reader of command settings.
+    Unknown and missing keys, and list keys beside an explicit
+    `estimators`, are config errors too."""
     table = SETTINGS[command]
-    unknown = sorted(set(cfg) - set(table))
-    if unknown:
-        raise ConfigError(f"unknown {command} config keys: {unknown}")
-    missing = [key for key, default in table.items() if default is REQUIRED and key not in cfg]
+    refuse_unknown(f"{command} config", cfg, table)
+    missing = [key for key, (_, default) in table.items()
+               if default is REQUIRED and key not in cfg]
     if missing:
         raise ConfigError(f"{command} config needs {missing}")
     clash = sorted(set(cfg) & set(LIST_KEYS))
     if cfg.get("estimators") is not None and clash:
         raise ConfigError(f"{clash} only build the default estimator list; "
                           "give them in the 'estimators' entries instead")
-    s = {**table, **cfg}
-    for key in (key for key in LIST_VALUED if key in table):
-        nullable = key == "estimators" or table[key] is None
-        if not (isinstance(s[key], list) or (s[key] is None and nullable)):
-            raise ConfigError(f"{key} must be a list, got {s[key]!r}")
-    for key in (key for key in PATH_KEYS if key in table):
-        if not (isinstance(s[key], str) and s[key]):
-            raise ConfigError(f"{key} must be a non-empty string, got {s[key]!r}")
-    if s.get("scenario") is not None and not isinstance(s["scenario"], dict):
-        raise ConfigError(f"scenario must be an object, got {s['scenario']!r}")
-    for key, default in table.items():
-        if type(default) is int:
-            s[key] = _whole(key, s[key])
-    if "alpha" in s:
-        try:
-            alpha = float(s["alpha"])
-        except (TypeError, ValueError):
-            alpha = float("nan")
-        if not 0 < alpha < 1:
-            raise ConfigError(f"alpha must lie in (0, 1), got {s['alpha']!r}")
-        s["alpha"] = alpha
-    return s
+    return {key: kind.read(cfg.get(key, default), key) for key, (kind, default) in table.items()}
 
 
 def _manifest(out_dir: Path, command: str, resolved: dict, checks: dict) -> None:
@@ -220,18 +195,14 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
 def cmd_estimate(cfg: dict) -> int:
     s = _settings("estimate", cfg)
     out_dir = _out_dir(s["out_dir"])
-    schema = CsvSchema.from_dict(s["schema"])
-    family = s["outcome_family"]
-    if family not in (CONTINUOUS, BINARY):
-        raise ConfigError("outcome_family must be continuous or binary")
+    schema, family = s["schema"], s["outcome_family"]
     if s["estimators"] is None:
         pooled = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
-        lam = parse_lambda(s["lambda"])
         s["estimators"] = [
             pooled,
             "diff_means_rct" if family == CONTINUOUS else "logistic_rct",
             {"kind": "harmonized", "name": "harmonized", "initial": pooled,
-             "overall": "diff_means", "lambda": "full" if np.isinf(lam) else lam,
+             "overall": "diff_means", "lambda": "full" if np.isinf(s["lambda"]) else s["lambda"],
              "sigma_mode": s["sigma_mode"],
              **({} if s["sigma"] is None else {"sigma": s["sigma"]})},
         ]
@@ -299,11 +270,8 @@ def cmd_simulate(cfg: dict) -> int:
     preset = s.pop("preset")
     if preset is not None and s["scenario"] is not None:
         raise ConfigError("give either preset or scenario, not both")
-    if preset is not None:
-        spec = load_preset(preset)
-    elif s["scenario"] is not None:
-        spec = ScenarioSpec.from_dict(s["scenario"])
-    else:
+    spec = load_preset(preset) if preset is not None else s["scenario"]
+    if spec is None:
         raise ConfigError("simulate config needs a preset or an inline scenario")
     s["scenario"] = spec.to_dict()
 
@@ -311,17 +279,10 @@ def cmd_simulate(cfg: dict) -> int:
         continuous = spec.outcome_family == CONTINUOUS
         pooled = "diff_means_pooled" if continuous else "logistic_pooled"
         rct = "diff_means_rct" if continuous else "logistic_rct"
-        lambdas = [s["lambda"]]
-        if s["lambda"] is None:
-            lambdas = s["harmonized_lambdas"]
-            try:
-                for lam in lambdas:
-                    parse_lambda(lam)
-            except ConfigError as exc:  # name the key that gave the bad entry
-                raise ConfigError(f"harmonized_lambdas: {exc}") from None
+        lambdas = s["harmonized_lambdas"] if s["lambda"] is None else [s["lambda"]]
         s["estimators"] = [pooled, rct] + (["oracle"] if continuous else []) + [
             {"kind": "harmonized", "initial": pooled, "overall": "diff_means",
-             "lambda": lam, "sigma_mode": s["sigma_mode"]}
+             "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": s["sigma_mode"]}
             for lam in lambdas
         ]
     report = run_monte_carlo(spec, s["estimators"], reps=s["reps"], seed=s["seed"],
@@ -340,7 +301,7 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_resample(cfg: dict) -> int:
     s = _settings("resample", cfg)
     out_dir = _out_dir(s["out_dir"])
-    schema = CsvSchema.from_dict(s["schema"])
+    schema = s["schema"]
     report = run_resampling(
         s["trial_csv"], s["ec_csv"], schema=schema,
         **{key: s[key] for key in ("n_control", "n_experimental", "n_ec", "reps",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,6 +26,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import (
+    LABEL,
+    Vector,
+    choice,
+    declared,
+    instance,
+    listing,
+    read_fields,
+    real,
+    record,
+    repeated,
+)
 from .errors import (
     ConfigError,
     DataError,
@@ -48,40 +59,36 @@ BINARY = "binary"
 # column order of the CellStats arrays
 TREATED, CONTROL, EC_CONTROL = 0, 1, 2
 
+OUTCOME_FAMILY = choice((CONTINUOUS, BINARY))
+COLUMN = instance("a string", str)
+LEVELS = listing(LABEL, "labels")
+# K positive prevalences on the simplex; a data error where data give K
+SIMPLEX = Vector(real(0.0, math.inf, strings=False), total=1.0)
+
 
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for CSV ingestion."""
 
-    outcome: str = "outcome"
-    treatment: str = "treatment"
-    subgroup: str = "subgroup"
-    covariates: tuple[str, ...] = ()
+    outcome: str = declared(COLUMN, "outcome")
+    treatment: str = declared(COLUMN, "treatment")
+    subgroup: str = declared(COLUMN, "subgroup")
+    covariates: tuple[str, ...] = declared(listing(COLUMN, "column names, each a string"), ())
 
     def __post_init__(self):
-        roles = [("outcome", self.outcome), ("treatment", self.treatment),
-                 ("subgroup", self.subgroup), *(("covariates", c) for c in self.covariates)]
-        for role, name in roles:
-            if not isinstance(name, str):
-                raise ConfigError(f"schema {role} must name a column by a string, got {name!r}")
+        read_fields(self, prefix="schema ")
         # one column holds one kind of value; the subgroup indicators
         # already span any column that is a function of the subgroup
-        names = [name for _, name in roles]
-        twice = [c for i, c in enumerate(names) if c in names[:i]]
+        twice = repeated([self.outcome, self.treatment, self.subgroup, *self.covariates])
         if twice:
             raise ConfigError(f"schema maps more than one role to column {twice[0]!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CsvSchema":
-        if not isinstance(obj, dict):
-            raise ConfigError("schema must be an object")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-        covariates = obj.get("covariates", [])
-        if not isinstance(covariates, (list, tuple)):
-            raise ConfigError(f"schema covariates must be a list, got {covariates!r}")
-        return cls(**{**obj, "covariates": tuple(covariates)})
+        return SCHEMA.read(obj, "schema")
+
+
+SCHEMA = record(CsvSchema, "schema")
 
 
 def _vector(values, dtype, name: str, n: int | None = None) -> np.ndarray:
@@ -165,8 +172,7 @@ class CombinedDataset:
         indices; every EC patient is a control. Each vector must match its
         study's outcome vector in length and the covariate matrices must
         share one width, else `DimensionMismatch`."""
-        if outcome_family not in (CONTINUOUS, BINARY):
-            raise DataError(f"unknown outcome family {outcome_family!r}")
+        OUTCOME_FAMILY.read(outcome_family, "outcome_family", DataError)
         y_r = _outcomes(y_rct, "y_rct", outcome_family)
         y_e = _outcomes(y_ec, "y_ec", outcome_family)
         n_r, n_e = len(y_r), len(y_e)
@@ -382,8 +388,7 @@ def compute_design_counts(
 
     Prevalences default to the empirical RCT subgroup frequencies and are
     normalized to sum to exactly 1; a user-supplied vector overrides them
-    (its entries must be numbers, not booleans, strictly positive and on
-    the simplex).
+    and must be of the kind `SIMPLEX`, else DataError.
     """
     k = ds.k
     n = ds.cell_stats.n
@@ -393,16 +398,8 @@ def compute_design_counts(
     counts[:, 0, 1] = n[:, EC_CONTROL]
 
     if prevalences is not None:
-        if not all(isinstance(p, numbers.Real) and not isinstance(p, (bool, np.bool_))
-                   for p in np.asarray(prevalences, dtype=object).ravel()):
-            raise DataError(f"prevalences must be numbers, got {prevalences!r}")
+        SIMPLEX.read(prevalences, "prevalences", DataError, {"k": k})
         pi = np.asarray(prevalences, dtype=float)
-        if pi.shape != (k,):
-            raise DataError(f"prevalences must have length {k}")
-        if not np.all(pi > 0):  # false for NaN; an infinity fails the sum below
-            raise DataError("user-supplied prevalences must be finite and strictly positive")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise DataError("user-supplied prevalences must sum to 1 within 1e-12")
         source = "user_supplied"
     else:
         per_sub = counts[:, :, 0].sum(axis=1).astype(float)
@@ -543,11 +540,8 @@ def load_dataset(
     found = np.concatenate([labels_r, labels_e])
     stripped = {label: label.strip() for label in set(found.tolist())}
     if subgroup_levels is not None:
-        if not isinstance(subgroup_levels, (list, tuple)):
-            raise ConfigError(
-                f"subgroup_levels must be a list of labels, got {subgroup_levels!r}")
-        labels = [str(v) for v in subgroup_levels]
-        twice = [lab for i, lab in enumerate(labels) if lab in labels[:i]]
+        labels = list(LEVELS.read(subgroup_levels, "subgroup_levels"))
+        twice = repeated(labels)
         if twice:
             raise ConfigError(f"subgroup_levels lists {twice[0]!r} more than once")
     else:

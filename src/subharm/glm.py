@@ -265,10 +265,12 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
     (proportion rows); each row's log-likelihood contribution is multiplied
     by its weight, and None stands for unit weights, which are never
     multiplied in. A coefficient escaping the +/-30 cap on the logit scale
-    with a non-vanishing score raises SeparationDetected, and exhausting
-    `max_iter` raises NotConverged. The fit's `information` at its
-    coefficients is computed when first read. `y` and `weights` follow the
-    design's row order; a raw array is one cell, so its rows keep theirs.
+    with a non-vanishing score raises SeparationDetected, exhausting
+    `max_iter` raises NotConverged, and a singular information raises
+    RankDeficient, also at a start whose score is already below `tol`. The
+    fit's `information` at its coefficients is computed when first read.
+    `y` and `weights` follow the design's row order; a raw array is one
+    cell, so its rows keep theirs.
 
     Each linear predictor lp costs one exponential per row: e = e^-lp gives
     both the mean 1 / (1 + e), `expit(lp)` to the bit, and the
@@ -308,6 +310,9 @@ def fit_logistic_irls(design: CellDesign | np.ndarray, y: np.ndarray,
             score = x.score(weigh(y - mu))
             big = np.abs(score).max()
             if big < tol:
+                if it == 0 and np.linalg.matrix_rank(  # no step has solved with it
+                        x.information(weigh(mu) * (1.0 - mu))) < len(coef):
+                    raise RankDeficient("singular weighted information matrix at the start")
                 break
             if it and np.abs(coef).max() > SEPARATION_CAP:  # a start may lie past the cap
                 raise SeparationDetected(

@@ -30,11 +30,11 @@ bd, vd) stands for is decided by the caller; `simulate`, `resample` and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FULL, LAMBDA
 from .data import CombinedDataset, DesignCounts, SubgroupRows, compute_design_counts
 from .errors import (
     ConfigError,
@@ -62,25 +62,10 @@ from .glm import (
     pooled_map,
 )
 
-FULL = float("inf")
-
-
 def parse_lambda(value) -> float:
-    """Accept a non-negative number (or numeric string) or the literal
-    "full" for infinity. A boolean, which float() reads as 1 or 0, is
-    neither, and nor is a null, a list or an object."""
-    invalid = ConfigError(f"lambda must be a non-negative number or 'full', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
-        raise invalid
-    if isinstance(value, str) and value.strip().lower() == "full":
-        return FULL
-    try:
-        lam = float(value)
-    except (ValueError, OverflowError):  # not a number, or an integer beyond any float
-        raise invalid from None
-    if math.isnan(lam) or lam < 0:
-        raise ConfigError(f"lambda must be non-negative, got {value!r}")
-    return lam
+    """The reader of the lambda kind (`config.LAMBDA`): a non-negative
+    number, a numeric string, or "full" for `FULL`, as a float."""
+    return LAMBDA.read(value, "lambda")
 
 
 def _validate_sigma(sigma: np.ndarray, k: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bayes import NormalPosterior, flat_cut
+from .config import choice, listing, refuse_repeats
 from .data import CONTINUOUS, CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
 from .errors import (
     ConfigError,
@@ -239,16 +240,17 @@ INTERVAL_PIPELINES = {
     "bootstrap": DIFF_MEANS_PIPELINE,
     "rct_only": None,
 }
+INTERVALS = listing(choice(INTERVAL_PIPELINES),
+                    f"interval methods ({', '.join(INTERVAL_PIPELINES)})")
 
 
 def check_interval_methods(methods, target, outcome_family: str) -> None:
-    """Reject, before any estimate is computed, an unknown interval method
-    or one asked of a pipeline it was not derived for. `target` is the
+    """Reject, before any estimate is computed, a list of interval methods
+    that is not of the kind `INTERVALS`, that names a method twice, or that
+    asks a method of a pipeline it was not derived for. `target` is the
     estimator configuration the intervals are centred on, or None."""
+    refuse_repeats("interval methods", INTERVALS.read(methods, "intervals"))
     for method in methods:
-        if method not in INTERVAL_PIPELINES:
-            raise ConfigError(f"unknown interval method {method!r}; "
-                              f"choose from {sorted(INTERVAL_PIPELINES)}")
         need = INTERVAL_PIPELINES[method]
         if need is None:
             continue

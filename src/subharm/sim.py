@@ -20,8 +20,6 @@ worker count.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -30,9 +28,28 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from .config import (
+    FLAG,
+    FULL,
+    LAMBDA,
+    MATRIX,
+    TEXT,
+    Vector,
+    choice,
+    declared,
+    instance,
+    read_fields,
+    real,
+    record,
+    refuse_repeats,
+    refuse_unknown,
+    whole,
+)
 from .data import (
     BINARY,
     CONTINUOUS,
+    OUTCOME_FAMILY,
+    SIMPLEX,
     CombinedDataset,
     CsvSchema,
     DesignCounts,
@@ -68,7 +85,6 @@ from .estimators import (
 )
 from .glm import GlmFit, expit
 from .harmonize import (
-    FULL,
     LimitMapSpec,
     _bias_variance,
     _SigmaShift,
@@ -78,7 +94,6 @@ from .harmonize import (
     bd_direction_linear,
     build_limit_map_spec,
     harmonize,
-    parse_lambda,
     solve_sigma_from_b,
     vd_sigma,
 )
@@ -90,21 +105,10 @@ logger = logging.getLogger("subharm")
 
 # --- scenario specification ---------------------------------------------------
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _has_length(values, size: int) -> bool:
-    try:
-        return len(values) == size
-    except TypeError:  # not a sequence
-        return False
-
-
-def _is_finite(value) -> bool:
-    """A real number that is finite; a boolean is not a number here."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-            and math.isfinite(value))
+FINITE = real(strings=False)
+CELLS = Vector(whole(0, strict=True))
+EFFECTS = Vector(FINITE)
+SD = real(0.0, FULL, (True, False), strings=False)
 
 
 @dataclass(frozen=True)
@@ -120,69 +124,32 @@ class ScenarioSpec:
     replicates.
     """
 
-    name: str
-    outcome_family: str
-    k: int
-    n_rct_treated: tuple[int, ...]
-    n_rct_control: tuple[int, ...]
-    n_ec: tuple[int, ...]
-    mu: tuple[float, ...]
-    theta: tuple[float, ...]
-    distortion: tuple[float, ...]
-    phi2: float = 1.0
-    n_covariates: int = 0
-    beta: tuple[float, ...] = ()
-    x_mean_rct: float = 0.0
-    x_sd_rct: float = 1.0
-    x_mean_ec: float = 0.0
-    x_sd_ec: float = 1.0
-    fixed_covariates: bool = False
-    prevalences: tuple[float, ...] | None = None
-    version: int = 1
+    name: str = declared(TEXT)
+    outcome_family: str = declared(OUTCOME_FAMILY)
+    k: int = declared(whole(1, strict=True))
+    n_rct_treated: tuple[int, ...] = declared(CELLS)
+    n_rct_control: tuple[int, ...] = declared(CELLS)
+    n_ec: tuple[int, ...] = declared(CELLS)
+    mu: tuple[float, ...] = declared(EFFECTS)
+    theta: tuple[float, ...] = declared(EFFECTS)
+    distortion: tuple[float, ...] = declared(EFFECTS)
+    phi2: float = declared(FINITE, 1.0)
+    n_covariates: int = declared(whole(0, strict=True), 0)
+    beta: tuple[float, ...] = declared(Vector(FINITE, "n_covariates"), ())
+    x_mean_rct: float = declared(FINITE, 0.0)
+    x_sd_rct: float = declared(SD, 1.0)
+    x_mean_ec: float = declared(FINITE, 0.0)
+    x_sd_ec: float = declared(SD, 1.0)
+    fixed_covariates: bool = declared(FLAG, False)
+    prevalences: tuple[float, ...] | None = declared(SIMPLEX.or_null(), None)
+    version: int = declared(whole(1, strict=True), 1)
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and self.name):
-            raise InvalidSpec(f"name must be a non-empty string, got {self.name!r}")
-        if not (_is_integer(self.version) and self.version >= 1):
-            raise InvalidSpec(f"version must be a positive whole number, got {self.version!r}")
-        k = self.k
-        if not _is_integer(k) or k < 1:
-            raise InvalidSpec(f"k must be a positive integer, got {k!r}")
-        if self.outcome_family not in (CONTINUOUS, BINARY):
-            raise InvalidSpec(f"unknown outcome family {self.outcome_family!r}")
-        if not _is_integer(self.n_covariates) or self.n_covariates < 0:
-            raise InvalidSpec(f"n_covariates must be a non-negative integer, "
-                              f"got {self.n_covariates!r}")
-        if not isinstance(self.fixed_covariates, (bool, np.bool_)):
-            raise InvalidSpec(f"fixed_covariates must be true or false, "
-                              f"got {self.fixed_covariates!r}")
-        for fname in ("n_rct_treated", "n_rct_control", "n_ec"):
-            sizes = getattr(self, fname)
-            if not (_has_length(sizes, k) and all(_is_integer(n) and n >= 0 for n in sizes)):
-                raise InvalidSpec(f"{fname} must hold K={k} non-negative integer cell sizes")
-        for fname, size in (("mu", k), ("theta", k), ("distortion", k),
-                            ("beta", self.n_covariates)):
-            values = getattr(self, fname)
-            if not (_has_length(values, size) and all(_is_finite(v) for v in values)):
-                raise InvalidSpec(f"{fname} must hold {size} finite numbers")
+        read_fields(self, InvalidSpec)
         if sum(self.n_rct_treated) == 0 or sum(self.n_rct_control) == 0:
             raise InvalidSpec("both RCT arms need patients")
-        for fname in ("phi2", "x_mean_rct", "x_mean_ec"):
-            if not _is_finite(getattr(self, fname)):
-                raise InvalidSpec(f"{fname} must be a finite number, got {getattr(self, fname)!r}")
-        for fname in ("x_sd_rct", "x_sd_ec"):
-            value = getattr(self, fname)
-            if not (_is_finite(value) and value >= 0):
-                raise InvalidSpec(f"{fname} must be a finite non-negative number, got {value!r}")
         if self.outcome_family == CONTINUOUS and not self.phi2 > 0:
             raise InvalidSpec("phi2 must be positive for continuous outcomes")
-        if self.prevalences is not None:
-            if not (_has_length(self.prevalences, k)
-                    and all(_is_finite(v) for v in self.prevalences)):
-                raise InvalidSpec(f"prevalences must be {k} finite numbers")
-            pi = np.asarray(self.prevalences, float)
-            if not np.all(pi > 0) or abs(pi.sum() - 1) > 1e-12:
-                raise InvalidSpec("prevalences must be a strictly positive simplex vector")
 
     def with_distortion(self, distortion) -> "ScenarioSpec":
         d = tuple(float(v) for v in np.broadcast_to(distortion, (self.k,)))
@@ -193,17 +160,10 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(obj) - known
-        if unknown:
-            raise InvalidSpec(f"unknown scenario keys: {sorted(unknown)}")
-        kw = dict(obj)
-        for fname in ("n_rct_treated", "n_rct_control", "n_ec", "mu", "theta",
-                      "distortion", "beta", "prevalences"):
-            if isinstance(kw.get(fname), list):  # anything else fails `__post_init__`
-                kw[fname] = tuple(kw[fname])
-        kw.setdefault("name", "inline")
-        return cls(**kw)
+        return SCENARIO.read(obj, "scenario", InvalidSpec)
+
+
+SCENARIO = record(ScenarioSpec, "scenario", InvalidSpec, name="inline")
 
 
 def shares_design(spec: ScenarioSpec) -> bool:
@@ -316,6 +276,7 @@ MODE_FIXED = "fixed"
 MODE_BD = "bd"
 MODE_VD = "vd"
 SIGMA_MODES = ("identity", MODE_FIXED, MODE_BD, MODE_VD)
+SIGMA_MODE = choice(SIGMA_MODES)
 # The initials a sigma mode can never resolve for: bd needs a bias
 # direction and vd the initial estimate's covariance.
 UNDEFINED_MODES = {MODE_BD: ("diff_means_rct", "ols_rct", "oracle", "logistic_rct"),
@@ -330,67 +291,53 @@ class EstimatorConfig:
     """One estimator column in a report: either a plain initial estimator
     or a harmonized transform of one."""
 
-    name: str
-    kind: str
-    initial: str = ""
-    overall: str = "diff_means"
-    lam: float = FULL
-    sigma_mode: str = "bd"
-    sigma: tuple[tuple[float, ...], ...] | None = None
+    # a plain estimator's fields are its kind and name; an entry's "lambda" is `lam`
+    kind: str = declared(choice(("harmonized", *INITIAL_KINDS)))
+    name: str = declared(TEXT)
+    initial: str = declared(choice(INITIAL_KINDS), "")
+    overall: str = declared(choice(OVERALL_KINDS), "diff_means")
+    lam: float = declared(LAMBDA, FULL)
+    sigma_mode: str = declared(SIGMA_MODE, "bd")
+    sigma: tuple[tuple[float, ...], ...] | None = declared(MATRIX.or_null(), None)
 
     def __post_init__(self):
-        if self.kind == "harmonized":
-            if self.initial not in INITIAL_KINDS:
-                raise ConfigError(f"harmonized initial must be one of {INITIAL_KINDS}")
-            if self.overall not in OVERALL_KINDS:
-                raise ConfigError(f"overall must be one of {OVERALL_KINDS}")
-            if self.sigma_mode not in SIGMA_MODES:
-                raise ConfigError(f"sigma_mode must be one of {SIGMA_MODES}")
-        elif self.kind not in INITIAL_KINDS:
-            raise ConfigError(f"unknown estimator kind {self.kind!r}")
+        read_fields(self, prefix="estimator ",
+                    names=None if self.kind == "harmonized" else ("kind", "name"))
+        if self.sigma is not None and self.sigma_mode != MODE_FIXED:
+            raise ConfigError(f"a sigma needs sigma_mode 'fixed', not {self.sigma_mode!r}")
 
 
+ENTRY = instance("a string or an object", (str, dict))
 HARMONIZATION_KEYS = {"initial", "overall", "lambda", "sigma_mode", "sigma"}
 
 
 def parse_estimator(obj) -> EstimatorConfig:
-    """Accept a plain kind name or a dict with harmonization options.
-    Unknown keys, a name that is not a non-empty string, harmonization
-    options on a plain estimator and a sigma outside the fixed mode are
-    errors."""
+    """The reader of an estimator entry (the kind `ENTRY`): a plain kind
+    name, or an object whose fields are read by their kinds
+    (`EstimatorConfig`). Unknown keys and harmonization options on a plain
+    estimator are errors too; a field's error quotes the entry. An object
+    without a name is named after its kind, or a harmonized one after its
+    initial, lambda and sigma mode."""
+    ENTRY.read(obj, "estimator entry")
     if isinstance(obj, str):
         return EstimatorConfig(name=obj, kind=obj)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"estimator entries must be strings or objects, got {type(obj)}")
-    unknown = set(obj) - {"name", "kind"} - HARMONIZATION_KEYS
-    if unknown:
-        raise ConfigError(f"unknown estimator keys: {sorted(unknown)}")
+    refuse_unknown("estimator", obj, {"name", "kind", *HARMONIZATION_KEYS})
     kind = obj.get("kind")
     if kind is None:
         raise ConfigError("estimator objects need a 'kind'")
     options = sorted(set(obj) & HARMONIZATION_KEYS)
     if kind != "harmonized" and options:
         raise ConfigError(f"plain estimator {kind!r} takes no {options}")
-    mode, sigma = obj.get("sigma_mode", "bd"), obj.get("sigma")
-    if sigma is not None and mode != MODE_FIXED:
-        raise ConfigError(f"a sigma needs sigma_mode 'fixed', not {mode!r}")
-    lam = parse_lambda(obj.get("lambda", "full"))
-    if sigma is not None:
-        try:
-            sigma = tuple(tuple(float(v) for v in row) for row in sigma)
-        except (TypeError, ValueError):
-            raise ConfigError("sigma must be a matrix of numbers") from None
-    lam_str = "full" if np.isinf(lam) else format(lam, "g")
-    default_name = (f"harmonized[{obj.get('initial')},lam={lam_str},{mode}]"
-                    if kind == "harmonized" else kind)
-    cfg = EstimatorConfig(
-        name=obj.get("name", default_name), kind=kind,
-        initial=obj.get("initial", ""), overall=obj.get("overall", "diff_means"),
-        lam=lam, sigma_mode=mode, sigma=sigma)
-    if not (isinstance(cfg.name, str) and cfg.name):
-        raise ConfigError(f"estimator name must be a non-empty string, got {cfg.name!r} "
-                          f"in entry {obj!r}")
-    return cfg
+    fields = {("lam" if key == "lambda" else key): value for key, value in obj.items()}
+    try:
+        if kind == "harmonized":
+            fields["lam"] = LAMBDA.read(obj.get("lambda", "full"), "estimator lambda")
+            lam = "full" if np.isinf(fields["lam"]) else format(fields["lam"], "g")
+            fields.setdefault("name", f"harmonized[{obj.get('initial')},lam={lam},"
+                                      f"{obj.get('sigma_mode', 'bd')}]")
+        return EstimatorConfig(**{"name": kind, **fields})
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in entry {obj!r}") from None
 
 
 def check_fixed_sigmas(est_cfgs, k: int) -> None:
@@ -829,10 +776,11 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
     """Parse the estimator entries and pick the one the intervals are
     centred on: the estimator named `interval_estimator`, else the first
     harmonized estimator at full lambda, else the first harmonized one.
-    An empty list, duplicate names, a logistic estimator or overall on
-    continuous outcomes, bd on an initial without a bias direction, vd on
-    one without a covariance, an interval on a pipeline it was not derived
-    for and too few bootstrap draws are config errors."""
+    An empty list, duplicate names or interval methods, a logistic
+    estimator or overall on continuous outcomes, bd on an initial without a
+    bias direction, vd on one without a covariance, an interval on a
+    pipeline it was not derived for and too few bootstrap draws are config
+    errors."""
     cfgs = [e if isinstance(e, EstimatorConfig) else parse_estimator(e) for e in entries]
     if not cfgs:
         raise ConfigError("estimators must name at least one estimator")
@@ -846,10 +794,7 @@ def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (
         if logistic and family == CONTINUOUS:
             raise ConfigError(f"estimator {c.name!r} fits a logistic model, which needs "
                               "binary outcomes, not continuous ones")
-    names = [c.name for c in cfgs]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise ConfigError(f"estimator names must be unique; repeated: {dupes}")
+    refuse_repeats("estimator names", [c.name for c in cfgs])
     harmonized = [c for c in cfgs if c.kind == "harmonized"]
     if interval_estimator is not None:
         target = next((c for c in cfgs if c.name == interval_estimator), None)
@@ -888,27 +833,17 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
 
 # --- pool resampling --------------------------------------------------------------
 
-def _spike_amounts(spike, k: int) -> np.ndarray:
-    """`spike` as a number or K numbers, all non-negative. A boolean, which
-    float() reads as 1 or 0, is no number."""
-    try:
-        amounts = np.asarray(spike, dtype=float)
-    except (TypeError, ValueError):
-        amounts = np.full(1, np.nan)
-    values = spike if isinstance(spike, (list, tuple)) else [spike]
-    if (amounts.shape not in ((), (k,)) or not np.all(amounts >= 0)
-            or any(isinstance(v, (bool, np.bool_)) for v in values)):
-        raise InvalidEffect(f"spike must be a non-negative number or {k} of them, "
-                            f"got {spike!r}")
-    return amounts
+# a non-negative response-rate increase, or one per subgroup
+SPIKE = Vector(real(0.0, FULL, (True, True)), scalar=True)
+PREVALENCE_MODE = choice(("replicate", "pool"))
 
 
 def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
                  rng: np.random.Generator) -> np.ndarray:
     """Raise the response rate of a binary arm by `amounts[k]` in
     expectation, flipping zeros to ones with the matching per-subgroup
-    probability."""
-    amounts = np.broadcast_to(_spike_amounts(amounts, k), (k,))
+    probability. `amounts` is of the kind `SPIKE`, else InvalidEffect."""
+    amounts = np.asarray(SPIKE.read(amounts, "spike", InvalidEffect, {"k": k}), dtype=float)
     y = y.copy()
     for j in range(k):
         m = w == j
@@ -998,15 +933,15 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     """Generate in-silico trials by resampling both trial arms from the
     actual control pool (so true effects are zero) and external controls
     from the external pool, then compare estimators across replicates."""
-    if prevalence_mode not in ("replicate", "pool"):
-        raise ConfigError("prevalence_mode must be 'replicate' or 'pool'")
+    PREVALENCE_MODE.read(prevalence_mode, "prevalence_mode")
     if min(n_control, n_experimental, n_ec) < 1 or reps < 2:
         raise ConfigError("resampling sizes and reps must be positive")
     est_cfgs, _ = plan_estimators(
         DEFAULT_RESAMPLE_ESTIMATORS if estimators is None else estimators, BINARY)
     pools = load_resample_pools(trial_csv, ec_csv, schema or CsvSchema())
     check_fixed_sigmas(est_cfgs, pools.k)
-    spike_amounts = None if spike is None else _spike_amounts(spike, pools.k)
+    spike_amounts = None if spike is None else SPIKE.read(spike, "spike", InvalidEffect,
+                                                          {"k": pools.k})
     # every replicate takes the control pool's subgroup shares as its prevalences
     fixed_pi = compute_design_counts(pools).pi if prevalence_mode == "pool" else None
     batch = partial(_resample_batch, pools=pools, est_cfgs=est_cfgs, n_control=n_control,

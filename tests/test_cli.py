@@ -678,6 +678,29 @@ class TestSettingsFailClosed:
         cfg["estimators"] = [fixed_sigma_estimator(sigma)]
         self.exits_2(command, cfg, tmp_path, capsys, ["'h' has an invalid sigma", *words])
 
+    @pytest.mark.parametrize("sigma", [["10", "01"], [[True, False], [False, True]]],
+                             ids=["strings", "booleans"])
+    def test_fixed_sigma_not_a_matrix_of_numbers(self, tmp_path, capsys, no_replicates,
+                                                  sigma):
+        # the strings were read digit by digit and the booleans as 1 and 0:
+        # each ran at exit 0 with the identity
+        cfg = {"scenario": TINY_SCENARIO, "reps": 2,
+               "estimators": [fixed_sigma_estimator(sigma)]}
+        self.exits_2("simulate", cfg, tmp_path, capsys,
+                     ["sigma", "matrix", "'name': 'h'", repr(sigma)])
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_repeated_interval_methods(self, small_csvs, tmp_path, capsys, no_replicates,
+                                       command):
+        # estimate wrote every row of intervals.csv twice; simulate computed
+        # the interval twice and report.json kept one copy
+        rct, ec = small_csvs
+        cfg = ({"rct_csv": rct, "ec_csv": ec} if command == "estimate" else
+               {"scenario": TINY_SCENARIO, "reps": 2})
+        self.exits_2(command, dict(cfg, intervals=["analytic", "rct_only", "analytic"]),
+                     tmp_path, capsys,
+                     ["interval methods must be unique; repeated: ['analytic']"])
+
     def test_non_finite_prevalences_in_scenario(self, tmp_path, capsys, no_replicates):
         # NaN passed both the positivity and the sum check, and the run
         # died in an eigenvalue solver with a traceback
@@ -698,6 +721,18 @@ class TestSettingsFailClosed:
         scenario = dict(load_preset("fig5").to_dict(), **{field: value})
         self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys,
                      [field], error="InvalidSpec")
+
+    @pytest.mark.parametrize("scenario,words", [
+        ({"k": 2}, ["scenario needs", "'outcome_family'"]),
+        ({"mu": [10 ** 400, 0, 0, 0, 0]}, ["mu", "finite number"]),
+    ], ids=["missing-field", "integer-beyond-any-float"])
+    def test_scenario_missing_field_or_huge_integer(self, tmp_path, capsys, no_replicates,
+                                                    scenario, words):
+        # each exited 1 with a TypeError or an OverflowError traceback
+        if "k" not in scenario:
+            scenario = dict(load_preset("fig5").to_dict(), **scenario)
+        self.exits_2("simulate", {"scenario": scenario, "reps": 2}, tmp_path, capsys, words,
+                     error="InvalidSpec")
 
     BAD_IDENTITY = [("name", None), ("name", ["a"]), ("name", ""), ("version", "x"),
                     ("version", -3), ("version", 0), ("version", True), ("version", 1.5)]
@@ -1051,6 +1086,57 @@ class TestDocsMatchSettings:
         section = readme.split(f"\n### {command}\n", 1)[1]
         example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         assert set(example) <= set(SETTINGS[command])
+
+    @staticmethod
+    def kind_tables():
+        """The README's kind tables under `### estimate`, in order, each a
+        list of rows of cells without backticks."""
+        from pathlib import Path
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### estimate\n", 1)[1].split("\n### ", 1)[0]
+        tables, rows = [], []
+        for line in section.splitlines() + [""]:
+            if line.startswith("|"):
+                cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+                rows += [] if set(cells[0]) <= {"-"} else [cells]
+            elif rows:
+                tables, rows = tables + [rows], []
+        return tables
+
+    def test_every_setting_has_its_kind_in_the_readme_table(self):
+        # a key added to SETTINGS without a kind, or without its row, or a
+        # row that gives a key another kind than the declared one fails here
+        from subharm.cli import SETTINGS
+        from subharm.config import Kind
+
+        (header, *rows), *_ = self.kind_tables()
+        assert header == ["key", "commands", "kind", "exit"]
+        documented = {}
+        for key, commands, kind, _exit in rows:
+            for command in SETTINGS if commands == "all" else commands.split(", "):
+                assert (command, key) not in documented, (command, key)
+                documented[command, key] = kind
+        declared = {}
+        for command, table in SETTINGS.items():
+            for key, entry in table.items():
+                assert isinstance(entry, tuple) and len(entry) == 2, (command, key)
+                assert isinstance(entry[0], Kind), (command, key)
+                declared[command, key] = str(entry[0])
+        assert documented == declared
+
+    def test_every_field_has_its_kind_in_the_readme_tables(self):
+        import dataclasses
+
+        from subharm import CsvSchema, EstimatorConfig, ScenarioSpec
+
+        tables = self.kind_tables()[1:]
+        assert len(tables) == 3
+        for cls, (header, *rows) in zip((EstimatorConfig, ScenarioSpec, CsvSchema), tables):
+            assert header == ["field", "kind"]
+            declared = {("lambda" if f.name == "lam" else f.name): str(f.metadata["kind"])
+                        for f in dataclasses.fields(cls)}
+            assert dict(rows) == declared, cls.__name__
 
     @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
     def test_flags_are_the_flagged_keys(self, command):

@@ -169,6 +169,17 @@ class TestLogistic:
         fit = fit_logistic_irls(np.ones((4, 1)), np.array([1.0, 1.0, 0.0, 0.0]))
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-10)
 
+    def test_rank_deficient_at_a_start_that_scores_below_tol(self):
+        # a zero column, and balanced responses: the cold start's score is
+        # exactly 0, so the fit stopped at iteration 0 without a solve and
+        # returned [0, 0] with a singular information
+        x = np.column_stack([np.ones(26), np.zeros(26)])
+        with pytest.raises(RankDeficient, match="singular"):
+            fit_logistic_irls(x, np.r_[np.ones(13), np.zeros(13)])
+        # a full-rank design that starts at its optimum still returns it
+        fit = fit_logistic_irls(np.ones((26, 1)), np.r_[np.ones(13), np.zeros(13)])
+        assert fit.iterations == 0 and fit.coefficients.tolist() == [0.0]
+
     def test_separation_detected(self):
         x = np.c_[np.ones(8), np.r_[np.zeros(4), np.ones(4)]]
         y = np.r_[np.zeros(4), np.ones(4)]
@@ -272,6 +283,9 @@ def oracle_fit(design, y, weights=None, tol=1e-10, max_iter=100, start=None):
         score = x.score(w * (y - mu))
         big = np.abs(score).max()
         if big < tol:
+            # since the rank check at a start whose score is below tol
+            if it == 0 and np.linalg.matrix_rank(x.information(w * mu * (1.0 - mu))) < len(coef):
+                raise RankDeficient("singular")
             break
         if it and np.abs(coef).max() > glm.SEPARATION_CAP:
             raise SeparationDetected("separated")
