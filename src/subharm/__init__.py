@@ -14,7 +14,6 @@ from .bayes import (
     analyst2_posterior,
     cut_distribution,
     flat_prior,
-    plug_in_distribution,
 )
 from .data import (
     BINARY,
@@ -52,11 +51,11 @@ from .harmonize import (
     FULL,
     LimitMapSpec,
     analytic_bias_variance,
+    bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
     build_limit_map_spec,
     harmonize,
-    harmonize_objective_oracle,
     limit_map_theta,
     mse_difference,
     parse_lambda,

@@ -1,8 +1,7 @@
 """Conjugate-normal posteriors for a primary analyst (overall effect, trial
 data only) and a subgroup analyst (subgroup effects, trial plus external
-data), the cut distribution that replaces the subgroup analyst's overall
-marginal with the primary analyst's, and the plug-in conditional that
-ignores the primary analyst's uncertainty.
+data), and the cut distribution that replaces the subgroup analyst's
+overall marginal with the primary analyst's.
 
 The cut mean reproduces full variance-directed harmonization exactly; the
 cut covariance inherits the primary analyst's uncertainty along the
@@ -130,16 +129,6 @@ def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,
     m1, v1 = p1.block("theta")
     m2, s2 = p2.block("theta")
     return _mix_over_overall(m2, s2, s2 @ pi, pi, float(m1[0]), float(v1[0, 0]))
-
-
-def plug_in_distribution(p2: NormalPosterior, prevalences,
-                         theta_hat_a1: float) -> NormalPosterior:
-    """Condition the subgroup posterior on the prevalence-weighted average
-    equalling a fixed overall point estimate. The support lies in that
-    hyperplane, so the covariance is degenerate along the prevalences."""
-    pi = np.asarray(prevalences, dtype=float)
-    m2, s2 = p2.block("theta")
-    return _mix_over_overall(m2, s2, s2 @ pi, pi, float(theta_hat_a1), 0.0)
 
 
 def _flat_theta(n1, n0, s1, s0, phi2: float):

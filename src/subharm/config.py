@@ -34,6 +34,11 @@ def refuse_repeats(what: str, values) -> None:
         raise ConfigError(f"{what} must be unique; repeated: {sorted(repeated(values))}")
 
 
+def refuse_below(key: str, value, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value!r}")
+
+
 def refuse_unknown(what: str, keys, known, error=ConfigError) -> None:
     if set(keys) - set(known):
         raise error(f"unknown {what} keys: {sorted(set(keys) - set(known))}")

@@ -3,7 +3,10 @@ weighted subgroup effects, and reference estimators (RCT-only subgroup,
 oracle, difference of means).
 
 All estimators are pure functions of the dataset and are invariant to row
-permutation. The overall estimators return the effect as a float.
+permutation. The overall estimators return the effect as a float. The
+propensity-weighted estimate `weighted_logistic_effects` takes the EC
+records' weights (`ec_weights(fit_propensity(ds))`), so a caller that also
+reads them, as the IPW limit map does, fits the propensity model once.
 """
 
 from __future__ import annotations
@@ -226,9 +229,9 @@ def logistic_overall_effect(ds: CombinedDataset, fit: GlmFit | None = None) -> f
     logistic fit when it was already made."""
     if fit is None:
         fit = _pooled_logistic_fit(ds, None, rct_only=True)
-    k, coef = ds.k, fit.coefficients
-    pi = np.bincount(ds.w_rct, minlength=k) / ds.n_rct
-    return float(pi @ marginal_effects(ds.rct_subgroups, ds.x_rct, *np.split(coef, [k, 2 * k])))
+    k, rows = ds.k, ds.rct_subgroups
+    pi = rows.n / ds.n_rct
+    return float(pi @ marginal_effects(rows, ds.x_rct, *np.split(fit.coefficients, [k, 2 * k])))
 
 
 # --- propensity weighting -----------------------------------------------------
@@ -258,8 +261,7 @@ def ec_weights(pm: PropensityModel) -> np.ndarray:
     return np.exp(pm.log_odds_ec - pm.log_odds_ec.max())
 
 
-def weighted_logistic_effects(ds: CombinedDataset) -> EffectEstimate:
-    """Propensity-score-weighted pooled logistic subgroup effects."""
-    pm = fit_propensity(ds)
-    w = np.concatenate([np.ones(ds.n_rct), ec_weights(pm)])
-    return logistic_marginal_effects(ds, weights=w)
+def weighted_logistic_effects(ds: CombinedDataset, ec_w: np.ndarray) -> EffectEstimate:
+    """Propensity-score-weighted pooled logistic subgroup effects: the RCT
+    records weigh 1 and the EC records `ec_w`, their `ec_weights`."""
+    return logistic_marginal_effects(ds, weights=np.concatenate([np.ones(ds.n_rct), ec_w]))

@@ -19,12 +19,14 @@ pi and pi' Sigma pi enter u, so u describes a harmonization completely.
 `shift_vector` computes u from Sigma and lam, the `bd_direction_*`
 functions give the unit bias direction d = b / pi'b (pi'd = 1) of the
 initial estimator's bias response b, which is u at full bias-directed
-harmonization, and `harmonize` applies a u. `_unit_direction` holds the
-one rule that there is no direction when pi'b vanishes. Every Sigma with
-Sigma pi proportional to d (`solve_sigma_from_b`) gives u = lam / (lam + 1)
-d at finite lam, so bd needs no matrix. Which shift a sigma mode (fixed,
-bd, vd) stands for is decided by the caller; `simulate`, `resample` and
-`estimate` resolve it in `sim._ReplicateContext`.
+harmonization, `harmonize` applies a u, and `analytic_bias_variance` gives
+the exact bias and covariance of the difference-of-means estimate that a u
+harmonizes. `_unit_direction` holds the one rule that there is no
+direction when pi'b vanishes. Every Sigma with Sigma pi proportional to d
+(`solve_sigma_from_b`) gives u = lam / (lam + 1) d at finite lam, so bd
+needs no matrix. Which shift a sigma mode (fixed, bd, vd) stands for is
+decided by the caller; `simulate`, `resample` and `estimate` resolve it in
+`sim._ReplicateContext`.
 """
 
 from __future__ import annotations
@@ -138,22 +140,6 @@ def harmonize(initial: EffectEstimate, overall: float, prevalences, u) -> Effect
     if not -1e-10 <= share <= 1.0 + 1e-10:
         raise ConfigError(f"shift vector needs pi'u in [0, 1], got {share:.6g}")
     return EffectEstimate(theta + (float(overall) - pi @ theta) * u)
-
-
-def harmonize_objective_oracle(theta, overall: float, prevalences, sigma,
-                               lam: float) -> np.ndarray:
-    """Independent check: minimize the penalized objective directly by
-    solving its stationarity condition. Finite lam only; intended for
-    tests and diagnostics, not production use."""
-    theta = np.asarray(theta, dtype=float)
-    pi = np.asarray(prevalences, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if math.isinf(lam):
-        raise ConfigError("oracle handles finite lam only")
-    sigma_inv = np.linalg.inv(sigma)
-    lhs = sigma_inv + lam * np.outer(pi, pi)
-    rhs = sigma_inv @ theta + lam * float(overall) * pi
-    return np.linalg.solve(lhs, rhs)
 
 
 # --- bias-directed selection -------------------------------------------------
@@ -438,20 +424,12 @@ def bd_direction_glm(spec: LimitMapSpec, fd_step: float = 1e-4
 
 # --- exact operating characteristics of the difference-of-means pipeline ----
 
-def analytic_bias_variance(dc: DesignCounts, gamma, sigma, lam: float,
-                           phi2: float) -> tuple[np.ndarray, np.ndarray]:
+def analytic_bias_variance(dc: DesignCounts, gamma, u, phi2: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Exact bias vector and covariance of the difference-of-means estimator
-    harmonized with strength lam along sigma (the identity when None), that
-    is with the shift vector `shift_vector(dc.pi, sigma, lam)`, with outcome
-    variance phi2 and external mean distortions gamma. The covariance holds
-    on any design, the bias on the proportional stratified design."""
-    return _bias_variance(dc, gamma, shift_vector(dc.pi, sigma, lam), phi2)
-
-
-def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """`analytic_bias_variance` for a resolved shift vector u (harmonizing
-    moves t by (r - pi't) u).
+    harmonized along the shift vector u (harmonizing moves t by (r - pi't)
+    u), with outcome variance phi2 and external mean distortions gamma. A
+    Sigma and a lam give u = `shift_vector(dc.pi, sigma, lam)`.
 
     The covariance holds on any design: the harmonized estimate is linear
     in the independent treated, control and EC cell means, v = A1'm1 +
@@ -467,9 +445,9 @@ def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
     design.
     """
     k = dc.k
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (k,):
-        raise InconsistentDimensions(f"gamma must have length {k}")
+    gamma, u = np.asarray(gamma, dtype=float), np.asarray(u, dtype=float)
+    if gamma.shape != (k,) or u.shape != (k,):
+        raise InconsistentDimensions(f"gamma and u must have length {k}")
     n1, n0, ne = (dc.counts[:, t, s].astype(float) for t, s in ((1, 0), (0, 0), (0, 1)))
     nr1, nr0 = n1.sum(), n0.sum()
     if nr1 == 0 or nr0 == 0 or phi2 < 0:
@@ -490,16 +468,16 @@ def _bias_variance(dc: DesignCounts, gamma, u, phi2: float
 
 def mse_difference(dc: DesignCounts, gamma, phi2: float) -> np.ndarray:
     """Per-subgroup MSE(pooled) - MSE(fully harmonized, bias-directed): the
-    squared bias plus variance of `_bias_variance` at u = 0 (pooled) less
-    that at u = d, the unit bias direction. The variances are exact on any
-    design, the biases hold on the proportional design. Raises InvalidDesign
-    without RCT controls or without external controls."""
+    squared bias plus variance of `analytic_bias_variance` at u = 0
+    (pooled) less that at u = d, the unit bias direction. The variances are
+    exact on any design, the biases hold on the proportional design. Raises
+    InvalidDesign without RCT controls or without external controls."""
     try:
         d = bd_direction_diff_means(dc)
     except DegenerateDirection:
         raise InvalidDesign("needs at least some external controls") from None
-    mse = [bias * bias + np.diag(var)
-           for bias, var in (_bias_variance(dc, gamma, u, phi2) for u in (np.zeros(dc.k), d))]
+    mse = [bias * bias + np.diag(var) for bias, var in (
+        analytic_bias_variance(dc, gamma, u, phi2) for u in (np.zeros(dc.k), d))]
     return mse[0] - mse[1]
 
 

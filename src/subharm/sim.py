@@ -41,6 +41,7 @@ from .config import (
     read_fields,
     real,
     record,
+    refuse_below,
     refuse_repeats,
     refuse_unknown,
     whole,
@@ -82,13 +83,14 @@ from .estimators import (
     ols_subgroup_effects,
     oracle_subgroups,
     rct_only_subgroups,
+    weighted_logistic_effects,
 )
 from .glm import GlmFit, expit
 from .harmonize import (
     LimitMapSpec,
-    _bias_variance,
     _SigmaShift,
     _validate_sigma,
+    analytic_bias_variance,
     bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
@@ -402,8 +404,7 @@ class _ReplicateContext:
         if kind == "logistic_pooled":
             return logistic_marginal_effects(ds)
         if kind == "logistic_ipw":
-            w = np.concatenate([np.ones(ds.n_rct), self.ipw_weights()])
-            return logistic_marginal_effects(ds, weights=w)
+            return weighted_logistic_effects(ds, self.ipw_weights())
         if kind == "logistic_rct":
             return logistic_marginal_effects(ds, rct_only=True, fit=self.trial_logistic_fit())
         if kind in ("diff_means_rct", "ols_rct"):
@@ -536,7 +537,7 @@ class _ReplicateContext:
         u, mode = self.shift(cfg)
         return self._cached(
             ("variance", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam, phi2),
-            lambda: _bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
+            lambda: analytic_bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
             design_only=_design_only_shift(mode, cfg.initial))
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
@@ -816,8 +817,7 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
                     interval_estimator: str | None = None) -> MonteCarloReport:
     """Replicate the scenario and aggregate estimator and interval
     operating characteristics against the true subgroup effects."""
-    if reps < 2:
-        raise ConfigError("need at least 2 replicates")
+    refuse_below("reps", reps, 2)
     est_cfgs, interval_cfg = plan_estimators(estimators, spec.outcome_family, intervals,
                                              interval_estimator, bootstrap_r)
     check_fixed_sigmas(est_cfgs, spec.k)
@@ -934,8 +934,10 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     actual control pool (so true effects are zero) and external controls
     from the external pool, then compare estimators across replicates."""
     PREVALENCE_MODE.read(prevalence_mode, "prevalence_mode")
-    if min(n_control, n_experimental, n_ec) < 1 or reps < 2:
-        raise ConfigError("resampling sizes and reps must be positive")
+    for key, size in (("n_control", n_control), ("n_experimental", n_experimental),
+                      ("n_ec", n_ec)):
+        refuse_below(key, size, 1)
+    refuse_below("reps", reps, 2)
     est_cfgs, _ = plan_estimators(
         DEFAULT_RESAMPLE_ESTIMATORS if estimators is None else estimators, BINARY)
     pools = load_resample_pools(trial_csv, ec_csv, schema or CsvSchema())

@@ -22,7 +22,6 @@ from subharm import (
     flat_prior,
     generate_scenario,
     harmonize,
-    harmonize_objective_oracle,
     limit_map_theta,
     load_preset,
     mse_difference,
@@ -34,6 +33,8 @@ from subharm import (
 )
 from subharm.cli import main as cli_main
 from subharm.data import CombinedDataset
+
+from oracles import harmonize_objective_oracle
 
 SEED = 20260809
 REPS = 2000
@@ -134,7 +135,8 @@ def test_criterion_02_prop1_reproduction(fig1_runs):
         for lam in FIG1_LAMBDAS:
             st = rep.estimator_stats[f"h[{_lam_name(lam)}]"]
             bias, var = analytic_bias_variance(
-                dc, np.asarray(spec.distortion), np.eye(spec.k), lam, spec.phi2)
+                dc, np.asarray(spec.distortion), shift_vector(dc.pi, np.eye(spec.k), lam),
+                spec.phi2)
             z_bias = np.abs(st["bias"] - bias) / st["mc_se_bias"]
             z_sd = np.abs(st["sd"] - np.sqrt(np.diag(var))) / st["mc_se_sd"]
             worst = max(worst, float(z_bias.max()), float(z_sd.max()))
@@ -210,7 +212,7 @@ def test_criterion_04_cut_equivalence():
         vd = harmonize(initial, float(p1.block("theta")[0][0]), dc.pi,
                        shift_vector(dc.pi, vd_sigma(initial)))
         worst_mean = max(worst_mean, float(np.abs(cut.mean - vd.theta_k).max()))
-        _, vh = analytic_bias_variance(dc, np.zeros(k), s2, FULL, phi2)
+        _, vh = analytic_bias_variance(dc, np.zeros(k), shift_vector(dc.pi, s2, FULL), phi2)
         worst_var = max(worst_var, float(np.abs(cut.cov - vh).max()))
     elapsed = time.time() - t0
     ok = worst_mean < 1e-9 and worst_var < 1e-8 and elapsed < 5

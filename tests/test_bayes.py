@@ -15,13 +15,13 @@ from subharm import (
     external_estimate,
     flat_prior,
     harmonize,
-    plug_in_distribution,
     shift_vector,
 )
 from subharm.bayes import flat_cut
 from subharm.errors import SingularPrior
 
 from conftest import balanced_dataset
+from oracles import plug_in_distribution
 
 
 def proportional_dataset(rng, k=3, base_t=4, base_c=3, ec=None):

@@ -645,6 +645,18 @@ class TestSettingsFailClosed:
         cfg = {"preset": "fig1-s2", "reps": 2, "intervals": ["bootstrap"], "bootstrap_r": 50}
         self.exits_2("simulate", cfg, tmp_path, capsys, ["bootstrap_r", "50"])
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("simulate", "reps", 1, "reps must be at least 2, got 1"),
+        ("resample", "reps", 1, "reps must be at least 2, got 1"),
+        ("resample", "n_ec", 0, "n_ec must be at least 1, got 0"),
+    ])
+    def test_too_few_replicates_or_too_small_a_size(self, tmp_path, capsys, no_replicates,
+                                                    command, key, value, message):
+        # the messages named no key: "need at least 2 replicates", and
+        # "resampling sizes and reps must be positive" although 1 is positive
+        cfg = dict(self.base(command, tmp_path), **{key: value})
+        self.exits_2(command, cfg, tmp_path, capsys, [message])
+
     @pytest.mark.parametrize("cfg", [
         {"sigma": [[1, 0], [0, 1]]},
         {"sigma": [[1, 0], [0, 1]], "sigma_mode": "vd"},

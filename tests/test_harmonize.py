@@ -16,7 +16,6 @@ from subharm import (
     external_estimate,
     generate_scenario,
     harmonize,
-    harmonize_objective_oracle,
     limit_map_theta,
     load_preset,
     logistic_marginal_effects,
@@ -36,9 +35,10 @@ from subharm.errors import (
     SingularSigma,
 )
 from subharm.estimators import EffectEstimate
-from subharm.harmonize import _bias_variance, _unit_direction
+from subharm.harmonize import _unit_direction
 
 from conftest import balanced_dataset
+from oracles import harmonize_objective_oracle
 
 # a NaN or an overflow warning in a shift or a limit map fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -332,15 +332,18 @@ class TestLimitMap:
 class TestAnalytic:
     def test_full_bd_unbiased_under_systematic_distortion(self, fig1_counts):
         sigma = np.eye(10)
-        bias, _ = analytic_bias_variance(fig1_counts, np.ones(10), sigma, FULL, 1.0)
+        u = shift_vector(fig1_counts.pi, sigma, FULL)
+        bias, _ = analytic_bias_variance(fig1_counts, np.ones(10), u, 1.0)
         np.testing.assert_allclose(bias, 0.0, atol=1e-12)
 
     def test_lambda_zero_bias_is_pooled_bias(self, fig1_counts):
-        bias, _ = analytic_bias_variance(fig1_counts, np.ones(10), np.eye(10), 0.0, 1.0)
+        u = shift_vector(fig1_counts.pi, np.eye(10), 0.0)
+        bias, _ = analytic_bias_variance(fig1_counts, np.ones(10), u, 1.0)
         np.testing.assert_allclose(bias, -10 / 11, atol=1e-12)
 
     def test_full_variance_value(self, fig1_counts):
-        _, var = analytic_bias_variance(fig1_counts, np.zeros(10), np.eye(10), FULL, 1.0)
+        u = shift_vector(fig1_counts.pi, np.eye(10), FULL)
+        _, var = analytic_bias_variance(fig1_counts, np.zeros(10), u, 1.0)
         expected = (10 / 50) * (2 - 10 / 11) + (10 / 11) / 50
         np.testing.assert_allclose(np.diag(var), expected, atol=1e-12)
 
@@ -353,7 +356,8 @@ class TestAnalytic:
             f = 1.0 if np.isinf(lam) else lam / (lam + k)
             want_bias = -q * (np.eye(k) - f / k * j_mat) @ gamma
             want_var = (k / nr0) * (2 - q) * np.eye(k) + f ** 2 * q / nr0 * j_mat
-            bias, var = analytic_bias_variance(fig1_counts, gamma, np.eye(k), lam, 1.0)
+            u = shift_vector(fig1_counts.pi, np.eye(k), lam)
+            bias, var = analytic_bias_variance(fig1_counts, gamma, u, 1.0)
             np.testing.assert_allclose(bias, want_bias, atol=1e-10)
             np.testing.assert_allclose(var, want_var, atol=1e-10)
 
@@ -404,7 +408,7 @@ class TestHarmonizedCovariance:
         nr1, nr0 = n_t.sum(), n_c.sum()
         stratified = (np.diag(phi2 * (1 / nr1 + (1 - dc.q_ratio) / nr0) / dc.pi)
                       + dc.q_bar * phi2 / nr0 * np.outer(u, u))
-        _, var = _bias_variance(dc, np.zeros(len(u)), u, phi2)
+        _, var = analytic_bias_variance(dc, np.zeros(len(u)), u, phi2)
         np.testing.assert_allclose(np.diag(var), np.diag(stratified), rtol=1e-12)
         np.testing.assert_allclose(var, stratified, rtol=0,
                                    atol=1e-12 * np.abs(np.diag(stratified)).max())
@@ -432,7 +436,7 @@ class TestHarmonizedCovariance:
             y_cells[j, c] = 1.0
             row = estimate(y_cells) - estimate(np.zeros((k, 3)))
             want += phi2 / sizes[j, c] * np.outer(row, row)
-        _, var = _bias_variance(dc, np.zeros(k), u, phi2)
+        _, var = analytic_bias_variance(dc, np.zeros(k), u, phi2)
         np.testing.assert_allclose(var, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -460,9 +464,9 @@ class TestMseDifference:
         # independent check: assemble both MSEs from the exact formulas
         gamma = np.array([1.5, 0.2] * 5)
         pooled_bias, pooled_var = analytic_bias_variance(
-            fig1_counts, gamma, np.eye(10), 0.0, 1.0)
+            fig1_counts, gamma, shift_vector(fig1_counts.pi, np.eye(10), 0.0), 1.0)
         harm_bias, harm_var = analytic_bias_variance(
-            fig1_counts, gamma, np.eye(10), FULL, 1.0)
+            fig1_counts, gamma, shift_vector(fig1_counts.pi, np.eye(10), FULL), 1.0)
         want = (pooled_bias ** 2 + np.diag(pooled_var)
                 - harm_bias ** 2 - np.diag(harm_var))
         got = mse_difference(fig1_counts, gamma, 1.0)

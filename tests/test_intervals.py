@@ -155,7 +155,8 @@ class TestBootstrap:
         params = SimpleModelParams(mu=np.zeros(10), theta=np.zeros(10),
                                    gamma=np.ones(10), phi2=1.0)
         iv = _bootstrap(ds, r=4000, seed=11, params=params)
-        _, vh = analytic_bias_variance(dc, np.ones(10), np.eye(10), FULL, 1.0)
+        _, vh = analytic_bias_variance(dc, np.ones(10), shift_vector(dc.pi, np.eye(10), FULL),
+                                       1.0)
         ana_width = 2 * 1.959964 * np.sqrt(np.diag(vh))
         assert np.all(np.abs(iv.width / ana_width - 1) < 0.10)
 
@@ -293,8 +294,7 @@ class TestDispatcher:
         point = harmonize(diff_means_pooled_subgroups(ds), diff_means_overall(ds), dc.pi,
                           u).theta_k
         got = interval("analytic", ctx, cfg, 0.05, phi2=1.3)
-        want = analytic_interval(point, analytic_bias_variance(dc, np.zeros(4), sigma,
-                                                               cfg.lam, 1.3)[1])
+        want = analytic_interval(point, analytic_bias_variance(dc, np.zeros(4), u, 1.3)[1])
         np.testing.assert_allclose(got.lower, want.lower, rtol=1e-12)
         np.testing.assert_allclose(got.upper, want.upper, rtol=1e-12)
         got = interval("bootstrap", ctx, cfg, 0.05, r=200, seed=4)

@@ -167,7 +167,7 @@ class TestMonteCarlo:
                       < rep.interval_stats["rct_only"]["mean_width"])
 
     def test_intervals_target_full_harmonization_in_grid(self):
-        from subharm import FULL, analytic_bias_variance, generate_scenario
+        from subharm import FULL, analytic_bias_variance, generate_scenario, shift_vector
 
         spec = load_preset("fig1-s1")
         ests = [{"kind": "harmonized", "name": f"h{lam}",
@@ -177,7 +177,8 @@ class TestMonteCarlo:
         rep = run_monte_carlo(spec, ests, reps=12, seed=21,
                               intervals=("analytic",))
         dc = compute_design_counts(generate_scenario(spec, seed=21))
-        _, vh = analytic_bias_variance(dc, np.zeros(10), np.eye(10), FULL, 1.0)
+        _, vh = analytic_bias_variance(dc, np.zeros(10), shift_vector(dc.pi, np.eye(10), FULL),
+                                       1.0)
         want = 2 * 1.959964 * np.sqrt(np.diag(vh))
         np.testing.assert_allclose(rep.interval_stats["analytic"]["mean_width"],
                                    want, rtol=1e-4)
@@ -386,7 +387,7 @@ class TestSigmaWorkPerReplicate:
         sim_mod = importlib.import_module("subharm.sim")
         intervals_mod = importlib.import_module("subharm.intervals")
         calls = {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0,
-                 "_bias_variance": 0}
+                 "analytic_bias_variance": 0}
         for name in calls:
             original = getattr(harmonize_mod, name)
 
@@ -412,7 +413,7 @@ class TestSigmaWorkPerReplicate:
         # shifts need no matrix, and whose bias direction and analytic
         # covariance two replicates in one batch share
         assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 0, "vd_sigma": 0,
-                         "_bias_variance": 1}
+                         "analytic_bias_variance": 1}
 
     def test_fixed_and_identity_families_once_per_batch(self, monkeypatch):
         sigma = (0.5 * np.eye(10) + 0.05).tolist()
@@ -429,7 +430,7 @@ class TestSigmaWorkPerReplicate:
             # the fixed and the identity matrix once for the batch, as is the
             # analytic interval's covariance
             assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 4, "vd_sigma": 0,
-                             "_bias_variance": 1}
+                             "analytic_bias_variance": 1}
 
     def test_vd_and_bd_families_on_logistic_pipeline(self, monkeypatch):
         ests = ["logistic_pooled"] + [
@@ -440,7 +441,7 @@ class TestSigmaWorkPerReplicate:
             load_preset("fig5"), ests, reps=2, seed=3))
         # two families, two replicates; only vd builds a matrix
         assert calls == {"solve_sigma_from_b": 0, "_validate_sigma": 2, "vd_sigma": 2,
-                         "_bias_variance": 0}
+                         "analytic_bias_variance": 0}
 
 
 class TestDesignCountsCache:
@@ -456,7 +457,7 @@ class TestDesignCountsCache:
          "sigma_mode": "fixed", "sigma": SIGMA}], ids=["bd", "fixed"])
     def test_one_analytic_covariance_per_design_counts(self, monkeypatch, est):
         import subharm.sim as sim_mod
-        from subharm.harmonize import _bias_variance
+        from subharm.harmonize import analytic_bias_variance
         from subharm.intervals import interval
         from subharm.sim import _ReplicateContext, parse_estimator
 
@@ -464,9 +465,9 @@ class TestDesignCountsCache:
 
         def counted(*args, **kwargs):
             calls.append(args[0])
-            return _bias_variance(*args, **kwargs)
+            return analytic_bias_variance(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, "_bias_variance", counted)
+        monkeypatch.setattr(sim_mod, "analytic_bias_variance", counted)
         spec, cfg = load_preset("fig1-s2"), parse_estimator(est)
         datasets = [generate_scenario(spec, 0, rep) for rep in range(3)]
         dc = compute_design_counts(datasets[0])
@@ -482,7 +483,7 @@ class TestDesignCountsCache:
         ctx = _ReplicateContext(datasets[0], other)
         interval("analytic", ctx, cfg, 0.05, phi2=1.0)
         assert calls == [dc, other]
-        own = _bias_variance(other, np.zeros(10), ctx.shift(cfg)[0], 1.0)[1]
+        own = analytic_bias_variance(other, np.zeros(10), ctx.shift(cfg)[0], 1.0)[1]
         np.testing.assert_array_equal(ctx.analytic_variance(cfg, 1.0), own)
         assert not np.allclose(own, shared[0])
 
@@ -745,6 +746,35 @@ class TestTrialFitPerReplicate:
         report = run_monte_carlo(load_preset("fig5"), ests, reps=3, seed=3)
         assert not report.failures
         assert len(calls) == 3
+
+    def test_one_copy_of_the_ipw_estimate(self):
+        # the context's logistic_ipw estimate is `weighted_logistic_effects`
+        # on its cached EC weights, which the IPW limit map reads too
+        from subharm import ec_weights, fit_propensity, weighted_logistic_effects
+        from subharm.sim import _ReplicateContext
+
+        ds = generate_scenario(load_preset("fig5"), 4)
+        ctx = _ReplicateContext(ds, compute_design_counts(ds))
+        got, want = ctx.initial("logistic_ipw"), weighted_logistic_effects(
+            ds, ec_weights(fit_propensity(ds)))
+        np.testing.assert_array_equal(got.theta_k, want.theta_k)
+        np.testing.assert_array_equal(got.covariance, want.covariance)
+        spec = ctx.limit_map_spec("logistic_ipw")
+        np.testing.assert_array_equal(spec.weights[spec.ec_rows], ctx.ipw_weights())
+
+    def test_one_propensity_fit_per_ipw_estimate_call(self, monkeypatch, tmp_path):
+        import subharm.estimators
+        import subharm.sim
+
+        calls = []
+        fit = subharm.estimators.fit_propensity
+        for module in (subharm.estimators, subharm.sim):
+            monkeypatch.setattr(module, "fit_propensity",
+                                lambda ds: calls.append(ds) or fit(ds))
+        self._estimate(tmp_path, ["logistic_ipw", {
+            "kind": "harmonized", "name": "bd", "initial": "logistic_ipw",
+            "overall": "logistic", "lambda": "full", "sigma_mode": "bd"}])
+        assert len(calls) == 1
 
     @staticmethod
     def _estimate(tmp_path, ests):

@@ -8,6 +8,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subharm import CsvSchema, generate_scenario, load_preset, save_dataset
@@ -115,3 +116,73 @@ def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
     k, d, n = ds.k, ds.d, ds.n_rct + ds.n_ec
     assert sorted(t.results[i][1:] for i in fit_spans) == sorted(
         [(ds.n_rct, 2 * k + d), (n, 2 * k + d), (n, 2 * k + d), (n, k + d)])
+
+
+# The traced names that no command enters, each with its reason. The check
+# is two-sided: a name that turns live, or a traced name that turns dead,
+# fails it, so the set shrinks with `TRACED` and grows with a refactor
+# that routes a command around a traced function.
+NEVER_ENTERED = {
+    "sim._ReplicateContext.bd_sigma": "bd resolves to its unit direction; no command "
+                                      "builds a bd matrix",
+    "harmonize.solve_sigma_from_b": "the bd matrix itself, read only by bd_sigma",
+    "bayes.analyst1_posterior": "the cut interval takes the closed-form flat_cut",
+    "bayes.analyst2_posterior": "the cut interval takes the closed-form flat_cut",
+    "bayes.cut_distribution": "the cut interval takes the closed-form flat_cut",
+    "harmonize.limit_map_theta": "the refitting oracle of bd_direction_glm: a command "
+                                 "that entered it would refit",
+    "data.save_dataset": "writes CSV inputs, which no command does",
+}
+
+
+def harmonized(name, initial, overall, mode, lam="full", **fields):
+    return {"kind": "harmonized", "name": name, "initial": initial, "overall": overall,
+            "lambda": lam, "sigma_mode": mode, **fields}
+
+
+def test_traced_names_are_live(tracer, tmp_path):
+    # six 3-replicate calls that cover every command, pipeline and interval
+    # method; `cli.main` is called through its module, where it is wrapped
+    import subharm.cli as cli
+
+    def config(name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return ["--config", str(path), "--out-dir", str(tmp_path / name)]
+
+    def csv_pair(name, preset, seed):
+        rct, ec = str(tmp_path / f"{name}_r.csv"), str(tmp_path / f"{name}_e.csv")
+        ds = generate_scenario(load_preset(preset), seed=seed)
+        covariates = [f"x{j + 1}" for j in range(ds.d)]
+        save_dataset(ds, rct, ec, CsvSchema(covariates=tuple(covariates)))
+        return rct, ec, {"covariates": covariates}
+
+    all_intervals = ["analytic", "cut", "bootstrap", "rct_only"]
+    simulate = ["simulate", "--reps", "3"]
+    fig4 = [*simulate, "--preset", "fig4", *config("fig4", {"estimators": [
+        "ols_pooled", "ols_rct", harmonized("bd", "ols_pooled", "ols", "bd"),
+        harmonized("vd", "ols_pooled", "ols", "vd"),
+        harmonized("fixed", "ols_pooled", "ols", "fixed", 2, sigma=np.eye(10).tolist())]})]
+    fig5 = [*simulate, "--preset", "fig5", *config("fig5", {"estimators": [
+        "logistic_pooled", "logistic_ipw", "logistic_rct",
+        harmonized("bd", "logistic_pooled", "logistic", "bd"),
+        harmonized("vd", "logistic_pooled", "logistic", "vd"),
+        harmonized("ipw_bd", "logistic_ipw", "logistic", "bd", 2)]})]
+    trial, ec, schema = csv_pair("pools", "gbm-like", 20)
+    resample = ["resample", *config("resample", {"trial_csv": trial, "ec_csv": ec, "reps": 3,
+                                                 "schema": schema, "spike": 0.05})]
+    rct, ec, schema = csv_pair("binary", "fig5", 2)
+    binary = ["estimate", *config("binary", {
+        "rct_csv": rct, "ec_csv": ec, "schema": schema, "outcome_family": "binary",
+        "estimators": [harmonized("ipw_bd", "logistic_ipw", "logistic", "bd")],
+        "intervals": ["rct_only"]})]
+    rct, ec, schema = csv_pair("continuous", "fig1-s2", 2)
+    continuous = ["estimate", *config("continuous", {
+        "rct_csv": rct, "ec_csv": ec, "schema": schema, "intervals": all_intervals})]
+    fig1 = [*simulate, "--preset", "fig1-s2", *config("fig1", {"intervals": all_intervals})]
+    with tracer.Tracer("cli.main") as t:
+        for argv in (fig1, fig4, fig5, resample, binary, continuous):
+            assert cli.main(argv) == 0, argv
+    assert tracer.wrapped_bindings() == []
+    traced = {f"{layer}.{name}" for layer, names in tracer.TRACED.items() for name in names}
+    assert traced - {span[0] for span in t.spans} == set(NEVER_ENTERED)
