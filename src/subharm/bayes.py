@@ -11,7 +11,11 @@ Under `flat_prior` the subgroup analyst's posterior precision is
 block-diagonal in per-subgroup 2x2 [mu_k, theta_k] blocks, so `flat_cut`
 gives the cut in closed form from the cell sums, without the 2K x 2K
 inversions of the general route (`analyst1_posterior`, `analyst2_posterior`,
-`cut_distribution`), which stays as its oracle.
+`cut_distribution`), which stays as its oracle. `flat_cut` is two steps:
+its design part (`flat_cut_design`), which the cell counts, the outcome
+variance and the prevalences fix, and the means that a dataset's outcome
+sums give (`FlatCutDesign.cut`); a `simulate` batch builds the design part
+once and every replicate only the means.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTROL, EC_CONTROL, TREATED, CombinedDataset
+from .data import CONTROL, EC_CONTROL, TREATED, CellStats, CombinedDataset
 from .errors import SingularPosterior, SingularPrior
 
 
@@ -106,19 +110,32 @@ def analyst2_posterior(ds: CombinedDataset, phi2: float,
     return _conjugate_update(xtx, xty, phi2, prior.mean, prior.cov, labels)
 
 
+def _mix_design(s2: np.ndarray, sp: np.ndarray, pi: np.ndarray,
+                v1: float) -> tuple[np.ndarray, np.ndarray]:
+    """What `_mix_over_overall` computes without the means: the gain sp /
+    (pi'sp) of the mean's correction and the covariance."""
+    v_theta2 = float(pi @ sp)
+    if not v_theta2 > 0:
+        raise SingularPosterior("subgroup posterior is degenerate along the prevalences")
+    cov = s2 + (v1 - v_theta2) / v_theta2 ** 2 * np.outer(sp, sp)
+    return sp / v_theta2, 0.5 * (cov + cov.T)
+
+
+def _mix_mean(m2: np.ndarray, gain: np.ndarray, pi: np.ndarray, m1: float) -> np.ndarray:
+    return m2 + gain * (m1 - float(pi @ m2))
+
+
+def _theta_labels(k: int) -> tuple[str, ...]:
+    return tuple(f"theta[{i + 1}]" for i in range(k))
+
+
 def _mix_over_overall(m2: np.ndarray, s2: np.ndarray, sp: np.ndarray, pi: np.ndarray,
                       m1: float, v1: float) -> NormalPosterior:
     """The subgroup posterior N(m2, s2) of theta, with sp = s2 pi,
     conditioned on pi'theta and mixed over pi'theta ~ N(m1, v1); v1 = 0
     conditions on pi'theta = m1."""
-    v_theta2 = float(pi @ sp)
-    if not v_theta2 > 0:
-        raise SingularPosterior("subgroup posterior is degenerate along the prevalences")
-    mean = m2 + sp / v_theta2 * (m1 - float(pi @ m2))
-    cov = s2 + (v1 - v_theta2) / v_theta2 ** 2 * np.outer(sp, sp)
-    cov = 0.5 * (cov + cov.T)
-    labels = tuple(f"theta[{i + 1}]" for i in range(len(pi)))
-    return NormalPosterior(mean, cov, labels)
+    gain, cov = _mix_design(s2, sp, pi, v1)
+    return NormalPosterior(_mix_mean(m2, gain, pi, m1), cov, _theta_labels(len(pi)))
 
 
 def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,
@@ -131,33 +148,72 @@ def cut_distribution(p1: NormalPosterior, p2: NormalPosterior,
     return _mix_over_overall(m2, s2, s2 @ pi, pi, float(m1[0]), float(v1[0, 0]))
 
 
-def _flat_theta(n1, n0, s1, s0, phi2: float):
-    """Posterior mean and variance of theta in the model [mu, theta] with
-    known noise variance phi2 and the `flat_prior`, from n1 treated outcomes
-    summing to s1 and n0 control outcomes summing to s0 (arrays work per
-    subgroup). The 2x2 precision [[n, n1], [n1, n1]] / phi2 + I / 1e4 is
+def _flat_theta(n1, n0, phi2: float):
+    """The design part of theta's posterior in the model [mu, theta] with
+    known noise variance phi2 and the `flat_prior`, from n1 treated and n0
+    control outcomes (arrays work per subgroup): the weights and divisor
+    (n0 + c, n1, det) of its mean ((n0 + c) s1 - n1 s0) / det, where s1 and
+    s0 sum the treated and control outcomes (`_flat_mean`), and its
+    variance. The 2x2 precision [[n, n1], [n1, n1]] / phi2 + I / 1e4 is
     inverted in closed form, its determinant times phi2^2 written without
     cancellation."""
     c = phi2 / FLAT_PRIOR_VARIANCE
     n = n0 + n1
     det = n1 * n0 + c * (n + n1) + c * c
-    return ((n0 + c) * s1 - n1 * s0) / det, phi2 * (n + c) / det
+    return (n0 + c, n1, det), phi2 * (n + c) / det
 
 
-def flat_cut(ds: CombinedDataset, phi2: float, prevalences) -> NormalPosterior:
-    """`cut_distribution` of `analyst1_posterior(ds, phi2, flat_prior(2))`
-    and `analyst2_posterior(ds, phi2, flat_prior(2K))`, in closed form.
+def _flat_mean(weights, s1, s0):
+    a, b, det = weights
+    return (a * s1 - b * s0) / det
+
+
+@dataclass(frozen=True)
+class FlatCutDesign:
+    """The part of the flat-prior cut (`flat_cut`) that the cell counts, the
+    outcome variance and the prevalences fix: the weights of the primary
+    analyst's theta (`overall`) and of the subgroup analyst's theta_k
+    (`subgroups`), and the cut's gain and covariance. `cut` adds a
+    dataset's outcome sums; the replicates of a batch share one design."""
+
+    pi: np.ndarray
+    overall: tuple
+    subgroups: tuple
+    gain: np.ndarray
+    cov: np.ndarray
+    labels: tuple[str, ...]
+
+    def cut(self, cs: CellStats) -> NormalPosterior:
+        """The cut on the cell statistics `cs` of a dataset with this design."""
+        s1 = cs.total[:, TREATED]
+        m1 = _flat_mean(self.overall, s1.sum(), cs.total[:, CONTROL].sum())
+        m2 = _flat_mean(self.subgroups, s1, cs.total[:, CONTROL] + cs.total[:, EC_CONTROL])
+        return NormalPosterior(_mix_mean(m2, self.gain, self.pi, m1), self.cov, self.labels)
+
+
+def flat_cut_design(n1, n0, ne, phi2: float, prevalences) -> FlatCutDesign:
+    """The design part of `flat_cut` from the per-subgroup counts of treated,
+    trial-control and external-control patients.
 
     Under the flat prior the subgroup analyst's theta_k are independent,
     with means m2 and variances s2, so with sp = s2 * pi the cut has mean
     m2 + sp / (pi'sp) (m1 - pi'm2) and covariance diag(s2) + (v1 - pi'sp) /
-    (pi'sp)^2 sp sp', where (m1, v1) is the primary analyst's theta.
+    (pi'sp)^2 sp sp', where (m1, v1) is the primary analyst's theta. Only
+    m1 and m2 read the outcomes.
     """
     pi = np.asarray(prevalences, dtype=float)
+    n1, n0 = n1.astype(float), n0.astype(float)
+    overall, v1 = _flat_theta(n1.sum(), n0.sum(), phi2)
+    subgroups, s2 = _flat_theta(n1, n0 + ne, phi2)
+    gain, cov = _mix_design(np.diag(s2), s2 * pi, pi, v1)
+    return FlatCutDesign(pi, overall, subgroups, gain, cov, _theta_labels(len(pi)))
+
+
+def flat_cut(ds: CombinedDataset, phi2: float, prevalences) -> NormalPosterior:
+    """`cut_distribution` of `analyst1_posterior(ds, phi2, flat_prior(2))`
+    and `analyst2_posterior(ds, phi2, flat_prior(2K))`, in closed form: its
+    design part (`flat_cut_design`) and the means that ds's outcomes give."""
     cs = ds.cell_stats
-    n1, s1 = cs.n[:, TREATED].astype(float), cs.total[:, TREATED]
-    n0 = cs.n[:, CONTROL].astype(float)
-    m1, v1 = _flat_theta(n1.sum(), n0.sum(), s1.sum(), cs.total[:, CONTROL].sum(), phi2)
-    m2, s2 = _flat_theta(n1, n0 + cs.n[:, EC_CONTROL], s1,
-                         cs.total[:, CONTROL] + cs.total[:, EC_CONTROL], phi2)
-    return _mix_over_overall(m2, np.diag(s2), s2 * pi, pi, m1, v1)
+    design = flat_cut_design(cs.n[:, TREATED], cs.n[:, CONTROL], cs.n[:, EC_CONTROL], phi2,
+                             prevalences)
+    return design.cut(cs)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -102,15 +104,31 @@ FLAGS = {
 }
 
 
-def _fmt(v) -> str:
-    return format(v, ".17g") if isinstance(v, float) else str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """The header and rows (each of at least two cells) as `csv.writer`
+    writes them, a float as format(v, ".17g") and any other cell as str(v).
+    Each distinct text is quoted once, by `csv.writer` itself, so a cell
+    costs one conversion and one lookup."""
+    quoted: dict[str, str] = {}
+
+    def quote(text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        quoted[text] = buf.getvalue()[:-3]  # less the empty cell's ",\r\n"
+        return quoted[text]
+
+    lines = []
+    for row in (header, *rows):
+        cells = []
+        for v in row:
+            if isinstance(v, float):
+                cells.append("%.17g" % v)
+            else:
+                text = str(v)
+                cells.append(quoted[text] if text in quoted else quote(text))
+        lines.append(",".join(cells))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _load_config(path: str | None) -> dict:
@@ -331,9 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         flags = {key: val for key, val in vars(ns).items() if key in FLAGS and val is not None}
         cfg = {**_load_config(ns.config), **flags}

@@ -357,9 +357,11 @@ class DesignCounts:
     study s (0 = RCT, 1 = EC). `q_ratio[k]` is the external fraction of
     control patients in subgroup k, `q_bar` its prevalence-weighted mean,
     and `q` the overall external fraction of controls. `cache` keeps what
-    is computed from these counts and prevalences alone, for every
-    replicate context built on them; `dataclasses.replace` starts an empty
-    one.
+    is computed from these counts and prevalences alone (`cached`), for
+    every replicate context built on them: in a `simulate` batch, the
+    difference-of-means bias direction, the checked fixed matrices, the
+    analytic covariance, the cut's design part and the bootstrap's scales.
+    `dataclasses.replace` starts an empty one.
     """
 
     counts: np.ndarray
@@ -378,6 +380,13 @@ class DesignCounts:
     @property
     def k(self) -> int:
         return self.counts.shape[0]
+
+    def cached(self, key, build):
+        """`build()`, computed once per design counts and kept in `cache`
+        under `key`."""
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
 
 def compute_design_counts(

@@ -6,12 +6,16 @@ dataset, design counts, harmonized estimate and analytic covariance from
 its replicate context, `sim._ReplicateContext`.
 
 The dispatcher's cut interval is the flat-prior cut in closed form
-(`bayes.flat_cut`), per subgroup. The bootstrap's cell-mean draws are
-`Generator.normal` draws, bit for bit, taken as standard normals scaled and
-shifted in place, and its quantiles are `np.quantile`'s linear
-interpolation between order statistics from one sort. The normal
-quantile z of the analytic, cut and trial-only intervals is the standard
-library's `statistics.NormalDist().inv_cdf`.
+(`bayes.flat_cut`), per subgroup, read from `ctx.cut`, which builds the
+cut's design part once per `DesignCounts`. The bootstrap's cell-mean draws
+are `Generator.normal` draws, bit for bit, taken as standard normals scaled
+and shifted in place, and its quantiles are `np.quantile`'s linear
+interpolation between order statistics from one sort. What the draws read
+from the design counts alone (`bootstrap_scales`) is kept on the
+`DesignCounts` too, so a replicate computes only its moment fit, its draws
+and what follows them. The normal quantile z of the analytic, cut and
+trial-only intervals is the standard library's
+`statistics.NormalDist().inv_cdf`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayes import NormalPosterior, flat_cut
+from .bayes import NormalPosterior
 from .config import choice, listing, refuse_repeats
 from .data import CONTINUOUS, CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
 from .errors import (
@@ -177,6 +181,39 @@ def _quantiles(a: np.ndarray, probs) -> list[np.ndarray]:
     return out
 
 
+@dataclass(frozen=True)
+class BootstrapScales:
+    """What the bootstrap draws read from the design counts alone: the float
+    cell counts, the square roots that scale the cell means' standard
+    deviations, the empty trial- and external-control cells, and the sums
+    the trial-only overall divides by."""
+
+    n1: np.ndarray
+    n0r: np.ndarray
+    ne: np.ndarray
+    root_n1: np.ndarray
+    root_n0r: np.ndarray
+    root_ne: np.ndarray
+    empty_n0r: np.ndarray
+    empty_ne: np.ndarray
+    pooled: np.ndarray
+    n1_sum: float
+    n0r_sum: float
+
+
+def bootstrap_scales(dc: DesignCounts) -> BootstrapScales:
+    """The `BootstrapScales` of `dc`; raises EmptySubgroupArm unless every
+    subgroup has treated patients and controls."""
+    n1 = dc.counts[:, 1, 0].astype(float)
+    n0r = dc.counts[:, 0, 0].astype(float)
+    ne = dc.counts[:, 0, 1].astype(float)
+    if np.any(n1 == 0) or np.any(n0r + ne == 0):
+        raise EmptySubgroupArm("bootstrap needs every subgroup estimable")
+    return BootstrapScales(
+        n1, n0r, ne, np.sqrt(n1), np.sqrt(np.maximum(n0r, 1)), np.sqrt(np.maximum(ne, 1)),
+        n0r == 0, ne == 0, n0r + ne, n1.sum(), n0r.sum())
+
+
 def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
                        r: int = BOOTSTRAP_R, alpha: float = 0.05,
                        seed: int = 0, params: SimpleModelParams | None = None,
@@ -190,33 +227,30 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
     harmonizes each set at the prevalences `dc.pi` along `u`, the shift
     vector that made `point` (see `harmonize.shift_vector`), and reports
     intervals centred at `point`, the caller's harmonized estimate, whose
-    width matches the distance between the draw quantiles.
+    width matches the distance between the draw quantiles. The design's
+    `bootstrap_scales` are computed once per `dc` and kept on it.
     """
     check_bootstrap_r(r)
     params = params or SimpleModelParams.from_data(ds)
+    sc = dc.cached("bootstrap_scales", lambda: bootstrap_scales(dc))
     pi = dc.pi
     point = np.array(point, dtype=float)
 
-    n1 = dc.counts[:, 1, 0].astype(float)
-    n0r = dc.counts[:, 0, 0].astype(float)
-    ne = dc.counts[:, 0, 1].astype(float)
-    if np.any(n1 == 0) or np.any(n0r + ne == 0):
-        raise EmptySubgroupArm("bootstrap needs every subgroup estimable")
     sd = np.sqrt(params.phi2)
     m1 = _cell_means(seed, replicate, ROLE_BOOT_TREATED, params.mu + params.theta,
-                     sd / np.sqrt(n1), r)
+                     sd / sc.root_n1, r)
     m0 = _cell_means(seed, replicate, ROLE_BOOT_CONTROL, params.mu,
-                     sd / np.sqrt(np.maximum(n0r, 1)), r, n0r == 0)
+                     sd / sc.root_n0r, r, sc.empty_n0r)
     me = _cell_means(seed, replicate, ROLE_BOOT_EXTERNAL, params.mu + params.gamma,
-                     sd / np.sqrt(np.maximum(ne, 1)), r, ne == 0)
+                     sd / sc.root_ne, r, sc.empty_ne)
     # in place, each step the same operation on the same operands as
     # theta_pool = m1 - (n0r m0 + ne me) / (n0r + ne),
     # theta_r = (m1 n1).sum(1) / n1.sum() - (m0 n0r).sum(1) / n0r.sum()
-    m0 *= n0r
-    me *= ne
+    m0 *= sc.n0r
+    me *= sc.ne
     me += m0
-    me /= n0r + ne
-    theta_r = (m1 * n1).sum(axis=1) / n1.sum() - m0.sum(axis=1) / n0r.sum()
+    me /= sc.pooled
+    theta_r = (m1 * sc.n1).sum(axis=1) / sc.n1_sum - m0.sum(axis=1) / sc.n0r_sum
     draws = m1
     draws -= me
     draws += (theta_r - draws @ pi)[:, None] * np.asarray(u, dtype=float)
@@ -284,7 +318,7 @@ def interval(method: str, ctx, target, alpha: float, phi2: float | None = None,
         raise InsufficientData(f"the {method} interval needs a positive, finite outcome "
                                f"variance; got phi2 = {phi2}")
     if method == "cut":
-        return cut_interval(flat_cut(ds, phi2, dc.pi), alpha)
+        return cut_interval(ctx.cut(phi2), alpha)
     if method == "analytic":
         point = ctx.harmonized(target)[0]
         return analytic_interval(point, ctx.analytic_variance(target, phi2), alpha)

@@ -3,7 +3,7 @@ experiments, and metric aggregation.
 
 `simulate` and `resample` run one replicate loop, `_run_replicates`: a
 batch only says how a replicate is drawn, and a `resample` replicate that
-cannot be drawn is recorded as "spike" or "design". `evaluate_replicate`
+cannot be drawn is recorded as "design". `evaluate_replicate`
 computes the estimates and intervals of a drawn replicate, or of one
 `estimate` call, and is where their failures are caught. A failed estimate
 or interval is recorded with its reason and left out of the aggregates,
@@ -26,8 +26,8 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
+from .bayes import NormalPosterior, flat_cut_design
 from .config import (
     FLAG,
     FULL,
@@ -259,7 +259,10 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
     if spec.fixed_covariates:
         ds = scenario_design(spec, seed).dataset
         return marginal_effects(ds.rct_subgroups, ds.x_rct, mu, th, beta)
-    # linear predictor is scalar normal: Gauss-Hermite over beta'X
+    # linear predictor is scalar normal: Gauss-Hermite over beta'X; imported
+    # here, as no other path loads numpy.polynomial
+    from numpy.polynomial.hermite_e import hermegauss
+
     m_lp = spec.x_mean_rct * float(beta.sum())
     s_lp = spec.x_sd_rct * float(np.sqrt((beta ** 2).sum()))
     nodes, wts = hermegauss(80)
@@ -370,10 +373,12 @@ class _ReplicateContext:
     What depends on the design counts alone is kept in `dc.cache`, which
     the contexts of a `simulate` batch share with its `dc`:
     `DESIGN_ONLY_BD`'s bias direction, each checked fixed (or identity)
-    matrix, and the analytic interval's covariance along a u made from
-    them. Where the batch's covariates are frozen or absent, its datasets
-    also share one design (`generate_scenario`), so the cell sort, the
-    subgroup grouping and the limit map's layout are built once per batch.
+    matrix, the analytic interval's covariance along a u made from them,
+    and the cut's design part (`cut`); the bootstrap keeps its scales there
+    too (`intervals.bootstrap_scales`). Where the batch's covariates are
+    frozen or absent, its datasets also share one design
+    (`generate_scenario`), so the cell sort, the subgroup grouping and the
+    limit map's layout are built once per batch.
     """
 
     def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None):
@@ -383,10 +388,11 @@ class _ReplicateContext:
         self._cache: dict = {}
 
     def _cached(self, key, build, design_only: bool = False):
-        cache = self.dc.cache if design_only else self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        if design_only:
+            return self.dc.cached(key, build)
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def initial(self, kind: str) -> EffectEstimate:
         return self._cached(kind, lambda: self._initial(kind))
@@ -539,6 +545,15 @@ class _ReplicateContext:
             ("variance", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam, phi2),
             lambda: analytic_bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
             design_only=_design_only_shift(mode, cfg.initial))
+
+    def cut(self, phi2: float) -> NormalPosterior:
+        """The flat-prior cut (`bayes.flat_cut`) at outcome variance phi2,
+        which the cut interval reads; its design part once per batch."""
+        counts = self.dc.counts
+        design = self._cached(("cut", phi2), lambda: flat_cut_design(
+            counts[:, 1, 0], counts[:, 0, 0], counts[:, 0, 1], phi2, self.dc.pi),
+            design_only=True)
+        return design.cut(self.ds.cell_stats)
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
@@ -838,24 +853,37 @@ SPIKE = Vector(real(0.0, FULL, (True, True)), scalar=True)
 PREVALENCE_MODE = choice(("replicate", "pool"))
 
 
-def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Raise the response rate of a binary arm by `amounts[k]` in
-    expectation, flipping zeros to ones with the matching per-subgroup
-    probability. `amounts` is of the kind `SPIKE`, else InvalidEffect."""
-    amounts = np.asarray(SPIKE.read(amounts, "spike", InvalidEffect, {"k": k}), dtype=float)
-    y = y.copy()
-    for j in range(k):
+def _flip_probabilities(y: np.ndarray, w: np.ndarray, k: int, amounts) -> list:
+    """Per subgroup j, the probability amounts[j] / (1 - rate_j) that a 0 of
+    y becomes a 1, which raises y's response rate rate_j by amounts[j] in
+    expectation; None where nothing flips. `amounts` is of the kind `SPIKE`,
+    and rate_j + amounts[j] at most 1, else InvalidEffect naming j."""
+    amounts = SPIKE.read(amounts, "spike", InvalidEffect, {"k": k})
+    flip_p = []
+    for j, amount in enumerate(amounts):
         m = w == j
-        if not m.any() or amounts[j] == 0:
+        if not m.any() or amount == 0:
+            flip_p.append(None)
             continue
         rate = float(y[m].mean())
-        if rate + amounts[j] > 1 + 1e-12:
-            raise InvalidEffect(
-                f"subgroup {j + 1}: target rate {rate + amounts[j]:.3f} exceeds 1")
-        flip_p = min(1.0, amounts[j] / max(1e-300, 1.0 - rate)) if rate < 1 else 0.0
-        zeros = m & (y == 0)
-        y[zeros] = (rng.random(int(zeros.sum())) < flip_p).astype(float)
+        if rate + amount > 1 + 1e-12:
+            raise InvalidEffect(f"spike {amount:g} on subgroup {j + 1}, whose response rate "
+                                f"is {rate:.3f}, asks a rate of {rate + amount:.3f}, above 1")
+        flip_p.append((m, min(1.0, amount / max(1e-300, 1.0 - rate)) if rate < 1 else 0.0))
+    return flip_p
+
+
+def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Raise the response rate of a binary sample by `amounts[k]` in
+    expectation, flipping zeros to ones with the matching per-subgroup
+    probability (`_flip_probabilities`)."""
+    y = y.copy()
+    for flip in _flip_probabilities(y, w, k, amounts):
+        if flip is not None:
+            m, p = flip
+            zeros = m & (y == 0)
+            y[zeros] = (rng.random(int(zeros.sum())) < p).astype(float)
     return y
 
 
@@ -892,8 +920,10 @@ DEFAULT_RESAMPLE_ESTIMATORS = (
 def _resample_batch(rep_indices, *, pools, est_cfgs, n_control, n_experimental, n_ec, seed,
                     spike_amounts, fixed_pi) -> tuple:
     """`resample`'s replicates `rep_indices`: both trial arms drawn from the
-    control pool, the experimental one spiked unless `spike_amounts` is
-    None, and the external controls from the external pool."""
+    control pool and the external controls from the external pool. Unless
+    `spike_amounts` is None, the experimental arm is drawn from the control
+    pool spiked afresh for each replicate, so its expected response rate is
+    the pool's plus the amount in each subgroup."""
     t_r = np.repeat(np.array([1, 0], dtype=np.int64), (n_experimental, n_control))
 
     def draw(rep, failures):
@@ -904,13 +934,8 @@ def _resample_batch(rep_indices, *, pools, est_cfgs, n_control, n_experimental, 
         i_r = np.concatenate([i_exp, i_ctrl])
         y_r = pools.y_rct[i_r]
         if spike_amounts is not None:
-            try:
-                y_r[:n_experimental] = spike_effect(y_r[:n_experimental], pools.w_rct[i_exp],
-                                                    pools.k, spike_amounts,
-                                                    stream(seed, rep, ROLE_SPIKE))
-            except InvalidEffect as exc:
-                failures.append(("spike", exc))
-                return None
+            y_r[:n_experimental] = spike_effect(pools.y_rct, pools.w_rct, pools.k, spike_amounts,
+                                                stream(seed, rep, ROLE_SPIKE))[i_exp]
         try:
             ds = CombinedDataset.from_arrays(
                 y_rct=y_r, t_rct=t_r, w_rct=pools.w_rct[i_r], y_ec=pools.y_ec[i_ec],
@@ -931,8 +956,11 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
                    workers: int = 1, spike=None,
                    prevalence_mode: str = "replicate") -> MonteCarloReport:
     """Generate in-silico trials by resampling both trial arms from the
-    actual control pool (so true effects are zero) and external controls
-    from the external pool, then compare estimators across replicates."""
+    actual control pool and external controls from the external pool, then
+    compare estimators across replicates. The true effects are zero, or
+    the `spike` amounts, on the risk-difference scale; a spike that would
+    raise a subgroup's pool response rate above 1 is refused before any
+    replicate runs."""
     PREVALENCE_MODE.read(prevalence_mode, "prevalence_mode")
     for key, size in (("n_control", n_control), ("n_experimental", n_experimental),
                       ("n_ec", n_ec)):
@@ -944,6 +972,8 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
     check_fixed_sigmas(est_cfgs, pools.k)
     spike_amounts = None if spike is None else SPIKE.read(spike, "spike", InvalidEffect,
                                                           {"k": pools.k})
+    if spike_amounts is not None:
+        _flip_probabilities(pools.y_rct, pools.w_rct, pools.k, spike_amounts)
     # every replicate takes the control pool's subgroup shares as its prevalences
     fixed_pi = compute_design_counts(pools).pi if prevalence_mode == "pool" else None
     batch = partial(_resample_batch, pools=pools, est_cfgs=est_cfgs, n_control=n_control,
@@ -951,7 +981,8 @@ def run_resampling(trial_csv: str, ec_csv: str, n_control: int = 100,
                     spike_amounts=spike_amounts, fixed_pi=fixed_pi)
     est, cover, width, failures = _run_batches(batch, reps, workers)
     source = "pool" if fixed_pi is not None else "replicate_empirical"
-    report = _aggregate("resample", reps, seed, np.zeros(pools.k), [c.name for c in est_cfgs],
+    truth = np.zeros(pools.k) if spike_amounts is None else np.array(spike_amounts, dtype=float)
+    report = _aggregate("resample", reps, seed, truth, [c.name for c in est_cfgs],
                         est, (), cover, width, failures, source)
     report.extra.update(n_control=n_control, n_experimental=n_experimental,
                         n_ec=n_ec, subgroup_labels=list(pools.subgroup_labels))

@@ -1010,6 +1010,21 @@ class TestSettingsFailClosed:
         self.exits_2("resample", cfg, tmp_path, capsys, ["spike", "4"],
                      error="InvalidEffect")
 
+    def test_infeasible_spike_refused_before_any_replicate(self, pools, tmp_path, capsys,
+                                                          monkeypatch):
+        # subgroup 4's pool control rate is 0.607, so a spike of 0.5 would
+        # ask a response rate of 1.107
+        import subharm.sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(subharm.sim, "_resample_batch", refuse)
+        trial, ec = pools
+        cfg = {"trial_csv": trial, "ec_csv": ec, "schema": {"covariates": ["x1"]},
+               "reps": 4, "spike": 0.5}
+        self.exits_2("resample", cfg, tmp_path, capsys, ["spike", "subgroup 4", "above 1"],
+                     error="InvalidEffect")
+
     def test_estimate_intervals_centre_on_full_harmonization(self, fig1_csvs, tmp_path):
         # the rule simulate uses: a finite-lambda entry listed first is not
         # the interval target
@@ -1215,3 +1230,96 @@ def test_runtime_imports_numpy_alone(tmp_path):
     assert "subharm.glm" in modules and "subharm.intervals" in modules
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
     assert "concurrent.futures.process" not in modules
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    """`import subharm.cli` loads no numpy.polynomial: only the quadrature
+    of `true_effects` needs it, and it imports it there. A fresh
+    interpreter imports the CLI, as this test process may have loaded it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    probe = ("import sys, subharm.cli\n"
+             "assert 'numpy.polynomial' not in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestOneParserPerProcess:
+    """`main` builds its argparse parser once per process; a call leaves it
+    as it found it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import subharm.cli as cli
+
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        yield built
+        cli._parser.cache_clear()
+
+    def test_built_once_across_calls(self, builds, tmp_path, capsys):
+        from subharm import cli
+
+        config = write_config(tmp_path / "c.json", {"reps": 2})
+        for i in range(3):
+            assert cli.main(["simulate", "--preset", "fig1-s1", "--config", config,
+                             "--out-dir", str(tmp_path / str(i))]) == 0
+        with pytest.raises(SystemExit) as exc:  # an argparse error
+            cli.main(["simulate", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert cli.main(["simulate", "--preset", "fig1-s1", "--config", config,
+                         "--out-dir", str(tmp_path / "after")]) == 0
+        assert builds == [1]
+        capsys.readouterr()
+        assert ((tmp_path / "0" / "report.csv").read_bytes()
+                == (tmp_path / "after" / "report.csv").read_bytes())
+
+    def test_a_flag_does_not_carry_over(self, builds, tmp_path):
+        from subharm import cli
+
+        config = write_config(tmp_path / "c.json", {"preset": "fig1-s1", "reps": 2})
+        workers = []
+        for i, flags in enumerate((["--workers", "2", "--seed", "3"], [])):
+            out = tmp_path / str(i)
+            assert cli.main(["simulate", "--config", config, "--out-dir", str(out),
+                             *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            workers.append((manifest["config"]["workers"], manifest["config"]["seed"]))
+        assert workers == [(2, 3), (1, 0)]
+        assert builds == [1]
+
+
+def _fmt(v) -> str:
+    """How every CSV cell was formatted, one call per cell."""
+    return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def test_csv_cells_keep_their_bytes(tmp_path):
+    from subharm.cli import _write_csv
+
+    cells = [0.1, 1 / 3, -0.0, 0.0, 1e300, 5e-324, -2.5e-8, float("inf"), float("-inf"),
+             float("nan"), np.float64(2 / 3), np.float32(0.1), 7, -3, np.int64(12), True,
+             False, None, "", "plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", " pad ",
+             "harmonized[diff_means_pooled,lam=full,bd]", "(all)", "ünï"]
+    header = ["col", "value", "text"]
+    rows = [[i, cell, "a,b" if i % 2 else "c"] for i, cell in enumerate(cells)]
+    rows += [[cell, cell] for cell in cells]
+    _write_csv(tmp_path / "new.csv", header, rows)
+    with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

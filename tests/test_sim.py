@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subharm import (
     CsvSchema,
@@ -487,6 +489,114 @@ class TestDesignCountsCache:
         np.testing.assert_array_equal(ctx.analytic_variance(cfg, 1.0), own)
         assert not np.allclose(own, shared[0])
 
+    def test_one_cut_design_and_bootstrap_scales_per_design_counts(self, monkeypatch):
+        import subharm.intervals as intervals_mod
+        import subharm.sim as sim_mod
+        from subharm.intervals import interval
+        from subharm.sim import _ReplicateContext, parse_estimator
+
+        cut_designs, scales = [], []
+        flat_cut_design, bootstrap_scales = sim_mod.flat_cut_design, intervals_mod.bootstrap_scales
+
+        def counted_cut(*args):
+            cut_designs.append(args[-1])  # the prevalences
+            return flat_cut_design(*args)
+
+        def counted_scales(dc):
+            scales.append(dc)
+            return bootstrap_scales(dc)
+
+        monkeypatch.setattr(sim_mod, "flat_cut_design", counted_cut)
+        monkeypatch.setattr(intervals_mod, "bootstrap_scales", counted_scales)
+        cfg = parse_estimator({"kind": "harmonized", "name": "bd", "initial": "diff_means_pooled"})
+        datasets = [generate_scenario(load_preset("fig1-s2"), 0, rep) for rep in range(3)]
+
+        def evaluate(dc):
+            for rep, ds in enumerate(datasets):
+                ctx = _ReplicateContext(ds, dc)
+                for method in ("cut", "bootstrap"):
+                    interval(method, ctx, cfg, 0.05, phi2=1.0, r=100, replicate=rep)
+
+        def built_for(*dcs):
+            return (len(cut_designs) == len(scales) == len(dcs)
+                    and all(pi is dc.pi for pi, dc in zip(cut_designs, dcs))
+                    and all(got is dc for got, dc in zip(scales, dcs)))
+
+        dc = compute_design_counts(datasets[0])
+        evaluate(dc)
+        assert built_for(dc)
+        other = compute_design_counts(datasets[0], (0.05,) * 5 + (0.15,) * 5)
+        evaluate(other)
+        assert built_for(dc, other)
+        # another outcome variance is another cut design, on the same scales
+        interval("cut", _ReplicateContext(datasets[0], dc), cfg, 0.05, phi2=2.0)
+        assert len(cut_designs) == 3 and cut_designs[2] is dc.pi and len(scales) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shared_design_parts_give_the_frozen_intervals(self, data):
+        # three replicates on one design, K = 1-6 with empty external cells,
+        # empirical or user prevalences and phi2 in [0.1, 10], against the
+        # cut and bootstrap intervals as one call computed them
+        from oracles import frozen_bootstrap_interval, frozen_cut_interval, frozen_flat_cut
+        from subharm import CombinedDataset
+        from subharm.bayes import flat_cut
+        from subharm.errors import SubharmError
+        from subharm.intervals import bootstrap_interval, interval
+        from subharm.sim import _ReplicateContext, parse_estimator
+
+        k = data.draw(st.integers(1, 6))
+        cells = st.lists(st.integers(0, 6), min_size=k, max_size=k)
+        n_t = np.array(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)))
+        n_c, n_e = np.array(data.draw(cells)), np.array(data.draw(cells))
+        n_e[data.draw(st.integers(0, k - 1))] = 0
+        n_c[n_c + n_e == 0] = 1
+        phi2 = data.draw(st.floats(0.1, 10))
+        p = data.draw(st.none() | st.lists(st.floats(0.05, 1), min_size=k, max_size=k))
+        alpha, seed = data.draw(st.floats(0.01, 0.5)), data.draw(st.integers(0, 2**32 - 1))
+        r = data.draw(st.integers(100, 300))
+        w_r = np.repeat(np.arange(k), n_t + n_c)
+        t_r = np.concatenate([np.r_[np.ones(a, dtype=int), np.zeros(b, dtype=int)]
+                              for a, b in zip(n_t, n_c)])
+        w_e = np.repeat(np.arange(k), n_e)
+        rng = np.random.default_rng(seed)
+        datasets = [CombinedDataset.from_arrays(
+            y_rct=rng.normal(0.4 * t_r, np.sqrt(phi2)), t_rct=t_r, w_rct=w_r,
+            y_ec=rng.normal(0.3, np.sqrt(phi2), len(w_e)), w_ec=w_e, k=k) for _ in range(3)]
+        prevalences = None if p is None else np.array(p) / sum(p)
+        dc = compute_design_counts(datasets[0], prevalences)
+        cfg = parse_estimator({"kind": "harmonized", "name": "h",
+                               "initial": "diff_means_pooled", "sigma_mode": "identity"})
+
+        def outcome(compute, *args, **kwargs):
+            try:
+                return compute(*args, **kwargs)
+            except SubharmError as exc:
+                return type(exc), str(exc)
+
+        def same(got, want):
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                for field in ("lower", "upper", "point"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+        for rep, ds in enumerate(datasets):
+            ctx = _ReplicateContext(ds, dc)
+            cut = frozen_flat_cut(ds, phi2, dc.pi)
+            direct = flat_cut(ds, phi2, dc.pi)
+            np.testing.assert_array_equal(direct.mean, cut.mean)
+            np.testing.assert_array_equal(direct.cov, cut.cov)
+            same(outcome(interval, "cut", ctx, cfg, alpha, phi2=phi2),
+                 outcome(frozen_cut_interval, cut, alpha))
+            point, u = ctx.harmonized(cfg)
+            want = outcome(frozen_bootstrap_interval, ds, compute_design_counts(ds, prevalences),
+                           point, u, r, alpha, seed, replicate=rep)
+            same(outcome(interval, "bootstrap", ctx, cfg, alpha, r=r, seed=seed,
+                         replicate=rep), want)
+            same(outcome(bootstrap_interval, ds, dc, point, u, r, alpha, seed,
+                         replicate=rep), want)
+
 
 class TestWorkerCap:
     """A process pool starts all its workers at once, so `--workers` starts
@@ -968,9 +1078,29 @@ class TestResampling:
         spiked = run_resampling(trial, ec, n_control=80, n_experimental=120,
                                 n_ec=200, reps=50, seed=7, schema=schema,
                                 estimators=["logistic_rct"], spike=[0.1, 0.1, 0.1, 0.1])
-        gap = (spiked.estimator_stats["logistic_rct"]["bias"]
-               - base.estimator_stats["logistic_rct"]["bias"])
+        gap = (spiked.replicate_estimates["logistic_rct"].mean(axis=0)
+               - base.replicate_estimates["logistic_rct"].mean(axis=0))
         assert np.all(gap > 0.04)
+
+    def test_spike_is_the_truth(self, standin_csvs):
+        # the experimental arm's expected response rate is the pool's plus the
+        # spike, so the trial-only estimate is unbiased for the spike
+        trial, ec, schema = standin_csvs
+        rep = run_resampling(trial, ec, n_control=80, n_experimental=120, n_ec=200,
+                             reps=300, seed=0, schema=schema, estimators=["logistic_rct"],
+                             spike=0.1)
+        np.testing.assert_array_equal(rep.truth, [0.1] * 4)
+        rct = rep.estimator_stats["logistic_rct"]
+        assert np.all(np.abs(rct["bias"]) < 4 * rct["mc_se_bias"]), rct["bias"]
+
+    def test_feasible_spike_fails_no_replicate(self, standin_csvs):
+        # subgroup 4's pool control rate is 0.607: a drawn arm's rate often
+        # exceeds 0.7, but the spike reads the pool's rate
+        trial, ec, schema = standin_csvs
+        rep = run_resampling(trial, ec, n_control=80, n_experimental=120, n_ec=200, reps=50,
+                             seed=3, schema=schema, estimators=["logistic_rct"], spike=0.3)
+        assert rep.failures == []
+        assert rep.estimator_stats["logistic_rct"]["n_used"] == 50
 
     # 13 trial patients in 4 subgroups: some replicates draw a subgroup
     # without RCT patients, which has no design counts, and some one
