@@ -173,8 +173,8 @@ class FlatCutDesign:
     """The part of the flat-prior cut (`flat_cut`) that the cell counts, the
     outcome variance and the prevalences fix: the weights of the primary
     analyst's theta (`overall`) and of the subgroup analyst's theta_k
-    (`subgroups`), and the cut's gain and covariance. `cut` adds a
-    dataset's outcome sums; the replicates of a batch share one design."""
+    (`subgroups`), and the cut's gain and covariance. `mean` and `cut` add
+    a dataset's outcome sums; the replicates of a batch share one design."""
 
     pi: np.ndarray
     overall: tuple
@@ -183,12 +183,17 @@ class FlatCutDesign:
     cov: np.ndarray
     labels: tuple[str, ...]
 
-    def cut(self, cs: CellStats) -> NormalPosterior:
-        """The cut on the cell statistics `cs` of a dataset with this design."""
+    def mean(self, cs: CellStats) -> np.ndarray:
+        """The cut mean on the cell statistics `cs` of a dataset with this
+        design."""
         s1 = cs.total[:, TREATED]
         m1 = _flat_mean(self.overall, s1.sum(), cs.total[:, CONTROL].sum())
         m2 = _flat_mean(self.subgroups, s1, cs.total[:, CONTROL] + cs.total[:, EC_CONTROL])
-        return NormalPosterior(_mix_mean(m2, self.gain, self.pi, m1), self.cov, self.labels)
+        return _mix_mean(m2, self.gain, self.pi, m1)
+
+    def cut(self, cs: CellStats) -> NormalPosterior:
+        """The cut on the cell statistics `cs` of a dataset with this design."""
+        return NormalPosterior(self.mean(cs), self.cov, self.labels)
 
 
 def flat_cut_design(n1, n0, ne, phi2: float, prevalences) -> FlatCutDesign:

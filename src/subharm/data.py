@@ -13,6 +13,9 @@ be ASCII decimal literals: float() and int() also read `1_0` and
 non-ASCII digits, the C parser does not, and such a cell is an error.
 Only a file that fails is read again row by row with `csv`, to name its
 first bad line and column.
+
+What a dataset's design alone fixes, its cell index among them, is built
+once for every dataset `CombinedDataset.with_outcomes` makes from it.
 """
 
 from __future__ import annotations
@@ -147,10 +150,11 @@ class CombinedDataset:
     `subgroup_labels[k]` gives the original label of 1-based subgroup k+1.
 
     The design is every column but the outcomes. What is built from it
-    alone (`cell_design`, `rct_subgroups` and `limit_map_layout`) is built
-    once for all the datasets `with_outcomes` makes from one design, as
-    the replicates of a `simulate` batch whose design is frozen are;
-    `cell_stats` reads the outcomes and is each dataset's own.
+    alone (`cell_index`, `cell_design`, `rct_subgroups` and
+    `limit_map_layout`) is built once for all the datasets `with_outcomes`
+    makes from one design, as the replicates of a `simulate` batch whose
+    design is frozen are; `cell_stats` reads the outcomes and is each
+    dataset's own.
     """
 
     @classmethod
@@ -259,6 +263,17 @@ class CombinedDataset:
         return SubgroupRows.of(self.w_rct, self.k)
 
     @_design_only
+    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each RCT then EC row's `CellStats` cell, 3 g + column for 0-based
+        subgroup g, and the rows per cell, built on first use."""
+        cell = np.concatenate([3 * self.w_rct + self.rct_mask(arm=0),
+                               3 * self.w_ec + EC_CONTROL])
+        n = np.bincount(cell, minlength=3 * self.k)
+        for a in (cell, n):
+            a.setflags(write=False)
+        return cell, n
+
+    @_design_only
     def limit_map_layout(self) -> "LimitMapLayout":
         """The pseudo rows of the logistic limit map
         (`harmonize.LimitMapLayout`), built on first use."""
@@ -321,7 +336,8 @@ class CellStats:
     `ss` the sums of squares about the cell mean. The sums of squares are
     two-pass, never sum(y^2) - n*mean^2, so they keep full precision when a
     cell's mean is large against its spread. Every difference-of-means
-    quantity is a function of these arrays.
+    quantity is a function of these arrays. The cells and counts `n` come
+    from the design's `cell_index`; a dataset sums only its outcomes.
     """
 
     n: np.ndarray
@@ -336,11 +352,9 @@ class CellStats:
 
     @classmethod
     def from_dataset(cls, ds: CombinedDataset) -> "CellStats":
-        cell = np.concatenate([3 * ds.w_rct + ds.rct_mask(arm=0),
-                               3 * ds.w_ec + EC_CONTROL])
+        cell, n = ds.cell_index
         y = np.concatenate([ds.y_rct, ds.y_ec])
         size = 3 * ds.k
-        n = np.bincount(cell, minlength=size)
         total = np.bincount(cell, weights=y, minlength=size)
         mean = total / np.maximum(n, 1)
         ss = np.bincount(cell, weights=(y - mean[cell]) ** 2, minlength=size)
@@ -360,7 +374,8 @@ class DesignCounts:
     is computed from these counts and prevalences alone (`cached`), for
     every replicate context built on them: in a `simulate` batch, the
     difference-of-means bias direction, the checked fixed matrices, the
-    analytic covariance, the cut's design part and the bootstrap's scales.
+    analytic covariance and half-width, the cut's design part and
+    half-width, and the bootstrap's scales.
     `dataclasses.replace` starts an empty one.
     """
 

@@ -6,16 +6,21 @@ dataset, design counts, harmonized estimate and analytic covariance from
 its replicate context, `sim._ReplicateContext`.
 
 The dispatcher's cut interval is the flat-prior cut in closed form
-(`bayes.flat_cut`), per subgroup, read from `ctx.cut`, which builds the
-cut's design part once per `DesignCounts`. The bootstrap's cell-mean draws
-are `Generator.normal` draws, bit for bit, taken as standard normals scaled
-and shifted in place, and its quantiles are `np.quantile`'s linear
-interpolation between order statistics from one sort. What the draws read
-from the design counts alone (`bootstrap_scales`) is kept on the
-`DesignCounts` too, so a replicate computes only its moment fit, its draws
-and what follows them. The normal quantile z of the analytic, cut and
-trial-only intervals is the standard library's
-`statistics.NormalDist().inv_cdf`.
+(`bayes.flat_cut`), per subgroup, from the cut's design part
+(`ctx.cut_design`), built once per `DesignCounts`. The half-widths of the
+cut interval, and of the analytic interval where its shift vector depends
+on the design alone (`ctx.design_only`), are kept on the `DesignCounts`
+too: `cut_interval` and `analytic_interval` build each once, around a zero
+centre, whose upper bound is the half-width, and a replicate adds only its
+centre. The bootstrap's cell-mean draws are `Generator.normal` draws, bit
+for bit, taken as standard normals scaled and shifted in place, and its
+quantiles are `np.quantile`'s linear interpolation between order
+statistics from one sort, whose first and last rows also hold any
+non-finite draw. What the draws read from the design counts alone
+(`bootstrap_scales`) is kept on the `DesignCounts`, so a replicate
+computes only its moment fit, its draws and what follows them. The normal
+quantile z of the analytic, cut and trial-only intervals is the standard
+library's `statistics.NormalDist().inv_cdf`.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ class IntervalSet:
         for a in (self.lower, self.upper, self.point):
             a.setflags(write=False)
 
+    @classmethod
+    def around(cls, point: np.ndarray, half) -> "IntervalSet":
+        """The interval point - half to point + half."""
+        return cls(point - half, point + half, point)
+
     @property
     def width(self) -> np.ndarray:
         return self.upper - self.lower
@@ -90,8 +100,7 @@ def analytic_interval(theta_h, v_h, alpha: float = 0.05) -> IntervalSet:
     var = np.diag(v) if v.ndim == 2 else v
     if np.any(var < 0):
         raise NegativeVariance(f"negative variance entries: {var[var < 0]}")
-    half = _z(alpha) * np.sqrt(var)
-    return IntervalSet(point - half, point + half, point)
+    return IntervalSet.around(point, _z(alpha) * np.sqrt(var))
 
 
 def cut_interval(cutdist: NormalPosterior, alpha: float = 0.05) -> IntervalSet:
@@ -100,9 +109,7 @@ def cut_interval(cutdist: NormalPosterior, alpha: float = 0.05) -> IntervalSet:
     var[(var < 0) & (var > -1e-12)] = 0.0
     if np.any(var < 0):
         raise NegativeVariance("cut covariance has negative diagonal entries")
-    half = _z(alpha) * np.sqrt(var)
-    point = cutdist.mean
-    return IntervalSet(point - half, point + half, point.copy())
+    return IntervalSet.around(cutdist.mean.copy(), _z(alpha) * np.sqrt(var))
 
 
 def rct_only_interval(ds: CombinedDataset, alpha: float = 0.05) -> IntervalSet:
@@ -115,8 +122,7 @@ def rct_only_interval(ds: CombinedDataset, alpha: float = 0.05) -> IntervalSet:
         raise InsufficientData(f"subgroup {bad} needs at least 2 patients per RCT arm")
     point = cs.mean[:, TREATED] - cs.mean[:, CONTROL]
     var = cs.ss[:, TREATED] / (n1 - 1) / n1 + cs.ss[:, CONTROL] / (n0 - 1) / n0
-    half = _z(alpha) * np.sqrt(var)
-    return IntervalSet(point - half, point + half, point)
+    return IntervalSet.around(point, _z(alpha) * np.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -147,30 +153,27 @@ class SimpleModelParams:
         return cls(mu, theta, gamma, phi2)
 
 
-def _cell_means(seed: int, replicate: int, role: int, loc, scale, r: int,
-                empty=None) -> np.ndarray:
+def _cell_means(seed: int, replicate: int, role: int, loc, scale, r: int) -> np.ndarray:
     """`stream(seed, replicate, role).normal(loc, scale, size=(r, K))`, bit
     for bit: the same Philox gaussians in the same order, scaled and shifted
-    in place. The columns flagged `empty` are then zero."""
+    in place."""
     draws = stream(seed, replicate, role).standard_normal((r, len(loc)))
     draws *= scale
     draws += loc
-    if empty is not None:
-        draws[:, empty] = 0.0
     return draws
 
 
-def _quantiles(a: np.ndarray, probs) -> list[np.ndarray]:
+def _quantiles(ordered: np.ndarray, probs) -> list[np.ndarray]:
     """`np.quantile(a, probs, axis=0)` (the linear method) for finite `a`,
-    bit for bit, from one sort along axis 0, which beats a partition at
-    several order statistics when `a` has few columns. It skips
-    `np.quantile`'s general path (worth about 7% of `sim-dm-intervals`
-    throughput on a 2-vCPU Xeon); the tests compare the two bit for bit.
-    Except where -0.0 and +0.0 tie at an order statistic read: the sort and
-    `np.quantile`'s partition may order them differently, so the zero's
-    sign may differ. Bootstrap draws are continuous and never tie so."""
-    n = a.shape[0]
-    ordered = np.sort(a, axis=0)
+    bit for bit, read from `ordered` = `np.sort(a, axis=0)`: one sort beats
+    a partition at several order statistics when `a` has few columns. It
+    skips `np.quantile`'s general path (worth about 7% of
+    `sim-dm-intervals` throughput on a 2-vCPU Xeon); the tests compare the
+    two bit for bit. Except where -0.0 and +0.0 tie at an order statistic
+    read: the sort and `np.quantile`'s partition may order them
+    differently, so the zero's sign may differ. Bootstrap draws are
+    continuous and never tie so."""
+    n = ordered.shape[0]
     out = []
     for v in ((n - 1) * p for p in probs):
         # numpy's neighbours: index -1 twice at the top, so its weight is v + 1
@@ -185,8 +188,8 @@ def _quantiles(a: np.ndarray, probs) -> list[np.ndarray]:
 class BootstrapScales:
     """What the bootstrap draws read from the design counts alone: the float
     cell counts, the square roots that scale the cell means' standard
-    deviations, the empty trial- and external-control cells, and the sums
-    the trial-only overall divides by."""
+    deviations, the pooled control counts and the sums the trial-only
+    overall divides by."""
 
     n1: np.ndarray
     n0r: np.ndarray
@@ -194,8 +197,6 @@ class BootstrapScales:
     root_n1: np.ndarray
     root_n0r: np.ndarray
     root_ne: np.ndarray
-    empty_n0r: np.ndarray
-    empty_ne: np.ndarray
     pooled: np.ndarray
     n1_sum: float
     n0r_sum: float
@@ -211,7 +212,7 @@ def bootstrap_scales(dc: DesignCounts) -> BootstrapScales:
         raise EmptySubgroupArm("bootstrap needs every subgroup estimable")
     return BootstrapScales(
         n1, n0r, ne, np.sqrt(n1), np.sqrt(np.maximum(n0r, 1)), np.sqrt(np.maximum(ne, 1)),
-        n0r == 0, ne == 0, n0r + ne, n1.sum(), n0r.sum())
+        n0r + ne, n1.sum(), n0r.sum())
 
 
 def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
@@ -239,13 +240,13 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
     sd = np.sqrt(params.phi2)
     m1 = _cell_means(seed, replicate, ROLE_BOOT_TREATED, params.mu + params.theta,
                      sd / sc.root_n1, r)
-    m0 = _cell_means(seed, replicate, ROLE_BOOT_CONTROL, params.mu,
-                     sd / sc.root_n0r, r, sc.empty_n0r)
+    m0 = _cell_means(seed, replicate, ROLE_BOOT_CONTROL, params.mu, sd / sc.root_n0r, r)
     me = _cell_means(seed, replicate, ROLE_BOOT_EXTERNAL, params.mu + params.gamma,
-                     sd / sc.root_ne, r, sc.empty_ne)
+                     sd / sc.root_ne, r)
     # in place, each step the same operation on the same operands as
     # theta_pool = m1 - (n0r m0 + ne me) / (n0r + ne),
-    # theta_r = (m1 n1).sum(1) / n1.sum() - (m0 n0r).sum(1) / n0r.sum()
+    # theta_r = (m1 n1).sum(1) / n1.sum() - (m0 n0r).sum(1) / n0r.sum();
+    # an empty cell's zero count zeroes its draws
     m0 *= sc.n0r
     me *= sc.ne
     me += m0
@@ -254,12 +255,13 @@ def bootstrap_interval(ds: CombinedDataset, dc: DesignCounts, point, u,
     draws = m1
     draws -= me
     draws += (theta_r - draws @ pi)[:, None] * np.asarray(u, dtype=float)
-    bad = ~np.isfinite(draws).all(axis=1)
-    if bad.any():
+    ordered = np.sort(draws, axis=0)
+    # NaN and +inf sort last, -inf first: a non-finite draw leaves one at an end
+    if not np.isfinite(ordered[[0, -1]]).all():
+        bad = ~np.isfinite(draws).all(axis=1)
         raise ReplicateFailure(int(np.argmax(bad)), "non-finite bootstrap estimate")
-    lo, hi = _quantiles(draws, (alpha / 2.0, 1.0 - alpha / 2.0))
-    half = (hi - lo) / 2.0
-    return IntervalSet(point - half, point + half, point)
+    lo, hi = _quantiles(ordered, (alpha / 2.0, 1.0 - alpha / 2.0))
+    return IntervalSet.around(point, (hi - lo) / 2.0)
 
 
 # --- one dispatcher for simulate and estimate ----------------------------------
@@ -307,10 +309,11 @@ def interval(method: str, ctx, target, alpha: float, phi2: float | None = None,
     replicate that `ctx` (a `sim._ReplicateContext`) holds. The analytic and
     bootstrap intervals are centred on `ctx.harmonized(target)`, the estimate
     of the estimator configuration `target`, and the analytic one reads its
-    covariance from `ctx.analytic_variance`. `phi2` is the outcome variance
-    of the analytic and cut intervals, which raise `InsufficientData` unless
-    it is positive and finite; `r`, `seed` and `replicate` drive the
-    bootstrap draws."""
+    covariance from `ctx.analytic_variance`. The cut's half-width, and the
+    analytic one where `ctx.design_only(target)`, are built once per
+    `ctx.dc`. `phi2` is the outcome variance of the analytic and cut
+    intervals, which raise `InsufficientData` unless it is positive and
+    finite; `r`, `seed` and `replicate` drive the bootstrap draws."""
     ds, dc = ctx.ds, ctx.dc
     if method == "rct_only":
         return rct_only_interval(ds, alpha)
@@ -318,10 +321,17 @@ def interval(method: str, ctx, target, alpha: float, phi2: float | None = None,
         raise InsufficientData(f"the {method} interval needs a positive, finite outcome "
                                f"variance; got phi2 = {phi2}")
     if method == "cut":
-        return cut_interval(ctx.cut(phi2), alpha)
+        design = ctx.cut_design(phi2)
+        half = dc.cached(("cut width", phi2, alpha), lambda: cut_interval(
+            NormalPosterior(np.zeros(dc.k), design.cov, design.labels), alpha).upper)
+        return IntervalSet.around(design.mean(ds.cell_stats), half)
     if method == "analytic":
         point = ctx.harmonized(target)[0]
-        return analytic_interval(point, ctx.analytic_variance(target, phi2), alpha)
+        if not ctx.design_only(target):
+            return analytic_interval(point, ctx.analytic_variance(target, phi2), alpha)
+        half = dc.cached(("analytic width", target, phi2, alpha), lambda: analytic_interval(
+            np.zeros(dc.k), ctx.analytic_variance(target, phi2), alpha).upper)
+        return IntervalSet.around(point, half)
     if method == "bootstrap":
         point, u = ctx.harmonized(target)
         return bootstrap_interval(ds, dc, point, u, r, alpha, seed, replicate=replicate)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import NormalPosterior, flat_cut_design
+from .bayes import FlatCutDesign, flat_cut_design
 from .config import (
     FLAG,
     FULL,
@@ -373,12 +373,13 @@ class _ReplicateContext:
     What depends on the design counts alone is kept in `dc.cache`, which
     the contexts of a `simulate` batch share with its `dc`:
     `DESIGN_ONLY_BD`'s bias direction, each checked fixed (or identity)
-    matrix, the analytic interval's covariance along a u made from them,
-    and the cut's design part (`cut`); the bootstrap keeps its scales there
-    too (`intervals.bootstrap_scales`). Where the batch's covariates are
-    frozen or absent, its datasets also share one design
-    (`generate_scenario`), so the cell sort, the subgroup grouping and the
-    limit map's layout are built once per batch.
+    matrix, the analytic interval's covariance along a u made from them
+    (`design_only`), and the cut's design part (`cut_design`); the interval
+    dispatcher keeps the analytic and cut half-widths there, and the
+    bootstrap its scales (`intervals.bootstrap_scales`). Where the batch's
+    covariates are frozen or absent, its datasets also share one design
+    (`generate_scenario`), so the cell index, the cell sort, the subgroup
+    grouping and the limit map's layout are built once per batch.
     """
 
     def __init__(self, ds: CombinedDataset, dc: DesignCounts, mu_true=None):
@@ -536,24 +537,28 @@ class _ReplicateContext:
         return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
                             design_only=_design_only_shift(mode, source))
 
+    def design_only(self, cfg: EstimatorConfig) -> bool:
+        """Whether `cfg`'s shift vector u, and so its analytic covariance,
+        depends on the design counts alone."""
+        return _design_only_shift(self.shift(cfg)[1], cfg.initial)
+
     def analytic_variance(self, cfg: EstimatorConfig, phi2: float) -> np.ndarray:
         """The covariance of `cfg`'s harmonized difference-of-means estimate
         at outcome variance phi2, which the analytic interval reads; once
         per batch when its shift vector u depends on the design alone."""
-        u, mode = self.shift(cfg)
+        u = self.shift(cfg)[0]
         return self._cached(
             ("variance", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam, phi2),
             lambda: analytic_bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
-            design_only=_design_only_shift(mode, cfg.initial))
+            design_only=self.design_only(cfg))
 
-    def cut(self, phi2: float) -> NormalPosterior:
-        """The flat-prior cut (`bayes.flat_cut`) at outcome variance phi2,
-        which the cut interval reads; its design part once per batch."""
+    def cut_design(self, phi2: float) -> FlatCutDesign:
+        """The design part of the flat-prior cut (`bayes.flat_cut`) at
+        outcome variance phi2, which the cut interval reads; once per batch."""
         counts = self.dc.counts
-        design = self._cached(("cut", phi2), lambda: flat_cut_design(
+        return self._cached(("cut", phi2), lambda: flat_cut_design(
             counts[:, 1, 0], counts[:, 0, 0], counts[:, 0, 1], phi2, self.dc.pi),
             design_only=True)
-        return design.cut(self.ds.cell_stats)
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""

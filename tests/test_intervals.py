@@ -170,6 +170,43 @@ class TestBootstrap:
             _bootstrap(ds, r=100, seed=2, params=params)
         assert err.value.replicate == 0
 
+    @pytest.mark.parametrize("planted", [-1e6, 1e6, np.nan], ids=["+inf", "-inf", "nan"])
+    def test_failure_names_the_first_non_finite_draw(self, monkeypatch, planted):
+        # one treated draw in a middle row is planted: a NaN, or a value so
+        # large that the row's shift along u overflows, to +inf for -1e6 and
+        # to -inf for 1e6 at these prevalences, in that row alone
+        import oracles
+        import subharm.intervals as intervals_mod
+        from oracles import frozen_bootstrap_interval
+        from subharm.errors import ReplicateFailure
+
+        row = 137
+
+        class Planted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, shape):
+                z = self.gen.standard_normal(shape)
+                z[row, 0] = planted
+                return z
+
+        def planted_stream(seed, replicate, role):
+            gen = stream(seed, replicate, role)
+            return Planted(gen) if role == ROLE_BOOT_TREATED else gen
+
+        for module in (intervals_mod, oracles):
+            monkeypatch.setattr(module, "stream", planted_stream)
+        ds = balanced_dataset(k=3, n_t=4, n_c=4, n_e=6, seed=16)
+        dc = compute_design_counts(ds, [0.6, 0.2, 0.2])
+        args = (ds, dc, np.zeros(3), np.array([1e305, 0.0, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicateFailure) as got:
+                bootstrap_interval(*args, r=300, seed=3)
+            with pytest.raises(ReplicateFailure) as want:
+                frozen_bootstrap_interval(*args, r=300, seed=3)
+        assert got.value.replicate == want.value.replicate == row
+
     def test_replicate_failure_survives_pickling(self):
         # what a worker process raises reaches the main process pickled
         import pickle
@@ -263,7 +300,7 @@ def test_bootstrap_bounds_equal_the_drawn_path(case):
 def test_quantiles_are_numpys_linear_quantiles(a, probs):
     # the sampled values repeat, so order statistics tie
     want = np.quantile(a, probs, axis=0)
-    got = np.array(_quantiles(a, probs))
+    got = np.array(_quantiles(np.sort(a, axis=0), probs))
     assert got.tobytes() == want.tobytes()
 
 

@@ -532,17 +532,68 @@ class TestDesignCountsCache:
         interval("cut", _ReplicateContext(datasets[0], dc), cfg, 0.05, phi2=2.0)
         assert len(cut_designs) == 3 and cut_designs[2] is dc.pi and len(scales) == 2
 
+    def test_design_only_widths_and_cell_index_once_per_batch(self, monkeypatch):
+        # the analytic and cut half-widths are built by the public interval
+        # functions once per design counts, and the cell index once per
+        # design; user prevalences, a vd target or another design build
+        # their own
+        import subharm.intervals as intervals_mod
+        from subharm.data import CombinedDataset
+        from subharm.intervals import interval
+        from subharm.sim import _ReplicateContext, parse_estimator, scenario_design
+
+        calls = {"analytic_interval": 0, "cut_interval": 0, "rct_mask": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("analytic_interval", "cut_interval"):
+            monkeypatch.setattr(intervals_mod, name, counted(name, getattr(intervals_mod, name)))
+        monkeypatch.setattr(CombinedDataset, "rct_mask",
+                            counted("rct_mask", CombinedDataset.rct_mask))
+        spec = load_preset("fig1-s2")
+        design = scenario_design(spec, 0)
+        datasets = [generate_scenario(spec, 0, rep, design) for rep in range(3)]
+        dc = compute_design_counts(datasets[0])
+        bd, vd = (parse_estimator({"kind": "harmonized", "name": mode,
+                                   "initial": "diff_means_pooled", "sigma_mode": mode})
+                  for mode in ("bd", "vd"))
+
+        def evaluate(dc, target):
+            for ds in datasets:
+                ctx = _ReplicateContext(ds, dc)
+                for method in ("analytic", "cut"):
+                    interval(method, ctx, target, 0.05, phi2=1.0)
+
+        def built(analytic, cut, cell_index):
+            return calls == {"analytic_interval": analytic, "cut_interval": cut,
+                             "rct_mask": cell_index}
+
+        evaluate(dc, bd)
+        assert built(1, 1, 1)
+        evaluate(compute_design_counts(datasets[0], (0.05,) * 5 + (0.15,) * 5), bd)
+        assert built(2, 2, 1)
+        evaluate(dc, vd)  # vd's shift reads each replicate's estimate
+        assert built(5, 2, 1)
+        compute_design_counts(generate_scenario(spec, 0, 3))
+        assert built(5, 2, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_shared_design_parts_give_the_frozen_intervals(self, data):
         # three replicates on one design, K = 1-6 with empty external cells,
         # empirical or user prevalences and phi2 in [0.1, 10], against the
-        # cut and bootstrap intervals as one call computed them
+        # cut, bootstrap and analytic intervals as one call computed them;
+        # the analytic one on an identity target, whose shift is design-only,
+        # and on a vd target, whose shift is each replicate's own
         from oracles import frozen_bootstrap_interval, frozen_cut_interval, frozen_flat_cut
-        from subharm import CombinedDataset
+        from subharm import CombinedDataset, analytic_bias_variance
         from subharm.bayes import flat_cut
         from subharm.errors import SubharmError
-        from subharm.intervals import bootstrap_interval, interval
+        from subharm.intervals import analytic_interval, bootstrap_interval, interval
         from subharm.sim import _ReplicateContext, parse_estimator
 
         k = data.draw(st.integers(1, 6))
@@ -565,8 +616,9 @@ class TestDesignCountsCache:
             y_ec=rng.normal(0.3, np.sqrt(phi2), len(w_e)), w_ec=w_e, k=k) for _ in range(3)]
         prevalences = None if p is None else np.array(p) / sum(p)
         dc = compute_design_counts(datasets[0], prevalences)
-        cfg = parse_estimator({"kind": "harmonized", "name": "h",
-                               "initial": "diff_means_pooled", "sigma_mode": "identity"})
+        cfg, vd = (parse_estimator({"kind": "harmonized", "name": mode,
+                                    "initial": "diff_means_pooled", "sigma_mode": mode})
+                   for mode in ("identity", "vd"))
 
         def outcome(compute, *args, **kwargs):
             try:
@@ -596,6 +648,14 @@ class TestDesignCountsCache:
                          replicate=rep), want)
             same(outcome(bootstrap_interval, ds, dc, point, u, r, alpha, seed,
                          replicate=rep), want)
+            own = compute_design_counts(ds, prevalences)
+            for target in (cfg, vd):
+                def per_replicate():
+                    point, u = ctx.harmonized(target)
+                    return analytic_interval(
+                        point, analytic_bias_variance(own, np.zeros(k), u, phi2)[1], alpha)
+                same(outcome(interval, "analytic", ctx, target, alpha, phi2=phi2),
+                     outcome(per_replicate))
 
 
 class TestWorkerCap:

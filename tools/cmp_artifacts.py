@@ -43,6 +43,14 @@ LOGISTIC = ["logistic_pooled", "logistic_ipw", "logistic_rct",
             harmonized("vd", "logistic_pooled", "logistic", "vd"),
             harmonized("ipw_bd", "logistic_ipw", "logistic", "bd")]
 FIXED_SIGMA = [[0.55 if i == j else 0.05 for j in range(10)] for i in range(10)]
+# continuous outcomes with one covariate drawn anew in each replicate, so
+# every replicate builds its own design
+DRAWN_COVARIATES = {
+    "name": "drawn-covariates", "outcome_family": "continuous", "k": 4,
+    "n_rct_treated": [10, 12, 8, 10], "n_rct_control": [10, 8, 12, 10],
+    "n_ec": [40, 50, 30, 60], "mu": [0.0, 0.5, -0.5, 1.0], "theta": [0.2, 0.4, 0.0, -0.2],
+    "distortion": [0.5, 0.0, 1.0, 0.5], "n_covariates": 1, "beta": [0.5],
+    "x_mean_ec": 1.0, "fixed_covariates": False}
 
 
 def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
@@ -66,6 +74,13 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
                 "diff_means_pooled",
                 harmonized("fixed", "diff_means_pooled", "diff_means", "fixed", 2,
                            sigma=FIXED_SIGMA)])),
+        "simulate-drawn-covariates": ("simulate", dict(
+            sim, scenario=DRAWN_COVARIATES, intervals=ALL_INTERVALS)),
+        "simulate-fig1-s2-vd-target": ("simulate", dict(
+            sim, preset="fig1-s2", intervals=ALL_INTERVALS, interval_estimator="vd",
+            estimators=["diff_means_pooled",
+                        harmonized("bd", "diff_means_pooled", "diff_means", "bd"),
+                        harmonized("vd", "diff_means_pooled", "diff_means", "vd")])),
         "simulate-gbm-like-bd": ("simulate", dict(sim, preset="gbm-like", estimators=[
             "logistic_pooled", harmonized("bd", "logistic_pooled", "logistic", "bd")])),
         "resample-default": ("resample", pools),
