@@ -49,7 +49,6 @@ from .sim import (
     SCENARIO,
     SIGMA_MODE,
     SPIKE,
-    EstimatorConfig,
     MonteCarloReport,
     _ReplicateContext,
     check_fixed_sigmas,
@@ -91,6 +90,11 @@ SETTINGS = {
                  "spike": (SPIKE.or_null(), None),
                  "prevalence_mode": (PREVALENCE_MODE, "replicate")},
 }
+# Per outcome family, the default estimator list's pooled and trial-only
+# initials and the overall its harmonized estimators target, which is also
+# the overall of `estimate`'s `overall_rct` row.
+DEFAULT_KINDS = {CONTINUOUS: ("diff_means_pooled", "diff_means_rct", "diff_means"),
+                 BINARY: ("logistic_pooled", "logistic_rct", "logistic")}
 # the keys a subcommand also takes as a flag, when its table has them
 FLAGS = {
     "seed": "random seed",
@@ -208,6 +212,17 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
                    ["replicate", "estimator", "subgroup", "estimate"], rrows)
 
 
+def _default_list(family: str, lambdas, sigma_mode: str, plain=(), **fields) -> list:
+    """The default estimator list: `family`'s pooled and trial-only
+    initials (`DEFAULT_KINDS`), the kinds `plain`, and the pooled initial
+    harmonized toward `family`'s overall at each of `lambdas`, each of
+    these entries with `fields`."""
+    pooled, rct, overall = DEFAULT_KINDS[family]
+    return [pooled, rct, *plain] + [{"kind": "harmonized", "initial": pooled, "overall": overall,
+                                     "lambda": "full" if np.isinf(lam) else lam,
+                                     "sigma_mode": sigma_mode, **fields} for lam in lambdas]
+
+
 # --- estimate ----------------------------------------------------------------
 
 def cmd_estimate(cfg: dict) -> int:
@@ -215,15 +230,9 @@ def cmd_estimate(cfg: dict) -> int:
     out_dir = _out_dir(s["out_dir"])
     schema, family = s["schema"], s["outcome_family"]
     if s["estimators"] is None:
-        pooled = "diff_means_pooled" if family == CONTINUOUS else "logistic_pooled"
-        s["estimators"] = [
-            pooled,
-            "diff_means_rct" if family == CONTINUOUS else "logistic_rct",
-            {"kind": "harmonized", "name": "harmonized", "initial": pooled,
-             "overall": "diff_means", "lambda": "full" if np.isinf(s["lambda"]) else s["lambda"],
-             "sigma_mode": s["sigma_mode"],
-             **({} if s["sigma"] is None else {"sigma": s["sigma"]})},
-        ]
+        sigma = {} if s["sigma"] is None else {"sigma": s["sigma"]}
+        s["estimators"] = _default_list(family, [s["lambda"]], s["sigma_mode"],
+                                        name="harmonized", **sigma)
     if s["intervals"] is None:
         s["intervals"] = ["rct_only"] if family == BINARY else ["analytic", "rct_only"]
     est_cfgs, target = plan_estimators(s["estimators"], family, s["intervals"])
@@ -241,8 +250,7 @@ def cmd_estimate(cfg: dict) -> int:
     labels = ds.subgroup_labels
     est_rows = [[ecfg.name, k + 1, labels[k], float(theta[k])]
                 for ecfg, theta in zip(est_cfgs, est) for k in range(ds.k)]
-    overall = ctx.overall("diff_means" if family == CONTINUOUS else "logistic")
-    est_rows.append(["overall_rct", 0, "(all)", overall])
+    est_rows.append(["overall_rct", 0, "(all)", ctx.overall(DEFAULT_KINDS[family][2])])
     interval_rows = [[method, k + 1, labels[k], float(iv.lower[k]), float(iv.upper[k]),
                       float(iv.point[k]), s["alpha"]]
                      for method, iv in zip(s["intervals"], ivs) for k in range(ds.k)]
@@ -253,7 +261,7 @@ def cmd_estimate(cfg: dict) -> int:
             continue
         checks[f"shift_mode[{ecfg.name}]"] = ctx.shift_mode(ecfg)
         if np.isinf(ecfg.lam):
-            gap = abs(float(dc.pi @ theta) - overall_for(ctx, ecfg))
+            gap = abs(float(dc.pi @ theta) - ctx.overall(ecfg.overall))
             checks[f"full_harmonization_gap[{ecfg.name}]"] = gap
             if not gap <= 1e-10:
                 raise NumericalError(f"full harmonization constraint violated ({gap:.3g})")
@@ -274,10 +282,6 @@ def cmd_estimate(cfg: dict) -> int:
     return 0
 
 
-def overall_for(ctx: _ReplicateContext, ecfg: EstimatorConfig) -> float:
-    return ctx.overall(ecfg.overall)
-
-
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
@@ -294,15 +298,10 @@ def cmd_simulate(cfg: dict) -> int:
     s["scenario"] = spec.to_dict()
 
     if s["estimators"] is None:
-        continuous = spec.outcome_family == CONTINUOUS
-        pooled = "diff_means_pooled" if continuous else "logistic_pooled"
-        rct = "diff_means_rct" if continuous else "logistic_rct"
         lambdas = s["harmonized_lambdas"] if s["lambda"] is None else [s["lambda"]]
-        s["estimators"] = [pooled, rct] + (["oracle"] if continuous else []) + [
-            {"kind": "harmonized", "initial": pooled, "overall": "diff_means",
-             "lambda": "full" if np.isinf(lam) else lam, "sigma_mode": s["sigma_mode"]}
-            for lam in lambdas
-        ]
+        # a continuous scenario's control levels are known, so the oracle is listed
+        oracle = ["oracle"] if spec.outcome_family == CONTINUOUS else []
+        s["estimators"] = _default_list(spec.outcome_family, lambdas, s["sigma_mode"], oracle)
     report = run_monte_carlo(spec, s["estimators"], reps=s["reps"], seed=s["seed"],
                              intervals=s["intervals"], alpha=s["alpha"],
                              bootstrap_r=s["bootstrap_r"], workers=s["workers"],

@@ -10,7 +10,9 @@ or interval is recorded with its reason and left out of the aggregates,
 whose reports count what was left out; `estimate` raises the first failure
 and writes nothing. Every report carries each replicate's estimates.
 Estimators and intervals read a replicate through one handle, its
-`_ReplicateContext`.
+`_ReplicateContext`. What each estimator kind is (its estimate, its bias
+direction, the sigma modes it allows, whether it is logistic) is declared
+once, in one record per kind: `INITIALS` and `OVERALLS`.
 
 Replicates draw from counter-based streams keyed by (seed, replicate,
 role), so reports are deterministic for a fixed seed regardless of the
@@ -23,7 +25,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -274,21 +276,67 @@ def true_effects(spec: ScenarioSpec, seed: int = 0) -> np.ndarray:
 
 # --- estimator configuration ---------------------------------------------------
 
-INITIAL_KINDS = ("diff_means_pooled", "diff_means_rct", "oracle", "ols_pooled",
-                 "ols_rct", "logistic_pooled", "logistic_rct", "logistic_ipw")
-OVERALL_KINDS = ("diff_means", "ols", "logistic")
 MODE_FIXED = "fixed"
 MODE_BD = "bd"
 MODE_VD = "vd"
 SIGMA_MODES = ("identity", MODE_FIXED, MODE_BD, MODE_VD)
 SIGMA_MODE = choice(SIGMA_MODES)
-# The initials a sigma mode can never resolve for: bd needs a bias
-# direction and vd the initial estimate's covariance.
-UNDEFINED_MODES = {MODE_BD: ("diff_means_rct", "ols_rct", "oracle", "logistic_rct"),
-                   MODE_VD: ("diff_means_rct", "ols_rct", "oracle")}
-# the initial whose bias direction depends on the design counts alone
-DESIGN_ONLY_BD = "diff_means_pooled"
-LOGISTIC_KINDS = ("logistic_pooled", "logistic_rct", "logistic_ipw")
+
+
+@dataclass(frozen=True)
+class InitialEstimator:
+    """What an initial kind is. `estimate` and `bias_direction` take a
+    `_ReplicateContext`, and each calls its estimator through this
+    module's namespace when it runs, so a binding patched there is the one
+    called. `bias_direction` is None where bd is never defined;
+    `covariance` is whether the estimate carries the covariance that vd
+    reads; `design_only_bd` is whether the bias direction depends on the
+    design counts alone; `reads_truth` is whether the estimate reads the
+    true control levels, which only a continuous scenario knows."""
+
+    estimate: Callable
+    bias_direction: Callable | None = None
+    covariance: bool = True
+    logistic: bool = False
+    design_only_bd: bool = False
+    reads_truth: bool = False
+
+
+@dataclass(frozen=True)
+class OverallEstimator:
+    """What an overall kind is: its estimate on a `_ReplicateContext`,
+    called as `InitialEstimator.estimate` is, and whether it is logistic."""
+
+    estimate: Callable
+    logistic: bool = False
+
+
+INITIALS = {
+    "diff_means_pooled": InitialEstimator(
+        lambda ctx: diff_means_pooled_subgroups(ctx.ds),
+        lambda ctx: bd_direction_diff_means(ctx.dc), design_only_bd=True),
+    "diff_means_rct": InitialEstimator(lambda ctx: rct_only_subgroups(ctx.ds), covariance=False),
+    "oracle": InitialEstimator(
+        lambda ctx: oracle_subgroups(ctx.ds, ctx.mu_true), covariance=False, reads_truth=True),
+    "ols_pooled": InitialEstimator(
+        lambda ctx: ols_subgroup_effects(ctx.ds),
+        lambda ctx: bd_direction_linear(ctx.ds, ctx.dc.pi)[1]),
+    "ols_rct": InitialEstimator(lambda ctx: rct_only_subgroups(ctx.ds, "ols"), covariance=False),
+    "logistic_pooled": InitialEstimator(
+        lambda ctx: logistic_marginal_effects(ctx.ds),
+        lambda ctx: bd_direction_glm(ctx.limit_map_spec("logistic_pooled"))[1], logistic=True),
+    "logistic_rct": InitialEstimator(lambda ctx: logistic_marginal_effects(
+        ctx.ds, fit=ctx.trial_logistic_fit()), logistic=True),
+    "logistic_ipw": InitialEstimator(
+        lambda ctx: weighted_logistic_effects(ctx.ds, ctx.ipw_weights()),
+        lambda ctx: bd_direction_glm(ctx.limit_map_spec("logistic_ipw"))[1], logistic=True),
+}
+OVERALLS = {
+    "diff_means": OverallEstimator(lambda ctx: diff_means_overall(ctx.ds)),
+    "ols": OverallEstimator(lambda ctx: ols_overall_effect(ctx.ds)),
+    "logistic": OverallEstimator(
+        lambda ctx: logistic_overall_effect(ctx.ds, ctx.trial_logistic_fit()), logistic=True),
+}
 
 
 @dataclass(frozen=True)
@@ -297,10 +345,10 @@ class EstimatorConfig:
     or a harmonized transform of one."""
 
     # a plain estimator's fields are its kind and name; an entry's "lambda" is `lam`
-    kind: str = declared(choice(("harmonized", *INITIAL_KINDS)))
+    kind: str = declared(choice(("harmonized", *INITIALS)))
     name: str = declared(TEXT)
-    initial: str = declared(choice(INITIAL_KINDS), "")
-    overall: str = declared(choice(OVERALL_KINDS), "diff_means")
+    initial: str = declared(choice(INITIALS), "")
+    overall: str = declared(choice(OVERALLS), "diff_means")
     lam: float = declared(LAMBDA, FULL)
     sigma_mode: str = declared(SIGMA_MODE, "bd")
     sigma: tuple[tuple[float, ...], ...] | None = declared(MATRIX.or_null(), None)
@@ -356,13 +404,6 @@ def check_fixed_sigmas(est_cfgs, k: int) -> None:
                 raise ConfigError(f"estimator {cfg.name!r} has an invalid sigma: {exc}") from None
 
 
-def _design_only_shift(mode: str, source) -> bool:
-    """Whether the shift that a resolved mode makes from `source` (the
-    initial estimator, or a fixed mode's sigma) depends on the design
-    counts alone."""
-    return mode == MODE_FIXED or (mode, source) == (MODE_BD, DESIGN_ONLY_BD)
-
-
 class _ReplicateContext:
     """The one handle on a replicate, or an `estimate` call: its dataset
     `ds`, design counts `dc` and the fits made from them, each cached on
@@ -371,13 +412,14 @@ class _ReplicateContext:
     share.
 
     What depends on the design counts alone is kept in `dc.cache`, which
-    the contexts of a `simulate` batch share with its `dc`:
-    `DESIGN_ONLY_BD`'s bias direction, each checked fixed (or identity)
-    matrix, the analytic interval's covariance along a u made from them
-    (`design_only`), and the cut's design part (`cut_design`); the interval
-    dispatcher keeps the analytic and cut half-widths there, and the
-    bootstrap its scales (`intervals.bootstrap_scales`). Where the batch's
-    covariates are frozen or absent, its datasets also share one design
+    the contexts of a `simulate` batch share with its `dc`: the bias
+    direction of an initial whose record has `design_only_bd`, each
+    checked fixed (or identity) matrix, the analytic interval's covariance
+    along a u made from them (`design_only`), and the cut's design part
+    (`cut_design`); the interval dispatcher keeps the analytic and cut
+    half-widths there, and the bootstrap its scales
+    (`intervals.bootstrap_scales`). Where the batch's covariates are
+    frozen or absent, its datasets also share one design
     (`generate_scenario`), so the cell index, the cell sort, the subgroup
     grouping and the limit map's layout are built once per batch.
     """
@@ -396,27 +438,7 @@ class _ReplicateContext:
         return self._cache[key]
 
     def initial(self, kind: str) -> EffectEstimate:
-        return self._cached(kind, lambda: self._initial(kind))
-
-    def _initial(self, kind: str) -> EffectEstimate:
-        ds = self.ds
-        if kind == "diff_means_pooled":
-            return diff_means_pooled_subgroups(ds)
-        if kind == "oracle":
-            if self.mu_true is None:
-                raise ConfigError("oracle estimator needs known control levels")
-            return oracle_subgroups(ds, self.mu_true)
-        if kind == "ols_pooled":
-            return ols_subgroup_effects(ds)
-        if kind == "logistic_pooled":
-            return logistic_marginal_effects(ds)
-        if kind == "logistic_ipw":
-            return weighted_logistic_effects(ds, self.ipw_weights())
-        if kind == "logistic_rct":
-            return logistic_marginal_effects(ds, rct_only=True, fit=self.trial_logistic_fit())
-        if kind in ("diff_means_rct", "ols_rct"):
-            return rct_only_subgroups(ds, kind.removesuffix("_rct"))
-        raise ConfigError(f"unknown estimator kind {kind!r}")
+        return self._cached(kind, lambda: INITIALS[kind].estimate(self))
 
     def trial_logistic_fit(self) -> GlmFit:
         """The trial-only logistic fit behind the logistic_rct estimate, the
@@ -430,22 +452,14 @@ class _ReplicateContext:
         return self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
 
     def overall(self, kind: str) -> float:
-        fits = {"diff_means": diff_means_overall, "ols": ols_overall_effect,
-                "logistic": lambda ds: logistic_overall_effect(ds, self.trial_logistic_fit())}
-        return self._cached(f"overall:{kind}", lambda: fits[kind](self.ds))
+        return self._cached(f"overall:{kind}", lambda: OVERALLS[kind].estimate(self))
 
     def bd_direction(self, initial_kind: str) -> np.ndarray:
-        return self._cached(f"bd:{initial_kind}", lambda: self._bd_direction(initial_kind),
-                            design_only=initial_kind == DESIGN_ONLY_BD)
-
-    def _bd_direction(self, initial_kind: str) -> np.ndarray:
-        """The bias direction of an initial that `UNDEFINED_MODES` allows bd."""
-        pi = self.dc.pi
-        if initial_kind == DESIGN_ONLY_BD:
-            return bd_direction_diff_means(self.dc)
-        if initial_kind == "ols_pooled":
-            return bd_direction_linear(self.ds, pi)[1]
-        return bd_direction_glm(self.limit_map_spec(initial_kind))[1]
+        """The bias direction of an initial that has one; once per batch
+        where it depends on the design counts alone."""
+        initial = INITIALS[initial_kind]
+        return self._cached(f"bd:{initial_kind}", lambda: initial.bias_direction(self),
+                            design_only=initial.design_only_bd)
 
     def limit_map_spec(self, initial_kind: str) -> LimitMapSpec:
         """The limit map of a logistic initial. One layout (`CellDesign`,
@@ -527,7 +541,7 @@ class _ReplicateContext:
                 self._cache[degenerate] = True
                 logger.warning("bias direction degenerate for initial %r; falling back "
                                "to variance-directed harmonization", initial)
-        if initial in LOGISTIC_KINDS:
+        if INITIALS[initial].logistic:
             self._refuse_boundary(initial, f"the {initial!r} fit has no finite maximum, so "
                                            "its covariance cannot direct the shift")
         return self._checked(MODE_VD, initial,
@@ -535,12 +549,14 @@ class _ReplicateContext:
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
         return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
-                            design_only=_design_only_shift(mode, source))
+                            design_only=mode == MODE_FIXED)
 
     def design_only(self, cfg: EstimatorConfig) -> bool:
         """Whether `cfg`'s shift vector u, and so its analytic covariance,
-        depends on the design counts alone."""
-        return _design_only_shift(self.shift(cfg)[1], cfg.initial)
+        depends on the design counts alone: a fixed shift, or bd on an
+        initial whose bias direction does."""
+        mode = self.shift(cfg)[1]
+        return mode == MODE_FIXED or (mode == MODE_BD and INITIALS[cfg.initial].design_only_bd)
 
     def analytic_variance(self, cfg: EstimatorConfig, phi2: float) -> np.ndarray:
         """The covariance of `cfg`'s harmonized difference-of-means estimate
@@ -792,29 +808,35 @@ def _run_batches(batch_fn, reps: int, workers: int) -> tuple:
 
 
 def plan_estimators(entries: Sequence, family: str, intervals: Sequence[str] = (),
-                    interval_estimator: str | None = None,
-                    bootstrap_r: int = 500) -> tuple[list[EstimatorConfig], EstimatorConfig | None]:
+                    interval_estimator: str | None = None, bootstrap_r: int = 500,
+                    control_levels_known: bool = False) -> tuple[list, EstimatorConfig | None]:
     """Parse the estimator entries and pick the one the intervals are
     centred on: the estimator named `interval_estimator`, else the first
     harmonized estimator at full lambda, else the first harmonized one.
     An empty list, duplicate names or interval methods, a logistic
     estimator or overall on continuous outcomes, bd on an initial without a
-    bias direction, vd on one without a covariance, an interval on a
-    pipeline it was not derived for and too few bootstrap draws are config
-    errors."""
+    bias direction, vd on one without a covariance, an oracle unless
+    `control_levels_known`, an interval on a pipeline it was not derived
+    for and too few bootstrap draws are config errors; each estimator
+    reads what its kinds are from `INITIALS` and `OVERALLS`."""
     cfgs = [e if isinstance(e, EstimatorConfig) else parse_estimator(e) for e in entries]
     if not cfgs:
         raise ConfigError("estimators must name at least one estimator")
     for c in cfgs:
-        if c.kind == "harmonized" and c.initial in UNDEFINED_MODES.get(c.sigma_mode, ()):
-            need = "a bias direction" if c.sigma_mode == MODE_BD else "a covariance"
+        is_harmonized = c.kind == "harmonized"
+        initial = INITIALS[c.initial if is_harmonized else c.kind]
+        need = {MODE_BD: None if initial.bias_direction else "a bias direction",
+                MODE_VD: None if initial.covariance else "a covariance"}.get(c.sigma_mode)
+        if is_harmonized and need:
             raise ConfigError(f"estimator {c.name!r}: sigma_mode {c.sigma_mode!r} needs "
                               f"{need}, which initial {c.initial!r} never has")
-        logistic = ((c.initial in LOGISTIC_KINDS or c.overall == "logistic")
-                    if c.kind == "harmonized" else c.kind in LOGISTIC_KINDS)
-        if logistic and family == CONTINUOUS:
+        if family == CONTINUOUS and (initial.logistic
+                                     or is_harmonized and OVERALLS[c.overall].logistic):
             raise ConfigError(f"estimator {c.name!r} fits a logistic model, which needs "
                               "binary outcomes, not continuous ones")
+        if initial.reads_truth and not control_levels_known:
+            raise ConfigError(f"estimator {c.name!r} reads the true control levels, which "
+                              "only a continuous simulate scenario knows")
     refuse_repeats("estimator names", [c.name for c in cfgs])
     harmonized = [c for c in cfgs if c.kind == "harmonized"]
     if interval_estimator is not None:
@@ -839,7 +861,8 @@ def run_monte_carlo(spec: ScenarioSpec, estimators: Sequence, reps: int, seed: i
     operating characteristics against the true subgroup effects."""
     refuse_below("reps", reps, 2)
     est_cfgs, interval_cfg = plan_estimators(estimators, spec.outcome_family, intervals,
-                                             interval_estimator, bootstrap_r)
+                                             interval_estimator, bootstrap_r,
+                                             spec.outcome_family == CONTINUOUS)
     check_fixed_sigmas(est_cfgs, spec.k)
     truth = true_effects(spec, seed)
     batch = partial(_scenario_batch, spec=spec, est_cfgs=est_cfgs, methods=tuple(intervals),

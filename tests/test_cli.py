@@ -96,6 +96,28 @@ class TestEstimate:
             "rct_csv": rct, "ec_csv": ec, "out_dir": str(tmp_path / "o")})
         assert run_cli("estimate", "--config", cfg, "--lambda", "-3") == 2
 
+    @pytest.mark.parametrize("family,preset,covariates", [
+        ("binary", "fig5", ["x1"]), ("continuous", "fig1-s2", [])])
+    def test_default_harmonized_estimate_meets_the_reported_overall(self, tmp_path, family,
+                                                                    preset, covariates):
+        # the binary default list harmonized logistic_pooled toward the
+        # diff_means overall while the overall_rct row reported the logistic
+        # one: pi'theta = 0.2050 against 0.19286 on this fig5 pair
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(generate_scenario(load_preset(preset), seed=2), rct, ec,
+                     CsvSchema(covariates=tuple(covariates)))
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "outcome_family": family,
+            "schema": {"covariates": covariates}, "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 0
+        rows = read_rows(tmp_path / "o" / "estimates.csv")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        pi = manifest["checks"]["design_summary"]["pi"]
+        theta = [float(r["estimate"]) for r in rows if r["estimator"] == "harmonized"]
+        (overall,) = [float(r["estimate"]) for r in rows if r["estimator"] == "overall_rct"]
+        assert len(theta) == len(pi)
+        assert abs(float(np.dot(pi, theta)) - overall) <= 1e-10
+
 
 class TestSimulate:
     def test_smoke_two_reps(self, tmp_path):
@@ -386,12 +408,16 @@ class TestEstimateFailsClosed:
         assert err["error"] == "ConfigError" and "'weight'" in err["message"]
 
     def test_nan_harmonization_gap_exits_4(self, small_csvs, tmp_path, monkeypatch):
-        import subharm.cli
+        # a NaN harmonized estimate makes the gap NaN, which no comparison
+        # of the form gap > bound would catch
+        import subharm.sim
+        from subharm import EffectEstimate
 
         rct, ec = small_csvs
         cfg = write_config(tmp_path / "c.json", {
             "rct_csv": rct, "ec_csv": ec, "out_dir": str(tmp_path / "o")})
-        monkeypatch.setattr(subharm.cli, "overall_for", lambda ctx, ecfg: float("nan"))
+        monkeypatch.setattr(subharm.sim, "harmonize",
+                            lambda initial, overall, pi, u: EffectEstimate(np.full(len(u), np.nan)))
         assert run_cli("estimate", "--config", cfg) == 4
 
     def test_large_binary_estimate_converges(self, tmp_path):
@@ -933,6 +959,33 @@ class TestSettingsFailClosed:
             cfg["intervals"] = ["rct_only"]  # valid on any pipeline
         self.exits_2(command, cfg, tmp_path, capsys, ["'h'", repr(mode), repr(initial)])
 
+    @pytest.mark.parametrize("entry", [
+        "oracle", {"kind": "harmonized", "name": "h", "initial": "oracle",
+                   "sigma_mode": "identity"}], ids=["plain", "initial"])
+    @pytest.mark.parametrize("command,family", [
+        ("estimate", "continuous"), ("estimate", "binary"), ("simulate", "binary"),
+        ("resample", "binary")])
+    def test_oracle_where_no_control_levels_are_known(self, tmp_path, capsys, monkeypatch,
+                                                      command, family, entry):
+        # each exited 2 only once the oracle was first evaluated: after the
+        # CSV load in estimate, inside the first replicate elsewhere
+        import subharm.cli
+        import subharm.sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data were read or a replicate ran")
+        for module, name in ((subharm.cli, "load_dataset"), (subharm.sim, "load_dataset"),
+                             (subharm.sim, "generate_scenario"),
+                             (subharm.sim, "_resample_batch")):
+            monkeypatch.setattr(module, name, refuse)
+        cfg = {"estimate": dict(self.base("estimate", tmp_path), outcome_family=family,
+                                intervals=["rct_only"]),
+               "simulate": {"preset": "fig5", "reps": 3},
+               "resample": self.base("resample", tmp_path)}[command]
+        name = entry if isinstance(entry, str) else entry["name"]
+        self.exits_2(command, dict(cfg, estimators=[entry]), tmp_path, capsys,
+                     [repr(name), "true control levels"])
+
     @pytest.mark.parametrize("command,extra", [
         ("estimate", {"intervals": ["rct_only"]}), ("simulate", {}), ("resample", {})])
     def test_empty_estimators(self, tmp_path, capsys, no_replicates, command, extra):
@@ -1164,6 +1217,49 @@ class TestDocsMatchSettings:
             declared = {("lambda" if f.name == "lam" else f.name): str(f.metadata["kind"])
                         for f in dataclasses.fields(cls)}
             assert dict(rows) == declared, cls.__name__
+
+    @staticmethod
+    def readme() -> str:
+        from pathlib import Path
+
+        return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_interval_table_follows_the_pipelines(self):
+        # method -> the harmonized initial and overall it was derived for,
+        # on continuous outcomes, or any pipeline
+        from subharm.data import CONTINUOUS
+        from subharm.intervals import INTERVAL_PIPELINES
+
+        header = "| method "
+        table = self.readme().split(f"\n{header}", 1)[1].split("\n\n", 1)[0]
+        rows = [[c.strip().replace("`", "") for c in line.strip("|").split("|")]
+                for line in (header + table).splitlines()]
+        assert rows[0] == ["method", "harmonized initial", "overall", "outcomes"]
+        documented = {method: tuple(cells) for method, *cells in rows[2:]}
+        assert documented == {method: ("any",) * 3 if need is None else (*need, CONTINUOUS)
+                              for method, need in INTERVAL_PIPELINES.items()}
+
+    def test_fail_closed_kind_lists_follow_the_records(self):
+        import re
+
+        from subharm.sim import INITIALS, OVERALLS
+
+        rules = self.readme().split("These rules across keys also exit 2", 1)[1]
+        rules = " ".join(rules.split("\n\n", 2)[1].split())
+
+        def listed(before):
+            return set(re.findall(r"`(\w+)`", re.search(
+                re.escape(before) + r" \(([^)]*)\)", rules).group(1)))
+        assert listed("`bd` on one without a bias direction") == {
+            kind for kind, rec in INITIALS.items() if rec.bias_direction is None}
+        assert listed("`vd` on one that never carries a covariance") == {
+            kind for kind, rec in INITIALS.items() if not rec.covariance}
+        assert listed("a logistic estimator, plain or as a harmonized `initial`") == {
+            kind for kind, rec in INITIALS.items() if rec.logistic}
+        assert listed("a logistic `overall`") == {
+            kind for kind, rec in OVERALLS.items() if rec.logistic}
+        assert listed("an estimator that reads the true control levels") == {
+            kind for kind, rec in INITIALS.items() if rec.reads_truth}
 
     @pytest.mark.parametrize("command", ["estimate", "simulate", "resample"])
     def test_flags_are_the_flagged_keys(self, command):

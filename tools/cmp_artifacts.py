@@ -83,6 +83,11 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
                         harmonized("vd", "diff_means_pooled", "diff_means", "vd")])),
         "simulate-gbm-like-bd": ("simulate", dict(sim, preset="gbm-like", estimators=[
             "logistic_pooled", harmonized("bd", "logistic_pooled", "logistic", "bd")])),
+        "simulate-fig4-ols": ("simulate", dict(
+            sim, preset="fig4", intervals=["rct_only"], estimators=[
+                "ols_pooled", "ols_rct", harmonized("bd", "ols_pooled", "ols", "bd"),
+                harmonized("vd", "ols_pooled", "ols", "vd"),
+                harmonized("fixed", "ols_pooled", "ols", "fixed", 2, sigma=FIXED_SIGMA)])),
         "resample-default": ("resample", pools),
         "resample-spike": ("resample", dict(pools, spike=0.1)),
         "resample-pool": ("resample", dict(pools, prevalence_mode="pool")),
@@ -90,6 +95,12 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
             "rct_csv": str(inputs / f"binary{seed}_rct.csv"),
             "ec_csv": str(inputs / f"binary{seed}_ec.csv"), "schema": {"covariates": ["x1"]},
             "outcome_family": "binary", "estimators": LOGISTIC, "intervals": ["rct_only"]}),
+        # the default list, whose harmonized estimator targets the binary
+        # family's overall
+        "estimate-binary-default": ("estimate", {
+            "rct_csv": str(inputs / f"binary{seed}_rct.csv"),
+            "ec_csv": str(inputs / f"binary{seed}_ec.csv"), "schema": {"covariates": ["x1"]},
+            "outcome_family": "binary"}),
         "estimate-continuous": ("estimate", {
             "rct_csv": str(inputs / f"continuous{seed}_rct.csv"),
             "ec_csv": str(inputs / f"continuous{seed}_ec.csv"), "intervals": ALL_INTERVALS}),
