@@ -8,14 +8,16 @@ cut covariance inherits the primary analyst's uncertainty along the
 prevalence direction.
 
 Under `flat_prior` the subgroup analyst's posterior precision is
-block-diagonal in per-subgroup 2x2 [mu_k, theta_k] blocks, so `flat_cut`
-gives the cut in closed form from the cell sums, without the 2K x 2K
-inversions of the general route (`analyst1_posterior`, `analyst2_posterior`,
-`cut_distribution`), which stays as its oracle. `flat_cut` is two steps:
-its design part (`flat_cut_design`), which the cell counts, the outcome
-variance and the prevalences fix, and the means that a dataset's outcome
-sums give (`FlatCutDesign.cut`); a `simulate` batch builds the design part
-once and every replicate only the means.
+block-diagonal in per-subgroup 2x2 [mu_k, theta_k] blocks, so the cut has
+a closed form in the cell sums, without the 2K x 2K inversions of the
+general route (`analyst1_posterior`, `analyst2_posterior`,
+`cut_distribution`), which stays as its oracle. The closed form is two
+steps: its design part (`flat_cut_design`), which the cell counts, the
+outcome variance and the prevalences fix, and the means that a dataset's
+outcome sums give (`FlatCutDesign.mean`). Nothing here caches: the
+interval dispatcher (`intervals.interval`) keeps one design part per
+design counts, outcome variance and level, so a `simulate` batch builds
+it once and every replicate only the means.
 """
 
 from __future__ import annotations
@@ -170,11 +172,11 @@ def _flat_mean(weights, s1, s0):
 
 @dataclass(frozen=True)
 class FlatCutDesign:
-    """The part of the flat-prior cut (`flat_cut`) that the cell counts, the
-    outcome variance and the prevalences fix: the weights of the primary
-    analyst's theta (`overall`) and of the subgroup analyst's theta_k
-    (`subgroups`), and the cut's gain and covariance. `mean` and `cut` add
-    a dataset's outcome sums; the replicates of a batch share one design."""
+    """The part of the flat-prior cut that the cell counts, the outcome
+    variance and the prevalences fix: the weights of the primary analyst's
+    theta (`overall`) and of the subgroup analyst's theta_k (`subgroups`),
+    and the cut's gain and covariance. `mean` adds a dataset's outcome sums;
+    the replicates of a batch share one design."""
 
     pi: np.ndarray
     overall: tuple
@@ -191,14 +193,12 @@ class FlatCutDesign:
         m2 = _flat_mean(self.subgroups, s1, cs.total[:, CONTROL] + cs.total[:, EC_CONTROL])
         return _mix_mean(m2, self.gain, self.pi, m1)
 
-    def cut(self, cs: CellStats) -> NormalPosterior:
-        """The cut on the cell statistics `cs` of a dataset with this design."""
-        return NormalPosterior(self.mean(cs), self.cov, self.labels)
-
 
 def flat_cut_design(n1, n0, ne, phi2: float, prevalences) -> FlatCutDesign:
-    """The design part of `flat_cut` from the per-subgroup counts of treated,
-    trial-control and external-control patients.
+    """The design part of the flat-prior cut, the `cut_distribution` of
+    `analyst1_posterior` and `analyst2_posterior` under `flat_prior`, from
+    the per-subgroup counts of treated, trial-control and external-control
+    patients.
 
     Under the flat prior the subgroup analyst's theta_k are independent,
     with means m2 and variances s2, so with sp = s2 * pi the cut has mean
@@ -212,13 +212,3 @@ def flat_cut_design(n1, n0, ne, phi2: float, prevalences) -> FlatCutDesign:
     subgroups, s2 = _flat_theta(n1, n0 + ne, phi2)
     gain, cov = _mix_design(np.diag(s2), s2 * pi, pi, v1)
     return FlatCutDesign(pi, overall, subgroups, gain, cov, _theta_labels(len(pi)))
-
-
-def flat_cut(ds: CombinedDataset, phi2: float, prevalences) -> NormalPosterior:
-    """`cut_distribution` of `analyst1_posterior(ds, phi2, flat_prior(2))`
-    and `analyst2_posterior(ds, phi2, flat_prior(2K))`, in closed form: its
-    design part (`flat_cut_design`) and the means that ds's outcomes give."""
-    cs = ds.cell_stats
-    design = flat_cut_design(cs.n[:, TREATED], cs.n[:, CONTROL], cs.n[:, EC_CONTROL], phi2,
-                             prevalences)
-    return design.cut(cs)

@@ -373,9 +373,10 @@ class DesignCounts:
     and `q` the overall external fraction of controls. `cache` keeps what
     is computed from these counts and prevalences alone (`cached`), for
     every replicate context built on them: in a `simulate` batch, the
-    difference-of-means bias direction, the checked fixed matrices, the
-    analytic covariance and half-width, the cut's design part and
-    half-width, and the bootstrap's scales.
+    difference-of-means bias direction and the checked fixed matrices
+    (`sim._ReplicateContext.cached`), the cut's design part with its
+    half-width and the analytic half-width along a design-only shift
+    (`intervals.interval`), and the bootstrap's scales.
     `dataclasses.replace` starts an empty one.
     """
 

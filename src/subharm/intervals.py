@@ -2,25 +2,24 @@
 intervals, cut-distribution intervals, parametric-bootstrap intervals, and
 the trial-only comparator interval, behind one dispatcher that `simulate`
 and `estimate` share. The dispatcher, `interval`, reads a replicate's
-dataset, design counts, harmonized estimate and analytic covariance from
-its replicate context, `sim._ReplicateContext`.
-
-The dispatcher's cut interval is the flat-prior cut in closed form
-(`bayes.flat_cut`), per subgroup, from the cut's design part
-(`ctx.cut_design`), built once per `DesignCounts`. The half-widths of the
-cut interval, and of the analytic interval where its shift vector depends
-on the design alone (`ctx.design_only`), are kept on the `DesignCounts`
-too: `cut_interval` and `analytic_interval` build each once, around a zero
-centre, whose upper bound is the half-width, and a replicate adds only its
-centre. The bootstrap's cell-mean draws are `Generator.normal` draws, bit
-for bit, taken as standard normals scaled and shifted in place, and its
-quantiles are `np.quantile`'s linear interpolation between order
-statistics from one sort, whose first and last rows also hold any
-non-finite draw. What the draws read from the design counts alone
-(`bootstrap_scales`) is kept on the `DesignCounts`, so a replicate
-computes only its moment fit, its draws and what follows them. The normal
-quantile z of the analytic, cut and trial-only intervals is the standard
-library's `statistics.NormalDist().inv_cdf`.
+dataset, design counts and harmonized estimate from its replicate context,
+`sim._ReplicateContext`, and keeps each interval's per-design part as one
+entry of the context's cache (`ctx.cached`): the cut's design part
+(`bayes.flat_cut_design`) with its half-width, on the `DesignCounts`, and
+the analytic half-width, from `harmonize.analytic_bias_variance`, on the
+`DesignCounts` where the target's shift depends on the design alone
+(`ctx.design_only`) and on the replicate otherwise. `cut_interval` and
+`analytic_interval` build each half-width around a zero centre, whose
+upper bound is the half-width, and a replicate adds only its centre.
+The bootstrap's cell-mean draws are `Generator.normal` draws, bit for bit,
+taken as standard normals scaled and shifted in place, and its quantiles
+are `np.quantile`'s linear interpolation between order statistics from one
+sort, whose first and last rows also hold any non-finite draw. What the
+draws read from the design counts alone (`bootstrap_scales`) is kept on
+the `DesignCounts`, so a replicate computes only its moment fit, its draws
+and what follows them. The normal quantile z of the analytic, cut and
+trial-only intervals is the standard library's
+`statistics.NormalDist().inv_cdf`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayes import NormalPosterior
+from .bayes import FlatCutDesign, NormalPosterior, flat_cut_design
 from .config import choice, listing, refuse_repeats
 from .data import CONTINUOUS, CONTROL, EC_CONTROL, TREATED, CombinedDataset, DesignCounts
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
     ReplicateFailure,
 )
 from .estimators import EffectEstimate, _first_subgroup, _pooled_cell_variance
+from .harmonize import analytic_bias_variance
 from .harmonize import harmonize  # noqa: F401  (a binding that call tracers patch and check)
 from .rng import (
     ROLE_BOOT_CONTROL,
@@ -303,36 +303,47 @@ def check_interval_methods(methods, target, outcome_family: str) -> None:
                 f"{target.name!r} is {got} on {outcome_family} outcomes")
 
 
+def _require_variance(method: str, phi2) -> None:
+    if not (phi2 is not None and 0 < phi2 < math.inf):
+        raise InsufficientData(f"the {method} interval needs a positive, finite outcome "
+                               f"variance; got phi2 = {phi2}")
+
+
+def _cut_part(dc: DesignCounts, phi2: float, alpha: float) -> tuple[FlatCutDesign, np.ndarray]:
+    """The flat-prior cut's design part on `dc` at outcome variance phi2,
+    and the cut interval's half-width at level alpha."""
+    counts = dc.counts
+    design = flat_cut_design(counts[:, 1, 0], counts[:, 0, 0], counts[:, 0, 1], phi2, dc.pi)
+    zero = NormalPosterior(np.zeros(dc.k), design.cov, design.labels)
+    return design, cut_interval(zero, alpha).upper
+
+
 def interval(method: str, ctx, target, alpha: float, phi2: float | None = None,
              r: int = BOOTSTRAP_R, seed: int = 0, replicate: int = 0) -> IntervalSet:
     """One interval of a method accepted by `check_interval_methods`, on the
     replicate that `ctx` (a `sim._ReplicateContext`) holds. The analytic and
     bootstrap intervals are centred on `ctx.harmonized(target)`, the estimate
-    of the estimator configuration `target`, and the analytic one reads its
-    covariance from `ctx.analytic_variance`. The cut's half-width, and the
-    analytic one where `ctx.design_only(target)`, are built once per
-    `ctx.dc`. `phi2` is the outcome variance of the analytic and cut
-    intervals, which raise `InsufficientData` unless it is positive and
-    finite; `r`, `seed` and `replicate` drive the bootstrap draws."""
+    of the estimator configuration `target`. `phi2` is the outcome variance
+    of the analytic and cut intervals; the bootstrap fits its own. Each
+    raises `InsufficientData` unless its variance is positive and finite.
+    `r`, `seed` and `replicate` drive the bootstrap draws."""
     ds, dc = ctx.ds, ctx.dc
     if method == "rct_only":
         return rct_only_interval(ds, alpha)
-    if method in ("analytic", "cut") and not (phi2 is not None and 0 < phi2 < math.inf):
-        raise InsufficientData(f"the {method} interval needs a positive, finite outcome "
-                               f"variance; got phi2 = {phi2}")
-    if method == "cut":
-        design = ctx.cut_design(phi2)
-        half = dc.cached(("cut width", phi2, alpha), lambda: cut_interval(
-            NormalPosterior(np.zeros(dc.k), design.cov, design.labels), alpha).upper)
-        return IntervalSet.around(design.mean(ds.cell_stats), half)
-    if method == "analytic":
-        point = ctx.harmonized(target)[0]
-        if not ctx.design_only(target):
-            return analytic_interval(point, ctx.analytic_variance(target, phi2), alpha)
-        half = dc.cached(("analytic width", target, phi2, alpha), lambda: analytic_interval(
-            np.zeros(dc.k), ctx.analytic_variance(target, phi2), alpha).upper)
-        return IntervalSet.around(point, half)
     if method == "bootstrap":
         point, u = ctx.harmonized(target)
-        return bootstrap_interval(ds, dc, point, u, r, alpha, seed, replicate=replicate)
-    raise ConfigError(f"unknown interval method {method!r}")
+        params = SimpleModelParams.from_data(ds)
+        _require_variance(method, params.phi2)
+        return bootstrap_interval(ds, dc, point, u, r, alpha, seed, params, replicate)
+    if method not in ("analytic", "cut"):
+        raise ConfigError(f"unknown interval method {method!r}")
+    _require_variance(method, phi2)
+    if method == "cut":
+        design, half = ctx.cached(("cut", phi2, alpha), lambda: _cut_part(dc, phi2, alpha),
+                                  design_only=True)
+        return IntervalSet.around(design.mean(ds.cell_stats), half)
+    point, u = ctx.harmonized(target)
+    half = ctx.cached(("analytic", target, phi2, alpha), lambda: analytic_interval(
+        np.zeros(dc.k), analytic_bias_variance(dc, np.zeros(dc.k), u, phi2)[1], alpha).upper,
+        design_only=ctx.design_only(target))
+    return IntervalSet.around(point, half)

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes import FlatCutDesign, flat_cut_design
 from .config import (
     FLAG,
     FULL,
@@ -92,7 +91,6 @@ from .harmonize import (
     LimitMapSpec,
     _SigmaShift,
     _validate_sigma,
-    analytic_bias_variance,
     bd_direction_diff_means,
     bd_direction_glm,
     bd_direction_linear,
@@ -411,15 +409,13 @@ class _ReplicateContext:
     and mode (`shift`), which its estimate and the intervals centred on it
     share.
 
-    What depends on the design counts alone is kept in `dc.cache`, which
-    the contexts of a `simulate` batch share with its `dc`: the bias
-    direction of an initial whose record has `design_only_bd`, each
-    checked fixed (or identity) matrix, the analytic interval's covariance
-    along a u made from them (`design_only`), and the cut's design part
-    (`cut_design`); the interval dispatcher keeps the analytic and cut
-    half-widths there, and the bootstrap its scales
-    (`intervals.bootstrap_scales`). Where the batch's covariates are
-    frozen or absent, its datasets also share one design
+    Every cached value goes through `cached`: on the replicate, or, with
+    `design_only`, in `dc.cache`, which the contexts of a `simulate` batch
+    share with its `dc`. There go the bias direction of an initial whose
+    record has `design_only_bd`, each checked fixed (or identity) matrix,
+    and the interval dispatcher's per-design parts (`intervals.interval`);
+    the bootstrap keeps its scales there too. Where the batch's covariates
+    are frozen or absent, its datasets also share one design
     (`generate_scenario`), so the cell index, the cell sort, the subgroup
     grouping and the limit map's layout are built once per batch.
     """
@@ -430,7 +426,7 @@ class _ReplicateContext:
         self.mu_true = mu_true
         self._cache: dict = {}
 
-    def _cached(self, key, build, design_only: bool = False):
+    def cached(self, key, build, design_only: bool = False):
         if design_only:
             return self.dc.cached(key, build)
         if key not in self._cache:
@@ -438,28 +434,28 @@ class _ReplicateContext:
         return self._cache[key]
 
     def initial(self, kind: str) -> EffectEstimate:
-        return self._cached(kind, lambda: INITIALS[kind].estimate(self))
+        return self.cached(kind, lambda: INITIALS[kind].estimate(self))
 
     def trial_logistic_fit(self) -> GlmFit:
         """The trial-only logistic fit behind the logistic_rct estimate, the
         logistic overall effect and every limit map's anchor."""
-        return self._cached("trial_logistic_fit",
-                            lambda: _pooled_logistic_fit(self.ds, None, rct_only=True))
+        return self.cached("trial_logistic_fit",
+                           lambda: _pooled_logistic_fit(self.ds, None, rct_only=True))
 
     def ipw_weights(self) -> np.ndarray:
         """The EC records' propensity weights, shared by the logistic_ipw
         estimate and its limit map."""
-        return self._cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
+        return self.cached("ipw", lambda: ec_weights(fit_propensity(self.ds)))
 
     def overall(self, kind: str) -> float:
-        return self._cached(f"overall:{kind}", lambda: OVERALLS[kind].estimate(self))
+        return self.cached(f"overall:{kind}", lambda: OVERALLS[kind].estimate(self))
 
     def bd_direction(self, initial_kind: str) -> np.ndarray:
         """The bias direction of an initial that has one; once per batch
         where it depends on the design counts alone."""
         initial = INITIALS[initial_kind]
-        return self._cached(f"bd:{initial_kind}", lambda: initial.bias_direction(self),
-                            design_only=initial.design_only_bd)
+        return self.cached(f"bd:{initial_kind}", lambda: initial.bias_direction(self),
+                           design_only=initial.design_only_bd)
 
     def limit_map_spec(self, initial_kind: str) -> LimitMapSpec:
         """The limit map of a logistic initial. One layout (`CellDesign`,
@@ -467,7 +463,7 @@ class _ReplicateContext:
         differ only in the EC rows' weights. Raises SeparationDetected when
         an RCT (subgroup, arm) cell's responses are all 0 or all 1: the
         trial-only fit it is anchored at then has no finite maximum."""
-        spec = self._cached("limit_map", self._limit_map)
+        spec = self.cached("limit_map", self._limit_map)
         if initial_kind != "logistic_ipw":
             return spec
         weights = spec.weights.copy()
@@ -488,7 +484,7 @@ class _ReplicateContext:
         fits. One tally of the replicate's responses serves every check."""
         ds = self.ds
         # subgroup, cell (RCT control, RCT treated, EC), response
-        tally = self._cached("responses", lambda: np.bincount(np.concatenate([
+        tally = self.cached("responses", lambda: np.bincount(np.concatenate([
             6 * ds.w_rct + 2 * ds.t_rct + ds.y_rct.astype(np.int64),
             6 * ds.w_ec + 4 + ds.y_ec.astype(np.int64)]),
             minlength=6 * ds.k).reshape(ds.k, 3, 2).tolist())
@@ -521,7 +517,7 @@ class _ReplicateContext:
         lambda, so the intervals centred on an estimator use its u itself.
         """
         key = ("shift", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam)
-        return self._cached(key, lambda: self._resolve(cfg))
+        return self.cached(key, lambda: self._resolve(cfg))
 
     def _resolve(self, cfg: EstimatorConfig) -> tuple[np.ndarray, str]:
         """`shift`, uncached. A DegenerateDirection from `bd_direction` sends
@@ -548,33 +544,15 @@ class _ReplicateContext:
                              lambda: vd_sigma(self.initial(initial))).u(lam), MODE_VD
 
     def _checked(self, mode: str, source, build) -> _SigmaShift:
-        return self._cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
-                            design_only=mode == MODE_FIXED)
+        return self.cached(("sigma", mode, source), lambda: _SigmaShift(build(), self.dc.pi),
+                           design_only=mode == MODE_FIXED)
 
     def design_only(self, cfg: EstimatorConfig) -> bool:
-        """Whether `cfg`'s shift vector u, and so its analytic covariance,
-        depends on the design counts alone: a fixed shift, or bd on an
-        initial whose bias direction does."""
+        """Whether `cfg`'s shift vector u, and so its analytic interval's
+        half-width, depends on the design counts alone: a fixed shift, or bd
+        on an initial whose bias direction does."""
         mode = self.shift(cfg)[1]
         return mode == MODE_FIXED or (mode == MODE_BD and INITIALS[cfg.initial].design_only_bd)
-
-    def analytic_variance(self, cfg: EstimatorConfig, phi2: float) -> np.ndarray:
-        """The covariance of `cfg`'s harmonized difference-of-means estimate
-        at outcome variance phi2, which the analytic interval reads; once
-        per batch when its shift vector u depends on the design alone."""
-        u = self.shift(cfg)[0]
-        return self._cached(
-            ("variance", cfg.initial, cfg.sigma_mode, cfg.sigma, cfg.lam, phi2),
-            lambda: analytic_bias_variance(self.dc, np.zeros(self.dc.k), u, phi2)[1],
-            design_only=self.design_only(cfg))
-
-    def cut_design(self, phi2: float) -> FlatCutDesign:
-        """The design part of the flat-prior cut (`bayes.flat_cut`) at
-        outcome variance phi2, which the cut interval reads; once per batch."""
-        counts = self.dc.counts
-        return self._cached(("cut", phi2), lambda: flat_cut_design(
-            counts[:, 1, 0], counts[:, 0, 0], counts[:, 0, 1], phi2, self.dc.pi),
-            design_only=True)
 
     def shift_mode(self, cfg: EstimatorConfig) -> str:
         """fixed, bd, vd or "vd (bd fallback)", as resolved for `cfg`."""
@@ -590,7 +568,7 @@ class _ReplicateContext:
             u = self.shift(cfg)[0]
             return harmonize(initial, overall, self.dc.pi, u).theta_k, u
         key = ("harmonized", cfg.initial, cfg.overall, cfg.sigma_mode, cfg.sigma, cfg.lam)
-        return self._cached(key, build)
+        return self.cached(key, build)
 
     def evaluate(self, cfg: EstimatorConfig) -> np.ndarray:
         if cfg.kind != "harmonized":
@@ -915,12 +893,10 @@ def spike_effect(y: np.ndarray, w: np.ndarray, k: int, amounts,
     return y
 
 
-def load_resample_pools(trial_csv: str, ec_csv: str, schema: CsvSchema,
-                        subgroup_levels=None) -> CombinedDataset:
+def load_resample_pools(trial_csv: str, ec_csv: str, schema: CsvSchema) -> CombinedDataset:
     """The source pools of in-silico trials: the trial's control records,
     as the RCT rows, and the external records."""
-    ds = load_dataset(trial_csv, ec_csv, schema, outcome_family=BINARY,
-                      subgroup_levels=subgroup_levels)
+    ds = load_dataset(trial_csv, ec_csv, schema, outcome_family=BINARY)
     ctrl = ds.t_rct == 0
     if not ctrl.any():
         raise PoolTooSmall("trial file has no control records")

@@ -5,7 +5,12 @@ import math
 
 import numpy as np
 
-from subharm.bayes import FLAT_PRIOR_VARIANCE, NormalPosterior, _mix_over_overall
+from subharm.bayes import (
+    FLAT_PRIOR_VARIANCE,
+    NormalPosterior,
+    _mix_over_overall,
+    flat_cut_design,
+)
 from subharm.data import CONTROL, EC_CONTROL, TREATED
 from subharm.errors import (
     ConfigError,
@@ -41,6 +46,17 @@ def plug_in_distribution(p2: NormalPosterior, prevalences,
     pi = np.asarray(prevalences, dtype=float)
     m2, s2 = p2.block("theta")
     return _mix_over_overall(m2, s2, s2 @ pi, pi, float(theta_hat_a1), 0.0)
+
+
+def flat_cut(ds, phi2: float, prevalences) -> NormalPosterior:
+    """`cut_distribution` of `analyst1_posterior(ds, phi2, flat_prior(2))`
+    and `analyst2_posterior(ds, phi2, flat_prior(2K))`, in closed form: the
+    package's design part (`flat_cut_design`) and the means that ds's
+    outcomes give (`FlatCutDesign.mean`)."""
+    cs = ds.cell_stats
+    design = flat_cut_design(cs.n[:, TREATED], cs.n[:, CONTROL], cs.n[:, EC_CONTROL], phi2,
+                             prevalences)
+    return NormalPosterior(design.mean(cs), design.cov, design.labels)
 
 
 # --- the cut and bootstrap intervals as one call computed them, frozen ------

@@ -17,11 +17,10 @@ from subharm import (
     harmonize,
     shift_vector,
 )
-from subharm.bayes import flat_cut
 from subharm.errors import SingularPrior
 
 from conftest import balanced_dataset
-from oracles import plug_in_distribution
+from oracles import flat_cut, plug_in_distribution
 
 
 def proportional_dataset(rng, k=3, base_t=4, base_c=3, ec=None):

@@ -345,6 +345,28 @@ class TestEstimateFailsClosed:
         # the estimates succeed, but the failed interval leaves no artifact
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_zero_bootstrap_variance_exits_3(self, tmp_path, capsys):
+        # constant outcomes in every cell, exactly representable, fit
+        # phi2 = 0: the bootstrap's draws would all equal its moment fit, a
+        # zero-width interval, so it refuses the fit as the analytic and cut
+        # intervals refuse theirs
+        k = 2
+        w_r, t_r = np.repeat(np.arange(k), 6), np.tile(np.repeat([1, 0], 3), k)
+        w_e = np.repeat(np.arange(k), 3)
+        ds = CombinedDataset.from_arrays(y_rct=1.0 + t_r + 0.5 * w_r, t_rct=t_r, w_rct=w_r,
+                                         y_ec=0.25 + 0.5 * w_e, w_ec=w_e, k=k)
+        rct, ec = str(tmp_path / "r.csv"), str(tmp_path / "e.csv")
+        save_dataset(ds, rct, ec)
+        cfg = write_config(tmp_path / "c.json", {
+            "rct_csv": rct, "ec_csv": ec, "intervals": ["bootstrap"],
+            "out_dir": str(tmp_path / "o")})
+        assert run_cli("estimate", "--config", cfg) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InsufficientData"
+        assert err["message"] == ("the bootstrap interval needs a positive, finite outcome "
+                                  "variance; got phi2 = 0.0")
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_estimator_failure_writes_nothing(self, tmp_path, capsys):
         # treatment predicts the outcome, so the pooled logistic fit
         # separates; the record is the first failure, an estimator's

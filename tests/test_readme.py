@@ -38,3 +38,43 @@ def test_python_blocks_run_in_order(tmp_path, monkeypatch):
     overall = names["sh"].logistic_overall_effect(names["bin_ds"])
     assert abs(names["bin_dc"].pi @ names["out"].theta_k - overall) <= 1e-10
     np.testing.assert_array_equal(names["iv"].point, names["result"].theta_k)
+
+
+FILE_SUFFIXES = {"csv", "json", "toml", "md", "py"}
+
+
+def code_names() -> set[str]:
+    """Every `<module>.<name>` of a subharm module, with or without the
+    `subharm.` prefix, every `subharm.<module>`, and every `ctx.<method>`
+    in the README's inline code spans, file names such as `intervals.csv`
+    aside."""
+    import pkgutil
+
+    import subharm
+
+    modules = "|".join(m.name for m in pkgutil.iter_modules(subharm.__path__))
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    pattern = re.compile(rf"(?<![\w.])(subharm(?:\.\w+)+|(?:{modules})(?:\.\w+)+|ctx\.\w+)")
+    return {name for span in re.findall(r"`([^`]+)`", text) for name in pattern.findall(span)
+            if name.rsplit(".", 1)[1] not in FILE_SUFFIXES}
+
+
+def test_code_names_resolve():
+    import importlib
+
+    from subharm.sim import _ReplicateContext
+
+    names = code_names()
+    assert {"sim._ReplicateContext", "ctx.harmonized", "subharm.intervals.interval"} <= names
+    stale = []
+    for name in sorted(names):
+        first, *rest = name.removeprefix("subharm.").split(".")
+        if first == "ctx":
+            owner = _ReplicateContext
+        else:
+            owner = importlib.import_module(f"subharm.{first}")
+        for attr in rest:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            stale.append(name)
+    assert stale == []

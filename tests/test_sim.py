@@ -458,9 +458,9 @@ class TestDesignCountsCache:
         {"kind": "harmonized", "name": "fixed", "initial": "diff_means_pooled", "lambda": 2,
          "sigma_mode": "fixed", "sigma": SIGMA}], ids=["bd", "fixed"])
     def test_one_analytic_covariance_per_design_counts(self, monkeypatch, est):
-        import subharm.sim as sim_mod
+        import subharm.intervals as intervals_mod
         from subharm.harmonize import analytic_bias_variance
-        from subharm.intervals import interval
+        from subharm.intervals import _z, interval
         from subharm.sim import _ReplicateContext, parse_estimator
 
         calls = []
@@ -469,15 +469,16 @@ class TestDesignCountsCache:
             calls.append(args[0])
             return analytic_bias_variance(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, "analytic_bias_variance", counted)
+        monkeypatch.setattr(intervals_mod, "analytic_bias_variance", counted)
         spec, cfg = load_preset("fig1-s2"), parse_estimator(est)
         datasets = [generate_scenario(spec, 0, rep) for rep in range(3)]
         dc = compute_design_counts(datasets[0])
+        key = ("analytic", cfg, 1.0, 0.05)
         shared = []
         for ds in datasets:
             ctx = _ReplicateContext(ds, dc)
             interval("analytic", ctx, cfg, 0.05, phi2=1.0)
-            shared.append(ctx.analytic_variance(cfg, 1.0))
+            shared.append(dc.cache[key])
         assert calls == [dc]
         assert shared[0] is shared[1] is shared[2]
 
@@ -486,17 +487,17 @@ class TestDesignCountsCache:
         interval("analytic", ctx, cfg, 0.05, phi2=1.0)
         assert calls == [dc, other]
         own = analytic_bias_variance(other, np.zeros(10), ctx.shift(cfg)[0], 1.0)[1]
-        np.testing.assert_array_equal(ctx.analytic_variance(cfg, 1.0), own)
-        assert not np.allclose(own, shared[0])
+        np.testing.assert_array_equal(other.cache[key], _z(0.05) * np.sqrt(np.diag(own)))
+        assert not np.allclose(other.cache[key], shared[0])
 
     def test_one_cut_design_and_bootstrap_scales_per_design_counts(self, monkeypatch):
         import subharm.intervals as intervals_mod
-        import subharm.sim as sim_mod
         from subharm.intervals import interval
         from subharm.sim import _ReplicateContext, parse_estimator
 
         cut_designs, scales = [], []
-        flat_cut_design, bootstrap_scales = sim_mod.flat_cut_design, intervals_mod.bootstrap_scales
+        flat_cut_design = intervals_mod.flat_cut_design
+        bootstrap_scales = intervals_mod.bootstrap_scales
 
         def counted_cut(*args):
             cut_designs.append(args[-1])  # the prevalences
@@ -506,7 +507,7 @@ class TestDesignCountsCache:
             scales.append(dc)
             return bootstrap_scales(dc)
 
-        monkeypatch.setattr(sim_mod, "flat_cut_design", counted_cut)
+        monkeypatch.setattr(intervals_mod, "flat_cut_design", counted_cut)
         monkeypatch.setattr(intervals_mod, "bootstrap_scales", counted_scales)
         cfg = parse_estimator({"kind": "harmonized", "name": "bd", "initial": "diff_means_pooled"})
         datasets = [generate_scenario(load_preset("fig1-s2"), 0, rep) for rep in range(3)]
@@ -589,9 +590,13 @@ class TestDesignCountsCache:
         # cut, bootstrap and analytic intervals as one call computed them;
         # the analytic one on an identity target, whose shift is design-only,
         # and on a vd target, whose shift is each replicate's own
-        from oracles import frozen_bootstrap_interval, frozen_cut_interval, frozen_flat_cut
+        from oracles import (
+            flat_cut,
+            frozen_bootstrap_interval,
+            frozen_cut_interval,
+            frozen_flat_cut,
+        )
         from subharm import CombinedDataset, analytic_bias_variance
-        from subharm.bayes import flat_cut
         from subharm.errors import SubharmError
         from subharm.intervals import analytic_interval, bootstrap_interval, interval
         from subharm.sim import _ReplicateContext, parse_estimator

@@ -51,6 +51,13 @@ DRAWN_COVARIATES = {
     "n_ec": [40, 50, 30, 60], "mu": [0.0, 0.5, -0.5, 1.0], "theta": [0.2, 0.4, 0.0, -0.2],
     "distortion": [0.5, 0.0, 1.0, 0.5], "n_covariates": 1, "beta": [0.5],
     "x_mean_ec": 1.0, "fixed_covariates": False}
+# continuous outcomes without covariates, so every replicate shares one
+# design, at the user's prevalences
+USER_PREVALENCES = {
+    "name": "user-prevalences", "outcome_family": "continuous", "k": 4,
+    "n_rct_treated": [10, 12, 8, 10], "n_rct_control": [10, 8, 12, 10],
+    "n_ec": [40, 50, 30, 60], "mu": [0.0, 0.5, -0.5, 1.0], "theta": [0.2, 0.4, 0.0, -0.2],
+    "distortion": [0.5, 0.0, 1.0, 0.5], "prevalences": [0.1, 0.2, 0.3, 0.4]}
 
 
 def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
@@ -76,6 +83,8 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
                            sigma=FIXED_SIGMA)])),
         "simulate-drawn-covariates": ("simulate", dict(
             sim, scenario=DRAWN_COVARIATES, intervals=ALL_INTERVALS)),
+        "simulate-user-prevalences": ("simulate", dict(
+            sim, scenario=USER_PREVALENCES, intervals=ALL_INTERVALS)),
         "simulate-fig1-s2-vd-target": ("simulate", dict(
             sim, preset="fig1-s2", intervals=ALL_INTERVALS, interval_estimator="vd",
             estimators=["diff_means_pooled",
@@ -104,6 +113,14 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
         "estimate-continuous": ("estimate", {
             "rct_csv": str(inputs / f"continuous{seed}_rct.csv"),
             "ec_csv": str(inputs / f"continuous{seed}_ec.csv"), "intervals": ALL_INTERVALS}),
+        # the intervals target the vd estimator, whose analytic half-width
+        # is the call's own, beside a bd one, at the user's prevalences
+        "estimate-continuous-prevalences": ("estimate", {
+            "rct_csv": str(inputs / f"continuous{seed}_rct.csv"),
+            "ec_csv": str(inputs / f"continuous{seed}_ec.csv"), "intervals": ALL_INTERVALS,
+            "prevalences": [0.05] * 5 + [0.15] * 5, "estimators": [
+                harmonized("vd", "diff_means_pooled", "diff_means", "vd"),
+                harmonized("bd", "diff_means_pooled", "diff_means", "bd")]}),
     }
 
 
