@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import lru_cache
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -182,14 +183,70 @@ def _manifest(out_dir: Path, command: str, resolved: dict, checks: dict) -> None
     manifest = {"command": command, "version": __version__,
                 "config": config, "checks": checks}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(manifest, sort_keys=True) + "\n")
 
 
 def _json_default(v):
     if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
     raise TypeError(f"not JSON serializable: {type(v)}")
+
+
+# the characters `json` writes as a short escape; the other control
+# characters, DEL and every non-ASCII one it writes as \uXXXX
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                  "\b": "\\b", "\f": "\\f"}
+
+
+def _json_string(s: str) -> str:
+    """`s` as a JSON string literal, ASCII only, as `json.dumps(s)` writes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = []
+    for ch in s:
+        n = ord(ch)
+        if ch in _SHORT_ESCAPES:
+            out.append(_SHORT_ESCAPES[ch])
+        elif 0x20 <= n < 0x7F:
+            out.append(ch)
+        elif n > 0xFFFF:  # a surrogate pair
+            n -= 0x10000
+            out.append("\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF))
+        else:
+            out.append("\\u%04x" % n)
+    return '"' + "".join(out) + '"'
+
+
+def _json_text(obj, sort_keys: bool = False) -> str:
+    """`obj` exactly as `json.dumps(obj, indent=2, sort_keys=sort_keys,
+    default=_json_default)` writes it. With an indent set, `json` runs its
+    pure-Python encoder, a chain of generators; this is one recursive pass
+    in which each container joins its items' texts, so their pieces are
+    freed once it is joined (one flat list of every piece raised the peak
+    RSS of a `simulate` call by about 0.5 MB). Dict keys must be str."""
+    def text(o, pad: str) -> str:
+        if type(o) is float and isfinite(o):  # most of a report
+            return float.__repr__(o)
+        if isinstance(o, str):
+            return _json_string(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return (float.__repr__(o) if isfinite(o)
+                    else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+        inner = pad + "  "
+        if isinstance(o, (list, tuple)):
+            return ("[\n" + inner + (",\n" + inner).join([text(v, inner) for v in o])
+                    + "\n" + pad + "]") if o else "[]"
+        if isinstance(o, dict):
+            items = sorted(o.items()) if sort_keys else o.items()
+            return ("{\n" + inner + (",\n" + inner).join(
+                [_json_string(key) + ": " + text(v, inner) for key, v in items])
+                + "\n" + pad + "}") if o else "{}"
+        return text(_json_default(o), pad)
+    return text(obj, "")
 
 
 def _report_artifacts(out_dir: Path, report: MonteCarloReport,
@@ -199,8 +256,7 @@ def _report_artifacts(out_dir: Path, report: MonteCarloReport,
     _write_csv(out_dir / "report.csv",
                ["scenario", "estimator", "subgroup", "metric", "value", "mc_se"], rows)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(_json_text(report.to_json_dict()) + "\n")
     if write_replicates:
         # one finiteness check per estimator, and the rows as Python floats
         rrows = [[rep, name, k, value]
@@ -365,7 +421,8 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         return cmd_resample(cfg)
     except SubharmError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        print('{"error": %s, "message": %s}' % (_json_string(type(exc).__name__),
+                                                 _json_string(str(exc))), file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DataError) else 4
 
 

@@ -109,7 +109,7 @@ def _outcomes(y, name: str, outcome_family: str, n: int | None = None) -> np.nda
     y = _vector(y, float, name, n)
     if not np.isfinite(y).all():
         raise MalformedRow(f"non-finite value in {name}")
-    if outcome_family == BINARY and not np.isin(y, (0.0, 1.0)).all():
+    if outcome_family == BINARY and not ((y == 0.0) | (y == 1.0)).all():
         raise MalformedRow("binary outcome family requires outcomes in {0, 1}")
     return y
 

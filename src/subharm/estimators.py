@@ -79,8 +79,7 @@ def _pooled_cell_variance(cs: CellStats) -> float:
 
 def _first_subgroup(bad: np.ndarray) -> int | None:
     """1-based label of the first flagged subgroup, or None."""
-    idx = np.flatnonzero(bad)
-    return int(idx[0]) + 1 if idx.size else None
+    return int(bad.argmax()) + 1 if bad.any() else None
 
 
 def diff_means_pooled_subgroups(ds: CombinedDataset) -> EffectEstimate:

@@ -76,7 +76,8 @@ def _validate_sigma(sigma: np.ndarray, k: int) -> np.ndarray:
         raise InconsistentDimensions(f"sigma must be {k}x{k}, got {sigma.shape}")
     if not np.isfinite(sigma).all():
         raise SingularSigma("sigma must be finite")
-    if not np.allclose(sigma, sigma.T, rtol=0, atol=1e-8 * max(1.0, np.abs(sigma).max())):
+    # on finite entries, the test np.allclose(sigma, sigma.T, rtol=0, atol=...) makes
+    if not np.abs(sigma - sigma.T).max() <= 1e-8 * max(1.0, np.abs(sigma).max()):
         raise SingularSigma("sigma must be symmetric")
     ev = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     if ev[0] <= 1e-10 * max(ev[-1], np.finfo(float).tiny):

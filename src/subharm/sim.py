@@ -633,38 +633,63 @@ class MonteCarloReport:
         }
 
 
+def _row_blocks(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows (axis 1) of the (reps, rows, K) array `a` that `rows`
+    flags, as contiguous (reps, K) blocks one after another. Each block is
+    laid out as a copy of its row alone, so numpy's mean and std over a
+    block's replicates are bit for bit those over that copy: replicate by
+    replicate over K > 1 columns, pairwise over a single one."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)[rows])
+
+
 def _aggregate(scenario: str, reps: int, seed: int, truth: np.ndarray,
                names: Sequence[str], est: np.ndarray,
                interval_methods: Sequence[str], cover: np.ndarray,
                width: np.ndarray, failures: list,
                prevalence_source: str) -> MonteCarloReport:
+    """The report of the stacked (reps, rows, K) rows. The estimator and
+    interval rows whose replicates all succeeded are reduced at once, in
+    one mean and one std over their blocks; a row with a failed replicate
+    is reduced over the replicates it kept."""
+    ok = np.isfinite(est).all(axis=2)
+    full = ok.all(axis=0)
+    blocks = _row_blocks(est, full)
+    moments = zip(blocks.mean(axis=1), blocks.std(axis=1, ddof=1))
     est_stats = {}
     for i, name in enumerate(names):
-        vals = est[:, i, :]
-        ok = np.isfinite(vals).all(axis=1)
-        used = vals[ok]
-        n = len(used)
-        if n < 2:
-            raise NumericalError(f"estimator {name!r} failed in all but {n} replicates")
-        bias = used.mean(axis=0) - truth
-        sd = used.std(axis=0, ddof=1)
+        if full[i]:
+            n, (mean, sd) = reps, next(moments)
+        else:
+            used = est[ok[:, i], i]
+            n = len(used)
+            if n < 2:
+                raise NumericalError(f"estimator {name!r} failed in all but {n} replicates")
+            mean, sd = used.mean(axis=0), used.std(axis=0, ddof=1)
+        bias = mean - truth
         est_stats[name] = dict(
             bias=bias, sd=sd, rmse=np.sqrt(bias ** 2 + sd ** 2),
             mc_se_bias=sd / np.sqrt(n), mc_se_sd=sd / np.sqrt(2.0 * (n - 1)),
             n_used=n, n_failed=int(reps - n))
+    ok = np.isfinite(cover).all(axis=2)
+    full = ok.all(axis=0)
+    width_blocks = _row_blocks(width, full)
+    moments = zip(_row_blocks(cover, full).mean(axis=1), width_blocks.mean(axis=1),
+                  width_blocks.std(axis=1, ddof=1))
     int_stats = {}
     for i, name in enumerate(interval_methods):
-        cv = cover[:, i, :]
-        ok = np.isfinite(cv).all(axis=1)
-        n = int(ok.sum())
-        if n == 0:
-            raise NumericalError(f"interval {name!r} failed in every replicate")
-        p = cv[ok].mean(axis=0)
-        wd = width[ok][:, i, :]
+        if full[i]:
+            n, (p, mean_width, sd_width) = reps, next(moments)
+        else:
+            n = int(ok[:, i].sum())
+            if n == 0:
+                raise NumericalError(f"interval {name!r} failed in every replicate")
+            p = cover[ok[:, i], i].mean(axis=0)
+            wd = width[ok[:, i], i]
+            mean_width = wd.mean(axis=0)
+            sd_width = wd.std(axis=0, ddof=1) if n > 1 else np.zeros_like(p)
         int_stats[name] = dict(
-            coverage=p, mean_width=wd.mean(axis=0),
-            mc_se_coverage=np.sqrt(p * (1 - p) / n),
-            mc_se_width=wd.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(p),
+            coverage=p, mean_width=mean_width,
+            mc_se_coverage=np.sqrt(p * (1 - p) / n), mc_se_width=sd_width / np.sqrt(n),
             n_used=n, n_failed=int(reps - n))
     return MonteCarloReport(scenario=scenario, reps=reps, seed=seed, truth=truth,
                             estimator_stats=est_stats, interval_stats=int_stats,
@@ -708,10 +733,15 @@ def _run_replicates(rep_indices, draw, est_cfgs, k: int, methods=(), target=None
     """Every batch's replicate loop: `evaluate_replicate` on the context
     `draw(rep, failures)` makes, unless it appends (name, exception) and
     returns None. The (est, cover, width) rows are NaN where a replicate,
-    an estimator or an interval failed; failures are (rep, name, message)."""
+    an estimator or an interval failed; failures are (rep, name, message).
+    Each returned interval's bounds are stacked, and the batch's coverage
+    and widths are derived from them at once, as `IntervalSet.covers` and
+    `width` give them: a returned interval with a non-finite bound counts,
+    with coverage 0 and a NaN width."""
     est = np.full((len(rep_indices), len(est_cfgs), k), np.nan)
-    cover = np.full((len(rep_indices), len(methods), k), np.nan)
-    width = cover.copy()
+    lower = np.full((len(rep_indices), len(methods), k), np.nan)
+    upper = lower.copy()
+    returned = np.zeros(lower.shape[:2], dtype=bool)
     failures = []
     for row, rep in enumerate(map(int, rep_indices)):
         fails: list = []
@@ -722,9 +752,11 @@ def _run_replicates(rep_indices, draw, est_cfgs, k: int, methods=(), target=None
             fails += evaluated
             for i, iv in enumerate(ivs):
                 if iv is not None:
-                    cover[row, i], width[row, i] = iv.covers(truth), iv.width
+                    lower[row, i], upper[row, i], returned[row, i] = iv.lower, iv.upper, True
         failures += [(rep, name, str(exc)) for name, exc in fails]
-    return est, cover, width, failures
+    t = np.asarray(truth, dtype=float)
+    cover = np.where(returned[:, :, None], (lower <= t) & (t <= upper), np.nan)
+    return est, cover, upper - lower, failures
 
 
 def _scenario_batch(rep_indices, *, spec, est_cfgs, methods, alpha, bootstrap_r, seed, truth,

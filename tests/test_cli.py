@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subharm import CombinedDataset, CsvSchema, generate_scenario, load_preset, save_dataset
 from subharm.cli import main
@@ -1441,3 +1444,29 @@ def test_csv_cells_keep_their_bytes(tmp_path):
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# every kind of value the artifacts hold, and strings that need escapes;
+# numpy arrays and integers go through `_json_default`
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2e-308]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "😀", "\ud800", "\t\n\r\b\f"]),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_json_text_is_jsons_indent_2_output(tree):
+    from subharm.cli import _json_default, _json_text
+
+    for sort_keys in (False, True):
+        assert _json_text(tree, sort_keys=sort_keys) == json.dumps(
+            tree, indent=2, sort_keys=sort_keys, default=_json_default)

@@ -232,6 +232,85 @@ class TestMonteCarlo:
             assert np.all(harm < rct), f"spread={spread}"
 
 
+ONE_SUBGROUP = ScenarioSpec.from_dict({
+    "name": "one-subgroup", "outcome_family": "continuous", "k": 1, "n_rct_treated": [10],
+    "n_rct_control": [10], "n_ec": [30], "mu": [0.0], "theta": [0.3], "distortion": [0.5]})
+
+
+class TestPartialFailures:
+    """Planted failures: the analytic interval raises in some replicates,
+    the rct_only one returns a NaN lower bound in one, and the trial-only
+    estimator returns NaN in others. Every row's statistics are those of
+    the replicates that kept it, by their per-replicate definitions, bit
+    for bit, whether every replicate kept the row or not."""
+
+    REPS = 9
+    RAISES = {1, 4}  # replicates whose analytic interval raises
+    NAN_BOUND = 2  # the replicate whose rct_only lower bound in subgroup 1 is NaN
+    NAN_ESTIMATE = {3, 6}  # replicates whose trial-only estimate is NaN
+
+    @pytest.mark.parametrize("spec", [load_preset("fig1-s1"), ONE_SUBGROUP],
+                             ids=["K=10", "K=1"])
+    def test_statistics_follow_the_replicates_that_kept_each_row(self, monkeypatch, spec):
+        import subharm.sim
+        from subharm.errors import NegativeVariance
+        from subharm.intervals import IntervalSet
+
+        evaluate, interval = subharm.sim._ReplicateContext.evaluate, subharm.sim.interval
+        estimates, intervals = {}, {}
+
+        def planted_evaluate(ctx, cfg):
+            rep = sum(name == cfg.name for name, _ in estimates)
+            theta = np.array(evaluate(ctx, cfg))
+            if cfg.name == "diff_means_rct" and rep in self.NAN_ESTIMATE:
+                theta[-1] = np.nan
+            estimates[cfg.name, rep] = theta
+            return theta
+
+        def planted_interval(method, ctx, target, alpha, replicate, **kwargs):
+            if method == "analytic" and replicate in self.RAISES:
+                raise NegativeVariance("planted")
+            iv = interval(method, ctx, target, alpha, replicate=replicate, **kwargs)
+            if method == "rct_only" and replicate == self.NAN_BOUND:
+                lower = iv.lower.copy()
+                lower[0] = np.nan
+                iv = IntervalSet(lower, iv.upper.copy(), iv.point.copy())
+            intervals[method, replicate] = iv
+            return iv
+
+        monkeypatch.setattr(subharm.sim._ReplicateContext, "evaluate", planted_evaluate)
+        monkeypatch.setattr(subharm.sim, "interval", planted_interval)
+        names = ["diff_means_pooled", "diff_means_rct", "h"]
+        report = run_monte_carlo(spec, [*names[:2], {
+            "kind": "harmonized", "name": "h", "initial": "diff_means_pooled",
+            "overall": "diff_means", "lambda": "full", "sigma_mode": "bd"}],
+            reps=self.REPS, seed=5, intervals=("analytic", "rct_only"))
+        truth = report.truth
+
+        for name in names:
+            used = np.array([theta for (n, _), theta in estimates.items()
+                             if n == name and np.isfinite(theta).all()])
+            st = report.estimator_stats[name]
+            assert (st["n_used"], st["n_failed"]) == (len(used), self.REPS - len(used))
+            np.testing.assert_array_equal(st["bias"], used.mean(axis=0) - truth)
+            np.testing.assert_array_equal(st["sd"], used.std(axis=0, ddof=1))
+        assert report.estimator_stats["diff_means_rct"]["n_used"] == self.REPS - 2
+        for method, n_used in (("analytic", self.REPS - 2), ("rct_only", self.REPS)):
+            kept = [iv for (m, _), iv in intervals.items() if m == method]
+            st = report.interval_stats[method]
+            assert (st["n_used"], st["n_failed"]) == (n_used, self.REPS - n_used)
+            np.testing.assert_array_equal(
+                st["coverage"], np.mean([iv.covers(truth) for iv in kept], axis=0))
+            np.testing.assert_array_equal(
+                st["mean_width"], np.array([iv.width for iv in kept]).mean(axis=0))
+        # the NaN bound counts: that replicate misses, and the mean width is NaN
+        rct_only = report.interval_stats["rct_only"]
+        assert not intervals["rct_only", self.NAN_BOUND].covers(truth)[0]
+        assert np.isnan(rct_only["mean_width"][0]) and np.isfinite(rct_only["coverage"][0])
+        assert [f for f in report.failures if f[2] == "planted"] == [
+            (rep, "interval:analytic", "planted") for rep in sorted(self.RAISES)]
+
+
 class TestBdFallback:
     def test_degenerate_direction_falls_back_to_vd(self, caplog):
         import logging

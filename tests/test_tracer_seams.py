@@ -118,6 +118,8 @@ def test_estimate_shows_each_logistic_fit(tracer, tmp_path):
         [(ds.n_rct, 2 * k + d), (n, 2 * k + d), (n, 2 * k + d), (n, k + d)])
 
 
+CLOSED_FORM_CUT = ("the cut interval takes the closed form of bayes.flat_cut_design "
+                   "and FlatCutDesign.mean")
 # The traced names that no command enters, each with its reason. The check
 # is two-sided: a name that turns live, or a traced name that turns dead,
 # fails it, so the set shrinks with `TRACED` and grows with a refactor
@@ -126,9 +128,9 @@ NEVER_ENTERED = {
     "sim._ReplicateContext.bd_sigma": "bd resolves to its unit direction; no command "
                                       "builds a bd matrix",
     "harmonize.solve_sigma_from_b": "the bd matrix itself, read only by bd_sigma",
-    "bayes.analyst1_posterior": "the cut interval takes the closed-form flat_cut",
-    "bayes.analyst2_posterior": "the cut interval takes the closed-form flat_cut",
-    "bayes.cut_distribution": "the cut interval takes the closed-form flat_cut",
+    "bayes.analyst1_posterior": CLOSED_FORM_CUT,
+    "bayes.analyst2_posterior": CLOSED_FORM_CUT,
+    "bayes.cut_distribution": CLOSED_FORM_CUT,
     "harmonize.limit_map_theta": "the refitting oracle of bd_direction_glm: a command "
                                  "that entered it would refit",
     "data.save_dataset": "writes CSV inputs, which no command does",

@@ -58,6 +58,12 @@ USER_PREVALENCES = {
     "n_rct_treated": [10, 12, 8, 10], "n_rct_control": [10, 8, 12, 10],
     "n_ec": [40, 50, 30, 60], "mu": [0.0, 0.5, -0.5, 1.0], "theta": [0.2, 0.4, 0.0, -0.2],
     "distortion": [0.5, 0.0, 1.0, 0.5], "prevalences": [0.1, 0.2, 0.3, 0.4]}
+# binary outcomes with 4 patients per cell, so that separation fails the
+# harmonized logistic estimators in some replicates and not in others
+SPARSE_BINARY = {
+    "name": "sparse-binary", "outcome_family": "binary", "k": 3,
+    "n_rct_treated": [4, 4, 4], "n_rct_control": [4, 4, 4], "n_ec": [4, 4, 4],
+    "mu": [-0.5, 0.0, 0.5], "theta": [0.5, 0.5, 0.0], "distortion": [0.3, 0.0, -0.3]}
 
 
 def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
@@ -97,6 +103,11 @@ def runs(inputs: Path, seed: int) -> dict[str, tuple[str, dict]]:
                 "ols_pooled", "ols_rct", harmonized("bd", "ols_pooled", "ols", "bd"),
                 harmonized("vd", "ols_pooled", "ols", "vd"),
                 harmonized("fixed", "ols_pooled", "ols", "fixed", 2, sigma=FIXED_SIGMA)])),
+        "simulate-sparse-binary": ("simulate", dict(
+            sim, scenario=SPARSE_BINARY, intervals=["rct_only"], estimators=[
+                "logistic_pooled", "logistic_rct",
+                harmonized("bd", "logistic_pooled", "logistic", "bd"),
+                harmonized("vd", "logistic_pooled", "logistic", "vd")])),
         "resample-default": ("resample", pools),
         "resample-spike": ("resample", dict(pools, spike=0.1)),
         "resample-pool": ("resample", dict(pools, prevalence_mode="pool")),
